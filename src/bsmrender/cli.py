@@ -16,18 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .containers import (canonical_json, read_binaural_spectrogram, read_sh_signal,
-                         read_wav, update_manifest, verify_artifacts,
-                         write_binaural_spectrogram, write_json, write_sh_signal,
-                         write_wav)
+from .containers import (canonical_json, read_binaural_spectrogram, read_wav,
+                         update_manifest, verify_artifacts,
+                         write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, NmseReport, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import FrequencyGrid
 from .hrtf import evaluate_sh, flat_hrtf, load_hrtf, point_receiver_hrtf, sh_fit
-from .render import (apply_filterbank, BinauralSpectrogram, decompose_measurement,
-                     render_reference)
-from .simulate import add_noise, render_mic_signals, render_reference_plane_waves, \
-    scene_statistics
+from .render import apply_filterbank, BinauralSpectrogram, decompose_measurement
+from .simulate import add_noise, binaural_references, render_mic_signals, \
+    scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank, load_filterbank, \
     save_filterbank
 from .sph import spiral_grid
@@ -35,8 +33,9 @@ from .stft import Spectrogram, istft, stft
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
-SIM_ARTIFACTS = ("mics_full.wav", "mics_direct.wav",
-                 "reference_sh.bsma", "reference_direct_sh.bsma")
+MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
+SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg",
+                                 "reference.wav", "reference_direct.wav")
 BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
 SPECTRO_ARTIFACTS = ("bsm_standard.bsmg", "bsm_decomposed.bsmg",
                      "component_direct.bsmg", "component_reverb.bsmg",
@@ -72,6 +71,23 @@ def _hrtf_coeffs(cfg, grid):
     return sh_fit(base, design["hrtf_sh_order"])
 
 
+def _write_binaural(out_dir, spectra, wavs, fs, stft_cfg, digest):
+    """Write each binaural spectrogram (file name -> spectrogram) and the
+    listenable WAV of those named in `wavs` (WAV name -> spectrogram name).
+    Returns the manifest entries."""
+    entries = {}
+    for name, bs in spectra.items():
+        write_binaural_spectrogram(out_dir / name, bs.ear("left"),
+                                   bs.ear("right"), stft_cfg, bs.tag, digest)
+        entries[name] = out_dir / name
+    for wav_name, spec_name in wavs.items():
+        bs = spectra[spec_name]
+        audio = np.hstack([istft(bs.left), istft(bs.right)])
+        write_wav(out_dir / wav_name, audio, fs, digest)
+        entries[wav_name] = out_dir / wav_name
+    return entries
+
+
 def run_simulate(cfg, out_dir):
     scene_cfg = cfg["scene"]
     digest = cfgmod.run_digest(cfg)
@@ -79,12 +95,14 @@ def run_simulate(cfg, out_dir):
     max_order = scene_cfg["max_reflection_order"]
     rir_s = scene_cfg["rir_seconds"]
     fs = cfg["sample_rate"]
+    stft_cfg = cfgmod.build_stft_config(cfg)
 
-    stats = scene_statistics(scene, max_order, rir_s)
+    images = scene_images(scene, max_order, rir_s)
+    stats = scene_statistics(scene, max_order, rir_s, images)
     stats["scene_digest"] = digest
     write_json(out_dir / "scene_stats.json", stats)
 
-    x, x_d, _ = render_mic_signals(scene, max_order, rir_s)
+    x, x_d, _ = render_mic_signals(scene, max_order, rir_s, images)
     if scene_cfg["noise_snr_db"] is not None:
         # sensor noise belongs to the measurement; the oracle direct
         # component stays clean
@@ -93,16 +111,15 @@ def run_simulate(cfg, out_dir):
     write_wav(out_dir / "mics_full.wav", x, fs, digest)
     write_wav(out_dir / "mics_direct.wav", x_d, fs, digest)
 
-    order = cfg["design"]["reference_order"]
-    for name, direct_only in (("reference_sh.bsma", False),
-                              ("reference_direct_sh.bsma", True)):
-        sh = render_reference_plane_waves(scene, order, max_order, rir_s,
-                                          direct_only=direct_only,
-                                          out_dtype=np.complex64)
-        write_sh_signal(out_dir / name, sh, fs, order, digest)
-        del sh
-
-    entries = {n: out_dir / n for n in SIM_ARTIFACTS + ("scene_stats.json",)}
+    ref, ref_direct = binaural_references(
+        images[0], scene.source_signal, _hrtf_coeffs(cfg, _grid(cfg, stft_cfg)),
+        stft_cfg, cfg["design"]["reference_order"], rir_s)
+    entries = _write_binaural(
+        out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
+        {"reference.wav": "reference.bsmg",
+         "reference_direct.wav": "reference_direct.bsmg"}, fs, stft_cfg, digest)
+    entries.update({n: out_dir / n for n in
+                    MIC_ARTIFACTS + ("scene_stats.json",)})
     update_manifest(out_dir, entries, digest)
     t60 = stats["t60_s"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
@@ -156,7 +173,7 @@ def _load_bank(path, expected_digest):
 
 def run_render(cfg, out_dir):
     digest = cfgmod.run_digest(cfg)
-    verify_artifacts(out_dir, SIM_ARTIFACTS + BANK_ARTIFACTS, digest, "render")
+    verify_artifacts(out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render")
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
@@ -181,35 +198,13 @@ def run_render(cfg, out_dir):
     results["bsm_decomposed.bsmg"] = (results["component_direct.bsmg"]
                                       + results["component_reverb.bsmg"])
 
-    coeffs = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg))
-    for name, src, tag in (("reference.bsmg", "reference_sh.bsma", "reference"),
-                           ("reference_direct.bsmg", "reference_direct_sh.bsma",
-                            "reference-direct")):
-        sh, rate, _, embedded = read_sh_signal(out_dir / src)
-        if rate != fs or embedded != digest:
-            raise ValueError(f"{src}: stale or foreign SH signal")
-        results[name] = render_reference(sh, coeffs, stft_cfg, tag=tag)
-        del sh
-
-    entries = {}
-    for name, bs in results.items():
-        write_binaural_spectrogram(out_dir / name, bs.ear("left"),
-                                   bs.ear("right"), stft_cfg, bs.tag, digest)
-        entries[name] = out_dir / name
-
-    wav_of = {"render_standard.wav": "bsm_standard.bsmg",
-              "render_decomposed.wav": "bsm_decomposed.bsmg",
-              "reference.wav": "reference.bsmg",
-              "reference_direct.wav": "reference_direct.bsmg"}
-    for wav_name, spec_name in wav_of.items():
-        bs = results[spec_name]
-        audio = np.hstack([istft(bs.left), istft(bs.right)])
-        write_wav(out_dir / wav_name, audio, fs, digest)
-        entries[wav_name] = out_dir / wav_name
-
+    entries = _write_binaural(
+        out_dir, results, {"render_standard.wav": "bsm_standard.bsmg",
+                           "render_decomposed.wav": "bsm_decomposed.bsmg"},
+        fs, stft_cfg, digest)
     update_manifest(out_dir, entries, digest)
     print(f"render: {len(entries)} artifacts, "
-          f"{results['reference.bsmg'].num_frames} frames")
+          f"{results['bsm_standard.bsmg'].num_frames} frames")
     return results
 
 
@@ -338,9 +333,9 @@ def main(argv=None):
                         help="print the resolved config and exit")
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
-        "simulate": "room simulation: mic recordings and SH references",
+        "simulate": "room simulation: mic recordings and binaural references",
         "design": "solve the direct and reverberant filter banks",
-        "render": "apply banks and decode references to binaural signals",
+        "render": "apply the filter banks to the recordings",
         "evaluate": "NMSE reports and the decomposed-vs-standard verdict",
         "pipeline": "all four stages in order",
     }

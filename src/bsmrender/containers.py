@@ -2,10 +2,11 @@
 
 Everything on disk is little-endian and timestamp-free so that repeated
 runs with the same config produce byte-identical trees. WAV files carry a
-private "bsmd" chunk holding the 16-hex-char scene digest; the custom
-containers (BSMA for SH-domain signals, BSMG for binaural spectrograms)
-embed the same digest in their headers. manifest.json maps artifact names
-to content hashes so later stages can refuse stale or corrupted inputs.
+private "bsmd" chunk holding the 16-hex-char scene digest; the BSMG
+binaural spectrogram container embeds the same digest in its header.
+manifest.json maps artifact names to content hashes so later stages can
+refuse stale or corrupted inputs. The readers check every length before
+they unpack, so a truncated or damaged file raises ContainerError.
 """
 
 import hashlib
@@ -79,64 +80,49 @@ def write_wav(path, data, sample_rate, digest=None):
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
+def _ascii(raw, path, what):
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise ContainerError(f"{path}: {what} is not ASCII") from None
+
+
 def read_wav(path):
     """Returns (data float32 (frames, channels), sample_rate, digest or None)."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
         raise ContainerError(f"{path}: not a RIFF WAVE file")
     pos, end = 12, 8 + struct.unpack("<I", blob[4:8])[0]
+    if end > len(blob):
+        raise ContainerError(f"{path}: truncated file")
     fmt = None
     data = None
     digest = None
     while pos + 8 <= end:
         tag = blob[pos : pos + 4]
         size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
+        if pos + 8 + size > end:
+            raise ContainerError(f"{path}: chunk {tag!r} overruns the file")
         body = blob[pos + 8 : pos + 8 + size]
         if tag == b"fmt ":
+            if size < 16:
+                raise ContainerError(f"{path}: short fmt chunk")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif tag == b"data":
             data = body
         elif tag == b"bsmd":
-            digest = body.decode("ascii")
+            digest = _ascii(body, path, "digest")
         pos += 8 + size + (size % 2)
     if fmt is None or data is None:
         raise ContainerError(f"{path}: missing fmt or data chunk")
     audio_format, channels, rate, _, _, bits = fmt
     if audio_format != 3 or bits != 32:
         raise ContainerError(f"{path}: expected 32-bit float samples")
+    if channels == 0 or len(data) % (4 * channels):
+        raise ContainerError(f"{path}: data size does not fit {channels} channels")
     arr = np.frombuffer(data, dtype="<f4").reshape(-1, channels)
     return arr, rate, digest
-
-
-# ---------------------------------------------------------------- BSMA
-
-def write_sh_signal(path, data, sample_rate, order, digest):
-    """SH-domain time signal, complex64 on disk (quantization is far below
-    every tolerance used downstream), shape (samples, channels)."""
-    arr = np.asarray(data)
-    channels = (order + 1) ** 2
-    if arr.ndim != 2 or arr.shape[1] != channels:
-        raise ContainerError("data shape does not match the SH order")
-    header = (b"BSMA" + struct.pack("<IIIIQ", 1, int(sample_rate), int(order),
-                                    channels, arr.shape[0]) + _check_digest(digest))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(arr, dtype="<c8").tobytes())
-
-
-def read_sh_signal(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != b"BSMA":
-        raise ContainerError(f"{path}: bad magic")
-    version, rate, order, channels, samples = struct.unpack("<IIIIQ", blob[4:28])
-    if version != 1:
-        raise ContainerError(f"{path}: unsupported version {version}")
-    digest = blob[28 : 28 + DIGEST_LEN].decode("ascii")
-    arr = np.frombuffer(blob[28 + DIGEST_LEN :], dtype="<c8")
-    arr = arr.reshape(samples, channels)
-    return arr, rate, order, digest
 
 
 # ---------------------------------------------------------------- BSMG
@@ -162,19 +148,24 @@ def read_binaural_spectrogram(path):
         blob = fh.read()
     if blob[:4] != b"BSMG":
         raise ContainerError(f"{path}: bad magic")
+    if len(blob) < 36:
+        raise ContainerError(f"{path}: truncated header")
     (version, rate, window, hop, fft_size,
      frames, bins) = struct.unpack("<IIIIIII", blob[4:32])
     if version != 1:
         raise ContainerError(f"{path}: unsupported version {version}")
     tag_len = struct.unpack("<I", blob[32:36])[0]
     pos = 36 + tag_len
-    tag = blob[36:pos].decode("ascii")
-    digest = blob[pos : pos + DIGEST_LEN].decode("ascii")
+    if pos + DIGEST_LEN > len(blob):
+        raise ContainerError(f"{path}: truncated header")
+    tag = _ascii(blob[36:pos], path, "tag")
+    digest = _ascii(blob[pos : pos + DIGEST_LEN], path, "digest")
     pos += DIGEST_LEN
     count = frames * bins
+    if len(blob) - pos != 2 * count * 16:
+        raise ContainerError(f"{path}: payload size does not match "
+                             f"{frames} x {bins} bins")
     flat = np.frombuffer(blob[pos:], dtype="<c16")
-    if flat.size != 2 * count:
-        raise ContainerError(f"{path}: truncated payload")
     meta = {"sample_rate": rate, "window_length": window, "hop": hop,
             "fft_size": fft_size, "tag": tag, "digest": digest}
     return flat[:count].reshape(frames, bins), flat[count:].reshape(frames, bins), meta

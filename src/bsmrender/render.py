@@ -1,4 +1,4 @@
-"""Filtering, recombination and binaural references.
+"""Filtering, recombination and binaural reference decoding.
 
 Provenance tags travel with every binaural spectrogram so that mixing
 incompatible pipelines is an error instead of a silent bug: only
@@ -10,8 +10,8 @@ estimate) and only reference - reference-direct may be subtracted
 import numpy as np
 from dataclasses import dataclass
 
-from .sph import num_coeffs, sh_degrees
-from .stft import Spectrogram, stft
+from .sph import sh_degrees
+from .stft import Spectrogram
 
 BINAURAL_TAGS = ("reference", "reference-direct", "reference-reverb",
                  "bsm-standard", "bsm-decomposed",
@@ -132,33 +132,3 @@ def decode_matrix(hrtf_sh, order):
     sign = np.where(m_idx % 2 == 0, 1.0, -1.0)[:, None]
     return {"left": sign * coeffs.left[flipped],
             "right": sign * coeffs.right[flipped]}
-
-
-def render_reference(sh_signal, hrtf_sh, config, tag="reference",
-                     chunk_channels=32):
-    """Binaural reference from an SH-domain time signal.
-
-    Decodes per STFT bin with the HRTF's SH coefficients; channel count and
-    HRTF order are reconciled by truncating to the smaller order.
-    """
-    n_ch = sh_signal.shape[1]
-    order = int(round(np.sqrt(n_ch))) - 1
-    if num_coeffs(order) != n_ch:
-        raise ValueError("channel count is not a complete SH band")
-    order = min(order, hrtf_sh.order)
-    n_use = num_coeffs(order)
-    g = decode_matrix(hrtf_sh, order)
-    if g["left"].shape[1] != config.num_bins:
-        raise ValueError("HRTF bin count does not match the STFT config")
-    out = {}
-    frames = config.num_frames(sh_signal.shape[0])
-    for ear in ("left", "right"):
-        out[ear] = np.zeros((frames, config.num_bins), dtype=complex)
-    for start in range(0, n_use, chunk_channels):
-        sl = slice(start, min(start + chunk_channels, n_use))
-        spec = stft(sh_signal[:, sl], config, origin="p")
-        for ear in ("left", "right"):
-            out[ear] += np.einsum("cfb,cb->fb", spec.data, g[ear][sl])
-    sides = {ear: Spectrogram(data=out[ear][None], config=config, origin="p")
-             for ear in out}
-    return BinauralSpectrogram(left=sides["left"], right=sides["right"], tag=tag)

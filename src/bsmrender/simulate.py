@@ -2,22 +2,28 @@
 
 Rendering produces three aligned per-channel signals: the direct path, the
 reverberant remainder and their sum, so the measurement decomposition of
-the rendering model holds sample-exactly by construction. Plane-wave
-reference channels encode every image source into spherical harmonics at
-the array center; their arrival directions use the same conventions as the
-steering vectors.
+the rendering model holds sample-exactly by construction. The binaural
+references decode a spherical-harmonic plane-wave encoding of every image
+source at the array center; their arrival directions use the same
+conventions as the steering vectors.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from scipy import fft as spfft
 from scipy import signal as sps
 from scipy import sparse
 
 from .geometry import SPEED_OF_SOUND
-from .sph import _sph_harm_y, sh_degrees
+from .render import BinauralSpectrogram, decode_matrix
+from .sph import _sph_harm_y, num_coeffs, sh_degrees
+from .stft import Spectrogram, frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
+# m >= 0 SH channels encoded per pass of binaural_references: bounds its
+# transient memory to a few hundred MB on the full-size scene
+REF_CHUNK_CHANNELS = 8
 
 
 @dataclass(frozen=True)
@@ -94,6 +100,11 @@ class ImageSourceList:
     @property
     def count(self):
         return self.gains.size
+
+    def take(self, index):
+        """The rows selected by `index` (a slice or index array)."""
+        return ImageSourceList(**{f.name: getattr(self, f.name)[index]
+                                  for f in fields(self)})
 
 
 def compute_image_sources(room, source, receiver, max_order, max_delay=None):
@@ -177,12 +188,12 @@ def render_rir(images, num_samples, sample_rate, weights=None, chunk=131072):
     """Scatter image taps into an impulse response.
 
     weights (default: the image gains) may be complex, in which case the
-    RIR is complex; used by the SH encoder with per-image SH weights.
+    RIR is complex.
     """
     if weights is None:
         weights = images.gains
     dtype = complex if np.iscomplexobj(weights) else float
-    out = np.zeros((num_samples,) + weights.shape[1:], dtype=dtype)
+    out = np.zeros(num_samples, dtype=dtype)
     for start in range(0, images.count, chunk):
         sl = slice(start, start + chunk)
         d_samp = images.delays[sl] * sample_rate
@@ -190,46 +201,46 @@ def render_rir(images, num_samples, sample_rate, weights=None, chunk=131072):
         kern = _sinc_kernel(d_samp - base)
         idx = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
         valid = (idx >= 0) & (idx < num_samples)
-        w = weights[sl]
-        if w.ndim == 1:
-            np.add.at(out, idx[valid], (w[:, None] * kern)[valid])
-        else:
-            contrib = kern[:, :, None] * w[:, None, :]
-            np.add.at(out, idx[valid], contrib[valid])
+        np.add.at(out, idx[valid], (weights[sl, None] * kern)[valid])
     return out
 
 
-def _split_rirs(room, source, receiver, max_order, num_samples, sample_rate):
-    """Direct and reverberant RIRs at one receiver (same length)."""
-    max_delay = (num_samples - _HALF - 1) / sample_rate
-    images = compute_image_sources(room, source, receiver, max_order, max_delay)
-    direct = ImageSourceList(**{k: getattr(images, k)[:1] for k in
-                                ("positions", "gains", "delays",
-                                 "colatitudes", "azimuths", "orders")})
-    reverb = ImageSourceList(**{k: getattr(images, k)[1:] for k in
-                                ("positions", "gains", "delays",
-                                 "colatitudes", "azimuths", "orders")})
-    rir_d = render_rir(direct, num_samples, sample_rate)
-    rir_r = render_rir(reverb, num_samples, sample_rate)
-    return rir_d, rir_r, images
+def scene_images(scene, max_order, rir_seconds):
+    """Image sources seen from the array center and from each microphone:
+    (center list, [one list per mic]). One enumeration per receiver, shared
+    by scene_statistics, render_mic_signals and binaural_references."""
+    fs = scene.sample_rate
+    # latest arrival whose sinc taps all fit in the RIR
+    max_delay = (int(round(rir_seconds * fs)) - _HALF - 1) / fs
+    images = [compute_image_sources(scene.room, scene.source_position,
+                                    tuple(receiver), max_order, max_delay)
+              for receiver in (scene.array.center_position,
+                               *scene.array.room_positions())]
+    return images[0], images[1:]
 
 
-def render_mic_signals(scene, max_order, rir_seconds):
+def _split_rirs(images, num_samples, sample_rate):
+    """Direct and reverberant RIRs of one image list (same length)."""
+    return (render_rir(images.take(slice(0, 1)), num_samples, sample_rate),
+            render_rir(images.take(slice(1, None)), num_samples, sample_rate))
+
+
+def render_mic_signals(scene, max_order, rir_seconds, images=None):
     """Per-mic signals: (full, direct, reverb), each (samples, M) float64.
 
     full is defined as direct + reverb, so the decomposition identity is
-    sample-exact by construction.
+    sample-exact by construction. `images` is scene_images' result when the
+    caller already has it.
     """
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(scene.source_signal, float)
-    mics = scene.array.room_positions()
+    _, mic_images = images or scene_images(scene, max_order, rir_seconds)
     n_out = src.size + rir_len - 1
-    direct = np.empty((n_out, len(mics)))
-    reverb = np.empty((n_out, len(mics)))
-    for m, pos in enumerate(mics):
-        rir_d, rir_r, _ = _split_rirs(scene.room, scene.source_position, pos,
-                                      max_order, rir_len, fs)
+    direct = np.empty((n_out, len(mic_images)))
+    reverb = np.empty((n_out, len(mic_images)))
+    for m, imgs in enumerate(mic_images):
+        rir_d, rir_r = _split_rirs(imgs, rir_len, fs)
         direct[:, m] = sps.fftconvolve(src, rir_d)
         reverb[:, m] = sps.fftconvolve(src, rir_r)
     return direct + reverb, direct, reverb
@@ -260,37 +271,70 @@ def _delay_matrix(images, num_samples, sample_rate):
     return mat.tocsr()
 
 
-def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
-                                 direct_only=False, chunk_channels=32,
-                                 out_dtype=np.complex128):
-    """Encode every image source as a plane wave into SH channels.
+def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
+    """Binaural reference spectrograms (full, direct) decoded from the
+    order-`order` SH plane-wave encoding of `images`, the image sources seen
+    from the array center.
 
-    Arrival directions are taken relative to the array center. Returns the
-    SH-domain time signal, shape (samples, (sh_order+1)^2).
+    Equal to encoding all (order+1)^2 SH channels, taking their STFTs and
+    decoding each bin with the HRTF's SH coefficients (truncated to the
+    smaller order), without forming the SH signals. The direct image is
+    rank one: its channels are w_c (s * k_0), so its ears get
+    STFT(s * k_0) sum_c w_c G_c. Of the other images only the m >= 0
+    channels are encoded, a chunk at a time: the source is real and the
+    harmonics carry the Condon-Shortley phase, so p_(n,-m) =
+    (-1)^m conj(p_(n,m)) and P_(n,-m)(f) = (-1)^m conj(P_(n,m)(-f)) comes
+    from the same full FFT. The full reference is direct + reverberant, so
+    the two are identical in an anechoic room.
     """
-    fs = scene.sample_rate
+    fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
-    max_delay = (rir_len - _HALF - 1) / fs
-    images = compute_image_sources(scene.room, scene.source_position,
-                                   scene.array.center_position,
-                                   max_order, max_delay)
-    if direct_only:
-        images = ImageSourceList(**{k: getattr(images, k)[:1] for k in
-                                    ("positions", "gains", "delays",
-                                     "colatitudes", "azimuths", "orders")})
-    src = np.asarray(scene.source_signal, float)
-    n_coeff = (sh_order + 1) ** 2
-    n_out = src.size + rir_len - 1
-    out = np.empty((n_out, n_coeff), dtype=out_dtype)
-    delays = _delay_matrix(images, rir_len, fs)
-    for start in range(0, n_coeff, chunk_channels):
-        cols = range(start, min(start + chunk_channels, n_coeff))
-        w = _sh_weights_block(images, sh_order, cols)
-        rir = delays @ np.ascontiguousarray(w.real) \
-            + 1j * (delays @ np.ascontiguousarray(w.imag))
-        out[:, start : start + len(cols)] = sps.fftconvolve(
-            src[:, None], rir, axes=0)
-    return out
+    src = np.asarray(source, float)
+    order = min(order, hrtf_sh.order)
+    decode = decode_matrix(hrtf_sh, order)
+    g = np.stack([decode["left"], decode["right"]])  # (ears, channels, bins)
+    if g.shape[2] != config.num_bins:
+        raise ValueError("HRTF bin count does not match the STFT config")
+    direct = images.take(slice(0, 1))
+    reverb = images.take(slice(1, None))
+
+    kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
+    base = stft(sps.fftconvolve(src, kernel), config).data[0]
+    w0 = _sh_weights_block(direct, order, range(num_coeffs(order)))[0]
+    ears_d = base[None] * (w0 @ g)[:, None, :]
+
+    ears_r = np.zeros_like(ears_d)
+    if reverb.count:
+        n_idx, m_idx = sh_degrees(order)
+        encoded = np.nonzero(m_idx >= 0)[0]
+        m_enc = m_idx[encoded]
+        mirror = (n_idx * n_idx + n_idx - m_idx)[encoded]  # index of (n, -m)
+        # conj(P_(n,m)(-f)) decodes with conj((-1)^m G_(n,-m)) since
+        # sum G conj(P) = conj(sum conj(G) P); m = 0 has no partner
+        sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
+        g_pos = g[:, encoded]
+        g_neg = np.conj(sign[:, None] * g[:, mirror])
+        neg_bins = -np.arange(config.num_bins) % config.fft_size
+        delays = _delay_matrix(reverb, rir_len, fs)
+        for start in range(0, encoded.size, REF_CHUNK_CHANNELS):
+            sl = slice(start, start + REF_CHUNK_CHANNELS)
+            w = _sh_weights_block(reverb, order, encoded[sl])
+            rir = delays @ np.ascontiguousarray(w.real) \
+                + 1j * (delays @ np.ascontiguousarray(w.imag))
+            p = sps.fftconvolve(src[None, :], rir.T, axes=1)
+            spec = spfft.fft(frames(p, config), n=config.fft_size, axis=2)
+            ears_r += np.einsum("cfb,ecb->efb", spec[..., : config.num_bins],
+                                g_pos[:, sl])
+            ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
+                                        g_neg[:, sl]))
+
+    def binaural(ears, tag):
+        left, right = (Spectrogram(data=ear[None], config=config, origin="p")
+                       for ear in ears)
+        return BinauralSpectrogram(left=left, right=right, tag=tag)
+
+    return binaural(ears_d + ears_r, "reference"), \
+        binaural(ears_d, "reference-direct")
 
 
 def add_noise(signals, snr, seed=0):
@@ -372,7 +416,7 @@ def compute_drr(full_rir, direct_rir):
     return 10.0 * np.log10(e_dir / e_rev)
 
 
-def scene_statistics(scene, max_order, rir_seconds):
+def scene_statistics(scene, max_order, rir_seconds, images=None):
     """Scene descriptors: array DRR, measured and predicted T60, direct
     delay and the image count.
 
@@ -383,21 +427,19 @@ def scene_statistics(scene, max_order, rir_seconds):
     source/receiver symmetries (shared horizontal plane) create equal-delay
     image pairs that interfere constructively in the rendered RIR, which no
     diffuse-field DRR figure accounts for.
+
+    `images` is scene_images' result when the caller already has it.
     """
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
-    max_delay = (rir_len - _HALF - 1) / fs
-    center = scene.array.center_position
-    rir_d, rir_r, images = _split_rirs(scene.room, scene.source_position,
-                                       center, max_order, rir_len, fs)
+    images, mic_images = images or scene_images(scene, max_order, rir_seconds)
+    rir_d, rir_r = _split_rirs(images, rir_len, fs)
     try:
         t60 = estimate_t60(rir_d + rir_r, fs)
     except ValueError:
         t60 = None
     e_direct = e_reverb = 0.0
-    for pos in scene.array.room_positions():
-        imgs = compute_image_sources(scene.room, scene.source_position,
-                                     tuple(pos), max_order, max_delay)
+    for imgs in mic_images:
         e_direct += float(imgs.gains[0] ** 2)
         e_reverb += float(np.sum(imgs.gains[1:] ** 2))
     # None rather than inf for anechoic rooms: the dict goes to JSON

@@ -8,6 +8,7 @@ strictly positive everywhere and unmodified frames reconstruct exactly.
 
 import numpy as np
 from dataclasses import dataclass, field
+from numpy.lib.stride_tricks import sliding_window_view
 
 ORIGIN_TAGS = ("x", "x_d", "x_r", "p", "z")
 
@@ -93,31 +94,30 @@ class Spectrogram:
         return Spectrogram(data=self.data, config=self.config, origin=origin)
 
 
+def frames(signal, config):
+    """Windowed analysis frames of a (channels, samples) signal, shape
+    (channels, frames, window); the trailing frame is zero-padded. The
+    dtype follows the signal, so complex channels frame as well."""
+    num_ch, num_samples = signal.shape
+    count = config.num_frames(num_samples)
+    padded = np.zeros((num_ch, (count - 1) * config.hop + config.window_length),
+                      dtype=signal.dtype)
+    padded[:, :num_samples] = signal
+    segments = sliding_window_view(padded, config.window_length, axis=1)
+    return segments[:, :: config.hop] * config.window()
+
+
 def stft(signal, config, origin="x"):
-    """Forward transform. signal is (samples,) or (samples, channels)."""
+    """Forward transform of a real signal, (samples,) or (samples, channels)."""
     sig = np.asarray(signal)
     if sig.size == 0:
         raise ValueError("empty signal")
+    if np.iscomplexobj(sig):
+        raise ValueError("stft takes real signals")
     if sig.ndim == 1:
         sig = sig[:, None]
-    num_samples, num_ch = sig.shape
-    frames = config.num_frames(num_samples)
-    win = config.window()
-    # gather frame starts; trailing frame is zero-padded
-    padded = np.zeros(((frames - 1) * config.hop + config.window_length, num_ch),
-                      dtype=sig.dtype)
-    padded[:num_samples] = sig
-    idx = (np.arange(frames)[:, None] * config.hop + np.arange(config.window_length))
-    segments = padded[idx]                       # (frames, window, ch)
-    segments = segments * win[None, :, None]
-    if np.iscomplexobj(segments):
-        # complex channels (SH-domain signals): positive-frequency half of
-        # the full DFT, which coincides with rfft for real inputs
-        spec = np.fft.fft(segments, n=config.fft_size, axis=1)[:, : config.num_bins]
-    else:
-        spec = np.fft.rfft(segments, n=config.fft_size, axis=1)
-    return Spectrogram(data=np.ascontiguousarray(np.moveaxis(spec, 2, 0)),
-                       config=config, origin=origin)
+    spec = np.fft.rfft(frames(sig.T, config), n=config.fft_size, axis=2)
+    return Spectrogram(data=spec, config=config, origin=origin)
 
 
 def istft(spec, num_samples=None):

@@ -1,0 +1,68 @@
+"""Reference implementation of the binaural SH reference, for tests only.
+
+This is the direct route that simulate.binaural_references shortcuts: every
+image source seen from the array center is encoded as a plane wave into all
+(order+1)^2 SH channels at complex128, each channel gets its own complex
+STFT, and every bin is decoded with the HRTF's SH coefficients.
+"""
+
+import numpy as np
+from scipy import signal as sps
+
+from bsmrender.render import BinauralSpectrogram, decode_matrix
+from bsmrender.simulate import _HALF, _delay_matrix, _sh_weights_block, \
+    compute_image_sources
+from bsmrender.sph import num_coeffs
+from bsmrender.stft import Spectrogram, frames
+
+
+def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
+                                 direct_only=False, chunk_channels=32):
+    """Encode every image source as a plane wave into SH channels.
+
+    Arrival directions are taken relative to the array center. Returns the
+    SH-domain time signal, shape (samples, (sh_order+1)^2), complex128.
+    """
+    fs = scene.sample_rate
+    rir_len = int(round(rir_seconds * fs))
+    max_delay = (rir_len - _HALF - 1) / fs
+    images = compute_image_sources(scene.room, scene.source_position,
+                                   scene.array.center_position,
+                                   max_order, max_delay)
+    if direct_only:
+        images = images.take(slice(0, 1))
+    src = np.asarray(scene.source_signal, float)
+    n_coeff = num_coeffs(sh_order)
+    out = np.empty((src.size + rir_len - 1, n_coeff), dtype=complex)
+    delays = _delay_matrix(images, rir_len, fs)
+    for start in range(0, n_coeff, chunk_channels):
+        cols = range(start, min(start + chunk_channels, n_coeff))
+        w = _sh_weights_block(images, sh_order, cols)
+        rir = delays @ np.ascontiguousarray(w.real) \
+            + 1j * (delays @ np.ascontiguousarray(w.imag))
+        out[:, start : start + len(cols)] = sps.fftconvolve(
+            src[:, None], rir, axes=0)
+    return out
+
+
+def complex_stft(signal, config):
+    """Positive-frequency half of the full DFT of each analysis frame,
+    shape (channels, frames, bins); equals the rfft for real channels."""
+    spec = np.fft.fft(frames(signal.T, config), n=config.fft_size, axis=2)
+    return spec[..., : config.num_bins]
+
+
+def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
+    """Binaural reference from an SH-domain time signal, decoded per STFT
+    bin with the HRTF's SH coefficients (truncated to the smaller order)."""
+    n_ch = sh_signal.shape[1]
+    order = int(round(np.sqrt(n_ch))) - 1
+    if num_coeffs(order) != n_ch:
+        raise ValueError("channel count is not a complete SH band")
+    order = min(order, hrtf_sh.order)
+    g = decode_matrix(hrtf_sh, order)
+    spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
+    sides = {ear: Spectrogram(data=np.einsum("cfb,cb->fb", spec, g[ear])[None],
+                              config=config, origin="p")
+             for ear in ("left", "right")}
+    return BinauralSpectrogram(left=sides["left"], right=sides["right"], tag=tag)

@@ -16,7 +16,7 @@ from bsmrender.cli import (
     main,
     near_ear,
 )
-from bsmrender.containers import read_wav, verify_artifacts
+from bsmrender.containers import read_wav, verify_artifacts, write_wav
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -84,6 +84,7 @@ def test_pipeline_writes_every_artifact(mini_run):
                 "reference_direct.wav"))
     for name in names:
         assert (out / name).exists(), name
+    assert not list(out.glob("*.bsma"))
     # the manifest covers them all under the run digest
     verify_artifacts(out, names, cfgmod.run_digest(cfg), "test")
 
@@ -147,6 +148,19 @@ def test_evaluate_refuses_foreign_artifacts(mini_run, tmp_path, capsys):
     rc = main(["evaluate", "--out", str(work), "--seed", "123"])
     assert rc == EXIT_CODES["evaluate"]
     assert "error [evaluate]" in capsys.readouterr().err
+
+
+def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
+    source = tmp_path / "source.wav"
+    write_wav(source, np.zeros(480), 48000)
+    source.write_bytes(source.read_bytes()[:30])  # cut inside the fmt chunk
+    config_path = tmp_path / "wav.yaml"
+    config_path.write_text(f"scene:\n  source_kind: wav\n"
+                           f"  source_wav: {str(source)!r}\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert "error [simulate]" in capsys.readouterr().err
 
 
 def test_near_ear_follows_azimuth_sign():

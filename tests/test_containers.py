@@ -1,9 +1,11 @@
-"""Artifact containers: WAV, SH archive, spectrogram archive, manifest."""
+"""Artifact containers: WAV, spectrogram archive, manifest."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bsmrender.containers import (
     ContainerError,
@@ -11,14 +13,12 @@ from bsmrender.containers import (
     canonical_json,
     file_sha256,
     read_binaural_spectrogram,
-    read_sh_signal,
     read_wav,
     scene_digest,
     update_manifest,
     verify_artifacts,
     write_binaural_spectrogram,
     write_json,
-    write_sh_signal,
     write_wav,
 )
 from bsmrender.stft import StftConfig
@@ -54,25 +54,6 @@ def test_wav_rejects_garbage(tmp_path):
         read_wav(path)
 
 
-def test_sh_signal_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    sh = (rng.standard_normal((200, 9)) + 1j * rng.standard_normal((200, 9)))
-    path = tmp_path / "ref.bsma"
-    write_sh_signal(path, sh, 48000, 2, DIGEST)
-    back, rate, order, digest = read_sh_signal(path)
-    assert (rate, order, digest) == (48000, 2, DIGEST)
-    # stored single precision
-    np.testing.assert_allclose(back, sh, atol=1e-5)
-    assert back.dtype == np.complex64
-
-
-def test_sh_signal_bad_magic(tmp_path):
-    path = tmp_path / "ref.bsma"
-    path.write_bytes(b"XXXX" + bytes(64))
-    with pytest.raises(ContainerError):
-        read_sh_signal(path)
-
-
 def test_binaural_spectrogram_round_trip(tmp_path):
     cfg = StftConfig.default()
     rng = np.random.default_rng(2)
@@ -89,6 +70,56 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     assert meta["window_length"] == cfg.window_length
     assert meta["hop"] == cfg.hop
     assert meta["fft_size"] == cfg.fft_size
+
+
+def _write_sample_wav(path):
+    write_wav(path, np.arange(12, dtype=float).reshape(6, 2), 48000, DIGEST)
+
+
+def _write_sample_bsmg(path):
+    cfg = StftConfig(48000, 8, 4)
+    data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
+    write_binaural_spectrogram(path, data, -data, cfg, "reference", DIGEST)
+
+
+# kind -> (writer of a small valid file, its reader)
+READERS = {"wav": (_write_sample_wav, read_wav),
+           "bsmg": (_write_sample_bsmg, read_binaural_spectrogram)}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_reject_every_truncation(kind, tmp_path):
+    path = tmp_path / f"sample.{kind}"
+    write, reader = READERS[kind]
+    write(path)
+    blob = path.read_bytes()
+    reader(path)  # the intact file reads
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ContainerError):
+            reader(path)
+
+
+@settings(max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(READERS)), data=st.data())
+def test_readers_raise_only_container_errors(kind, data, tmp_path):
+    # flipped bytes, possibly after a cut, either still parse or raise
+    # ContainerError: never struct.error, IndexError or a reshape failure
+    path = tmp_path / f"fuzz.{kind}"
+    write, reader = READERS[kind]
+    write(path)
+    blob = bytearray(path.read_bytes())
+    cut = data.draw(st.integers(1, len(blob)), label="cut")
+    blob = blob[:cut]
+    for _ in range(data.draw(st.integers(1, 3), label="flips")):
+        pos = data.draw(st.integers(0, len(blob) - 1), label="pos")
+        blob[pos] ^= data.draw(st.integers(1, 255), label="mask")
+    path.write_bytes(bytes(blob))
+    try:
+        reader(path)
+    except ContainerError:
+        pass
 
 
 def test_canonical_json_is_stable():

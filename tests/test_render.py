@@ -1,4 +1,4 @@
-"""Filter application, decomposition algebra and SH reference decoding."""
+"""Filter application, decomposition algebra and binaural SH references."""
 
 import numpy as np
 import pytest
@@ -11,11 +11,12 @@ from bsmrender.render import (
     decode_matrix,
     decompose_measurement,
     render_decomposed,
-    render_reference,
     render_standard,
 )
+from bsmrender.simulate import RoomSpec, binaural_references, \
+    compute_image_sources, render_rir
 from bsmrender.solvers import BsmFilterBank, SolverConfig
-from bsmrender.sph import sh_basis, spiral_grid
+from bsmrender.sph import spiral_grid
 from bsmrender.stft import Spectrogram, StftConfig, stft
 
 CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
@@ -170,58 +171,64 @@ def test_decode_matrix_flips_degree_sign():
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _center_images(reflection=0.8, max_order=2, rir_len=1200):
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
+                    reflection_coefficients=(reflection,) * 6)
+    return compute_image_sources(room, (3.0, 1.2, 1.3), (1.0, 2.0, 1.1),
+                                 max_order, (rir_len - 17) / 48000)
+
+
 def test_render_reference_zero_input_is_silent():
     grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
-    hs = point_receiver_hrtf(0.0875, grid, spiral_grid(64))
-    coeffs = sh_fit(hs, 3)
-    sh = np.zeros((1000, 16), complex)
-    out = render_reference(sh, coeffs, CFG)
-    assert out.tag == "reference"
-    np.testing.assert_array_equal(out.ear("left"), 0)
-    np.testing.assert_array_equal(out.ear("right"), 0)
-
-
-def test_render_reference_requires_complete_band():
-    grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
     coeffs = sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(64)), 3)
-    with pytest.raises(ValueError):
-        render_reference(np.zeros((100, 7), complex), coeffs, CFG)
+    refs = binaural_references(_center_images(), np.zeros(1000), coeffs, CFG,
+                               3, 1200 / 48000)
+    assert [r.tag for r in refs] == ["reference", "reference-direct"]
+    for ref in refs:
+        np.testing.assert_array_equal(ref.ear("left"), 0)
+        np.testing.assert_array_equal(ref.ear("right"), 0)
 
 
 def test_render_reference_linearity():
     rng = np.random.default_rng(8)
     grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
     coeffs = sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(64)), 2)
-    a = rng.standard_normal((800, 9)) + 1j * rng.standard_normal((800, 9))
-    b = rng.standard_normal((800, 9)) + 1j * rng.standard_normal((800, 9))
-    both = render_reference(a + 3 * b, coeffs, CFG)
-    ra = render_reference(a, coeffs, CFG)
-    rb = render_reference(b, coeffs, CFG)
-    np.testing.assert_allclose(both.ear("left"),
-                               ra.ear("left") + 3 * rb.ear("left"),
-                               atol=1e-10)
+    images = _center_images()
+    a, b = rng.standard_normal((2, 800))
+
+    def refs(sig):
+        return binaural_references(images, sig, coeffs, CFG, 2, 1200 / 48000)
+
+    for both, ra, rb in zip(refs(a + 3 * b), refs(a), refs(b)):
+        for ear in ("left", "right"):
+            np.testing.assert_allclose(both.ear(ear),
+                                       ra.ear(ear) + 3 * rb.ear(ear), atol=1e-10)
 
 
 def test_render_reference_decodes_plane_wave_to_hrtf():
-    # a steady plane wave from direction d must come out weighted by the
-    # ear response at d: sum_nm G_nm conj(Y_nm(d)) = H(d)
+    # a single image arriving from direction d must come out as the
+    # pressure at the array center weighted by the ear response at d:
+    # sum_nm G_nm conj(Y_nm(d)) = H(d)
     order = 10
     grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
-    doa = Direction(1.3, 0.7)
+    images = _center_images(reflection=0.0, max_order=0)
+    assert images.count == 1
+    doa = Direction(images.colatitudes[0], images.azimuths[0])
     hs = point_receiver_hrtf(0.0875, grid, spiral_grid(600))
     coeffs = sh_fit(hs, order)
-    y = sh_basis(order, doa)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(CFG.window_length * 4)
-    sh = x[:, None] * np.conj(y)[None, :]
-    out = render_reference(sh, coeffs, CFG)
-    base = stft(x, CFG)
+    full, direct = binaural_references(images, x, coeffs, CFG, order,
+                                       1200 / 48000)
+    np.testing.assert_array_equal(full.ear("left"), direct.ear("left"))
+    pressure = np.convolve(x, render_rir(images, 1200, 48000))
+    base = stft(pressure, CFG)
     want = point_receiver_hrtf(0.0875, grid, [doa])
     # judge bins below 2 kHz where the order-10 expansion is converged;
     # normalize by the spectral peak so noise-spectrum dips cannot inflate
     # the relative error
     low = grid.bin_frequencies <= 2000.0
-    got = out.ear("left")[:, low]
+    got = direct.ear("left")[:, low]
     ideal = base.data[0][:, low] * want.left[0, low][None, :]
     err = np.abs(got - ideal).max() / np.abs(base.data[0][:, low]).max()
     assert err < 10 ** (-50 / 20)  # below -50 dB

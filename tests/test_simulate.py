@@ -1,26 +1,34 @@
-"""Shoebox image-source model, RIR rendering and room statistics."""
+"""Shoebox image-source model, RIR rendering, binaural SH references and
+room statistics."""
 
 import numpy as np
 import pytest
 import scipy.signal as sps
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, FrequencyGrid, semicircle_array
+from bsmrender.hrtf import point_receiver_hrtf, sh_fit
 from bsmrender.simulate import (
     ImageSourceList,
     RoomSpec,
     Scene,
     add_noise,
+    binaural_references,
     compute_drr,
     compute_image_sources,
     estimate_t60,
     eyring_t60,
     reflection_for_t60,
     render_mic_signals,
-    render_reference_plane_waves,
     render_rir,
+    scene_images,
     scene_statistics,
     synth_speech_noise,
 )
+from bsmrender.sph import sh_degrees, spiral_grid
+from bsmrender.stft import StftConfig
+from sh_oracle import render_reference, render_reference_plane_waves
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                 reflection_coefficients=(0.8,) * 6)
@@ -228,6 +236,80 @@ def test_sh_reference_direct_only_keeps_first_image():
     first = np.nonzero(head > 1e-12)[0][0]
     np.testing.assert_allclose(full[: first + 16], direct[: first + 16],
                                atol=1e-8)
+
+
+def _hrtf_sh(cfg, order):
+    grid = FrequencyGrid.from_fft(cfg.sample_rate, cfg.fft_size)
+    return sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(200)), order)
+
+
+@pytest.mark.parametrize("ref_order, hrtf_order", [(5, 6), (6, 4)])
+def test_binaural_references_match_oracle(ref_order, hrtf_order):
+    # rank-one direct path and m >= 0 encoding against the full complex128
+    # encode -> STFT -> decode route, including HRTF truncation
+    scene = _scene(seconds=0.1)
+    cfg = StftConfig(48000, 512, 256)
+    coeffs = _hrtf_sh(cfg, hrtf_order)
+    center, _ = scene_images(scene, 6, 0.05)
+    full, direct = binaural_references(center, scene.source_signal, coeffs,
+                                       cfg, ref_order, 0.05)
+    for got, direct_only in ((full, False), (direct, True)):
+        sh = render_reference_plane_waves(scene, ref_order, 6, 0.05,
+                                          direct_only=direct_only)
+        want = render_reference(sh, coeffs, cfg)
+        for ear in ("left", "right"):
+            err = np.linalg.norm(got.ear(ear) - want.ear(ear)) \
+                / np.linalg.norm(want.ear(ear))
+            assert err <= 1e-10, (direct_only, ear, err)
+
+
+@settings(max_examples=20)
+@given(st.tuples(st.floats(0.3, 3.7), st.floats(0.3, 2.7), st.floats(0.3, 2.2)),
+       st.floats(0.0, 0.95), st.integers(0, 4))
+def test_sh_encoding_conjugate_symmetry(source, reflection, order):
+    # real source + Condon-Shortley phase: p_(n,-m) = (-1)^m conj(p_(n,m)),
+    # the identity binaural_references uses to skip the m < 0 channels
+    assume(np.linalg.norm(np.subtract(source, RCV)) > 0.2)  # off the array
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
+                    reflection_coefficients=(reflection,) * 6)
+    scene = _scene(room=room, src=source, seconds=0.01)
+    p = render_reference_plane_waves(scene, order, 3, 0.01)
+    n, m = sh_degrees(order)
+    mirror = n * n + n - m
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    np.testing.assert_allclose(p[:, mirror], sign * np.conj(p),
+                               rtol=0, atol=1e-12 * np.abs(p).max())
+
+
+def test_anechoic_reverberant_reference_is_exactly_zero():
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
+                    reflection_coefficients=(0.0,) * 6)
+    scene = _scene(room=room, seconds=0.1)
+    cfg = StftConfig(48000, 512, 256)
+    center, _ = scene_images(scene, 4, 0.05)
+    full, direct = binaural_references(center, scene.source_signal,
+                                       _hrtf_sh(cfg, 4), cfg, 4, 0.05)
+    reverb = full - direct
+    assert reverb.tag == "reference-reverb"
+    np.testing.assert_array_equal(reverb.ear("left"), 0.0)
+    np.testing.assert_array_equal(reverb.ear("right"), 0.0)
+
+
+def test_shared_images_give_identical_outputs():
+    # one enumeration per receiver, passed around, changes no result
+    scene = _scene(seconds=0.05)
+    images = scene_images(scene, 6, 0.05)
+    center, mics = images
+    assert len(mics) == 3
+    want = compute_image_sources(scene.room, scene.source_position,
+                                 scene.array.center_position, 6,
+                                 (int(0.05 * 48000) - 17) / 48000)
+    np.testing.assert_array_equal(center.delays, want.delays)
+    assert scene_statistics(scene, 6, 0.05, images) \
+        == scene_statistics(scene, 6, 0.05)
+    for a, b in zip(render_mic_signals(scene, 6, 0.05, images),
+                    render_mic_signals(scene, 6, 0.05)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_add_noise_power_and_determinism():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bsmrender.stft import ORIGIN_TAGS, Spectrogram, StftConfig, istft, stft
+from bsmrender.stft import ORIGIN_TAGS, Spectrogram, StftConfig, frames, istft, stft
 
 CFG = StftConfig.default()  # 32 ms / 16 ms Hamming at 48 kHz
 
@@ -104,19 +104,25 @@ def test_zeros_stay_zero():
 
 
 def test_complex_input_keeps_analytic_sign():
-    # positive-frequency exponential stays in the kept half; its conjugate
-    # lives in the discarded negative bins and only leaks in far sidelobes
+    # complex channels frame unchanged: a positive-frequency exponential
+    # peaks at bin k of the full DFT, its conjugate at the mirrored bin -k
     k = 100
     n = np.arange(CFG.window_length)
     up = np.exp(2j * np.pi * k * n / CFG.fft_size)
-    down = np.conj(up)
-    mag_up = np.abs(stft(up, CFG).data[0, 0])
-    mag_down = np.abs(stft(down, CFG).data[0, 0])
+    segs = frames(np.stack([up, np.conj(up)]), CFG)
+    assert segs.dtype.kind == "c" and segs.shape == (2, 1, CFG.window_length)
+    spec = np.fft.fft(segs, n=CFG.fft_size, axis=2)[:, 0]
+    mag_up, mag_down = np.abs(spec)
     assert np.argmax(mag_up) == k
+    assert np.argmax(mag_down) == CFG.fft_size - k
     near = slice(k - 4, k + 5)
     e_near = np.sum(mag_up[near] ** 2)
     assert e_near > 0.9 * np.sum(mag_up ** 2)
     assert np.sum(mag_down[near] ** 2) < 1e-4 * e_near
+    # the real-signal transform refuses complex input instead of
+    # silently dropping its imaginary part
+    with pytest.raises(ValueError):
+        stft(up, CFG)
 
 
 def test_spectrogram_validation_and_retag():
