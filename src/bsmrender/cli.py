@@ -19,17 +19,17 @@ from . import config as cfgmod
 from .containers import (canonical_json, read_binaural_spectrogram, read_wav,
                          update_manifest, verify_artifacts,
                          write_binaural_spectrogram, write_json, write_wav)
-from .evaluate import (EARS, NmseReport, band_summary, broadband, compare, nmse,
+from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import FrequencyGrid
 from .hrtf import evaluate_sh, flat_hrtf, load_hrtf, point_receiver_hrtf, sh_fit
-from .render import apply_filterbank, BinauralSpectrogram, decompose_measurement
+from .render import apply_filterbank
 from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank, load_filterbank, \
     save_filterbank
 from .sph import spiral_grid
-from .stft import Spectrogram, istft, stft
+from .stft import BINAURAL_TAGS, Spectrogram, istft, stft
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
@@ -37,15 +37,11 @@ MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
 SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg",
                                  "reference.wav", "reference_direct.wav")
 BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
-SPECTRO_ARTIFACTS = ("bsm_standard.bsmg", "bsm_decomposed.bsmg",
-                     "component_direct.bsmg", "component_reverb.bsmg",
-                     "reference.bsmg", "reference_direct.bsmg")
+SPECTRO_ARTIFACTS = ("bsm_standard.bsmg", "component_direct.bsmg",
+                     "component_reverb.bsmg", "reference.bsmg",
+                     "reference_direct.bsmg")
 REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
                     "nmse_decomposed.csv", "comparison.csv", "verdict.json")
-
-# binaural archive tag -> STFT origin tag it was built from
-_TAG_ORIGIN = {"reference": "p", "reference-direct": "p",
-               "reference-reverb": "p"}
 
 
 def _grid(cfg, stft_cfg):
@@ -71,20 +67,18 @@ def _hrtf_coeffs(cfg, grid):
     return sh_fit(base, design["hrtf_sh_order"])
 
 
-def _write_binaural(out_dir, spectra, wavs, fs, stft_cfg, digest):
-    """Write each binaural spectrogram (file name -> spectrogram) and the
-    listenable WAV of those named in `wavs` (WAV name -> spectrogram name).
-    Returns the manifest entries."""
+def _write_binaural(out_dir, spectra, wavs, fs, digest):
+    """Write each binaural spectrogram (file name -> spectrogram) and each
+    listenable two-channel WAV (WAV name -> spectrogram). Returns the
+    manifest entries."""
     entries = {}
-    for name, bs in spectra.items():
-        write_binaural_spectrogram(out_dir / name, bs.ear("left"),
-                                   bs.ear("right"), stft_cfg, bs.tag, digest)
+    for name, spec in spectra.items():
+        write_binaural_spectrogram(out_dir / name, spec.data, spec.config,
+                                   spec.tag, digest)
         entries[name] = out_dir / name
-    for wav_name, spec_name in wavs.items():
-        bs = spectra[spec_name]
-        audio = np.hstack([istft(bs.left), istft(bs.right)])
-        write_wav(out_dir / wav_name, audio, fs, digest)
-        entries[wav_name] = out_dir / wav_name
+    for name, spec in wavs.items():
+        write_wav(out_dir / name, istft(spec), fs, digest)
+        entries[name] = out_dir / name
     return entries
 
 
@@ -103,11 +97,9 @@ def run_simulate(cfg, out_dir):
     write_json(out_dir / "scene_stats.json", stats)
 
     x, x_d, _ = render_mic_signals(scene, max_order, rir_s, images)
-    if scene_cfg["noise_snr_db"] is not None:
-        # sensor noise belongs to the measurement; the oracle direct
-        # component stays clean
-        x = add_noise(x, cfgmod.snr_linear(scene_cfg["noise_snr_db"]),
-                      seed=scene.seed + 1)
+    # sensor noise belongs to the measurement; the oracle direct component
+    # stays clean
+    x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)
     write_wav(out_dir / "mics_full.wav", x, fs, digest)
     write_wav(out_dir / "mics_direct.wav", x_d, fs, digest)
 
@@ -116,8 +108,7 @@ def run_simulate(cfg, out_dir):
         stft_cfg, cfg["design"]["reference_order"], rir_s)
     entries = _write_binaural(
         out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
-        {"reference.wav": "reference.bsmg",
-         "reference_direct.wav": "reference_direct.bsmg"}, fs, stft_cfg, digest)
+        {"reference.wav": ref, "reference_direct.wav": ref_direct}, fs, digest)
     entries.update({n: out_dir / n for n in
                     MIC_ARTIFACTS + ("scene_stats.json",)})
     update_manifest(out_dir, entries, digest)
@@ -177,15 +168,15 @@ def run_render(cfg, out_dir):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
-    def load_mics(name, origin):
+    def load_mics(name, tag):
         data, rate, embedded = read_wav(out_dir / name)
         if rate != fs or embedded != digest:
             raise ValueError(f"{name}: stale or foreign recording")
-        return stft(np.asarray(data, float), stft_cfg, origin=origin)
+        return stft(np.asarray(data, float), stft_cfg, tag=tag)
 
     x = load_mics("mics_full.wav", "x")
     x_d = load_mics("mics_direct.wav", "x_d")
-    x_r = decompose_measurement(x, x_d)
+    x_r = x - x_d
 
     bank_d = _load_bank(out_dir / "bank_direct.bsmf", digest)
     bank_r = _load_bank(out_dir / "bank_reverb.bsmf", digest)
@@ -195,13 +186,13 @@ def run_render(cfg, out_dir):
         "component_reverb.bsmg": apply_filterbank(bank_r, x_r),
         "bsm_standard.bsmg": apply_filterbank(bank_r, x),
     }
-    results["bsm_decomposed.bsmg"] = (results["component_direct.bsmg"]
-                                      + results["component_reverb.bsmg"])
+    # evaluate forms the same sum from the two component files
+    decomposed = (results["component_direct.bsmg"]
+                  + results["component_reverb.bsmg"])
 
     entries = _write_binaural(
-        out_dir, results, {"render_standard.wav": "bsm_standard.bsmg",
-                           "render_decomposed.wav": "bsm_decomposed.bsmg"},
-        fs, stft_cfg, digest)
+        out_dir, results, {"render_standard.wav": results["bsm_standard.bsmg"],
+                           "render_decomposed.wav": decomposed}, fs, digest)
     update_manifest(out_dir, entries, digest)
     print(f"render: {len(entries)} artifacts, "
           f"{results['bsm_standard.bsmg'].num_frames} frames")
@@ -209,7 +200,7 @@ def run_render(cfg, out_dir):
 
 
 def _read_binaural(path, stft_cfg, expected_digest):
-    left, right, meta = read_binaural_spectrogram(path)
+    ears, meta = read_binaural_spectrogram(path)
     if meta["digest"] != expected_digest:
         raise ValueError(f"{path}: digest {meta['digest']} does not match the "
                          f"current config ({expected_digest})")
@@ -219,10 +210,9 @@ def _read_binaural(path, stft_cfg, expected_digest):
             and meta["fft_size"] == stft_cfg.fft_size)
     if not same:
         raise ValueError(f"{path}: STFT parameters differ from the config")
-    origin = _TAG_ORIGIN.get(meta["tag"], "z")
-    sides = [Spectrogram(data=side[None], config=stft_cfg, origin=origin)
-             for side in (left, right)]
-    return BinauralSpectrogram(left=sides[0], right=sides[1], tag=meta["tag"])
+    if meta["tag"] not in BINAURAL_TAGS:
+        raise ValueError(f"{path}: {meta['tag']!r} is not a binaural tag")
+    return Spectrogram(data=ears, config=stft_cfg, tag=meta["tag"])
 
 
 def near_ear(cfg):
@@ -230,7 +220,7 @@ def near_ear(cfg):
     return "left" if np.sin(cfg["design"]["direct_doa"][1]) >= 0 else "right"
 
 
-def run_evaluate(cfg, out_dir, gnuplot=False):
+def run_evaluate(cfg, out_dir):
     digest = cfgmod.run_digest(cfg)
     verify_artifacts(out_dir, SPECTRO_ARTIFACTS, digest, "evaluate")
     stft_cfg = cfgmod.build_stft_config(cfg)
@@ -243,36 +233,19 @@ def run_evaluate(cfg, out_dir, gnuplot=False):
     ref_reverb = ref - ref_direct
 
     meta = {"scene_digest": digest}
-    try:
-        rep_reverb = nmse(spec["component_reverb.bsmg"], ref_reverb, trim, meta)
-    except ValueError as err:
-        if "all-zero reference" not in str(err):
-            raise
-        # anechoic scene: there is no reverberant field to compare
-        # against, so flag every bin instead of failing the stage
-        freqs = np.fft.rfftfreq(stft_cfg.fft_size, 1.0 / stft_cfg.sample_rate)
-        nbins = freqs.size
-        rep_reverb = NmseReport(
-            frequencies=freqs,
-            linear={e: np.full(nbins, np.nan) for e in EARS},
-            ref_energy={e: np.zeros(nbins) for e in EARS},
-            flags={e: np.ones(nbins, bool) for e in EARS},
-            frame_range=(trim, ref.num_frames - trim),
-            metadata={**meta, "est_tag": spec["component_reverb.bsmg"].tag,
-                      "ref_tag": ref_reverb.tag})
+    decomposed = spec["component_direct.bsmg"] + spec["component_reverb.bsmg"]
     reports = {
         "direct": nmse(spec["component_direct.bsmg"], ref_direct, trim, meta),
-        "reverb": rep_reverb,
+        # all bins flagged when the room is anechoic (no reverberant field)
+        "reverb": nmse(spec["component_reverb.bsmg"], ref_reverb, trim, meta),
         "standard": nmse(spec["bsm_standard.bsmg"], ref, trim, meta),
-        "decomposed": nmse(spec["bsm_decomposed.bsmg"], ref, trim, meta),
+        "decomposed": nmse(decomposed, ref, trim, meta),
     }
     entries = {}
     for name, report in reports.items():
         fname = f"nmse_{name}.csv"
         write_report(out_dir / fname, report)
         entries[fname] = out_dir / fname
-        if gnuplot:
-            write_report(out_dir / f"nmse_{name}.dat", report, gnuplot=True)
 
     cmp_result = compare(reports["decomposed"], reports["standard"])
     write_comparison(out_dir / "comparison.csv", cmp_result)
@@ -340,10 +313,7 @@ def main(argv=None):
         "pipeline": "all four stages in order",
     }
     for name, text in helps.items():
-        sp = sub.add_parser(name, parents=[common], help=text)
-        if name in ("evaluate", "pipeline"):
-            sp.add_argument("--gnuplot", action="store_true",
-                            help="also write whitespace-separated reports")
+        sub.add_parser(name, parents=[common], help=text)
     args = parser.parse_args(argv)
 
     try:
@@ -363,8 +333,7 @@ def main(argv=None):
         "simulate": lambda: run_simulate(cfg, args.out),
         "design": lambda: run_design(cfg, args.out),
         "render": lambda: run_render(cfg, args.out),
-        "evaluate": lambda: run_evaluate(cfg, args.out,
-                                         getattr(args, "gnuplot", False)),
+        "evaluate": lambda: run_evaluate(cfg, args.out),
     }
     for stage in _stage_plan(args.command):
         try:

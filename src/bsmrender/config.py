@@ -259,8 +259,7 @@ def build_room(cfg):
         beta = reflection_for_t60(scene["room_dimensions"], scene["target_t60_s"])
         refl = (beta,) * 6
     return RoomSpec(dimensions=tuple(scene["room_dimensions"]),
-                    reflection_coefficients=refl,
-                    max_order=scene["max_reflection_order"])
+                    reflection_coefficients=refl)
 
 
 def build_array(cfg):

@@ -127,23 +127,23 @@ def read_wav(path):
 
 # ---------------------------------------------------------------- BSMG
 
-def write_binaural_spectrogram(path, left, right, config, tag, digest):
-    """Binaural STFT archive: header, then left and right (frames, bins)
-    complex128 blocks."""
-    if left.shape != right.shape or left.ndim != 2:
-        raise ContainerError("left/right must share a (frames, bins) shape")
+def write_binaural_spectrogram(path, ears, config, tag, digest):
+    """Binaural STFT archive: header, then the (2, frames, bins) complex128
+    block of the left and right ears."""
+    if ears.ndim != 3 or ears.shape[0] != 2:
+        raise ContainerError("ears must be a (2, frames, bins) block")
     tag_b = tag.encode("ascii")
     header = (b"BSMG" + struct.pack("<IIIIIII", 1, int(config.sample_rate),
                                     config.window_length, config.hop,
-                                    config.fft_size, left.shape[0], left.shape[1])
+                                    config.fft_size, ears.shape[1], ears.shape[2])
               + struct.pack("<I", len(tag_b)) + tag_b + _check_digest(digest))
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(left, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(right, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(ears, dtype="<c16").tobytes())
 
 
 def read_binaural_spectrogram(path):
+    """Returns (ears complex128 (2, frames, bins), header metadata)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != b"BSMG":
@@ -161,14 +161,13 @@ def read_binaural_spectrogram(path):
     tag = _ascii(blob[36:pos], path, "tag")
     digest = _ascii(blob[pos : pos + DIGEST_LEN], path, "digest")
     pos += DIGEST_LEN
-    count = frames * bins
-    if len(blob) - pos != 2 * count * 16:
+    if len(blob) - pos != 2 * frames * bins * 16:
         raise ContainerError(f"{path}: payload size does not match "
                              f"{frames} x {bins} bins")
-    flat = np.frombuffer(blob[pos:], dtype="<c16")
+    ears = np.frombuffer(blob[pos:], dtype="<c16").reshape(2, frames, bins)
     meta = {"sample_rate": rate, "window_length": window, "hop": hop,
             "fft_size": fft_size, "tag": tag, "digest": digest}
-    return flat[:count].reshape(frames, bins), flat[count:].reshape(frames, bins), meta
+    return ears, meta
 
 
 # ---------------------------------------------------------------- manifest

@@ -3,8 +3,9 @@
 The per-bin error is the frame-averaged squared deviation normalized by
 the frame-averaged reference energy. Bins whose reference energy falls
 below 1e-12 of the strongest bin are flagged as lacking energy instead of
-being divided; edge frames are excluded because the analysis windows there
-see zero-padding.
+being divided, and an all-zero reference (the reverberant reference of an
+anechoic room) flags every bin; edge frames are excluded because the
+analysis windows there see zero-padding.
 """
 
 import numpy as np
@@ -38,7 +39,7 @@ class NmseReport:
 
 def nmse(est, ref, frame_trim=2, metadata=None):
     """Per-bin, per-ear NMSE between two binaural spectrograms."""
-    if est.left.data.shape != ref.left.data.shape:
+    if est.data.shape != ref.data.shape:
         raise ValueError("estimate and reference dimensions differ")
     frames = est.num_frames
     lo, hi = frame_trim, frames - frame_trim
@@ -47,15 +48,13 @@ def nmse(est, ref, frame_trim=2, metadata=None):
     cfg = ref.config
     freqs = np.fft.rfftfreq(cfg.fft_size, 1.0 / cfg.sample_rate)
     linear, energy, flags = {}, {}, {}
-    for ear in EARS:
-        e = est.ear(ear)[lo:hi]
-        r = ref.ear(ear)[lo:hi]
+    for i, ear in enumerate(EARS):
+        e = est.data[i, lo:hi]
+        r = ref.data[i, lo:hi]
         den = np.mean(np.abs(r) ** 2, axis=0)
         num = np.mean(np.abs(e - r) ** 2, axis=0)
         peak = den.max()
-        if peak == 0.0:
-            raise ValueError(f"all-zero reference ({ear} ear)")
-        low = den < ENERGY_FLOOR * peak
+        low = (den < ENERGY_FLOOR * peak) | (peak == 0.0)
         lin = np.full(den.shape, np.nan)
         lin[~low] = num[~low] / den[~low]
         linear[ear] = lin
@@ -146,13 +145,10 @@ def _fmt(v):
     return repr(float(v))
 
 
-def write_report(path, report, gnuplot=False):
+def write_report(path, report):
     """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag), ear then bin
-    ascending. gnuplot=True writes the whitespace-separated variant."""
-    sep = " " if gnuplot else ","
-    lines = []
-    header = sep.join(("ear", "freq_hz", "nmse_linear", "nmse_db", "flag"))
-    lines.append("# " + header if gnuplot else header)
+    ascending."""
+    lines = ["ear,freq_hz,nmse_linear,nmse_db,flag"]
     for ear in EARS:
         lin = report.linear[ear]
         db = report.db(ear)
@@ -162,7 +158,7 @@ def write_report(path, report, gnuplot=False):
             else:
                 fields = (ear, _fmt(report.frequencies[b]), _fmt(lin[b]),
                           _fmt(db[b]), FLAG_OK)
-            lines.append(sep.join(fields))
+            lines.append(",".join(fields))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -15,7 +15,7 @@ from scipy import signal as sps
 from scipy import sparse
 
 from .geometry import SPEED_OF_SOUND
-from .render import BinauralSpectrogram, decode_matrix
+from .render import decode_matrix
 from .sph import _sph_harm_y, num_coeffs, sh_degrees
 from .stft import Spectrogram, frames, stft
 
@@ -34,7 +34,6 @@ class RoomSpec:
     dimensions: tuple
     reflection_coefficients: tuple
     speed_of_sound: float = SPEED_OF_SOUND
-    max_order: int = 64
 
     def __post_init__(self):
         dims = tuple(float(v) for v in self.dimensions)
@@ -43,8 +42,6 @@ class RoomSpec:
             raise ValueError("dimensions must be three positive lengths")
         if len(refl) != 6 or any(not (0.0 <= b < 1.0) for b in refl):
             raise ValueError("need six reflection coefficients in [0, 1)")
-        if self.max_order < 0:
-            raise ValueError("max_order must be >= 0")
         object.__setattr__(self, "dimensions", dims)
         object.__setattr__(self, "reflection_coefficients", refl)
 
@@ -184,25 +181,24 @@ def _sinc_kernel(frac):
     return np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / _HALF))
 
 
-def render_rir(images, num_samples, sample_rate, weights=None, chunk=131072):
-    """Scatter image taps into an impulse response.
+def _delay_matrix(images, num_samples, sample_rate):
+    """Sparse (num_samples x images) matrix of windowed-sinc delay taps."""
+    d_samp = images.delays * sample_rate
+    base = np.floor(d_samp).astype(np.int64)
+    kern = _sinc_kernel(d_samp - base)
+    rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
+    cols = np.broadcast_to(np.arange(images.count)[:, None], rows.shape)
+    valid = (rows >= 0) & (rows < num_samples)
+    mat = sparse.coo_matrix(
+        (kern[valid], (rows[valid], cols[valid])),
+        shape=(num_samples, images.count))
+    return mat.tocsr()
 
-    weights (default: the image gains) may be complex, in which case the
-    RIR is complex.
-    """
-    if weights is None:
-        weights = images.gains
-    dtype = complex if np.iscomplexobj(weights) else float
-    out = np.zeros(num_samples, dtype=dtype)
-    for start in range(0, images.count, chunk):
-        sl = slice(start, start + chunk)
-        d_samp = images.delays[sl] * sample_rate
-        base = np.floor(d_samp).astype(np.int64)
-        kern = _sinc_kernel(d_samp - base)
-        idx = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
-        valid = (idx >= 0) & (idx < num_samples)
-        np.add.at(out, idx[valid], (weights[sl, None] * kern)[valid])
-    return out
+
+def render_rir(images, num_samples, sample_rate):
+    """Scatter the image gains into an impulse response through their
+    windowed-sinc delay taps."""
+    return _delay_matrix(images, num_samples, sample_rate) @ images.gains
 
 
 def scene_images(scene, max_order, rir_seconds):
@@ -255,20 +251,6 @@ def _sh_weights_block(images, order, cols):
                         images.colatitudes, images.azimuths)
         out[:, j] = np.conj(y)
     return out * images.gains[:, None]
-
-
-def _delay_matrix(images, num_samples, sample_rate):
-    """Sparse (num_samples x images) matrix of windowed-sinc delay taps."""
-    d_samp = images.delays * sample_rate
-    base = np.floor(d_samp).astype(np.int64)
-    kern = _sinc_kernel(d_samp - base)
-    rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
-    cols = np.broadcast_to(np.arange(images.count)[:, None], rows.shape)
-    valid = (rows >= 0) & (rows < num_samples)
-    mat = sparse.coo_matrix(
-        (kern[valid], (rows[valid], cols[valid])),
-        shape=(num_samples, images.count))
-    return mat.tocsr()
 
 
 def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
@@ -328,13 +310,8 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
             ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
                                         g_neg[:, sl]))
 
-    def binaural(ears, tag):
-        left, right = (Spectrogram(data=ear[None], config=config, origin="p")
-                       for ear in ears)
-        return BinauralSpectrogram(left=left, right=right, tag=tag)
-
-    return binaural(ears_d + ears_r, "reference"), \
-        binaural(ears_d, "reference-direct")
+    return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
+            Spectrogram(data=ears_d, config=config, tag="reference-direct"))
 
 
 def add_noise(signals, snr, seed=0):

@@ -4,13 +4,28 @@ Analysis uses a periodic Hamming window; synthesis divides by the summed
 analysis windows (WOLA square-root splitting is deliberately not used).
 The Hamming window never reaches zero, so the overlap-add denominator is
 strictly positive everywhere and unmodified frames reconstruct exactly.
+
+Every spectrogram carries a provenance tag, so that mixing incompatible
+pipelines is an error instead of a silent bug. Microphone spectrograms are
+the measurement x or its direct and reverberant parts; binaural ones have
+two channels (left, right). The decomposition x = x_d + x_r and the
+decomposed rendering are the only sums and differences allowed: x - x_d
+gives x_r, reference - reference-direct gives reference-reverb and
+component-direct + component-reverb gives bsm-decomposed.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from numpy.lib.stride_tricks import sliding_window_view
 
-ORIGIN_TAGS = ("x", "x_d", "x_r", "p", "z")
+MIC_TAGS = ("x", "x_d", "x_r")
+BINAURAL_TAGS = ("reference", "reference-direct", "reference-reverb",
+                 "bsm-standard", "bsm-decomposed",
+                 "component-direct", "component-reverb")
+_DIFFERENCES = {("x", "x_d"): "x_r",
+                ("reference", "reference-direct"): "reference-reverb"}
+_SUMS = {("component-direct", "component-reverb"): "bsm-decomposed",
+         ("component-reverb", "component-direct"): "bsm-decomposed"}
 
 
 def _next_pow2(n):
@@ -64,19 +79,22 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT data, shape (channels, frames, bins), plus provenance."""
+    """Complex STFT data, shape (channels, frames, bins), plus provenance.
+    Binaural spectrograms hold channel 0 = left ear, channel 1 = right."""
 
     data: np.ndarray = field(repr=False)
     config: StftConfig
-    origin: str = "x"
+    tag: str = "x"
 
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ValueError("data must be (channels, frames, bins)")
         if self.data.shape[2] != self.config.num_bins:
             raise ValueError("bin count does not match config")
-        if self.origin not in ORIGIN_TAGS:
-            raise ValueError(f"unknown origin tag {self.origin!r}")
+        if self.tag not in MIC_TAGS + BINAURAL_TAGS:
+            raise ValueError(f"unknown tag {self.tag!r}")
+        if self.tag in BINAURAL_TAGS and self.num_channels != 2:
+            raise ValueError(f"a {self.tag!r} spectrogram needs 2 channels")
 
     @property
     def num_channels(self):
@@ -90,8 +108,20 @@ class Spectrogram:
     def num_bins(self):
         return self.data.shape[2]
 
-    def retag(self, origin):
-        return Spectrogram(data=self.data, config=self.config, origin=origin)
+    def _combine(self, other, rules, op):
+        out_tag = rules.get((self.tag, other.tag))
+        if out_tag is None:
+            raise ValueError(f"cannot combine {self.tag!r} with {other.tag!r}")
+        if self.data.shape != other.data.shape or self.config != other.config:
+            raise ValueError("operands have different shapes or configs")
+        return Spectrogram(data=op(self.data, other.data), config=self.config,
+                           tag=out_tag)
+
+    def __add__(self, other):
+        return self._combine(other, _SUMS, np.add)
+
+    def __sub__(self, other):
+        return self._combine(other, _DIFFERENCES, np.subtract)
 
 
 def frames(signal, config):
@@ -107,7 +137,7 @@ def frames(signal, config):
     return segments[:, :: config.hop] * config.window()
 
 
-def stft(signal, config, origin="x"):
+def stft(signal, config, tag="x"):
     """Forward transform of a real signal, (samples,) or (samples, channels)."""
     sig = np.asarray(signal)
     if sig.size == 0:
@@ -117,7 +147,7 @@ def stft(signal, config, origin="x"):
     if sig.ndim == 1:
         sig = sig[:, None]
     spec = np.fft.rfft(frames(sig.T, config), n=config.fft_size, axis=2)
-    return Spectrogram(data=spec, config=config, origin=origin)
+    return Spectrogram(data=spec, config=config, tag=tag)
 
 
 def istft(spec, num_samples=None):

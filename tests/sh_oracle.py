@@ -9,7 +9,7 @@ STFT, and every bin is decoded with the HRTF's SH coefficients.
 import numpy as np
 from scipy import signal as sps
 
-from bsmrender.render import BinauralSpectrogram, decode_matrix
+from bsmrender.render import decode_matrix
 from bsmrender.simulate import _HALF, _delay_matrix, _sh_weights_block, \
     compute_image_sources
 from bsmrender.sph import num_coeffs
@@ -62,7 +62,6 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
     order = min(order, hrtf_sh.order)
     g = decode_matrix(hrtf_sh, order)
     spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
-    sides = {ear: Spectrogram(data=np.einsum("cfb,cb->fb", spec, g[ear])[None],
-                              config=config, origin="p")
-             for ear in ("left", "right")}
-    return BinauralSpectrogram(left=sides["left"], right=sides["right"], tag=tag)
+    ears = np.stack([np.einsum("cfb,cb->fb", spec, g[ear])
+                     for ear in ("left", "right")])
+    return Spectrogram(data=ears, config=config, tag=tag)

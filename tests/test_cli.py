@@ -85,6 +85,8 @@ def test_pipeline_writes_every_artifact(mini_run):
     for name in names:
         assert (out / name).exists(), name
     assert not list(out.glob("*.bsma"))
+    # evaluate sums the two component files itself
+    assert not (out / "bsm_decomposed.bsmg").exists()
     # the manifest covers them all under the run digest
     verify_artifacts(out, names, cfgmod.run_digest(cfg), "test")
 

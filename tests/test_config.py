@@ -130,7 +130,6 @@ def test_build_room_from_t60():
     room = build_room(cfg)
     beta = reflection_for_t60([4.0, 3.0, 2.5], 0.3)
     assert room.reflection_coefficients == (beta,) * 6
-    assert room.max_order == 24
 
 
 def test_build_room_explicit_coefficients(tmp_path):

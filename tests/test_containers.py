@@ -60,10 +60,17 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     left = rng.standard_normal((7, cfg.num_bins)) * (1 + 1j)
     right = rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)
     path = tmp_path / "out.bsmg"
-    write_binaural_spectrogram(path, left, right, cfg, "reference", DIGEST)
-    l2, r2, meta = read_binaural_spectrogram(path)
-    np.testing.assert_array_equal(l2, left)
-    np.testing.assert_array_equal(r2, right)
+    write_binaural_spectrogram(path, np.stack([left, right]), cfg,
+                               "reference", DIGEST)
+    ears, meta = read_binaural_spectrogram(path)
+    assert ears.shape == (2, 7, cfg.num_bins)
+    np.testing.assert_array_equal(ears[0], left)
+    np.testing.assert_array_equal(ears[1], right)
+    # the payload is the left block followed by the right block
+    tail = path.read_bytes()[-2 * left.size * 16:]
+    assert tail == left.astype("<c16").tobytes() + right.astype("<c16").tobytes()
+    with pytest.raises(ContainerError):
+        write_binaural_spectrogram(path, left[None], cfg, "reference", DIGEST)
     assert meta["tag"] == "reference"
     assert meta["digest"] == DIGEST
     assert meta["sample_rate"] == 48000
@@ -79,7 +86,8 @@ def _write_sample_wav(path):
 def _write_sample_bsmg(path):
     cfg = StftConfig(48000, 8, 4)
     data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
-    write_binaural_spectrogram(path, data, -data, cfg, "reference", DIGEST)
+    write_binaural_spectrogram(path, np.stack([data, -data]), cfg, "reference",
+                               DIGEST)
 
 
 # kind -> (writer of a small valid file, its reader)

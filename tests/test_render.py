@@ -2,31 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmrender.geometry import Direction, FrequencyGrid
 from bsmrender.hrtf import point_receiver_hrtf, sh_fit
-from bsmrender.render import (
-    BinauralSpectrogram,
-    apply_filterbank,
-    decode_matrix,
-    decompose_measurement,
-    render_decomposed,
-    render_standard,
-)
+from bsmrender.render import apply_filterbank, decode_matrix
 from bsmrender.simulate import RoomSpec, binaural_references, \
     compute_image_sources, render_rir
 from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
-from bsmrender.stft import Spectrogram, StftConfig, stft
+from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
+    stft
 
 CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
 BINS = CFG.num_bins
 
 
-def _spec(rng, channels, frames=5, origin="x"):
+def _spec(rng, channels, frames=5, tag="x"):
     data = (rng.standard_normal((channels, frames, BINS))
             + 1j * rng.standard_normal((channels, frames, BINS)))
-    return Spectrogram(data=data, config=CFG, origin=origin)
+    return Spectrogram(data=data, config=CFG, tag=tag)
 
 
 def _bank(rng, mics, tag="reverberant"):
@@ -47,9 +43,10 @@ def test_apply_filterbank_against_double_loop():
     for f in range(5):
         for b in range(BINS):
             want[f, b] = np.vdot(bank.left[b], x.data[:, f, b])
-    np.testing.assert_allclose(out.ear("left"), want, atol=1e-12)
+    assert out.data.shape == (2, 5, BINS)
+    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
     want_r = np.einsum("mfb,bm->fb", x.data, np.conj(bank.right))
-    np.testing.assert_allclose(out.ear("right"), want_r, atol=1e-12)
+    np.testing.assert_allclose(out.data[1], want_r, atol=1e-12)
 
 
 def test_apply_filterbank_selector():
@@ -64,8 +61,8 @@ def test_apply_filterbank_selector():
                          config=SolverConfig(), sample_rate=48000,
                          fft_size=CFG.fft_size)
     out = apply_filterbank(bank, x)
-    np.testing.assert_array_equal(out.ear("left"), x.data[1])
-    np.testing.assert_array_equal(out.ear("right"), x.data[2])
+    np.testing.assert_array_equal(out.data[0], x.data[1])
+    np.testing.assert_array_equal(out.data[1], x.data[2])
 
 
 def test_apply_filterbank_zero_bank():
@@ -76,75 +73,89 @@ def test_apply_filterbank_zero_bank():
                          tag="direct", config=SolverConfig(),
                          sample_rate=48000, fft_size=CFG.fft_size)
     out = apply_filterbank(bank, x)
-    np.testing.assert_array_equal(out.ear("left"), 0)
-    np.testing.assert_array_equal(out.ear("right"), 0)
+    np.testing.assert_array_equal(out.data, 0)
 
 
 def test_apply_filterbank_origin_tags():
     rng = np.random.default_rng(3)
     bank = _bank(rng, 2)
-    for origin, tag in (("x", "bsm-standard"), ("x_d", "component-direct"),
+    for tag_in, tag in (("x", "bsm-standard"), ("x_d", "component-direct"),
                         ("x_r", "component-reverb")):
-        out = apply_filterbank(bank, _spec(rng, 2, origin=origin))
+        out = apply_filterbank(bank, _spec(rng, 2, tag=tag_in))
         assert out.tag == tag
+    # a binaural spectrogram is not a recording
     with pytest.raises(ValueError):
-        apply_filterbank(bank, _spec(rng, 2, origin="p"))
+        apply_filterbank(bank, _spec(rng, 2, tag="reference"))
 
 
 def test_apply_filterbank_is_linear_over_components():
     rng = np.random.default_rng(4)
     bank = _bank(rng, 3)
-    x_d = _spec(rng, 3, origin="x_d")
-    x_r = _spec(rng, 3, origin="x_r")
-    x = Spectrogram(data=x_d.data + x_r.data, config=CFG, origin="x")
+    x_d = _spec(rng, 3, tag="x_d")
+    x_r = _spec(rng, 3, tag="x_r")
+    x = Spectrogram(data=x_d.data + x_r.data, config=CFG, tag="x")
     whole = apply_filterbank(bank, x)
     split = apply_filterbank(bank, x_d) + apply_filterbank(bank, x_r)
     assert split.tag == "bsm-decomposed"
-    np.testing.assert_allclose(split.ear("left"), whole.ear("left"),
-                               atol=1e-12)
-    np.testing.assert_allclose(split.ear("right"), whole.ear("right"),
-                               atol=1e-12)
+    np.testing.assert_allclose(split.data, whole.data, atol=1e-12)
 
 
 def test_decompose_measurement():
     rng = np.random.default_rng(5)
-    x = _spec(rng, 3, origin="x")
-    x_d = _spec(rng, 3, origin="x_d")
-    x_r = decompose_measurement(x, x_d)
-    assert x_r.origin == "x_r"
+    x = _spec(rng, 3, tag="x")
+    x_d = _spec(rng, 3, tag="x_d")
+    x_r = x - x_d
+    assert x_r.tag == "x_r"
     np.testing.assert_array_equal(x_r.data, x.data - x_d.data)
     with pytest.raises(ValueError):
-        decompose_measurement(x_d, x)  # origins swapped
+        x_d - x  # operands swapped
     with pytest.raises(ValueError):
-        decompose_measurement(x, x.retag("x"))  # second must be x_d
+        x - x  # second must be x_d
+    with pytest.raises(ValueError):
+        x - _spec(rng, 2, tag="x_d")  # channel counts differ
 
 
 def test_render_standard_and_decomposed_agree_with_shared_bank():
     rng = np.random.default_rng(6)
     bank = _bank(rng, 3)
-    x = _spec(rng, 3, origin="x")
-    x_d = _spec(rng, 3, origin="x_d")
-    x_r = decompose_measurement(x, x_d)
-    standard = render_standard(x, bank)
-    decomposed = render_decomposed(x_d, x_r, bank, bank)
+    x = _spec(rng, 3, tag="x")
+    x_d = _spec(rng, 3, tag="x_d")
+    standard = apply_filterbank(bank, x)
+    decomposed = apply_filterbank(bank, x_d) + apply_filterbank(bank, x - x_d)
     assert standard.tag == "bsm-standard"
     assert decomposed.tag == "bsm-decomposed"
-    np.testing.assert_allclose(decomposed.ear("left"), standard.ear("left"),
-                               atol=1e-12)
+    np.testing.assert_allclose(decomposed.data, standard.data, atol=1e-12)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_decomposition_identity(mics, frames, seed):
+    # x - x_d is x_r, and the decomposed rendering with one shared bank
+    # is the standard one up to rounding
+    rng = np.random.default_rng(seed)
+    bank = _bank(rng, mics)
+    x = _spec(rng, mics, frames, tag="x")
+    x_d = _spec(rng, mics, frames, tag="x_d")
+    x_r = x - x_d
+    assert x_r.tag == "x_r"
+    split = apply_filterbank(bank, x_d) + apply_filterbank(bank, x_r)
+    whole = apply_filterbank(bank, x)
+    assert split.tag == "bsm-decomposed"
+    scale = np.abs(whole.data).max()
+    np.testing.assert_allclose(split.data, whole.data, rtol=0,
+                               atol=1e-13 * scale)
 
 
 def test_binaural_tag_algebra():
     rng = np.random.default_rng(7)
 
     def bs(tag):
-        side = lambda: Spectrogram(
-            data=(rng.standard_normal((1, 4, BINS))
-                  + 1j * rng.standard_normal((1, 4, BINS))),
-            config=CFG, origin="z")
-        return BinauralSpectrogram(left=side(), right=side(), tag=tag)
+        return _spec(rng, 2, frames=4, tag=tag)
 
     total = bs("component-direct") + bs("component-reverb")
     assert total.tag == "bsm-decomposed"
+    assert (bs("component-reverb") + bs("component-direct")).tag \
+        == "bsm-decomposed"
     with pytest.raises(ValueError):
         bs("component-direct") + bs("component-direct")
     with pytest.raises(ValueError):
@@ -154,8 +165,27 @@ def test_binaural_tag_algebra():
     with pytest.raises(ValueError):
         bs("reference") - bs("reference")
     with pytest.raises(ValueError):
-        BinauralSpectrogram(left=bs("reference").left,
-                            right=bs("reference").right, tag="mystery")
+        bs("mystery")
+
+
+ALLOWED = {("-", "x", "x_d"), ("-", "reference", "reference-direct"),
+           ("+", "component-direct", "component-reverb"),
+           ("+", "component-reverb", "component-direct")}
+
+
+@settings(max_examples=100)
+@given(st.sampled_from(("+", "-")), st.sampled_from(MIC_TAGS + BINAURAL_TAGS),
+       st.sampled_from(MIC_TAGS + BINAURAL_TAGS))
+def test_tag_pairs_outside_the_rules_raise(op, tag_a, tag_b):
+    rng = np.random.default_rng(0)
+    a = _spec(rng, 2, frames=3, tag=tag_a)
+    b = _spec(rng, 2, frames=3, tag=tag_b)
+    combine = (lambda: a + b) if op == "+" else (lambda: a - b)
+    if (op, tag_a, tag_b) in ALLOWED:
+        combine()
+    else:
+        with pytest.raises(ValueError):
+            combine()
 
 
 def test_decode_matrix_flips_degree_sign():
@@ -185,8 +215,8 @@ def test_render_reference_zero_input_is_silent():
                                3, 1200 / 48000)
     assert [r.tag for r in refs] == ["reference", "reference-direct"]
     for ref in refs:
-        np.testing.assert_array_equal(ref.ear("left"), 0)
-        np.testing.assert_array_equal(ref.ear("right"), 0)
+        assert ref.num_channels == 2
+        np.testing.assert_array_equal(ref.data, 0)
 
 
 def test_render_reference_linearity():
@@ -200,9 +230,8 @@ def test_render_reference_linearity():
         return binaural_references(images, sig, coeffs, CFG, 2, 1200 / 48000)
 
     for both, ra, rb in zip(refs(a + 3 * b), refs(a), refs(b)):
-        for ear in ("left", "right"):
-            np.testing.assert_allclose(both.ear(ear),
-                                       ra.ear(ear) + 3 * rb.ear(ear), atol=1e-10)
+        np.testing.assert_allclose(both.data, ra.data + 3 * rb.data,
+                                   atol=1e-10)
 
 
 def test_render_reference_decodes_plane_wave_to_hrtf():
@@ -220,7 +249,7 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     x = rng.standard_normal(CFG.window_length * 4)
     full, direct = binaural_references(images, x, coeffs, CFG, order,
                                        1200 / 48000)
-    np.testing.assert_array_equal(full.ear("left"), direct.ear("left"))
+    np.testing.assert_array_equal(full.data, direct.data)
     pressure = np.convolve(x, render_rir(images, 1200, 48000))
     base = stft(pressure, CFG)
     want = point_receiver_hrtf(0.0875, grid, [doa])
@@ -228,25 +257,23 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     # normalize by the spectral peak so noise-spectrum dips cannot inflate
     # the relative error
     low = grid.bin_frequencies <= 2000.0
-    got = direct.ear("left")[:, low]
+    got = direct.data[0][:, low]
     ideal = base.data[0][:, low] * want.left[0, low][None, :]
     err = np.abs(got - ideal).max() / np.abs(base.data[0][:, low]).max()
     assert err < 10 ** (-50 / 20)  # below -50 dB
 
 
 def test_binaural_spectrogram_validation():
+    # binaural tags need exactly two channels; mic tags take any count
     rng = np.random.default_rng(10)
-    one = Spectrogram(data=rng.standard_normal((1, 4, BINS)) + 0j,
-                      config=CFG, origin="z")
-    two = Spectrogram(data=rng.standard_normal((2, 4, BINS)) + 0j,
-                      config=CFG, origin="z")
-    with pytest.raises(ValueError):
-        BinauralSpectrogram(left=two, right=one, tag="reference")
-    other = Spectrogram(data=rng.standard_normal((1, 4, 129)) + 0j,
+    for channels in (1, 3):
+        with pytest.raises(ValueError):
+            _spec(rng, channels, tag="reference")
+        assert _spec(rng, channels, tag="x").num_channels == channels
+    other = Spectrogram(data=rng.standard_normal((2, 4, 129)) + 0j,
                         config=StftConfig(48000, 128, 64, fft_size=256),
-                        origin="z")
+                        tag="reference-direct")
     with pytest.raises(ValueError):
-        BinauralSpectrogram(left=one, right=other, tag="reference")
-    ok = BinauralSpectrogram(left=one, right=one, tag="reference")
+        _spec(rng, 2, frames=4, tag="reference") - other  # configs differ
+    ok = _spec(rng, 2, frames=4, tag="reference")
     assert ok.num_frames == 4
-    np.testing.assert_array_equal(ok.ear("left"), one.data[0])

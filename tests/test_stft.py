@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from bsmrender.stft import ORIGIN_TAGS, Spectrogram, StftConfig, frames, istft, stft
+from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
+    frames, istft, stft
 
 CFG = StftConfig.default()  # 32 ms / 16 ms Hamming at 48 kHz
 
@@ -125,15 +126,18 @@ def test_complex_input_keeps_analytic_sign():
         stft(up, CFG)
 
 
-def test_spectrogram_validation_and_retag():
+def test_spectrogram_validation():
     spec = stft(np.ones(2000), CFG)
-    assert spec.origin == "x"
-    assert spec.retag("x_d").origin == "x_d"
-    assert set(ORIGIN_TAGS) >= {"x", "x_d", "x_r", "p", "z"}
+    assert spec.tag == "x"
+    assert stft(np.ones(2000), CFG, tag="x_d").tag == "x_d"
+    assert MIC_TAGS == ("x", "x_d", "x_r")
+    assert "bsm-decomposed" in BINAURAL_TAGS
     with pytest.raises(ValueError):
-        spec.retag("bogus")
+        Spectrogram(data=spec.data, config=CFG, tag="bogus")
+    with pytest.raises(ValueError):
+        Spectrogram(data=spec.data, config=CFG, tag="reference")  # 1 channel
     with pytest.raises(ValueError):
         Spectrogram(data=np.zeros((2, 4, CFG.num_bins - 1), complex),
-                    config=CFG, origin="x")
+                    config=CFG, tag="x")
     with pytest.raises(ValueError):
         stft(np.array([]), CFG)
