@@ -16,20 +16,20 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .containers import (canonical_json, read_binaural_spectrogram, read_wav,
-                         update_manifest, verify_artifacts,
+from .containers import (canonical_json, load_filterbank, load_hrtf,
+                         read_binaural_spectrogram, read_wav, require_digest,
+                         save_filterbank, update_manifest, verify_artifacts,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import FrequencyGrid
-from .hrtf import evaluate_sh, flat_hrtf, load_hrtf, point_receiver_hrtf, sh_fit
+from .hrtf import evaluate_sh, flat_hrtf, point_receiver_hrtf, sh_fit
 from .render import apply_filterbank
 from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
-from .solvers import SolverConfig, design_filterbank, load_filterbank, \
-    save_filterbank
+from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid
-from .stft import BINAURAL_TAGS, Spectrogram, istft, stft
+from .stft import istft, stft
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
@@ -73,8 +73,7 @@ def _write_binaural(out_dir, spectra, wavs, fs, digest):
     manifest entries."""
     entries = {}
     for name, spec in spectra.items():
-        write_binaural_spectrogram(out_dir / name, spec.data, spec.config,
-                                   spec.tag, digest)
+        write_binaural_spectrogram(out_dir / name, spec, digest)
         entries[name] = out_dir / name
     for name, spec in wavs.items():
         write_wav(out_dir / name, istft(spec), fs, digest)
@@ -154,12 +153,11 @@ def run_design(cfg, out_dir):
     return bank_d, bank_r
 
 
-def _load_bank(path, expected_digest):
-    bank, digest = load_filterbank(path)
-    if digest != expected_digest:
-        raise ValueError(f"{path}: bank digest {digest} does not match the "
-                         f"current config ({expected_digest})")
-    return bank
+def _read_current(reader, path, expected_digest):
+    """Read a BSMF or BSMG artifact, refusing one from another config."""
+    content, embedded = reader(path)
+    require_digest(path, embedded, expected_digest)
+    return content
 
 
 def run_render(cfg, out_dir):
@@ -170,16 +168,17 @@ def run_render(cfg, out_dir):
 
     def load_mics(name, tag):
         data, rate, embedded = read_wav(out_dir / name)
-        if rate != fs or embedded != digest:
-            raise ValueError(f"{name}: stale or foreign recording")
+        require_digest(out_dir / name, embedded, digest)
+        if rate != fs:
+            raise ValueError(f"{name}: sample rate {rate} is not {fs}")
         return stft(np.asarray(data, float), stft_cfg, tag=tag)
 
     x = load_mics("mics_full.wav", "x")
     x_d = load_mics("mics_direct.wav", "x_d")
     x_r = x - x_d
 
-    bank_d = _load_bank(out_dir / "bank_direct.bsmf", digest)
-    bank_r = _load_bank(out_dir / "bank_reverb.bsmf", digest)
+    bank_d, bank_r = (_read_current(load_filterbank, out_dir / name, digest)
+                      for name in BANK_ARTIFACTS)
 
     results = {
         "component_direct.bsmg": apply_filterbank(bank_d, x_d),
@@ -199,22 +198,6 @@ def run_render(cfg, out_dir):
     return results
 
 
-def _read_binaural(path, stft_cfg, expected_digest):
-    ears, meta = read_binaural_spectrogram(path)
-    if meta["digest"] != expected_digest:
-        raise ValueError(f"{path}: digest {meta['digest']} does not match the "
-                         f"current config ({expected_digest})")
-    same = (meta["sample_rate"] == int(stft_cfg.sample_rate)
-            and meta["window_length"] == stft_cfg.window_length
-            and meta["hop"] == stft_cfg.hop
-            and meta["fft_size"] == stft_cfg.fft_size)
-    if not same:
-        raise ValueError(f"{path}: STFT parameters differ from the config")
-    if meta["tag"] not in BINAURAL_TAGS:
-        raise ValueError(f"{path}: {meta['tag']!r} is not a binaural tag")
-    return Spectrogram(data=ears, config=stft_cfg, tag=meta["tag"])
-
-
 def near_ear(cfg):
     """Which ear faces the direct source (ears sit on the +/- y axis)."""
     return "left" if np.sin(cfg["design"]["direct_doa"][1]) >= 0 else "right"
@@ -226,8 +209,11 @@ def run_evaluate(cfg, out_dir):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
 
-    spec = {name: _read_binaural(out_dir / name, stft_cfg, digest)
-            for name in SPECTRO_ARTIFACTS}
+    spec = {name: _read_current(read_binaural_spectrogram, out_dir / name,
+                                digest) for name in SPECTRO_ARTIFACTS}
+    for name, s in spec.items():
+        if s.config != stft_cfg:
+            raise ValueError(f"{name}: STFT parameters differ from the config")
     ref = spec["reference.bsmg"]
     ref_direct = spec["reference_direct.bsmg"]
     ref_reverb = ref - ref_direct

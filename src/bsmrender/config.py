@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from .containers import file_sha256, read_wav, scene_digest
+from .evaluate import octave_bands
 from .geometry import ArrayGeometry, Direction, semicircle_array, sph_to_cart
 from .simulate import RoomSpec, Scene, reflection_for_t60, synth_speech_noise
 from .stft import StftConfig
@@ -302,8 +303,6 @@ def direct_direction(cfg):
 
 
 def eval_bands(cfg, nyquist):
-    from .evaluate import octave_bands
-
     bands = cfg["evaluation"]["bands"]
     if bands == "octave":
         return octave_bands(upper_hz=nyquist)

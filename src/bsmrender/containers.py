@@ -1,21 +1,42 @@
-"""File formats and artifact bookkeeping.
+"""Every on-disk format, and the artifact bookkeeping.
 
-Everything on disk is little-endian and timestamp-free so that repeated
-runs with the same config produce byte-identical trees. WAV files carry a
-private "bsmd" chunk holding the 16-hex-char scene digest; the BSMG
-binaural spectrogram container embeds the same digest in its header.
+All layouts are little-endian and timestamp-free, so repeated runs with
+the same config produce byte-identical trees. `digest` is the 16-hex-char
+scene digest, `str` a u32 byte count and that many ASCII bytes, and each
+BSM* file opens with its magic and u32 version 1.
+
+- WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
+  optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
+- BSMG, binaural spectrogram: u32 sample rate, window, hop, FFT size,
+  frames, bins; str tag; digest; the (2, frames, bins) <c16 left/right block.
+- BSMF, filter bank: u32 mics, bins, sample rate, FFT size; str tag;
+  digest; str solver config (JSON, sorted keys, default separators); the
+  left, then the right (bins, mics) <c16 block.
+- BSMH, HRTF set: u32 sample rate, directions D, taps T; the (D, 2) <f8
+  colatitude/azimuth table; the left, then the right (D, T) <f4 IR block.
+
 manifest.json maps artifact names to content hashes so later stages can
-refuse stale or corrupted inputs. The readers check every length before
-they unpack, so a truncated or damaged file raises ContainerError.
+refuse stale or corrupted inputs. Every reader parses through one
+bounds-checked cursor: a truncated, damaged or over-long file raises
+ContainerError naming the file.
 """
 
+import contextlib
 import hashlib
 import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 
+from .geometry import Direction, directions_to_arrays
+from .hrtf import HrtfSet
+from .solvers import BsmFilterBank, SolverConfig
+from .stft import BINAURAL_TAGS, Spectrogram, StftConfig
+
 DIGEST_LEN = 16  # hex chars of sha256, enough to catch staleness
+VERSION = 1
 
 
 class ContainerError(ValueError):
@@ -47,10 +68,94 @@ def scene_digest(config_dict, input_hashes=None):
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:DIGEST_LEN]
 
 
-def _check_digest(digest):
+def require_digest(path, embedded, expected):
+    """Refuse an artifact whose embedded digest is not the current run's."""
+    if embedded != expected:
+        raise StaleArtifactError(f"{path}: embedded digest {embedded} does not "
+                                 f"match the current config ({expected})")
+
+
+# ---------------------------------------------------------------- byte io
+
+def _digest_bytes(digest):
     if len(digest) != DIGEST_LEN:
         raise ContainerError(f"digest must be {DIGEST_LEN} hex chars")
     return digest.encode("ascii")
+
+
+def _string(text):
+    raw = text.encode("ascii")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def _header(magic, fields, *values):
+    return magic + struct.pack("<I" + fields, VERSION, *values)
+
+
+class _Cursor:
+    """Bounds-checked reads over the bytes of one file. Every failure is a
+    ContainerError naming the file; slices are views, never copies."""
+
+    def __init__(self, path, blob=None):
+        self.path = path
+        self.blob = memoryview(Path(path).read_bytes() if blob is None else blob)
+        self.pos = 0
+
+    def fail(self, problem):
+        raise ContainerError(f"{self.path}: {problem}")
+
+    @property
+    def remaining(self):
+        return len(self.blob) - self.pos
+
+    def take(self, size, what):
+        if not 0 <= size <= self.remaining:
+            self.fail(f"truncated {what}")
+        self.pos += size
+        return self.blob[self.pos - size : self.pos]
+
+    def sub(self, size, what):
+        """A cursor over the next `size` bytes."""
+        return _Cursor(self.path, self.take(size, what))
+
+    def unpack(self, fields, what):
+        return struct.unpack(fields, self.take(struct.calcsize(fields), what))
+
+    def ascii(self, size, what):
+        try:
+            return bytes(self.take(size, what)).decode("ascii")
+        except UnicodeDecodeError:
+            self.fail(f"{what} is not ASCII")
+
+    def string(self, what):
+        return self.ascii(self.unpack("<I", what)[0], what)
+
+    def array(self, dtype, shape, what):
+        dtype = np.dtype(dtype)
+        raw = self.take(math.prod(shape) * dtype.itemsize, what)
+        return np.frombuffer(raw, dtype).reshape(shape)
+
+    def header(self, magic, fields):
+        """Check the magic and version; return the u32 fields after them."""
+        if self.blob[: len(magic)] != magic:
+            self.fail(f"not a {magic.decode()} file")
+        self.pos = len(magic)
+        version, *values = self.unpack("<I" + fields, "header")
+        if version != VERSION:
+            self.fail(f"unsupported {magic.decode()} version {version}")
+        return values
+
+    def end(self):
+        if self.remaining:
+            self.fail(f"{self.remaining} trailing bytes")
+
+    @contextlib.contextmanager
+    def checked(self, what):
+        """Report parsed fields that fail validation as ContainerError."""
+        try:
+            yield
+        except (KeyError, TypeError, ValueError) as err:
+            raise ContainerError(f"{self.path}: invalid {what}: {err}") from None
 
 
 # ---------------------------------------------------------------- WAV
@@ -69,7 +174,7 @@ def write_wav(path, data, sample_rate, digest=None):
         (b"fact", struct.pack("<I", frames)),
     ]
     if digest is not None:
-        chunks.append((b"bsmd", _check_digest(digest)))
+        chunks.append((b"bsmd", _digest_bytes(digest)))
     chunks.append((b"data", payload))
     body = b"WAVE"
     for tag, blob in chunks:
@@ -80,94 +185,136 @@ def write_wav(path, data, sample_rate, digest=None):
         fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
-def _ascii(raw, path, what):
-    try:
-        return raw.decode("ascii")
-    except UnicodeDecodeError:
-        raise ContainerError(f"{path}: {what} is not ASCII") from None
-
-
 def read_wav(path):
     """Returns (data float32 (frames, channels), sample_rate, digest or None)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
-        raise ContainerError(f"{path}: not a RIFF WAVE file")
-    pos, end = 12, 8 + struct.unpack("<I", blob[4:8])[0]
-    if end > len(blob):
-        raise ContainerError(f"{path}: truncated file")
-    fmt = None
-    data = None
-    digest = None
-    while pos + 8 <= end:
-        tag = blob[pos : pos + 4]
-        size = struct.unpack("<I", blob[pos + 4 : pos + 8])[0]
-        if pos + 8 + size > end:
-            raise ContainerError(f"{path}: chunk {tag!r} overruns the file")
-        body = blob[pos + 8 : pos + 8 + size]
+    cur = _Cursor(path)
+    magic, size, form = cur.unpack("<4sI4s", "RIFF header")
+    if magic != b"RIFF" or form != b"WAVE":
+        cur.fail("not a RIFF WAVE file")
+    riff = cur.sub(size - 4, "RIFF chunk")
+    cur.end()
+    fmt = samples = digest = None
+    while riff.remaining:
+        tag, size = riff.unpack("<4sI", "chunk header")
+        chunk = riff.sub(size, f"{tag!r} chunk")
+        riff.take(size % 2, "chunk padding")
         if tag == b"fmt ":
-            if size < 16:
-                raise ContainerError(f"{path}: short fmt chunk")
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = chunk.unpack("<HHIIHH", "fmt chunk")
         elif tag == b"data":
-            data = body
+            samples = chunk
         elif tag == b"bsmd":
-            digest = _ascii(body, path, "digest")
-        pos += 8 + size + (size % 2)
-    if fmt is None or data is None:
-        raise ContainerError(f"{path}: missing fmt or data chunk")
+            digest = chunk.ascii(size, "digest")
+    if fmt is None or samples is None:
+        cur.fail("missing fmt or data chunk")
     audio_format, channels, rate, _, _, bits = fmt
     if audio_format != 3 or bits != 32:
-        raise ContainerError(f"{path}: expected 32-bit float samples")
-    if channels == 0 or len(data) % (4 * channels):
-        raise ContainerError(f"{path}: data size does not fit {channels} channels")
-    arr = np.frombuffer(data, dtype="<f4").reshape(-1, channels)
+        cur.fail("expected 32-bit float samples")
+    if channels == 0 or samples.remaining % (4 * channels):
+        cur.fail(f"data size does not fit {channels} channels")
+    arr = samples.array("<f4", (samples.remaining // (4 * channels), channels),
+                        "samples")
     return arr, rate, digest
 
 
 # ---------------------------------------------------------------- BSMG
 
-def write_binaural_spectrogram(path, ears, config, tag, digest):
-    """Binaural STFT archive: header, then the (2, frames, bins) complex128
-    block of the left and right ears."""
-    if ears.ndim != 3 or ears.shape[0] != 2:
-        raise ContainerError("ears must be a (2, frames, bins) block")
-    tag_b = tag.encode("ascii")
-    header = (b"BSMG" + struct.pack("<IIIIIII", 1, int(config.sample_rate),
-                                    config.window_length, config.hop,
-                                    config.fft_size, ears.shape[1], ears.shape[2])
-              + struct.pack("<I", len(tag_b)) + tag_b + _check_digest(digest))
+def write_binaural_spectrogram(path, spec, digest):
+    """Write a two-channel (left, right) binaural Spectrogram."""
+    if spec.tag not in BINAURAL_TAGS:
+        raise ContainerError(f"{spec.tag!r} is not a binaural tag")
+    cfg = spec.config
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(ears, dtype="<c16").tobytes())
+        fh.write(_header(b"BSMG", "IIIIII", int(cfg.sample_rate),
+                         cfg.window_length, cfg.hop, cfg.fft_size,
+                         spec.num_frames, spec.num_bins)
+                 + _string(spec.tag) + _digest_bytes(digest))
+        fh.write(np.ascontiguousarray(spec.data, dtype="<c16").tobytes())
 
 
 def read_binaural_spectrogram(path):
-    """Returns (ears complex128 (2, frames, bins), header metadata)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != b"BSMG":
-        raise ContainerError(f"{path}: bad magic")
-    if len(blob) < 36:
-        raise ContainerError(f"{path}: truncated header")
-    (version, rate, window, hop, fft_size,
-     frames, bins) = struct.unpack("<IIIIIII", blob[4:32])
-    if version != 1:
-        raise ContainerError(f"{path}: unsupported version {version}")
-    tag_len = struct.unpack("<I", blob[32:36])[0]
-    pos = 36 + tag_len
-    if pos + DIGEST_LEN > len(blob):
-        raise ContainerError(f"{path}: truncated header")
-    tag = _ascii(blob[36:pos], path, "tag")
-    digest = _ascii(blob[pos : pos + DIGEST_LEN], path, "digest")
-    pos += DIGEST_LEN
-    if len(blob) - pos != 2 * frames * bins * 16:
-        raise ContainerError(f"{path}: payload size does not match "
-                             f"{frames} x {bins} bins")
-    ears = np.frombuffer(blob[pos:], dtype="<c16").reshape(2, frames, bins)
-    meta = {"sample_rate": rate, "window_length": window, "hop": hop,
-            "fft_size": fft_size, "tag": tag, "digest": digest}
-    return ears, meta
+    """Returns (binaural Spectrogram, embedded digest)."""
+    cur = _Cursor(path)
+    rate, window, hop, fft_size, frames, bins = cur.header(b"BSMG", "IIIIII")
+    tag = cur.string("tag")
+    digest = cur.ascii(DIGEST_LEN, "digest")
+    ears = cur.array("<c16", (2, frames, bins), "spectra")
+    cur.end()
+    if tag not in BINAURAL_TAGS:
+        cur.fail(f"{tag!r} is not a binaural tag")
+    with cur.checked("STFT parameters"):
+        config = StftConfig(rate, window, hop, fft_size)
+        return Spectrogram(data=ears, config=config, tag=tag), digest
+
+
+# ---------------------------------------------------------------- BSMF
+
+def save_filterbank(path, bank, digest):
+    # the default JSON separators are part of the version 1 bytes
+    config = json.dumps(bank.config.to_dict(), sort_keys=True)
+    with open(path, "wb") as fh:
+        fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
+                         int(bank.sample_rate), bank.fft_size)
+                 + _string(bank.tag) + _digest_bytes(digest) + _string(config))
+        fh.write(np.ascontiguousarray(bank.left, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(bank.right, dtype="<c16").tobytes())
+
+
+def load_filterbank(path):
+    """Returns (BsmFilterBank, embedded digest)."""
+    cur = _Cursor(path)
+    mics, bins, rate, fft_size = cur.header(b"BSMF", "IIII")
+    tag = cur.string("tag")
+    digest = cur.ascii(DIGEST_LEN, "digest")
+    config = cur.string("solver config")
+    left = cur.array("<c16", (bins, mics), "left filters")
+    right = cur.array("<c16", (bins, mics), "right filters")
+    cur.end()
+    with cur.checked("filter bank"):
+        bank = BsmFilterBank(left=left, right=right, tag=tag,
+                             config=SolverConfig(**json.loads(config)),
+                             sample_rate=float(rate), fft_size=fft_size)
+    return bank, digest
+
+
+# ---------------------------------------------------------------- BSMH
+
+def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
+    """Write a BSMH container from time-domain impulse responses."""
+    left_ir = np.ascontiguousarray(left_ir, dtype="<f4")
+    right_ir = np.ascontiguousarray(right_ir, dtype="<f4")
+    if left_ir.shape != right_ir.shape or left_ir.ndim != 2:
+        raise ValueError("impulse responses must share a (directions, taps) shape")
+    count, taps = left_ir.shape
+    if count != len(directions):
+        raise ValueError("direction count does not match IR rows")
+    table = np.stack(directions_to_arrays(directions), axis=1).astype("<f8")
+    with open(path, "wb") as fh:
+        fh.write(_header(b"BSMH", "III", int(sample_rate), count, taps))
+        fh.write(table.tobytes())
+        fh.write(left_ir.tobytes())
+        fh.write(right_ir.tobytes())
+
+
+def load_hrtf(path, fft_size):
+    """Read a BSMH container. Responses are the rFFT of each impulse
+    response, zero-padded to fft_size."""
+    cur = _Cursor(path)
+    rate, count, taps = cur.header(b"BSMH", "III")
+    if count == 0 or taps == 0:
+        cur.fail("empty HRTF set")
+    table = cur.array("<f8", (count, 2), "direction table")
+    left_ir = cur.array("<f4", (count, taps), "left impulse responses")
+    right_ir = cur.array("<f4", (count, taps), "right impulse responses")
+    cur.end()
+    if not np.all(np.isfinite(table)):
+        cur.fail("non-finite direction")
+    if fft_size < taps:
+        cur.fail(f"{taps}-tap impulse responses exceed fft_size {fft_size}")
+    with cur.checked("HRTF set"):
+        return HrtfSet(directions=tuple(Direction(t, p) for t, p in table),
+                       left=np.fft.rfft(left_ir, n=fft_size, axis=1),
+                       right=np.fft.rfft(right_ir, n=fft_size, axis=1),
+                       sample_rate=float(rate))
 
 
 # ---------------------------------------------------------------- manifest

@@ -1,19 +1,17 @@
-"""Head-related transfer functions: containers, analytic models and
-SH-domain interpolation.
+"""Head-related transfer functions: direction-indexed sets, analytic
+models and SH-domain interpolation.
 
 The head frame matches the room frame conventions used everywhere else:
 the head faces +x and the interaural axis is +/-y, left ear on +y. The
 measured-database path of the original experiment is replaced by a small
-binary container (BSMH) plus analytic test models, which keeps the whole
-pipeline self-verifying.
+binary container (BSMH, read and written by `containers`) plus analytic
+test models, which keeps the whole pipeline self-verifying.
 """
-
-import struct
 
 import numpy as np
 from dataclasses import dataclass, field
 
-from .geometry import Direction, directions_to_arrays
+from .geometry import directions_to_arrays
 from .sph import num_coeffs, sh_matrix
 
 
@@ -21,16 +19,13 @@ from .sph import num_coeffs, sh_matrix
 class HrtfSet:
     """Direction-indexed ear responses on a one-sided frequency grid.
 
-    left/right hold complex responses of shape (directions, bins). The
-    time-domain impulse responses are retained when the set came from (or
-    is destined for) a BSMH file.
+    left/right hold complex responses of shape (directions, bins).
     """
 
     directions: tuple
     left: np.ndarray = field(repr=False)
     right: np.ndarray = field(repr=False)
     sample_rate: float
-    impulse_responses: tuple = None  # (left (D,T) f32, right (D,T) f32)
 
     def __post_init__(self):
         if len(self.directions) == 0:
@@ -140,71 +135,3 @@ def sh_interpolate(hrtf_set, order, targets):
     """
     return evaluate_sh(sh_fit(hrtf_set, order), targets)
 
-
-# ---------------------------------------------------------------- BSMH io
-
-_MAGIC = b"BSMH"
-_VERSION = 1
-
-
-def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
-    """Write a BSMH container from time-domain impulse responses."""
-    left_ir = np.ascontiguousarray(left_ir, dtype="<f4")
-    right_ir = np.ascontiguousarray(right_ir, dtype="<f4")
-    if left_ir.shape != right_ir.shape or left_ir.ndim != 2:
-        raise ValueError("impulse responses must share a (directions, taps) shape")
-    count, ir_length = left_ir.shape
-    if count != len(directions):
-        raise ValueError("direction count does not match IR rows")
-    th, ph = directions_to_arrays(directions)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIII", _VERSION, int(sample_rate), count, ir_length))
-        table = np.empty((count, 2), dtype="<f8")
-        table[:, 0] = th
-        table[:, 1] = ph
-        fh.write(table.tobytes())
-        fh.write(left_ir.tobytes())
-        fh.write(right_ir.tobytes())
-
-
-def load_hrtf(path, fft_size=None):
-    """Read a BSMH container.
-
-    Responses are the rFFT of each impulse response, zero-padded to
-    fft_size (default: the IR length, rounded up to even).
-    """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except FileNotFoundError:
-        raise FileNotFoundError(f"HRTF file not found: {path}")
-    if len(blob) < 20 or blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a BSMH container (bad magic)")
-    version, rate, count, ir_length = struct.unpack("<IIII", blob[4:20])
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported BSMH version {version}")
-    if count == 0 or ir_length == 0:
-        raise ValueError(f"{path}: malformed header (empty set)")
-    pos = 20
-    table = np.frombuffer(blob, dtype="<f8", count=2 * count, offset=pos)
-    pos += table.nbytes
-    per_ear = count * ir_length
-    tail = (len(blob) - pos) // 4
-    if tail < 2 * per_ear:
-        raise ValueError(
-            f"{path}: left/right IR blocks truncated or mismatched "
-            f"(expected 2 x {count} directions x {ir_length} taps)")
-    irs = np.frombuffer(blob, dtype="<f4", count=2 * per_ear, offset=pos)
-    left_ir = irs[:per_ear].reshape(count, ir_length)
-    right_ir = irs[per_ear:].reshape(count, ir_length)
-    directions = tuple(Direction(t, p) for t, p in table.reshape(count, 2))
-    if fft_size is None:
-        fft_size = ir_length + (ir_length % 2)
-    if fft_size < ir_length:
-        raise ValueError("fft_size shorter than the impulse responses")
-    left = np.fft.rfft(left_ir, n=fft_size, axis=1)
-    right = np.fft.rfft(right_ir, n=fft_size, axis=1)
-    return HrtfSet(directions=directions, left=left, right=right,
-                   sample_rate=float(rate),
-                   impulse_responses=(left_ir, right_ir))

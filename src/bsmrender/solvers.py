@@ -13,9 +13,6 @@ phase accuracy for magnitude accuracy, which is the perceptually relevant
 quantity at high frequencies.
 """
 
-import json
-import struct
-
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -49,12 +46,6 @@ class SolverConfig:
         return {"snr": float(self.snr), "magls_enabled": bool(self.magls_enabled),
                 "magls_cutoff_hz": float(self.magls_cutoff_hz),
                 "tikhonov_floor": float(self.tikhonov_floor)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(snr=d["snr"], magls_enabled=d["magls_enabled"],
-                   magls_cutoff_hz=d["magls_cutoff_hz"],
-                   tikhonov_floor=d["tikhonov_floor"])
 
 
 @dataclass(frozen=True)
@@ -173,7 +164,7 @@ class BsmFilterBank:
     def __post_init__(self):
         if self.left.shape != self.right.shape or self.left.ndim != 2:
             raise ValueError("left/right coefficient shapes must match (bins, M)")
-        if self.tag not in ("direct", "reverberant", "whole-field"):
+        if self.tag not in ("direct", "reverberant"):
             raise ValueError(f"unknown filter bank tag {self.tag!r}")
         if not (np.all(np.isfinite(self.left)) and np.all(np.isfinite(self.right))):
             raise ValueError("non-finite filter coefficients")
@@ -231,54 +222,3 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
                          config=config, sample_rate=grid.sample_rate,
                          fft_size=(grid.num_bins - 1) * 2)
 
-
-# ---------------------------------------------------------------- BSMF io
-
-_MAGIC = b"BSMF"
-_VERSION = 1
-
-
-def save_filterbank(path, bank, digest):
-    from .containers import _check_digest  # same digest discipline everywhere
-
-    cfg_blob = json.dumps(bank.config.to_dict(), sort_keys=True).encode()
-    tag_b = bank.tag.encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIII", _VERSION, bank.num_mics, bank.num_bins,
-                             int(bank.sample_rate), bank.fft_size))
-        fh.write(struct.pack("<I", len(tag_b)) + tag_b)
-        fh.write(_check_digest(digest))
-        fh.write(struct.pack("<I", len(cfg_blob)) + cfg_blob)
-        fh.write(np.ascontiguousarray(bank.left, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(bank.right, dtype="<c16").tobytes())
-
-
-def load_filterbank(path):
-    from .containers import DIGEST_LEN
-
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a BSMF container")
-    version, m, bins, rate, fft_size = struct.unpack("<IIIII", blob[4:24])
-    if version != _VERSION:
-        raise ValueError(f"{path}: unsupported BSMF version {version}")
-    tag_len = struct.unpack("<I", blob[24:28])[0]
-    pos = 28 + tag_len
-    tag = blob[28:pos].decode("ascii")
-    digest = blob[pos : pos + DIGEST_LEN].decode("ascii")
-    pos += DIGEST_LEN
-    cfg_len = struct.unpack("<I", blob[pos : pos + 4])[0]
-    pos += 4
-    config = SolverConfig.from_dict(json.loads(blob[pos : pos + cfg_len]))
-    pos += cfg_len
-    count = bins * m
-    flat = np.frombuffer(blob[pos:], dtype="<c16")
-    if flat.size != 2 * count:
-        raise ValueError(f"{path}: truncated coefficient payload")
-    bank = BsmFilterBank(left=flat[:count].reshape(bins, m).copy(),
-                         right=flat[count:].reshape(bins, m).copy(),
-                         tag=tag, config=config, sample_rate=float(rate),
-                         fft_size=fft_size)
-    return bank, digest

@@ -16,7 +16,8 @@ from bsmrender.cli import (
     main,
     near_ear,
 )
-from bsmrender.containers import read_wav, verify_artifacts, write_wav
+from bsmrender.containers import read_wav, save_hrtf, verify_artifacts, write_wav
+from bsmrender.sph import spiral_grid
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -163,6 +164,21 @@ def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
                "--config", str(config_path)])
     assert rc == EXIT_CODES["simulate"]
     assert "error [simulate]" in capsys.readouterr().err
+
+
+def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
+    hrtf = tmp_path / "ears.bsmh"
+    ir = np.zeros((4, 16))
+    save_hrtf(hrtf, spiral_grid(4), ir, ir, 48000)
+    hrtf.write_bytes(hrtf.read_bytes()[:50])  # cut inside the direction table
+    config_path = tmp_path / "hrtf.yaml"
+    config_path.write_text(f"design:\n  hrtf_kind: file\n"
+                           f"  hrtf_file: {str(hrtf)!r}\n")
+    rc = main(["design", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["design"]
+    err = capsys.readouterr().err
+    assert "error [design]" in err and "truncated" in err
 
 
 def test_near_ear_follows_azimuth_sign():

@@ -1,4 +1,5 @@
-"""Artifact containers: WAV, spectrogram archive, manifest."""
+"""Artifact containers: WAV, spectrogram, filter bank and HRTF formats,
+manifest."""
 
 import json
 
@@ -12,8 +13,13 @@ from bsmrender.containers import (
     StaleArtifactError,
     canonical_json,
     file_sha256,
+    load_filterbank,
+    load_hrtf,
     read_binaural_spectrogram,
     read_wav,
+    require_digest,
+    save_filterbank,
+    save_hrtf,
     scene_digest,
     update_manifest,
     verify_artifacts,
@@ -21,7 +27,9 @@ from bsmrender.containers import (
     write_json,
     write_wav,
 )
-from bsmrender.stft import StftConfig
+from bsmrender.solvers import BsmFilterBank, SolverConfig
+from bsmrender.sph import spiral_grid
+from bsmrender.stft import Spectrogram, StftConfig
 
 DIGEST = "0123456789abcdef"
 
@@ -60,23 +68,21 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     left = rng.standard_normal((7, cfg.num_bins)) * (1 + 1j)
     right = rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)
     path = tmp_path / "out.bsmg"
-    write_binaural_spectrogram(path, np.stack([left, right]), cfg,
-                               "reference", DIGEST)
-    ears, meta = read_binaural_spectrogram(path)
-    assert ears.shape == (2, 7, cfg.num_bins)
-    np.testing.assert_array_equal(ears[0], left)
-    np.testing.assert_array_equal(ears[1], right)
+    write_binaural_spectrogram(
+        path, Spectrogram(np.stack([left, right]), cfg, "reference"), DIGEST)
+    spec, digest = read_binaural_spectrogram(path)
+    assert spec.data.shape == (2, 7, cfg.num_bins)
+    np.testing.assert_array_equal(spec.data[0], left)
+    np.testing.assert_array_equal(spec.data[1], right)
     # the payload is the left block followed by the right block
     tail = path.read_bytes()[-2 * left.size * 16:]
     assert tail == left.astype("<c16").tobytes() + right.astype("<c16").tobytes()
-    with pytest.raises(ContainerError):
-        write_binaural_spectrogram(path, left[None], cfg, "reference", DIGEST)
-    assert meta["tag"] == "reference"
-    assert meta["digest"] == DIGEST
-    assert meta["sample_rate"] == 48000
-    assert meta["window_length"] == cfg.window_length
-    assert meta["hop"] == cfg.hop
-    assert meta["fft_size"] == cfg.fft_size
+    with pytest.raises(ContainerError):  # only binaural spectrograms
+        write_binaural_spectrogram(path, Spectrogram(left[None], cfg, "x"),
+                                   DIGEST)
+    assert spec.tag == "reference"
+    assert digest == DIGEST
+    assert spec.config == cfg
 
 
 def _write_sample_wav(path):
@@ -86,13 +92,29 @@ def _write_sample_wav(path):
 def _write_sample_bsmg(path):
     cfg = StftConfig(48000, 8, 4)
     data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
-    write_binaural_spectrogram(path, np.stack([data, -data]), cfg, "reference",
-                               DIGEST)
+    write_binaural_spectrogram(
+        path, Spectrogram(np.stack([data, -data]), cfg, "reference"), DIGEST)
+
+
+def _write_sample_bsmf(path):
+    coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
+    bank = BsmFilterBank(left=coeffs, right=-coeffs, tag="reverberant",
+                         config=SolverConfig(snr=12.5, magls_enabled=True,
+                                             magls_cutoff_hz=9000.0),
+                         sample_rate=48000, fft_size=8)
+    save_filterbank(path, bank, DIGEST)
+
+
+def _write_sample_bsmh(path):
+    ir = np.arange(12, dtype=float).reshape(3, 4)
+    save_hrtf(path, spiral_grid(3), ir, -ir, 48000)
 
 
 # kind -> (writer of a small valid file, its reader)
 READERS = {"wav": (_write_sample_wav, read_wav),
-           "bsmg": (_write_sample_bsmg, read_binaural_spectrogram)}
+           "bsmg": (_write_sample_bsmg, read_binaural_spectrogram),
+           "bsmf": (_write_sample_bsmf, load_filterbank),
+           "bsmh": (_write_sample_bsmh, lambda path: load_hrtf(path, 8))}
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
@@ -108,7 +130,17 @@ def test_readers_reject_every_truncation(kind, tmp_path):
             reader(path)
 
 
-@settings(max_examples=200,
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_readers_reject_trailing_bytes(kind, tmp_path):
+    path = tmp_path / f"sample.{kind}"
+    write, reader = READERS[kind]
+    write(path)
+    path.write_bytes(path.read_bytes() + bytes(16))
+    with pytest.raises(ContainerError, match="trailing"):
+        reader(path)
+
+
+@settings(max_examples=400,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(READERS)), data=st.data())
 def test_readers_raise_only_container_errors(kind, data, tmp_path):
@@ -195,6 +227,13 @@ def test_verify_rejects_wrong_digest(tmp_path):
 def test_verify_requires_manifest(tmp_path):
     with pytest.raises(StaleArtifactError):
         verify_artifacts(tmp_path, ("one.bin",), DIGEST, "render")
+
+
+def test_require_digest_refuses_foreign_artifacts():
+    require_digest("bank.bsmf", DIGEST, DIGEST)
+    for embedded in ("f" * 16, None):
+        with pytest.raises(StaleArtifactError, match="bank.bsmf"):
+            require_digest("bank.bsmf", embedded, DIGEST)
 
 
 def test_file_sha256(tmp_path):

@@ -57,7 +57,7 @@ def test_apply_filterbank_selector():
     right = np.zeros((BINS, 3), complex)
     left[:, 1] = 1.0
     right[:, 2] = 1.0
-    bank = BsmFilterBank(left=left, right=right, tag="whole-field",
+    bank = BsmFilterBank(left=left, right=right, tag="reverberant",
                          config=SolverConfig(), sample_rate=48000,
                          fft_size=CFG.fft_size)
     out = apply_filterbank(bank, x)

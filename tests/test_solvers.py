@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
 from bsmrender.hrtf import flat_hrtf, point_receiver_hrtf
 from bsmrender.solvers import (
@@ -13,8 +14,6 @@ from bsmrender.solvers import (
     SolverConfig,
     SolverError,
     design_filterbank,
-    load_filterbank,
-    save_filterbank,
     solve_general,
     solve_ls,
     solve_magls,
@@ -280,7 +279,7 @@ def test_filterbank_io_round_trip(tmp_path):
 def test_filterbank_io_rejects_damage(tmp_path):
     path = tmp_path / "bank.bsmf"
     path.write_bytes(b"JUNKJUNKJUNK")
-    with pytest.raises(ValueError):
+    with pytest.raises(ContainerError):
         load_filterbank(path)
 
 
@@ -292,4 +291,4 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tikhonov_floor=-1e-9)
     cfg = SolverConfig(snr=10.0)
-    assert SolverConfig.from_dict(cfg.to_dict()) == cfg
+    assert SolverConfig(**cfg.to_dict()) == cfg
