@@ -46,17 +46,6 @@ def sph_to_cart(r, d):
     )
 
 
-def cart_to_sph(xyz):
-    """Cartesian to (r, Direction). The origin maps to theta=0, phi=0."""
-    x, y, z = float(xyz[0]), float(xyz[1]), float(xyz[2])
-    r = float(np.sqrt(x * x + y * y + z * z))
-    if r == 0.0:
-        return 0.0, Direction(0.0, 0.0)
-    theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
-    phi = float(np.arctan2(y, x))
-    return r, Direction(theta, phi)
-
-
 def directions_to_arrays(directions):
     """Stack a Direction list into (colatitudes, azimuths) float arrays."""
     th = np.array([d.colatitude for d in directions], dtype=float)

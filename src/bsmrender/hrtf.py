@@ -125,13 +125,3 @@ def evaluate_sh(coeffs, targets):
     y = sh_matrix(coeffs.order, targets)
     return HrtfSet(directions=tuple(targets), left=y @ coeffs.left,
                    right=y @ coeffs.right, sample_rate=coeffs.sample_rate)
-
-
-def sh_interpolate(hrtf_set, order, targets):
-    """Fit at `order`, then evaluate at `targets`.
-
-    Exact reproduction (to solver precision) when targets coincide with the
-    source grid and the fit is exactly determined.
-    """
-    return evaluate_sh(sh_fit(hrtf_set, order), targets)
-

@@ -11,12 +11,11 @@ conventions as the steering vectors.
 import numpy as np
 from dataclasses import dataclass, field, fields
 from scipy import fft as spfft
-from scipy import signal as sps
-from scipy import sparse
+from scipy import sparse, special
 
 from .geometry import SPEED_OF_SOUND
 from .render import decode_matrix
-from .sph import _sph_harm_y, num_coeffs, sh_degrees
+from .sph import num_coeffs, sh_degrees
 from .stft import Spectrogram, frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
@@ -215,6 +214,23 @@ def scene_images(scene, max_order, rir_seconds):
     return images[0], images[1:]
 
 
+def _fft_convolve(a, b):
+    """Full linear convolution along the last axis, broadcast over the
+    others: the transforms of scipy.signal.fftconvolve, so the same bits,
+    without importing scipy.signal. A length-1 operand is a plain product,
+    as there."""
+    n = a.shape[-1] + b.shape[-1] - 1
+    if a.shape[-1] == 1 or b.shape[-1] == 1:
+        return a * b
+    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
+    size = spfft.next_fast_len(n, real)
+    if real:
+        out = spfft.irfft(spfft.rfft(a, size) * spfft.rfft(b, size), size)
+    else:
+        out = spfft.ifft(spfft.fft(a, size) * spfft.fft(b, size), size)
+    return out[..., :n]
+
+
 def _split_rirs(images, num_samples, sample_rate):
     """Direct and reverberant RIRs of one image list (same length)."""
     return (render_rir(images.take(slice(0, 1)), num_samples, sample_rate),
@@ -237,8 +253,8 @@ def render_mic_signals(scene, max_order, rir_seconds, images=None):
     reverb = np.empty((n_out, len(mic_images)))
     for m, imgs in enumerate(mic_images):
         rir_d, rir_r = _split_rirs(imgs, rir_len, fs)
-        direct[:, m] = sps.fftconvolve(src, rir_d)
-        reverb[:, m] = sps.fftconvolve(src, rir_r)
+        direct[:, m] = _fft_convolve(src, rir_d)
+        reverb[:, m] = _fft_convolve(src, rir_r)
     return direct + reverb, direct, reverb
 
 
@@ -247,8 +263,8 @@ def _sh_weights_block(images, order, cols):
     n_idx, m_idx = sh_degrees(order)
     out = np.empty((images.count, len(cols)), dtype=complex)
     for j, c in enumerate(cols):
-        y = _sph_harm_y(int(n_idx[c]), int(m_idx[c]),
-                        images.colatitudes, images.azimuths)
+        y = special.sph_harm_y(int(n_idx[c]), int(m_idx[c]),
+                               images.colatitudes, images.azimuths)
         out[:, j] = np.conj(y)
     return out * images.gains[:, None]
 
@@ -281,7 +297,7 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     reverb = images.take(slice(1, None))
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
-    base = stft(sps.fftconvolve(src, kernel), config).data[0]
+    base = stft(_fft_convolve(src, kernel), config).data[0]
     w0 = _sh_weights_block(direct, order, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
@@ -303,7 +319,7 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
             w = _sh_weights_block(reverb, order, encoded[sl])
             rir = delays @ np.ascontiguousarray(w.real) \
                 + 1j * (delays @ np.ascontiguousarray(w.imag))
-            p = sps.fftconvolve(src[None, :], rir.T, axes=1)
+            p = _fft_convolve(src[None, :], rir.T)
             spec = spfft.fft(frames(p, config), n=config.fft_size, axis=2)
             ears_r += np.einsum("cfb,ecb->efb", spec[..., : config.num_bins],
                                 g_pos[:, sl])

@@ -1,8 +1,8 @@
-"""Spherical harmonics, nearly uniform sphere sampling and steering vectors.
+"""Spherical harmonics, nearly uniform sphere sampling and steering matrices.
 
 Complex spherical harmonics with the Condon-Shortley phase throughout,
 ordered by (n, m) with m = -n..n, so index = n^2 + n + m. The same
-convention backs steering vectors, HRTF interpolation and the plane-wave
+convention backs the steering matrices, the HRTF SH fit and the plane-wave
 encoding of the simulator; do not mix in real-valued harmonics.
 
 Plane-wave phase convention: a unit plane wave arriving from direction u
@@ -14,13 +14,7 @@ in the rFFT spectrum.
 import numpy as np
 from scipy import special
 
-from .geometry import Direction, directions_to_arrays, sph_to_cart
-
-try:
-    from scipy.special import sph_harm_y as _sph_harm_y
-except ImportError:  # scipy < 1.15 spells it sph_harm(m, n, phi, theta)
-    def _sph_harm_y(n, m, theta, phi):
-        return special.sph_harm(m, n, phi, theta)
+from .geometry import Direction, directions_to_arrays
 
 
 def num_coeffs(order):
@@ -44,7 +38,11 @@ def sh_basis(order, d):
 def sh_matrix(order, directions):
     """Rows of SH values for a list (or array pair) of directions.
 
-    Returns complex array of shape (len(directions), (order+1)^2).
+    Returns a C-contiguous complex array of shape
+    (len(directions), (order+1)^2). One sph_harm_y_all call evaluates every
+    degree at once (m < 0 at the end of its second axis, where the negative
+    m index finds it); the values are bitwise those of one sph_harm_y call
+    per (n, m).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -52,13 +50,9 @@ def sh_matrix(order, directions):
         th, ph = np.asarray(directions[0], float), np.asarray(directions[1], float)
     else:
         th, ph = directions_to_arrays(directions)
-    out = np.empty((th.size, num_coeffs(order)), dtype=complex)
-    idx = 0
-    for n in range(order + 1):
-        for m in range(-n, n + 1):
-            out[:, idx] = _sph_harm_y(n, m, th, ph)
-            idx += 1
-    return out
+    n, m = sh_degrees(order)
+    y = special.sph_harm_y_all(order, order, th, ph)  # (n, m, directions)
+    return np.ascontiguousarray(y[n, m].T)
 
 
 def spiral_grid(num_points):
@@ -75,40 +69,6 @@ def spiral_grid(num_points):
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = np.mod(i * np.pi * (3.0 - np.sqrt(5.0)), 2.0 * np.pi)
     return [Direction(t, p) for t, p in zip(theta, phi)]
-
-
-def steering_vector(f, grid, geom, doa):
-    """Free-field omni array response to a unit plane wave from `doa`.
-
-    v_m = exp(+i k r_m . u), with r_m the mic position relative to the
-    array center and u the unit vector towards the source. Entries have
-    unit magnitude by construction.
-    """
-    k = grid.wavenumber(f)  # rejects negative f
-    u = doa.unit_vector()
-    proj = geom.local_positions() @ u
-    return np.exp(1j * k * proj)
-
-
-def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
-    """SH-truncated evaluation of the same steering vector.
-
-    Expands the plane wave at each mic radius: 4 pi sum_nm i^n j_n(k r_m)
-    Y_nm(mic direction) conj(Y_nm(doa)), truncated at ceil(k r_max) + pad
-    unless an explicit order is given. Converges to steering_vector as the
-    order grows; used to cross-check the closed form.
-    """
-    k = grid.wavenumber(f)
-    if order is None:
-        order = int(np.ceil(k * geom.max_radius)) + pad
-    n_idx, _ = sh_degrees(order)
-    y_doa = np.conj(sh_basis(order, doa))
-    out = np.empty(geom.num_mics, dtype=complex)
-    for i, (r, d) in enumerate(geom.mics):
-        jn = special.spherical_jn(np.arange(order + 1), k * r)
-        y_mic = sh_basis(order, d)
-        out[i] = 4.0 * np.pi * np.sum((1j ** n_idx) * jn[n_idx] * y_mic * y_doa)
-    return out
 
 
 def steering_matrix(f, grid, geom, doas):

@@ -1,0 +1,87 @@
+"""Test-only helpers and reference implementations of library kernels.
+
+Closed-form and truncated-series plane-wave steering, the Cartesian to
+spherical conversion, fit-then-evaluate HRTF interpolation and the
+one-call-per-(n, m) spherical-harmonic matrix. The library itself needs
+none of them; tests use them as oracles for what it does compute.
+"""
+
+import numpy as np
+from scipy import special
+
+from bsmrender.geometry import Direction
+from bsmrender.hrtf import evaluate_sh, sh_fit
+from bsmrender.sph import num_coeffs, sh_basis, sh_degrees
+
+
+def steering_vector(f, grid, geom, doa):
+    """Free-field omni array response to a unit plane wave from `doa`.
+
+    v_m = exp(+i k r_m . u), with r_m the mic position relative to the
+    array center and u the unit vector towards the source. Entries have
+    unit magnitude by construction.
+    """
+    k = grid.wavenumber(f)  # rejects negative f
+    u = doa.unit_vector()
+    proj = geom.local_positions() @ u
+    return np.exp(1j * k * proj)
+
+
+def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
+    """SH-truncated evaluation of the same steering vector.
+
+    Expands the plane wave at each mic radius: 4 pi sum_nm i^n j_n(k r_m)
+    Y_nm(mic direction) conj(Y_nm(doa)), truncated at ceil(k r_max) + pad
+    unless an explicit order is given. Converges to steering_vector as the
+    order grows; used to cross-check the closed form.
+    """
+    k = grid.wavenumber(f)
+    if order is None:
+        order = int(np.ceil(k * geom.max_radius)) + pad
+    n_idx, _ = sh_degrees(order)
+    y_doa = np.conj(sh_basis(order, doa))
+    out = np.empty(geom.num_mics, dtype=complex)
+    for i, (r, d) in enumerate(geom.mics):
+        jn = special.spherical_jn(np.arange(order + 1), k * r)
+        y_mic = sh_basis(order, d)
+        out[i] = 4.0 * np.pi * np.sum((1j ** n_idx) * jn[n_idx] * y_mic * y_doa)
+    return out
+
+
+def cart_to_sph(xyz):
+    """Cartesian to (r, Direction). The origin maps to theta=0, phi=0."""
+    x, y, z = float(xyz[0]), float(xyz[1]), float(xyz[2])
+    r = float(np.sqrt(x * x + y * y + z * z))
+    if r == 0.0:
+        return 0.0, Direction(0.0, 0.0)
+    theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
+    phi = float(np.arctan2(y, x))
+    return r, Direction(theta, phi)
+
+
+def sh_interpolate(hrtf_set, order, targets):
+    """Fit at `order`, then evaluate at `targets`.
+
+    Exact reproduction (to solver precision) when targets coincide with the
+    source grid and the fit is exactly determined.
+    """
+    return evaluate_sh(sh_fit(hrtf_set, order), targets)
+
+
+def sh_matrix_loop(order, theta, phi):
+    """SH matrix (directions, (order+1)^2) from one sph_harm_y call per
+    (n, m), in the flat ordering index = n^2 + n + m."""
+    out = np.empty((np.size(theta), num_coeffs(order)), dtype=complex)
+    idx = 0
+    for n in range(order + 1):
+        for m in range(-n, n + 1):
+            out[:, idx] = special.sph_harm_y(n, m, theta, phi)
+            idx += 1
+    return out
+
+
+def assert_bits_equal(got, want):
+    """Same shape, dtype and bit pattern, signed zeros included."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))

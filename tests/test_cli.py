@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +56,28 @@ def mini_run(tmp_path_factory):
     assert rc == 0
     cfg = cfgmod.resolve("desk", config_path)
     return cfg, config_path, out
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    # every stage is its own process: scipy.signal (and scipy.stats, which
+    # it imports) would cost each call most of a second before any work
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    probe = ("import json, sys\n"
+             "import bsmrender.cli\n"
+             "loaded = {'import': sorted(sys.modules)}\n"
+             "bsmrender.cli.main(['design', '--out', sys.argv[1], '--dry-run'])\n"
+             "loaded['dry-run'] = sorted(sys.modules)\n"
+             "print(json.dumps(loaded))\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "bsmrender.cli" in loaded["import"]
+    for step, modules in loaded.items():
+        for banned in ("scipy.signal", "scipy.stats"):
+            assert banned not in modules, (step, banned)
 
 
 def test_dry_run_prints_config_without_side_effects(tmp_path, capsys):

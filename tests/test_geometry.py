@@ -8,11 +8,11 @@ from bsmrender.geometry import (
     ArrayGeometry,
     Direction,
     FrequencyGrid,
-    cart_to_sph,
     directions_to_arrays,
     semicircle_array,
     sph_to_cart,
 )
+from oracles import cart_to_sph
 
 
 def test_sph_to_cart_axes():

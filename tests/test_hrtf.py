@@ -11,9 +11,9 @@ from bsmrender.hrtf import (
     flat_hrtf,
     point_receiver_hrtf,
     sh_fit,
-    sh_interpolate,
 )
 from bsmrender.sph import spiral_grid
+from oracles import sh_interpolate
 
 GRID = FrequencyGrid.from_fft(48000, 512)
 

@@ -12,6 +12,7 @@ from bsmrender.hrtf import point_receiver_hrtf, sh_fit
 from bsmrender.simulate import (
     ImageSourceList,
     RoomSpec,
+    _fft_convolve,
     Scene,
     add_noise,
     binaural_references,
@@ -28,6 +29,7 @@ from bsmrender.simulate import (
 )
 from bsmrender.sph import sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
+from oracles import assert_bits_equal
 from sh_oracle import render_reference, render_reference_plane_waves
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
@@ -198,6 +200,37 @@ def test_mic_signal_delay_between_mics():
     d1 = np.linalg.norm(pos[1] - np.array(scene.source_position))
     want = (d0 - d1) / SPEED_OF_SOUND * fs
     assert abs(got - want) <= 1.0
+
+
+def _signal(length, rng, complex_):
+    x = rng.standard_normal(length)
+    return x + 1j * rng.standard_normal(length) if complex_ else x
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 300), st.integers(1, 300),
+       st.sampled_from(["real/real", "real/complex", "complex/real"]),
+       st.integers(0, 2**32 - 1))
+def test_fft_convolve_bitwise_equals_fftconvolve(len_a, len_b, kinds, seed):
+    rng = np.random.default_rng(seed)
+    kind_a, kind_b = kinds.split("/")
+    a = _signal(len_a, rng, kind_a == "complex")
+    b = _signal(len_b, rng, kind_b == "complex")
+    assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b))
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 5),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_fft_convolve_broadcasts_like_fftconvolve(len_a, len_b, rows,
+                                                  transposed, seed):
+    # the reverberant chunks: one real source row against k complex RIRs,
+    # which arrive as the transpose of a (samples, k) block
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((1, len_a))
+    b = rng.standard_normal((len_b, rows)) + 1j * rng.standard_normal((len_b, rows))
+    b = b.T if transposed else np.ascontiguousarray(b.T)
+    assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b, axes=1))
 
 
 def test_sh_reference_order_zero_matches_pressure():

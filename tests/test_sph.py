@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
 from bsmrender.sph import (
@@ -12,9 +14,9 @@ from bsmrender.sph import (
     spiral_grid,
     steering_matrix,
     steering_tensor,
-    steering_vector,
-    steering_vector_sh,
 )
+from oracles import assert_bits_equal, sh_matrix_loop, steering_vector, \
+    steering_vector_sh
 
 GRID = FrequencyGrid.from_fft(48000, 2048)
 
@@ -78,6 +80,33 @@ def test_sh_matrix_accepts_arrays_and_directions():
     np.testing.assert_array_equal(sh_matrix(3, dirs), sh_matrix(3, (th, ph)))
     with pytest.raises(ValueError):
         sh_matrix(-1, dirs)
+
+
+# poles, both ends of the azimuth range and an equatorial point
+EDGE_THETA = np.array([0.0, np.pi, 0.0, np.pi, np.pi / 2, 1e-300, np.pi / 2])
+EDGE_PHI = np.array([0.0, 0.0, np.nextafter(2 * np.pi, 0), 1.0, 0.0, 0.5,
+                     np.nextafter(2 * np.pi, 0)])
+
+
+@pytest.mark.parametrize("order", range(31))
+def test_sh_matrix_bitwise_equals_per_degree_loop(order):
+    dirs = spiral_grid(40)
+    th = np.concatenate([[d.colatitude for d in dirs], EDGE_THETA])
+    ph = np.concatenate([[d.azimuth for d in dirs], EDGE_PHI])
+    got = sh_matrix(order, (th, ph))
+    assert got.flags.c_contiguous
+    assert_bits_equal(got, sh_matrix_loop(order, th, ph))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 30),
+       st.lists(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi,
+                                                           exclude_max=True)),
+                min_size=1, max_size=12))
+def test_sh_matrix_bitwise_on_drawn_directions(order, angles):
+    th = np.concatenate([EDGE_THETA, [a[0] for a in angles]])
+    ph = np.concatenate([EDGE_PHI, [a[1] for a in angles]])
+    assert_bits_equal(sh_matrix(order, (th, ph)), sh_matrix_loop(order, th, ph))
 
 
 def test_spiral_grid_single_point_on_equator():
