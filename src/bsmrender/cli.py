@@ -148,8 +148,13 @@ def run_design(cfg, out_dir):
     save_filterbank(out_dir / "bank_direct.bsmf", bank_d, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, digest)
     update_manifest(out_dir, {n: out_dir / n for n in BANK_ARTIFACTS}, digest)
+    capped = bank_d.magls_capped + bank_r.magls_capped
+    # a capped solve still returns its last iterate, a usable filter, so
+    # the cap is reported but does not fail the stage
+    cap_text = (f", warning: {capped} MagLS bins stopped at the iteration "
+                "cap" if capped else "")
     print(f"design: {geom.num_mics} mics, {grid.num_bins} bins, "
-          f"{len(reverb_doas)} coverage directions")
+          f"{len(reverb_doas)} coverage directions{cap_text}")
     return bank_d, bank_r
 
 

@@ -8,21 +8,30 @@ source at the array center; their arrival directions use the same
 conventions as the steering vectors.
 """
 
-import numpy as np
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import partial
+
+import numpy as np
 from scipy import fft as spfft
 from scipy import sparse, special
 
 from .geometry import SPEED_OF_SOUND
 from .render import decode_matrix
 from .sph import num_coeffs, sh_degrees
-from .stft import Spectrogram, frames, stft
+from .stft import Spectrogram, _frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
-# m >= 0 SH channels encoded per pass of binaural_references: bounds its
-# transient memory to a few hundred MB on the full-size scene
-REF_CHUNK_CHANNELS = 8
+# m >= 0 SH channels encoded per chunk of binaural_references. With
+# REF_WORKERS chunks in flight its transient memory stays at a few hundred
+# MB on the full-size scene
+REF_CHUNK_CHANNELS = 4
+# threads that encode, transform and decode the reverberant chunks; the
+# reference's bytes do not depend on it
+REF_WORKERS = min(2, len(os.sched_getaffinity(0)))
 
 
 @dataclass(frozen=True)
@@ -258,15 +267,50 @@ def render_mic_signals(scene, max_order, rir_seconds, images=None):
     return direct + reverb, direct, reverb
 
 
-def _sh_weights_block(images, order, cols):
-    """conj(Y) columns `cols` at the image arrival directions, times gains."""
-    n_idx, m_idx = sh_degrees(order)
+def _sh_weights_block(images, degrees, cols):
+    """conj(Y) columns `cols` at the image arrival directions, times gains;
+    `degrees` is sh_degrees' (n, m) pair."""
+    n_idx, m_idx = degrees
     out = np.empty((images.count, len(cols)), dtype=complex)
     for j, c in enumerate(cols):
         y = special.sph_harm_y(int(n_idx[c]), int(m_idx[c]),
                                images.colatitudes, images.azimuths)
         out[:, j] = np.conj(y)
     return out * images.gains[:, None]
+
+
+def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
+                  cols, g_pos, g_neg):
+    """Both ears' share of the SH channels `cols` (all m >= 0) of the
+    reverberant images: (positive-frequency part, mirrored part), each
+    (ears, frames, bins). The caller adds the two in that order.
+
+    `src_spec` is the source's FFT, long enough for the full convolution,
+    which keeps `num_samples` samples. Calls only private helpers, so it may
+    run on a worker thread under a tracer that wraps the public ones."""
+    w = _sh_weights_block(reverb, degrees, cols)
+    rir = delays @ np.ascontiguousarray(w.real) \
+        + 1j * (delays @ np.ascontiguousarray(w.imag))
+    p = spfft.fft(rir.T, src_spec.size)
+    p *= src_spec
+    p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
+    spec = spfft.fft(_frames(p, config), axis=2, overwrite_x=True)
+    bins = config.num_bins
+    pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
+    # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1 read
+    # through a reversed view instead of a gathered copy
+    neg = np.empty_like(pos)
+    np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
+              out=neg[..., :1])
+    np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
+              out=neg[..., 1:])
+    return pos, np.conjugate(neg, out=neg)
+
+
+def _add_parts(total, parts):
+    """Add a chunk's parts into `total`, in order and in place."""
+    for part in parts:
+        total += part
 
 
 def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
@@ -284,6 +328,10 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     (-1)^m conj(p_(n,m)) and P_(n,-m)(f) = (-1)^m conj(P_(n,m)(-f)) comes
     from the same full FFT. The full reference is direct + reverberant, so
     the two are identical in an anechoic room.
+
+    The chunks run on up to REF_WORKERS (two) threads, at most one chunk
+    per thread in flight, and are added in chunk order on the calling
+    thread, so the reference's bytes do not depend on the thread count.
     """
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
@@ -293,17 +341,18 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     g = np.stack([decode["left"], decode["right"]])  # (ears, channels, bins)
     if g.shape[2] != config.num_bins:
         raise ValueError("HRTF bin count does not match the STFT config")
+    degrees = sh_degrees(order)
     direct = images.take(slice(0, 1))
     reverb = images.take(slice(1, None))
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
     base = stft(_fft_convolve(src, kernel), config).data[0]
-    w0 = _sh_weights_block(direct, order, range(num_coeffs(order)))[0]
+    w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
     ears_r = np.zeros_like(ears_d)
     if reverb.count:
-        n_idx, m_idx = sh_degrees(order)
+        n_idx, m_idx = degrees
         encoded = np.nonzero(m_idx >= 0)[0]
         m_enc = m_idx[encoded]
         mirror = (n_idx * n_idx + n_idx - m_idx)[encoded]  # index of (n, -m)
@@ -312,19 +361,21 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
-        neg_bins = -np.arange(config.num_bins) % config.fft_size
+        num_samples = src.size + rir_len - 1
+        src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
-        for start in range(0, encoded.size, REF_CHUNK_CHANNELS):
-            sl = slice(start, start + REF_CHUNK_CHANNELS)
-            w = _sh_weights_block(reverb, order, encoded[sl])
-            rir = delays @ np.ascontiguousarray(w.real) \
-                + 1j * (delays @ np.ascontiguousarray(w.imag))
-            p = _fft_convolve(src[None, :], rir.T)
-            spec = spfft.fft(frames(p, config), n=config.fft_size, axis=2)
-            ears_r += np.einsum("cfb,ecb->efb", spec[..., : config.num_bins],
-                                g_pos[:, sl])
-            ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
-                                        g_neg[:, sl]))
+        chunk = partial(_reverb_chunk, reverb, delays, degrees, src_spec,
+                        num_samples, config)
+        pending = deque()
+        with ThreadPoolExecutor(REF_WORKERS) as pool:
+            for start in range(0, encoded.size, REF_CHUNK_CHANNELS):
+                if len(pending) == REF_WORKERS:
+                    _add_parts(ears_r, pending.popleft().result())
+                sl = slice(start, start + REF_CHUNK_CHANNELS)
+                pending.append(pool.submit(chunk, encoded[sl], g_pos[:, sl],
+                                           g_neg[:, sl]))
+            while pending:
+                _add_parts(ears_r, pending.popleft().result())
 
     return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))

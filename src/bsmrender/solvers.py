@@ -132,6 +132,12 @@ def solve_magls(v, h, snr, phase_init=None, tikhonov_floor=1e-12):
     frequency. Deterministic: fixed iteration cap, early exit once the
     largest phase change drops below MAGLS_PHASE_TOL.
     """
+    return _magls(v, h, snr, phase_init, tikhonov_floor)[0]
+
+
+def _magls(v, h, snr, phase_init, tikhonov_floor):
+    """solve_magls, plus whether it stopped at MAGLS_MAX_ITER instead of
+    meeting MAGLS_PHASE_TOL: (filter, capped)."""
     v = np.asarray(v, dtype=complex)
     h = np.asarray(h, dtype=complex)
     _check_finite(v=v, h=h)
@@ -146,13 +152,17 @@ def solve_magls(v, h, snr, phase_init=None, tikhonov_floor=1e-12):
         step = np.abs(np.angle(np.exp(1j * (new_phase - phase))))
         phase = new_phase
         if step.max() < MAGLS_PHASE_TOL:
-            break
-    return c
+            return c, False
+    return c, True
 
 
 @dataclass(frozen=True)
 class BsmFilterBank:
-    """Filters per bin and ear, shape (bins, M), plus design provenance."""
+    """Filters per bin and ear, shape (bins, M), plus design provenance.
+
+    magls_capped counts the bins, over both ears, whose MagLS solve stopped
+    at MAGLS_MAX_ITER without converging. It is a diagnostic of the design
+    run and is not stored with the bank."""
 
     left: np.ndarray = field(repr=False)
     right: np.ndarray = field(repr=False)
@@ -160,6 +170,7 @@ class BsmFilterBank:
     config: SolverConfig
     sample_rate: float
     fft_size: int
+    magls_capped: int = 0
 
     def __post_init__(self):
         if self.left.shape != self.right.shape or self.left.ndim != 2:
@@ -186,7 +197,8 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
     hrtf_at_doas must provide ear responses at exactly the given DOAs (row
     l belongs to doas[l]). Below the MagLS cutoff (and always at bin 0)
     the plain LS solve is used; above it, MagLS seeded with the previous
-    bin's filter.
+    bin's filter. The bank's magls_capped counts the MagLS solves that
+    hit the iteration cap.
     """
     if len(doas) != hrtf_at_doas.num_directions:
         raise ValueError("hrtf_at_doas does not cover the DOA list")
@@ -197,6 +209,7 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
     vs = steering_tensor(grid, geom, doas)  # (bins, M, L)
     m = geom.num_mics
     banks = {}
+    capped = 0
     for ear in ("left", "right"):
         h_all = hrtf_at_doas.response(ear)  # (L, bins)
         coeffs = np.empty((grid.num_bins, m), dtype=complex)
@@ -208,8 +221,9 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
                 use_magls = (config.magls_enabled and b > 0
                              and f >= config.magls_cutoff_hz)
                 if use_magls:
-                    c = solve_magls(v, h, config.snr, phase_init=prev,
-                                    tikhonov_floor=config.tikhonov_floor)
+                    c, hit_cap = _magls(v, h, config.snr, prev,
+                                        config.tikhonov_floor)
+                    capped += hit_cap
                 else:
                     c = solve_ls(v, h, config.snr,
                                  tikhonov_floor=config.tikhonov_floor)
@@ -220,5 +234,5 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
         banks[ear] = coeffs
     return BsmFilterBank(left=banks["left"], right=banks["right"], tag=tag,
                          config=config, sample_rate=grid.sample_rate,
-                         fft_size=(grid.num_bins - 1) * 2)
+                         fft_size=(grid.num_bins - 1) * 2, magls_capped=capped)
 

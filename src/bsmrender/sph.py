@@ -28,15 +28,10 @@ def sh_degrees(order):
     return n, m
 
 
-def sh_basis(order, d):
-    """Y_n^m(theta, phi) for one Direction, flat (order+1)^2 vector."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    return sh_matrix(order, [d])[0]
-
-
 def sh_matrix(order, directions):
-    """Rows of SH values for a list (or array pair) of directions.
+    """Rows of SH values for a sequence of Directions or a (theta, phi)
+    array pair; the element type decides which, so two Directions are two
+    directions.
 
     Returns a C-contiguous complex array of shape
     (len(directions), (order+1)^2). One sph_harm_y_all call evaluates every
@@ -46,10 +41,10 @@ def sh_matrix(order, directions):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if isinstance(directions, tuple) and len(directions) == 2:
-        th, ph = np.asarray(directions[0], float), np.asarray(directions[1], float)
-    else:
+    if all(isinstance(d, Direction) for d in directions):
         th, ph = directions_to_arrays(directions)
+    else:
+        th, ph = (np.asarray(a, float) for a in directions)
     n, m = sh_degrees(order)
     y = special.sph_harm_y_all(order, order, th, ph)  # (n, m, directions)
     return np.ascontiguousarray(y[n, m].T)

@@ -16,7 +16,6 @@ component-direct + component-reverb gives bsm-decomposed.
 
 import numpy as np
 from dataclasses import dataclass, field
-from numpy.lib.stride_tricks import sliding_window_view
 
 MIC_TAGS = ("x", "x_d", "x_r")
 BINAURAL_TAGS = ("reference", "reference-direct", "reference-reverb",
@@ -124,17 +123,20 @@ class Spectrogram:
         return self._combine(other, _DIFFERENCES, np.subtract)
 
 
-def frames(signal, config):
-    """Windowed analysis frames of a (channels, samples) signal, shape
-    (channels, frames, window); the trailing frame is zero-padded. The
-    dtype follows the signal, so complex channels frame as well."""
+def _frames(signal, config):
+    """Windowed analysis frames of a (channels, samples) signal, written
+    into a zeroed (channels, frames, fft_size) buffer, so a transform of
+    the last axis needs no padding copy. The trailing frames are
+    zero-padded; the dtype follows the signal, so complex channels frame
+    as well. Private so that worker threads may call it untraced."""
     num_ch, num_samples = signal.shape
-    count = config.num_frames(num_samples)
-    padded = np.zeros((num_ch, (count - 1) * config.hop + config.window_length),
-                      dtype=signal.dtype)
-    padded[:, :num_samples] = signal
-    segments = sliding_window_view(padded, config.window_length, axis=1)
-    return segments[:, :: config.hop] * config.window()
+    win = config.window()
+    out = np.zeros((num_ch, config.num_frames(num_samples), config.fft_size),
+                   dtype=signal.dtype)
+    for t in range(out.shape[1]):
+        seg = signal[:, t * config.hop : t * config.hop + win.size]
+        np.multiply(seg, win[: seg.shape[1]], out=out[:, t, : seg.shape[1]])
+    return out
 
 
 def stft(signal, config, tag="x"):
@@ -146,7 +148,7 @@ def stft(signal, config, tag="x"):
         raise ValueError("stft takes real signals")
     if sig.ndim == 1:
         sig = sig[:, None]
-    spec = np.fft.rfft(frames(sig.T, config), n=config.fft_size, axis=2)
+    spec = np.fft.rfft(_frames(sig.T, config), axis=2)
     return Spectrogram(data=spec, config=config, tag=tag)
 
 

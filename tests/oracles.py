@@ -1,17 +1,26 @@
 """Test-only helpers and reference implementations of library kernels.
 
 Closed-form and truncated-series plane-wave steering, the Cartesian to
-spherical conversion, fit-then-evaluate HRTF interpolation and the
-one-call-per-(n, m) spherical-harmonic matrix. The library itself needs
+spherical conversion, fit-then-evaluate HRTF interpolation, the SH vector
+of one direction, the one-call-per-(n, m) spherical-harmonic matrix and
+STFT framing through a padded copy of the signal. The library itself needs
 none of them; tests use them as oracles for what it does compute.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from bsmrender.geometry import Direction
 from bsmrender.hrtf import evaluate_sh, sh_fit
-from bsmrender.sph import num_coeffs, sh_basis, sh_degrees
+from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix
+
+
+def sh_basis(order, d):
+    """Y_n^m(theta, phi) for one Direction, flat (order+1)^2 vector."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    return sh_matrix(order, [d])[0]
 
 
 def steering_vector(f, grid, geom, doa):
@@ -78,6 +87,20 @@ def sh_matrix_loop(order, theta, phi):
             out[:, idx] = special.sph_harm_y(n, m, theta, phi)
             idx += 1
     return out
+
+
+def sliding_frames(signal, config):
+    """Windowed analysis frames of a (channels, samples) signal, shape
+    (channels, frames, window): the signal is copied into a zero-padded
+    buffer and windowed through a strided view of it."""
+    num_ch, num_samples = signal.shape
+    count = config.num_frames(num_samples)
+    padded = np.zeros(
+        (num_ch, (count - 1) * config.hop + config.window_length),
+        dtype=signal.dtype)
+    padded[:, :num_samples] = signal
+    segments = sliding_window_view(padded, config.window_length, axis=1)
+    return segments[:, :: config.hop] * config.window()
 
 
 def assert_bits_equal(got, want):

@@ -1,19 +1,23 @@
-"""Reference implementation of the binaural SH reference, for tests only.
+"""Reference implementations of the binaural SH reference, for tests only.
 
-This is the direct route that simulate.binaural_references shortcuts: every
-image source seen from the array center is encoded as a plane wave into all
-(order+1)^2 SH channels at complex128, each channel gets its own complex
-STFT, and every bin is decoded with the HRTF's SH coefficients.
+The first is the direct route that simulate.binaural_references shortcuts:
+every image source seen from the array center is encoded as a plane wave
+into all (order+1)^2 SH channels at complex128, each channel gets its own
+complex STFT, and every bin is decoded with the HRTF's SH coefficients.
+The second is the same shortcut as binaural_references run on one thread,
+8 channels per chunk, with the negative bins gathered by index.
 """
 
 import numpy as np
+from scipy import fft as spfft
 from scipy import signal as sps
 
 from bsmrender.render import decode_matrix
-from bsmrender.simulate import _HALF, _delay_matrix, _sh_weights_block, \
-    compute_image_sources
-from bsmrender.sph import num_coeffs
-from bsmrender.stft import Spectrogram, frames
+from bsmrender.simulate import _HALF, _delay_matrix, _fft_convolve, \
+    _sh_weights_block, compute_image_sources
+from bsmrender.sph import num_coeffs, sh_degrees
+from bsmrender.stft import Spectrogram, stft
+from oracles import sliding_frames
 
 
 def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
@@ -37,7 +41,7 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     delays = _delay_matrix(images, rir_len, fs)
     for start in range(0, n_coeff, chunk_channels):
         cols = range(start, min(start + chunk_channels, n_coeff))
-        w = _sh_weights_block(images, sh_order, cols)
+        w = _sh_weights_block(images, sh_degrees(sh_order), cols)
         rir = delays @ np.ascontiguousarray(w.real) \
             + 1j * (delays @ np.ascontiguousarray(w.imag))
         out[:, start : start + len(cols)] = sps.fftconvolve(
@@ -48,7 +52,8 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
 def complex_stft(signal, config):
     """Positive-frequency half of the full DFT of each analysis frame,
     shape (channels, frames, bins); equals the rfft for real channels."""
-    spec = np.fft.fft(frames(signal.T, config), n=config.fft_size, axis=2)
+    spec = np.fft.fft(sliding_frames(signal.T, config), n=config.fft_size,
+                      axis=2)
     return spec[..., : config.num_bins]
 
 
@@ -65,3 +70,51 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
     ears = np.stack([np.einsum("cfb,cb->fb", spec, g[ear])
                      for ear in ("left", "right")])
     return Spectrogram(data=ears, config=config, tag=tag)
+
+
+def binaural_references_serial(images, source, hrtf_sh, config, order,
+                               rir_seconds, chunk_channels=8):
+    """simulate.binaural_references as one serial loop: the source spectrum
+    taken once per chunk, frames copied out of a padded signal and padded
+    again by the FFT, and the mirrored bins gathered by index."""
+    fs = config.sample_rate
+    rir_len = int(round(rir_seconds * fs))
+    src = np.asarray(source, float)
+    order = min(order, hrtf_sh.order)
+    decode = decode_matrix(hrtf_sh, order)
+    g = np.stack([decode["left"], decode["right"]])
+    degrees = sh_degrees(order)
+    direct = images.take(slice(0, 1))
+    reverb = images.take(slice(1, None))
+
+    kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
+    base = stft(_fft_convolve(src, kernel), config).data[0]
+    w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
+    ears_d = base[None] * (w0 @ g)[:, None, :]
+
+    ears_r = np.zeros_like(ears_d)
+    if reverb.count:
+        n_idx, m_idx = degrees
+        encoded = np.nonzero(m_idx >= 0)[0]
+        m_enc = m_idx[encoded]
+        mirror = (n_idx * n_idx + n_idx - m_idx)[encoded]
+        sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
+        g_pos = g[:, encoded]
+        g_neg = np.conj(sign[:, None] * g[:, mirror])
+        neg_bins = -np.arange(config.num_bins) % config.fft_size
+        delays = _delay_matrix(reverb, rir_len, fs)
+        for start in range(0, encoded.size, chunk_channels):
+            sl = slice(start, start + chunk_channels)
+            w = _sh_weights_block(reverb, degrees, encoded[sl])
+            rir = delays @ np.ascontiguousarray(w.real) \
+                + 1j * (delays @ np.ascontiguousarray(w.imag))
+            p = _fft_convolve(src[None, :], rir.T)
+            spec = spfft.fft(sliding_frames(p, config), n=config.fft_size,
+                             axis=2)
+            ears_r += np.einsum("cfb,ecb->efb", spec[..., : config.num_bins],
+                                g_pos[:, sl])
+            ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
+                                        g_neg[:, sl]))
+
+    return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
+            Spectrogram(data=ears_d, config=config, tag="reference-direct"))

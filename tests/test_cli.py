@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bsmrender import config as cfgmod
+from bsmrender import simulate, solvers
 from bsmrender.cli import (
     BANK_ARTIFACTS,
     EXIT_CODES,
@@ -205,6 +206,51 @@ def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
     assert rc == EXIT_CODES["design"]
     err = capsys.readouterr().err
     assert "error [design]" in err and "truncated" in err
+
+
+def test_two_direction_hrtf_grid_designs(tmp_path, capsys):
+    # a fit on two Directions used to read them as a (theta, phi) pair
+    # and end in a TypeError traceback
+    config_path = tmp_path / "two.yaml"
+    config_path.write_text("design:\n  hrtf_grid_size: 2\n"
+                           "  hrtf_sh_order: 0\n")
+    rc = main(["design", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == EXIT_CODES["design"] and "error [design]" in err)
+
+
+def test_design_reports_capped_magls_bins(tmp_path, capsys, monkeypatch):
+    # with no iterations allowed every MagLS bin is capped: the 961 bins
+    # at or above the 1.5 kHz cutoff, for both ears of the reverberant bank
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", 0)
+    rc = main(["design", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    out = capsys.readouterr().out
+    assert rc == 0  # a warning, not a stage failure
+    assert out.rstrip().endswith(
+        "warning: 1922 MagLS bins stopped at the iteration cap")
+
+
+def test_reference_worker_failure_fails_simulate_stage(tmp_path, capsys,
+                                                       monkeypatch):
+    def failing_chunk(*args):
+        raise ValueError("reverberant chunk failed")
+
+    config_path = tmp_path / "echo.yaml"
+    config_path.write_text(MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
+                                             "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
+                           .replace("max_reflection_order: 0",
+                                    "max_reflection_order: 2"))
+    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
+    monkeypatch.setattr(simulate, "_reverb_chunk", failing_chunk)
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert "error [simulate]: reverberant chunk failed" \
+        in capsys.readouterr().err
 
 
 def test_near_ear_follows_azimuth_sign():

@@ -117,6 +117,18 @@ def test_sh_fit_requires_enough_directions():
         sh_fit(hs, 3)  # 16 coefficients, 8 directions
 
 
+def test_sh_fit_on_two_directions():
+    # a tuple of exactly two Directions is two directions, not a
+    # (theta, phi) array pair
+    dirs = spiral_grid(2)
+    coeffs = sh_fit(flat_hrtf(GRID, dirs), 0)
+    np.testing.assert_allclose(coeffs.left, np.sqrt(4 * np.pi), rtol=1e-14)
+    np.testing.assert_allclose(coeffs.right, np.sqrt(4 * np.pi), rtol=1e-14)
+    back = evaluate_sh(coeffs, tuple(dirs))
+    assert back.num_directions == 2
+    np.testing.assert_allclose(back.left, 1.0, rtol=1e-14)
+
+
 def test_truncated_coefficients():
     hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(100))
     coeffs = sh_fit(hs, 6)

@@ -1,6 +1,10 @@
 """Shoebox image-source model, RIR rendering, binaural SH references and
 room statistics."""
 
+import inspect
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.signal as sps
@@ -8,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsmrender.geometry import SPEED_OF_SOUND, FrequencyGrid, semicircle_array
-from bsmrender.hrtf import point_receiver_hrtf, sh_fit
+from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_hrtf, sh_fit
+from bsmrender import simulate
 from bsmrender.simulate import (
     ImageSourceList,
     RoomSpec,
@@ -30,7 +35,8 @@ from bsmrender.simulate import (
 from bsmrender.sph import sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal
-from sh_oracle import render_reference, render_reference_plane_waves
+from sh_oracle import binaural_references_serial, render_reference, \
+    render_reference_plane_waves
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                 reflection_coefficients=(0.8,) * 6)
@@ -424,3 +430,110 @@ def test_speech_noise_shape_and_seed():
     mid = spec[(freqs > 200) & (freqs < 2000)].mean()
     hi = spec[freqs > 20000].mean()
     assert mid > 30 * hi
+
+
+def _reference_case(order, reflection=0.8):
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
+                    reflection_coefficients=(reflection,) * 6)
+    scene = _scene(room=room, seconds=0.1)
+    cfg = StftConfig(48000, 512, 256)
+    center, _ = scene_images(scene, 6, 0.05)
+    return (center, scene.source_signal, _hrtf_sh(cfg, 4), cfg, order, 0.05)
+
+
+@pytest.mark.parametrize("order, reflection", [(2, 0.8), (4, 0.8), (4, 0.0)])
+def test_reference_bits_do_not_depend_on_worker_count(monkeypatch, order,
+                                                      reflection):
+    # 6 and 15 encoded m >= 0 channels, neither a multiple of the chunk
+    # size; reflection 0 is the anechoic room, with no reverberant chunk.
+    # Three workers on a short switch interval oversubscribe a 2-core box.
+    encoded = (order + 1) * (order + 2) // 2
+    assert encoded % simulate.REF_CHUNK_CHANNELS != 0
+    case = _reference_case(order, reflection)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(simulate, "REF_WORKERS", workers)
+            runs.append(binaural_references(*case))
+    finally:
+        sys.setswitchinterval(interval)
+    for one, *others in zip(*runs):
+        for other in others:
+            assert_bits_equal(other.data, one.data)
+
+
+@pytest.mark.parametrize("ref_order, hrtf_order, random_ears",
+                         [(5, 6, False), (6, 4, False), (3, 3, True)])
+def test_binaural_references_match_serial_loop(ref_order, hrtf_order,
+                                               random_ears):
+    # against the one-thread loop with 8-channel chunks, padded framing and
+    # gathered negative bins: only the rounding may differ. Random SH ears
+    # and a source with a DC offset give bin 0 of the mirrored part weight.
+    scene = _scene(seconds=0.1)
+    cfg = StftConfig(48000, 512, 256)
+    coeffs = _hrtf_sh(cfg, hrtf_order)
+    source = scene.source_signal
+    if random_ears:
+        rng = np.random.default_rng(7)
+        shape = coeffs.left.shape
+        coeffs = HrtfSHCoefficients(
+            order=hrtf_order, sample_rate=coeffs.sample_rate,
+            left=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            right=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        source = source + 0.1
+    center, _ = scene_images(scene, 6, 0.05)
+    args = (center, source, coeffs, cfg, ref_order, 0.05)
+    for got, want in zip(binaural_references(*args),
+                         binaural_references_serial(*args)):
+        assert got.tag == want.tag
+        for ear in range(2):
+            err = np.abs(got.data[ear] - want.data[ear]).max() \
+                / np.abs(want.data[ear]).max()
+            assert err <= 1e-12, (want.tag, ear, err)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    raised = []
+
+    def failing_chunk(*args):
+        raised.append(RuntimeError("chunk failed"))
+        raise raised[-1]
+
+    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
+    monkeypatch.setattr(simulate, "_reverb_chunk", failing_chunk)
+    with pytest.raises(RuntimeError, match="chunk failed") as err:
+        binaural_references(*_reference_case(4))
+    assert err.value is raised[0]
+
+
+def test_reference_workers_call_no_public_function(monkeypatch):
+    # perfbench's tracer wraps every public bsmrender function with one
+    # unsynchronised timing stack; a call from a worker thread would
+    # scramble it. Wrap them the same way and record the thread of each call.
+    calls = set()
+
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            on_main = threading.current_thread() is threading.main_thread()
+            calls.add((name, on_main))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items()
+               if n.partition(".")[0] == "bsmrender"]
+    wrappers = {}
+    for mod in modules:
+        for attr, value in vars(mod).items():
+            if (inspect.isfunction(value) and not attr.startswith("_")
+                    and value.__module__ == mod.__name__):
+                wrappers[value] = wrap(f"{mod.__name__}.{attr}", value)
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if inspect.isfunction(value) and value in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[value])
+    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
+    simulate.binaural_references(*_reference_case(4))
+    assert ("bsmrender.stft.stft", True) in calls  # the wrappers are live
+    assert {name for name, on_main in calls if not on_main} == set()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
 from bsmrender.hrtf import flat_hrtf, point_receiver_hrtf
+from bsmrender import solvers
 from bsmrender.solvers import (
     BsmFilterBank,
     CovarianceModel,
@@ -292,3 +293,39 @@ def test_solver_config_validation():
         SolverConfig(tikhonov_floor=-1e-9)
     cfg = SolverConfig(snr=10.0)
     assert SolverConfig(**cfg.to_dict()) == cfg
+
+
+@pytest.mark.parametrize("max_iter, want", [(0, 6), (1000, 0)])
+def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
+                                                    want):
+    # MagLS runs on bins 2-4 (12, 18 and 24 kHz) of both ears: a cap of 0
+    # stops all six, while 1000 iterations let every one converge
+    geom = semicircle_array(4, 0.07)
+    doas = spiral_grid(12)
+    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    cfg = SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0)
+    default = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg,
+                                tag="reverberant")
+    monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", max_iter)
+    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg,
+                             tag="reverberant")
+    assert bank.magls_capped == want
+    assert 0 < default.magls_capped < 6  # 50 iterations: some, not all
+    # the LS bins below the cutoff do not depend on the cap
+    np.testing.assert_array_equal(bank.left[:2], default.left[:2])
+    assert np.isfinite(bank.left).all() and np.isfinite(bank.right).all()
+
+
+def test_capped_count_is_not_stored(tmp_path):
+    geom = semicircle_array(4, 0.07)
+    doas = spiral_grid(12)
+    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, SolverConfig(),
+                             tag="reverberant")
+    capped = BsmFilterBank(left=bank.left, right=bank.right, tag=bank.tag,
+                           config=bank.config, sample_rate=bank.sample_rate,
+                           fft_size=bank.fft_size, magls_capped=7)
+    save_filterbank(tmp_path / "a.bsmf", bank, "ab" * 8)
+    save_filterbank(tmp_path / "b.bsmf", capped, "ab" * 8)
+    assert (tmp_path / "a.bsmf").read_bytes() \
+        == (tmp_path / "b.bsmf").read_bytes()

@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
 from bsmrender.sph import (
     num_coeffs,
-    sh_basis,
     sh_degrees,
     sh_matrix,
     spiral_grid,
     steering_matrix,
     steering_tensor,
 )
-from oracles import assert_bits_equal, sh_matrix_loop, steering_vector, \
-    steering_vector_sh
+from oracles import assert_bits_equal, sh_basis, sh_matrix_loop, \
+    steering_vector, steering_vector_sh
 
 GRID = FrequencyGrid.from_fft(48000, 2048)
 
@@ -80,6 +79,11 @@ def test_sh_matrix_accepts_arrays_and_directions():
     np.testing.assert_array_equal(sh_matrix(3, dirs), sh_matrix(3, (th, ph)))
     with pytest.raises(ValueError):
         sh_matrix(-1, dirs)
+    # two Directions, as a list or a tuple, are two rows
+    pair = dirs[:2]
+    assert sh_matrix(3, tuple(pair)).shape == (2, 16)
+    np.testing.assert_array_equal(sh_matrix(3, tuple(pair)),
+                                  sh_matrix(3, (th[:2], ph[:2])))
 
 
 # poles, both ends of the azimuth range and an equatorial point

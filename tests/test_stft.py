@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
-    frames, istft, stft
+    _frames, istft, stft
+
+from oracles import assert_bits_equal, sliding_frames
 
 CFG = StftConfig.default()  # 32 ms / 16 ms Hamming at 48 kHz
 
@@ -110,9 +114,9 @@ def test_complex_input_keeps_analytic_sign():
     k = 100
     n = np.arange(CFG.window_length)
     up = np.exp(2j * np.pi * k * n / CFG.fft_size)
-    segs = frames(np.stack([up, np.conj(up)]), CFG)
-    assert segs.dtype.kind == "c" and segs.shape == (2, 1, CFG.window_length)
-    spec = np.fft.fft(segs, n=CFG.fft_size, axis=2)[:, 0]
+    segs = _frames(np.stack([up, np.conj(up)]), CFG)
+    assert segs.dtype.kind == "c" and segs.shape == (2, 1, CFG.fft_size)
+    spec = np.fft.fft(segs, axis=2)[:, 0]
     mag_up, mag_down = np.abs(spec)
     assert np.argmax(mag_up) == k
     assert np.argmax(mag_down) == CFG.fft_size - k
@@ -141,3 +145,29 @@ def test_spectrogram_validation():
                     config=CFG, tag="x")
     with pytest.raises(ValueError):
         stft(np.array([]), CFG)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6000), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
+                                                    seed):
+    # frames written into the zero-padded FFT buffer transform to the same
+    # bits as the window-length frames padded by rfft's n argument; the
+    # lengths cover a partial frame, exact multiples of the hop and the
+    # window, and tails of one or two frames
+    x = np.random.default_rng(seed).standard_normal((num_samples, channels))
+    want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
+    assert_bits_equal(stft(x, CFG).data, want)
+
+
+@pytest.mark.parametrize("num_samples", [1, 767, 768, 1535, 1536, 1537,
+                                         2304, 2305, 48000])
+def test_frames_match_padded_copy_framing(num_samples):
+    rng = np.random.default_rng(num_samples)
+    z = rng.standard_normal((2, num_samples)) \
+        + 1j * rng.standard_normal((2, num_samples))
+    got = _frames(z, CFG)
+    want = sliding_frames(z, CFG)
+    assert got.shape == want.shape[:2] + (CFG.fft_size,)
+    assert_bits_equal(got[..., : CFG.window_length], want)
+    assert not got[..., CFG.window_length :].any()
