@@ -23,7 +23,8 @@ from .containers import (canonical_json, load_filterbank, load_hrtf,
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import FrequencyGrid
-from .hrtf import evaluate_sh, flat_hrtf, point_receiver_hrtf, sh_fit
+from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, point_receiver_hrtf,
+                   sh_fit, sh_fit_operator)
 from .render import apply_filterbank
 from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
@@ -49,22 +50,29 @@ def _grid(cfg, stft_cfg):
 
 
 def _hrtf_coeffs(cfg, grid):
-    """SH expansion of the configured HRTF model."""
+    """SH expansion of the configured HRTF model.
+
+    For the analytic models the fit operator is built before the responses
+    exist, so the fit's SVD and the responses are never held at once; a
+    file's directions define the operator, so its set is loaded first.
+    """
     design = cfg["design"]
     kind = design["hrtf_kind"]
+    order = design["hrtf_sh_order"]
     if kind == "file":
         base = load_hrtf(design["hrtf_file"], fft_size=(grid.num_bins - 1) * 2)
         if int(base.sample_rate) != cfg["sample_rate"]:
             raise ValueError(f"HRTF sample rate {base.sample_rate} does not "
                              f"match the run sample rate {cfg['sample_rate']}")
+        return sh_fit(base, order)
+    measured_on = spiral_grid(design["hrtf_grid_size"])
+    operator = sh_fit_operator(order, measured_on)
+    if kind == "flat":
+        base = flat_hrtf(grid, measured_on)
     else:
-        measured_on = spiral_grid(design["hrtf_grid_size"])
-        if kind == "flat":
-            base = flat_hrtf(grid, measured_on)
-        else:
-            base = point_receiver_hrtf(design["hrtf_ear_offset"], grid,
-                                       measured_on)
-    return sh_fit(base, design["hrtf_sh_order"])
+        base = point_receiver_hrtf(design["hrtf_ear_offset"], grid,
+                                   measured_on)
+    return apply_sh_fit(operator, base)
 
 
 def _write_binaural(out_dir, spectra, wavs, fs, digest):
@@ -95,16 +103,20 @@ def run_simulate(cfg, out_dir):
     stats["scene_digest"] = digest
     write_json(out_dir / "scene_stats.json", stats)
 
-    x, x_d, _ = render_mic_signals(scene, max_order, rir_s, images)
+    x, x_d = render_mic_signals(scene, max_order, rir_s, images)[:2]
     # sensor noise belongs to the measurement; the oracle direct component
     # stays clean
     x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)
     write_wav(out_dir / "mics_full.wav", x, fs, digest)
     write_wav(out_dir / "mics_direct.wav", x_d, fs, digest)
+    del x, x_d  # written; the reference needs neither
 
+    # the reference decodes only its own order: a truncated copy lets the
+    # full fit go before the reference runs
+    ref_order = cfg["design"]["reference_order"]
+    hrtf_sh = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg)).truncated(ref_order)
     ref, ref_direct = binaural_references(
-        images[0], scene.source_signal, _hrtf_coeffs(cfg, _grid(cfg, stft_cfg)),
-        stft_cfg, cfg["design"]["reference_order"], rir_s)
+        images[0], scene.source_signal, hrtf_sh, stft_cfg, ref_order, rir_s)
     entries = _write_binaural(
         out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
         {"reference.wav": ref, "reference_direct.wav": ref_direct}, fs, digest)
@@ -329,7 +341,9 @@ def main(argv=None):
     for stage in _stage_plan(args.command):
         try:
             runners[stage]()
-        except (ValueError, RuntimeError, OSError) as err:
+        except (ValueError, RuntimeError, OSError, MemoryError) as err:
+            if isinstance(err, MemoryError) and not str(err):
+                err = "out of memory"
             print(f"error [{stage}]: {err}", file=sys.stderr)
             return EXIT_CODES[stage]
     return 0

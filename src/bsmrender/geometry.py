@@ -27,9 +27,6 @@ class Direction:
         object.__setattr__(self, "azimuth", float(np.mod(self.azimuth, TWO_PI)))
         object.__setattr__(self, "colatitude", float(self.colatitude))
 
-    def unit_vector(self):
-        return np.array(sph_to_cart(1.0, self))
-
 
 def sph_to_cart(r, d):
     """Spherical (r, Direction) to Cartesian (x, y, z).
@@ -84,10 +81,6 @@ class ArrayGeometry:
 
     def room_positions(self):
         return self.local_positions() + np.asarray(self.center_position)
-
-    @property
-    def max_radius(self):
-        return max(r for r, _ in self.mics)
 
 
 def semicircle_array(num_mics, radius, center_position=(0.0, 0.0, 0.0)):

@@ -8,6 +8,8 @@ binary container (BSMH, read and written by `containers`) plus analytic
 test models, which keeps the whole pipeline self-verifying.
 """
 
+import math
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -68,12 +70,15 @@ class HrtfSHCoefficients:
             raise ValueError("coefficient count does not match order")
 
     def truncated(self, order):
-        """Drop coefficients above `order` (no-op when order is higher)."""
+        """Drop coefficients above `order` (no-op when order is higher).
+
+        The kept rows are copies, so the full arrays can be freed.
+        """
         if order >= self.order:
             return self
         c = num_coeffs(order)
-        return HrtfSHCoefficients(order=order, left=self.left[:c],
-                                  right=self.right[:c],
+        return HrtfSHCoefficients(order=order, left=self.left[:c].copy(),
+                                  right=self.right[:c].copy(),
                                   sample_rate=self.sample_rate)
 
 
@@ -102,22 +107,51 @@ def flat_hrtf(grid, directions):
                    sample_rate=grid.sample_rate)
 
 
-def sh_fit(hrtf_set, order):
-    """Least-squares SH expansion per bin, both ears.
+def sh_fit_operator(order, directions):
+    """The least-squares fit operator pinv(Y), shape (C, directions), of
+    the SH matrix Y of `directions`, C = (order+1)^2.
 
-    Needs at least (order+1)^2 directions; an underdetermined fit is an
-    error rather than a silently regularized guess.
+    Takes np.linalg.pinv's steps (the SVD of conj(Y), the cutoff 1e-15
+    sigma_max, the reciprocal, the product), so the result is bitwise
+    pinv(Y), but conjugates Y in place and frees Y and U as soon as they
+    are used. An underdetermined fit (fewer than C directions) or a
+    rank-deficient one (a singular value at or below the cutoff) is an
+    error rather than a regularized or least-norm guess.
     """
     c = num_coeffs(order)
-    d = hrtf_set.num_directions
-    if d < c:
+    if len(directions) < c:
+        raise ValueError(f"SH fit of order {order} needs >= {c} directions, "
+                         f"got {len(directions)}")
+    y = sh_matrix(order, directions)
+    u, s, vt = np.linalg.svd(np.conjugate(y, out=y), full_matrices=False)
+    del y
+    large = s > 1e-15 * s.max()
+    if not large.all():
         raise ValueError(
-            f"SH fit of order {order} needs >= {c} directions, got {d}")
-    y = sh_matrix(order, hrtf_set.directions)
-    yinv = np.linalg.pinv(y)
-    return HrtfSHCoefficients(order=order, left=yinv @ hrtf_set.left,
-                              right=yinv @ hrtf_set.right,
+            f"SH fit of order {order} is rank deficient on this direction "
+            f"grid: rank {int(large.sum())} of {c} coefficients")
+    s = np.divide(1, s, where=large, out=s)
+    scaled = s[:, None] * u.T
+    del u
+    return vt.T @ scaled
+
+
+def apply_sh_fit(operator, hrtf_set):
+    """Both ears' SH coefficients from sh_fit_operator's result for the
+    set's directions."""
+    if operator.shape[1] != hrtf_set.num_directions:
+        raise ValueError("fit operator does not match the direction count")
+    return HrtfSHCoefficients(order=math.isqrt(operator.shape[0]) - 1,
+                              left=operator @ hrtf_set.left,
+                              right=operator @ hrtf_set.right,
                               sample_rate=hrtf_set.sample_rate)
+
+
+def sh_fit(hrtf_set, order):
+    """Least-squares SH expansion per bin, both ears: the fit operator of
+    the set's directions applied to its responses."""
+    return apply_sh_fit(sh_fit_operator(order, hrtf_set.directions),
+                        hrtf_set)
 
 
 def evaluate_sh(coeffs, targets):

@@ -16,6 +16,10 @@ from scipy import special
 
 from .geometry import Direction, directions_to_arrays
 
+# directions per sph_harm_y_all call in sh_matrix: at order 30 one block's
+# output is 7.4 MiB, against 46 MiB for the 1600 directions of an HRTF grid
+SH_BLOCK_DIRECTIONS = 256
+
 
 def num_coeffs(order):
     return (order + 1) ** 2
@@ -34,10 +38,13 @@ def sh_matrix(order, directions):
     directions.
 
     Returns a C-contiguous complex array of shape
-    (len(directions), (order+1)^2). One sph_harm_y_all call evaluates every
-    degree at once (m < 0 at the end of its second axis, where the negative
-    m index finds it); the values are bitwise those of one sph_harm_y call
-    per (n, m).
+    (len(directions), (order+1)^2). One sph_harm_y_all call per block of
+    SH_BLOCK_DIRECTIONS directions evaluates every degree at once (m < 0 at
+    the end of its second axis, where the negative m index finds it) and is
+    written straight into the result, so the (order+1, 2 order+1,
+    directions) output of a single call never exists. sph_harm_y_all works
+    elementwise, so the values are bitwise those of one sph_harm_y call per
+    (n, m).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -46,8 +53,12 @@ def sh_matrix(order, directions):
     else:
         th, ph = (np.asarray(a, float) for a in directions)
     n, m = sh_degrees(order)
-    y = special.sph_harm_y_all(order, order, th, ph)  # (n, m, directions)
-    return np.ascontiguousarray(y[n, m].T)
+    out = np.empty((th.size, n.size), dtype=complex)
+    for start in range(0, th.size, SH_BLOCK_DIRECTIONS):
+        block = slice(start, start + SH_BLOCK_DIRECTIONS)
+        y = special.sph_harm_y_all(order, order, th[block], ph[block])
+        out[block] = y[n, m].T
+    return out
 
 
 def spiral_grid(num_points):

@@ -1,19 +1,31 @@
 """Test-only helpers and reference implementations of library kernels.
 
-Closed-form and truncated-series plane-wave steering, the Cartesian to
-spherical conversion, fit-then-evaluate HRTF interpolation, the SH vector
-of one direction, the one-call-per-(n, m) spherical-harmonic matrix and
-STFT framing through a padded copy of the signal. The library itself needs
-none of them; tests use them as oracles for what it does compute.
+Closed-form and truncated-series plane-wave steering, the unit vector of
+a Direction, the largest radius of an array, the Cartesian to spherical
+conversion, fit-then-evaluate HRTF interpolation, the SH vector of one
+direction, the spherical-harmonic matrix from one call per (n, m) and
+from one call for all directions, and STFT framing through a padded copy
+of the signal. The library itself needs none of them; tests use them as
+oracles for what it does compute.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from bsmrender.geometry import Direction
+from bsmrender.geometry import Direction, sph_to_cart
 from bsmrender.hrtf import evaluate_sh, sh_fit
 from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix
+
+
+def unit_vector(d):
+    """Cartesian unit vector of a Direction."""
+    return np.array(sph_to_cart(1.0, d))
+
+
+def max_radius(geom):
+    """Largest mic distance from the array center."""
+    return max(r for r, _ in geom.mics)
 
 
 def sh_basis(order, d):
@@ -31,7 +43,7 @@ def steering_vector(f, grid, geom, doa):
     unit magnitude by construction.
     """
     k = grid.wavenumber(f)  # rejects negative f
-    u = doa.unit_vector()
+    u = unit_vector(doa)
     proj = geom.local_positions() @ u
     return np.exp(1j * k * proj)
 
@@ -46,7 +58,7 @@ def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
     """
     k = grid.wavenumber(f)
     if order is None:
-        order = int(np.ceil(k * geom.max_radius)) + pad
+        order = int(np.ceil(k * max_radius(geom))) + pad
     n_idx, _ = sh_degrees(order)
     y_doa = np.conj(sh_basis(order, doa))
     out = np.empty(geom.num_mics, dtype=complex)
@@ -87,6 +99,14 @@ def sh_matrix_loop(order, theta, phi):
             out[:, idx] = special.sph_harm_y(n, m, theta, phi)
             idx += 1
     return out
+
+
+def sh_matrix_one_call(order, theta, phi):
+    """SH matrix (directions, (order+1)^2) from a single sph_harm_y_all
+    call over every direction."""
+    n, m = sh_degrees(order)
+    y = special.sph_harm_y_all(order, order, theta, phi)
+    return np.ascontiguousarray(y[n, m].T)
 
 
 def sliding_frames(signal, config):

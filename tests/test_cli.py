@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsmrender import cli, simulate, solvers
 from bsmrender import config as cfgmod
-from bsmrender import simulate, solvers
 from bsmrender.cli import (
     BANK_ARTIFACTS,
     EXIT_CODES,
@@ -22,7 +23,8 @@ from bsmrender.cli import (
     near_ear,
 )
 from bsmrender.containers import read_wav, save_hrtf, verify_artifacts, write_wav
-from bsmrender.sph import spiral_grid
+from bsmrender.geometry import Direction, FrequencyGrid
+from bsmrender.sph import num_coeffs, spiral_grid
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -251,6 +253,95 @@ def test_reference_worker_failure_fails_simulate_stage(tmp_path, capsys,
     assert rc == EXIT_CODES["simulate"]
     assert "error [simulate]: reverberant chunk failed" \
         in capsys.readouterr().err
+
+
+def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
+    # 16 equator directions pass the direction-count check of order 2, but
+    # the harmonics odd in z vanish on them
+    hrtf = tmp_path / "equator.bsmh"
+    ir = np.zeros((16, 16))
+    ir[:, 0] = 1.0
+    save_hrtf(hrtf, [Direction(math.pi / 2, 2 * math.pi * k / 16)
+                     for k in range(16)], ir, ir, 48000)
+    config_path = tmp_path / "equator.yaml"
+    config_path.write_text(f"design:\n  hrtf_kind: file\n"
+                           f"  hrtf_file: {str(hrtf)!r}\n"
+                           f"  hrtf_sh_order: 2\n")
+    rc = main(["design", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["design"]
+    assert ("error [design]: SH fit of order 2 is rank deficient on this "
+            "direction grid: rank 5 of 9 coefficients") \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message, shown", [("", "out of memory"),
+                                            ("cannot allocate 2 GiB",
+                                             "cannot allocate 2 GiB")])
+def test_memory_error_maps_to_stage_exit(tmp_path, capsys, monkeypatch,
+                                         message, shown):
+    def exhausted(cfg, out_dir):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_design", exhausted)
+    rc = main(["design", "--out", str(tmp_path / "o")])
+    assert rc == EXIT_CODES["design"]
+    assert capsys.readouterr().err == f"error [design]: {shown}\n"
+
+
+def test_hrtf_fit_peak_memory():
+    # the operator is built before the responses exist, so the fit's SVD
+    # and its copies of the SH matrix never meet the responses: the traced
+    # peak is operator + responses + coefficients, give or take
+    cfg = cfgmod.resolve("desk")
+    cfg["design"].update(hrtf_kind="point", hrtf_sh_order=12,
+                         hrtf_grid_size=400)
+    grid = FrequencyGrid.from_fft(cfg["sample_rate"], 512)
+    c, d, bins = num_coeffs(12), 400, grid.num_bins
+    item = np.dtype(complex).itemsize
+    live = (c * d + 2 * d * bins + 2 * c * bins) * item
+    tracemalloc.start()
+    try:
+        coeffs = cli._hrtf_coeffs(cfg, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coeffs.left.shape == (c, bins)
+    assert peak <= 1.1 * live, (peak, live)
+
+
+def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
+    # coefficients truncated to the reference order that own their data,
+    # so the full order-5 fit is not reachable while the reference runs
+    seen = []
+
+    def spy(images, source, hrtf_sh, *args):
+        seen.append(hrtf_sh)
+        return simulate.binaural_references(images, source, hrtf_sh, *args)
+
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    monkeypatch.setattr(cli, "binaural_references", spy)
+    assert main(["simulate", "--out", str(tmp_path / "o"),
+                 "--config", str(config_path)]) == 0
+    (hrtf_sh,) = seen
+    assert hrtf_sh.order == 2
+    assert hrtf_sh.left.shape[0] == hrtf_sh.right.shape[0] == 9
+    assert hrtf_sh.left.base is None and hrtf_sh.right.base is None
+
+
+def test_staged_calls_write_the_pipeline_tree(mini_run, tmp_path):
+    # a stage frees what it no longer needs; what it writes must not
+    # depend on whether it runs alone or inside the pipeline
+    _, config_path, out = mini_run
+    staged = tmp_path / "staged"
+    for stage in ("simulate", "design", "render", "evaluate"):
+        assert main([stage, "--out", str(staged),
+                     "--config", str(config_path)]) == 0
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in staged.iterdir())
+    for name in names:
+        assert (staged / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_near_ear_follows_azimuth_sign():

@@ -1,5 +1,7 @@
 """Ear response models, their SH expansion and the IR container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,15 @@ from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
 from bsmrender.geometry import Direction, FrequencyGrid, directions_to_arrays
 from bsmrender.hrtf import (
     HrtfSet,
+    apply_sh_fit,
     evaluate_sh,
     flat_hrtf,
     point_receiver_hrtf,
     sh_fit,
+    sh_fit_operator,
 )
-from bsmrender.sph import spiral_grid
-from oracles import sh_interpolate
+from bsmrender.sph import sh_matrix, spiral_grid
+from oracles import assert_bits_equal, sh_interpolate
 
 GRID = FrequencyGrid.from_fft(48000, 512)
 
@@ -129,12 +133,69 @@ def test_sh_fit_on_two_directions():
     np.testing.assert_allclose(back.left, 1.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("order, count", [(0, 2), (5, 36), (10, 150),
+                                          (14, 300)])
+def test_fit_operator_bitwise_equals_pinv(order, count):
+    dirs = spiral_grid(count)
+    assert_bits_equal(sh_fit_operator(order, dirs),
+                      np.linalg.pinv(sh_matrix(order, dirs)))
+
+
+def test_fit_operator_peak_memory():
+    # Y is conjugated in place and freed after its SVD, and U after its
+    # scaling, so at most two (D, C) or (C, D) arrays and V^H are traced at
+    # once (LAPACK's own copy of Y and its workspace are not traced); with
+    # many more directions than coefficients sh_matrix's per-block scratch
+    # stays below that
+    order, count = 12, 1200
+    c = (order + 1) ** 2
+    dirs = spiral_grid(count)
+    tracemalloc.start()
+    try:
+        op = sh_fit_operator(order, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.shape == (c, count)
+    bound = 1.1 * (2 * count * c + c * c) * np.dtype(complex).itemsize
+    assert peak <= bound, (peak, bound)
+
+
+def test_sh_fit_is_operator_applied_to_responses():
+    dirs = spiral_grid(64)
+    hs = point_receiver_hrtf(0.0875, GRID, dirs)
+    coeffs = sh_fit(hs, 4)
+    op = np.linalg.pinv(sh_matrix(4, dirs))
+    assert coeffs.order == 4
+    assert_bits_equal(coeffs.left, op @ hs.left)
+    assert_bits_equal(coeffs.right, op @ hs.right)
+    with pytest.raises(ValueError, match="direction count"):
+        apply_sh_fit(op, point_receiver_hrtf(0.0875, GRID, spiral_grid(65)))
+
+
+def test_rank_deficient_grid_is_refused():
+    # 16 equator directions outnumber the 9 coefficients of order 2, but
+    # the harmonics odd in z vanish there: rank 5, not a fit
+    equator = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    for fit in (lambda: sh_fit_operator(2, equator),
+                lambda: sh_fit(flat_hrtf(GRID, equator), 2)):
+        with pytest.raises(ValueError, match="order 2 is rank deficient.*"
+                                             "rank 5 of 9 coefficients"):
+            fit()
+    # order 1 on the same grid still misses Y_1^0
+    with pytest.raises(ValueError, match="rank 3 of 4"):
+        sh_fit_operator(1, equator)
+    sh_fit_operator(0, equator)
+
+
 def test_truncated_coefficients():
     hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(100))
     coeffs = sh_fit(hs, 6)
     low = coeffs.truncated(2)
     assert low.order == 2
     np.testing.assert_array_equal(low.left, coeffs.left[:9])
+    # copies, so the full fit is not kept alive by the truncated one
+    assert low.left.base is None and low.right.base is None
     assert coeffs.truncated(9).order == 6  # never padded upwards
 
 

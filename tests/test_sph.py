@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
 from bsmrender.sph import (
+    SH_BLOCK_DIRECTIONS,
     num_coeffs,
     sh_degrees,
     sh_matrix,
@@ -15,7 +16,7 @@ from bsmrender.sph import (
     steering_tensor,
 )
 from oracles import assert_bits_equal, sh_basis, sh_matrix_loop, \
-    steering_vector, steering_vector_sh
+    sh_matrix_one_call, steering_vector, steering_vector_sh, unit_vector
 
 GRID = FrequencyGrid.from_fft(48000, 2048)
 
@@ -49,7 +50,7 @@ def test_sh_addition_theorem():
     a = Direction(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
     b = Direction(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
     ya, yb = sh_basis(3, a), sh_basis(3, b)
-    cos_gamma = float(a.unit_vector() @ b.unit_vector())
+    cos_gamma = float(unit_vector(a) @ unit_vector(b))
     n_idx, _ = sh_degrees(3)
     for n in range(4):
         sel = n_idx == n
@@ -113,13 +114,33 @@ def test_sh_matrix_bitwise_on_drawn_directions(order, angles):
     assert_bits_equal(sh_matrix(order, (th, ph)), sh_matrix_loop(order, th, ph))
 
 
+@pytest.mark.parametrize("count", [1, 2, SH_BLOCK_DIRECTIONS - 1,
+                                   SH_BLOCK_DIRECTIONS,
+                                   SH_BLOCK_DIRECTIONS + 1, 300])
+def test_sh_matrix_blocks_bitwise_equal_one_call(count):
+    # the blocked build writes every block into one array; its bits are
+    # those of a single sph_harm_y_all call over all directions
+    dirs = spiral_grid(count)
+    th = np.array([d.colatitude for d in dirs])
+    ph = np.array([d.azimuth for d in dirs])
+    want = sh_matrix_one_call(12, th, ph)
+    got = sh_matrix(12, dirs)
+    assert got.flags.c_contiguous
+    assert_bits_equal(got, want)
+    assert_bits_equal(sh_matrix(12, (th, ph)), want)
+
+
+def test_sh_matrix_of_no_directions_is_empty():
+    assert sh_matrix(3, []).shape == (0, 16)
+
+
 def test_spiral_grid_single_point_on_equator():
     (d,) = spiral_grid(1)
     np.testing.assert_allclose(d.colatitude, np.pi / 2)
 
 
 def test_spiral_grid_balance_and_spacing():
-    pts = np.array([d.unit_vector() for d in spiral_grid(200)])
+    pts = np.array([unit_vector(d) for d in spiral_grid(200)])
     # centroid near the origin for a quasi-uniform covering
     assert np.abs(pts.mean(axis=0)).max() < 0.02
     dots = pts @ pts.T
