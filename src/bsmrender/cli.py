@@ -109,14 +109,16 @@ def run_simulate(cfg, out_dir):
     x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)
     write_wav(out_dir / "mics_full.wav", x, fs, digest)
     write_wav(out_dir / "mics_direct.wav", x_d, fs, digest)
-    del x, x_d  # written; the reference needs neither
+    # written; the reference needs neither them nor the per-mic images
+    center = images[0]
+    del x, x_d, images
 
     # the reference decodes only its own order: a truncated copy lets the
     # full fit go before the reference runs
     ref_order = cfg["design"]["reference_order"]
     hrtf_sh = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg)).truncated(ref_order)
     ref, ref_direct = binaural_references(
-        images[0], scene.source_signal, hrtf_sh, stft_cfg, ref_order, rir_s)
+        center, scene.source_signal, hrtf_sh, stft_cfg, ref_order, rir_s)
     entries = _write_binaural(
         out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
         {"reference.wav": ref, "reference_direct.wav": ref_direct}, fs, digest)

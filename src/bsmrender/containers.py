@@ -166,7 +166,7 @@ def write_wav(path, data, sample_rate, digest=None):
     if arr.ndim == 1:
         arr = arr[:, None]
     frames, channels = arr.shape
-    payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    samples = np.ascontiguousarray(arr, dtype="<f4")
     block_align = channels * 4
     chunks = [
         (b"fmt ", struct.pack("<HHIIHH", 3, channels, int(sample_rate),
@@ -175,14 +175,15 @@ def write_wav(path, data, sample_rate, digest=None):
     ]
     if digest is not None:
         chunks.append((b"bsmd", _digest_bytes(digest)))
-    chunks.append((b"data", payload))
-    body = b"WAVE"
-    for tag, blob in chunks:
-        body += tag + struct.pack("<I", len(blob)) + blob
-        if len(blob) % 2:
-            body += b"\x00"
+    head = b"WAVE" + b"".join(tag + struct.pack("<I", len(blob)) + blob
+                              + b"\x00" * (len(blob) % 2)
+                              for tag, blob in chunks)
+    # the data chunk comes last; 4-byte samples never need its pad byte
+    head += b"data" + struct.pack("<I", samples.nbytes)
     with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(body)) + body)
+        fh.write(b"RIFF" + struct.pack("<I", len(head) + samples.nbytes)
+                 + head)
+        fh.write(samples)
 
 
 def read_wav(path):
@@ -228,7 +229,8 @@ def write_binaural_spectrogram(path, spec, digest):
                          cfg.window_length, cfg.hop, cfg.fft_size,
                          spec.num_frames, spec.num_bins)
                  + _string(spec.tag) + _digest_bytes(digest))
-        fh.write(np.ascontiguousarray(spec.data, dtype="<c16").tobytes())
+        # straight from the array's buffer: no bytes copy of the payload
+        fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))
 
 
 def read_binaural_spectrogram(path):
@@ -255,8 +257,8 @@ def save_filterbank(path, bank, digest):
         fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
                          int(bank.sample_rate), bank.fft_size)
                  + _string(bank.tag) + _digest_bytes(digest) + _string(config))
-        fh.write(np.ascontiguousarray(bank.left, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(bank.right, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(bank.left, dtype="<c16"))
+        fh.write(np.ascontiguousarray(bank.right, dtype="<c16"))
 
 
 def load_filterbank(path):
@@ -290,9 +292,8 @@ def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
     table = np.stack(directions_to_arrays(directions), axis=1).astype("<f8")
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMH", "III", int(sample_rate), count, taps))
-        fh.write(table.tobytes())
-        fh.write(left_ir.tobytes())
-        fh.write(right_ir.tobytes())
+        for block in (table, left_ir, right_ir):
+            fh.write(block)
 
 
 def load_hrtf(path, fft_size):

@@ -26,12 +26,16 @@ from .stft import Spectrogram, _frames, stft
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
 # m >= 0 SH channels encoded per chunk of binaural_references. With
-# REF_WORKERS chunks in flight its transient memory stays at a few hundred
-# MB on the full-size scene
+# REF_WORKERS chunks in flight its transient memory stays at about a
+# hundred MB on the full-size scene
 REF_CHUNK_CHANNELS = 4
 # threads that encode, transform and decode the reverberant chunks; the
 # reference's bytes do not depend on it
 REF_WORKERS = min(2, len(os.sched_getaffinity(0)))
+# analysis frames each reverberant chunk frames, transforms and decodes at
+# once: (REF_CHUNK_CHANNELS, FRAME_BLOCK, fft_size) complex, 4 MiB at a
+# 2048-point FFT, whatever the signal length
+FRAME_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,13 @@ class Scene:
             for pos in self.array.room_positions():
                 if not self.room.contains(pos):
                     raise ValueError("every microphone must be inside the room")
+            # a receiver on the source sees its direct path at distance 0:
+            # an infinite gain and no arrival direction
+            for pos in (self.array.center_position,
+                        *self.array.room_positions()):
+                if tuple(float(v) for v in pos) == self.source_position:
+                    raise ValueError("the source must not sit on the array "
+                                     "center or a microphone")
         if np.asarray(self.source_signal).size == 0:
             raise ValueError("source signal is empty")
 
@@ -216,10 +227,21 @@ def scene_images(scene, max_order, rir_seconds):
     fs = scene.sample_rate
     # latest arrival whose sinc taps all fit in the RIR
     max_delay = (int(round(rir_seconds * fs)) - _HALF - 1) / fs
+    receivers = (scene.array.center_position, *scene.array.room_positions())
     images = [compute_image_sources(scene.room, scene.source_position,
                                     tuple(receiver), max_order, max_delay)
-              for receiver in (scene.array.center_position,
-                               *scene.array.room_positions())]
+              for receiver in receivers]
+    if any(imgs.count == 0 for imgs in images):
+        # the direct path always survives the order bound, so only the
+        # delay bound empties a list
+        dist = max(np.linalg.norm(np.subtract(scene.source_position, r))
+                   for r in receivers)
+        need = (int(np.ceil(dist / scene.room.speed_of_sound * fs))
+                + _HALF + 1) / fs
+        raise ValueError(
+            f"rir_seconds {rir_seconds:g} is shorter than the direct path to "
+            f"a receiver {dist:.3f} m from the source; with its sinc taps "
+            f"it needs rir_seconds >= {need:.6g}")
     return images[0], images[1:]
 
 
@@ -286,24 +308,34 @@ def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
     (ears, frames, bins). The caller adds the two in that order.
 
     `src_spec` is the source's FFT, long enough for the full convolution,
-    which keeps `num_samples` samples. Calls only private helpers, so it may
-    run on a worker thread under a tracer that wraps the public ones."""
+    which keeps `num_samples` samples. The frames are transformed and
+    decoded FRAME_BLOCK at a time, each frame on its own, so the framed
+    buffer does not grow with the signal. Calls only private helpers, so it
+    may run on a worker thread under a tracer that wraps the public ones."""
     w = _sh_weights_block(reverb, degrees, cols)
     rir = delays @ np.ascontiguousarray(w.real) \
         + 1j * (delays @ np.ascontiguousarray(w.imag))
+    del w
     p = spfft.fft(rir.T, src_spec.size)
+    del rir
     p *= src_spec
     p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-    spec = spfft.fft(_frames(p, config), axis=2, overwrite_x=True)
     bins = config.num_bins
-    pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
-    # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1 read
-    # through a reversed view instead of a gathered copy
+    frames = config.num_frames(num_samples)
+    pos = np.empty((g_pos.shape[0], frames, bins), dtype=complex)
     neg = np.empty_like(pos)
-    np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
-              out=neg[..., :1])
-    np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
-              out=neg[..., 1:])
+    for start in range(0, frames, FRAME_BLOCK):
+        stop = min(start + FRAME_BLOCK, frames)
+        spec = spfft.fft(_frames(p, config, start, stop), axis=2,
+                         overwrite_x=True)
+        np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos,
+                  out=pos[:, start:stop])
+        # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1 read
+        # through a reversed view instead of a gathered copy
+        np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
+                  out=neg[:, start:stop, :1])
+        np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
+                  out=neg[:, start:stop, 1:])
     return pos, np.conjugate(neg, out=neg)
 
 

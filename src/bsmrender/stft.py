@@ -123,19 +123,22 @@ class Spectrogram:
         return self._combine(other, _DIFFERENCES, np.subtract)
 
 
-def _frames(signal, config):
-    """Windowed analysis frames of a (channels, samples) signal, written
-    into a zeroed (channels, frames, fft_size) buffer, so a transform of
-    the last axis needs no padding copy. The trailing frames are
-    zero-padded; the dtype follows the signal, so complex channels frame
-    as well. Private so that worker threads may call it untraced."""
+def _frames(signal, config, start=0, stop=None):
+    """Windowed analysis frames `start` to `stop` (default: the last) of a
+    (channels, samples) signal, written into a zeroed (channels, frames,
+    fft_size) buffer, so a transform of the last axis needs no padding
+    copy. The trailing frames are zero-padded; the dtype follows the
+    signal, so complex channels frame as well. Private so that worker
+    threads may call it untraced."""
     num_ch, num_samples = signal.shape
+    if stop is None:
+        stop = config.num_frames(num_samples)
     win = config.window()
-    out = np.zeros((num_ch, config.num_frames(num_samples), config.fft_size),
-                   dtype=signal.dtype)
-    for t in range(out.shape[1]):
+    out = np.zeros((num_ch, stop - start, config.fft_size), dtype=signal.dtype)
+    for t in range(start, stop):
         seg = signal[:, t * config.hop : t * config.hop + win.size]
-        np.multiply(seg, win[: seg.shape[1]], out=out[:, t, : seg.shape[1]])
+        np.multiply(seg, win[: seg.shape[1]],
+                    out=out[:, t - start, : seg.shape[1]])
     return out
 
 

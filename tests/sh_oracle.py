@@ -5,7 +5,10 @@ every image source seen from the array center is encoded as a plane wave
 into all (order+1)^2 SH channels at complex128, each channel gets its own
 complex STFT, and every bin is decoded with the HRTF's SH coefficients.
 The second is the same shortcut as binaural_references run on one thread,
-8 channels per chunk, with the negative bins gathered by index.
+8 channels per chunk, with the negative bins gathered by index. The third
+is simulate._reverb_chunk as it was before it worked a block of frames at
+a time: one framed buffer for every frame of the chunk, one transform and
+one decode.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ from bsmrender.render import decode_matrix
 from bsmrender.simulate import _HALF, _delay_matrix, _fft_convolve, \
     _sh_weights_block, compute_image_sources
 from bsmrender.sph import num_coeffs, sh_degrees
-from bsmrender.stft import Spectrogram, stft
+from bsmrender.stft import Spectrogram, _frames, stft
 from oracles import sliding_frames
 
 
@@ -118,3 +121,24 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
 
     return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))
+
+
+def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
+                           config, cols, g_pos, g_neg):
+    """simulate._reverb_chunk with every frame of the chunk framed into one
+    (channels, frames, fft_size) buffer, transformed and decoded at once."""
+    w = _sh_weights_block(reverb, degrees, cols)
+    rir = delays @ np.ascontiguousarray(w.real) \
+        + 1j * (delays @ np.ascontiguousarray(w.imag))
+    p = spfft.fft(rir.T, src_spec.size)
+    p *= src_spec
+    p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
+    spec = spfft.fft(_frames(p, config), axis=2, overwrite_x=True)
+    bins = config.num_bins
+    pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
+    neg = np.empty_like(pos)
+    np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
+              out=neg[..., :1])
+    np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
+              out=neg[..., 1:])
+    return pos, np.conjugate(neg, out=neg)

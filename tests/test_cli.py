@@ -1,15 +1,22 @@
 """Command line wiring: stage orchestration, artifacts, digests, exits."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmrender import cli, simulate, solvers
 from bsmrender import config as cfgmod
@@ -328,6 +335,103 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
     assert hrtf_sh.order == 2
     assert hrtf_sh.left.shape[0] == hrtf_sh.right.shape[0] == 9
     assert hrtf_sh.left.base is None and hrtf_sh.right.base is None
+
+
+def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
+    # once the mic signals exist only the array-center list is needed: the
+    # per-mic lists are gone by the time the reference runs
+    mic_lists, seen = [], []
+
+    def images_spy(*args):
+        center, mics = simulate.scene_images(*args)
+        mic_lists.extend(weakref.ref(imgs) for imgs in mics)
+        return center, mics
+
+    def reference_spy(images, *args):
+        seen.append((images, [ref() for ref in mic_lists]))
+        return simulate.binaural_references(images, *args)
+
+    config_path = tmp_path / "echo.yaml"
+    config_path.write_text(MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
+                                             "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
+                           .replace("max_reflection_order: 0",
+                                    "max_reflection_order: 2"))
+    monkeypatch.setattr(cli, "scene_images", images_spy)
+    monkeypatch.setattr(cli, "binaural_references", reference_spy)
+    assert main(["simulate", "--out", str(tmp_path / "o"),
+                 "--config", str(config_path)]) == 0
+    ((images, alive),) = seen
+    assert isinstance(images, simulate.ImageSourceList) and images.count > 1
+    cfg = cfgmod.resolve("desk", config_path)
+    center, _ = simulate.scene_images(cfgmod.build_scene(cfg), 2,
+                                      cfg["scene"]["rir_seconds"])
+    np.testing.assert_array_equal(images.delays, center.delays)
+    assert len(alive) == 1 and alive == [None]
+
+
+def test_rir_shorter_than_direct_path_fails_simulate_stage(tmp_path, capsys):
+    # no image source fits a 1 ms RIR on desk: a named error instead of an
+    # IndexError from the empty image lists
+    config_path = tmp_path / "short.yaml"
+    config_path.write_text("scene: {rir_seconds: 0.001}\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert capsys.readouterr().err == (
+        "error [simulate]: rir_seconds 0.001 is shorter than the direct path "
+        "to a receiver 0.711 m from the source; with its sinc taps it needs "
+        "rir_seconds >= 0.0024375\n")
+
+
+@st.composite
+def _small_configs(draw):
+    """Small valid configs: every key within its schema, from a tiny room
+    with a short source up to a few reflections and a 50-direction grid."""
+    dims = [draw(st.floats(1.5, 5.0)) for _ in range(3)]
+
+    def inside():
+        return [draw(st.floats(0.1, 0.9)) * side for side in dims]
+
+    return {
+        "scene": {
+            "room_dimensions": dims,
+            "source_position": inside(),
+            "array_center": inside(),
+            "array_num_mics": draw(st.integers(1, 6)),
+            "array_radius": 0.05,
+            "source_duration_s": draw(st.floats(0.01, 0.2)),
+            "rir_seconds": draw(st.floats(0.01, 0.08)),
+            "max_reflection_order": draw(st.integers(0, 3)),
+        },
+        "design": {
+            "reverb_grid_size": draw(st.integers(1, 50)),
+            "hrtf_grid_size": draw(st.integers(1, 50)),
+            "hrtf_sh_order": draw(st.integers(0, 4)),
+            "reference_order": draw(st.integers(0, 4)),
+            "hrtf_kind": draw(st.sampled_from(["point", "flat"])),
+        },
+        "stft": {"window_ms": draw(st.sampled_from([2, 8, 32])),
+                 "hop_ms": draw(st.sampled_from([1, 4, 16]))},
+        "evaluation": {"frame_trim": draw(st.integers(0, 3))},
+    }
+
+
+@settings(max_examples=25)
+@given(_small_configs())
+def test_pipeline_ends_in_success_or_a_named_stage_error(config):
+    # every failure is the failing stage's exit code and one error line,
+    # never a traceback
+    with tempfile.TemporaryDirectory() as root:
+        config_path = Path(root) / "fuzz.yaml"
+        config_path.write_text(yaml.safe_dump(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["pipeline", "--out", str(Path(root) / "o"),
+                       "--config", str(config_path)])
+    if rc != 0:
+        stage = {code: name for name, code in EXIT_CODES.items()}[rc]
+        assert err.getvalue().startswith(f"error [{stage}]: "), err.getvalue()
 
 
 def test_staged_calls_write_the_pipeline_tree(mini_run, tmp_path):

@@ -1,7 +1,9 @@
 """Artifact containers: WAV, spectrogram, filter bank and HRTF formats,
 manifest."""
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +117,63 @@ READERS = {"wav": (_write_sample_wav, read_wav),
            "bsmg": (_write_sample_bsmg, read_binaural_spectrogram),
            "bsmf": (_write_sample_bsmf, load_filterbank),
            "bsmh": (_write_sample_bsmh, lambda path: load_hrtf(path, 8))}
+
+
+# sha256 of each sample file: the version 1 layouts, pinned to the byte
+SAMPLE_SHA256 = {
+    "bsmf": "fb8822443a609b2a935ff6d3d4edb86de9758e64eb9058841d504f305cc1ffe9",
+    "bsmg": "c9915675de9128165a5e865c596d17cc89cf4646c6f4216a4a166bbe767db9ff",
+    "bsmh": "de400c1d67af2c2cf2b0a2f54f993dfffe9a7251c01b3297f3adca459a14a138",
+    "wav": "9bb5df03a45fed338a0ec2d1e513188003a112034120434fcc843058f189038c",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+def test_writers_keep_their_bytes(kind, tmp_path):
+    path = tmp_path / kind
+    READERS[kind][0](path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_SHA256[kind]
+
+
+def test_wav_without_digest_keeps_its_bytes(tmp_path):
+    path = tmp_path / "plain.wav"
+    write_wav(path, np.linspace(-1, 1, 7), 16000)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "206d6307880dbf7beec5e23b74d94fe35e508331db6ab2fc5ec37f0b45fd8cdc")
+
+
+def _big_spectrogram(path):
+    data = np.ones((2, 256, 1025), dtype=complex)
+    spec = Spectrogram(data, StftConfig(48000, 1536, 768), "reference")
+    return data.nbytes, lambda: write_binaural_spectrogram(path, spec, DIGEST)
+
+
+def _big_bank(path):
+    left = np.ones((1025, 64), dtype=complex)
+    bank = BsmFilterBank(left=left, right=left, tag="direct",
+                         config=SolverConfig(), sample_rate=48000,
+                         fft_size=2048)
+    return 2 * left.nbytes, lambda: save_filterbank(path, bank, DIGEST)
+
+
+def _big_wav(path):
+    samples = np.ones((200000, 2), dtype=np.float32)
+    return samples.nbytes, lambda: write_wav(path, samples, 48000, DIGEST)
+
+
+@pytest.mark.parametrize("make", [_big_spectrogram, _big_bank, _big_wav])
+def test_writers_copy_no_payload(make, tmp_path):
+    # an array already in its on-disk layout goes to the file from its own
+    # buffer: a bytes copy of the payload would allocate its whole size
+    payload, write = make(tmp_path / "big")
+    tracemalloc.start()
+    try:
+        write()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "big").stat().st_size > payload
+    assert peak < payload / 8, (peak, payload)
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))

@@ -4,10 +4,12 @@ room statistics."""
 import inspect
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.signal as sps
+from scipy import fft as sp_fft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +38,7 @@ from bsmrender.sph import sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal
 from sh_oracle import binaural_references_serial, render_reference, \
-    render_reference_plane_waves
+    render_reference_plane_waves, reverb_chunk_unblocked
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                 reflection_coefficients=(0.8,) * 6)
@@ -76,6 +78,27 @@ def test_scene_validates_positions():
     with pytest.raises(ValueError):
         Scene(room=ROOM, source_position=SRC, source_signal=sig,
               array=semicircle_array(3, 0.5, (0.2, 1.0, 1.0)))
+    # a source on the array center or on a mic has no direct-path direction
+    # and an infinite gain
+    array = semicircle_array(3, 0.5, RCV)
+    for receiver in (RCV, array.room_positions()[1]):
+        with pytest.raises(ValueError, match="must not sit on the array"):
+            Scene(room=ROOM, source_position=tuple(receiver),
+                  source_signal=sig, array=array)
+
+
+def test_rir_shorter_than_the_direct_path_is_named():
+    # an RIR that cannot hold the direct path with its sinc taps would
+    # leave a receiver without images; the error names the length that fits
+    scene = _scene()
+    with pytest.raises(ValueError, match="shorter than the direct path") \
+            as err:
+        scene_images(scene, 2, 0.001)
+    need = float(str(err.value).rsplit(">= ", 1)[1])
+    center, mics = scene_images(scene, 2, need)
+    assert center.count >= 1 and all(imgs.count >= 1 for imgs in mics)
+    with pytest.raises(ValueError, match="shorter than the direct path"):
+        scene_images(scene, 2, need - 1.0 / scene.sample_rate)
 
 
 def test_direct_path_gain_and_delay():
@@ -537,3 +560,79 @@ def test_reference_workers_call_no_public_function(monkeypatch):
     simulate.binaural_references(*_reference_case(4))
     assert ("bsmrender.stft.stft", True) in calls  # the wrappers are live
     assert {name for name, on_main in calls if not on_main} == set()
+
+
+FB = simulate.FRAME_BLOCK
+
+
+def _blocked_case(frames, order, random_ears=False):
+    """A reference case whose SH signals span exactly `frames` frames of a
+    2048-sample window, hop 1024, after a 20 ms RIR."""
+    cfg = StftConfig(48000, 2048, 1024)
+    rir_seconds = 0.02  # 960 samples
+    source_len = cfg.window_length + (frames - 1) * cfg.hop - 960 + 1
+    assert cfg.num_frames(source_len + 960 - 1) == frames
+    source = synth_speech_noise(source_len, 48000, 0)
+    coeffs = _hrtf_sh(cfg, 4)
+    if random_ears:
+        rng = np.random.default_rng(7)
+        shape = coeffs.left.shape
+        coeffs = HrtfSHCoefficients(
+            order=4, sample_rate=coeffs.sample_rate,
+            left=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+            right=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        source = source + 0.1
+    center, _ = scene_images(_scene(), 6, rir_seconds)
+    assert center.count > 1
+    return (center, source, coeffs, cfg, order, rir_seconds)
+
+
+@pytest.mark.parametrize(
+    "frames, order, random_ears",
+    [(frames, order, False) for frames in (1, FB - 1, FB, FB + 1, 2 * FB + 3)
+     for order in (2, 4)] + [(2 * FB + 3, 3, True)])
+def test_blocked_reference_bitwise_equals_unblocked(monkeypatch, frames,
+                                                    order, random_ears):
+    # each frame is transformed as a row of its own and each decode
+    # contracts the same channels, so working FRAME_BLOCK frames at a time
+    # gives the bits of one transform over every frame: less than a block,
+    # exact blocks and a partial tail block. Random SH ears and a source
+    # with a DC offset give bin 0 of the mirrored part weight.
+    case = _blocked_case(frames, order, random_ears)
+    got = binaural_references(*case)
+    monkeypatch.setattr(simulate, "_reverb_chunk", reverb_chunk_unblocked)
+    for one, want in zip(got, binaural_references(*case)):
+        assert_bits_equal(one.data, want.data)
+
+
+def test_reverb_chunk_peak_memory():
+    # the chunk holds its convolved SH signals, the two decoded parts and
+    # one block of frames; the framed buffer no longer grows with the
+    # number of frames (it would add ~2x the convolution buffer here)
+    scene = _scene(seconds=4.0)
+    cfg = StftConfig(48000, 512, 256)
+    rir_seconds = 0.02
+    center, _ = scene_images(scene, 2, rir_seconds)
+    reverb = center.take(slice(1, None))
+    rir_len = int(round(rir_seconds * 48000))
+    num_samples = scene.source_signal.size + rir_len - 1
+    src_spec = sp_fft.fft(scene.source_signal,
+                          sp_fft.next_fast_len(num_samples))
+    delays = simulate._delay_matrix(reverb, rir_len, 48000)
+    cols = np.arange(simulate.REF_CHUNK_CHANNELS)
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((2, cols.size, cfg.num_bins)) + 0j
+    frames, item = cfg.num_frames(num_samples), np.dtype(complex).itemsize
+    conv = cols.size * src_spec.size * item
+    parts = 2 * 2 * frames * cfg.num_bins * item
+    block = cols.size * FB * cfg.fft_size * item
+    tracemalloc.start()
+    try:
+        pos, neg = simulate._reverb_chunk(reverb, delays, sh_degrees(4),
+                                          src_spec, num_samples, cfg, cols,
+                                          g, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pos.shape == neg.shape == (2, frames, cfg.num_bins)
+    assert peak <= 1.1 * (conv + parts + block), (peak, conv, parts, block)

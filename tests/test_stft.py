@@ -148,16 +148,22 @@ def test_spectrogram_validation():
 
 
 @settings(max_examples=60)
-@given(st.integers(1, 6000), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 6000), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.integers(1, 12))
 def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
-                                                    seed):
+                                                    seed, block):
     # frames written into the zero-padded FFT buffer transform to the same
     # bits as the window-length frames padded by rfft's n argument; the
     # lengths cover a partial frame, exact multiples of the hop and the
-    # window, and tails of one or two frames
+    # window, and tails of one or two frames. Framed and transformed
+    # `block` frames at a time, they give the same bits again.
     x = np.random.default_rng(seed).standard_normal((num_samples, channels))
     want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
     assert_bits_equal(stft(x, CFG).data, want)
+    count = CFG.num_frames(num_samples)
+    blocks = [np.fft.rfft(_frames(x.T, CFG, start, min(start + block, count)),
+                          axis=2) for start in range(0, count, block)]
+    assert_bits_equal(np.concatenate(blocks, axis=1), want)
 
 
 @pytest.mark.parametrize("num_samples", [1, 767, 768, 1535, 1536, 1537,
@@ -171,3 +177,10 @@ def test_frames_match_padded_copy_framing(num_samples):
     assert got.shape == want.shape[:2] + (CFG.fft_size,)
     assert_bits_equal(got[..., : CFG.window_length], want)
     assert not got[..., CFG.window_length :].any()
+    # a frame range frames the same rows, the last one partial or not
+    count = got.shape[1]
+    for start, stop in ((0, count), (0, 1), (count - 1, count),
+                        (count // 2, count), (count // 3, 2 * count // 3),
+                        (count, count)):
+        assert_bits_equal(_frames(z, CFG, start, stop), got[:, start:stop])
+    assert_bits_equal(_frames(z, CFG, count // 2), got[:, count // 2 :])
