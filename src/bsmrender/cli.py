@@ -256,7 +256,7 @@ def run_evaluate(cfg, out_dir):
     write_comparison(out_dir / "comparison.csv", cmp_result)
     entries["comparison.csv"] = out_dir / "comparison.csv"
 
-    bands = cfgmod.eval_bands(cfg, nyquist=cfg["sample_rate"] / 2)
+    bands = cfgmod.eval_bands(cfg)
     band_dec = band_summary(reports["decomposed"], bands)
     band_std = band_summary(reports["standard"], bands)
     ear_near = near_ear(cfg)

@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .containers import file_sha256, read_wav, scene_digest
-from .evaluate import octave_bands
+from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import ArrayGeometry, Direction, semicircle_array, sph_to_cart
 from .simulate import RoomSpec, Scene, reflection_for_t60, synth_speech_noise
 from .stft import StftConfig
@@ -221,6 +221,9 @@ def resolve(profile="desk", config_path=None, seed=None):
         raise ConfigError("scene.source_wav required when source_kind is wav")
     if cfg["design"]["hrtf_kind"] == "file" and not cfg["design"]["hrtf_file"]:
         raise ConfigError("design.hrtf_file required when hrtf_kind is file")
+    # the overlap-add rules and the bands' bins fail here, not in a stage
+    build_stft_config(cfg)
+    eval_bands(cfg)
     return cfg
 
 
@@ -248,8 +251,12 @@ def run_digest(cfg):
 # ---------------------------------------------------------------- builders
 
 def build_stft_config(cfg):
-    return StftConfig.default(cfg["sample_rate"], cfg["stft"]["window_ms"],
-                              cfg["stft"]["hop_ms"])
+    window_ms, hop_ms = cfg["stft"]["window_ms"], cfg["stft"]["hop_ms"]
+    try:
+        return StftConfig.default(cfg["sample_rate"], window_ms, hop_ms)
+    except ValueError as err:
+        raise ConfigError(f"stft.window_ms {window_ms} with stft.hop_ms "
+                          f"{hop_ms}: {err}") from None
 
 
 def build_room(cfg):
@@ -302,8 +309,18 @@ def direct_direction(cfg):
     return Direction(th, ph)
 
 
-def eval_bands(cfg, nyquist):
+def eval_bands(cfg):
+    """The evaluation bands on the run's STFT bins: the octave bands that
+    hold a bin (a short window's coarse bins miss the lowest ones), or the
+    configured bands, each of which must hold one."""
+    freqs = build_stft_config(cfg).bin_frequencies()
     bands = cfg["evaluation"]["bands"]
     if bands == "octave":
-        return octave_bands(upper_hz=nyquist)
-    return [tuple(b) for b in bands]
+        return [band for band in octave_bands(upper_hz=cfg["sample_rate"] / 2)
+                if band_bins(freqs, band).any()]
+    bands = [tuple(b) for b in bands]
+    try:
+        check_bands(freqs, bands)
+    except ValueError as err:
+        raise ConfigError(f"evaluation.bands: {err}") from None
+    return bands

@@ -45,8 +45,7 @@ def nmse(est, ref, frame_trim=2, metadata=None):
     lo, hi = frame_trim, frames - frame_trim
     if hi - lo < 1:
         raise ValueError("no frames left after edge trimming")
-    cfg = ref.config
-    freqs = np.fft.rfftfreq(cfg.fft_size, 1.0 / cfg.sample_rate)
+    freqs = ref.config.bin_frequencies()
     linear, energy, flags = {}, {}, {}
     for i, ear in enumerate(EARS):
         e = est.data[i, lo:hi]
@@ -82,14 +81,10 @@ def band_summary(report, bands):
     {ear: array of len(bands)}. A band containing no usable bin is an
     error (nan would silently poison downstream comparisons).
     """
-    nyquist = report.frequencies[-1]
+    check_bands(report.frequencies, bands)
     out = {ear: np.empty(len(bands)) for ear in EARS}
     for i, (lo, hi) in enumerate(bands):
-        if not (0 <= lo < hi) or lo > nyquist:
-            raise ValueError(f"band ({lo}, {hi}) outside the analysis range")
-        sel = (report.frequencies >= lo) & (report.frequencies < hi)
-        if not sel.any():
-            raise ValueError(f"band ({lo}, {hi}) contains no bins")
+        sel = band_bins(report.frequencies, (lo, hi))
         for ear in EARS:
             ok = sel & ~report.flags[ear]
             if not ok.any():
@@ -100,8 +95,23 @@ def band_summary(report, bands):
     return out
 
 
+def band_bins(frequencies, band):
+    """Mask of the bins in the band [lo, hi)."""
+    lo, hi = band
+    return (frequencies >= lo) & (frequencies < hi)
+
+
+def check_bands(frequencies, bands):
+    """ValueError for a band outside 0..Nyquist or one holding no bin."""
+    for lo, hi in bands:
+        if not (0 <= lo < hi) or lo > frequencies[-1]:
+            raise ValueError(f"band ({lo}, {hi}) outside the analysis range")
+        if not band_bins(frequencies, (lo, hi)).any():
+            raise ValueError(f"band ({lo}, {hi}) contains no bins")
+
+
 def octave_bands(upper_hz=24000.0, base_hz=125.0):
-    """Octave bands (center/sqrt2, center*sqrt2] climbing from base_hz."""
+    """Octave bands [center/sqrt2, center*sqrt2) climbing from base_hz."""
     bands = []
     center = base_hz
     while center / np.sqrt(2.0) < upper_hz:

@@ -6,6 +6,10 @@ the rendering model holds sample-exactly by construction. The binaural
 references decode a spherical-harmonic plane-wave encoding of every image
 source at the array center; their arrival directions use the same
 conventions as the steering vectors.
+
+scipy (fft, sparse, special) is imported inside the kernels that use it,
+so a stage process that only needs this module's types and statistics
+never loads it.
 """
 
 import os
@@ -15,8 +19,6 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
-from scipy import fft as spfft
-from scipy import sparse, special
 
 from .geometry import SPEED_OF_SOUND
 from .render import decode_matrix
@@ -202,6 +204,8 @@ def _sinc_kernel(frac):
 
 def _delay_matrix(images, num_samples, sample_rate):
     """Sparse (num_samples x images) matrix of windowed-sinc delay taps."""
+    from scipy import sparse
+
     d_samp = images.delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
     kern = _sinc_kernel(d_samp - base)
@@ -250,6 +254,8 @@ def _fft_convolve(a, b):
     others: the transforms of scipy.signal.fftconvolve, so the same bits,
     without importing scipy.signal. A length-1 operand is a plain product,
     as there."""
+    from scipy import fft as spfft
+
     n = a.shape[-1] + b.shape[-1] - 1
     if a.shape[-1] == 1 or b.shape[-1] == 1:
         return a * b
@@ -292,6 +298,8 @@ def render_mic_signals(scene, max_order, rir_seconds, images=None):
 def _sh_weights_block(images, degrees, cols):
     """conj(Y) columns `cols` at the image arrival directions, times gains;
     `degrees` is sh_degrees' (n, m) pair."""
+    from scipy import special
+
     n_idx, m_idx = degrees
     out = np.empty((images.count, len(cols)), dtype=complex)
     for j, c in enumerate(cols):
@@ -311,7 +319,11 @@ def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
     which keeps `num_samples` samples. The frames are transformed and
     decoded FRAME_BLOCK at a time, each frame on its own, so the framed
     buffer does not grow with the signal. Calls only private helpers, so it
-    may run on a worker thread under a tracer that wraps the public ones."""
+    may run on a worker thread under a tracer that wraps the public ones.
+    binaural_references loads every scipy module used here before it
+    submits a chunk, so the imports on the worker only find them."""
+    from scipy import fft as spfft
+
     w = _sh_weights_block(reverb, degrees, cols)
     rir = delays @ np.ascontiguousarray(w.real) \
         + 1j * (delays @ np.ascontiguousarray(w.imag))
@@ -364,7 +376,12 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     The chunks run on up to REF_WORKERS (two) threads, at most one chunk
     per thread in flight, and are added in chunk order on the calling
     thread, so the reference's bytes do not depend on the thread count.
+    The scipy modules the chunks use are loaded on the calling thread
+    before the first chunk is submitted: scipy.fft here, scipy.special by
+    the direct image's weights and scipy.sparse by the delay matrices.
     """
+    from scipy import fft as spfft
+
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(source, float)

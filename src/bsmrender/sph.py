@@ -12,7 +12,6 @@ in the rFFT spectrum.
 """
 
 import numpy as np
-from scipy import special
 
 from .geometry import Direction, directions_to_arrays
 
@@ -44,8 +43,11 @@ def sh_matrix(order, directions):
     written straight into the result, so the (order+1, 2 order+1,
     directions) output of a single call never exists. sph_harm_y_all works
     elementwise, so the values are bitwise those of one sph_harm_y call per
-    (n, m).
+    (n, m). scipy.special loads on the first call, so a process that never
+    evaluates harmonics does not pay for its import.
     """
+    from scipy import special
+
     if order < 0:
         raise ValueError("order must be >= 0")
     if all(isinstance(d, Direction) for d in directions):

@@ -65,6 +65,9 @@ class StftConfig:
     def num_bins(self):
         return self.fft_size // 2 + 1
 
+    def bin_frequencies(self):
+        return np.fft.rfftfreq(self.fft_size, 1.0 / self.sample_rate)
+
     def window(self):
         # periodic Hamming: 0.54 - 0.46 cos(2 pi n / N), n = 0..N-1
         n = np.arange(self.window_length)

@@ -30,8 +30,10 @@ from bsmrender.cli import (
     near_ear,
 )
 from bsmrender.containers import read_wav, save_hrtf, verify_artifacts, write_wav
+from bsmrender.evaluate import octave_bands
 from bsmrender.geometry import Direction, FrequencyGrid
 from bsmrender.sph import num_coeffs, spiral_grid
+from bsmrender.stft import StftConfig
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -54,6 +56,10 @@ design:
   hrtf_sh_order: 5
   reference_order: 2
 """.format(half_pi=repr(math.pi / 2))
+# the same scene with walls: a handful of reverberant images
+ECHO_YAML = (MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
+                               "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
+             .replace("max_reflection_order: 0", "max_reflection_order: 2"))
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +74,18 @@ def mini_run(tmp_path_factory):
     return cfg, config_path, out
 
 
-def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
-    # every stage is its own process: scipy.signal (and scipy.stats, which
-    # it imports) would cost each call most of a second before any work
+def _src_env():
+    """The environment of a fresh interpreter that imports this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(src), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    # every stage is its own process: scipy.signal (and scipy.stats, which
+    # it imports) would cost each call most of a second before any work
     probe = ("import json, sys\n"
              "import bsmrender.cli\n"
              "loaded = {'import': sorted(sys.modules)}\n"
@@ -82,12 +93,73 @@ def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
              "loaded['dry-run'] = sorted(sys.modules)\n"
              "print(json.dumps(loaded))\n")
     run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_src_env(), capture_output=True, text=True,
+                         check=True)
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert "bsmrender.cli" in loaded["import"]
     for step, modules in loaded.items():
         for banned in ("scipy.signal", "scipy.stats"):
             assert banned not in modules, (step, banned)
+
+
+def test_each_stage_loads_only_the_scipy_it_uses(tmp_path):
+    # scipy is imported inside the kernels that use it: a dry run, render
+    # and evaluate compute nothing with it, design needs only the harmonics
+    # of the HRTF fit
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    probe = """\
+import json, sys
+import bsmrender.cli
+rc = bsmrender.cli.main(sys.argv[1:])
+scipy = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
+print(json.dumps([rc, sorted(scipy)]))
+"""
+    steps = (["pipeline", "--dry-run"], ["simulate"], ["design"], ["render"],
+             ["evaluate"])
+    loaded = {}
+    for step in steps:
+        run = subprocess.run(
+            [sys.executable, "-c", probe, *step, "--out", str(tmp_path / "o"),
+             "--config", str(config_path)],
+            env=_src_env(), capture_output=True, text=True, check=True)
+        rc, loaded[step[-1]] = json.loads(run.stdout.splitlines()[-1])
+        assert rc == 0, (step, run.stderr)
+    for step in ("--dry-run", "render", "evaluate"):
+        assert loaded[step] == [], step
+    assert "scipy.special" in loaded["design"]
+    assert not {"scipy.fft", "scipy.sparse"} & set(loaded["design"])
+    for step, modules in loaded.items():
+        for banned in ("scipy.signal", "scipy.stats"):
+            assert banned not in modules, (step, banned)
+
+
+def test_reference_chunks_find_their_scipy_loaded(tmp_path):
+    # the worker threads import nothing themselves: the calling thread has
+    # loaded every scipy module a chunk uses before the first is submitted
+    config_path = tmp_path / "echo.yaml"
+    config_path.write_text(ECHO_YAML)
+    probe = """\
+import json, sys
+import bsmrender.cli
+from bsmrender import simulate
+chunk, seen = simulate._reverb_chunk, []
+def spy(*args):
+    seen.append([m for m in ("scipy.fft", "scipy.sparse", "scipy.special")
+                 if m in sys.modules])
+    return chunk(*args)
+simulate._reverb_chunk = spy
+rc = bsmrender.cli.main(sys.argv[1:])
+print(json.dumps([rc, seen]))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", probe, "simulate", "--out", str(tmp_path / "o"),
+         "--config", str(config_path)],
+        env=_src_env(), capture_output=True, text=True, check=True)
+    rc, seen = json.loads(run.stdout.splitlines()[-1])
+    assert rc == 0, run.stderr
+    assert seen and all(mods == ["scipy.fft", "scipy.sparse", "scipy.special"]
+                        for mods in seen), seen
 
 
 def test_dry_run_prints_config_without_side_effects(tmp_path, capsys):
@@ -110,6 +182,47 @@ def test_config_errors_exit_one(tmp_path, capsys):
     rc = main(["design", "--out", str(tmp_path / "o"),
                "--config", str(tmp_path / "missing.yaml")])
     assert rc == EXIT_CODES["config"]
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--dry-run"], ["pipeline"],
+                                  ["design"]])
+def test_bad_stft_parameters_fail_config(tmp_path, capsys, argv):
+    # the overlap-add rules are checked when the config resolves, before
+    # any stage runs
+    config_path = tmp_path / "stft.yaml"
+    config_path.write_text("stft: {window_ms: 2, hop_ms: 16}\n")
+    rc = main(argv + ["--out", str(tmp_path / "o"),
+                      "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: stft.window_ms 2 with stft.hop_ms 16: hop must "
+        "divide window_length (overlap-add)\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_explicit_band_fails_config(tmp_path, capsys):
+    # desk's bins lie 23.4 Hz apart: none falls in [100, 110)
+    config_path = tmp_path / "bands.yaml"
+    config_path.write_text("evaluation: {bands: [[100.0, 110.0]]}\n")
+    rc = main(["pipeline", "--dry-run", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: evaluation.bands: band (100.0, 110.0) contains no "
+        "bins\n")
+
+
+def test_short_window_evaluates_the_octaves_holding_bins(tmp_path):
+    # a 2 ms window has 375 Hz bins: the 125 and 250 Hz octaves hold none
+    # and are left out instead of failing evaluate after every other stage
+    config_path = tmp_path / "short.yaml"
+    config_path.write_text(MINI_YAML + "stft: {window_ms: 2, hop_ms: 1}\n")
+    assert main(["pipeline", "--out", str(tmp_path / "o"),
+                 "--config", str(config_path)]) == 0
+    verdict = json.loads((tmp_path / "o" / "verdict.json").read_text())
+    octaves = [[lo, hi] for lo, hi in octave_bands(upper_hz=24000.0)]
+    assert verdict["bands_hz"] == octaves[2:]
+    assert len(verdict["band_improvement_db"]["left"]) == len(octaves) - 2
 
 
 def test_pipeline_writes_every_artifact(mini_run):
@@ -249,10 +362,7 @@ def test_reference_worker_failure_fails_simulate_stage(tmp_path, capsys,
         raise ValueError("reverberant chunk failed")
 
     config_path = tmp_path / "echo.yaml"
-    config_path.write_text(MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
-                                             "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
-                           .replace("max_reflection_order: 0",
-                                    "max_reflection_order: 2"))
+    config_path.write_text(ECHO_YAML)
     monkeypatch.setattr(simulate, "REF_WORKERS", 2)
     monkeypatch.setattr(simulate, "_reverb_chunk", failing_chunk)
     rc = main(["simulate", "--out", str(tmp_path / "o"),
@@ -352,10 +462,7 @@ def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
         return simulate.binaural_references(images, *args)
 
     config_path = tmp_path / "echo.yaml"
-    config_path.write_text(MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
-                                             "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
-                           .replace("max_reflection_order: 0",
-                                    "max_reflection_order: 2"))
+    config_path.write_text(ECHO_YAML)
     monkeypatch.setattr(cli, "scene_images", images_spy)
     monkeypatch.setattr(cli, "binaural_references", reference_spy)
     assert main(["simulate", "--out", str(tmp_path / "o"),
@@ -432,6 +539,15 @@ def test_pipeline_ends_in_success_or_a_named_stage_error(config):
     if rc != 0:
         stage = {code: name for name, code in EXIT_CODES.items()}[rc]
         assert err.getvalue().startswith(f"error [{stage}]: "), err.getvalue()
+    # what the config fixes is refused before any stage: bad overlap-add
+    # parameters end in config, and no band is left without bins
+    stft_cfg = config["stft"]
+    try:
+        StftConfig.default(48000, stft_cfg["window_ms"], stft_cfg["hop_ms"])
+    except ValueError as stft_err:
+        assert rc == EXIT_CODES["config"], err.getvalue()
+        assert str(stft_err) in err.getvalue()
+    assert "contains no bins" not in err.getvalue()
 
 
 def test_staged_calls_write_the_pipeline_tree(mini_run, tmp_path):

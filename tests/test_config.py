@@ -163,11 +163,11 @@ def test_direct_direction():
 
 def test_eval_bands(tmp_path):
     cfg = resolve("desk")
-    bands = eval_bands(cfg, 24000.0)
+    bands = eval_bands(cfg)
     assert len(bands) == 9
     np.testing.assert_allclose(bands[0][0], 125.0 / math.sqrt(2), rtol=1e-12)
     text = "evaluation:\n  bands: [[100.0, 200.0], [200.0, 400.0]]\n"
-    explicit = eval_bands(resolve("desk", _write(tmp_path, text)), 24000.0)
+    explicit = eval_bands(resolve("desk", _write(tmp_path, text)))
     assert explicit == [(100.0, 200.0), (200.0, 400.0)]
 
 
