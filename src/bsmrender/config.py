@@ -13,10 +13,11 @@ import math
 import numpy as np
 import yaml
 
-from .containers import file_sha256, read_wav, scene_digest
+from .containers import ContainerError, file_sha256, read_wav, scene_digest
 from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import ArrayGeometry, Direction, semicircle_array, sph_to_cart
-from .simulate import RoomSpec, Scene, reflection_for_t60, synth_speech_noise
+from .simulate import (RoomSpec, Scene, reflection_for_t60, signal_length,
+                       synth_speech_noise)
 from .stft import StftConfig
 
 
@@ -221,10 +222,34 @@ def resolve(profile="desk", config_path=None, seed=None):
         raise ConfigError("scene.source_wav required when source_kind is wav")
     if cfg["design"]["hrtf_kind"] == "file" and not cfg["design"]["hrtf_file"]:
         raise ConfigError("design.hrtf_file required when hrtf_kind is file")
-    # the overlap-add rules and the bands' bins fail here, not in a stage
+    # the overlap-add rules, the bands' bins and the frames left after the
+    # edge trim fail here, not in a stage
     build_stft_config(cfg)
     eval_bands(cfg)
+    _check_frame_trim(cfg)
     return cfg
+
+
+def _check_frame_trim(cfg):
+    """Refuse an evaluation.frame_trim that leaves none of the frames of
+    the run's spectrograms, counted from the source and RIR lengths as the
+    simulator renders them. A wav source is counted from its file; one that
+    does not parse is left for simulate, which reads it, to refuse."""
+    scene = cfg["scene"]
+    if scene["source_kind"] == "wav":
+        try:
+            source = read_wav(scene["source_wav"])[0].shape[0]
+        except ContainerError:
+            return
+    else:
+        source = _noise_samples(cfg)
+    frames = build_stft_config(cfg).num_frames(
+        signal_length(source, scene["rir_seconds"], cfg["sample_rate"]))
+    trim = cfg["evaluation"]["frame_trim"]
+    if frames - 2 * trim < 1:
+        raise ConfigError(f"evaluation.frame_trim {trim} leaves no frame: "
+                          f"the run has {frames} STFT frames and the trim "
+                          f"drops {trim} from each end")
 
 
 def snr_linear(db_value):
@@ -289,8 +314,12 @@ def build_source(cfg):
         if rate != fs:
             raise ConfigError(f"source wav sample rate {rate} != {fs}")
         return np.asarray(data[:, 0], dtype=float)
-    n = int(round(scene["source_duration_s"] * fs))
-    return synth_speech_noise(n, fs, scene["seed"])
+    return synth_speech_noise(_noise_samples(cfg), fs, scene["seed"])
+
+
+def _noise_samples(cfg):
+    """Length of the synthetic speech-shaped noise source."""
+    return int(round(cfg["scene"]["source_duration_s"] * cfg["sample_rate"]))
 
 
 def build_scene(cfg):

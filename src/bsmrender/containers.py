@@ -3,12 +3,16 @@
 All layouts are little-endian and timestamp-free, so repeated runs with
 the same config produce byte-identical trees. `digest` is the 16-hex-char
 scene digest, `str` a u32 byte count and that many ASCII bytes, and each
-BSM* file opens with its magic and u32 version 1.
+BSM* file opens with its magic and u32 version: 2 for BSMG, 1 for BSMF and
+BSMH. WAV has no version field and keeps its version 1 layout.
 
 - WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
   optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
-- BSMG, binaural spectrogram: u32 sample rate, window, hop, FFT size,
-  frames, bins; str tag; digest; the (2, frames, bins) <c16 left/right block.
+- BSMG version 2, binaural spectrogram: u32 sample rate, window, hop, FFT
+  size, frames, bins; str tag; digest; the (2, frames, bins) <c8 left/right
+  block. Spectrograms are stored at single precision and read back as
+  complex128; version 1 stored the same header with a <c16 block and is
+  refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size; str tag;
   digest; str solver config (JSON, sorted keys, default separators); the
   left, then the right (bins, mics) <c16 block.
@@ -36,7 +40,12 @@ from .solvers import BsmFilterBank, SolverConfig
 from .stft import BINAURAL_TAGS, Spectrogram, StftConfig
 
 DIGEST_LEN = 16  # hex chars of sha256, enough to catch staleness
-VERSION = 1
+VERSIONS = {b"BSMG": 2, b"BSMF": 1, b"BSMH": 1}
+# frames of a spectrogram cast to single precision per write, through one
+# reused buffer instead of a copy of the payload: 64 KiB at 1025 bins,
+# under glibc's default 128 KiB mmap threshold, so the buffer reuses freed
+# heap memory instead of mapping fresh pages
+WRITE_FRAMES = 8
 
 
 class ContainerError(ValueError):
@@ -89,7 +98,7 @@ def _string(text):
 
 
 def _header(magic, fields, *values):
-    return magic + struct.pack("<I" + fields, VERSION, *values)
+    return magic + struct.pack("<I" + fields, VERSIONS[magic], *values)
 
 
 class _Cursor:
@@ -141,7 +150,7 @@ class _Cursor:
             self.fail(f"not a {magic.decode()} file")
         self.pos = len(magic)
         version, *values = self.unpack("<I" + fields, "header")
-        if version != VERSION:
+        if version != VERSIONS[magic]:
             self.fail(f"unsupported {magic.decode()} version {version}")
         return values
 
@@ -229,23 +238,30 @@ def write_binaural_spectrogram(path, spec, digest):
                          cfg.window_length, cfg.hop, cfg.fft_size,
                          spec.num_frames, spec.num_bins)
                  + _string(spec.tag) + _digest_bytes(digest))
-        # straight from the array's buffer: no bytes copy of the payload
-        fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))
+        block = np.empty((min(WRITE_FRAMES, spec.num_frames), spec.num_bins),
+                         dtype="<c8")
+        for ear in spec.data:
+            for start in range(0, spec.num_frames, WRITE_FRAMES):
+                rows = block[: min(WRITE_FRAMES, spec.num_frames - start)]
+                rows[...] = ear[start : start + WRITE_FRAMES]
+                fh.write(rows)
 
 
 def read_binaural_spectrogram(path):
-    """Returns (binaural Spectrogram, embedded digest)."""
+    """Returns (binaural Spectrogram, embedded digest). The spectra are
+    upcast to complex128; the file's bytes are not kept."""
     cur = _Cursor(path)
     rate, window, hop, fft_size, frames, bins = cur.header(b"BSMG", "IIIIII")
     tag = cur.string("tag")
     digest = cur.ascii(DIGEST_LEN, "digest")
-    ears = cur.array("<c16", (2, frames, bins), "spectra")
+    ears = cur.array("<c8", (2, frames, bins), "spectra")
     cur.end()
     if tag not in BINAURAL_TAGS:
         cur.fail(f"{tag!r} is not a binaural tag")
     with cur.checked("STFT parameters"):
         config = StftConfig(rate, window, hop, fft_size)
-        return Spectrogram(data=ears, config=config, tag=tag), digest
+        return Spectrogram(data=ears.astype(complex), config=config,
+                           tag=tag), digest
 
 
 # ---------------------------------------------------------------- BSMF

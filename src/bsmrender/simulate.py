@@ -274,6 +274,12 @@ def _split_rirs(images, num_samples, sample_rate):
             render_rir(images.take(slice(1, None)), num_samples, sample_rate))
 
 
+def signal_length(source_samples, rir_seconds, sample_rate):
+    """Samples of a source convolved with an `rir_seconds` RIR: the length
+    of every mic signal and binaural reference the simulator renders."""
+    return source_samples + int(round(rir_seconds * sample_rate)) - 1
+
+
 def render_mic_signals(scene, max_order, rir_seconds, images=None):
     """Per-mic signals: (full, direct, reverb), each (samples, M) float64.
 
@@ -285,7 +291,7 @@ def render_mic_signals(scene, max_order, rir_seconds, images=None):
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(scene.source_signal, float)
     _, mic_images = images or scene_images(scene, max_order, rir_seconds)
-    n_out = src.size + rir_len - 1
+    n_out = signal_length(src.size, rir_seconds, fs)
     direct = np.empty((n_out, len(mic_images)))
     reverb = np.empty((n_out, len(mic_images)))
     for m, imgs in enumerate(mic_images):
@@ -410,7 +416,7 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
-        num_samples = src.size + rir_len - 1
+        num_samples = signal_length(src.size, rir_seconds, fs)
         src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
         chunk = partial(_reverb_chunk, reverb, delays, degrees, src_spec,

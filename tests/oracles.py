@@ -4,10 +4,13 @@ Closed-form and truncated-series plane-wave steering, the unit vector of
 a Direction, the largest radius of an array, the Cartesian to spherical
 conversion, fit-then-evaluate HRTF interpolation, the SH vector of one
 direction, the spherical-harmonic matrix from one call per (n, m) and
-from one call for all directions, and STFT framing through a padded copy
-of the signal. The library itself needs none of them; tests use them as
-oracles for what it does compute.
+from one call for all directions, STFT framing through a padded copy
+of the signal, and the version 1 (double precision) binaural spectrogram
+file. The library itself needs none of them; tests use them as oracles for
+what it does compute.
 """
+
+import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -128,3 +131,16 @@ def assert_bits_equal(got, want):
     got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
     np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def write_binaural_spectrogram_v1(path, spec, digest):
+    """A BSMG file in the version 1 layout: version 2's header with a
+    version field of 1, and the (2, frames, bins) payload at <c16."""
+    cfg, tag = spec.config, spec.tag.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(b"BSMG" + struct.pack("<7I", 1, int(cfg.sample_rate),
+                                       cfg.window_length, cfg.hop,
+                                       cfg.fft_size, spec.num_frames,
+                                       spec.num_bins)
+                 + struct.pack("<I", len(tag)) + tag + digest.encode("ascii"))
+        fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))

@@ -29,11 +29,15 @@ from bsmrender.cli import (
     main,
     near_ear,
 )
-from bsmrender.containers import read_wav, save_hrtf, verify_artifacts, write_wav
+from bsmrender.containers import (read_binaural_spectrogram, read_wav,
+                                  save_hrtf, update_manifest,
+                                  verify_artifacts, write_wav)
 from bsmrender.evaluate import octave_bands
 from bsmrender.geometry import Direction, FrequencyGrid
 from bsmrender.sph import num_coeffs, spiral_grid
 from bsmrender.stft import StftConfig
+
+from oracles import write_binaural_spectrogram_v1
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -212,6 +216,40 @@ def test_empty_explicit_band_fails_config(tmp_path, capsys):
         "bins\n")
 
 
+@pytest.mark.parametrize("argv", [["pipeline", "--dry-run"], ["pipeline"]])
+def test_frame_trim_leaving_no_frame_fails_config(tmp_path, capsys, argv):
+    # 0.02 s of source through a 0.02 s RIR is 1919 samples, two 32 ms
+    # frames: a trim of 3 from each end leaves none, and no stage runs
+    config_path = tmp_path / "trim.yaml"
+    config_path.write_text("scene: {source_duration_s: 0.02, "
+                           "rir_seconds: 0.02}\nevaluation: {frame_trim: 3}\n")
+    rc = main(argv + ["--out", str(tmp_path / "o"),
+                      "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: evaluation.frame_trim 3 leaves no frame: the run has "
+        "2 STFT frames and the trim drops 3 from each end\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_frame_trim_counts_a_wav_source_from_its_file(tmp_path, capsys):
+    source = tmp_path / "source.wav"
+    write_wav(source, np.zeros(960), 48000)
+    scene = (f"scene: {{source_kind: wav, source_wav: {str(source)!r}, "
+             "rir_seconds: 0.02}\n")
+    config_path = tmp_path / "wav.yaml"
+    config_path.write_text(scene + "evaluation: {frame_trim: 1}\n")
+    argv = ["pipeline", "--dry-run", "--out", str(tmp_path / "o"),
+            "--config", str(config_path)]
+    assert main(argv) == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: evaluation.frame_trim 1 leaves no frame: the run has "
+        "2 STFT frames and the trim drops 1 from each end\n")
+    # untrimmed, the same two frames are evaluated
+    config_path.write_text(scene + "evaluation: {frame_trim: 0}\n")
+    assert main(argv) == 0
+
+
 def test_short_window_evaluates_the_octaves_holding_bins(tmp_path):
     # a 2 ms window has 375 Hz bins: the 125 and 250 Hz octaves hold none
     # and are left out instead of failing evaluate after every other stage
@@ -300,6 +338,25 @@ def test_evaluate_refuses_foreign_artifacts(mini_run, tmp_path, capsys):
     rc = main(["evaluate", "--out", str(work), "--seed", "123"])
     assert rc == EXIT_CODES["evaluate"]
     assert "error [evaluate]" in capsys.readouterr().err
+
+
+def test_version_1_spectrogram_fails_evaluate_stage(mini_run, tmp_path,
+                                                   capsys):
+    # a double-precision reference left by an older run, even one the
+    # manifest vouches for, is refused by name instead of misread
+    _, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "stale"
+    shutil.copytree(out, work)
+    path = work / "reference.bsmg"
+    spec, digest = read_binaural_spectrogram(path)
+    write_binaural_spectrogram_v1(path, spec, digest)
+    update_manifest(work, {"reference.bsmg": path}, digest)
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        f"error [evaluate]: {path}: unsupported BSMG version 1\n")
 
 
 def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
@@ -499,7 +556,7 @@ def _small_configs(draw):
     def inside():
         return [draw(st.floats(0.1, 0.9)) * side for side in dims]
 
-    return {
+    config = {
         "scene": {
             "room_dimensions": dims,
             "source_position": inside(),
@@ -521,6 +578,26 @@ def _small_configs(draw):
                  "hop_ms": draw(st.sampled_from([1, 4, 16]))},
         "evaluation": {"frame_trim": draw(st.integers(0, 3))},
     }
+    # half the examples trim at the edge of the drawn frame count, leaving
+    # one or two frames or none
+    frames = _frame_count(config)
+    if frames is not None and draw(st.booleans()):
+        config["evaluation"]["frame_trim"] = draw(
+            st.integers((frames - 1) // 2, (frames + 1) // 2))
+    return config
+
+
+def _frame_count(config):
+    """STFT frames of a drawn config's spectrograms (a 48 kHz source
+    convolved with its RIR), or None when its STFT parameters are refused."""
+    scene, stft_cfg = config["scene"], config["stft"]
+    samples = (round(scene["source_duration_s"] * 48000)
+               + round(scene["rir_seconds"] * 48000) - 1)
+    try:
+        return StftConfig.default(48000, stft_cfg["window_ms"],
+                                  stft_cfg["hop_ms"]).num_frames(samples)
+    except ValueError:
+        return None
 
 
 @settings(max_examples=25)
@@ -547,7 +624,13 @@ def test_pipeline_ends_in_success_or_a_named_stage_error(config):
     except ValueError as stft_err:
         assert rc == EXIT_CODES["config"], err.getvalue()
         assert str(stft_err) in err.getvalue()
+    else:
+        # a trim that leaves no frame to judge is refused before any stage
+        if _frame_count(config) <= 2 * config["evaluation"]["frame_trim"]:
+            assert rc == EXIT_CODES["config"], err.getvalue()
+            assert "leaves no frame" in err.getvalue()
     assert "contains no bins" not in err.getvalue()
+    assert "no frames left" not in err.getvalue()
 
 
 def test_staged_calls_write_the_pipeline_tree(mini_run, tmp_path):

@@ -33,6 +33,8 @@ from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import Spectrogram, StftConfig
 
+from oracles import write_binaural_spectrogram_v1
+
 DIGEST = "0123456789abcdef"
 
 
@@ -67,18 +69,21 @@ def test_wav_rejects_garbage(tmp_path):
 def test_binaural_spectrogram_round_trip(tmp_path):
     cfg = StftConfig.default()
     rng = np.random.default_rng(2)
-    left = rng.standard_normal((7, cfg.num_bins)) * (1 + 1j)
-    right = rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)
+    # values that single precision holds exactly come back unchanged
+    left = (rng.standard_normal((7, cfg.num_bins)) * (1 + 1j)).astype("<c8")
+    right = (rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)).astype("<c8")
     path = tmp_path / "out.bsmg"
     write_binaural_spectrogram(
-        path, Spectrogram(np.stack([left, right]), cfg, "reference"), DIGEST)
+        path, Spectrogram(np.stack([left, right]).astype(complex), cfg,
+                          "reference"), DIGEST)
     spec, digest = read_binaural_spectrogram(path)
     assert spec.data.shape == (2, 7, cfg.num_bins)
+    assert spec.data.dtype == np.complex128
     np.testing.assert_array_equal(spec.data[0], left)
     np.testing.assert_array_equal(spec.data[1], right)
     # the payload is the left block followed by the right block
-    tail = path.read_bytes()[-2 * left.size * 16:]
-    assert tail == left.astype("<c16").tobytes() + right.astype("<c16").tobytes()
+    tail = path.read_bytes()[-2 * left.size * 8:]
+    assert tail == left.tobytes() + right.tobytes()
     with pytest.raises(ContainerError):  # only binaural spectrograms
         write_binaural_spectrogram(path, Spectrogram(left[None], cfg, "x"),
                                    DIGEST)
@@ -87,15 +92,44 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     assert spec.config == cfg
 
 
+@pytest.mark.parametrize("frames", [0, 1, 31, 32, 33, 70])
+def test_spectrogram_payload_is_the_single_precision_cast(frames, tmp_path):
+    # the blockwise cast writes the same bytes as a cast of the whole
+    # array, whole blocks, a partial last block and none at all alike
+    cfg = StftConfig(48000, 8, 4)
+    rng = np.random.default_rng(frames)
+    data = (rng.standard_normal((2, frames, cfg.num_bins))
+            + 1j * rng.standard_normal((2, frames, cfg.num_bins)))
+    path = tmp_path / "cast.bsmg"
+    write_binaural_spectrogram(path, Spectrogram(data, cfg, "reference"),
+                               DIGEST)
+    blob = path.read_bytes()
+    assert blob[4:8] == (2).to_bytes(4, "little")
+    assert blob[len(blob) - data.size * 8:] == data.astype("<c8").tobytes()
+    spec, _ = read_binaural_spectrogram(path)
+    np.testing.assert_array_equal(spec.data, data.astype(np.complex64))
+    assert spec.data.flags.owndata  # not a view that keeps the file's bytes
+
+
+def test_version_1_spectrogram_is_refused_by_name(tmp_path):
+    # the double-precision layout this format replaced is never misread
+    path = tmp_path / "old.bsmg"
+    _write_sample_bsmg(path, writer=write_binaural_spectrogram_v1)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c9915675de9128165a5e865c596d17cc89cf4646c6f4216a4a166bbe767db9ff")
+    with pytest.raises(ContainerError, match="unsupported BSMG version 1"):
+        read_binaural_spectrogram(path)
+
+
 def _write_sample_wav(path):
     write_wav(path, np.arange(12, dtype=float).reshape(6, 2), 48000, DIGEST)
 
 
-def _write_sample_bsmg(path):
+def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
     cfg = StftConfig(48000, 8, 4)
     data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
-    write_binaural_spectrogram(
-        path, Spectrogram(np.stack([data, -data]), cfg, "reference"), DIGEST)
+    writer(path, Spectrogram(np.stack([data, -data]), cfg, "reference"),
+           DIGEST)
 
 
 def _write_sample_bsmf(path):
@@ -119,10 +153,11 @@ READERS = {"wav": (_write_sample_wav, read_wav),
            "bsmh": (_write_sample_bsmh, lambda path: load_hrtf(path, 8))}
 
 
-# sha256 of each sample file: the version 1 layouts, pinned to the byte
+# sha256 of each sample file: BSMG version 2 and the version 1 layouts of
+# the others, pinned to the byte
 SAMPLE_SHA256 = {
     "bsmf": "fb8822443a609b2a935ff6d3d4edb86de9758e64eb9058841d504f305cc1ffe9",
-    "bsmg": "c9915675de9128165a5e865c596d17cc89cf4646c6f4216a4a166bbe767db9ff",
+    "bsmg": "6e2d2d086e48a58588190ebe36afed36e09333c7bb86b410c279489033df93f1",
     "bsmh": "de400c1d67af2c2cf2b0a2f54f993dfffe9a7251c01b3297f3adca459a14a138",
     "wav": "9bb5df03a45fed338a0ec2d1e513188003a112034120434fcc843058f189038c",
 }
@@ -145,7 +180,8 @@ def test_wav_without_digest_keeps_its_bytes(tmp_path):
 def _big_spectrogram(path):
     data = np.ones((2, 256, 1025), dtype=complex)
     spec = Spectrogram(data, StftConfig(48000, 1536, 768), "reference")
-    return data.nbytes, lambda: write_binaural_spectrogram(path, spec, DIGEST)
+    # the file holds the payload at single precision
+    return data.size * 8, lambda: write_binaural_spectrogram(path, spec, DIGEST)
 
 
 def _big_bank(path):
