@@ -144,6 +144,9 @@ def run_design(cfg, out_dir):
 
     direct_doas = [cfgmod.direct_direction(cfg)]
     reverb_doas = spiral_grid(design["reverb_grid_size"])
+    # the full-order fit is dead once both DOA sets are evaluated
+    hrtf_d, hrtf_r = (evaluate_sh(coeffs, d) for d in (direct_doas, reverb_doas))
+    del coeffs
 
     # the direct bank serves a single known DOA where the plain LS solve is
     # already phase-exact, so MagLS is reserved for the reverberant bank
@@ -153,12 +156,10 @@ def run_design(cfg, out_dir):
                               magls_enabled=design["magls_enabled"],
                               magls_cutoff_hz=design["magls_cutoff_hz"])
 
-    bank_d = design_filterbank(geom, grid, direct_doas,
-                               evaluate_sh(coeffs, direct_doas),
-                               direct_cfg, tag="direct")
-    bank_r = design_filterbank(geom, grid, reverb_doas,
-                               evaluate_sh(coeffs, reverb_doas),
-                               reverb_cfg, tag="reverberant")
+    bank_d = design_filterbank(geom, grid, direct_doas, hrtf_d, direct_cfg,
+                               tag="direct")
+    bank_r = design_filterbank(geom, grid, reverb_doas, hrtf_r, reverb_cfg,
+                               tag="reverberant")
     save_filterbank(out_dir / "bank_direct.bsmf", bank_d, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, digest)
     update_manifest(out_dir, {n: out_dir / n for n in BANK_ARTIFACTS}, digest)

@@ -233,14 +233,19 @@ def resolve(profile="desk", config_path=None, seed=None):
 def _check_frame_trim(cfg):
     """Refuse an evaluation.frame_trim that leaves none of the frames of
     the run's spectrograms, counted from the source and RIR lengths as the
-    simulator renders them. A wav source is counted from its file; one that
-    does not parse is left for simulate, which reads it, to refuse."""
+    simulator renders them. A wav source is counted from its file, and
+    refused here if its sample rate is not the run's; one that does not
+    parse is left for simulate, which reads it, to refuse."""
     scene = cfg["scene"]
     if scene["source_kind"] == "wav":
         try:
-            source = read_wav(scene["source_wav"])[0].shape[0]
+            data, rate, _ = read_wav(scene["source_wav"])
         except ContainerError:
             return
+        if rate != cfg["sample_rate"]:
+            raise ConfigError(f"source wav sample rate {rate} != "
+                              f"{cfg['sample_rate']}")
+        source = data.shape[0]
     else:
         source = _noise_samples(cfg)
     frames = build_stft_config(cfg).num_frames(
@@ -308,13 +313,11 @@ def build_array(cfg):
 
 def build_source(cfg):
     scene = cfg["scene"]
-    fs = cfg["sample_rate"]
     if scene["source_kind"] == "wav":
-        data, rate, _ = read_wav(scene["source_wav"])
-        if rate != fs:
-            raise ConfigError(f"source wav sample rate {rate} != {fs}")
-        return np.asarray(data[:, 0], dtype=float)
-    return synth_speech_noise(_noise_samples(cfg), fs, scene["seed"])
+        # resolve has refused a rate other than the run's
+        return np.asarray(read_wav(scene["source_wav"])[0][:, 0], dtype=float)
+    return synth_speech_noise(_noise_samples(cfg), cfg["sample_rate"],
+                              scene["seed"])
 
 
 def _noise_samples(cfg):

@@ -10,7 +10,11 @@ equal-power sources and white noise, leaving a single SNR knob:
 
 Above a configurable cutoff the magnitude-least-squares variant trades
 phase accuracy for magnitude accuracy, which is the perceptually relevant
-quantity at high frequencies.
+quantity at high frequencies. A bank builds A = V V^H + reg I for every
+bin at once and solves every bin's LS filter A^{-1}(V h*) in one batched
+solve per ear. A MagLS bin factors once, P = A^{-1} V, and then iterates
+matrix-vector products c <- P (|h| z/|z|), z = V^H c, using
+exp(i angle z) = z/|z| in place of a trig round trip per iteration.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ from .sph import steering_tensor
 COND_CEILING = 1e12
 MAGLS_MAX_ITER = 50
 MAGLS_PHASE_TOL = 1e-6
+EARS = ("left", "right")
 
 
 class SolverError(RuntimeError):
@@ -67,17 +72,6 @@ class CovarianceModel:
                 raise ValueError(f"{name} is not positive semidefinite")
 
 
-def _regularized_inverse_apply(a, rhs, context=""):
-    """Solve a @ x = rhs for Hermitian PSD a, guarding conditioning."""
-    eig = np.linalg.eigvalsh(a)
-    lo, hi = eig[0], eig[-1]
-    cond = np.inf if lo <= 0 else hi / lo
-    if cond > COND_CEILING:
-        raise SolverError(
-            f"system is ill-conditioned{context}: condition estimate {cond:.3e}")
-    return np.linalg.solve(a, rhs)
-
-
 def _check_finite(**arrays):
     for name, arr in arrays.items():
         if not np.all(np.isfinite(arr)):
@@ -91,17 +85,22 @@ def solve_general(v, cov, h):
     _check_finite(v=v, h=h)
     vrs = v @ cov.source_cov
     a = vrs @ v.conj().T + cov.noise_cov
-    return _regularized_inverse_apply(a, vrs @ np.conj(h))
+    eig = np.linalg.eigvalsh(a)  # a is Hermitian PSD: guard its conditioning
+    cond = np.inf if eig[0] <= 0 else eig[-1] / eig[0]
+    if cond > COND_CEILING:
+        raise SolverError(f"system is ill-conditioned: condition estimate {cond:.3e}")
+    return np.linalg.solve(a, vrs @ np.conj(h))
 
 
 def _ls_system(v, snr, tikhonov_floor):
-    m = v.shape[0]
-    a = v @ v.conj().T
+    """V V^H + reg I for one (M, L) system or a stack of them (..., M, L)."""
+    m = v.shape[-2]
+    a = v @ np.swapaxes(v.conj(), -1, -2)
     if np.isinf(snr):
-        reg = tikhonov_floor * np.trace(a).real / m
+        reg = tikhonov_floor * np.trace(a, axis1=-2, axis2=-1).real / m
     else:
-        reg = 1.0 / snr
-    return a + reg * np.eye(m)
+        reg = np.asarray(1.0 / snr)
+    return a + reg[..., None, None] * np.eye(m)
 
 
 def solve_ls(v, h, snr, tikhonov_floor=1e-12):
@@ -132,26 +131,37 @@ def solve_magls(v, h, snr, phase_init=None, tikhonov_floor=1e-12):
     frequency. Deterministic: fixed iteration cap, early exit once the
     largest phase change drops below MAGLS_PHASE_TOL.
     """
-    return _magls(v, h, snr, phase_init, tikhonov_floor)[0]
-
-
-def _magls(v, h, snr, phase_init, tikhonov_floor):
-    """solve_magls, plus whether it stopped at MAGLS_MAX_ITER instead of
-    meeting MAGLS_PHASE_TOL: (filter, capped)."""
     v = np.asarray(v, dtype=complex)
     h = np.asarray(h, dtype=complex)
     _check_finite(v=v, h=h)
     a = _ls_system(v, snr, tikhonov_floor)
     c = np.asarray(phase_init, dtype=complex) if phase_init is not None \
         else np.linalg.solve(a, v @ np.conj(h))
-    mag = np.abs(h)
-    phase = np.angle(v.conj().T @ c)
+    return _magls_iterate(np.linalg.solve(a, v) * np.abs(h), v.conj().T, c)[0]
+
+
+def _unit_phase(z):
+    """exp(i np.angle(z)) as z/|z|; exactly zero entries keep np.angle's
+    phase (0, or +-pi for a real part of -0.0)."""
+    r = np.abs(z)
+    if np.count_nonzero(r) < r.size:
+        z = np.where(r == 0, np.exp(1j * np.angle(z)), z)
+        r[r == 0] = 1.0
+    return z / r
+
+
+def _magls_iterate(pm, vh, c):
+    """solve_magls from filter c, given pm = A^{-1} V diag|h| and V^H:
+    (filter, whether it stopped at MAGLS_MAX_ITER). The phase step is
+    tested as the chord |u_new - u| = 2 sin(step/2) of u = z/|z|."""
+    chord_tol = 2.0 * np.sin(MAGLS_PHASE_TOL / 2.0)
+    u = _unit_phase(np.dot(vh, c))
     for _ in range(MAGLS_MAX_ITER):
-        c = np.linalg.solve(a, v @ np.conj(mag * np.exp(-1j * phase)))
-        new_phase = np.angle(v.conj().T @ c)
-        step = np.abs(np.angle(np.exp(1j * (new_phase - phase))))
-        phase = new_phase
-        if step.max() < MAGLS_PHASE_TOL:
+        c = np.dot(pm, u)
+        u_new = _unit_phase(np.dot(vh, c))
+        step = np.abs(u_new - u).max()
+        u = u_new
+        if step < chord_tol:
             return c, False
     return c, True
 
@@ -206,33 +216,31 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
         raise ValueError("hrtf bin count does not match the frequency grid")
     if config.magls_enabled and config.magls_cutoff_hz > grid.bin_frequencies[-1]:
         raise ValueError("magls_cutoff_hz above Nyquist")
+    freqs = grid.bin_frequencies
     vs = steering_tensor(grid, geom, doas)  # (bins, M, L)
-    m = geom.num_mics
-    banks = {}
-    capped = 0
-    for ear in ("left", "right"):
-        h_all = hrtf_at_doas.response(ear)  # (L, bins)
-        coeffs = np.empty((grid.num_bins, m), dtype=complex)
-        prev = None
-        for b, f in enumerate(grid.bin_frequencies):
-            v = vs[b]
-            h = h_all[:, b]
-            try:
-                use_magls = (config.magls_enabled and b > 0
-                             and f >= config.magls_cutoff_hz)
-                if use_magls:
-                    c, hit_cap = _magls(v, h, config.snr, prev,
-                                        config.tikhonov_floor)
-                    capped += hit_cap
-                else:
-                    c = solve_ls(v, h, config.snr,
-                                 tikhonov_floor=config.tikhonov_floor)
-            except SolverError as err:
-                raise SolverError(f"{ear} ear, bin {b} ({f:.1f} Hz): {err}")
-            coeffs[b] = c
-            prev = c
-        banks[ear] = coeffs
+    bad_v = ~np.isfinite(vs).all(axis=(1, 2))
+    for ear in EARS:
+        bad = bad_v | ~np.isfinite(hrtf_at_doas.response(ear)).all(axis=0)
+        if bad.any():
+            b = bad.argmax()
+            raise SolverError(f"{ear} ear, bin {b} ({freqs[b]:.1f} Hz): non-"
+                              f"finite values in {'v' if bad_v[b] else 'h'}")
+    # A for 64 bins at a time, so V's conjugate never exists in full
+    a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr, config.tikhonov_floor)
+                        for lo in range(0, grid.num_bins, 64)])  # (bins, M, M)
+    banks, capped = {}, 0
+    for ear in EARS:
+        # every bin's LS filter A^{-1}(V h*), its right-hand side formed first
+        rhs = vs @ np.conj(hrtf_at_doas.response(ear).T, order="C")[:, :, None]
+        banks[ear] = np.linalg.solve(a, rhs)[:, :, 0]
+    magls_bins = np.flatnonzero(freqs >= config.magls_cutoff_hz)  # never 0 Hz
+    for b in magls_bins if config.magls_enabled else ():
+        # one P_b for both ears, each seeded with its filter of bin b-1
+        p, vh = np.linalg.solve(a[b], vs[b]), vs[b].conj().T
+        for ear, coeffs in banks.items():
+            mag = np.abs(hrtf_at_doas.response(ear)[:, b])
+            coeffs[b], hit_cap = _magls_iterate(p * mag, vh, coeffs[b - 1])
+            capped += hit_cap
     return BsmFilterBank(left=banks["left"], right=banks["right"], tag=tag,
                          config=config, sample_rate=grid.sample_rate,
                          fft_size=(grid.num_bins - 1) * 2, magls_capped=capped)
-

@@ -79,23 +79,9 @@ def spiral_grid(num_points):
     return [Direction(t, p) for t, p in zip(theta, phi)]
 
 
-def steering_matrix(f, grid, geom, doas):
-    """Column-stacked steering vectors, shape (M, L), column l <-> doas[l]."""
-    if len(doas) == 0:
-        raise ValueError("doas must be non-empty")
-    k = grid.wavenumber(f)
-    th, ph = directions_to_arrays(doas)
-    st = np.sin(th)
-    u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)  # (3, L)
-    return np.exp(1j * k * (geom.local_positions() @ u))
-
-
 def steering_tensor(grid, geom, doas):
-    """Steering matrices for every bin at once, shape (bins, M, L).
-
-    Same quantity as steering_matrix looped over grid.bin_frequencies,
-    kept vectorized because filter design touches every bin.
-    """
+    """Free-field array responses exp(+i k r_m . u_l) for every bin at
+    once, shape (bins, M, L): column l of bin b belongs to doas[l]."""
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
     ks = grid.wavenumbers()
@@ -103,4 +89,5 @@ def steering_tensor(grid, geom, doas):
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)
     proj = geom.local_positions() @ u  # (M, L)
-    return np.exp(1j * ks[:, None, None] * proj[None, :, :])
+    v = 1j * ks[:, None, None] * proj[None, :, :]
+    return np.exp(v, out=v)  # in place: one (bins, M, L) array at a time

@@ -1,13 +1,14 @@
 """Test-only helpers and reference implementations of library kernels.
 
-Closed-form and truncated-series plane-wave steering, the unit vector of
-a Direction, the largest radius of an array, the Cartesian to spherical
-conversion, fit-then-evaluate HRTF interpolation, the SH vector of one
-direction, the spherical-harmonic matrix from one call per (n, m) and
-from one call for all directions, STFT framing through a padded copy
-of the signal, and the version 1 (double precision) binaural spectrogram
-file. The library itself needs none of them; tests use them as oracles for
-what it does compute.
+Closed-form and truncated-series plane-wave steering, the steering
+matrix of one frequency, the unit vector of a Direction, the largest
+radius of an array, the Cartesian to spherical conversion,
+fit-then-evaluate HRTF interpolation, the SH vector of one direction, the
+spherical-harmonic matrix from one call per (n, m) and from one call for
+all directions, STFT framing through a padded copy of the signal, the
+version 1 (double precision) binaural spectrogram file, and filter-bank
+design as one LS or MagLS solve per bin and ear. The library itself needs
+none of them; tests use them as oracles for what it does compute.
 """
 
 import struct
@@ -16,9 +17,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from bsmrender.geometry import Direction, sph_to_cart
+from bsmrender.geometry import Direction, directions_to_arrays, sph_to_cart
 from bsmrender.hrtf import evaluate_sh, sh_fit
-from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix
+from bsmrender import solvers
+from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
 
 
 def unit_vector(d):
@@ -49,6 +51,18 @@ def steering_vector(f, grid, geom, doa):
     u = unit_vector(doa)
     proj = geom.local_positions() @ u
     return np.exp(1j * k * proj)
+
+
+def steering_matrix(f, grid, geom, doas):
+    """Column-stacked steering vectors at one frequency, shape (M, L),
+    column l <-> doas[l]."""
+    if len(doas) == 0:
+        raise ValueError("doas must be non-empty")
+    k = grid.wavenumber(f)
+    th, ph = directions_to_arrays(doas)
+    st = np.sin(th)
+    u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)  # (3, L)
+    return np.exp(1j * k * (geom.local_positions() @ u))
 
 
 def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
@@ -144,3 +158,55 @@ def write_binaural_spectrogram_v1(path, spec, digest):
                                        spec.num_bins)
                  + struct.pack("<I", len(tag)) + tag + digest.encode("ascii"))
         fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))
+
+
+def _ls_system_loop(v, snr, tikhonov_floor):
+    m = v.shape[0]
+    a = v @ v.conj().T
+    if np.isinf(snr):
+        reg = tikhonov_floor * np.trace(a).real / m
+    else:
+        reg = 1.0 / snr
+    return a + reg * np.eye(m)
+
+
+def magls_loop(v, h, snr, phase_init, tikhonov_floor=1e-12):
+    """One bin's MagLS seeded with filter phase_init, through a full solve
+    per iteration and the phase as an angle: (filter, whether it stopped
+    at MAGLS_MAX_ITER)."""
+    a = _ls_system_loop(v, snr, tikhonov_floor)
+    c = np.asarray(phase_init, dtype=complex)
+    mag = np.abs(h)
+    phase = np.angle(v.conj().T @ c)
+    for _ in range(solvers.MAGLS_MAX_ITER):
+        c = np.linalg.solve(a, v @ np.conj(mag * np.exp(-1j * phase)))
+        new_phase = np.angle(v.conj().T @ c)
+        step = np.abs(np.angle(np.exp(1j * (new_phase - phase))))
+        phase = new_phase
+        if step.max() < solvers.MAGLS_PHASE_TOL:
+            return c, False
+    return c, True
+
+
+def design_filterbank_loop(geom, grid, doas, hrtf_at_doas, config):
+    """solvers.design_filterbank one bin and ear at a time: per bin, the
+    LS solve A^{-1}(V h*) below the MagLS cutoff (and at bin 0), above it
+    MagLS seeded with the ear's filter of the bin before.
+    Returns (left, right, magls_capped)."""
+    vs = steering_tensor(grid, geom, doas)
+    banks = {}
+    capped = 0
+    for ear in ("left", "right"):
+        h_all = hrtf_at_doas.response(ear)
+        coeffs = np.empty((grid.num_bins, geom.num_mics), dtype=complex)
+        for b, f in enumerate(grid.bin_frequencies):
+            v, h = vs[b], h_all[:, b]
+            if config.magls_enabled and b > 0 and f >= config.magls_cutoff_hz:
+                coeffs[b], hit_cap = magls_loop(v, h, config.snr, coeffs[b - 1],
+                                                config.tikhonov_floor)
+                capped += hit_cap
+            else:
+                a = _ls_system_loop(v, config.snr, config.tikhonov_floor)
+                coeffs[b] = np.linalg.solve(a, v @ np.conj(h))
+        banks[ear] = coeffs
+    return banks["left"], banks["right"], capped

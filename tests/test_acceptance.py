@@ -18,8 +18,10 @@ from bsmrender.config import build_scene, resolve
 from bsmrender.geometry import FrequencyGrid, semicircle_array
 from bsmrender.simulate import render_mic_signals, scene_statistics
 from bsmrender.solvers import CovarianceModel, solve_general, solve_ls, solve_magls
-from bsmrender.sph import spiral_grid, steering_matrix, steering_tensor
+from bsmrender.sph import spiral_grid, steering_tensor
 from bsmrender.stft import StftConfig, istft, stft
+
+from oracles import steering_matrix
 
 
 def _read_nmse_csv(path):

@@ -250,6 +250,23 @@ def test_frame_trim_counts_a_wav_source_from_its_file(tmp_path, capsys):
     assert main(argv) == 0
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--dry-run"], ["simulate"]])
+def test_wav_source_at_another_rate_fails_config(tmp_path, capsys, argv):
+    # the rate is read with the file's frame count at config time, so a
+    # dry run refuses the file that simulate would refuse
+    source = tmp_path / "source.wav"
+    write_wav(source, np.zeros(1600), 16000)
+    config_path = tmp_path / "wav.yaml"
+    config_path.write_text(f"scene: {{source_kind: wav, source_wav: "
+                           f"{str(source)!r}}}\n")
+    rc = main(argv + ["--out", str(tmp_path / "o"),
+                      "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: source wav sample rate 16000 != 48000\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_window_evaluates_the_octaves_holding_bins(tmp_path):
     # a 2 ms window has 375 Hz bins: the 125 and 250 Hz octaves hold none
     # and are left out instead of failing evaluate after every other stage

@@ -1,5 +1,7 @@
 """Filter solvers: LS, covariance-weighted, MagLS, bank design and IO."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
 from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
-from bsmrender.hrtf import flat_hrtf, point_receiver_hrtf
+from bsmrender.hrtf import HrtfSet, flat_hrtf, point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
     BsmFilterBank,
@@ -19,7 +21,10 @@ from bsmrender.solvers import (
     solve_ls,
     solve_magls,
 )
-from bsmrender.sph import spiral_grid, steering_matrix
+from bsmrender.sph import spiral_grid, steering_tensor
+import oracles
+from oracles import assert_bits_equal, design_filterbank_loop, magls_loop, \
+    steering_matrix
 
 
 def _random_system(rng, m, l):
@@ -329,3 +334,164 @@ def test_capped_count_is_not_stored(tmp_path):
     save_filterbank(tmp_path / "b.bsmf", capped, "ab" * 8)
     assert (tmp_path / "a.bsmf").read_bytes() \
         == (tmp_path / "b.bsmf").read_bytes()
+
+
+def _random_hrtf(rng, grid, doas):
+    shape = (len(doas), grid.num_bins)
+    draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return HrtfSet(directions=tuple(doas), left=draw(), right=draw(),
+                   sample_rate=grid.sample_rate)
+
+
+def _relative_per_bin(got, want):
+    return (np.linalg.norm(got - want, axis=1)
+            / np.linalg.norm(want, axis=1)).max()
+
+
+@settings(max_examples=60)
+@given(m=st.integers(1, 6), l=st.integers(1, 12),
+       fft_size=st.sampled_from([8, 16, 32]), radius=st.floats(0.02, 0.2),
+       snr_db=st.floats(-10.0, 40.0), snr_inf=st.booleans(),
+       cutoff_bin=st.integers(0, 16), seed=st.integers(0, 2**16))
+def test_design_filterbank_matches_loop(m, l, fft_size, radius, snr_db,
+                                        snr_inf, cutoff_bin, seed):
+    # LS banks (every L, snr = inf included) and LS bins are the loop's
+    # bits: same A, same right-hand side V h*, same LAPACK solve. A MagLS
+    # bin applies P = A^{-1} V instead, so it is compared with the loop's
+    # MagLS seeded with the same filter of bin b-1: chaining the seeds
+    # would also compare how far each route drifts along the MagLS
+    # solutions' common phase, which rounding alone moves by 1e-6 on some
+    # draws. MagLS draws use a finite SNR: at snr = inf with L < M the
+    # system's condition number is about 1e12, and either route's filter
+    # carries rounding noise of about 1e-4 in the null space of V^H
+    grid = FrequencyGrid.from_fft(48000, fft_size)
+    geom = semicircle_array(m, radius)
+    doas = spiral_grid(l)
+    hrtf = _random_hrtf(np.random.default_rng(seed), grid, doas)
+    snr = np.inf if snr_inf else 10.0 ** (snr_db / 10.0)
+    magls = cutoff_bin > 0 and not snr_inf  # cutoff_bin 0: MagLS off
+    cutoff = float(grid.bin_frequencies[min(max(cutoff_bin, 1),
+                                            grid.num_bins - 1)])
+    cfg = SolverConfig(snr=snr, magls_enabled=magls, magls_cutoff_hz=cutoff)
+    bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
+    if not magls:
+        assert_bits_equal(bank.left, left)
+        assert_bits_equal(bank.right, right)
+        assert bank.magls_capped == capped == 0
+        return
+    vs = steering_tensor(grid, geom, doas)
+    first = int(np.flatnonzero(grid.bin_frequencies >= cutoff)[0])
+    seeded_capped = 0
+    for ear, want in (("left", left), ("right", right)):
+        got = getattr(bank, ear)
+        assert_bits_equal(got[:first], want[:first])
+        for b in range(first, grid.num_bins):
+            c, hit_cap = magls_loop(vs[b], hrtf.response(ear)[:, b], snr,
+                                    got[b - 1])
+            seeded_capped += hit_cap
+            assert _relative_per_bin(got[b:b + 1], c[None]) < 1e-9
+    assert bank.magls_capped == seeded_capped
+
+
+DESK_GRID = FrequencyGrid.from_fft(48000, 2048)  # 1025 bins
+
+
+def test_design_filterbank_matches_loop_at_desk_size():
+    # desk's six mics, its direct bank (one DOA, snr = inf, LS only) and
+    # its reverberant bank (240 DOAs, 20 dB, MagLS from 1500 Hz), with the
+    # point-receiver ears evaluated at the DOAs instead of fitted
+    geom = semicircle_array(6, 0.07)
+    direct = [Direction(np.pi / 2, 0.3)]
+    reverb = spiral_grid(240)
+    cfg = SolverConfig(snr=np.inf)
+    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, direct)
+    bank = design_filterbank(geom, DESK_GRID, direct, hrtf, cfg, tag="direct")
+    left, right, _ = design_filterbank_loop(geom, DESK_GRID, direct, hrtf, cfg)
+    assert_bits_equal(bank.left, left)
+    assert_bits_equal(bank.right, right)
+    cfg = SolverConfig(snr=100.0, magls_enabled=True, magls_cutoff_hz=1500.0)
+    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, reverb)
+    bank = design_filterbank(geom, DESK_GRID, reverb, hrtf, cfg,
+                             tag="reverberant")
+    left, right, capped = design_filterbank_loop(geom, DESK_GRID, reverb,
+                                                 hrtf, cfg)
+    assert _relative_per_bin(bank.left, left) < 1e-9
+    assert _relative_per_bin(bank.right, right) < 1e-9
+    assert bank.magls_capped == capped > 0
+
+
+def test_design_filterbank_zero_response_keeps_angle_phase(monkeypatch):
+    # V = [[1, 1], [1, -1]] at every bin and a left ear that wants [1, 0]:
+    # every filter is a multiple of [1, 1], so the second component of
+    # V^H c is exactly zero and its phase is np.angle's, not 0/0
+    grid = FrequencyGrid.from_fft(48000, 8)
+    v = np.array([[1.0, 1.0], [1.0, -1.0]], complex)
+    vs = np.repeat(v[None], grid.num_bins, axis=0)
+    for module in (solvers, oracles):
+        monkeypatch.setattr(module, "steering_tensor", lambda *args: vs)
+    doas = spiral_grid(2)
+    ones = np.ones(grid.num_bins, complex)
+    hrtf = HrtfSet(directions=tuple(doas), left=np.stack([ones, 0 * ones]),
+                   right=np.stack([ones, 2j * ones]), sample_rate=48000)
+    cfg = SolverConfig(snr=10.0, magls_enabled=True, magls_cutoff_hz=6000.0)
+    geom = semicircle_array(2, 0.07)
+    bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
+    assert np.all((v.conj().T @ bank.left.T)[1] == 0)
+    assert _relative_per_bin(bank.left, left) < 1e-12
+    assert _relative_per_bin(bank.right, right) < 1e-12
+    assert bank.magls_capped == capped
+
+
+@pytest.mark.parametrize("ear, b, where", [
+    ("left", 1, "LS bin"), ("right", 3, "MagLS bin")])
+def test_design_filterbank_names_non_finite_bins(ear, b, where):
+    # checked before any batched solve, so a NaN ends in the named error
+    # of its ear and bin, as in a solve per bin, whichever bank route the
+    # bin takes (MagLS from 10 kHz: bins 2-4)
+    geom = semicircle_array(4, 0.07)
+    doas = spiral_grid(12)
+    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf.response(ear)[5, b] = np.nan
+    cfg = SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0)
+    f = GRID_SMALL.bin_frequencies[b]
+    with pytest.raises(SolverError, match=rf"^{ear} ear, bin {b} \({f:.1f} "
+                                          r"Hz\): non-finite values in h$"):
+        design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg, tag="reverberant")
+
+
+def test_design_filterbank_names_non_finite_steering(monkeypatch):
+    # a bad steering bin is the left ear's first failure, even where the
+    # right ear's responses fail earlier
+    geom = semicircle_array(4, 0.07)
+    doas = spiral_grid(12)
+    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf.right[0, 1] = np.inf
+    vs = steering_tensor(GRID_SMALL, geom, doas)
+    vs[3, 2, 7] = np.nan
+    monkeypatch.setattr(solvers, "steering_tensor", lambda *args: vs)
+    with pytest.raises(SolverError, match=r"^left ear, bin 3 \(18000\.0 Hz\): "
+                                          r"non-finite values in v$"):
+        design_filterbank(geom, GRID_SMALL, doas, hrtf, SolverConfig(),
+                          tag="reverberant")
+
+
+def test_design_filterbank_peak_memory():
+    # at desk size the steering tensor V (bins, M, L) is the largest array.
+    # It is exponentiated in place, the Gram V V^H conjugates 64 bins at a
+    # time and P = A^{-1} V is formed one bin at a time, so no second
+    # (bins, M, L) array is ever traced; the rest is the conjugated ear
+    # responses (bins, L) and V's finiteness mask
+    geom = semicircle_array(6, 0.07)
+    doas = spiral_grid(240)
+    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, doas)
+    cfg = SolverConfig(snr=100.0, magls_enabled=True, magls_cutoff_hz=1500.0)
+    tensor = DESK_GRID.num_bins * 6 * 240 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        design_filterbank(geom, DESK_GRID, doas, hrtf, cfg, tag="reverberant")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * tensor, (peak, tensor)
