@@ -24,10 +24,10 @@ from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import FrequencyGrid
 from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, point_receiver_hrtf,
-                   sh_fit, sh_fit_operator)
+                   sh_fit_operator)
 from .render import apply_filterbank
-from .simulate import add_noise, binaural_references, render_mic_signals, \
-    scene_images, scene_statistics
+from .simulate import add_noise, binaural_references, max_arrival_delay, \
+    render_mic_signals, scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid
 from .stft import istft, stft
@@ -49,8 +49,9 @@ def _grid(cfg, stft_cfg):
     return FrequencyGrid.from_fft(cfg["sample_rate"], stft_cfg.fft_size)
 
 
-def _hrtf_coeffs(cfg, grid):
-    """SH expansion of the configured HRTF model.
+def _hrtf_coeffs(cfg, grid, keep_order):
+    """SH expansion of the configured HRTF model up to `keep_order`; only
+    those rows of the fit operator are formed and applied.
 
     For the analytic models the fit operator is built before the responses
     exist, so the fit's SVD and the responses are never held at once; a
@@ -58,18 +59,19 @@ def _hrtf_coeffs(cfg, grid):
     """
     design = cfg["design"]
     kind = design["hrtf_kind"]
-    order = design["hrtf_sh_order"]
     if kind == "file":
         base = load_hrtf(design["hrtf_file"], fft_size=(grid.num_bins - 1) * 2)
         if int(base.sample_rate) != cfg["sample_rate"]:
             raise ValueError(f"HRTF sample rate {base.sample_rate} does not "
                              f"match the run sample rate {cfg['sample_rate']}")
-        return sh_fit(base, order)
-    measured_on = spiral_grid(design["hrtf_grid_size"])
-    operator = sh_fit_operator(order, measured_on)
+        measured_on = base.directions
+    else:
+        measured_on = spiral_grid(design["hrtf_grid_size"])
+    operator = sh_fit_operator(design["hrtf_sh_order"], measured_on,
+                               keep_order)
     if kind == "flat":
         base = flat_hrtf(grid, measured_on)
-    else:
+    elif kind == "point":
         base = point_receiver_hrtf(design["hrtf_ear_offset"], grid,
                                    measured_on)
     return apply_sh_fit(operator, base)
@@ -98,6 +100,12 @@ def run_simulate(cfg, out_dir):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
+    # the fit, simulate's peak, runs before the room's arrays exist and
+    # forms only the reference's rows; a too-short RIR fails before it
+    max_arrival_delay(scene, rir_s)
+    ref_order = cfg["design"]["reference_order"]
+    hrtf_sh = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg), ref_order)
+
     images = scene_images(scene, max_order, rir_s)
     stats = scene_statistics(scene, max_order, rir_s, images)
     stats["scene_digest"] = digest
@@ -113,10 +121,6 @@ def run_simulate(cfg, out_dir):
     center = images[0]
     del x, x_d, images
 
-    # the reference decodes only its own order: a truncated copy lets the
-    # full fit go before the reference runs
-    ref_order = cfg["design"]["reference_order"]
-    hrtf_sh = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg)).truncated(ref_order)
     ref, ref_direct = binaural_references(
         center, scene.source_signal, hrtf_sh, stft_cfg, ref_order, rir_s)
     entries = _write_binaural(
@@ -140,7 +144,7 @@ def run_design(cfg, out_dir):
     stft_cfg = cfgmod.build_stft_config(cfg)
     grid = _grid(cfg, stft_cfg)
     geom = cfgmod.build_array(cfg)
-    coeffs = _hrtf_coeffs(cfg, grid)
+    coeffs = _hrtf_coeffs(cfg, grid, design["hrtf_sh_order"])
 
     direct_doas = [cfgmod.direct_direction(cfg)]
     reverb_doas = spiral_grid(design["reverb_grid_size"])

@@ -107,16 +107,18 @@ def flat_hrtf(grid, directions):
                    sample_rate=grid.sample_rate)
 
 
-def sh_fit_operator(order, directions):
-    """The least-squares fit operator pinv(Y), shape (C, directions), of
-    the SH matrix Y of `directions`, C = (order+1)^2.
+def sh_fit_operator(order, directions, keep_order=None):
+    """The least-squares fit operator pinv(Y), shape (rows, directions), of
+    the SH matrix Y of `directions`, C = (order+1)^2: all C rows, or only
+    the first (keep_order+1)^2 (never more than C).
 
     Takes np.linalg.pinv's steps (the SVD of conj(Y), the cutoff 1e-15
     sigma_max, the reciprocal, the product), so the result is bitwise
-    pinv(Y), but conjugates Y in place and frees Y and U as soon as they
-    are used. An underdetermined fit (fewer than C directions) or a
-    rank-deficient one (a singular value at or below the cutoff) is an
-    error rather than a regularized or least-norm guess.
+    pinv(Y), or its first rows, but conjugates Y in place, frees Y and U as
+    soon as they are used and forms only the kept rows. An underdetermined
+    fit (fewer than C directions) or a rank-deficient one (a singular value
+    at or below the cutoff) is an error rather than a regularized or
+    least-norm guess.
     """
     c = num_coeffs(order)
     if len(directions) < c:
@@ -133,7 +135,8 @@ def sh_fit_operator(order, directions):
     s = np.divide(1, s, where=large, out=s)
     scaled = s[:, None] * u.T
     del u
-    return vt.T @ scaled
+    rows = num_coeffs(order if keep_order is None else min(keep_order, order))
+    return vt.T[:rows] @ scaled
 
 
 def apply_sh_fit(operator, hrtf_set):

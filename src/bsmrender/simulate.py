@@ -95,13 +95,17 @@ class Scene:
                     raise ValueError("every microphone must be inside the room")
             # a receiver on the source sees its direct path at distance 0:
             # an infinite gain and no arrival direction
-            for pos in (self.array.center_position,
-                        *self.array.room_positions()):
+            for pos in self.receivers:
                 if tuple(float(v) for v in pos) == self.source_position:
                     raise ValueError("the source must not sit on the array "
                                      "center or a microphone")
         if np.asarray(self.source_signal).size == 0:
             raise ValueError("source signal is empty")
+
+    @property
+    def receivers(self):
+        """The array center, then each microphone, in room coordinates."""
+        return (self.array.center_position, *self.array.room_positions())
 
 
 @dataclass(frozen=True)
@@ -224,28 +228,34 @@ def render_rir(images, num_samples, sample_rate):
     return _delay_matrix(images, num_samples, sample_rate) @ images.gains
 
 
-def scene_images(scene, max_order, rir_seconds):
-    """Image sources seen from the array center and from each microphone:
-    (center list, [one list per mic]). One enumeration per receiver, shared
-    by scene_statistics, render_mic_signals and binaural_references."""
+def max_arrival_delay(scene, rir_seconds):
+    """The latest arrival whose sinc taps all fit in an `rir_seconds` RIR.
+    An RIR too short for the direct path to a receiver, which would leave
+    it no image, is an error; the direct delays are formed as
+    compute_image_sources forms them, so the two agree to the bit."""
     fs = scene.sample_rate
-    # latest arrival whose sinc taps all fit in the RIR
     max_delay = (int(round(rir_seconds * fs)) - _HALF - 1) / fs
-    receivers = (scene.array.center_position, *scene.array.room_positions())
-    images = [compute_image_sources(scene.room, scene.source_position,
-                                    tuple(receiver), max_order, max_delay)
-              for receiver in receivers]
-    if any(imgs.count == 0 for imgs in images):
-        # the direct path always survives the order bound, so only the
-        # delay bound empties a list
-        dist = max(np.linalg.norm(np.subtract(scene.source_position, r))
-                   for r in receivers)
+    dists = np.linalg.norm(
+        np.subtract(scene.source_position, scene.receivers), axis=1)
+    if np.any(dists / scene.room.speed_of_sound > max_delay):
+        dist = dists.max()
         need = (int(np.ceil(dist / scene.room.speed_of_sound * fs))
                 + _HALF + 1) / fs
         raise ValueError(
             f"rir_seconds {rir_seconds:g} is shorter than the direct path to "
             f"a receiver {dist:.3f} m from the source; with its sinc taps "
             f"it needs rir_seconds >= {need:.6g}")
+    return max_delay
+
+
+def scene_images(scene, max_order, rir_seconds):
+    """Image sources seen from the array center and from each microphone:
+    (center list, [one list per mic]). One enumeration per receiver, shared
+    by scene_statistics, render_mic_signals and binaural_references."""
+    max_delay = max_arrival_delay(scene, rir_seconds)
+    images = [compute_image_sources(scene.room, scene.source_position,
+                                    tuple(receiver), max_order, max_delay)
+              for receiver in scene.receivers]
     return images[0], images[1:]
 
 

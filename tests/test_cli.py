@@ -493,7 +493,7 @@ def test_hrtf_fit_peak_memory():
     live = (c * d + 2 * d * bins + 2 * c * bins) * item
     tracemalloc.start()
     try:
-        coeffs = cli._hrtf_coeffs(cfg, grid)
+        coeffs = cli._hrtf_coeffs(cfg, grid, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -502,19 +502,32 @@ def test_hrtf_fit_peak_memory():
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
-    # coefficients truncated to the reference order that own their data,
-    # so the full order-5 fit is not reachable while the reference runs
-    seen = []
+    # the fit runs before the room is enumerated and forms only the rows of
+    # the reference order, so the reference gets coefficients that own
+    # their data and no order-5 fit ever exists
+    seen, events = [], []
 
     def spy(images, source, hrtf_sh, *args):
         seen.append(hrtf_sh)
         return simulate.binaural_references(images, source, hrtf_sh, *args)
 
+    def fit_spy(operator, hrtf_set):
+        events.append(("fit", operator.shape[0]))
+        return apply_fit(operator, hrtf_set)
+
+    def images_spy(*args):
+        events.append(("images", None))
+        return simulate.scene_images(*args)
+
+    apply_fit = cli.apply_sh_fit
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
+    monkeypatch.setattr(cli, "apply_sh_fit", fit_spy)
+    monkeypatch.setattr(cli, "scene_images", images_spy)
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
+    assert events == [("fit", 9), ("images", None)]
     (hrtf_sh,) = seen
     assert hrtf_sh.order == 2
     assert hrtf_sh.left.shape[0] == hrtf_sh.right.shape[0] == 9
@@ -562,6 +575,21 @@ def test_rir_shorter_than_direct_path_fails_simulate_stage(tmp_path, capsys):
         "error [simulate]: rir_seconds 0.001 is shorter than the direct path "
         "to a receiver 0.711 m from the source; with its sinc taps it needs "
         "rir_seconds >= 0.0024375\n")
+
+
+def test_rir_too_short_is_refused_before_the_fit(tmp_path, capsys,
+                                                monkeypatch):
+    # the RIR length check needs only the geometry, so a too-short RIR
+    # fails before the seconds-long HRTF fit rather than after it
+    fits = []
+    monkeypatch.setattr(cli, "_hrtf_coeffs", lambda *args: fits.append(args))
+    config_path = tmp_path / "short.yaml"
+    config_path.write_text("scene: {rir_seconds: 0.001}\n")
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert "shorter than the direct path" in capsys.readouterr().err
+    assert fits == []
 
 
 @st.composite

@@ -16,7 +16,7 @@ from bsmrender.hrtf import (
     sh_fit,
     sh_fit_operator,
 )
-from bsmrender.sph import sh_matrix, spiral_grid
+from bsmrender.sph import num_coeffs, sh_matrix, spiral_grid
 from oracles import assert_bits_equal, sh_interpolate
 
 GRID = FrequencyGrid.from_fft(48000, 512)
@@ -137,8 +137,14 @@ def test_sh_fit_on_two_directions():
                                           (14, 300)])
 def test_fit_operator_bitwise_equals_pinv(order, count):
     dirs = spiral_grid(count)
-    assert_bits_equal(sh_fit_operator(order, dirs),
-                      np.linalg.pinv(sh_matrix(order, dirs)))
+    pinv = np.linalg.pinv(sh_matrix(order, dirs))
+    assert_bits_equal(sh_fit_operator(order, dirs), pinv)
+    # a lower-order consumer gets the first rows of the same fit, bit for bit
+    keep = order // 2
+    assert_bits_equal(sh_fit_operator(order, dirs, keep),
+                      pinv[:num_coeffs(keep)])
+    # never padded above the fit's own order
+    assert_bits_equal(sh_fit_operator(order, dirs, order + 1), pinv)
 
 
 def test_fit_operator_peak_memory():
