@@ -107,36 +107,73 @@ def flat_hrtf(grid, directions):
                    sample_rate=grid.sample_rate)
 
 
+# a fit is refused when s_min/s_max <= RANK_RTOL (lambda_min/lambda_max
+# <= 1e-10 on the Gram matrix), where the Gram route's rounding error,
+# about kappa^2 eps, reaches 1e-6
+RANK_RTOL = 1e-5
+GRAM_BLOCKS = 8  # column blocks in which the Gram matrix is formed
+
+
+def _refuse_rank_deficient(order, large):
+    """ValueError unless every singular value is above the cutoff."""
+    if not large.all():
+        raise ValueError(
+            f"SH fit of order {order} is rank deficient on this direction "
+            f"grid: rank {int(large.sum())} of {large.size} coefficients")
+
+
 def sh_fit_operator(order, directions, keep_order=None):
     """The least-squares fit operator pinv(Y), shape (rows, directions), of
     the SH matrix Y of `directions`, C = (order+1)^2: all C rows, or only
     the first (keep_order+1)^2 (never more than C).
 
-    Takes np.linalg.pinv's steps (the SVD of conj(Y), the cutoff 1e-15
-    sigma_max, the reciprocal, the product), so the result is bitwise
-    pinv(Y), or its first rows, but conjugates Y in place, frees Y and U as
-    soon as they are used and forms only the kept rows. An underdetermined
-    fit (fewer than C directions) or a rank-deficient one (a singular value
-    at or below the cutoff) is an error rather than a regularized or
-    least-norm guess.
+    The full operator takes np.linalg.pinv's steps (the SVD of conj(Y), the
+    reciprocal, the product), so it is bitwise pinv(Y), but conjugates Y in
+    place and frees Y and U as soon as they are used. Leading rows come
+    through the Gram matrix instead, within about kappa(Y)^2 eps of pinv's
+    at about half the SVD's CPU time. The full operator keeps the SVD only
+    because design's direct bank, an ill-conditioned solve, turns a
+    rounding-level change in the fit into a 1e-3 change per bin; once that
+    bank is solved in closed form (ROADMAP item 1), the SVD route is
+    deleted and every fit takes the Gram route.
+
+    An underdetermined fit (fewer than C directions) or one with
+    s_min/s_max <= RANK_RTOL (rank counted at that cutoff) is an error
+    rather than a regularized or least-norm guess.
     """
     c = num_coeffs(order)
     if len(directions) < c:
         raise ValueError(f"SH fit of order {order} needs >= {c} directions, "
                          f"got {len(directions)}")
+    rows = num_coeffs(order if keep_order is None else min(keep_order, order))
     y = sh_matrix(order, directions)
+    if rows < c:
+        return _leading_rows(order, y, rows)
     u, s, vt = np.linalg.svd(np.conjugate(y, out=y), full_matrices=False)
     del y
-    large = s > 1e-15 * s.max()
-    if not large.all():
-        raise ValueError(
-            f"SH fit of order {order} is rank deficient on this direction "
-            f"grid: rank {int(large.sum())} of {c} coefficients")
-    s = np.divide(1, s, where=large, out=s)
+    _refuse_rank_deficient(order, s > RANK_RTOL * s.max())
+    s = np.divide(1, s, out=s)
     scaled = s[:, None] * u.T
     del u
-    rows = num_coeffs(order if keep_order is None else min(keep_order, order))
-    return vt.T[:rows] @ scaled
+    return vt.T @ scaled
+
+
+def _leading_rows(order, y, rows):
+    """The first `rows` rows (Y X)^H of pinv(Y), G X = I[:, :rows] with
+    G = Y^H Y. conj(G) = Y^T conj(Y) is formed in column blocks, so Y
+    exists once; W = conj(X) solves conj(G) W = I[:, :rows], so the rows
+    are (conj(Y) W)^T, with Y conjugated in place."""
+    c = y.shape[1]
+    gram = np.empty((c, c), dtype=complex)
+    width = -(-c // GRAM_BLOCKS)
+    for start in range(0, c, width):
+        cols = slice(start, start + width)
+        gram[:, cols] = y.T @ y[:, cols].conj()
+    lam = np.linalg.eigvalsh(gram)
+    _refuse_rank_deficient(order, lam > RANK_RTOL ** 2 * lam[-1])
+    w = np.linalg.solve(gram, np.eye(c, rows, dtype=complex))
+    del gram
+    return (np.conjugate(y, out=y) @ w).T
 
 
 def apply_sh_fit(operator, hrtf_set):
@@ -148,13 +185,6 @@ def apply_sh_fit(operator, hrtf_set):
                               left=operator @ hrtf_set.left,
                               right=operator @ hrtf_set.right,
                               sample_rate=hrtf_set.sample_rate)
-
-
-def sh_fit(hrtf_set, order):
-    """Least-squares SH expansion per bin, both ears: the fit operator of
-    the set's directions applied to its responses."""
-    return apply_sh_fit(sh_fit_operator(order, hrtf_set.directions),
-                        hrtf_set)
 
 
 def evaluate_sh(coeffs, targets):

@@ -2,13 +2,14 @@
 
 Closed-form and truncated-series plane-wave steering, the steering
 matrix of one frequency, the unit vector of a Direction, the largest
-radius of an array, the Cartesian to spherical conversion,
-fit-then-evaluate HRTF interpolation, the SH vector of one direction, the
-spherical-harmonic matrix from one call per (n, m) and from one call for
-all directions, STFT framing through a padded copy of the signal, the
-version 1 (double precision) binaural spectrogram file, and filter-bank
-design as one LS or MagLS solve per bin and ear. The library itself needs
-none of them; tests use them as oracles for what it does compute.
+radius of an array, the Cartesian to spherical conversion, the pinv
+HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
+one direction, the spherical-harmonic matrix from one call per (n, m)
+and from one call for all directions, STFT framing through a padded
+copy of the signal, the version 1 (double precision) binaural
+spectrogram file, and filter-bank design as one LS or MagLS solve per
+bin and ear. The library itself needs none of them; tests use them as
+oracles for what it does compute.
 """
 
 import struct
@@ -18,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
 from bsmrender.geometry import Direction, directions_to_arrays, sph_to_cart
-from bsmrender.hrtf import evaluate_sh, sh_fit
+from bsmrender.hrtf import apply_sh_fit, evaluate_sh, sh_fit_operator
 from bsmrender import solvers
 from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
 
@@ -95,6 +96,14 @@ def cart_to_sph(xyz):
     theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
     phi = float(np.arctan2(y, x))
     return r, Direction(theta, phi)
+
+
+def sh_fit(hrtf_set, order):
+    """The pinv oracle: least-squares SH expansion per bin, both ears, by
+    the full fit operator (bitwise np.linalg.pinv of the set's SH matrix,
+    with the library's refusals) applied to the set's responses."""
+    return apply_sh_fit(sh_fit_operator(order, hrtf_set.directions),
+                        hrtf_set)
 
 
 def sh_interpolate(hrtf_set, order, targets):

@@ -466,6 +466,54 @@ def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def _flat_hrtf_file_config(tmp_path, directions, **design):
+    """A config whose HRTF is a flat BSMH file on `directions`, with the
+    given design keys."""
+    hrtf = tmp_path / "grid.bsmh"
+    ir = np.zeros((len(directions), 16))
+    ir[:, 0] = 1.0
+    save_hrtf(hrtf, directions, ir, ir, 48000)
+    config_path = tmp_path / "grid.yaml"
+    config_path.write_text(
+        f"design:\n  hrtf_kind: file\n  hrtf_file: {str(hrtf)!r}\n"
+        + "".join(f"  {key}: {value}\n" for key, value in design.items()))
+    return config_path
+
+
+@pytest.mark.parametrize("reference_order", [1, 2])
+def test_rank_deficient_hrtf_file_fails_simulate_stage(tmp_path, capsys,
+                                                       reference_order):
+    # the reference's fit: its leading rows through the Gram matrix (order
+    # 1 of 2) or the whole operator through the SVD (order 2) refuse the
+    # equator grid with design's message
+    equator = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    config_path = _flat_hrtf_file_config(tmp_path, equator, hrtf_sh_order=2,
+                                         reference_order=reference_order)
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert ("error [simulate]: SH fit of order 2 is rank deficient on this "
+            "direction grid: rank 5 of 9 coefficients") \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage", ["simulate", "design"])
+def test_ill_conditioned_hrtf_file_fails_both_fits(tmp_path, capsys, stage):
+    # full rank, but s_min/s_max = 3e-7 at order 1: at or below the 1e-5
+    # cutoff, which simulate's Gram route (reference order 0) and design's
+    # SVD route share
+    ring = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    config_path = _flat_hrtf_file_config(
+        tmp_path, [*ring, Direction(math.pi / 2 - 1e-6, 0.3)],
+        hrtf_sh_order=1, reference_order=0)
+    rc = main([stage, "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES[stage]
+    assert (f"error [{stage}]: SH fit of order 1 is rank deficient on this "
+            "direction grid: rank 3 of 4 coefficients") \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("message, shown", [("", "out of memory"),
                                             ("cannot allocate 2 GiB",
                                              "cannot allocate 2 GiB")])

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
 from bsmrender.geometry import Direction, FrequencyGrid, directions_to_arrays
@@ -13,11 +15,10 @@ from bsmrender.hrtf import (
     evaluate_sh,
     flat_hrtf,
     point_receiver_hrtf,
-    sh_fit,
     sh_fit_operator,
 )
 from bsmrender.sph import num_coeffs, sh_matrix, spiral_grid
-from oracles import assert_bits_equal, sh_interpolate
+from oracles import assert_bits_equal, sh_fit, sh_interpolate
 
 GRID = FrequencyGrid.from_fft(48000, 512)
 
@@ -133,18 +134,63 @@ def test_sh_fit_on_two_directions():
     np.testing.assert_allclose(back.left, 1.0, rtol=1e-14)
 
 
+def _assert_rows_of_pinv(order, count, keep):
+    """The leading-rows route against the first rows of np.linalg.pinv,
+    within 1e-12 relative (Frobenius)."""
+    dirs = spiral_grid(count)
+    want = np.linalg.pinv(sh_matrix(order, dirs))[:num_coeffs(keep)]
+    got = sh_fit_operator(order, dirs, keep)
+    assert got.shape == want.shape
+    err = np.linalg.norm(got - want) / np.linalg.norm(want)
+    assert err <= 1e-12, (order, count, keep, err)
+
+
 @pytest.mark.parametrize("order, count", [(0, 2), (5, 36), (10, 150),
                                           (14, 300)])
 def test_fit_operator_bitwise_equals_pinv(order, count):
     dirs = spiral_grid(count)
     pinv = np.linalg.pinv(sh_matrix(order, dirs))
     assert_bits_equal(sh_fit_operator(order, dirs), pinv)
-    # a lower-order consumer gets the first rows of the same fit, bit for bit
-    keep = order // 2
-    assert_bits_equal(sh_fit_operator(order, dirs, keep),
-                      pinv[:num_coeffs(keep)])
+    # a lower-order consumer gets the first rows of the same fit, through
+    # the Gram matrix
+    _assert_rows_of_pinv(order, count, order // 2)
     # never padded above the fit's own order
     assert_bits_equal(sh_fit_operator(order, dirs, order + 1), pinv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.integers(0, 12), extra=st.floats(1.2, 3.0))
+def test_leading_rows_match_pinv(order, extra):
+    # every keep order below the fit's, on spiral grids of at least 1.2 C
+    # directions (condition number below 2.5)
+    count = int(np.ceil(extra * num_coeffs(order)))
+    for keep in range(order):
+        _assert_rows_of_pinv(order, count, keep)
+
+
+def test_leading_rows_match_pinv_at_reference_size():
+    # the binaural reference's 225 rows of the order-30 fit on 1 600
+    # directions, as simulate forms them on both profiles
+    _assert_rows_of_pinv(30, 1600, 14)
+
+
+def test_leading_rows_peak_memory():
+    # the Gram route holds Y once: Y, G, the solve's identity and result
+    # and the product, with the Gram matrix's column-block scratch and
+    # sh_matrix's per-block scratch below the rest
+    order, count, keep = 30, 1600, 14
+    c, rows = num_coeffs(order), num_coeffs(keep)
+    dirs = spiral_grid(count)
+    tracemalloc.start()
+    try:
+        op = sh_fit_operator(order, dirs, keep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op.shape == (rows, count)
+    items = count * c + c * c + (count + c) * rows
+    bound = 1.1 * items * np.dtype(complex).itemsize
+    assert peak <= bound, (peak, bound)
 
 
 def test_fit_operator_peak_memory():
@@ -192,6 +238,25 @@ def test_rank_deficient_grid_is_refused():
     with pytest.raises(ValueError, match="rank 3 of 4"):
         sh_fit_operator(1, equator)
     sh_fit_operator(0, equator)
+
+
+def test_ill_conditioned_grid_is_refused_by_both_routes():
+    # one direction 1e-6 rad off an equator ring makes the order-1 fit full
+    # rank, but with s_min/s_max = 3e-7, below the 1e-5 cutoff; 1e-3 rad
+    # off (3e-4) passes
+    ring = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    off = [*ring, Direction(np.pi / 2 - 1e-6, 0.3)]
+    s = np.linalg.svd(sh_matrix(1, off), compute_uv=False)
+    assert 1e-15 < s[-1] / s[0] < 1e-5
+    for keep in (None, 0):
+        with pytest.raises(ValueError, match="rank 3 of 4 coefficients"):
+            sh_fit_operator(1, off, keep)
+    # the Gram route counts a rank-deficient grid's rank as the SVD does
+    with pytest.raises(ValueError, match="rank 5 of 9 coefficients"):
+        sh_fit_operator(2, ring, 1)
+    near = [*ring, Direction(np.pi / 2 - 1e-3, 0.3)]
+    assert sh_fit_operator(1, near).shape == (4, 17)
+    assert sh_fit_operator(1, near, 0).shape == (1, 17)
 
 
 def test_truncated_coefficients():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.geometry import Direction, FrequencyGrid
-from bsmrender.hrtf import point_receiver_hrtf, sh_fit
+from bsmrender.hrtf import point_receiver_hrtf
 from bsmrender.render import apply_filterbank, decode_matrix
 from bsmrender.simulate import RoomSpec, binaural_references, \
     compute_image_sources, render_rir
@@ -14,6 +14,7 @@ from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
     stft
+from oracles import sh_fit
 
 CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
 BINS = CFG.num_bins

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsmrender.geometry import SPEED_OF_SOUND, FrequencyGrid, semicircle_array
-from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_hrtf, sh_fit
+from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_hrtf
 from bsmrender import simulate
 from bsmrender.simulate import (
     ImageSourceList,
@@ -36,7 +36,7 @@ from bsmrender.simulate import (
 )
 from bsmrender.sph import sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal
+from oracles import assert_bits_equal, sh_fit
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves, reverb_chunk_unblocked
 
