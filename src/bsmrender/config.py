@@ -25,11 +25,9 @@ class ConfigError(ValueError):
     pass
 
 
-_NUM = (int, float)
-
 # leaf validators: (predicate, description)
 _SCHEMA = {
-    "sample_rate": (lambda v: isinstance(v, int) and v > 0, "positive int"),
+    "sample_rate": (lambda v: _int(v, 1), "positive int"),
     "scene": {
         "room_dimensions": (lambda v: _vec(v, 3, positive=True), "3 positive numbers"),
         "target_t60_s": (lambda v: v is None or _pos(v), "positive number or null"),
@@ -43,33 +41,31 @@ _SCHEMA = {
         "array_center": (lambda v: _vec(v, 3), "3 numbers"),
         "array_kind": (lambda v: v in ("semicircle", "explicit"),
                        "semicircle|explicit"),
-        "array_num_mics": (lambda v: isinstance(v, int) and v >= 1, "int >= 1"),
+        "array_num_mics": (lambda v: _int(v, 1), "int >= 1"),
         "array_radius": (lambda v: _pos(v), "positive number"),
-        "array_mics": (lambda v: v is None or all(_vec(m, 3) for m in v),
+        "array_mics": (lambda v: v is None or (isinstance(v, list)
+                       and all(_vec(m, 3) for m in v)),
                        "list of [radius, colat, azim] or null"),
-        "noise_snr_db": (lambda v: v is None or isinstance(v, _NUM),
-                         "number or null"),
+        "noise_snr_db": (lambda v: v is None or _num(v), "number or null"),
         "rir_seconds": (lambda v: _pos(v), "positive number"),
-        "max_reflection_order": (lambda v: isinstance(v, int) and v >= 0,
-                                 "int >= 0"),
-        "seed": (lambda v: isinstance(v, int) and v >= 0, "unsigned int"),
+        "max_reflection_order": (lambda v: _int(v, 0), "int >= 0"),
+        "seed": (lambda v: _int(v, 0), "unsigned int"),
     },
     "design": {
         "direct_doa": (lambda v: _vec(v, 2), "[colatitude, azimuth]"),
-        "reverb_grid_size": (lambda v: isinstance(v, int) and v >= 1, "int >= 1"),
-        "direct_snr_db": (lambda v: v is None or isinstance(v, _NUM),
+        "reverb_grid_size": (lambda v: _int(v, 1), "int >= 1"),
+        "direct_snr_db": (lambda v: v is None or _num(v),
                           "number or null (null = no regularization)"),
-        "reverb_snr_db": (lambda v: v is None or isinstance(v, _NUM),
-                          "number or null"),
+        "reverb_snr_db": (lambda v: v is None or _num(v), "number or null"),
         "magls_enabled": (lambda v: isinstance(v, bool), "bool"),
         "magls_cutoff_hz": (lambda v: _pos(v), "positive number"),
         "hrtf_kind": (lambda v: v in ("point", "flat", "file"),
                       "point|flat|file"),
         "hrtf_ear_offset": (lambda v: _pos(v), "positive number"),
-        "hrtf_grid_size": (lambda v: isinstance(v, int) and v >= 1, "int >= 1"),
-        "hrtf_sh_order": (lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
+        "hrtf_grid_size": (lambda v: _int(v, 1), "int >= 1"),
+        "hrtf_sh_order": (lambda v: _int(v, 0), "int >= 0"),
         "hrtf_file": (lambda v: v is None or isinstance(v, str), "path or null"),
-        "reference_order": (lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
+        "reference_order": (lambda v: _int(v, 0), "int >= 0"),
     },
     "stft": {
         "window_ms": (lambda v: _pos(v), "positive number"),
@@ -78,20 +74,30 @@ _SCHEMA = {
     "evaluation": {
         "bands": (lambda v: v == "octave" or (isinstance(v, list)
                   and all(_vec(b, 2) for b in v)), "octave or [[lo, hi], ...]"),
-        "frame_trim": (lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
+        "frame_trim": (lambda v: _int(v, 0), "int >= 0"),
     },
 }
 
 
+def _num(v):
+    """A finite int or float; YAML's true and false are ints, not numbers."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and (isinstance(v, int) or math.isfinite(v)))
+
+
+def _int(v, lo):
+    return _num(v) and isinstance(v, int) and v >= lo
+
+
 def _pos(v):
-    return isinstance(v, _NUM) and v > 0
+    return _num(v) and v > 0
 
 
 def _vec(v, n, positive=False, lo=None, hi=None):
     if not (isinstance(v, (list, tuple)) and len(v) == n):
         return False
     for x in v:
-        if not isinstance(x, _NUM):
+        if not _num(x):
             return False
         if positive and x <= 0:
             return False

@@ -9,15 +9,15 @@ BSMH. WAV has no version field and keeps its version 1 layout.
 - WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
   optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
 - BSMG version 2, binaural spectrogram: u32 sample rate, window, hop, FFT
-  size, frames, bins; str tag; digest; the (2, frames, bins) <c8 left/right
-  block. Spectrograms are stored at single precision and read back as
-  complex128; version 1 stored the same header with a <c16 block and is
-  refused.
+  size, frames, bins; str tag; digest; the (2, frames, bins) <c8 ears
+  block, left ear first. Spectrograms are stored at single precision and
+  read back as complex128; version 1 stored the same header with a <c16
+  block and is refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size; str tag;
   digest; str solver config (JSON, sorted keys, default separators); the
-  left, then the right (bins, mics) <c16 block.
+  (2, bins, mics) <c16 ears block, left ear first.
 - BSMH, HRTF set: u32 sample rate, directions D, taps T; the (D, 2) <f8
-  colatitude/azimuth table; the left, then the right (D, T) <f4 IR block.
+  colatitude/azimuth table; the (2, D, T) <f4 IR block, left ear first.
 
 manifest.json maps artifact names to content hashes so later stages can
 refuse stale or corrupted inputs. Every reader parses through one
@@ -273,8 +273,7 @@ def save_filterbank(path, bank, digest):
         fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
                          int(bank.sample_rate), bank.fft_size)
                  + _string(bank.tag) + _digest_bytes(digest) + _string(config))
-        fh.write(np.ascontiguousarray(bank.left, dtype="<c16"))
-        fh.write(np.ascontiguousarray(bank.right, dtype="<c16"))
+        fh.write(np.ascontiguousarray(bank.ears, dtype="<c16"))
 
 
 def load_filterbank(path):
@@ -284,11 +283,10 @@ def load_filterbank(path):
     tag = cur.string("tag")
     digest = cur.ascii(DIGEST_LEN, "digest")
     config = cur.string("solver config")
-    left = cur.array("<c16", (bins, mics), "left filters")
-    right = cur.array("<c16", (bins, mics), "right filters")
+    ears = cur.array("<c16", (2, bins, mics), "filters")
     cur.end()
     with cur.checked("filter bank"):
-        bank = BsmFilterBank(left=left, right=right, tag=tag,
+        bank = BsmFilterBank(ears=ears, tag=tag,
                              config=SolverConfig(**json.loads(config)),
                              sample_rate=float(rate), fft_size=fft_size)
     return bank, digest
@@ -320,8 +318,7 @@ def load_hrtf(path, fft_size):
     if count == 0 or taps == 0:
         cur.fail("empty HRTF set")
     table = cur.array("<f8", (count, 2), "direction table")
-    left_ir = cur.array("<f4", (count, taps), "left impulse responses")
-    right_ir = cur.array("<f4", (count, taps), "right impulse responses")
+    irs = cur.array("<f4", (2, count, taps), "impulse responses")
     cur.end()
     if not np.all(np.isfinite(table)):
         cur.fail("non-finite direction")
@@ -329,8 +326,7 @@ def load_hrtf(path, fft_size):
         cur.fail(f"{taps}-tap impulse responses exceed fft_size {fft_size}")
     with cur.checked("HRTF set"):
         return HrtfSet(directions=tuple(Direction(t, p) for t, p in table),
-                       left=np.fft.rfft(left_ir, n=fft_size, axis=1),
-                       right=np.fft.rfft(right_ir, n=fft_size, axis=1),
+                       ears=np.fft.rfft(irs, n=fft_size, axis=2),
                        sample_rate=float(rate))
 
 

@@ -21,22 +21,19 @@ from .sph import num_coeffs, sh_matrix
 class HrtfSet:
     """Direction-indexed ear responses on a one-sided frequency grid.
 
-    left/right hold complex responses of shape (directions, bins).
+    ears holds complex responses (2, directions, bins), left ear first.
     """
 
     directions: tuple
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
+    ears: np.ndarray = field(repr=False)
     sample_rate: float
 
     def __post_init__(self):
         if len(self.directions) == 0:
             raise ValueError("direction list is empty")
-        if self.left.shape != self.right.shape:
-            raise ValueError("left/right response shapes differ")
-        if self.left.shape[0] != len(self.directions):
-            raise ValueError("response rows do not match direction count")
-        if not (np.all(np.isfinite(self.left)) and np.all(np.isfinite(self.right))):
+        if self.ears.ndim != 3 or self.ears.shape[:2] != (2, self.num_directions):
+            raise ValueError("responses must have shape (2, directions, bins)")
+        if not np.all(np.isfinite(self.ears)):
             raise ValueError("non-finite HRTF responses")
 
     @property
@@ -45,41 +42,20 @@ class HrtfSet:
 
     @property
     def num_bins(self):
-        return self.left.shape[1]
-
-    def response(self, ear):
-        if ear == "left":
-            return self.left
-        if ear == "right":
-            return self.right
-        raise ValueError(f"unknown ear {ear!r}")
+        return self.ears.shape[2]
 
 
 @dataclass(frozen=True)
 class HrtfSHCoefficients:
-    """Per-bin SH expansion of an HrtfSet, coefficients shape (C, bins)."""
+    """Per-bin SH expansion of an HrtfSet, ears (2, C, bins), left first."""
 
     order: int
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
+    ears: np.ndarray = field(repr=False)
     sample_rate: float
 
     def __post_init__(self):
-        c = num_coeffs(self.order)
-        if self.left.shape[0] != c or self.right.shape[0] != c:
+        if self.ears.shape[:2] != (2, num_coeffs(self.order)):
             raise ValueError("coefficient count does not match order")
-
-    def truncated(self, order):
-        """Drop coefficients above `order` (no-op when order is higher).
-
-        The kept rows are copies, so the full arrays can be freed.
-        """
-        if order >= self.order:
-            return self
-        c = num_coeffs(order)
-        return HrtfSHCoefficients(order=order, left=self.left[:c].copy(),
-                                  right=self.right[:c].copy(),
-                                  sample_rate=self.sample_rate)
 
 
 def point_receiver_hrtf(ear_offset, grid, directions):
@@ -95,15 +71,17 @@ def point_receiver_hrtf(ear_offset, grid, directions):
     uy = np.sin(th) * np.sin(ph)  # only the y component reaches the phase
     ks = grid.wavenumbers()
     phase = np.outer(uy, ks) * ear_offset
-    left = np.exp(1j * phase)
-    return HrtfSet(directions=tuple(directions), left=left,
-                   right=np.conj(left), sample_rate=grid.sample_rate)
+    ears = np.empty((2, *phase.shape), dtype=complex)
+    np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
+    np.conjugate(ears[0], out=ears[1])
+    return HrtfSet(directions=tuple(directions), ears=ears,
+                   sample_rate=grid.sample_rate)
 
 
 def flat_hrtf(grid, directions):
     """Unit response at every bin and direction, both ears."""
-    ones = np.ones((len(directions), grid.num_bins), dtype=complex)
-    return HrtfSet(directions=tuple(directions), left=ones, right=ones.copy(),
+    ones = np.ones((2, len(directions), grid.num_bins), dtype=complex)
+    return HrtfSet(directions=tuple(directions), ears=ones,
                    sample_rate=grid.sample_rate)
 
 
@@ -178,17 +156,16 @@ def _leading_rows(order, y, rows):
 
 def apply_sh_fit(operator, hrtf_set):
     """Both ears' SH coefficients from sh_fit_operator's result for the
-    set's directions."""
+    set's directions, one product per ear in one matmul."""
     if operator.shape[1] != hrtf_set.num_directions:
         raise ValueError("fit operator does not match the direction count")
     return HrtfSHCoefficients(order=math.isqrt(operator.shape[0]) - 1,
-                              left=operator @ hrtf_set.left,
-                              right=operator @ hrtf_set.right,
+                              ears=operator @ hrtf_set.ears,
                               sample_rate=hrtf_set.sample_rate)
 
 
 def evaluate_sh(coeffs, targets):
     """Evaluate SH coefficients at target directions -> HrtfSet."""
     y = sh_matrix(coeffs.order, targets)
-    return HrtfSet(directions=tuple(targets), left=y @ coeffs.left,
-                   right=y @ coeffs.right, sample_rate=coeffs.sample_rate)
+    return HrtfSet(directions=tuple(targets), ears=y @ coeffs.ears,
+                   sample_rate=coeffs.sample_rate)

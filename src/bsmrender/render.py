@@ -28,21 +28,19 @@ def apply_filterbank(bank, spec):
         raise ValueError("filter bank M does not match the channel count")
     if spec.tag not in _COMPONENT_TAG:
         raise ValueError(f"cannot filter a spectrogram tagged {spec.tag!r}")
-    coeffs = np.conj(np.stack([bank.left, bank.right]))  # (ears, bins, mics)
-    ears = np.einsum("mfb,ebm->efb", spec.data, coeffs)
+    ears = np.einsum("mfb,ebm->efb", spec.data, np.conj(bank.ears))
     return Spectrogram(data=ears, config=spec.config,
                        tag=_COMPONENT_TAG[spec.tag])
 
 
 def decode_matrix(hrtf_sh, order):
-    """Per-ear decode vectors G with G_(n,m) = (-1)^m H_(n,-m).
+    """Decode vectors G_(n,m) = (-1)^m H_(n,-m) of both ears, shape
+    (2, C, bins) with C = (min(order, hrtf_sh.order)+1)^2, left ear first.
 
     Contracting an SH-encoded plane wave with G reproduces the HRTF at the
     wave's arrival direction (up to SH truncation at `order`).
     """
-    coeffs = hrtf_sh.truncated(order)
-    n_idx, m_idx = sh_degrees(coeffs.order)
+    n_idx, m_idx = sh_degrees(min(order, hrtf_sh.order))
     flipped = (n_idx * n_idx + n_idx - m_idx).astype(int)  # index of (n, -m)
     sign = np.where(m_idx % 2 == 0, 1.0, -1.0)[:, None]
-    return {"left": sign * coeffs.left[flipped],
-            "right": sign * coeffs.right[flipped]}
+    return sign * hrtf_sh.ears[:, flipped]

@@ -402,8 +402,7 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(source, float)
     order = min(order, hrtf_sh.order)
-    decode = decode_matrix(hrtf_sh, order)
-    g = np.stack([decode["left"], decode["right"]])  # (ears, channels, bins)
+    g = decode_matrix(hrtf_sh, order)  # (ears, channels, bins)
     if g.shape[2] != config.num_bins:
         raise ValueError("HRTF bin count does not match the STFT config")
     degrees = sh_degrees(order)

@@ -25,7 +25,6 @@ from .sph import steering_tensor
 COND_CEILING = 1e12
 MAGLS_MAX_ITER = 50
 MAGLS_PHASE_TOL = 1e-6
-EARS = ("left", "right")
 
 
 class SolverError(RuntimeError):
@@ -168,14 +167,14 @@ def _magls_iterate(pm, vh, c):
 
 @dataclass(frozen=True)
 class BsmFilterBank:
-    """Filters per bin and ear, shape (bins, M), plus design provenance.
+    """Filters per ear and bin, ears shape (2, bins, M) with the left ear
+    first, plus design provenance.
 
     magls_capped counts the bins, over both ears, whose MagLS solve stopped
     at MAGLS_MAX_ITER without converging. It is a diagnostic of the design
     run and is not stored with the bank."""
 
-    left: np.ndarray = field(repr=False)
-    right: np.ndarray = field(repr=False)
+    ears: np.ndarray = field(repr=False)
     tag: str
     config: SolverConfig
     sample_rate: float
@@ -183,22 +182,22 @@ class BsmFilterBank:
     magls_capped: int = 0
 
     def __post_init__(self):
-        if self.left.shape != self.right.shape or self.left.ndim != 2:
-            raise ValueError("left/right coefficient shapes must match (bins, M)")
+        if self.ears.ndim != 3 or self.ears.shape[0] != 2:
+            raise ValueError("coefficients must have shape (2, bins, M)")
         if self.tag not in ("direct", "reverberant"):
             raise ValueError(f"unknown filter bank tag {self.tag!r}")
-        if not (np.all(np.isfinite(self.left)) and np.all(np.isfinite(self.right))):
+        if not np.all(np.isfinite(self.ears)):
             raise ValueError("non-finite filter coefficients")
-        if self.left.shape[0] != self.fft_size // 2 + 1:
+        if self.num_bins != self.fft_size // 2 + 1:
             raise ValueError("bin count does not match fft_size")
 
     @property
     def num_bins(self):
-        return self.left.shape[0]
+        return self.ears.shape[1]
 
     @property
     def num_mics(self):
-        return self.left.shape[1]
+        return self.ears.shape[2]
 
 
 def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
@@ -219,8 +218,8 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
     freqs = grid.bin_frequencies
     vs = steering_tensor(grid, geom, doas)  # (bins, M, L)
     bad_v = ~np.isfinite(vs).all(axis=(1, 2))
-    for ear in EARS:
-        bad = bad_v | ~np.isfinite(hrtf_at_doas.response(ear)).all(axis=0)
+    for ear, h in zip(("left", "right"), hrtf_at_doas.ears):
+        bad = bad_v | ~np.isfinite(h).all(axis=0)
         if bad.any():
             b = bad.argmax()
             raise SolverError(f"{ear} ear, bin {b} ({freqs[b]:.1f} Hz): non-"
@@ -228,19 +227,18 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
     # A for 64 bins at a time, so V's conjugate never exists in full
     a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr, config.tikhonov_floor)
                         for lo in range(0, grid.num_bins, 64)])  # (bins, M, M)
-    banks, capped = {}, 0
-    for ear in EARS:
+    ears, capped = np.empty((2, *vs.shape[:2]), dtype=complex), 0
+    for coeffs, h in zip(ears, hrtf_at_doas.ears):
         # every bin's LS filter A^{-1}(V h*), its right-hand side formed first
-        rhs = vs @ np.conj(hrtf_at_doas.response(ear).T, order="C")[:, :, None]
-        banks[ear] = np.linalg.solve(a, rhs)[:, :, 0]
+        rhs = vs @ np.conj(h.T, order="C")[:, :, None]
+        coeffs[...] = np.linalg.solve(a, rhs)[:, :, 0]
     magls_bins = np.flatnonzero(freqs >= config.magls_cutoff_hz)  # never 0 Hz
     for b in magls_bins if config.magls_enabled else ():
         # one P_b for both ears, each seeded with its filter of bin b-1
         p, vh = np.linalg.solve(a[b], vs[b]), vs[b].conj().T
-        for ear, coeffs in banks.items():
-            mag = np.abs(hrtf_at_doas.response(ear)[:, b])
-            coeffs[b], hit_cap = _magls_iterate(p * mag, vh, coeffs[b - 1])
+        for coeffs, h in zip(ears, hrtf_at_doas.ears):
+            coeffs[b], hit_cap = _magls_iterate(p * np.abs(h[:, b]), vh,
+                                                coeffs[b - 1])
             capped += hit_cap
-    return BsmFilterBank(left=banks["left"], right=banks["right"], tag=tag,
-                         config=config, sample_rate=grid.sample_rate,
-                         fft_size=(grid.num_bins - 1) * 2, magls_capped=capped)
+    return BsmFilterBank(ears=ears, tag=tag, config=config,
+                         sample_rate=grid.sample_rate, fft_size=(grid.num_bins - 1) * 2, magls_capped=capped)

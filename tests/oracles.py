@@ -203,10 +203,9 @@ def design_filterbank_loop(geom, grid, doas, hrtf_at_doas, config):
     MagLS seeded with the ear's filter of the bin before.
     Returns (left, right, magls_capped)."""
     vs = steering_tensor(grid, geom, doas)
-    banks = {}
+    banks = []
     capped = 0
-    for ear in ("left", "right"):
-        h_all = hrtf_at_doas.response(ear)
+    for h_all in hrtf_at_doas.ears:
         coeffs = np.empty((grid.num_bins, geom.num_mics), dtype=complex)
         for b, f in enumerate(grid.bin_frequencies):
             v, h = vs[b], h_all[:, b]
@@ -217,5 +216,5 @@ def design_filterbank_loop(geom, grid, doas, hrtf_at_doas, config):
             else:
                 a = _ls_system_loop(v, config.snr, config.tikhonov_floor)
                 coeffs[b] = np.linalg.solve(a, v @ np.conj(h))
-        banks[ear] = coeffs
-    return banks["left"], banks["right"], capped
+        banks.append(coeffs)
+    return banks[0], banks[1], capped

@@ -70,8 +70,7 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
     order = min(order, hrtf_sh.order)
     g = decode_matrix(hrtf_sh, order)
     spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
-    ears = np.stack([np.einsum("cfb,cb->fb", spec, g[ear])
-                     for ear in ("left", "right")])
+    ears = np.stack([np.einsum("cfb,cb->fb", spec, g_ear) for g_ear in g])
     return Spectrogram(data=ears, config=config, tag=tag)
 
 
@@ -84,8 +83,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(source, float)
     order = min(order, hrtf_sh.order)
-    decode = decode_matrix(hrtf_sh, order)
-    g = np.stack([decode["left"], decode["right"]])
+    g = decode_matrix(hrtf_sh, order)
     degrees = sh_degrees(order)
     direct = images.take(slice(0, 1))
     reverb = images.take(slice(1, None))

@@ -545,7 +545,7 @@ def test_hrtf_fit_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert coeffs.left.shape == (c, bins)
+    assert coeffs.ears.shape == (2, c, bins)
     assert peak <= 1.1 * live, (peak, live)
 
 
@@ -578,8 +578,8 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
     assert events == [("fit", 9), ("images", None)]
     (hrtf_sh,) = seen
     assert hrtf_sh.order == 2
-    assert hrtf_sh.left.shape[0] == hrtf_sh.right.shape[0] == 9
-    assert hrtf_sh.left.base is None and hrtf_sh.right.base is None
+    assert hrtf_sh.ears.shape[:2] == (2, 9)
+    assert hrtf_sh.ears.base is None
 
 
 def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):

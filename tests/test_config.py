@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bsmrender.cli import main
 from bsmrender.config import (
+    _SCHEMA,
     ConfigError,
     build_array,
     build_room,
@@ -59,6 +61,22 @@ def test_bad_values_rejected(tmp_path):
             "  reflection_coefficients: [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]\n")
     with pytest.raises(ConfigError, match="reflection_coefficients"):
         resolve("desk", _write(tmp_path, text))
+
+
+def test_numbers_are_finite_and_not_bools(tmp_path):
+    # YAML's true/false are Python ints and .inf/.nan are floats; none of
+    # them is a number of the schema
+    for section, key, value in (("design", "hrtf_sh_order", "true"),
+                                ("scene", "array_radius", "true"),
+                                ("scene", "max_reflection_order", "false"),
+                                ("scene", "noise_snr_db", ".nan"),
+                                ("scene", "rir_seconds", ".inf"),
+                                ("scene", "source_position", "[1, .nan, 1]"),
+                                ("stft", "window_ms", ".inf"),
+                                ("scene", "array_mics", "5")):
+        text = f"{section}:\n  {key}: {value}\n"
+        with pytest.raises(ConfigError, match=f"bad value for {section}.{key}"):
+            resolve("desk", _write(tmp_path, text))
 
 
 def test_override_merges_into_profile(tmp_path):
@@ -177,3 +195,35 @@ def test_run_digest_sensitivity():
     assert a == run_digest(resolve("desk"))
     assert a != run_digest(resolve("desk", seed=5))
     assert a != run_digest(resolve("paper"))
+
+
+def _leaf_keys(schema, path=()):
+    for key, rule in schema.items():
+        if isinstance(rule, dict):
+            yield from _leaf_keys(rule, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# YAML scalars and containers of the wrong kind: a bool, the float
+# specials, a string, an int, and empty containers
+FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}")
+
+
+@pytest.mark.parametrize("key", [".".join(k) for k in _leaf_keys(_SCHEMA)])
+def test_schema_fuzz_ends_in_config_error(key, tmp_path, capsys):
+    # every leaf value either resolves or is refused as a config error;
+    # none ends in a traceback
+    *sections, leaf = key.split(".")
+    for value in FUZZ_VALUES:
+        lines = [f"{'  ' * depth}{name}:" for depth, name in
+                 enumerate(sections)]
+        lines.append(f"{'  ' * len(sections)}{leaf}: {value}")
+        path = _write(tmp_path, "\n".join(lines) + "\n")
+        code = main(["simulate", "--out", str(tmp_path / "out"), "--config",
+                     path, "--dry-run"])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (value, code)
+        assert (code == 0) == (err == ""), (value, err)
+        if code:
+            assert err.startswith("error [config]: "), (value, err)

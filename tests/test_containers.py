@@ -134,7 +134,7 @@ def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
 
 def _write_sample_bsmf(path):
     coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
-    bank = BsmFilterBank(left=coeffs, right=-coeffs, tag="reverberant",
+    bank = BsmFilterBank(ears=np.stack([coeffs, -coeffs]), tag="reverberant",
                          config=SolverConfig(snr=12.5, magls_enabled=True,
                                              magls_cutoff_hz=9000.0),
                          sample_rate=48000, fft_size=8)
@@ -185,11 +185,10 @@ def _big_spectrogram(path):
 
 
 def _big_bank(path):
-    left = np.ones((1025, 64), dtype=complex)
-    bank = BsmFilterBank(left=left, right=left, tag="direct",
-                         config=SolverConfig(), sample_rate=48000,
-                         fft_size=2048)
-    return 2 * left.nbytes, lambda: save_filterbank(path, bank, DIGEST)
+    ears = np.ones((2, 1025, 64), dtype=complex)
+    bank = BsmFilterBank(ears=ears, tag="direct", config=SolverConfig(),
+                         sample_rate=48000, fft_size=2048)
+    return ears.nbytes, lambda: save_filterbank(path, bank, DIGEST)
 
 
 def _big_wav(path):

@@ -25,8 +25,7 @@ GRID = FrequencyGrid.from_fft(48000, 512)
 
 def test_point_receiver_dc_is_unity():
     hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(16))
-    np.testing.assert_array_equal(hs.left[:, 0], 1.0)
-    np.testing.assert_array_equal(hs.right[:, 0], 1.0)
+    np.testing.assert_array_equal(hs.ears[:, :, 0], 1.0)
 
 
 def test_point_receiver_quarter_wave_phase():
@@ -36,14 +35,13 @@ def test_point_receiver_quarter_wave_phase():
     # rebuild a grid whose Nyquist covers f and that contains it exactly
     grid = FrequencyGrid(4 * f, np.array([0.0, f, 2 * f]))
     hs = point_receiver_hrtf(offset, grid, [Direction(np.pi / 2, np.pi / 2)])
-    np.testing.assert_allclose(hs.left[0, 1], 1j, atol=1e-12)
-    np.testing.assert_allclose(hs.right[0, 1], -1j, atol=1e-12)
+    np.testing.assert_allclose(hs.ears[:, 0, 1], [1j, -1j], atol=1e-12)
 
 
 def test_point_receiver_ears_are_conjugate():
     hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(32))
-    np.testing.assert_array_equal(hs.right, np.conj(hs.left))
-    np.testing.assert_allclose(np.abs(hs.left), 1.0, atol=1e-12)
+    np.testing.assert_array_equal(hs.ears[1], np.conj(hs.ears[0]))
+    np.testing.assert_allclose(np.abs(hs.ears[0]), 1.0, atol=1e-12)
 
 
 def test_point_receiver_rejects_bad_offset():
@@ -55,27 +53,21 @@ def test_point_receiver_rejects_bad_offset():
 
 def test_flat_hrtf_is_ones():
     hs = flat_hrtf(GRID, spiral_grid(8))
-    np.testing.assert_array_equal(hs.left, 1.0)
-    np.testing.assert_array_equal(hs.right, 1.0)
+    np.testing.assert_array_equal(hs.ears, 1.0)
 
 
 def test_hrtf_set_validation():
     dirs = spiral_grid(4)
-    good = np.ones((4, GRID.num_bins), complex)
-    with pytest.raises(ValueError):
-        HrtfSet(directions=(), left=good[:0], right=good[:0],
-                sample_rate=48000)
-    with pytest.raises(ValueError):
-        HrtfSet(directions=tuple(dirs), left=good, right=good[:3],
-                sample_rate=48000)
-    with pytest.raises(ValueError):
-        HrtfSet(directions=tuple(dirs), left=good * np.nan, right=good,
-                sample_rate=48000)
-    hs = HrtfSet(directions=tuple(dirs), left=good, right=2 * good,
-                 sample_rate=48000)
-    np.testing.assert_array_equal(hs.response("right"), 2 * good)
-    with pytest.raises(ValueError):
-        hs.response("middle")
+    good = np.ones((2, 4, GRID.num_bins), complex)
+    with pytest.raises(ValueError, match="empty"):
+        HrtfSet(directions=(), ears=good[:, :0], sample_rate=48000)
+    for bad in (good[0], good[:1], good[:, :3], good[None]):
+        with pytest.raises(ValueError, match=r"shape \(2, directions, bins\)"):
+            HrtfSet(directions=tuple(dirs), ears=bad, sample_rate=48000)
+    with pytest.raises(ValueError, match="non-finite"):
+        HrtfSet(directions=tuple(dirs), ears=good * np.nan, sample_rate=48000)
+    hs = HrtfSet(directions=tuple(dirs), ears=good, sample_rate=48000)
+    assert hs.num_directions == 4 and hs.num_bins == GRID.num_bins
 
 
 def test_sh_fit_reproduces_fit_grid():
@@ -84,8 +76,7 @@ def test_sh_fit_reproduces_fit_grid():
     hs = point_receiver_hrtf(0.0875, GRID, dirs)
     coeffs = sh_fit(hs, 5)  # 36 coefficients for 36 directions
     back = evaluate_sh(coeffs, dirs)
-    np.testing.assert_allclose(back.left, hs.left, atol=1e-8)
-    np.testing.assert_allclose(back.right, hs.right, atol=1e-8)
+    np.testing.assert_allclose(back.ears, hs.ears, atol=1e-8)
 
 
 def test_sh_fit_generalizes_to_held_out_directions():
@@ -98,8 +89,7 @@ def test_sh_fit_generalizes_to_held_out_directions():
     got = evaluate_sh(coeffs, test_dirs)
     want = point_receiver_hrtf(0.0875, GRID, test_dirs)
     low = GRID.bin_frequencies <= 2000.0
-    np.testing.assert_allclose(got.left[:, low], want.left[:, low], atol=1e-4)
-    np.testing.assert_allclose(got.right[:, low], want.right[:, low],
+    np.testing.assert_allclose(got.ears[:, :, low], want.ears[:, :, low],
                                atol=1e-4)
 
 
@@ -112,7 +102,7 @@ def test_sh_fit_residual_shrinks_with_order():
     errs = []
     for order in (2, 6, 10):
         got = evaluate_sh(sh_fit(hs, order), targets)
-        errs.append(np.abs(got.left[:, low] - want.left[:, low]).max())
+        errs.append(np.abs(got.ears[0, :, low] - want.ears[0, :, low]).max())
     assert errs[0] > errs[1] > errs[2]
 
 
@@ -127,11 +117,10 @@ def test_sh_fit_on_two_directions():
     # (theta, phi) array pair
     dirs = spiral_grid(2)
     coeffs = sh_fit(flat_hrtf(GRID, dirs), 0)
-    np.testing.assert_allclose(coeffs.left, np.sqrt(4 * np.pi), rtol=1e-14)
-    np.testing.assert_allclose(coeffs.right, np.sqrt(4 * np.pi), rtol=1e-14)
+    np.testing.assert_allclose(coeffs.ears, np.sqrt(4 * np.pi), rtol=1e-14)
     back = evaluate_sh(coeffs, tuple(dirs))
     assert back.num_directions == 2
-    np.testing.assert_allclose(back.left, 1.0, rtol=1e-14)
+    np.testing.assert_allclose(back.ears, 1.0, rtol=1e-14)
 
 
 def _assert_rows_of_pinv(order, count, keep):
@@ -219,8 +208,8 @@ def test_sh_fit_is_operator_applied_to_responses():
     coeffs = sh_fit(hs, 4)
     op = np.linalg.pinv(sh_matrix(4, dirs))
     assert coeffs.order == 4
-    assert_bits_equal(coeffs.left, op @ hs.left)
-    assert_bits_equal(coeffs.right, op @ hs.right)
+    assert_bits_equal(coeffs.ears[0], op @ hs.ears[0])
+    assert_bits_equal(coeffs.ears[1], op @ hs.ears[1])
     with pytest.raises(ValueError, match="direction count"):
         apply_sh_fit(op, point_receiver_hrtf(0.0875, GRID, spiral_grid(65)))
 
@@ -259,29 +248,18 @@ def test_ill_conditioned_grid_is_refused_by_both_routes():
     assert sh_fit_operator(1, near, 0).shape == (1, 17)
 
 
-def test_truncated_coefficients():
-    hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(100))
-    coeffs = sh_fit(hs, 6)
-    low = coeffs.truncated(2)
-    assert low.order == 2
-    np.testing.assert_array_equal(low.left, coeffs.left[:9])
-    # copies, so the full fit is not kept alive by the truncated one
-    assert low.left.base is None and low.right.base is None
-    assert coeffs.truncated(9).order == 6  # never padded upwards
-
-
 def test_sh_interpolate_linearity():
     dirs = spiral_grid(64)
     targets = spiral_grid(5)
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, GRID.num_bins)) + 0j
     b = rng.standard_normal((64, GRID.num_bins)) + 0j
-    mk = lambda arr: HrtfSet(directions=tuple(dirs), left=arr, right=arr,
+    mk = lambda arr: HrtfSet(directions=tuple(dirs), ears=np.stack([arr, arr]),
                              sample_rate=48000)
     one = sh_interpolate(mk(a + 2 * b), 5, targets)
     two_a = sh_interpolate(mk(a), 5, targets)
     two_b = sh_interpolate(mk(b), 5, targets)
-    np.testing.assert_allclose(one.left, two_a.left + 2 * two_b.left,
+    np.testing.assert_allclose(one.ears[0], two_a.ears[0] + 2 * two_b.ears[0],
                                atol=1e-10)
 
 
@@ -300,9 +278,9 @@ def test_ir_container_round_trip(tmp_path):
     np.testing.assert_allclose(got_th, th, atol=1e-12)
     np.testing.assert_allclose(got_ph, ph, atol=1e-12)
     # spectra are plain transforms of the stored IRs
-    np.testing.assert_allclose(hs.left, np.fft.rfft(left, 64, axis=1),
+    np.testing.assert_allclose(hs.ears[0], np.fft.rfft(left, 64, axis=1),
                                atol=1e-5)
-    np.testing.assert_allclose(hs.right, np.fft.rfft(right, 64, axis=1),
+    np.testing.assert_allclose(hs.ears[1], np.fft.rfft(right, 64, axis=1),
                                atol=1e-5)
 
 
@@ -314,8 +292,7 @@ def test_identity_impulse_gives_flat_response(tmp_path):
     save_hrtf(path, dirs, ir, ir, 48000)
     hs = load_hrtf(path, fft_size=128)
     assert hs.num_bins == 65
-    np.testing.assert_allclose(hs.left, 1.0, atol=1e-7)
-    np.testing.assert_allclose(hs.right, 1.0, atol=1e-7)
+    np.testing.assert_allclose(hs.ears, 1.0, atol=1e-7)
 
 
 def test_ir_container_errors(tmp_path):

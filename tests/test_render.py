@@ -28,11 +28,10 @@ def _spec(rng, channels, frames=5, tag="x"):
 
 def _bank(rng, mics, tag="reverberant"):
     shape = (BINS, mics)
-    return BsmFilterBank(
-        left=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        right=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-        tag=tag, config=SolverConfig(), sample_rate=48000,
-        fft_size=CFG.fft_size)
+    draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return BsmFilterBank(ears=np.stack([draw(), draw()]), tag=tag,
+                         config=SolverConfig(), sample_rate=48000,
+                         fft_size=CFG.fft_size)
 
 
 def test_apply_filterbank_against_double_loop():
@@ -43,10 +42,10 @@ def test_apply_filterbank_against_double_loop():
     want = np.zeros((5, BINS), complex)
     for f in range(5):
         for b in range(BINS):
-            want[f, b] = np.vdot(bank.left[b], x.data[:, f, b])
+            want[f, b] = np.vdot(bank.ears[0, b], x.data[:, f, b])
     assert out.data.shape == (2, 5, BINS)
     np.testing.assert_allclose(out.data[0], want, atol=1e-12)
-    want_r = np.einsum("mfb,bm->fb", x.data, np.conj(bank.right))
+    want_r = np.einsum("mfb,bm->fb", x.data, np.conj(bank.ears[1]))
     np.testing.assert_allclose(out.data[1], want_r, atol=1e-12)
 
 
@@ -54,11 +53,10 @@ def test_apply_filterbank_selector():
     # a one-hot real filter just picks out that microphone
     rng = np.random.default_rng(1)
     x = _spec(rng, 3)
-    left = np.zeros((BINS, 3), complex)
-    right = np.zeros((BINS, 3), complex)
-    left[:, 1] = 1.0
-    right[:, 2] = 1.0
-    bank = BsmFilterBank(left=left, right=right, tag="reverberant",
+    ears = np.zeros((2, BINS, 3), complex)
+    ears[0, :, 1] = 1.0
+    ears[1, :, 2] = 1.0
+    bank = BsmFilterBank(ears=ears, tag="reverberant",
                          config=SolverConfig(), sample_rate=48000,
                          fft_size=CFG.fft_size)
     out = apply_filterbank(bank, x)
@@ -69,10 +67,9 @@ def test_apply_filterbank_selector():
 def test_apply_filterbank_zero_bank():
     rng = np.random.default_rng(2)
     x = _spec(rng, 2)
-    bank = BsmFilterBank(left=np.zeros((BINS, 2), complex),
-                         right=np.zeros((BINS, 2), complex),
-                         tag="direct", config=SolverConfig(),
-                         sample_rate=48000, fft_size=CFG.fft_size)
+    bank = BsmFilterBank(ears=np.zeros((2, BINS, 2), complex), tag="direct",
+                         config=SolverConfig(), sample_rate=48000,
+                         fft_size=CFG.fft_size)
     out = apply_filterbank(bank, x)
     np.testing.assert_array_equal(out.data, 0)
 
@@ -193,13 +190,16 @@ def test_decode_matrix_flips_degree_sign():
     grid = FrequencyGrid(48000, np.array([0.0, 12000.0, 24000.0]))
     hs = point_receiver_hrtf(0.0875, grid, spiral_grid(64))
     coeffs = sh_fit(hs, 3)
-    g = decode_matrix(coeffs, 3)
-    # flat index n^2 + n + m; decoding swaps m -> -m with a parity sign
-    for n in range(4):
-        for m in range(-n, n + 1):
-            got = g["left"][n * n + n + m]
-            want = (-1) ** m * coeffs.left[n * n + n - m]
-            np.testing.assert_allclose(got, want, atol=1e-12)
+    # flat index n^2 + n + m; decoding swaps m -> -m with a parity sign.
+    # A lower order decodes the leading rows of the fit, and an order
+    # above the fit's decodes all of them
+    for order, kept in ((3, 3), (2, 2), (5, 3)):
+        g = decode_matrix(coeffs, order)
+        assert g.shape == (2, (kept + 1) ** 2, 3)
+        for n in range(kept + 1):
+            for m in range(-n, n + 1):
+                want = (-1) ** m * coeffs.ears[:, n * n + n - m]
+                np.testing.assert_array_equal(g[:, n * n + n + m], want)
 
 
 def _center_images(reflection=0.8, max_order=2, rir_len=1200):
@@ -259,7 +259,7 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     # the relative error
     low = grid.bin_frequencies <= 2000.0
     got = direct.data[0][:, low]
-    ideal = base.data[0][:, low] * want.left[0, low][None, :]
+    ideal = base.data[0][:, low] * want.ears[0, 0, low][None, :]
     err = np.abs(got - ideal).max() / np.abs(base.data[0][:, low]).max()
     assert err < 10 ** (-50 / 20)  # below -50 dB
 

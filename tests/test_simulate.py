@@ -500,11 +500,11 @@ def test_binaural_references_match_serial_loop(ref_order, hrtf_order,
     source = scene.source_signal
     if random_ears:
         rng = np.random.default_rng(7)
-        shape = coeffs.left.shape
+        shape = coeffs.ears.shape[1:]
+        draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs = HrtfSHCoefficients(
             order=hrtf_order, sample_rate=coeffs.sample_rate,
-            left=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            right=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            ears=np.stack([draw(), draw()]))
         source = source + 0.1
     center, _ = scene_images(scene, 6, 0.05)
     args = (center, source, coeffs, cfg, ref_order, 0.05)
@@ -576,11 +576,11 @@ def _blocked_case(frames, order, random_ears=False):
     coeffs = _hrtf_sh(cfg, 4)
     if random_ears:
         rng = np.random.default_rng(7)
-        shape = coeffs.left.shape
+        shape = coeffs.ears.shape[1:]
+        draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs = HrtfSHCoefficients(
             order=4, sample_rate=coeffs.sample_rate,
-            left=rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-            right=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            ears=np.stack([draw(), draw()]))
         source = source + 0.1
     center, _ = scene_images(_scene(), 6, rir_seconds)
     assert center.count > 1

@@ -214,8 +214,8 @@ def test_design_filterbank_matches_per_bin_solver():
     assert bank.num_mics == 6
     for b, f in enumerate(GRID_SMALL.bin_frequencies):
         v = steering_matrix(float(f), GRID_SMALL, geom, doas)
-        want = solve_ls(v, hrtf.left[:, b], 100.0)
-        np.testing.assert_allclose(bank.left[b], want, atol=1e-12)
+        want = solve_ls(v, hrtf.ears[0][:, b], 100.0)
+        np.testing.assert_allclose(bank.ears[0][b], want, atol=1e-12)
 
 
 def test_design_filterbank_magls_kicks_in_above_cutoff():
@@ -229,8 +229,8 @@ def test_design_filterbank_magls_kicks_in_above_cutoff():
         SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0),
         tag="reverberant")
     # identical below the cutoff, different above it
-    np.testing.assert_array_equal(mixed.left[:2], plain.left[:2])
-    assert np.abs(mixed.left[3:] - plain.left[3:]).max() > 1e-6
+    np.testing.assert_array_equal(mixed.ears[0][:2], plain.ears[0][:2])
+    assert np.abs(mixed.ears[0][3:] - plain.ears[0][3:]).max() > 1e-6
 
 
 def test_design_filterbank_validation():
@@ -248,19 +248,20 @@ def test_design_filterbank_validation():
 
 
 def test_filterbank_validation():
-    left = np.zeros((5, 3), complex)
+    ears = np.zeros((2, 5, 3), complex)
     cfg = SolverConfig()
+    for bad in (ears[0], ears[:1], ears[None]):
+        with pytest.raises(ValueError, match=r"shape \(2, bins, M\)"):
+            BsmFilterBank(ears=bad, tag="direct", config=cfg,
+                          sample_rate=48000, fft_size=8)
     with pytest.raises(ValueError):
-        BsmFilterBank(left=left, right=left[:, :2], tag="direct", config=cfg,
+        BsmFilterBank(ears=ears, tag="mystery", config=cfg,
                       sample_rate=48000, fft_size=8)
     with pytest.raises(ValueError):
-        BsmFilterBank(left=left, right=left, tag="mystery", config=cfg,
-                      sample_rate=48000, fft_size=8)
+        BsmFilterBank(ears=np.full((2, 5, 3), np.inf, complex), tag="direct",
+                      config=cfg, sample_rate=48000, fft_size=8)
     with pytest.raises(ValueError):
-        BsmFilterBank(left=np.full((5, 3), np.inf, complex), right=left,
-                      tag="direct", config=cfg, sample_rate=48000, fft_size=8)
-    with pytest.raises(ValueError):
-        BsmFilterBank(left=left, right=left, tag="direct", config=cfg,
+        BsmFilterBank(ears=ears, tag="direct", config=cfg,
                       sample_rate=48000, fft_size=16)
 
 
@@ -278,8 +279,7 @@ def test_filterbank_io_round_trip(tmp_path):
     assert back.tag == "reverberant"
     assert back.config == cfg
     assert back.sample_rate == 48000 and back.fft_size == 8
-    np.testing.assert_array_equal(back.left, bank.left)
-    np.testing.assert_array_equal(back.right, bank.right)
+    assert_bits_equal(back.ears, bank.ears)
 
 
 def test_filterbank_io_rejects_damage(tmp_path):
@@ -317,8 +317,8 @@ def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
     assert bank.magls_capped == want
     assert 0 < default.magls_capped < 6  # 50 iterations: some, not all
     # the LS bins below the cutoff do not depend on the cap
-    np.testing.assert_array_equal(bank.left[:2], default.left[:2])
-    assert np.isfinite(bank.left).all() and np.isfinite(bank.right).all()
+    np.testing.assert_array_equal(bank.ears[0][:2], default.ears[0][:2])
+    assert np.isfinite(bank.ears[0]).all() and np.isfinite(bank.ears[1]).all()
 
 
 def test_capped_count_is_not_stored(tmp_path):
@@ -327,7 +327,7 @@ def test_capped_count_is_not_stored(tmp_path):
     hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
     bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, SolverConfig(),
                              tag="reverberant")
-    capped = BsmFilterBank(left=bank.left, right=bank.right, tag=bank.tag,
+    capped = BsmFilterBank(ears=bank.ears, tag=bank.tag,
                            config=bank.config, sample_rate=bank.sample_rate,
                            fft_size=bank.fft_size, magls_capped=7)
     save_filterbank(tmp_path / "a.bsmf", bank, "ab" * 8)
@@ -339,7 +339,7 @@ def test_capped_count_is_not_stored(tmp_path):
 def _random_hrtf(rng, grid, doas):
     shape = (len(doas), grid.num_bins)
     draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return HrtfSet(directions=tuple(doas), left=draw(), right=draw(),
+    return HrtfSet(directions=tuple(doas), ears=np.stack([draw(), draw()]),
                    sample_rate=grid.sample_rate)
 
 
@@ -376,19 +376,17 @@ def test_design_filterbank_matches_loop(m, l, fft_size, radius, snr_db,
     bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
     left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
     if not magls:
-        assert_bits_equal(bank.left, left)
-        assert_bits_equal(bank.right, right)
+        assert_bits_equal(bank.ears[0], left)
+        assert_bits_equal(bank.ears[1], right)
         assert bank.magls_capped == capped == 0
         return
     vs = steering_tensor(grid, geom, doas)
     first = int(np.flatnonzero(grid.bin_frequencies >= cutoff)[0])
     seeded_capped = 0
-    for ear, want in (("left", left), ("right", right)):
-        got = getattr(bank, ear)
+    for got, want, h in zip(bank.ears, (left, right), hrtf.ears):
         assert_bits_equal(got[:first], want[:first])
         for b in range(first, grid.num_bins):
-            c, hit_cap = magls_loop(vs[b], hrtf.response(ear)[:, b], snr,
-                                    got[b - 1])
+            c, hit_cap = magls_loop(vs[b], h[:, b], snr, got[b - 1])
             seeded_capped += hit_cap
             assert _relative_per_bin(got[b:b + 1], c[None]) < 1e-9
     assert bank.magls_capped == seeded_capped
@@ -408,16 +406,16 @@ def test_design_filterbank_matches_loop_at_desk_size():
     hrtf = point_receiver_hrtf(0.0875, DESK_GRID, direct)
     bank = design_filterbank(geom, DESK_GRID, direct, hrtf, cfg, tag="direct")
     left, right, _ = design_filterbank_loop(geom, DESK_GRID, direct, hrtf, cfg)
-    assert_bits_equal(bank.left, left)
-    assert_bits_equal(bank.right, right)
+    assert_bits_equal(bank.ears[0], left)
+    assert_bits_equal(bank.ears[1], right)
     cfg = SolverConfig(snr=100.0, magls_enabled=True, magls_cutoff_hz=1500.0)
     hrtf = point_receiver_hrtf(0.0875, DESK_GRID, reverb)
     bank = design_filterbank(geom, DESK_GRID, reverb, hrtf, cfg,
                              tag="reverberant")
     left, right, capped = design_filterbank_loop(geom, DESK_GRID, reverb,
                                                  hrtf, cfg)
-    assert _relative_per_bin(bank.left, left) < 1e-9
-    assert _relative_per_bin(bank.right, right) < 1e-9
+    assert _relative_per_bin(bank.ears[0], left) < 1e-9
+    assert _relative_per_bin(bank.ears[1], right) < 1e-9
     assert bank.magls_capped == capped > 0
 
 
@@ -432,15 +430,16 @@ def test_design_filterbank_zero_response_keeps_angle_phase(monkeypatch):
         monkeypatch.setattr(module, "steering_tensor", lambda *args: vs)
     doas = spiral_grid(2)
     ones = np.ones(grid.num_bins, complex)
-    hrtf = HrtfSet(directions=tuple(doas), left=np.stack([ones, 0 * ones]),
-                   right=np.stack([ones, 2j * ones]), sample_rate=48000)
+    hrtf = HrtfSet(directions=tuple(doas),
+                   ears=np.array([[ones, 0 * ones], [ones, 2j * ones]]),
+                   sample_rate=48000)
     cfg = SolverConfig(snr=10.0, magls_enabled=True, magls_cutoff_hz=6000.0)
     geom = semicircle_array(2, 0.07)
     bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
     left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
-    assert np.all((v.conj().T @ bank.left.T)[1] == 0)
-    assert _relative_per_bin(bank.left, left) < 1e-12
-    assert _relative_per_bin(bank.right, right) < 1e-12
+    assert np.all((v.conj().T @ bank.ears[0].T)[1] == 0)
+    assert _relative_per_bin(bank.ears[0], left) < 1e-12
+    assert _relative_per_bin(bank.ears[1], right) < 1e-12
     assert bank.magls_capped == capped
 
 
@@ -453,7 +452,7 @@ def test_design_filterbank_names_non_finite_bins(ear, b, where):
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
-    hrtf.response(ear)[5, b] = np.nan
+    hrtf.ears[("left", "right").index(ear), 5, b] = np.nan
     cfg = SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0)
     f = GRID_SMALL.bin_frequencies[b]
     with pytest.raises(SolverError, match=rf"^{ear} ear, bin {b} \({f:.1f} "
@@ -467,7 +466,7 @@ def test_design_filterbank_names_non_finite_steering(monkeypatch):
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
-    hrtf.right[0, 1] = np.inf
+    hrtf.ears[1, 0, 1] = np.inf
     vs = steering_tensor(GRID_SMALL, geom, doas)
     vs[3, 2, 7] = np.nan
     monkeypatch.setattr(solvers, "steering_tensor", lambda *args: vs)
