@@ -7,7 +7,7 @@ a config-driven CLI (see bsmrender.cli).
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, Direction, FrequencyGrid, sph_to_cart
+from .geometry import ArrayGeometry, Direction, sph_to_cart
 from .solvers import BsmFilterBank, CovarianceModel, SolverConfig
 from .stft import Spectrogram, StftConfig
 
@@ -16,7 +16,6 @@ __all__ = [
     "BsmFilterBank",
     "CovarianceModel",
     "Direction",
-    "FrequencyGrid",
     "SolverConfig",
     "Spectrogram",
     "StftConfig",

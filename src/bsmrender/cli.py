@@ -22,7 +22,6 @@ from .containers import (canonical_json, load_filterbank, load_hrtf,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
-from .geometry import FrequencyGrid
 from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, point_receiver_hrtf,
                    sh_fit_operator)
 from .render import apply_filterbank
@@ -45,13 +44,9 @@ REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
                     "nmse_decomposed.csv", "comparison.csv", "verdict.json")
 
 
-def _grid(cfg, stft_cfg):
-    return FrequencyGrid.from_fft(cfg["sample_rate"], stft_cfg.fft_size)
-
-
-def _hrtf_coeffs(cfg, grid, keep_order):
-    """SH expansion of the configured HRTF model up to `keep_order`; only
-    those rows of the fit operator are formed and applied.
+def _hrtf_coeffs(cfg, stft_cfg, keep_order):
+    """SH expansion of the configured HRTF model up to `keep_order` at the
+    STFT's bins; only those rows of the fit operator are formed and applied.
 
     For the analytic models the fit operator is built before the responses
     exist, so the fit's SVD and the responses are never held at once; a
@@ -60,7 +55,7 @@ def _hrtf_coeffs(cfg, grid, keep_order):
     design = cfg["design"]
     kind = design["hrtf_kind"]
     if kind == "file":
-        base = load_hrtf(design["hrtf_file"], fft_size=(grid.num_bins - 1) * 2)
+        base = load_hrtf(design["hrtf_file"], fft_size=stft_cfg.fft_size)
         if int(base.sample_rate) != cfg["sample_rate"]:
             raise ValueError(f"HRTF sample rate {base.sample_rate} does not "
                              f"match the run sample rate {cfg['sample_rate']}")
@@ -70,9 +65,9 @@ def _hrtf_coeffs(cfg, grid, keep_order):
     operator = sh_fit_operator(design["hrtf_sh_order"], measured_on,
                                keep_order)
     if kind == "flat":
-        base = flat_hrtf(grid, measured_on)
+        base = flat_hrtf(stft_cfg, measured_on)
     elif kind == "point":
-        base = point_receiver_hrtf(design["hrtf_ear_offset"], grid,
+        base = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
                                    measured_on)
     return apply_sh_fit(operator, base)
 
@@ -104,7 +99,7 @@ def run_simulate(cfg, out_dir):
     # forms only the reference's rows; a too-short RIR fails before it
     max_arrival_delay(scene, rir_s)
     ref_order = cfg["design"]["reference_order"]
-    hrtf_sh = _hrtf_coeffs(cfg, _grid(cfg, stft_cfg), ref_order)
+    hrtf_sh = _hrtf_coeffs(cfg, stft_cfg, ref_order)
 
     images = scene_images(scene, max_order, rir_s)
     stats = scene_statistics(scene, max_order, rir_s, images)
@@ -142,9 +137,8 @@ def run_design(cfg, out_dir):
     digest = cfgmod.run_digest(cfg)
     design = cfg["design"]
     stft_cfg = cfgmod.build_stft_config(cfg)
-    grid = _grid(cfg, stft_cfg)
     geom = cfgmod.build_array(cfg)
-    coeffs = _hrtf_coeffs(cfg, grid, design["hrtf_sh_order"])
+    coeffs = _hrtf_coeffs(cfg, stft_cfg, design["hrtf_sh_order"])
 
     direct_doas = [cfgmod.direct_direction(cfg)]
     reverb_doas = spiral_grid(design["reverb_grid_size"])
@@ -160,9 +154,8 @@ def run_design(cfg, out_dir):
                               magls_enabled=design["magls_enabled"],
                               magls_cutoff_hz=design["magls_cutoff_hz"])
 
-    bank_d = design_filterbank(geom, grid, direct_doas, hrtf_d, direct_cfg,
-                               tag="direct")
-    bank_r = design_filterbank(geom, grid, reverb_doas, hrtf_r, reverb_cfg,
+    bank_d = design_filterbank(geom, stft_cfg, hrtf_d, direct_cfg, tag="direct")
+    bank_r = design_filterbank(geom, stft_cfg, hrtf_r, reverb_cfg,
                                tag="reverberant")
     save_filterbank(out_dir / "bank_direct.bsmf", bank_d, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, digest)
@@ -172,7 +165,7 @@ def run_design(cfg, out_dir):
     # the cap is reported but does not fail the stage
     cap_text = (f", warning: {capped} MagLS bins stopped at the iteration "
                 "cap" if capped else "")
-    print(f"design: {geom.num_mics} mics, {grid.num_bins} bins, "
+    print(f"design: {geom.num_mics} mics, {stft_cfg.num_bins} bins, "
           f"{len(reverb_doas)} coverage directions{cap_text}")
     return bank_d, bank_r
 

@@ -18,6 +18,7 @@ from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import ArrayGeometry, Direction, semicircle_array, sph_to_cart
 from .simulate import (RoomSpec, Scene, reflection_for_t60, signal_length,
                        synth_speech_noise)
+from .sph import num_coeffs
 from .stft import StftConfig
 
 
@@ -228,11 +229,20 @@ def resolve(profile="desk", config_path=None, seed=None):
         raise ConfigError("scene.source_wav required when source_kind is wav")
     if cfg["design"]["hrtf_kind"] == "file" and not cfg["design"]["hrtf_file"]:
         raise ConfigError("design.hrtf_file required when hrtf_kind is file")
-    # the overlap-add rules, the bands' bins and the frames left after the
-    # edge trim fail here, not in a stage
-    build_stft_config(cfg)
+    # the overlap-add rules, the bands' bins, the frames left after the
+    # edge trim and the design's fit and cutoff fail here, not in a stage
+    nyquist = build_stft_config(cfg).bin_frequencies()[-1]
     eval_bands(cfg)
     _check_frame_trim(cfg)
+    design = cfg["design"]
+    order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
+    # a file set's direction count is in its header, so design checks its fit
+    if design["hrtf_kind"] != "file" and num_coeffs(order) > size:
+        raise ConfigError(f"design.hrtf_sh_order {order} needs design."
+                          f"hrtf_grid_size >= {num_coeffs(order)}, got {size}")
+    if design["magls_enabled"] and design["magls_cutoff_hz"] > nyquist:
+        raise ConfigError(f"design.magls_cutoff_hz {design['magls_cutoff_hz']:g}"
+                          f" is above the Nyquist frequency {nyquist:g} Hz")
     return cfg
 
 

@@ -6,11 +6,16 @@ All angles in radians, all lengths in meters.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-SPEED_OF_SOUND = 343.0  # m/s, dry air at ~20 C
+SPEED_OF_SOUND = 343.0  # m/s, dry air at ~20 C; simulation and design share it
 
 TWO_PI = 2.0 * np.pi
+
+
+def wavenumbers(frequencies):
+    """k = 2 pi f / c per frequency, c = SPEED_OF_SOUND."""
+    return TWO_PI * frequencies / SPEED_OF_SOUND
 
 
 @dataclass(frozen=True)
@@ -97,43 +102,3 @@ def semicircle_array(num_mics, radius, center_position=(0.0, 0.0, 0.0)):
         phis = [np.pi - np.pi * m / (num_mics - 1) for m in range(num_mics)]
     mics = tuple((radius, Direction(np.pi / 2, p)) for p in phis)
     return ArrayGeometry(mics=mics, center_position=center_position)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """One-sided frequency axis of an rFFT, with the medium's sound speed."""
-
-    sample_rate: float
-    bin_frequencies: np.ndarray = field(repr=False)
-    speed_of_sound: float = SPEED_OF_SOUND
-
-    def __post_init__(self):
-        f = np.asarray(self.bin_frequencies, dtype=float)
-        if f.ndim != 1 or f.size < 2:
-            raise ValueError("bin_frequencies must be a 1-d array of >= 2 bins")
-        if not np.all(np.diff(f) > 0):
-            raise ValueError("bin frequencies must be strictly increasing")
-        if f[0] != 0.0:
-            raise ValueError("first bin must be 0 Hz")
-        if not np.isclose(f[-1], self.sample_rate / 2):
-            raise ValueError("last bin must be the Nyquist frequency")
-        object.__setattr__(self, "bin_frequencies", f)
-
-    @classmethod
-    def from_fft(cls, sample_rate, fft_size, speed_of_sound=SPEED_OF_SOUND):
-        f = np.fft.rfftfreq(fft_size, d=1.0 / sample_rate)
-        return cls(sample_rate=float(sample_rate), bin_frequencies=f,
-                   speed_of_sound=float(speed_of_sound))
-
-    @property
-    def num_bins(self):
-        return self.bin_frequencies.size
-
-    def wavenumbers(self):
-        """k = 2 pi f / c per bin."""
-        return TWO_PI * self.bin_frequencies / self.speed_of_sound
-
-    def wavenumber(self, f):
-        if f < 0:
-            raise ValueError("negative frequency")
-        return TWO_PI * f / self.speed_of_sound

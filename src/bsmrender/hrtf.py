@@ -13,7 +13,7 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-from .geometry import directions_to_arrays
+from .geometry import directions_to_arrays, wavenumbers
 from .sph import num_coeffs, sh_matrix
 
 
@@ -58,31 +58,31 @@ class HrtfSHCoefficients:
             raise ValueError("coefficient count does not match order")
 
 
-def point_receiver_hrtf(ear_offset, grid, directions):
+def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     """Analytic test model: each ear is an omni point receiver at
     +/- ear_offset on the y axis.
 
-    h(f, d) = exp(+i k r_ear . u(d)), unit magnitude everywhere; the two
+    h(f, d) = exp(+i k r_ear . u(d)) per STFT bin, unit magnitude; the two
     ears are complex conjugates of each other since r_left = -r_right.
     """
     if ear_offset <= 0:
         raise ValueError("ear_offset must be positive")
     th, ph = directions_to_arrays(directions)
     uy = np.sin(th) * np.sin(ph)  # only the y component reaches the phase
-    ks = grid.wavenumbers()
+    ks = wavenumbers(stft_cfg.bin_frequencies())
     phase = np.outer(uy, ks) * ear_offset
     ears = np.empty((2, *phase.shape), dtype=complex)
     np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
     np.conjugate(ears[0], out=ears[1])
     return HrtfSet(directions=tuple(directions), ears=ears,
-                   sample_rate=grid.sample_rate)
+                   sample_rate=stft_cfg.sample_rate)
 
 
-def flat_hrtf(grid, directions):
-    """Unit response at every bin and direction, both ears."""
-    ones = np.ones((2, len(directions), grid.num_bins), dtype=complex)
+def flat_hrtf(stft_cfg, directions):
+    """Unit response at every STFT bin and direction, both ears."""
+    ones = np.ones((2, len(directions), stft_cfg.num_bins), dtype=complex)
     return HrtfSet(directions=tuple(directions), ears=ones,
-                   sample_rate=grid.sample_rate)
+                   sample_rate=stft_cfg.sample_rate)
 
 
 # a fit is refused when s_min/s_max <= RANK_RTOL (lambda_min/lambda_max

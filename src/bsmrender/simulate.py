@@ -47,7 +47,6 @@ class RoomSpec:
 
     dimensions: tuple
     reflection_coefficients: tuple
-    speed_of_sound: float = SPEED_OF_SOUND
 
     def __post_init__(self):
         dims = tuple(float(v) for v in self.dimensions)
@@ -142,10 +141,9 @@ def compute_image_sources(room, source, receiver, max_order, max_delay=None):
         raise ValueError("source and receiver must be inside the room")
     dims = np.asarray(room.dimensions)
     beta = np.asarray(room.reflection_coefficients).reshape(3, 2)  # [axis][wall0, wallL]
-    c = room.speed_of_sound
 
     if max_delay is not None:
-        reach = c * max_delay
+        reach = SPEED_OF_SOUND * max_delay
     else:
         # order bound alone: |n| + |n - p| <= order limits |n|
         reach = (max_order / 2.0 + 1.0) * 2.0 * dims.max()
@@ -171,7 +169,7 @@ def compute_image_sources(room, source, receiver, max_order, max_delay=None):
                 pos = mirrored + 2.0 * n * dims
                 diff = pos - receiver
                 dist = np.linalg.norm(diff, axis=1)
-                delay = dist / c
+                delay = dist / SPEED_OF_SOUND
                 if max_delay is not None:
                     keep = delay <= max_delay
                     n, order = n[keep], order[keep]
@@ -237,9 +235,9 @@ def max_arrival_delay(scene, rir_seconds):
     max_delay = (int(round(rir_seconds * fs)) - _HALF - 1) / fs
     dists = np.linalg.norm(
         np.subtract(scene.source_position, scene.receivers), axis=1)
-    if np.any(dists / scene.room.speed_of_sound > max_delay):
+    if np.any(dists / SPEED_OF_SOUND > max_delay):
         dist = dists.max()
-        need = (int(np.ceil(dist / scene.room.speed_of_sound * fs))
+        need = (int(np.ceil(dist / SPEED_OF_SOUND * fs))
                 + _HALF + 1) / fs
         raise ValueError(
             f"rir_seconds {rir_seconds:g} is shorter than the direct path to "

@@ -200,23 +200,19 @@ class BsmFilterBank:
         return self.ears.shape[2]
 
 
-def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
-    """Design one filter bank over every bin of `grid`.
-
-    hrtf_at_doas must provide ear responses at exactly the given DOAs (row
-    l belongs to doas[l]). Below the MagLS cutoff (and always at bin 0)
-    the plain LS solve is used; above it, MagLS seeded with the previous
-    bin's filter. The bank's magls_capped counts the MagLS solves that
-    hit the iteration cap.
+def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
+    """Design one filter bank over every bin of `stft_cfg`, steered at the
+    directions of hrtf_at_doas. Below the MagLS cutoff (and always at bin
+    0) the plain LS solve is used; above it, MagLS seeded with the
+    previous bin's filter. The bank's magls_capped counts the MagLS solves
+    that hit the iteration cap.
     """
-    if len(doas) != hrtf_at_doas.num_directions:
-        raise ValueError("hrtf_at_doas does not cover the DOA list")
-    if hrtf_at_doas.num_bins != grid.num_bins:
-        raise ValueError("hrtf bin count does not match the frequency grid")
-    if config.magls_enabled and config.magls_cutoff_hz > grid.bin_frequencies[-1]:
+    if hrtf_at_doas.num_bins != stft_cfg.num_bins:
+        raise ValueError("hrtf bin count does not match the STFT")
+    freqs = stft_cfg.bin_frequencies()
+    if config.magls_enabled and config.magls_cutoff_hz > freqs[-1]:
         raise ValueError("magls_cutoff_hz above Nyquist")
-    freqs = grid.bin_frequencies
-    vs = steering_tensor(grid, geom, doas)  # (bins, M, L)
+    vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)  # (bins, M, L)
     bad_v = ~np.isfinite(vs).all(axis=(1, 2))
     for ear, h in zip(("left", "right"), hrtf_at_doas.ears):
         bad = bad_v | ~np.isfinite(h).all(axis=0)
@@ -226,7 +222,7 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
                               f"finite values in {'v' if bad_v[b] else 'h'}")
     # A for 64 bins at a time, so V's conjugate never exists in full
     a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr, config.tikhonov_floor)
-                        for lo in range(0, grid.num_bins, 64)])  # (bins, M, M)
+                        for lo in range(0, stft_cfg.num_bins, 64)])  # (bins, M, M)
     ears, capped = np.empty((2, *vs.shape[:2]), dtype=complex), 0
     for coeffs, h in zip(ears, hrtf_at_doas.ears):
         # every bin's LS filter A^{-1}(V h*), its right-hand side formed first
@@ -240,5 +236,5 @@ def design_filterbank(geom, grid, doas, hrtf_at_doas, config, tag):
             coeffs[b], hit_cap = _magls_iterate(p * np.abs(h[:, b]), vh,
                                                 coeffs[b - 1])
             capped += hit_cap
-    return BsmFilterBank(ears=ears, tag=tag, config=config,
-                         sample_rate=grid.sample_rate, fft_size=(grid.num_bins - 1) * 2, magls_capped=capped)
+    return BsmFilterBank(ears=ears, tag=tag, config=config, magls_capped=capped,
+                         sample_rate=stft_cfg.sample_rate, fft_size=stft_cfg.fft_size)

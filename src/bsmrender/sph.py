@@ -13,7 +13,7 @@ in the rFFT spectrum.
 
 import numpy as np
 
-from .geometry import Direction, directions_to_arrays
+from .geometry import Direction, directions_to_arrays, wavenumbers
 
 # directions per sph_harm_y_all call in sh_matrix: at order 30 one block's
 # output is 7.4 MiB, against 46 MiB for the 1600 directions of an HRTF grid
@@ -79,12 +79,12 @@ def spiral_grid(num_points):
     return [Direction(t, p) for t, p in zip(theta, phi)]
 
 
-def steering_tensor(grid, geom, doas):
-    """Free-field array responses exp(+i k r_m . u_l) for every bin at
-    once, shape (bins, M, L): column l of bin b belongs to doas[l]."""
+def steering_tensor(stft_cfg, geom, doas):
+    """Free-field array responses exp(+i k r_m . u_l) for every STFT bin
+    at once, shape (bins, M, L): column l of bin b belongs to doas[l]."""
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
-    ks = grid.wavenumbers()
+    ks = wavenumbers(stft_cfg.bin_frequencies())
     th, ph = directions_to_arrays(doas)
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)

@@ -1,6 +1,7 @@
 """Test-only helpers and reference implementations of library kernels.
 
-Closed-form and truncated-series plane-wave steering, the steering
+The wavenumber of one frequency, closed-form and truncated-series
+plane-wave steering, the steering
 matrix of one frequency, the unit vector of a Direction, the largest
 radius of an array, the Cartesian to spherical conversion, the pinv
 HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
@@ -18,7 +19,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special
 
-from bsmrender.geometry import Direction, directions_to_arrays, sph_to_cart
+from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays, \
+    sph_to_cart
 from bsmrender.hrtf import apply_sh_fit, evaluate_sh, sh_fit_operator
 from bsmrender import solvers
 from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
@@ -41,32 +43,39 @@ def sh_basis(order, d):
     return sh_matrix(order, [d])[0]
 
 
-def steering_vector(f, grid, geom, doa):
+def wavenumber(f):
+    """k = 2 pi f / SPEED_OF_SOUND of one frequency; negative f is refused."""
+    if f < 0:
+        raise ValueError("negative frequency")
+    return 2.0 * np.pi * f / SPEED_OF_SOUND
+
+
+def steering_vector(f, geom, doa):
     """Free-field omni array response to a unit plane wave from `doa`.
 
     v_m = exp(+i k r_m . u), with r_m the mic position relative to the
     array center and u the unit vector towards the source. Entries have
     unit magnitude by construction.
     """
-    k = grid.wavenumber(f)  # rejects negative f
+    k = wavenumber(f)  # rejects negative f
     u = unit_vector(doa)
     proj = geom.local_positions() @ u
     return np.exp(1j * k * proj)
 
 
-def steering_matrix(f, grid, geom, doas):
+def steering_matrix(f, geom, doas):
     """Column-stacked steering vectors at one frequency, shape (M, L),
     column l <-> doas[l]."""
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
-    k = grid.wavenumber(f)
+    k = wavenumber(f)
     th, ph = directions_to_arrays(doas)
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)  # (3, L)
     return np.exp(1j * k * (geom.local_positions() @ u))
 
 
-def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
+def steering_vector_sh(f, geom, doa, order=None, pad=10):
     """SH-truncated evaluation of the same steering vector.
 
     Expands the plane wave at each mic radius: 4 pi sum_nm i^n j_n(k r_m)
@@ -74,7 +83,7 @@ def steering_vector_sh(f, grid, geom, doa, order=None, pad=10):
     unless an explicit order is given. Converges to steering_vector as the
     order grows; used to cross-check the closed form.
     """
-    k = grid.wavenumber(f)
+    k = wavenumber(f)
     if order is None:
         order = int(np.ceil(k * max_radius(geom))) + pad
     n_idx, _ = sh_degrees(order)
@@ -197,17 +206,17 @@ def magls_loop(v, h, snr, phase_init, tikhonov_floor=1e-12):
     return c, True
 
 
-def design_filterbank_loop(geom, grid, doas, hrtf_at_doas, config):
+def design_filterbank_loop(geom, stft_cfg, hrtf_at_doas, config):
     """solvers.design_filterbank one bin and ear at a time: per bin, the
     LS solve A^{-1}(V h*) below the MagLS cutoff (and at bin 0), above it
     MagLS seeded with the ear's filter of the bin before.
     Returns (left, right, magls_capped)."""
-    vs = steering_tensor(grid, geom, doas)
+    vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)
     banks = []
     capped = 0
     for h_all in hrtf_at_doas.ears:
-        coeffs = np.empty((grid.num_bins, geom.num_mics), dtype=complex)
-        for b, f in enumerate(grid.bin_frequencies):
+        coeffs = np.empty((stft_cfg.num_bins, geom.num_mics), dtype=complex)
+        for b, f in enumerate(stft_cfg.bin_frequencies()):
             v, h = vs[b], h_all[:, b]
             if config.magls_enabled and b > 0 and f >= config.magls_cutoff_hz:
                 coeffs[b], hit_cap = magls_loop(v, h, config.snr, coeffs[b - 1],

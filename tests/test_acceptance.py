@@ -15,7 +15,7 @@ import pytest
 from bsmrender import config as cfgmod
 from bsmrender.cli import main
 from bsmrender.config import build_scene, resolve
-from bsmrender.geometry import FrequencyGrid, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
 from bsmrender.simulate import render_mic_signals, scene_statistics
 from bsmrender.solvers import CovarianceModel, solve_general, solve_ls, solve_magls
 from bsmrender.sph import spiral_grid, steering_tensor
@@ -71,17 +71,17 @@ def test_02_overdetermined_design_reproduces_targets():
     # more mics than plane waves and no noise: the filters reproduce the
     # target responses at the array output
     geom = semicircle_array(6, 0.07)
-    grid = FrequencyGrid.from_fft(48000, 2048)
+    stft_cfg = StftConfig(48000, 2048, 1024)
     worst = 0.0
     for l_count in (1, 2, 3):
         doas = spiral_grid(l_count)
-        tensor = steering_tensor(grid, geom, doas)
+        tensor = steering_tensor(stft_cfg, geom, doas)
         rng = np.random.default_rng(l_count)
-        h = rng.standard_normal((l_count, grid.num_bins)) \
-            + 1j * rng.standard_normal((l_count, grid.num_bins))
+        h = rng.standard_normal((l_count, stft_cfg.num_bins)) \
+            + 1j * rng.standard_normal((l_count, stft_cfg.num_bins))
         # DC is excluded: every mic sees gain 1 there, so the steering
         # matrix is rank one and distinct targets cannot be matched
-        for b in range(1, grid.num_bins - 1):
+        for b in range(1, stft_cfg.num_bins - 1):
             c = solve_ls(tensor[b], h[:, b], snr=np.inf)
             err = np.linalg.norm(tensor[b].conj().T @ c - np.conj(h[:, b]))
             worst = max(worst, err / np.linalg.norm(h[:, b]))
@@ -94,12 +94,11 @@ def test_03_magls_magnitude_wins():
     # underdetermined regime (240 directions, 6 mics): trading phase for
     # magnitude must pay off at and above typical cutoff frequencies
     geom = semicircle_array(6, 0.07)
-    grid = FrequencyGrid.from_fft(48000, 2048)
     doas = spiral_grid(240)
     rng = np.random.default_rng(1234)
     counts = {}
     for f in (2000.0, 4000.0, 8000.0):
-        v = steering_matrix(f, grid, geom, doas)
+        v = steering_matrix(f, geom, doas)
         wins = 0
         for _ in range(100):
             h = rng.standard_normal(240) + 1j * rng.standard_normal(240)
@@ -138,7 +137,7 @@ def test_05_desk_room_oracles():
 
     src = np.asarray(cfg["scene"]["source_position"])
     center = np.asarray(cfg["scene"]["array_center"])
-    expected = np.linalg.norm(src - center) / scene.room.speed_of_sound \
+    expected = np.linalg.norm(src - center) / SPEED_OF_SOUND \
         * scene.sample_rate
     delay_err = abs(stats["direct_delay_samples"] - expected)
     assert delay_err <= 1.0

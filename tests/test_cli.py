@@ -33,7 +33,7 @@ from bsmrender.containers import (read_binaural_spectrogram, read_wav,
                                   save_hrtf, update_manifest,
                                   verify_artifacts, write_wav)
 from bsmrender.evaluate import octave_bands
-from bsmrender.geometry import Direction, FrequencyGrid
+from bsmrender.geometry import Direction
 from bsmrender.sph import num_coeffs, spiral_grid
 from bsmrender.stft import StftConfig
 
@@ -535,13 +535,13 @@ def test_hrtf_fit_peak_memory():
     cfg = cfgmod.resolve("desk")
     cfg["design"].update(hrtf_kind="point", hrtf_sh_order=12,
                          hrtf_grid_size=400)
-    grid = FrequencyGrid.from_fft(cfg["sample_rate"], 512)
-    c, d, bins = num_coeffs(12), 400, grid.num_bins
+    stft_cfg = StftConfig(cfg["sample_rate"], 512, 256)
+    c, d, bins = num_coeffs(12), 400, stft_cfg.num_bins
     item = np.dtype(complex).itemsize
     live = (c * d + 2 * d * bins + 2 * c * bins) * item
     tracemalloc.start()
     try:
-        coeffs = cli._hrtf_coeffs(cfg, grid, 12)
+        coeffs = cli._hrtf_coeffs(cfg, stft_cfg, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -114,6 +114,46 @@ def test_conditional_requirements(tmp_path):
         resolve("desk", _write(tmp_path, "design:\n  hrtf_kind: file\n"))
 
 
+def _dry_run(tmp_path, capsys, text):
+    """Exit code and stderr of a desk `simulate --dry-run` with `text`."""
+    code = main(["simulate", "--out", str(tmp_path / "out"), "--config",
+                 _write(tmp_path, text), "--dry-run"])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["point", "flat"])
+def test_hrtf_order_beyond_its_grid_is_a_config_error(kind, tmp_path,
+                                                      capsys):
+    # order 40 has 1681 coefficients and desk's analytic grid 1600
+    # directions: refused before any stage, not by simulate (exit 2) or
+    # design (exit 3)
+    text = f"design:\n  hrtf_kind: {kind}\n  hrtf_sh_order: 40\n"
+    assert _dry_run(tmp_path, capsys, text) == (1, (
+        "error [config]: design.hrtf_sh_order 40 needs "
+        "design.hrtf_grid_size >= 1681, got 1600\n"))
+    # an exactly determined fit resolves
+    resolve("desk", _write(tmp_path, f"design:\n  hrtf_kind: {kind}\n"
+                                     "  hrtf_sh_order: 39\n"))
+
+
+def test_hrtf_file_order_is_left_to_the_stage(tmp_path):
+    # a file set's direction count is in its header, which design reads
+    text = ("design:\n  hrtf_kind: file\n  hrtf_file: set.bsmh\n"
+            "  hrtf_grid_size: 1\n  hrtf_sh_order: 40\n")
+    assert resolve("desk", _write(tmp_path, text))["design"]["hrtf_sh_order"] == 40
+
+
+def test_magls_cutoff_above_nyquist_is_a_config_error(tmp_path, capsys):
+    text = "design:\n  magls_cutoff_hz: 30000\n"
+    assert _dry_run(tmp_path, capsys, text) == (1, (
+        "error [config]: design.magls_cutoff_hz 30000 is above the Nyquist "
+        "frequency 24000 Hz\n"))
+    # Nyquist is the last bin, and a disabled MagLS ignores its cutoff
+    resolve("desk", _write(tmp_path, "design:\n  magls_cutoff_hz: 24000\n"))
+    resolve("desk", _write(tmp_path, "design:\n  magls_enabled: false\n"
+                                     "  magls_cutoff_hz: 30000\n"))
+
+
 def test_snr_linear():
     assert snr_linear(None) == np.inf
     np.testing.assert_allclose(snr_linear(20.0), 100.0, rtol=1e-12)

@@ -1,4 +1,4 @@
-"""Coordinate conventions, array layouts and the frequency axis."""
+"""Coordinate conventions, array layouts and the wavenumber rule."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,12 @@ from bsmrender.geometry import (
     SPEED_OF_SOUND,
     ArrayGeometry,
     Direction,
-    FrequencyGrid,
     directions_to_arrays,
     semicircle_array,
     sph_to_cart,
+    wavenumbers,
 )
+from bsmrender.stft import StftConfig
 from oracles import cart_to_sph, max_radius, unit_vector
 
 
@@ -103,24 +104,11 @@ def test_array_geometry_validation():
         ArrayGeometry(mics=((0.1, (0.0, 0.0)),))
 
 
-def test_frequency_grid_from_fft():
-    grid = FrequencyGrid.from_fft(48000, 2048)
-    assert grid.num_bins == 1025
-    assert grid.bin_frequencies[0] == 0.0
-    np.testing.assert_allclose(grid.bin_frequencies[-1], 24000.0)
-    np.testing.assert_allclose(grid.wavenumber(343.0), 2.0 * np.pi)
-    np.testing.assert_allclose(grid.wavenumbers(),
-                               2 * np.pi * grid.bin_frequencies / SPEED_OF_SOUND)
-
-
-def test_frequency_grid_validation():
-    with pytest.raises(ValueError):
-        FrequencyGrid(48000, np.array([0.0]))
-    with pytest.raises(ValueError):
-        FrequencyGrid(48000, np.array([0.0, 100.0, 100.0, 24000.0]))
-    with pytest.raises(ValueError):
-        FrequencyGrid(48000, np.array([10.0, 24000.0]))
-    with pytest.raises(ValueError):
-        FrequencyGrid(48000, np.array([0.0, 12000.0]))
-    with pytest.raises(ValueError):
-        FrequencyGrid.from_fft(48000, 2048).wavenumber(-1.0)
+def test_wavenumbers_of_stft_bins():
+    freqs = StftConfig(48000, 2048, 1024).bin_frequencies()
+    assert freqs.size == 1025
+    assert freqs[0] == 0.0
+    np.testing.assert_allclose(freqs[-1], 24000.0)
+    np.testing.assert_allclose(wavenumbers(343.0), 2.0 * np.pi)
+    np.testing.assert_allclose(wavenumbers(freqs),
+                               2 * np.pi * freqs / SPEED_OF_SOUND)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
-from bsmrender.geometry import Direction, FrequencyGrid, directions_to_arrays
+from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays
 from bsmrender.hrtf import (
     HrtfSet,
     apply_sh_fit,
@@ -18,47 +18,48 @@ from bsmrender.hrtf import (
     sh_fit_operator,
 )
 from bsmrender.sph import num_coeffs, sh_matrix, spiral_grid
+from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal, sh_fit, sh_interpolate
 
-GRID = FrequencyGrid.from_fft(48000, 512)
+STFT = StftConfig(48000, 512, 256)
 
 
 def test_point_receiver_dc_is_unity():
-    hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(16))
+    hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(16))
     np.testing.assert_array_equal(hs.ears[:, :, 0], 1.0)
 
 
 def test_point_receiver_quarter_wave_phase():
     # source on +y, offset 0.1 m: left ear leads by k*e = pi/2 -> response i
     offset = 0.1
-    f = GRID.speed_of_sound / (4 * offset)  # k * offset = pi/2
-    # rebuild a grid whose Nyquist covers f and that contains it exactly
-    grid = FrequencyGrid(4 * f, np.array([0.0, f, 2 * f]))
-    hs = point_receiver_hrtf(offset, grid, [Direction(np.pi / 2, np.pi / 2)])
+    f = SPEED_OF_SOUND / (4 * offset)  # k * offset = pi/2
+    # a 4-point FFT at 4 f has the bins 0, f and 2 f
+    stft_cfg = StftConfig(4 * f, 4, 2)
+    hs = point_receiver_hrtf(offset, stft_cfg, [Direction(np.pi / 2, np.pi / 2)])
     np.testing.assert_allclose(hs.ears[:, 0, 1], [1j, -1j], atol=1e-12)
 
 
 def test_point_receiver_ears_are_conjugate():
-    hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(32))
+    hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(32))
     np.testing.assert_array_equal(hs.ears[1], np.conj(hs.ears[0]))
     np.testing.assert_allclose(np.abs(hs.ears[0]), 1.0, atol=1e-12)
 
 
 def test_point_receiver_rejects_bad_offset():
     with pytest.raises(ValueError):
-        point_receiver_hrtf(0.0, GRID, spiral_grid(4))
+        point_receiver_hrtf(0.0, STFT, spiral_grid(4))
     with pytest.raises(ValueError):
-        point_receiver_hrtf(-0.1, GRID, spiral_grid(4))
+        point_receiver_hrtf(-0.1, STFT, spiral_grid(4))
 
 
 def test_flat_hrtf_is_ones():
-    hs = flat_hrtf(GRID, spiral_grid(8))
+    hs = flat_hrtf(STFT, spiral_grid(8))
     np.testing.assert_array_equal(hs.ears, 1.0)
 
 
 def test_hrtf_set_validation():
     dirs = spiral_grid(4)
-    good = np.ones((2, 4, GRID.num_bins), complex)
+    good = np.ones((2, 4, STFT.num_bins), complex)
     with pytest.raises(ValueError, match="empty"):
         HrtfSet(directions=(), ears=good[:, :0], sample_rate=48000)
     for bad in (good[0], good[:1], good[:, :3], good[None]):
@@ -67,13 +68,13 @@ def test_hrtf_set_validation():
     with pytest.raises(ValueError, match="non-finite"):
         HrtfSet(directions=tuple(dirs), ears=good * np.nan, sample_rate=48000)
     hs = HrtfSet(directions=tuple(dirs), ears=good, sample_rate=48000)
-    assert hs.num_directions == 4 and hs.num_bins == GRID.num_bins
+    assert hs.num_directions == 4 and hs.num_bins == STFT.num_bins
 
 
 def test_sh_fit_reproduces_fit_grid():
     # enough coefficients for an exact interpolatory fit on the sample grid
     dirs = spiral_grid(36)
-    hs = point_receiver_hrtf(0.0875, GRID, dirs)
+    hs = point_receiver_hrtf(0.0875, STFT, dirs)
     coeffs = sh_fit(hs, 5)  # 36 coefficients for 36 directions
     back = evaluate_sh(coeffs, dirs)
     np.testing.assert_allclose(back.ears, hs.ears, atol=1e-8)
@@ -84,11 +85,11 @@ def test_sh_fit_generalizes_to_held_out_directions():
     # (kr < 3.3 for the 0.0875 m offset) where order 12 is plenty
     fit_dirs = spiral_grid(400)
     test_dirs = spiral_grid(37)
-    hs = point_receiver_hrtf(0.0875, GRID, fit_dirs)
+    hs = point_receiver_hrtf(0.0875, STFT, fit_dirs)
     coeffs = sh_fit(hs, 12)
     got = evaluate_sh(coeffs, test_dirs)
-    want = point_receiver_hrtf(0.0875, GRID, test_dirs)
-    low = GRID.bin_frequencies <= 2000.0
+    want = point_receiver_hrtf(0.0875, STFT, test_dirs)
+    low = STFT.bin_frequencies() <= 2000.0
     np.testing.assert_allclose(got.ears[:, :, low], want.ears[:, :, low],
                                atol=1e-4)
 
@@ -96,9 +97,9 @@ def test_sh_fit_generalizes_to_held_out_directions():
 def test_sh_fit_residual_shrinks_with_order():
     fit_dirs = spiral_grid(400)
     targets = spiral_grid(25)
-    hs = point_receiver_hrtf(0.0875, GRID, fit_dirs)
-    want = point_receiver_hrtf(0.0875, GRID, targets)
-    low = GRID.bin_frequencies <= 4000.0  # kr up to ~6.4
+    hs = point_receiver_hrtf(0.0875, STFT, fit_dirs)
+    want = point_receiver_hrtf(0.0875, STFT, targets)
+    low = STFT.bin_frequencies() <= 4000.0  # kr up to ~6.4
     errs = []
     for order in (2, 6, 10):
         got = evaluate_sh(sh_fit(hs, order), targets)
@@ -107,7 +108,7 @@ def test_sh_fit_residual_shrinks_with_order():
 
 
 def test_sh_fit_requires_enough_directions():
-    hs = point_receiver_hrtf(0.0875, GRID, spiral_grid(8))
+    hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(8))
     with pytest.raises(ValueError):
         sh_fit(hs, 3)  # 16 coefficients, 8 directions
 
@@ -116,7 +117,7 @@ def test_sh_fit_on_two_directions():
     # a tuple of exactly two Directions is two directions, not a
     # (theta, phi) array pair
     dirs = spiral_grid(2)
-    coeffs = sh_fit(flat_hrtf(GRID, dirs), 0)
+    coeffs = sh_fit(flat_hrtf(STFT, dirs), 0)
     np.testing.assert_allclose(coeffs.ears, np.sqrt(4 * np.pi), rtol=1e-14)
     back = evaluate_sh(coeffs, tuple(dirs))
     assert back.num_directions == 2
@@ -204,14 +205,14 @@ def test_fit_operator_peak_memory():
 
 def test_sh_fit_is_operator_applied_to_responses():
     dirs = spiral_grid(64)
-    hs = point_receiver_hrtf(0.0875, GRID, dirs)
+    hs = point_receiver_hrtf(0.0875, STFT, dirs)
     coeffs = sh_fit(hs, 4)
     op = np.linalg.pinv(sh_matrix(4, dirs))
     assert coeffs.order == 4
     assert_bits_equal(coeffs.ears[0], op @ hs.ears[0])
     assert_bits_equal(coeffs.ears[1], op @ hs.ears[1])
     with pytest.raises(ValueError, match="direction count"):
-        apply_sh_fit(op, point_receiver_hrtf(0.0875, GRID, spiral_grid(65)))
+        apply_sh_fit(op, point_receiver_hrtf(0.0875, STFT, spiral_grid(65)))
 
 
 def test_rank_deficient_grid_is_refused():
@@ -219,7 +220,7 @@ def test_rank_deficient_grid_is_refused():
     # the harmonics odd in z vanish there: rank 5, not a fit
     equator = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
     for fit in (lambda: sh_fit_operator(2, equator),
-                lambda: sh_fit(flat_hrtf(GRID, equator), 2)):
+                lambda: sh_fit(flat_hrtf(STFT, equator), 2)):
         with pytest.raises(ValueError, match="order 2 is rank deficient.*"
                                              "rank 5 of 9 coefficients"):
             fit()
@@ -252,8 +253,8 @@ def test_sh_interpolate_linearity():
     dirs = spiral_grid(64)
     targets = spiral_grid(5)
     rng = np.random.default_rng(4)
-    a = rng.standard_normal((64, GRID.num_bins)) + 0j
-    b = rng.standard_normal((64, GRID.num_bins)) + 0j
+    a = rng.standard_normal((64, STFT.num_bins)) + 0j
+    b = rng.standard_normal((64, STFT.num_bins)) + 0j
     mk = lambda arr: HrtfSet(directions=tuple(dirs), ears=np.stack([arr, arr]),
                              sample_rate=48000)
     one = sh_interpolate(mk(a + 2 * b), 5, targets)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender.geometry import Direction, FrequencyGrid
+from bsmrender.geometry import Direction
 from bsmrender.hrtf import point_receiver_hrtf
 from bsmrender.render import apply_filterbank, decode_matrix
 from bsmrender.simulate import RoomSpec, binaural_references, \
@@ -187,8 +187,7 @@ def test_tag_pairs_outside_the_rules_raise(op, tag_a, tag_b):
 
 
 def test_decode_matrix_flips_degree_sign():
-    grid = FrequencyGrid(48000, np.array([0.0, 12000.0, 24000.0]))
-    hs = point_receiver_hrtf(0.0875, grid, spiral_grid(64))
+    hs = point_receiver_hrtf(0.0875, StftConfig(48000, 4, 2), spiral_grid(64))
     coeffs = sh_fit(hs, 3)
     # flat index n^2 + n + m; decoding swaps m -> -m with a parity sign.
     # A lower order decodes the leading rows of the fit, and an order
@@ -210,8 +209,7 @@ def _center_images(reflection=0.8, max_order=2, rir_len=1200):
 
 
 def test_render_reference_zero_input_is_silent():
-    grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
-    coeffs = sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(64)), 3)
+    coeffs = sh_fit(point_receiver_hrtf(0.0875, CFG, spiral_grid(64)), 3)
     refs = binaural_references(_center_images(), np.zeros(1000), coeffs, CFG,
                                3, 1200 / 48000)
     assert [r.tag for r in refs] == ["reference", "reference-direct"]
@@ -222,8 +220,7 @@ def test_render_reference_zero_input_is_silent():
 
 def test_render_reference_linearity():
     rng = np.random.default_rng(8)
-    grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
-    coeffs = sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(64)), 2)
+    coeffs = sh_fit(point_receiver_hrtf(0.0875, CFG, spiral_grid(64)), 2)
     images = _center_images()
     a, b = rng.standard_normal((2, 800))
 
@@ -240,11 +237,10 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     # pressure at the array center weighted by the ear response at d:
     # sum_nm G_nm conj(Y_nm(d)) = H(d)
     order = 10
-    grid = FrequencyGrid.from_fft(48000, CFG.fft_size)
     images = _center_images(reflection=0.0, max_order=0)
     assert images.count == 1
     doa = Direction(images.colatitudes[0], images.azimuths[0])
-    hs = point_receiver_hrtf(0.0875, grid, spiral_grid(600))
+    hs = point_receiver_hrtf(0.0875, CFG, spiral_grid(600))
     coeffs = sh_fit(hs, order)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(CFG.window_length * 4)
@@ -253,11 +249,11 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     np.testing.assert_array_equal(full.data, direct.data)
     pressure = np.convolve(x, render_rir(images, 1200, 48000))
     base = stft(pressure, CFG)
-    want = point_receiver_hrtf(0.0875, grid, [doa])
+    want = point_receiver_hrtf(0.0875, CFG, [doa])
     # judge bins below 2 kHz where the order-10 expansion is converged;
     # normalize by the spectral peak so noise-spectrum dips cannot inflate
     # the relative error
-    low = grid.bin_frequencies <= 2000.0
+    low = CFG.bin_frequencies() <= 2000.0
     got = direct.data[0][:, low]
     ideal = base.data[0][:, low] * want.ears[0, 0, low][None, :]
     err = np.abs(got - ideal).max() / np.abs(base.data[0][:, low]).max()

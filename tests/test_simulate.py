@@ -13,7 +13,7 @@ from scipy import fft as sp_fft
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bsmrender.geometry import SPEED_OF_SOUND, FrequencyGrid, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
 from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_hrtf
 from bsmrender import simulate
 from bsmrender.simulate import (
@@ -291,8 +291,7 @@ def test_sh_reference_direct_only_keeps_first_image():
 
 
 def _hrtf_sh(cfg, order):
-    grid = FrequencyGrid.from_fft(cfg.sample_rate, cfg.fft_size)
-    return sh_fit(point_receiver_hrtf(0.0875, grid, spiral_grid(200)), order)
+    return sh_fit(point_receiver_hrtf(0.0875, cfg, spiral_grid(200)), order)
 
 
 @pytest.mark.parametrize("ref_order, hrtf_order", [(5, 6), (6, 4)])

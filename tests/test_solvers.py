@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
-from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
+from bsmrender.geometry import Direction, semicircle_array
 from bsmrender.hrtf import HrtfSet, flat_hrtf, point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
@@ -22,6 +22,7 @@ from bsmrender.solvers import (
     solve_magls,
 )
 from bsmrender.sph import spiral_grid, steering_tensor
+from bsmrender.stft import StftConfig
 import oracles
 from oracles import assert_bits_equal, design_filterbank_loop, magls_loop, \
     steering_matrix
@@ -73,12 +74,11 @@ def test_ls_solution_minimizes_objective():
 
 def test_overdetermined_regime_is_exact():
     # more mics than modeled waves and no noise: response match to rounding
-    grid = FrequencyGrid.from_fft(48000, 2048)
     geom = semicircle_array(6, 0.07)
     rng = np.random.default_rng(0)
     doas = [Direction(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0, 2 * np.pi))
             for _ in range(2)]
-    v = steering_matrix(4000.0, grid, geom, doas)
+    v = steering_matrix(4000.0, geom, doas)
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     c = solve_ls(v, h, np.inf)
     np.testing.assert_allclose(v.conj().T @ c, np.conj(h), atol=1e-6)
@@ -200,20 +200,19 @@ def test_magls_improves_magnitude_over_ls():
     assert err(solve_magls(v, h, 100.0)) < err(solve_ls(v, h, 100.0))
 
 
-GRID_SMALL = FrequencyGrid(48000, np.array([0.0, 6000.0, 12000.0, 18000.0,
-                                            24000.0]))
+STFT_SMALL = StftConfig(48000, 8, 4)  # bins 0, 6, 12, 18 and 24 kHz
 
 
 def test_design_filterbank_matches_per_bin_solver():
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(8)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=100.0, magls_enabled=False)
-    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg, tag="direct")
-    assert bank.num_bins == GRID_SMALL.num_bins
+    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg, tag="direct")
+    assert bank.num_bins == STFT_SMALL.num_bins
     assert bank.num_mics == 6
-    for b, f in enumerate(GRID_SMALL.bin_frequencies):
-        v = steering_matrix(float(f), GRID_SMALL, geom, doas)
+    for b, f in enumerate(STFT_SMALL.bin_frequencies()):
+        v = steering_matrix(float(f), geom, doas)
         want = solve_ls(v, hrtf.ears[0][:, b], 100.0)
         np.testing.assert_allclose(bank.ears[0][b], want, atol=1e-12)
 
@@ -221,11 +220,11 @@ def test_design_filterbank_matches_per_bin_solver():
 def test_design_filterbank_magls_kicks_in_above_cutoff():
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
-    plain = design_filterbank(geom, GRID_SMALL, doas, hrtf,
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
+    plain = design_filterbank(geom, STFT_SMALL, hrtf,
                               SolverConfig(snr=30.0), tag="reverberant")
     mixed = design_filterbank(
-        geom, GRID_SMALL, doas, hrtf,
+        geom, STFT_SMALL, hrtf,
         SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0),
         tag="reverberant")
     # identical below the cutoff, different above it
@@ -236,13 +235,10 @@ def test_design_filterbank_magls_kicks_in_above_cutoff():
 def test_design_filterbank_validation():
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
-    with pytest.raises(ValueError):
-        design_filterbank(geom, GRID_SMALL, doas[:6], hrtf,
-                          SolverConfig(), tag="direct")
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     with pytest.raises(ValueError):
         design_filterbank(
-            geom, GRID_SMALL, doas, hrtf,
+            geom, STFT_SMALL, hrtf,
             SolverConfig(magls_enabled=True, magls_cutoff_hz=30000.0),
             tag="direct")
 
@@ -268,9 +264,9 @@ def test_filterbank_validation():
 def test_filterbank_io_round_trip(tmp_path):
     geom = semicircle_array(3, 0.05)
     doas = spiral_grid(5)
-    hrtf = flat_hrtf(GRID_SMALL, doas)
+    hrtf = flat_hrtf(STFT_SMALL, doas)
     cfg = SolverConfig(snr=12.5, magls_enabled=True, magls_cutoff_hz=9000.0)
-    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg,
+    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
                              tag="reverberant")
     path = tmp_path / "bank.bsmf"
     save_filterbank(path, bank, "ab" * 8)
@@ -307,12 +303,12 @@ def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
     # stops all six, while 1000 iterations let every one converge
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0)
-    default = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg,
+    default = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
                                 tag="reverberant")
     monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", max_iter)
-    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg,
+    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
                              tag="reverberant")
     assert bank.magls_capped == want
     assert 0 < default.magls_capped < 6  # 50 iterations: some, not all
@@ -324,8 +320,8 @@ def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
 def test_capped_count_is_not_stored(tmp_path):
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
-    bank = design_filterbank(geom, GRID_SMALL, doas, hrtf, SolverConfig(),
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
+    bank = design_filterbank(geom, STFT_SMALL, hrtf, SolverConfig(),
                              tag="reverberant")
     capped = BsmFilterBank(ears=bank.ears, tag=bank.tag,
                            config=bank.config, sample_rate=bank.sample_rate,
@@ -336,11 +332,11 @@ def test_capped_count_is_not_stored(tmp_path):
         == (tmp_path / "b.bsmf").read_bytes()
 
 
-def _random_hrtf(rng, grid, doas):
-    shape = (len(doas), grid.num_bins)
+def _random_hrtf(rng, stft_cfg, doas):
+    shape = (len(doas), stft_cfg.num_bins)
     draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return HrtfSet(directions=tuple(doas), ears=np.stack([draw(), draw()]),
-                   sample_rate=grid.sample_rate)
+                   sample_rate=stft_cfg.sample_rate)
 
 
 def _relative_per_bin(got, want):
@@ -364,35 +360,35 @@ def test_design_filterbank_matches_loop(m, l, fft_size, radius, snr_db,
     # draws. MagLS draws use a finite SNR: at snr = inf with L < M the
     # system's condition number is about 1e12, and either route's filter
     # carries rounding noise of about 1e-4 in the null space of V^H
-    grid = FrequencyGrid.from_fft(48000, fft_size)
+    stft_cfg = StftConfig(48000, fft_size, fft_size // 2)
     geom = semicircle_array(m, radius)
     doas = spiral_grid(l)
-    hrtf = _random_hrtf(np.random.default_rng(seed), grid, doas)
+    hrtf = _random_hrtf(np.random.default_rng(seed), stft_cfg, doas)
     snr = np.inf if snr_inf else 10.0 ** (snr_db / 10.0)
     magls = cutoff_bin > 0 and not snr_inf  # cutoff_bin 0: MagLS off
-    cutoff = float(grid.bin_frequencies[min(max(cutoff_bin, 1),
-                                            grid.num_bins - 1)])
+    freqs = stft_cfg.bin_frequencies()
+    cutoff = float(freqs[min(max(cutoff_bin, 1), stft_cfg.num_bins - 1)])
     cfg = SolverConfig(snr=snr, magls_enabled=magls, magls_cutoff_hz=cutoff)
-    bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
+    bank = design_filterbank(geom, stft_cfg, hrtf, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(geom, stft_cfg, hrtf, cfg)
     if not magls:
         assert_bits_equal(bank.ears[0], left)
         assert_bits_equal(bank.ears[1], right)
         assert bank.magls_capped == capped == 0
         return
-    vs = steering_tensor(grid, geom, doas)
-    first = int(np.flatnonzero(grid.bin_frequencies >= cutoff)[0])
+    vs = steering_tensor(stft_cfg, geom, doas)
+    first = int(np.flatnonzero(freqs >= cutoff)[0])
     seeded_capped = 0
     for got, want, h in zip(bank.ears, (left, right), hrtf.ears):
         assert_bits_equal(got[:first], want[:first])
-        for b in range(first, grid.num_bins):
+        for b in range(first, stft_cfg.num_bins):
             c, hit_cap = magls_loop(vs[b], h[:, b], snr, got[b - 1])
             seeded_capped += hit_cap
             assert _relative_per_bin(got[b:b + 1], c[None]) < 1e-9
     assert bank.magls_capped == seeded_capped
 
 
-DESK_GRID = FrequencyGrid.from_fft(48000, 2048)  # 1025 bins
+DESK_STFT = StftConfig(48000, 2048, 1024)  # 1025 bins
 
 
 def test_design_filterbank_matches_loop_at_desk_size():
@@ -403,16 +399,16 @@ def test_design_filterbank_matches_loop_at_desk_size():
     direct = [Direction(np.pi / 2, 0.3)]
     reverb = spiral_grid(240)
     cfg = SolverConfig(snr=np.inf)
-    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, direct)
-    bank = design_filterbank(geom, DESK_GRID, direct, hrtf, cfg, tag="direct")
-    left, right, _ = design_filterbank_loop(geom, DESK_GRID, direct, hrtf, cfg)
+    hrtf = point_receiver_hrtf(0.0875, DESK_STFT, direct)
+    bank = design_filterbank(geom, DESK_STFT, hrtf, cfg, tag="direct")
+    left, right, _ = design_filterbank_loop(geom, DESK_STFT, hrtf, cfg)
     assert_bits_equal(bank.ears[0], left)
     assert_bits_equal(bank.ears[1], right)
     cfg = SolverConfig(snr=100.0, magls_enabled=True, magls_cutoff_hz=1500.0)
-    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, reverb)
-    bank = design_filterbank(geom, DESK_GRID, reverb, hrtf, cfg,
+    hrtf = point_receiver_hrtf(0.0875, DESK_STFT, reverb)
+    bank = design_filterbank(geom, DESK_STFT, hrtf, cfg,
                              tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, DESK_GRID, reverb,
+    left, right, capped = design_filterbank_loop(geom, DESK_STFT,
                                                  hrtf, cfg)
     assert _relative_per_bin(bank.ears[0], left) < 1e-9
     assert _relative_per_bin(bank.ears[1], right) < 1e-9
@@ -423,20 +419,20 @@ def test_design_filterbank_zero_response_keeps_angle_phase(monkeypatch):
     # V = [[1, 1], [1, -1]] at every bin and a left ear that wants [1, 0]:
     # every filter is a multiple of [1, 1], so the second component of
     # V^H c is exactly zero and its phase is np.angle's, not 0/0
-    grid = FrequencyGrid.from_fft(48000, 8)
+    stft_cfg = StftConfig(48000, 8, 4)
     v = np.array([[1.0, 1.0], [1.0, -1.0]], complex)
-    vs = np.repeat(v[None], grid.num_bins, axis=0)
+    vs = np.repeat(v[None], stft_cfg.num_bins, axis=0)
     for module in (solvers, oracles):
         monkeypatch.setattr(module, "steering_tensor", lambda *args: vs)
     doas = spiral_grid(2)
-    ones = np.ones(grid.num_bins, complex)
+    ones = np.ones(stft_cfg.num_bins, complex)
     hrtf = HrtfSet(directions=tuple(doas),
                    ears=np.array([[ones, 0 * ones], [ones, 2j * ones]]),
                    sample_rate=48000)
     cfg = SolverConfig(snr=10.0, magls_enabled=True, magls_cutoff_hz=6000.0)
     geom = semicircle_array(2, 0.07)
-    bank = design_filterbank(geom, grid, doas, hrtf, cfg, tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, grid, doas, hrtf, cfg)
+    bank = design_filterbank(geom, stft_cfg, hrtf, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(geom, stft_cfg, hrtf, cfg)
     assert np.all((v.conj().T @ bank.ears[0].T)[1] == 0)
     assert _relative_per_bin(bank.ears[0], left) < 1e-12
     assert _relative_per_bin(bank.ears[1], right) < 1e-12
@@ -451,13 +447,13 @@ def test_design_filterbank_names_non_finite_bins(ear, b, where):
     # bin takes (MagLS from 10 kHz: bins 2-4)
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     hrtf.ears[("left", "right").index(ear), 5, b] = np.nan
     cfg = SolverConfig(snr=30.0, magls_enabled=True, magls_cutoff_hz=10000.0)
-    f = GRID_SMALL.bin_frequencies[b]
+    f = STFT_SMALL.bin_frequencies()[b]
     with pytest.raises(SolverError, match=rf"^{ear} ear, bin {b} \({f:.1f} "
                                           r"Hz\): non-finite values in h$"):
-        design_filterbank(geom, GRID_SMALL, doas, hrtf, cfg, tag="reverberant")
+        design_filterbank(geom, STFT_SMALL, hrtf, cfg, tag="reverberant")
 
 
 def test_design_filterbank_names_non_finite_steering(monkeypatch):
@@ -465,14 +461,14 @@ def test_design_filterbank_names_non_finite_steering(monkeypatch):
     # right ear's responses fail earlier
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
-    hrtf = point_receiver_hrtf(0.0875, GRID_SMALL, doas)
+    hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     hrtf.ears[1, 0, 1] = np.inf
-    vs = steering_tensor(GRID_SMALL, geom, doas)
+    vs = steering_tensor(STFT_SMALL, geom, doas)
     vs[3, 2, 7] = np.nan
     monkeypatch.setattr(solvers, "steering_tensor", lambda *args: vs)
     with pytest.raises(SolverError, match=r"^left ear, bin 3 \(18000\.0 Hz\): "
                                           r"non-finite values in v$"):
-        design_filterbank(geom, GRID_SMALL, doas, hrtf, SolverConfig(),
+        design_filterbank(geom, STFT_SMALL, hrtf, SolverConfig(),
                           tag="reverberant")
 
 
@@ -484,12 +480,12 @@ def test_design_filterbank_peak_memory():
     # responses (bins, L) and V's finiteness mask
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(240)
-    hrtf = point_receiver_hrtf(0.0875, DESK_GRID, doas)
+    hrtf = point_receiver_hrtf(0.0875, DESK_STFT, doas)
     cfg = SolverConfig(snr=100.0, magls_enabled=True, magls_cutoff_hz=1500.0)
-    tensor = DESK_GRID.num_bins * 6 * 240 * np.dtype(complex).itemsize
+    tensor = DESK_STFT.num_bins * 6 * 240 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        design_filterbank(geom, DESK_GRID, doas, hrtf, cfg, tag="reverberant")
+        design_filterbank(geom, DESK_STFT, hrtf, cfg, tag="reverberant")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender.geometry import Direction, FrequencyGrid, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, Direction, semicircle_array
 from bsmrender.sph import (
     SH_BLOCK_DIRECTIONS,
     num_coeffs,
@@ -14,11 +14,12 @@ from bsmrender.sph import (
     spiral_grid,
     steering_tensor,
 )
+from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal, sh_basis, sh_matrix_loop, \
     sh_matrix_one_call, steering_matrix, steering_vector, steering_vector_sh, \
     unit_vector
 
-GRID = FrequencyGrid.from_fft(48000, 2048)
+STFT = StftConfig(48000, 2048, 1024)
 
 
 def test_num_coeffs_and_degrees():
@@ -154,7 +155,7 @@ def test_spiral_grid_balance_and_spacing():
 
 def test_steering_dc_is_ones():
     geom = semicircle_array(6, 0.07)
-    v = steering_vector(0.0, GRID, geom, Direction(np.pi / 2, 0.3))
+    v = steering_vector(0.0, geom, Direction(np.pi / 2, 0.3))
     np.testing.assert_array_equal(v, np.ones(6))
 
 
@@ -162,33 +163,33 @@ def test_steering_half_wavelength_flip():
     # mic displaced half a wavelength towards the source: phase pi
     geom = semicircle_array(1, 0.5, (0, 0, 0))  # single mic at phi = pi
     doa = Direction(np.pi / 2, np.pi)
-    f = GRID.speed_of_sound / 1.0  # k r = pi when r = lambda/2
-    v = steering_vector(f, GRID, geom, doa)
+    f = SPEED_OF_SOUND / 1.0  # k r = pi when r = lambda/2
+    v = steering_vector(f, geom, doa)
     np.testing.assert_allclose(v[0], -1.0, atol=1e-12)
 
 
 def test_steering_matrix_and_tensor_consistency():
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(12)
-    f = float(GRID.bin_frequencies[200])
-    mat = steering_matrix(f, GRID, geom, doas)
+    f = float(STFT.bin_frequencies()[200])
+    mat = steering_matrix(f, geom, doas)
     assert mat.shape == (6, 12)
     np.testing.assert_allclose(np.abs(mat), 1.0, atol=1e-13)
     for j, d in enumerate(doas):
         np.testing.assert_allclose(mat[:, j],
-                                   steering_vector(f, GRID, geom, d),
+                                   steering_vector(f, geom, d),
                                    atol=1e-13)
-    tensor = steering_tensor(GRID, geom, doas)
-    assert tensor.shape == (GRID.num_bins, 6, 12)
+    tensor = steering_tensor(STFT, geom, doas)
+    assert tensor.shape == (STFT.num_bins, 6, 12)
     np.testing.assert_allclose(tensor[200], mat, atol=1e-12)
     with pytest.raises(ValueError):
-        steering_tensor(GRID, geom, [])
+        steering_tensor(STFT, geom, [])
 
 
 def test_steering_matrix_full_rank_on_distinct_mics():
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(40)
-    mat = steering_matrix(4000.0, GRID, geom, doas)
+    mat = steering_matrix(4000.0, geom, doas)
     assert np.linalg.matrix_rank(mat) == 6
 
 
@@ -196,14 +197,14 @@ def test_steering_sh_matches_closed_form():
     # truncated SH expansion of the plane-wave phase reproduces exp(ik r.u)
     geom = semicircle_array(6, 0.07)
     doa = Direction(1.1, 0.8)
-    v_exact = steering_vector(4000.0, GRID, geom, doa)
-    v_sh = steering_vector_sh(4000.0, GRID, geom, doa, pad=10)
+    v_exact = steering_vector(4000.0, geom, doa)
+    v_sh = steering_vector_sh(4000.0, geom, doa, pad=10)
     np.testing.assert_allclose(v_sh, v_exact, atol=1e-6)
 
 
 def test_steering_deterministic():
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(30)
-    a = steering_tensor(GRID, geom, doas)
-    b = steering_tensor(GRID, geom, doas)
+    a = steering_tensor(STFT, geom, doas)
+    b = steering_tensor(STFT, geom, doas)
     np.testing.assert_array_equal(a, b)
