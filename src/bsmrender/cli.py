@@ -11,6 +11,7 @@ Stage failures exit with a stage-specific code: 1 config, 2 simulate,
 
 import argparse
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -95,18 +96,21 @@ def run_simulate(cfg, out_dir):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
-    # the fit, simulate's peak, runs before the room's arrays exist and
-    # forms only the reference's rows; a too-short RIR fails before it
+    # the fit forms only the reference's rows on its own thread while this
+    # one builds the room, and is joined before the first write; a
+    # too-short RIR fails before it starts. scipy.special, the fit's one
+    # scipy module, loads first, so the two threads never import scipy at once
     max_arrival_delay(scene, rir_s)
     ref_order = cfg["design"]["reference_order"]
-    hrtf_sh = _hrtf_coeffs(cfg, stft_cfg, ref_order)
-
-    images = scene_images(scene, max_order, rir_s)
-    stats = scene_statistics(scene, max_order, rir_s, images)
+    import scipy.special  # noqa: F401
+    with ThreadPoolExecutor(1) as pool:
+        fit = pool.submit(_hrtf_coeffs, cfg, stft_cfg, ref_order)
+        images = scene_images(scene, max_order, rir_s)
+        stats = scene_statistics(scene, max_order, rir_s, images)
+        x, x_d = render_mic_signals(scene, max_order, rir_s, images)[:2]
+        hrtf_sh = fit.result()
     stats["scene_digest"] = digest
     write_json(out_dir / "scene_stats.json", stats)
-
-    x, x_d = render_mic_signals(scene, max_order, rir_s, images)[:2]
     # sensor noise belongs to the measurement; the oracle direct component
     # stays clean
     x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)

@@ -140,15 +140,22 @@ def _leading_rows(order, y, rows):
     """The first `rows` rows (Y X)^H of pinv(Y), G X = I[:, :rows] with
     G = Y^H Y. conj(G) = Y^T conj(Y) is formed in column blocks, so Y
     exists once; W = conj(X) solves conj(G) W = I[:, :rows], so the rows
-    are (conj(Y) W)^T, with Y conjugated in place."""
+    are (conj(Y) W)^T, with Y conjugated in place. Each eigenvalue lies
+    in a Gershgorin disc [d - r, d + r] (d: diagonal, r: the row's other
+    |G|), so min(d - r) > RANK_RTOL^2 max(d + r) passes the grid; the
+    discs' rounding, about C eps max|G|, cannot cross the 1e-10 cutoff.
+    A grid they do not pass is judged, and refused, by eigvalsh."""
     c = y.shape[1]
     gram = np.empty((c, c), dtype=complex)
     width = -(-c // GRAM_BLOCKS)
     for start in range(0, c, width):
         cols = slice(start, start + width)
         gram[:, cols] = y.T @ y[:, cols].conj()
-    lam = np.linalg.eigvalsh(gram)
-    _refuse_rank_deficient(order, lam > RANK_RTOL ** 2 * lam[-1])
+    d = gram.diagonal().real
+    r = np.abs(gram).sum(axis=1) - np.abs(d)
+    if not (d - r).min() > RANK_RTOL ** 2 * (d + r).max():
+        lam = np.linalg.eigvalsh(gram)
+        _refuse_rank_deficient(order, lam > RANK_RTOL ** 2 * lam[-1])
     w = np.linalg.solve(gram, np.eye(c, rows, dtype=complex))
     del gram
     return (np.conjugate(y, out=y) @ w).T

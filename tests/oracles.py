@@ -136,6 +136,19 @@ def sh_matrix_loop(order, theta, phi):
     return out
 
 
+def sh_weights_loop(images, degrees, cols):
+    """conj(Y) columns `cols` at the image arrival directions times the
+    image gains, from one sph_harm_y call per column; `degrees` is
+    sh_degrees' (n, m) pair."""
+    n_idx, m_idx = degrees
+    out = np.empty((images.count, len(cols)), dtype=complex)
+    for j, c in enumerate(cols):
+        out[:, j] = np.conj(special.sph_harm_y(int(n_idx[c]), int(m_idx[c]),
+                                               images.colatitudes,
+                                               images.azimuths))
+    return out * images.gains[:, None]
+
+
 def sh_matrix_one_call(order, theta, phi):
     """SH matrix (directions, (order+1)^2) from a single sph_harm_y_all
     call over every direction."""

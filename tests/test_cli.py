@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -497,6 +498,37 @@ def test_rank_deficient_hrtf_file_fails_simulate_stage(tmp_path, capsys,
         in capsys.readouterr().err
 
 
+def test_refused_simulate_fit_leaves_no_artifact(tmp_path, capsys):
+    # the fit runs beside the room and is joined before the first write:
+    # the equator grid's refusal reaches the caller while the out
+    # directory is still empty, though the room was built meanwhile
+    equator = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    config_path = _flat_hrtf_file_config(tmp_path, equator, hrtf_sh_order=2,
+                                         reference_order=1)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--out", str(out), "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert "rank 5 of 9 coefficients" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
+    # a room failure while the fit runs ends in the stage's error, and the
+    # fit's thread has ended by the time main returns
+    def boom(*args):
+        raise ValueError("boom")
+
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    monkeypatch.setattr(cli, "scene_statistics", boom)
+    before = threading.active_count()
+    rc = main(["simulate", "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert "error [simulate]: boom" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
 @pytest.mark.parametrize("stage", ["simulate", "design"])
 def test_ill_conditioned_hrtf_file_fails_both_fits(tmp_path, capsys, stage):
     # full rank, but s_min/s_max = 3e-7 at order 1: at or below the 1e-5
@@ -550,32 +582,41 @@ def test_hrtf_fit_peak_memory():
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
-    # the fit runs before the room is enumerated and forms only the rows of
-    # the reference order, so the reference gets coefficients that own
-    # their data and no order-5 fit ever exists
+    # the fit forms only the rows of the reference order, so the reference
+    # gets coefficients that own their data and no order-5 fit ever
+    # exists; it runs beside the room, and its result exists before the
+    # reference and before the first artifact is written
     seen, events = [], []
 
     def spy(images, source, hrtf_sh, *args):
+        events.append(("reference", None))
         seen.append(hrtf_sh)
         return simulate.binaural_references(images, source, hrtf_sh, *args)
 
     def fit_spy(operator, hrtf_set):
+        result = apply_fit(operator, hrtf_set)
         events.append(("fit", operator.shape[0]))
-        return apply_fit(operator, hrtf_set)
+        return result
 
-    def images_spy(*args):
-        events.append(("images", None))
-        return simulate.scene_images(*args)
+    def write_spy(writer):
+        def spy(path, *args):
+            events.append(("write", path.name))
+            return writer(path, *args)
+        return spy
 
     apply_fit = cli.apply_sh_fit
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
     monkeypatch.setattr(cli, "apply_sh_fit", fit_spy)
-    monkeypatch.setattr(cli, "scene_images", images_spy)
+    monkeypatch.setattr(cli, "write_json", write_spy(cli.write_json))
+    monkeypatch.setattr(cli, "write_wav", write_spy(cli.write_wav))
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
-    assert events == [("fit", 9), ("images", None)]
+    assert events[0] == ("fit", 9)
+    assert [e for e in events if e[0] == "fit"] == [("fit", 9)]
+    assert ("reference", None) in events
+    assert ("write", "scene_stats.json") in events
     (hrtf_sh,) = seen
     assert hrtf_sh.order == 2
     assert hrtf_sh.ears.shape[:2] == (2, 9)

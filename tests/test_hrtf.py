@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
 from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays
+from bsmrender import hrtf
 from bsmrender.hrtf import (
+    RANK_RTOL,
     HrtfSet,
     apply_sh_fit,
     evaluate_sh,
@@ -247,6 +249,62 @@ def test_ill_conditioned_grid_is_refused_by_both_routes():
     near = [*ring, Direction(np.pi / 2 - 1e-3, 0.3)]
     assert sh_fit_operator(1, near).shape == (4, 17)
     assert sh_fit_operator(1, near, 0).shape == (1, 17)
+
+
+def _verdict(check):
+    """None if `check()` passes, else its ValueError's message."""
+    try:
+        check()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _assert_gram_verdict_is_eigvalsh_rule(order, dirs):
+    # the leading-rows route passes or refuses the grid exactly as the plain
+    # rule on all of the Gram matrix's eigenvalues does, with its rank count
+    y = sh_matrix(order, dirs)
+    lam = np.linalg.eigvalsh(y.conj().T @ y)
+    want = _verdict(lambda: hrtf._refuse_rank_deficient(
+        order, lam > RANK_RTOL ** 2 * lam[-1]))
+    rows = num_coeffs(max(order - 1, 0))
+    assert _verdict(lambda: hrtf._leading_rows(order, y, rows)) == want
+
+
+@settings(max_examples=40)
+@given(order=st.integers(0, 12), extra=st.floats(1.0, 3.0))
+def test_gram_verdict_is_eigvalsh_rule_on_spiral_grids(order, extra):
+    count = int(np.ceil(extra * num_coeffs(order)))
+    _assert_gram_verdict_is_eigvalsh_rule(order, spiral_grid(count))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gram_verdict_is_eigvalsh_rule_on_tilted_rings(k):
+    # the ring of the ill-conditioned grid test with one direction tilted
+    # 10^-k rad off it: s_min/s_max from about 3e-2 down to 3e-9
+    ring = [Direction(np.pi / 2, 2 * np.pi * j / 16) for j in range(16)]
+    tilted = [*ring, Direction(np.pi / 2 - 10.0 ** -k, 0.3)]
+    _assert_gram_verdict_is_eigvalsh_rule(1, tilted)
+
+
+def test_well_conditioned_grid_skips_eigvalsh(monkeypatch):
+    # the Gershgorin discs pass the reference's order-30 grid on their
+    # own; the 1e-6 rad tilted ring is left to eigvalsh, which refuses it
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    assert sh_fit_operator(30, spiral_grid(1600), 14).shape == (225, 1600)
+    assert calls == []
+    ring = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    tilted = [*ring, Direction(np.pi / 2 - 1e-6, 0.3)]
+    with pytest.raises(ValueError, match="rank 3 of 4 coefficients"):
+        sh_fit_operator(1, tilted, 0)
+    assert calls == [(4, 4)]
 
 
 def test_sh_interpolate_linearity():

@@ -34,9 +34,9 @@ from bsmrender.simulate import (
     scene_statistics,
     synth_speech_noise,
 )
-from bsmrender.sph import sh_degrees, spiral_grid
+from bsmrender.sph import num_coeffs, sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, sh_fit
+from oracles import assert_bits_equal, sh_fit, sh_weights_loop
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves, reverb_chunk_unblocked
 
@@ -260,6 +260,29 @@ def test_fft_convolve_broadcasts_like_fftconvolve(len_a, len_b, rows,
     b = rng.standard_normal((len_b, rows)) + 1j * rng.standard_normal((len_b, rows))
     b = b.T if transposed else np.ascontiguousarray(b.T)
     assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b, axes=1))
+
+
+# colatitudes and azimuths drawn from their ranges plus the poles, the
+# seam and the last double below 2 pi
+_COLATITUDE = st.floats(0.0, np.pi) | st.sampled_from([0.0, np.pi])
+_AZIMUTH = st.floats(0.0, 2 * np.pi, exclude_max=True) \
+    | st.sampled_from([0.0, np.nextafter(2 * np.pi, 0.0)])
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(_COLATITUDE, _AZIMUTH, st.floats(-2.0, 2.0)),
+                min_size=1, max_size=16))
+def test_sh_weights_block_bitwise_equals_sph_harm_y(rows):
+    # the Legendre factor times exp(i m phi) is sph_harm_y to the bit at
+    # every (n, m) of the reference order, conj and gains included
+    theta, phi, gains = (np.array(col) for col in zip(*rows))
+    images = ImageSourceList(
+        positions=np.zeros((theta.size, 3)), gains=gains,
+        delays=np.zeros(theta.size), colatitudes=theta, azimuths=phi,
+        orders=np.zeros(theta.size, dtype=int))
+    degrees, cols = sh_degrees(14), range(num_coeffs(14))
+    assert_bits_equal(simulate._sh_weights_block(images, degrees, cols),
+                      sh_weights_loop(images, degrees, cols))
 
 
 def test_sh_reference_order_zero_matches_pressure():
