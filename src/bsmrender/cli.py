@@ -289,12 +289,6 @@ def run_evaluate(cfg, out_dir):
     return verdict
 
 
-def _stage_plan(command):
-    if command == "pipeline":
-        return ("simulate", "design", "render", "evaluate")
-    return (command,)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="bsmrender",
@@ -336,15 +330,11 @@ def main(argv=None):
         return 0
 
     args.out.mkdir(parents=True, exist_ok=True)
-    runners = {
-        "simulate": lambda: run_simulate(cfg, args.out),
-        "design": lambda: run_design(cfg, args.out),
-        "render": lambda: run_render(cfg, args.out),
-        "evaluate": lambda: run_evaluate(cfg, args.out),
-    }
-    for stage in _stage_plan(args.command):
+    runners = {"simulate": run_simulate, "design": run_design,
+               "render": run_render, "evaluate": run_evaluate}
+    for stage in runners if args.command == "pipeline" else [args.command]:
         try:
-            runners[stage]()
+            runners[stage](cfg, args.out)
         except (ValueError, RuntimeError, OSError, MemoryError) as err:
             if isinstance(err, MemoryError) and not str(err):
                 err = "out of memory"

@@ -95,18 +95,11 @@ def _pos(v):
 
 
 def _vec(v, n, positive=False, lo=None, hi=None):
-    if not (isinstance(v, (list, tuple)) and len(v) == n):
-        return False
-    for x in v:
-        if not _num(x):
-            return False
-        if positive and x <= 0:
-            return False
-        if lo is not None and x < lo:
-            return False
-        if hi is not None and x >= hi:
-            return False
-    return True
+    """n numbers, each positive and in [lo, hi) when those are given."""
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(_num(x) and not (positive and x <= 0)
+                    and (lo is None or x >= lo) and (hi is None or x < hi)
+                    for x in v))
 
 
 def desk_profile():

@@ -13,7 +13,8 @@ never loads it.
 """
 
 import os
-from collections import deque
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -27,9 +28,9 @@ from .stft import Spectrogram, _frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
-# m >= 0 SH channels encoded per chunk of binaural_references. With
-# REF_WORKERS chunks in flight its transient memory stays at about a
-# hundred MB on the full-size scene
+# m >= 0 SH channels encoded per chunk of binaural_references; each worker
+# convolves them in one (REF_CHUNK_CHANNELS, signal) buffer, 17 MiB on the
+# full-size scene
 REF_CHUNK_CHANNELS = 4
 # threads that encode, transform and decode the reverberant chunks; the
 # reference's bytes do not depend on it
@@ -98,8 +99,9 @@ class Scene:
                 if tuple(float(v) for v in pos) == self.source_position:
                     raise ValueError("the source must not sit on the array "
                                      "center or a microphone")
-        if np.asarray(self.source_signal).size == 0:
-            raise ValueError("source signal is empty")
+        # an empty or silent source leaves evaluate no band with energy
+        if not np.any(self.source_signal):
+            raise ValueError("source signal has no nonzero sample")
 
     @property
     def receivers(self):
@@ -186,12 +188,7 @@ def compute_image_sources(room, source, receiver, max_order, max_delay=None):
                 phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
                 blocks.append((pos, gain, delay, theta, phi, order))
 
-    pos = np.concatenate([b[0] for b in blocks])
-    gain = np.concatenate([b[1] for b in blocks])
-    delay = np.concatenate([b[2] for b in blocks])
-    theta = np.concatenate([b[3] for b in blocks])
-    phi = np.concatenate([b[4] for b in blocks])
-    order = np.concatenate([b[5] for b in blocks])
+    pos, gain, delay, theta, phi, order = map(np.concatenate, zip(*blocks))
     idx = np.argsort(delay, kind="stable")
     return ImageSourceList(positions=pos[idx], gains=gain[idx], delays=delay[idx],
                            colatitudes=theta[idx], azimuths=phi[idx],
@@ -205,19 +202,19 @@ def _sinc_kernel(frac):
 
 
 def _delay_matrix(images, num_samples, sample_rate):
-    """Sparse (num_samples x images) matrix of windowed-sinc delay taps."""
+    """Sparse (num_samples x images) CSC matrix of windowed-sinc delay taps:
+    column j holds image j's taps inside the signal, in row order, so a
+    product adds each row's taps in image order."""
     from scipy import sparse
 
     d_samp = images.delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
-    kern = _sinc_kernel(d_samp - base)
     rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
-    cols = np.broadcast_to(np.arange(images.count)[:, None], rows.shape)
     valid = (rows >= 0) & (rows < num_samples)
-    mat = sparse.coo_matrix(
-        (kern[valid], (rows[valid], cols[valid])),
+    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+    return sparse.csc_matrix(
+        (_sinc_kernel(d_samp - base)[valid], rows[valid], indptr),
         shape=(num_samples, images.count))
-    return mat.tocsr()
 
 
 def render_rir(images, num_samples, sample_rate):
@@ -327,52 +324,71 @@ def _sh_weights_block(images, degrees, cols):
     return out * images.gains[:, None]
 
 
-def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
-                  cols, g_pos, g_neg):
-    """Both ears' share of the SH channels `cols` (all m >= 0) of the
-    reverberant images: (positive-frequency part, mirrored part), each
-    (ears, frames, bins). The caller adds the two in that order.
+class _Turns(threading.Condition):
+    """Chunk k adds to a block of frames of the reference after chunks
+    0..k-1 have, so each element gets its additions in chunk order. A
+    failed chunk wakes every chunk waiting for its turn, which then raises."""
 
-    `src_spec` is the source's FFT, long enough for the full convolution,
-    which keeps `num_samples` samples. The frames are transformed and
-    decoded FRAME_BLOCK at a time, each frame on its own, so the framed
-    buffer does not grow with the signal. Calls only private helpers, so it
-    may run on a worker thread under a tracer that wraps the public ones.
-    binaural_references loads every scipy module used here before it
-    submits a chunk, so the imports on the worker only find them."""
+    def __init__(self):
+        super().__init__()
+        self.added, self.failed = Counter(), False
+
+    def add(self, chunk, block, total, parts):
+        with self:
+            self.wait_for(lambda: self.failed or self.added[block] == chunk)
+            if self.failed:
+                raise RuntimeError("an earlier reverberant chunk failed")
+            for part in parts:
+                total += part
+            self.added[block] += 1
+            self.notify_all()
+
+
+def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
+                  turns, ears, chunk, buf, cols, g_pos, g_neg):
+    """Add chunk `chunk`, both ears' share of the SH channels `cols` (all
+    m >= 0) of the reverberant images, into `ears`: per block of
+    FRAME_BLOCK frames, each transformed on its own, the positive-frequency
+    part, then the mirrored part, in the block's turn. The RIRs are
+    convolved with the source (`src_spec` is its FFT) in place in `buf`,
+    the worker slot's buffer, which is returned. Only private helpers run
+    here, so a tracer that wraps the public ones sees no call on a worker;
+    binaural_references loads their scipy modules first."""
     from scipy import fft as spfft
 
-    w = _sh_weights_block(reverb, degrees, cols)
-    rir = delays @ np.ascontiguousarray(w.real) \
-        + 1j * (delays @ np.ascontiguousarray(w.imag))
-    del w
-    p = spfft.fft(rir.T, src_spec.size)
-    del rir
-    p *= src_spec
-    p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-    bins = config.num_bins
-    frames = config.num_frames(num_samples)
-    pos = np.empty((g_pos.shape[0], frames, bins), dtype=complex)
-    neg = np.empty_like(pos)
-    for start in range(0, frames, FRAME_BLOCK):
-        stop = min(start + FRAME_BLOCK, frames)
-        spec = spfft.fft(_frames(p, config, start, stop), axis=2,
-                         overwrite_x=True)
-        np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos,
-                  out=pos[:, start:stop])
-        # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1 read
-        # through a reversed view instead of a gathered copy
-        np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
-                  out=neg[:, start:stop, :1])
-        np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
-                  out=neg[:, start:stop, 1:])
-    return pos, np.conjugate(neg, out=neg)
-
-
-def _add_parts(total, parts):
-    """Add a chunk's parts into `total`, in order and in place."""
-    for part in parts:
-        total += part
+    try:
+        w = _sh_weights_block(reverb, degrees, cols)
+        p, rir_len = buf[: len(cols)], delays.shape[0]
+        p[:, :rir_len] = (delays @ np.ascontiguousarray(w.real)
+                          + 1j * (delays @ np.ascontiguousarray(w.imag))).T
+        p[:, rir_len:] = 0
+        del w
+        p = spfft.fft(p, overwrite_x=True)
+        p *= src_spec
+        p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
+        bins = config.num_bins
+        frames = config.num_frames(num_samples)
+        for block, start in enumerate(range(0, frames, FRAME_BLOCK)):
+            stop = min(start + FRAME_BLOCK, frames)
+            spec = spfft.fft(_frames(p, config, start, stop), axis=2,
+                             overwrite_x=True)
+            pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
+            # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1
+            # read through a reversed view instead of a gathered copy
+            neg = np.empty_like(pos)
+            np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
+                      out=neg[..., :1])
+            np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
+                      out=neg[..., 1:])
+            turns.add(chunk, block, ears[:, start:stop],
+                      (pos, np.conjugate(neg, out=neg)))
+            del spec, pos, neg  # before the next block allocates its own
+        return buf
+    except BaseException:
+        with turns:
+            turns.failed = True
+            turns.notify_all()
+        raise
 
 
 def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
@@ -391,12 +407,13 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     from the same full FFT. The full reference is direct + reverberant, so
     the two are identical in an anechoic room.
 
-    The chunks run on up to REF_WORKERS (two) threads, at most one chunk
-    per thread in flight, and are added in chunk order on the calling
-    thread, so the reference's bytes do not depend on the thread count.
-    The scipy modules the chunks use are loaded on the calling thread
-    before the first chunk is submitted: scipy.fft here, scipy.special by
-    the direct image's weights and scipy.sparse by the delay matrices.
+    The chunks run on up to REF_WORKERS (two) threads, one per thread in
+    flight; chunk k + REF_WORKERS reuses chunk k's buffer. Each adds its
+    blocks of frames into the reference on its thread after every earlier
+    chunk, so the bytes do not depend on the thread count. The chunks'
+    scipy modules are loaded on the calling thread before the first is
+    submitted: scipy.fft here, scipy.special by the direct image's weights
+    and scipy.sparse by the delay matrices.
     """
     from scipy import fft as spfft
 
@@ -412,9 +429,9 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     reverb = images.take(slice(1, None))
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
-    base = stft(_fft_convolve(src, kernel), config).data[0]
     w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
-    ears_d = base[None] * (w0 @ g)[:, None, :]
+    ears_d = stft(_fft_convolve(src, kernel), config).data[0] \
+        * (w0 @ g)[:, None, :]
 
     ears_r = np.zeros_like(ears_d)
     if reverb.count:
@@ -431,19 +448,21 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
         chunk = partial(_reverb_chunk, reverb, delays, degrees, src_spec,
-                        num_samples, config)
-        pending = deque()
+                        num_samples, config, _Turns(), ears_r)
+        futures = []
         with ThreadPoolExecutor(REF_WORKERS) as pool:
-            for start in range(0, encoded.size, REF_CHUNK_CHANNELS):
-                if len(pending) == REF_WORKERS:
-                    _add_parts(ears_r, pending.popleft().result())
-                sl = slice(start, start + REF_CHUNK_CHANNELS)
-                pending.append(pool.submit(chunk, encoded[sl], g_pos[:, sl],
-                                           g_neg[:, sl]))
-            while pending:
-                _add_parts(ears_r, pending.popleft().result())
+            for k in range(-(-encoded.size // REF_CHUNK_CHANNELS)):
+                # chunk k - REF_WORKERS hands its slot's buffer on
+                buf = futures[k - REF_WORKERS].result() if k >= REF_WORKERS \
+                    else np.empty((REF_CHUNK_CHANNELS, src_spec.size), complex)
+                sl = slice(k * REF_CHUNK_CHANNELS, (k + 1) * REF_CHUNK_CHANNELS)
+                futures.append(pool.submit(chunk, k, buf, encoded[sl],
+                                           g_pos[:, sl], g_neg[:, sl]))
+            for future in futures:
+                future.result()
 
-    return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
+    ears_r += ears_d
+    return (Spectrogram(data=ears_r, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))
 
 

@@ -27,13 +27,6 @@ _SUMS = {("component-direct", "component-reverb"): "bsm-decomposed",
          ("component-reverb", "component-direct"): "bsm-decomposed"}
 
 
-def _next_pow2(n):
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
 @dataclass(frozen=True)
 class StftConfig:
     sample_rate: int
@@ -48,8 +41,9 @@ class StftConfig:
             raise ValueError("hop must divide window_length (overlap-add)")
         if self.window_length // self.hop < 2:
             raise ValueError("need at least 50% overlap")
-        if self.fft_size == 0:
-            object.__setattr__(self, "fft_size", _next_pow2(self.window_length))
+        if self.fft_size == 0:  # the next power of two
+            below = int(np.ceil(self.window_length)) - 1
+            object.__setattr__(self, "fft_size", 1 << below.bit_length())
         if self.fft_size < self.window_length:
             raise ValueError("fft_size must cover the window")
         if self.fft_size & (self.fft_size - 1):

@@ -8,8 +8,9 @@ HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
 one direction, the spherical-harmonic matrix from one call per (n, m)
 and from one call for all directions, STFT framing through a padded
 copy of the signal, the version 1 (double precision) binaural
-spectrogram file, and filter-bank design as one LS or MagLS solve per
-bin and ear. The library itself needs none of them; tests use them as
+spectrogram file, filter-bank design as one LS or MagLS solve per bin
+and ear, and the sinc delay matrix built as COO triplets and converted
+to CSR. The library itself needs none of them; tests use them as
 oracles for what it does compute.
 """
 
@@ -17,12 +18,13 @@ import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special
+from scipy import sparse, special
 
 from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays, \
     sph_to_cart
 from bsmrender.hrtf import apply_sh_fit, evaluate_sh, sh_fit_operator
 from bsmrender import solvers
+from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel
 from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
 
 
@@ -240,3 +242,18 @@ def design_filterbank_loop(geom, stft_cfg, hrtf_at_doas, config):
                 coeffs[b] = np.linalg.solve(a, v @ np.conj(h))
         banks.append(coeffs)
     return banks[0], banks[1], capped
+
+
+def delay_matrix_coo(images, num_samples, sample_rate):
+    """simulate._delay_matrix as COO triplets, one per tap inside the
+    signal, converted to CSR."""
+    d_samp = images.delays * sample_rate
+    base = np.floor(d_samp).astype(np.int64)
+    kern = _sinc_kernel(d_samp - base)
+    rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
+    cols = np.broadcast_to(np.arange(images.count)[:, None], rows.shape)
+    valid = (rows >= 0) & (rows < num_samples)
+    mat = sparse.coo_matrix(
+        (kern[valid], (rows[valid], cols[valid])),
+        shape=(num_samples, images.count))
+    return mat.tocsr()

@@ -6,9 +6,9 @@ into all (order+1)^2 SH channels at complex128, each channel gets its own
 complex STFT, and every bin is decoded with the HRTF's SH coefficients.
 The second is the same shortcut as binaural_references run on one thread,
 8 channels per chunk, with the negative bins gathered by index. The third
-is simulate._reverb_chunk as it was before it worked a block of frames at
-a time: one framed buffer for every frame of the chunk, one transform and
-one decode.
+is simulate._reverb_chunk with the whole chunk worked at once: the RIRs
+padded by the FFT, one framed buffer for every frame of the chunk, one
+transform and one decode, then added block by block in the blocks' turns.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from scipy import fft as spfft
 from scipy import signal as sps
 
 from bsmrender.render import decode_matrix
-from bsmrender.simulate import _HALF, _delay_matrix, _fft_convolve, \
-    _sh_weights_block, compute_image_sources
+from bsmrender.simulate import FRAME_BLOCK, _HALF, _delay_matrix, \
+    _fft_convolve, _sh_weights_block, compute_image_sources
 from bsmrender.sph import num_coeffs, sh_degrees
 from bsmrender.stft import Spectrogram, _frames, stft
 from oracles import sliding_frames
@@ -122,9 +122,13 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
 
 
 def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
-                           config, cols, g_pos, g_neg):
-    """simulate._reverb_chunk with every frame of the chunk framed into one
-    (channels, frames, fft_size) buffer, transformed and decoded at once."""
+                           config, turns, ears, chunk, buf, cols, g_pos,
+                           g_neg):
+    """simulate._reverb_chunk with the RIRs zero-padded by the FFT instead
+    of written into `buf`, and every frame of the chunk framed into one
+    (channels, frames, fft_size) buffer, transformed and decoded at once.
+    Its parts are then added into `ears` FRAME_BLOCK frames at a time, in
+    each block's turn; it hands `buf` on untouched."""
     w = _sh_weights_block(reverb, degrees, cols)
     rir = delays @ np.ascontiguousarray(w.real) \
         + 1j * (delays @ np.ascontiguousarray(w.imag))
@@ -139,4 +143,9 @@ def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
               out=neg[..., :1])
     np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
               out=neg[..., 1:])
-    return pos, np.conjugate(neg, out=neg)
+    np.conjugate(neg, out=neg)
+    for block, start in enumerate(range(0, pos.shape[1], FRAME_BLOCK)):
+        frames = slice(start, start + FRAME_BLOCK)
+        turns.add(chunk, block, ears[:, frames],
+                  (pos[:, frames], neg[:, frames]))
+    return buf

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -527,6 +528,69 @@ def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_CODES["simulate"]
     assert "error [simulate]: boom" in capsys.readouterr().err
     assert threading.active_count() == before
+
+
+def test_failure_inside_a_running_chunk_wakes_the_waiting_one(
+        tmp_path, capsys, monkeypatch):
+    # two reverberant chunks of two frame blocks each. Chunk 0 fails while
+    # framing its second block, after chunk 1 has framed its own second
+    # block and gone on to wait for chunk 0 to add it: the waiting chunk
+    # must be woken, so the stage ends in its error instead of hanging
+    config_path = tmp_path / "echo.yaml"
+    config_path.write_text(ECHO_YAML.replace("source_duration_s: 0.3",
+                                             "source_duration_s: 0.8"))
+    weights, frames = simulate._sh_weights_block, simulate._frames
+    chunk_of, framed = {}, {}
+    waiting = threading.Event()
+
+    def weights_spy(images, degrees, cols):
+        # on a worker, the first column names the chunk: 0 for chunk 0
+        chunk_of[threading.get_ident()] = int(cols[0])
+        return weights(images, degrees, cols)
+
+    def frames_spy(*args):
+        me = threading.get_ident()
+        framed[me] = framed.get(me, 0) + 1
+        if chunk_of[me] == 0 and framed[me] == 2:
+            assert waiting.wait(60)
+            time.sleep(0.2)  # chunk 1 transforms its block, then waits
+            raise ValueError("framing failed")
+        if chunk_of[me] != 0 and framed[me] == 2:
+            waiting.set()
+        return frames(*args)
+
+    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
+    monkeypatch.setattr(simulate, "_sh_weights_block", weights_spy)
+    monkeypatch.setattr(simulate, "_frames", frames_spy)
+    before = threading.active_count()
+    rc = []
+    stage = threading.Thread(target=lambda: rc.append(main(
+        ["simulate", "--out", str(tmp_path / "o"),
+         "--config", str(config_path)])), daemon=True)
+    stage.start()
+    stage.join(120)
+    assert not stage.is_alive(), "the waiting chunk was never woken"
+    assert waiting.is_set()
+    assert rc == [EXIT_CODES["simulate"]]
+    assert "error [simulate]: framing failed" in capsys.readouterr().err
+    assert threading.active_count() == before
+
+
+def test_silent_source_fails_simulate_stage(tmp_path, capsys):
+    # an all-zero source would pass simulate, design and render, and then
+    # fail evaluate with no band holding energy
+    source = tmp_path / "silent.wav"
+    write_wav(source, np.zeros(14400), 48000)
+    config_path = tmp_path / "silent.yaml"
+    config_path.write_text(ECHO_YAML.replace(
+        "scene:\n", f"scene:\n  source_kind: wav\n"
+                    f"  source_wav: {str(source)!r}\n"))
+    out = tmp_path / "o"
+    rc = main(["pipeline", "--out", str(out), "--config", str(config_path)])
+    assert rc == EXIT_CODES["simulate"]
+    assert capsys.readouterr().err == (
+        "error [simulate]: source signal has no nonzero sample\n")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("stage", ["simulate", "design"])

@@ -36,7 +36,8 @@ from bsmrender.simulate import (
 )
 from bsmrender.sph import num_coeffs, sh_degrees, spiral_grid
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, sh_fit, sh_weights_loop
+from oracles import assert_bits_equal, delay_matrix_coo, sh_fit, \
+    sh_weights_loop
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves, reverb_chunk_unblocked
 
@@ -190,6 +191,55 @@ def test_render_rir_places_pulse_at_geometric_delay():
     # peak within a sample of the geometric delay
     assert abs(np.argmax(np.abs(rir)) - d / SPEED_OF_SOUND * fs) <= 1.0
     np.testing.assert_allclose(np.sum(rir), imgs.gains[0], rtol=1e-3)
+
+
+def _images_at(delays, gains):
+    """An image list with the given delays (s) and gains; the directions
+    and orders do not enter the delay matrix."""
+    return ImageSourceList(
+        positions=np.zeros((delays.size, 3)), gains=gains, delays=delays,
+        colatitudes=np.zeros(delays.size), azimuths=np.zeros(delays.size),
+        orders=np.zeros(delays.size, dtype=int))
+
+
+def _assert_delay_products_match_coo(images, num_samples, fs, seed):
+    want = delay_matrix_coo(images, num_samples, fs)
+    assert_bits_equal(render_rir(images, num_samples, fs), want @ images.gains)
+    got = simulate._delay_matrix(images, num_samples, fs)
+    rng = np.random.default_rng(seed)
+    for cols in (4, 8):
+        w = rng.standard_normal((images.count, cols))
+        assert_bits_equal(got @ w, want @ w)
+
+
+# delays in samples: anywhere in or past the RIR, plus the stretches where
+# taps fall before its first sample or past its last
+@settings(max_examples=80)
+@given(st.integers(1, 120), st.data(), st.integers(0, 2**32 - 1))
+def test_csc_delay_matrix_bitwise_equals_coo(num_samples, data, seed):
+    # CSC columns hold each image's taps in row order, so every row adds
+    # its taps in image order, as the COO -> CSR matrix does; overlapping
+    # taps make the order matter
+    where = (st.floats(0.0, num_samples + 20.0) | st.floats(0.0, 16.0)
+             | st.floats(max(num_samples - 16.0, 0.0), num_samples + 0.0))
+    rows = data.draw(st.lists(st.tuples(where, st.floats(-1.0, 1.0)),
+                              max_size=12))
+    fs = 48000
+    d_samp, gains = np.array(rows, dtype=float).reshape(-1, 2).T
+    _assert_delay_products_match_coo(_images_at(d_samp / fs, gains),
+                                     num_samples, fs, seed)
+
+
+@pytest.mark.parametrize("reflection", [0.8, 0.0])
+def test_scene_delay_matrix_bitwise_equals_coo(reflection):
+    # a reverberant room's many overlapping taps, and the empty reverberant
+    # list of an anechoic room
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
+                    reflection_coefficients=(reflection,) * 6)
+    center, _ = scene_images(_scene(room=room, seconds=0.05), 6, 0.05)
+    reverb = center.take(slice(1, None))
+    assert (reverb.count == 0) == (reflection == 0.0)
+    _assert_delay_products_match_coo(reverb, 2400, 48000, 0)
 
 
 def test_mic_signals_split_and_anechoic_identity():
@@ -627,34 +677,72 @@ def test_blocked_reference_bitwise_equals_unblocked(monkeypatch, frames,
         assert_bits_equal(one.data, want.data)
 
 
-def test_reverb_chunk_peak_memory():
-    # the chunk holds its convolved SH signals, the two decoded parts and
-    # one block of frames; the framed buffer no longer grows with the
-    # number of frames (it would add ~2x the convolution buffer here)
+def _long_reference_case():
+    """A 4 s source with a 20 ms RIR: the spectrograms are long, so parts
+    of the whole signal would dominate a chunk's memory."""
     scene = _scene(seconds=4.0)
     cfg = StftConfig(48000, 512, 256)
     rir_seconds = 0.02
     center, _ = scene_images(scene, 2, rir_seconds)
+    num_samples = scene.source_signal.size + int(round(rir_seconds * 48000)) - 1
+    return (center, scene.source_signal, cfg, rir_seconds, num_samples)
+
+
+def _chunk_sizes(cfg, num_samples):
+    """Bytes of both ears' spectrogram, one slot's convolution buffer, one
+    block of frames and one block's two decoded parts."""
+    item = np.dtype(complex).itemsize
+    ears = 2 * cfg.num_frames(num_samples) * cfg.num_bins * item
+    conv = simulate.REF_CHUNK_CHANNELS * sp_fft.next_fast_len(num_samples) * item
+    block = simulate.REF_CHUNK_CHANNELS * FB * cfg.fft_size * item
+    parts = 2 * 2 * FB * cfg.num_bins * item
+    return ears, conv, block, parts
+
+
+def test_reverb_chunk_peak_memory():
+    # the chunk holds its slot's convolution buffer and one block of frames
+    # with its decoded parts, which it adds into the caller's spectrogram;
+    # nothing it holds grows with the number of frames
+    center, source, cfg, rir_seconds, num_samples = _long_reference_case()
     reverb = center.take(slice(1, None))
-    rir_len = int(round(rir_seconds * 48000))
-    num_samples = scene.source_signal.size + rir_len - 1
-    src_spec = sp_fft.fft(scene.source_signal,
-                          sp_fft.next_fast_len(num_samples))
-    delays = simulate._delay_matrix(reverb, rir_len, 48000)
+    src_spec = sp_fft.fft(source, sp_fft.next_fast_len(num_samples))
+    delays = simulate._delay_matrix(reverb, int(round(rir_seconds * 48000)),
+                                    48000)
     cols = np.arange(simulate.REF_CHUNK_CHANNELS)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((2, cols.size, cfg.num_bins)) + 0j
-    frames, item = cfg.num_frames(num_samples), np.dtype(complex).itemsize
-    conv = cols.size * src_spec.size * item
-    parts = 2 * 2 * frames * cfg.num_bins * item
-    block = cols.size * FB * cfg.fft_size * item
+    frames = cfg.num_frames(num_samples)
+    ears = np.zeros((2, frames, cfg.num_bins), dtype=complex)
+    _, conv, block, _ = _chunk_sizes(cfg, num_samples)
     tracemalloc.start()
     try:
-        pos, neg = simulate._reverb_chunk(reverb, delays, sh_degrees(4),
-                                          src_spec, num_samples, cfg, cols,
-                                          g, g)
+        buf = np.empty((cols.size, src_spec.size), dtype=complex)
+        out = simulate._reverb_chunk(reverb, delays, sh_degrees(4), src_spec,
+                                     num_samples, cfg, simulate._Turns(),
+                                     ears, 0, buf, cols, g, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pos.shape == neg.shape == (2, frames, cfg.num_bins)
-    assert peak <= 1.1 * (conv + parts + block), (peak, conv, parts, block)
+    assert out is buf
+    assert np.count_nonzero(ears[:, -1]) > 0  # every block was added
+    assert peak <= 1.1 * (conv + block), (peak, conv, block)
+
+
+def test_binaural_references_peak_memory(monkeypatch):
+    # both spectrograms, the source spectrum and, per worker, one slot
+    # buffer and one block of frames with its parts. A chunk that held its
+    # two parts for the whole signal would add 2 ears per worker, and a
+    # full reference formed out of place one more
+    center, source, cfg, rir_seconds, num_samples = _long_reference_case()
+    ears, conv, block, parts = _chunk_sizes(cfg, num_samples)
+    spectrum = conv // simulate.REF_CHUNK_CHANNELS
+    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
+    coeffs = _hrtf_sh(cfg, 4)
+    tracemalloc.start()
+    try:
+        binaural_references(center, source, coeffs, cfg, 4, rir_seconds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * ears + spectrum + 2 * (conv + block + parts)
+    assert peak <= 1.15 * bound, (peak, bound)
