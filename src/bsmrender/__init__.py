@@ -7,7 +7,7 @@ a config-driven CLI (see bsmrender.cli).
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, Direction, sph_to_cart
+from .geometry import ArrayGeometry, sph_to_cart
 from .solvers import BsmFilterBank, CovarianceModel, SolverConfig
 from .stft import Spectrogram, StftConfig
 
@@ -15,7 +15,6 @@ __all__ = [
     "ArrayGeometry",
     "BsmFilterBank",
     "CovarianceModel",
-    "Direction",
     "SolverConfig",
     "Spectrogram",
     "StftConfig",

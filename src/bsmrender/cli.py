@@ -23,6 +23,7 @@ from .containers import (canonical_json, load_filterbank, load_hrtf,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
+from .geometry import as_directions
 from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, point_receiver_hrtf,
                    sh_fit_operator)
 from .render import apply_filterbank
@@ -106,8 +107,8 @@ def run_simulate(cfg, out_dir):
     with ThreadPoolExecutor(1) as pool:
         fit = pool.submit(_hrtf_coeffs, cfg, stft_cfg, ref_order)
         images = scene_images(scene, max_order, rir_s)
-        stats = scene_statistics(scene, max_order, rir_s, images)
-        x, x_d = render_mic_signals(scene, max_order, rir_s, images)[:2]
+        stats = scene_statistics(scene, images, rir_s)
+        x, x_d = render_mic_signals(scene, images, rir_s)[:2]
         hrtf_sh = fit.result()
     stats["scene_digest"] = digest
     write_json(out_dir / "scene_stats.json", stats)
@@ -144,7 +145,7 @@ def run_design(cfg, out_dir):
     geom = cfgmod.build_array(cfg)
     coeffs = _hrtf_coeffs(cfg, stft_cfg, design["hrtf_sh_order"])
 
-    direct_doas = [cfgmod.direct_direction(cfg)]
+    direct_doas = as_directions(design["direct_doa"])
     reverb_doas = spiral_grid(design["reverb_grid_size"])
     # the full-order fit is dead once both DOA sets are evaluated
     hrtf_d, hrtf_r = (evaluate_sh(coeffs, d) for d in (direct_doas, reverb_doas))

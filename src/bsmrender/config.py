@@ -15,7 +15,7 @@ import yaml
 
 from .containers import ContainerError, file_sha256, read_wav, scene_digest
 from .evaluate import band_bins, check_bands, octave_bands
-from .geometry import ArrayGeometry, Direction, semicircle_array, sph_to_cart
+from .geometry import ArrayGeometry, as_directions, semicircle_array, sph_to_cart
 from .simulate import (RoomSpec, Scene, reflection_for_t60, signal_length,
                        synth_speech_noise)
 from .sph import num_coeffs
@@ -107,7 +107,7 @@ def desk_profile():
     center = (1.1, 1.05, 1.2)
     doa = (math.pi / 2, math.pi / 6)
     dist = 0.65
-    u = sph_to_cart(1.0, Direction(*doa))
+    u = sph_to_cart((1.0, *doa))
     return {
         "sample_rate": 48000,
         "scene": {
@@ -223,11 +223,17 @@ def resolve(profile="desk", config_path=None, seed=None):
     if cfg["design"]["hrtf_kind"] == "file" and not cfg["design"]["hrtf_file"]:
         raise ConfigError("design.hrtf_file required when hrtf_kind is file")
     # the overlap-add rules, the bands' bins, the frames left after the
-    # edge trim and the design's fit and cutoff fail here, not in a stage
+    # edge trim, the direct DOA, the microphone rows and the design's fit
+    # and cutoff fail here, not in a stage
     nyquist = build_stft_config(cfg).bin_frequencies()[-1]
     eval_bands(cfg)
     _check_frame_trim(cfg)
     design = cfg["design"]
+    try:
+        as_directions(design["direct_doa"])
+    except ValueError as err:
+        raise ConfigError(f"design.direct_doa: {err}") from None
+    build_array(cfg)
     order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
     # a file set's direction count is in its header, so design checks its fit
     if design["hrtf_kind"] != "file" and num_coeffs(order) > size:
@@ -314,10 +320,11 @@ def build_array(cfg):
     if scene["array_kind"] == "semicircle":
         return semicircle_array(scene["array_num_mics"], scene["array_radius"],
                                 tuple(scene["array_center"]))
-    if not scene["array_mics"]:
-        raise ConfigError("scene.array_mics required for an explicit array")
-    mics = tuple((r, Direction(th, ph)) for r, th, ph in scene["array_mics"])
-    return ArrayGeometry(mics=mics, center_position=tuple(scene["array_center"]))
+    try:
+        return ArrayGeometry(mics=scene["array_mics"],
+                             center_position=tuple(scene["array_center"]))
+    except ValueError as err:
+        raise ConfigError(f"scene.array_mics: {err}") from None
 
 
 def build_source(cfg):
@@ -343,11 +350,6 @@ def build_scene(cfg):
                  array=build_array(cfg),
                  noise_snr=snr_linear(scene["noise_snr_db"]),
                  seed=scene["seed"])
-
-
-def direct_direction(cfg):
-    th, ph = cfg["design"]["direct_doa"]
-    return Direction(th, ph)
 
 
 def eval_bands(cfg):

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Direction, directions_to_arrays
+from .geometry import as_directions
 from .hrtf import HrtfSet
 from .solvers import BsmFilterBank, SolverConfig
 from .stft import BINAURAL_TAGS, Spectrogram, StftConfig
@@ -295,15 +295,15 @@ def load_filterbank(path):
 # ---------------------------------------------------------------- BSMH
 
 def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
-    """Write a BSMH container from time-domain impulse responses."""
+    """Write a BSMH container from (D, 2) directions and (D, taps) IRs."""
     left_ir = np.ascontiguousarray(left_ir, dtype="<f4")
     right_ir = np.ascontiguousarray(right_ir, dtype="<f4")
     if left_ir.shape != right_ir.shape or left_ir.ndim != 2:
         raise ValueError("impulse responses must share a (directions, taps) shape")
     count, taps = left_ir.shape
-    if count != len(directions):
-        raise ValueError("direction count does not match IR rows")
-    table = np.stack(directions_to_arrays(directions), axis=1).astype("<f8")
+    table = np.ascontiguousarray(directions, dtype="<f8")
+    if table.shape != (count, 2):
+        raise ValueError("need one (colatitude, azimuth) row per IR row")
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMH", "III", int(sample_rate), count, taps))
         for block in (table, left_ir, right_ir):
@@ -320,12 +320,10 @@ def load_hrtf(path, fft_size):
     table = cur.array("<f8", (count, 2), "direction table")
     irs = cur.array("<f4", (2, count, taps), "impulse responses")
     cur.end()
-    if not np.all(np.isfinite(table)):
-        cur.fail("non-finite direction")
     if fft_size < taps:
         cur.fail(f"{taps}-tap impulse responses exceed fft_size {fft_size}")
     with cur.checked("HRTF set"):
-        return HrtfSet(directions=tuple(Direction(t, p) for t, p in table),
+        return HrtfSet(directions=as_directions(table),
                        ears=np.fft.rfft(irs, n=fft_size, axis=2),
                        sample_rate=float(rate))
 

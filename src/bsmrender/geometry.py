@@ -2,7 +2,8 @@
 
 Spherical coordinates follow the physics convention: colatitude theta is
 measured from the +z axis downwards, azimuth phi from +x towards +y.
-All angles in radians, all lengths in meters.
+All angles in radians, all lengths in meters. A set of directions is a
+float (D, 2) array of (colatitude, azimuth) rows.
 """
 
 import numpy as np
@@ -18,60 +19,54 @@ def wavenumbers(frequencies):
     return TWO_PI * frequencies / SPEED_OF_SOUND
 
 
-@dataclass(frozen=True)
-class Direction:
-    """A point on the unit sphere (colatitude, azimuth)."""
+def as_directions(rows):
+    """Checked copy of (colatitude, azimuth) rows as a float (D, 2) array:
+    every value finite and each colatitude in [0, pi], else ValueError.
+    Azimuths are taken mod 2 pi, which leaves one in [0, 2 pi) unchanged."""
+    dirs = np.array(rows, dtype=float, ndmin=2)
+    if dirs.ndim != 2 or dirs.shape[1] != 2:
+        raise ValueError("directions must be (colatitude, azimuth) rows")
+    if not np.isfinite(dirs).all():
+        raise ValueError("non-finite direction")
+    outside = dirs[(dirs[:, 0] < 0.0) | (dirs[:, 0] > np.pi), 0]
+    if outside.size:
+        raise ValueError(f"colatitude {outside[0]} outside [0, pi]")
+    # a tiny negative azimuth rounds up to 2 pi, which the second mod maps to 0
+    dirs[:, 1] = np.mod(np.mod(dirs[:, 1], TWO_PI), TWO_PI)
+    return dirs
 
-    colatitude: float
-    azimuth: float
 
-    def __post_init__(self):
-        if not (0.0 <= self.colatitude <= np.pi):
-            raise ValueError(f"colatitude {self.colatitude} outside [0, pi]")
-        # normalize azimuth into [0, 2pi)
-        object.__setattr__(self, "azimuth", float(np.mod(self.azimuth, TWO_PI)))
-        object.__setattr__(self, "colatitude", float(self.colatitude))
-
-
-def sph_to_cart(r, d):
-    """Spherical (r, Direction) to Cartesian (x, y, z).
+def sph_to_cart(rows):
+    """(radius, colatitude, azimuth) rows, shape (..., 3), to Cartesian
+    (x, y, z) rows of the same shape.
 
     x = r sin(theta) cos(phi), y = r sin(theta) sin(phi), z = r cos(theta).
     """
-    if r < 0:
+    r, th, ph = np.moveaxis(np.asarray(rows, dtype=float), -1, 0)
+    if np.any(r < 0):
         raise ValueError("radius must be non-negative")
-    st = np.sin(d.colatitude)
-    return (
-        r * st * np.cos(d.azimuth),
-        r * st * np.sin(d.azimuth),
-        r * np.cos(d.colatitude),
-    )
+    st = np.sin(th)
+    return np.stack([r * st * np.cos(ph), r * st * np.sin(ph),
+                     r * np.cos(th)], axis=-1)
 
 
-def directions_to_arrays(directions):
-    """Stack a Direction list into (colatitudes, azimuths) float arrays."""
-    th = np.array([d.colatitude for d in directions], dtype=float)
-    ph = np.array([d.azimuth for d in directions], dtype=float)
-    return th, ph
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrayGeometry:
-    """Microphone layout: (radius, Direction) per mic, relative to the array
-    center, plus the center position in the room frame."""
+    """Microphone layout: a (radius, colatitude, azimuth) row per mic,
+    relative to the array center, plus the center's room position."""
 
-    mics: tuple
+    mics: np.ndarray
     center_position: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if len(self.mics) == 0:
-            raise ValueError("array needs at least one microphone")
-        for r, d in self.mics:
-            if r <= 0:
-                raise ValueError("microphone radius must be positive")
-            if not isinstance(d, Direction):
-                raise ValueError("microphone direction must be a Direction")
-        object.__setattr__(self, "mics", tuple((float(r), d) for r, d in self.mics))
+        mics = np.array(self.mics, dtype=float, ndmin=2)
+        if mics.ndim != 2 or mics.shape[1] != 3 or mics.size == 0:
+            raise ValueError("array needs one or more (radius, colatitude, "
+                             "azimuth) rows")
+        if not np.all((mics[:, 0] > 0) & np.isfinite(mics[:, 0])):
+            raise ValueError("microphone radius must be positive and finite")
+        mics[:, 1:] = as_directions(mics[:, 1:])
+        object.__setattr__(self, "mics", mics)
         object.__setattr__(
             self, "center_position", tuple(float(v) for v in self.center_position)
         )
@@ -82,7 +77,7 @@ class ArrayGeometry:
 
     def local_positions(self):
         """Mic positions relative to the array center, shape (M, 3)."""
-        return np.array([sph_to_cart(r, d) for r, d in self.mics])
+        return sph_to_cart(self.mics)
 
     def room_positions(self):
         return self.local_positions() + np.asarray(self.center_position)
@@ -94,11 +89,6 @@ def semicircle_array(num_mics, radius, center_position=(0.0, 0.0, 0.0)):
     phi_m = pi - pi*(m-1)/(M-1) for m = 1..M, all at colatitude pi/2.
     A single mic sits at phi = pi.
     """
-    if num_mics < 1:
-        raise ValueError("num_mics must be >= 1")
-    if num_mics == 1:
-        phis = [np.pi]
-    else:
-        phis = [np.pi - np.pi * m / (num_mics - 1) for m in range(num_mics)]
-    mics = tuple((radius, Direction(np.pi / 2, p)) for p in phis)
+    phis = np.pi - np.pi * np.arange(num_mics) / max(num_mics - 1, 1)
+    mics = np.stack(np.broadcast_arrays(float(radius), np.pi / 2, phis), axis=1)
     return ArrayGeometry(mics=mics, center_position=center_position)

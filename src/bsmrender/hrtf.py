@@ -13,18 +13,18 @@ import math
 import numpy as np
 from dataclasses import dataclass, field
 
-from .geometry import directions_to_arrays, wavenumbers
+from .geometry import wavenumbers
 from .sph import num_coeffs, sh_matrix
 
 
 @dataclass(frozen=True)
 class HrtfSet:
-    """Direction-indexed ear responses on a one-sided frequency grid.
+    """Ear responses indexed by direction on a one-sided frequency grid.
 
-    ears holds complex responses (2, directions, bins), left ear first.
+    directions holds (D, 2) rows; ears (2, D, bins), left ear first.
     """
 
-    directions: tuple
+    directions: np.ndarray = field(repr=False)
     ears: np.ndarray = field(repr=False)
     sample_rate: float
 
@@ -67,21 +67,21 @@ def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     """
     if ear_offset <= 0:
         raise ValueError("ear_offset must be positive")
-    th, ph = directions_to_arrays(directions)
+    th, ph = np.asarray(directions, dtype=float).T
     uy = np.sin(th) * np.sin(ph)  # only the y component reaches the phase
     ks = wavenumbers(stft_cfg.bin_frequencies())
     phase = np.outer(uy, ks) * ear_offset
     ears = np.empty((2, *phase.shape), dtype=complex)
     np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
     np.conjugate(ears[0], out=ears[1])
-    return HrtfSet(directions=tuple(directions), ears=ears,
+    return HrtfSet(directions=directions, ears=ears,
                    sample_rate=stft_cfg.sample_rate)
 
 
 def flat_hrtf(stft_cfg, directions):
     """Unit response at every STFT bin and direction, both ears."""
     ones = np.ones((2, len(directions), stft_cfg.num_bins), dtype=complex)
-    return HrtfSet(directions=tuple(directions), ears=ones,
+    return HrtfSet(directions=directions, ears=ones,
                    sample_rate=stft_cfg.sample_rate)
 
 
@@ -172,7 +172,7 @@ def apply_sh_fit(operator, hrtf_set):
 
 
 def evaluate_sh(coeffs, targets):
-    """Evaluate SH coefficients at target directions -> HrtfSet."""
+    """Evaluate SH coefficients at (colatitude, azimuth) rows -> HrtfSet."""
     y = sh_matrix(coeffs.order, targets)
-    return HrtfSet(directions=tuple(targets), ears=y @ coeffs.ears,
+    return HrtfSet(directions=targets, ears=y @ coeffs.ears,
                    sample_rate=coeffs.sample_rate)

@@ -285,17 +285,17 @@ def signal_length(source_samples, rir_seconds, sample_rate):
     return source_samples + int(round(rir_seconds * sample_rate)) - 1
 
 
-def render_mic_signals(scene, max_order, rir_seconds, images=None):
-    """Per-mic signals: (full, direct, reverb), each (samples, M) float64.
+def render_mic_signals(scene, images, rir_seconds):
+    """Per-mic signals: (full, direct, reverb), each (samples, M) float64,
+    from scene_images' result.
 
     full is defined as direct + reverb, so the decomposition identity is
-    sample-exact by construction. `images` is scene_images' result when the
-    caller already has it.
+    sample-exact by construction.
     """
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(scene.source_signal, float)
-    _, mic_images = images or scene_images(scene, max_order, rir_seconds)
+    _, mic_images = images
     n_out = signal_length(src.size, rir_seconds, fs)
     direct = np.empty((n_out, len(mic_images)))
     reverb = np.empty((n_out, len(mic_images)))
@@ -545,9 +545,9 @@ def compute_drr(full_rir, direct_rir):
     return 10.0 * np.log10(e_dir / e_rev)
 
 
-def scene_statistics(scene, max_order, rir_seconds, images=None):
-    """Scene descriptors: array DRR, measured and predicted T60, direct
-    delay and the image count.
+def scene_statistics(scene, images, rir_seconds):
+    """Scene descriptors from scene_images' result: array DRR, measured
+    and predicted T60, direct delay and the image count.
 
     drr_db is the phase-averaged (incoherent) energy ratio summed over the
     microphones: sum of squared image gains, direct against the rest. The
@@ -556,13 +556,11 @@ def scene_statistics(scene, max_order, rir_seconds, images=None):
     source/receiver symmetries (shared horizontal plane) create equal-delay
     image pairs that interfere constructively in the rendered RIR, which no
     diffuse-field DRR figure accounts for.
-
-    `images` is scene_images' result when the caller already has it.
     """
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
-    images, mic_images = images or scene_images(scene, max_order, rir_seconds)
-    rir_d, rir_r = _split_rirs(images, rir_len, fs)
+    center, mic_images = images
+    rir_d, rir_r = _split_rirs(center, rir_len, fs)
     try:
         t60 = estimate_t60(rir_d + rir_r, fs)
     except ValueError:
@@ -579,8 +577,8 @@ def scene_statistics(scene, max_order, rir_seconds, images=None):
         "drr_center_coherent_db": None if np.isinf(coherent) else coherent,
         "t60_s": t60,
         "t60_eyring_s": eyring_t60(scene.room),
-        "direct_delay_samples": float(images.delays[0] * fs),
-        "image_count": int(images.count),
+        "direct_delay_samples": float(center.delays[0] * fs),
+        "image_count": int(center.count),
         "sample_rate": fs,
     }
 

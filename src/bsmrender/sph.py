@@ -13,7 +13,7 @@ in the rFFT spectrum.
 
 import numpy as np
 
-from .geometry import Direction, directions_to_arrays, wavenumbers
+from .geometry import wavenumbers
 
 # directions per sph_harm_y_all call in sh_matrix: at order 30 one block's
 # output is 7.4 MiB, against 46 MiB for the 1600 directions of an HRTF grid
@@ -32,28 +32,23 @@ def sh_degrees(order):
 
 
 def sh_matrix(order, directions):
-    """Rows of SH values for a sequence of Directions or a (theta, phi)
-    array pair; the element type decides which, so two Directions are two
-    directions.
+    """Rows of SH values at (colatitude, azimuth) rows, shape (D, 2).
 
-    Returns a C-contiguous complex array of shape
-    (len(directions), (order+1)^2). One sph_harm_y_all call per block of
-    SH_BLOCK_DIRECTIONS directions evaluates every degree at once (m < 0 at
-    the end of its second axis, where the negative m index finds it) and is
-    written straight into the result, so the (order+1, 2 order+1,
-    directions) output of a single call never exists. sph_harm_y_all works
-    elementwise, so the values are bitwise those of one sph_harm_y call per
-    (n, m). scipy.special loads on the first call, so a process that never
-    evaluates harmonics does not pay for its import.
+    Returns a C-contiguous complex array of shape (D, (order+1)^2). One
+    sph_harm_y_all call per block of SH_BLOCK_DIRECTIONS directions
+    evaluates every degree at once (m < 0 at the end of its second axis,
+    where the negative m index finds it) and is written straight into the
+    result, so the (order+1, 2 order+1, directions) output of a single call
+    never exists. sph_harm_y_all works elementwise, so the values are
+    bitwise those of one sph_harm_y call per (n, m). scipy.special loads on
+    the first call, so a process that never evaluates harmonics does not
+    pay for its import.
     """
     from scipy import special
 
     if order < 0:
         raise ValueError("order must be >= 0")
-    if all(isinstance(d, Direction) for d in directions):
-        th, ph = directions_to_arrays(directions)
-    else:
-        th, ph = (np.asarray(a, float) for a in directions)
+    th, ph = np.asarray(directions, dtype=float).T
     n, m = sh_degrees(order)
     out = np.empty((th.size, n.size), dtype=complex)
     for start in range(0, th.size, SH_BLOCK_DIRECTIONS):
@@ -67,8 +62,8 @@ def spiral_grid(num_points):
     """Deterministic nearly uniform sphere sampling (golden-angle spiral).
 
     Midpoint rule on z keeps the poles free: z_i = 1 - (2i+1)/L, with the
-    azimuth advancing by the golden angle pi*(3 - sqrt(5)). L=1 degenerates
-    to a single equatorial point.
+    azimuth advancing by the golden angle pi*(3 - sqrt(5)), in (L, 2)
+    direction rows. L=1 degenerates to a single equatorial point.
     """
     if num_points < 1:
         raise ValueError("num_points must be >= 1")
@@ -76,7 +71,7 @@ def spiral_grid(num_points):
     z = 1.0 - (2.0 * i + 1.0) / num_points
     theta = np.arccos(np.clip(z, -1.0, 1.0))
     phi = np.mod(i * np.pi * (3.0 - np.sqrt(5.0)), 2.0 * np.pi)
-    return [Direction(t, p) for t, p in zip(theta, phi)]
+    return np.stack([theta, phi], axis=1)
 
 
 def steering_tensor(stft_cfg, geom, doas):
@@ -85,7 +80,7 @@ def steering_tensor(stft_cfg, geom, doas):
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
     ks = wavenumbers(stft_cfg.bin_frequencies())
-    th, ph = directions_to_arrays(doas)
+    th, ph = np.asarray(doas, dtype=float).T
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)
     proj = geom.local_positions() @ u  # (M, L)

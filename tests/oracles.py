@@ -2,7 +2,7 @@
 
 The wavenumber of one frequency, closed-form and truncated-series
 plane-wave steering, the steering
-matrix of one frequency, the unit vector of a Direction, the largest
+matrix of one frequency, the unit vector of a direction, the largest
 radius of an array, the Cartesian to spherical conversion, the pinv
 HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
 one direction, the spherical-harmonic matrix from one call per (n, m)
@@ -20,8 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse, special
 
-from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays, \
-    sph_to_cart
+from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart
 from bsmrender.hrtf import apply_sh_fit, evaluate_sh, sh_fit_operator
 from bsmrender import solvers
 from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel
@@ -29,17 +28,18 @@ from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
 
 
 def unit_vector(d):
-    """Cartesian unit vector of a Direction."""
-    return np.array(sph_to_cart(1.0, d))
+    """Cartesian unit vector of a (colatitude, azimuth) row."""
+    return sph_to_cart((1.0, *d))
 
 
 def max_radius(geom):
     """Largest mic distance from the array center."""
-    return max(r for r, _ in geom.mics)
+    return geom.mics[:, 0].max()
 
 
 def sh_basis(order, d):
-    """Y_n^m(theta, phi) for one Direction, flat (order+1)^2 vector."""
+    """Y_n^m(theta, phi) for one (colatitude, azimuth) row, flat
+    (order+1)^2 vector."""
     if order < 0:
         raise ValueError("order must be >= 0")
     return sh_matrix(order, [d])[0]
@@ -71,7 +71,7 @@ def steering_matrix(f, geom, doas):
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
     k = wavenumber(f)
-    th, ph = directions_to_arrays(doas)
+    th, ph = np.asarray(doas, dtype=float).T
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)  # (3, L)
     return np.exp(1j * k * (geom.local_positions() @ u))
@@ -91,7 +91,7 @@ def steering_vector_sh(f, geom, doa, order=None, pad=10):
     n_idx, _ = sh_degrees(order)
     y_doa = np.conj(sh_basis(order, doa))
     out = np.empty(geom.num_mics, dtype=complex)
-    for i, (r, d) in enumerate(geom.mics):
+    for i, (r, *d) in enumerate(geom.mics):
         jn = special.spherical_jn(np.arange(order + 1), k * r)
         y_mic = sh_basis(order, d)
         out[i] = 4.0 * np.pi * np.sum((1j ** n_idx) * jn[n_idx] * y_mic * y_doa)
@@ -99,14 +99,15 @@ def steering_vector_sh(f, geom, doa, order=None, pad=10):
 
 
 def cart_to_sph(xyz):
-    """Cartesian to (r, Direction). The origin maps to theta=0, phi=0."""
+    """Cartesian to (r, (colatitude, azimuth) row), azimuth in [0, 2 pi).
+    The origin maps to theta=0, phi=0."""
     x, y, z = float(xyz[0]), float(xyz[1]), float(xyz[2])
     r = float(np.sqrt(x * x + y * y + z * z))
     if r == 0.0:
-        return 0.0, Direction(0.0, 0.0)
+        return 0.0, np.zeros(2)
     theta = float(np.arccos(np.clip(z / r, -1.0, 1.0)))
-    phi = float(np.arctan2(y, x))
-    return r, Direction(theta, phi)
+    phi = float(np.arctan2(y, x)) % (2.0 * np.pi)
+    return r, np.array([theta, phi])
 
 
 def sh_fit(hrtf_set, order):

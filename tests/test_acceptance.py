@@ -16,7 +16,8 @@ from bsmrender import config as cfgmod
 from bsmrender.cli import main
 from bsmrender.config import build_scene, resolve
 from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
-from bsmrender.simulate import render_mic_signals, scene_statistics
+from bsmrender.simulate import render_mic_signals, scene_images, \
+    scene_statistics
 from bsmrender.solvers import CovarianceModel, solve_general, solve_ls, solve_magls
 from bsmrender.sph import spiral_grid, steering_tensor
 from bsmrender.stft import StftConfig, istft, stft
@@ -130,7 +131,8 @@ def test_05_desk_room_oracles():
     scene = build_scene(cfg)
     order = cfg["scene"]["max_reflection_order"]
     rir_s = cfg["scene"]["rir_seconds"]
-    stats = scene_statistics(scene, order, rir_s)
+    images = scene_images(scene, order, rir_s)
+    stats = scene_statistics(scene, images, rir_s)
 
     ratio = stats["t60_s"] / stats["t60_eyring_s"]
     assert abs(ratio - 1.0) < 0.25
@@ -142,7 +144,7 @@ def test_05_desk_room_oracles():
     delay_err = abs(stats["direct_delay_samples"] - expected)
     assert delay_err <= 1.0
 
-    x, x_d, x_r = render_mic_signals(scene, order, rir_s)
+    x, x_d, x_r = render_mic_signals(scene, images, rir_s)
     np.testing.assert_array_equal(x, x_d + x_r)
     print(f"PASS [05 simulator oracles] t60/eyring {ratio:.3f} (within 25%), "
           f"delay error {delay_err:.4f} samples, split exact")
@@ -151,8 +153,9 @@ def test_05_desk_room_oracles():
 def test_06_paper_scale_statistics():
     cfg = resolve("paper")
     scene = build_scene(cfg)
-    stats = scene_statistics(scene, cfg["scene"]["max_reflection_order"],
-                             cfg["scene"]["rir_seconds"])
+    rir_s = cfg["scene"]["rir_seconds"]
+    stats = scene_statistics(scene, scene_images(
+        scene, cfg["scene"]["max_reflection_order"], rir_s), rir_s)
     assert 2.5 <= stats["drr_db"] <= 6.5
     assert 0.51 <= stats["t60_s"] <= 0.85
     print(f"PASS [06 full-size statistics] drr {stats['drr_db']:.2f} dB in "

@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -35,7 +34,6 @@ from bsmrender.containers import (read_binaural_spectrogram, read_wav,
                                   save_hrtf, update_manifest,
                                   verify_artifacts, write_wav)
 from bsmrender.evaluate import octave_bands
-from bsmrender.geometry import Direction
 from bsmrender.sph import num_coeffs, spiral_grid
 from bsmrender.stft import StftConfig
 
@@ -216,6 +214,33 @@ def test_empty_explicit_band_fails_config(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error [config]: evaluation.bands: band (100.0, 110.0) contains no "
         "bins\n")
+
+
+# a direct DOA off the sphere and a microphone at a negative radius: each
+# once passed --dry-run, then failed in design or simulate
+BAD_ROWS = {
+    "direct_doa": ("design: {direct_doa: [4.0, 0.5]}\n",
+                   "design.direct_doa: colatitude 4.0 outside [0, pi]"),
+    "array_mics": ("scene: {array_kind: explicit, "
+                   "array_mics: [[-0.05, 1.5, 0.0]]}\n",
+                   "scene.array_mics: microphone radius must be positive "
+                   "and finite"),
+}
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--dry-run"],
+                                  ["design", "--dry-run"], ["simulate"],
+                                  ["design"], ["pipeline"]])
+@pytest.mark.parametrize("key", sorted(BAD_ROWS))
+def test_bad_direction_rows_fail_config(tmp_path, capsys, argv, key):
+    text, message = BAD_ROWS[key]
+    config_path = tmp_path / "rows.yaml"
+    config_path.write_text(text)
+    rc = main(argv + ["--out", str(tmp_path / "o"),
+                      "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == f"error [config]: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [["pipeline", "--dry-run"], ["pipeline"]])
@@ -407,8 +432,8 @@ def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
 
 
 def test_two_direction_hrtf_grid_designs(tmp_path, capsys):
-    # a fit on two Directions used to read them as a (theta, phi) pair
-    # and end in a TypeError traceback
+    # a fit on two directions once read them as one (theta, phi) pair and
+    # ended in a TypeError traceback
     config_path = tmp_path / "two.yaml"
     config_path.write_text("design:\n  hrtf_grid_size: 2\n"
                            "  hrtf_sh_order: 0\n")
@@ -454,8 +479,8 @@ def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
     hrtf = tmp_path / "equator.bsmh"
     ir = np.zeros((16, 16))
     ir[:, 0] = 1.0
-    save_hrtf(hrtf, [Direction(math.pi / 2, 2 * math.pi * k / 16)
-                     for k in range(16)], ir, ir, 48000)
+    save_hrtf(hrtf, [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)],
+              ir, ir, 48000)
     config_path = tmp_path / "equator.yaml"
     config_path.write_text(f"design:\n  hrtf_kind: file\n"
                            f"  hrtf_file: {str(hrtf)!r}\n"
@@ -488,7 +513,7 @@ def test_rank_deficient_hrtf_file_fails_simulate_stage(tmp_path, capsys,
     # the reference's fit: its leading rows through the Gram matrix (order
     # 1 of 2) or the whole operator through the SVD (order 2) refuse the
     # equator grid with design's message
-    equator = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    equator = [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
     config_path = _flat_hrtf_file_config(tmp_path, equator, hrtf_sh_order=2,
                                          reference_order=reference_order)
     rc = main(["simulate", "--out", str(tmp_path / "o"),
@@ -503,7 +528,7 @@ def test_refused_simulate_fit_leaves_no_artifact(tmp_path, capsys):
     # the fit runs beside the room and is joined before the first write:
     # the equator grid's refusal reaches the caller while the out
     # directory is still empty, though the room was built meanwhile
-    equator = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    equator = [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
     config_path = _flat_hrtf_file_config(tmp_path, equator, hrtf_sh_order=2,
                                          reference_order=1)
     out = tmp_path / "o"
@@ -530,50 +555,57 @@ def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
     assert threading.active_count() == before
 
 
-def test_failure_inside_a_running_chunk_wakes_the_waiting_one(
-        tmp_path, capsys, monkeypatch):
+def test_failure_inside_a_running_chunk_wakes_the_waiting_one(tmp_path):
     # two reverberant chunks of two frame blocks each. Chunk 0 fails while
     # framing its second block, after chunk 1 has framed its own second
     # block and gone on to wait for chunk 0 to add it: the waiting chunk
-    # must be woken, so the stage ends in its error instead of hanging
+    # must be woken, so the stage ends in its error instead of hanging. The
+    # stage runs in a child process with the spies installed, so a chunk
+    # that is never woken fails the test at the timeout, and the child is
+    # killed instead of keeping this process from exiting
     config_path = tmp_path / "echo.yaml"
     config_path.write_text(ECHO_YAML.replace("source_duration_s: 0.3",
                                              "source_duration_s: 0.8"))
-    weights, frames = simulate._sh_weights_block, simulate._frames
-    chunk_of, framed = {}, {}
-    waiting = threading.Event()
-
-    def weights_spy(images, degrees, cols):
-        # on a worker, the first column names the chunk: 0 for chunk 0
-        chunk_of[threading.get_ident()] = int(cols[0])
-        return weights(images, degrees, cols)
-
-    def frames_spy(*args):
-        me = threading.get_ident()
-        framed[me] = framed.get(me, 0) + 1
-        if chunk_of[me] == 0 and framed[me] == 2:
-            assert waiting.wait(60)
-            time.sleep(0.2)  # chunk 1 transforms its block, then waits
-            raise ValueError("framing failed")
-        if chunk_of[me] != 0 and framed[me] == 2:
-            waiting.set()
-        return frames(*args)
-
-    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    monkeypatch.setattr(simulate, "_sh_weights_block", weights_spy)
-    monkeypatch.setattr(simulate, "_frames", frames_spy)
-    before = threading.active_count()
-    rc = []
-    stage = threading.Thread(target=lambda: rc.append(main(
-        ["simulate", "--out", str(tmp_path / "o"),
-         "--config", str(config_path)])), daemon=True)
-    stage.start()
-    stage.join(120)
-    assert not stage.is_alive(), "the waiting chunk was never woken"
-    assert waiting.is_set()
-    assert rc == [EXIT_CODES["simulate"]]
-    assert "error [simulate]: framing failed" in capsys.readouterr().err
-    assert threading.active_count() == before
+    probe = """\
+import json, sys, threading, time
+import bsmrender.cli
+from bsmrender import simulate
+weights, frames = simulate._sh_weights_block, simulate._frames
+chunk_of, framed = {}, {}
+waiting = threading.Event()
+def weights_spy(images, degrees, cols):
+    # on a worker, the first column names the chunk: 0 for chunk 0
+    chunk_of[threading.get_ident()] = int(cols[0])
+    return weights(images, degrees, cols)
+def frames_spy(*args):
+    me = threading.get_ident()
+    framed[me] = framed.get(me, 0) + 1
+    if chunk_of[me] == 0 and framed[me] == 2:
+        assert waiting.wait(10)
+        time.sleep(0.2)  # chunk 1 transforms its block, then waits
+        raise ValueError("framing failed")
+    if chunk_of[me] != 0 and framed[me] == 2:
+        waiting.set()
+    return frames(*args)
+simulate.REF_WORKERS = 2
+simulate._sh_weights_block = weights_spy
+simulate._frames = frames_spy
+rc = bsmrender.cli.main(sys.argv[1:])
+print(json.dumps([rc, waiting.is_set(), threading.active_count()]))
+"""
+    try:
+        run = subprocess.run(
+            [sys.executable, "-c", probe, "simulate", "--out",
+             str(tmp_path / "o"), "--config", str(config_path)],
+            env=_src_env(), capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the waiting chunk was never woken")
+    rc, waited, threads = json.loads(run.stdout.splitlines()[-1])
+    assert waited
+    assert rc == EXIT_CODES["simulate"]
+    assert "error [simulate]: framing failed" in run.stderr
+    # every worker has been joined by the time main returns
+    assert threads == 1
 
 
 def test_silent_source_fails_simulate_stage(tmp_path, capsys):
@@ -598,9 +630,9 @@ def test_ill_conditioned_hrtf_file_fails_both_fits(tmp_path, capsys, stage):
     # full rank, but s_min/s_max = 3e-7 at order 1: at or below the 1e-5
     # cutoff, which simulate's Gram route (reference order 0) and design's
     # SVD route share
-    ring = [Direction(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
+    ring = [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
     config_path = _flat_hrtf_file_config(
-        tmp_path, [*ring, Direction(math.pi / 2 - 1e-6, 0.3)],
+        tmp_path, [*ring, (math.pi / 2 - 1e-6, 0.3)],
         hrtf_sh_order=1, reference_order=0)
     rc = main([stage, "--out", str(tmp_path / "o"),
                "--config", str(config_path)])

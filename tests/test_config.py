@@ -13,7 +13,6 @@ from bsmrender.config import (
     build_room,
     build_source,
     build_stft_config,
-    direct_direction,
     eval_bands,
     resolve,
     run_digest,
@@ -163,9 +162,8 @@ def test_snr_linear():
 
 def test_build_array_semicircle():
     array = build_array(resolve("desk"))
-    assert len(array.mics) == 6
-    for radius, _ in array.mics:
-        assert radius == 0.07
+    assert array.mics.shape == (6, 3)
+    assert (array.mics[:, 0] == 0.07).all()
     assert array.center_position == (1.1, 1.05, 1.2)
 
 
@@ -173,10 +171,8 @@ def test_build_array_explicit(tmp_path):
     text = ("scene:\n  array_kind: explicit\n"
             "  array_mics: [[0.01, 1.5707963, 1.5707963]]\n")
     array = build_array(resolve("desk", _write(tmp_path, text)))
-    assert len(array.mics) == 1
-    radius, direction = array.mics[0]
-    assert radius == 0.01
-    np.testing.assert_allclose(direction.azimuth, 1.5707963)
+    assert array.mics.shape == (1, 3)
+    assert tuple(array.mics[0]) == (0.01, 1.5707963, 1.5707963)
     with pytest.raises(ConfigError, match="array_mics"):
         build_array(resolve("desk",
                             _write(tmp_path, "scene:\n  array_kind: explicit\n",
@@ -213,10 +209,36 @@ def test_build_source_speech_noise():
     assert not np.array_equal(src, build_source(cfg2))
 
 
-def test_direct_direction():
-    d = direct_direction(resolve("desk"))
-    np.testing.assert_allclose(d.colatitude, math.pi / 2)
-    np.testing.assert_allclose(d.azimuth, math.pi / 6)
+@pytest.mark.parametrize("text, message", [
+    ("design: {direct_doa: [4.0, 0.5]}",
+     r"design\.direct_doa: colatitude 4\.0 outside \[0, pi\]"),
+    ("design: {direct_doa: [-0.1, 0.5]}",
+     r"design\.direct_doa: colatitude -0\.1 outside"),
+    ("scene: {array_kind: explicit, array_mics: [[-0.05, 1.5, 0.0]]}",
+     r"scene\.array_mics: microphone radius must be positive"),
+    ("scene: {array_kind: explicit, array_mics: [[0.05, 1.5, 0.0], "
+     "[0.05, 3.5, 0.0]]}",
+     r"scene\.array_mics: colatitude 3\.5 outside \[0, pi\]"),
+    ("scene: {array_kind: explicit, array_mics: []}",
+     r"scene\.array_mics: array needs one or more"),
+], ids=["doa-above-pi", "doa-below-zero", "mic-radius", "mic-colatitude",
+        "no-mics"])
+def test_resolve_refuses_bad_direction_rows(tmp_path, text, message):
+    # the rows go through the one direction check when the config resolves
+    with pytest.raises(ConfigError, match=message):
+        resolve("desk", _write(tmp_path, text + "\n"))
+
+
+def test_resolve_leaves_azimuths_as_written(tmp_path):
+    # an azimuth outside [0, 2 pi) is a direction; the config and its digest
+    # keep the value as written, and the stages take it mod 2 pi
+    text = ("design: {direct_doa: [1.0, -0.5]}\n"
+            "scene: {array_kind: explicit, array_mics: [[0.05, 1.5, 7.0]]}\n")
+    cfg = resolve("desk", _write(tmp_path, text))
+    assert cfg["design"]["direct_doa"] == [1.0, -0.5]
+    assert cfg["scene"]["array_mics"] == [[0.05, 1.5, 7.0]]
+    np.testing.assert_allclose(build_array(cfg).mics,
+                               [[0.05, 1.5, 7.0 - 2 * math.pi]])
 
 
 def test_eval_bands(tmp_path):

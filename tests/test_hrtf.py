@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
-from bsmrender.geometry import SPEED_OF_SOUND, Direction, directions_to_arrays
+from bsmrender.geometry import SPEED_OF_SOUND
 from bsmrender import hrtf
 from bsmrender.hrtf import (
     RANK_RTOL,
@@ -37,7 +37,7 @@ def test_point_receiver_quarter_wave_phase():
     f = SPEED_OF_SOUND / (4 * offset)  # k * offset = pi/2
     # a 4-point FFT at 4 f has the bins 0, f and 2 f
     stft_cfg = StftConfig(4 * f, 4, 2)
-    hs = point_receiver_hrtf(offset, stft_cfg, [Direction(np.pi / 2, np.pi / 2)])
+    hs = point_receiver_hrtf(offset, stft_cfg, [(np.pi / 2, np.pi / 2)])
     np.testing.assert_allclose(hs.ears[:, 0, 1], [1j, -1j], atol=1e-12)
 
 
@@ -66,10 +66,10 @@ def test_hrtf_set_validation():
         HrtfSet(directions=(), ears=good[:, :0], sample_rate=48000)
     for bad in (good[0], good[:1], good[:, :3], good[None]):
         with pytest.raises(ValueError, match=r"shape \(2, directions, bins\)"):
-            HrtfSet(directions=tuple(dirs), ears=bad, sample_rate=48000)
+            HrtfSet(directions=dirs, ears=bad, sample_rate=48000)
     with pytest.raises(ValueError, match="non-finite"):
-        HrtfSet(directions=tuple(dirs), ears=good * np.nan, sample_rate=48000)
-    hs = HrtfSet(directions=tuple(dirs), ears=good, sample_rate=48000)
+        HrtfSet(directions=dirs, ears=good * np.nan, sample_rate=48000)
+    hs = HrtfSet(directions=dirs, ears=good, sample_rate=48000)
     assert hs.num_directions == 4 and hs.num_bins == STFT.num_bins
 
 
@@ -116,12 +116,11 @@ def test_sh_fit_requires_enough_directions():
 
 
 def test_sh_fit_on_two_directions():
-    # a tuple of exactly two Directions is two directions, not a
-    # (theta, phi) array pair
+    # two direction rows are two directions
     dirs = spiral_grid(2)
     coeffs = sh_fit(flat_hrtf(STFT, dirs), 0)
     np.testing.assert_allclose(coeffs.ears, np.sqrt(4 * np.pi), rtol=1e-14)
-    back = evaluate_sh(coeffs, tuple(dirs))
+    back = evaluate_sh(coeffs, dirs)
     assert back.num_directions == 2
     np.testing.assert_allclose(back.ears, 1.0, rtol=1e-14)
 
@@ -220,7 +219,7 @@ def test_sh_fit_is_operator_applied_to_responses():
 def test_rank_deficient_grid_is_refused():
     # 16 equator directions outnumber the 9 coefficients of order 2, but
     # the harmonics odd in z vanish there: rank 5, not a fit
-    equator = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    equator = [(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
     for fit in (lambda: sh_fit_operator(2, equator),
                 lambda: sh_fit(flat_hrtf(STFT, equator), 2)):
         with pytest.raises(ValueError, match="order 2 is rank deficient.*"
@@ -236,8 +235,8 @@ def test_ill_conditioned_grid_is_refused_by_both_routes():
     # one direction 1e-6 rad off an equator ring makes the order-1 fit full
     # rank, but with s_min/s_max = 3e-7, below the 1e-5 cutoff; 1e-3 rad
     # off (3e-4) passes
-    ring = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
-    off = [*ring, Direction(np.pi / 2 - 1e-6, 0.3)]
+    ring = [(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    off = [*ring, (np.pi / 2 - 1e-6, 0.3)]
     s = np.linalg.svd(sh_matrix(1, off), compute_uv=False)
     assert 1e-15 < s[-1] / s[0] < 1e-5
     for keep in (None, 0):
@@ -246,7 +245,7 @@ def test_ill_conditioned_grid_is_refused_by_both_routes():
     # the Gram route counts a rank-deficient grid's rank as the SVD does
     with pytest.raises(ValueError, match="rank 5 of 9 coefficients"):
         sh_fit_operator(2, ring, 1)
-    near = [*ring, Direction(np.pi / 2 - 1e-3, 0.3)]
+    near = [*ring, (np.pi / 2 - 1e-3, 0.3)]
     assert sh_fit_operator(1, near).shape == (4, 17)
     assert sh_fit_operator(1, near, 0).shape == (1, 17)
 
@@ -282,8 +281,8 @@ def test_gram_verdict_is_eigvalsh_rule_on_spiral_grids(order, extra):
 def test_gram_verdict_is_eigvalsh_rule_on_tilted_rings(k):
     # the ring of the ill-conditioned grid test with one direction tilted
     # 10^-k rad off it: s_min/s_max from about 3e-2 down to 3e-9
-    ring = [Direction(np.pi / 2, 2 * np.pi * j / 16) for j in range(16)]
-    tilted = [*ring, Direction(np.pi / 2 - 10.0 ** -k, 0.3)]
+    ring = [(np.pi / 2, 2 * np.pi * j / 16) for j in range(16)]
+    tilted = [*ring, (np.pi / 2 - 10.0 ** -k, 0.3)]
     _assert_gram_verdict_is_eigvalsh_rule(1, tilted)
 
 
@@ -300,8 +299,8 @@ def test_well_conditioned_grid_skips_eigvalsh(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     assert sh_fit_operator(30, spiral_grid(1600), 14).shape == (225, 1600)
     assert calls == []
-    ring = [Direction(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
-    tilted = [*ring, Direction(np.pi / 2 - 1e-6, 0.3)]
+    ring = [(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
+    tilted = [*ring, (np.pi / 2 - 1e-6, 0.3)]
     with pytest.raises(ValueError, match="rank 3 of 4 coefficients"):
         sh_fit_operator(1, tilted, 0)
     assert calls == [(4, 4)]
@@ -313,7 +312,7 @@ def test_sh_interpolate_linearity():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, STFT.num_bins)) + 0j
     b = rng.standard_normal((64, STFT.num_bins)) + 0j
-    mk = lambda arr: HrtfSet(directions=tuple(dirs), ears=np.stack([arr, arr]),
+    mk = lambda arr: HrtfSet(directions=dirs, ears=np.stack([arr, arr]),
                              sample_rate=48000)
     one = sh_interpolate(mk(a + 2 * b), 5, targets)
     two_a = sh_interpolate(mk(a), 5, targets)
@@ -332,10 +331,8 @@ def test_ir_container_round_trip(tmp_path):
     hs = load_hrtf(path, 64)
     assert hs.num_directions == 6
     assert hs.sample_rate == 48000
-    th, ph = directions_to_arrays(dirs)
-    got_th, got_ph = directions_to_arrays(hs.directions)
-    np.testing.assert_allclose(got_th, th, atol=1e-12)
-    np.testing.assert_allclose(got_ph, ph, atol=1e-12)
+    # the table is stored at double precision: the same rows, to the bit
+    assert_bits_equal(hs.directions, dirs)
     # spectra are plain transforms of the stored IRs
     np.testing.assert_allclose(hs.ears[0], np.fft.rfft(left, 64, axis=1),
                                atol=1e-5)

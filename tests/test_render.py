@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender.geometry import Direction
 from bsmrender.hrtf import point_receiver_hrtf
 from bsmrender.render import apply_filterbank, decode_matrix
 from bsmrender.simulate import RoomSpec, binaural_references, \
@@ -239,7 +238,7 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     order = 10
     images = _center_images(reflection=0.0, max_order=0)
     assert images.count == 1
-    doa = Direction(images.colatitudes[0], images.azimuths[0])
+    doa = (images.colatitudes[0], images.azimuths[0])
     hs = point_receiver_hrtf(0.0875, CFG, spiral_grid(600))
     coeffs = sh_fit(hs, order)
     rng = np.random.default_rng(9)

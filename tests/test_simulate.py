@@ -246,7 +246,8 @@ def test_mic_signals_split_and_anechoic_identity():
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(0.0,) * 6)
     scene = _scene(room=room, seconds=0.1)
-    full, direct, reverb = render_mic_signals(scene, 4, 0.05)
+    full, direct, reverb = render_mic_signals(
+        scene, scene_images(scene, 4, 0.05), 0.05)
     assert full.shape == direct.shape == reverb.shape
     assert full.shape[1] == 3
     np.testing.assert_array_equal(reverb, 0.0)
@@ -255,7 +256,8 @@ def test_mic_signals_split_and_anechoic_identity():
 
 def test_mic_signals_decomposition_identity():
     scene = _scene(seconds=0.1)
-    full, direct, reverb = render_mic_signals(scene, 3, 0.05)
+    full, direct, reverb = render_mic_signals(
+        scene, scene_images(scene, 3, 0.05), 0.05)
     np.testing.assert_array_equal(full, direct + reverb)
     assert np.sum(reverb ** 2) > 0
 
@@ -270,7 +272,8 @@ def test_mic_signal_delay_between_mics():
     geom = semicircle_array(2, 0.5, (5.0, 5.0, 2.0))
     scene = Scene(room=room, source_position=(8.0, 5.0, 2.0),
                   source_signal=sig, sample_rate=fs, array=geom)
-    full, _, _ = render_mic_signals(scene, 0, 0.08)
+    full, _, _ = render_mic_signals(scene, scene_images(scene, 0, 0.08),
+                                    0.08)
     lags = sps.correlation_lags(full.shape[0], full.shape[0])
     xc = sps.correlate(full[:, 0], full[:, 1])
     got = lags[np.argmax(np.abs(xc))]
@@ -418,21 +421,17 @@ def test_anechoic_reverberant_reference_is_exactly_zero():
     np.testing.assert_array_equal(reverb.data, 0.0)
 
 
-def test_shared_images_give_identical_outputs():
-    # one enumeration per receiver, passed around, changes no result
+def test_scene_images_enumerates_each_receiver_once():
+    # the array center's list, then one list per mic, each the image
+    # sources seen from that receiver up to the RIR's last arrival
     scene = _scene(seconds=0.05)
-    images = scene_images(scene, 6, 0.05)
-    center, mics = images
+    center, mics = scene_images(scene, 6, 0.05)
     assert len(mics) == 3
-    want = compute_image_sources(scene.room, scene.source_position,
-                                 scene.array.center_position, 6,
-                                 (int(0.05 * 48000) - 17) / 48000)
-    np.testing.assert_array_equal(center.delays, want.delays)
-    assert scene_statistics(scene, 6, 0.05, images) \
-        == scene_statistics(scene, 6, 0.05)
-    for a, b in zip(render_mic_signals(scene, 6, 0.05, images),
-                    render_mic_signals(scene, 6, 0.05)):
-        np.testing.assert_array_equal(a, b)
+    max_delay = (int(0.05 * 48000) - 17) / 48000
+    for images, receiver in zip([center, *mics], scene.receivers):
+        want = compute_image_sources(scene.room, scene.source_position,
+                                     tuple(receiver), 6, max_delay)
+        np.testing.assert_array_equal(images.delays, want.delays)
 
 
 def test_add_noise_power_and_determinism():
@@ -489,7 +488,7 @@ def test_compute_drr_cases():
 
 def test_scene_statistics_fields():
     scene = _scene(seconds=0.05)
-    stats = scene_statistics(scene, 12, 0.25)
+    stats = scene_statistics(scene, scene_images(scene, 12, 0.25), 0.25)
     d = np.linalg.norm(np.array(SRC) - np.array(RCV))
     np.testing.assert_allclose(stats["direct_delay_samples"],
                                d / SPEED_OF_SOUND * 48000, atol=1e-6)
@@ -503,7 +502,8 @@ def test_scene_statistics_fields():
 def test_scene_statistics_anechoic():
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(0.0,) * 6)
-    stats = scene_statistics(_scene(room=room, seconds=0.05), 4, 0.1)
+    scene = _scene(room=room, seconds=0.05)
+    stats = scene_statistics(scene, scene_images(scene, 4, 0.1), 0.1)
     assert stats["drr_db"] is None
     assert stats["drr_center_coherent_db"] is None
     assert stats["t60_s"] is None

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
-from bsmrender.geometry import Direction, semicircle_array
+from bsmrender.geometry import semicircle_array
 from bsmrender.hrtf import HrtfSet, flat_hrtf, point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
@@ -76,7 +76,7 @@ def test_overdetermined_regime_is_exact():
     # more mics than modeled waves and no noise: response match to rounding
     geom = semicircle_array(6, 0.07)
     rng = np.random.default_rng(0)
-    doas = [Direction(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0, 2 * np.pi))
+    doas = [(rng.uniform(0.2, np.pi - 0.2), rng.uniform(0, 2 * np.pi))
             for _ in range(2)]
     v = steering_matrix(4000.0, geom, doas)
     h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -396,7 +396,7 @@ def test_design_filterbank_matches_loop_at_desk_size():
     # its reverberant bank (240 DOAs, 20 dB, MagLS from 1500 Hz), with the
     # point-receiver ears evaluated at the DOAs instead of fitted
     geom = semicircle_array(6, 0.07)
-    direct = [Direction(np.pi / 2, 0.3)]
+    direct = [(np.pi / 2, 0.3)]
     reverb = spiral_grid(240)
     cfg = SolverConfig(snr=np.inf)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, direct)
