@@ -207,7 +207,11 @@ def resolve(profile="desk", config_path=None, seed=None):
     cfg = copy.deepcopy(PROFILES[profile]())
     if config_path is not None:
         with open(config_path) as fh:
-            overrides = yaml.safe_load(fh) or {}
+            try:
+                overrides = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as err:
+                raise ConfigError(f"{config_path}: {_yaml_problem(err)}") \
+                    from None
         if not isinstance(overrides, dict):
             raise ConfigError("config file must contain a mapping")
         _merge(cfg, overrides)
@@ -245,12 +249,21 @@ def resolve(profile="desk", config_path=None, seed=None):
     return cfg
 
 
+def _yaml_problem(err):
+    """yaml's problem and where it found it, 1-based, on one line."""
+    mark = getattr(err, "problem_mark", None)
+    if mark is None:
+        return " ".join(str(err).split())
+    return f"{err.problem} at line {mark.line + 1}, column {mark.column + 1}"
+
+
 def _check_frame_trim(cfg):
     """Refuse an evaluation.frame_trim that leaves none of the frames of
     the run's spectrograms, counted from the source and RIR lengths as the
     simulator renders them. A wav source is counted from its file, and
-    refused here if its sample rate is not the run's; one that does not
-    parse is left for simulate, which reads it, to refuse."""
+    refused here if its sample rate is not the run's or a sample of the
+    channel the run reads is not finite; one that does not parse is left
+    for simulate, which reads it, to refuse."""
     scene = cfg["scene"]
     if scene["source_kind"] == "wav":
         try:
@@ -260,6 +273,10 @@ def _check_frame_trim(cfg):
         if rate != cfg["sample_rate"]:
             raise ConfigError(f"source wav sample rate {rate} != "
                               f"{cfg['sample_rate']}")
+        bad = np.flatnonzero(~np.isfinite(data[:, 0]))
+        if bad.size:
+            raise ConfigError(f"source wav sample {bad[0]} is "
+                              f"{data[bad[0], 0]}, not a finite number")
         source = data.shape[0]
     else:
         source = _noise_samples(cfg)

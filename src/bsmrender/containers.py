@@ -331,9 +331,11 @@ def load_hrtf(path, fft_size):
 # ---------------------------------------------------------------- manifest
 
 def write_json(path, obj):
+    """Standard JSON only: a NaN or infinity raises ValueError, before the
+    file is opened, instead of writing a token other readers refuse."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path):

@@ -29,16 +29,19 @@ from .stft import Spectrogram, _frames, stft
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
 # m >= 0 SH channels encoded per chunk of binaural_references; each worker
-# convolves them in one (REF_CHUNK_CHANNELS, signal) buffer, 17 MiB on the
+# convolves them in one (REF_CHUNK_CHANNELS, signal) buffer, 8.5 MiB on the
 # full-size scene
-REF_CHUNK_CHANNELS = 4
+REF_CHUNK_CHANNELS = 2
 # threads that encode, transform and decode the reverberant chunks; the
 # reference's bytes do not depend on it
 REF_WORKERS = min(2, len(os.sched_getaffinity(0)))
 # analysis frames each reverberant chunk frames, transforms and decodes at
-# once: (REF_CHUNK_CHANNELS, FRAME_BLOCK, fft_size) complex, 4 MiB at a
+# once: (REF_CHUNK_CHANNELS, FRAME_BLOCK, fft_size) complex, 2 MiB at a
 # 2048-point FFT, whatever the signal length
 FRAME_BLOCK = 32
+# images whose sinc taps a delay matrix forms at once: (DELAY_BLOCK,
+# SINC_TAPS) temporaries, 256 KiB each, whatever the image count
+DELAY_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -99,9 +102,12 @@ class Scene:
                 if tuple(float(v) for v in pos) == self.source_position:
                     raise ValueError("the source must not sit on the array "
                                      "center or a microphone")
-        # an empty or silent source leaves evaluate no band with energy
+        # an empty or silent source leaves evaluate no band with energy,
+        # and a non-finite one leaves it nothing but NaN
         if not np.any(self.source_signal):
             raise ValueError("source signal has no nonzero sample")
+        if not np.all(np.isfinite(self.source_signal)):
+            raise ValueError("source signal has a non-finite sample")
 
     @property
     def receivers(self):
@@ -204,17 +210,32 @@ def _sinc_kernel(frac):
 def _delay_matrix(images, num_samples, sample_rate):
     """Sparse (num_samples x images) CSC matrix of windowed-sinc delay taps:
     column j holds image j's taps inside the signal, in row order, so a
-    product adds each row's taps in image order."""
+    product adds each row's taps in image order. An image's taps inside the
+    signal follow from its base sample alone, so the column pointers come
+    first and the taps are formed DELAY_BLOCK images at a time into the
+    matrix's own arrays: the peak is the matrix plus one block's
+    temporaries, and each tap keeps the bits of an all-at-once build."""
     from scipy import sparse
 
     d_samp = images.delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
-    rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
-    valid = (rows >= 0) & (rows < num_samples)
-    indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-    return sparse.csc_matrix(
-        (_sinc_kernel(d_samp - base)[valid], rows[valid], indptr),
-        shape=(num_samples, images.count))
+    taps = np.arange(SINC_TAPS) - (_HALF - 1)
+    indptr = np.concatenate(([0], np.cumsum(
+        np.clip(base + _HALF + 1, 0, num_samples)
+        - np.clip(base - (_HALF - 1), 0, num_samples))))
+    data = np.empty(indptr[-1])
+    # rows lie below num_samples, and scipy keeps 32-bit indices as given
+    indices = np.empty(indptr[-1], np.int32)
+    for start in range(0, images.count, DELAY_BLOCK):
+        stop = min(start + DELAY_BLOCK, images.count)
+        kernel = _sinc_kernel(d_samp[start:stop] - base[start:stop])
+        rows = base[start:stop, None] + taps
+        valid = (rows >= 0) & (rows < num_samples)
+        data[indptr[start]:indptr[stop]] = kernel[valid]
+        indices[indptr[start]:indptr[stop]] = rows[valid]
+        del kernel, rows, valid  # before the next block forms its own
+    return sparse.csc_matrix((data, indices, indptr),
+                             shape=(num_samples, images.count))
 
 
 def render_rir(images, num_samples, sample_rate):
@@ -358,11 +379,16 @@ def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
 
     try:
         w = _sh_weights_block(reverb, degrees, cols)
-        p, rir_len = buf[: len(cols)], delays.shape[0]
-        p[:, :rir_len] = (delays @ np.ascontiguousarray(w.real)
-                          + 1j * (delays @ np.ascontiguousarray(w.imag))).T
-        p[:, rir_len:] = 0
+        c, rir_len = len(cols), delays.shape[0]
+        # one pass over the taps for both parts; each element still adds
+        # its taps in image order
+        rirs = delays @ np.concatenate((w.real, w.imag), axis=1)
         del w
+        p = buf[:c]
+        p.real[:, :rir_len] = rirs[:, :c].T
+        p.imag[:, :rir_len] = rirs[:, c:].T
+        p[:, rir_len:] = 0
+        del rirs
         p = spfft.fft(p, overwrite_x=True)
         p *= src_spec
         p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
@@ -444,6 +470,7 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
+        del g
         num_samples = signal_length(src.size, rir_seconds, fs)
         src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)

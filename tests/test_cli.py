@@ -188,6 +188,27 @@ def test_config_errors_exit_one(tmp_path, capsys):
     assert rc == EXIT_CODES["config"]
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("scene: [unclosed\n",
+     "expected ',' or ']', but got '<stream end>' at line 2, column 1"),
+    ("scene:\n\trir_seconds: 0.1\n",
+     "found character '\\t' that cannot start any token at line 2, "
+     "column 1"),
+], ids=["unclosed", "tab"])
+def test_malformed_yaml_fails_config(tmp_path, text, problem):
+    # yaml's parser and scanner errors once escaped main as a traceback;
+    # the CLI runs as users start it, so stderr is what they would see
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(text)
+    run = subprocess.run(
+        [sys.executable, "-m", "bsmrender.cli", "simulate", "--dry-run",
+         "--out", str(tmp_path / "o"), "--config", str(config_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_CODES["config"]
+    assert "Traceback" not in run.stderr
+    assert run.stderr == f"error [config]: {config_path}: {problem}\n"
+
+
 @pytest.mark.parametrize("argv", [["pipeline", "--dry-run"], ["pipeline"],
                                   ["design"]])
 def test_bad_stft_parameters_fail_config(tmp_path, capsys, argv):
@@ -623,6 +644,28 @@ def test_silent_source_fails_simulate_stage(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error [simulate]: source signal has no nonzero sample\n")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("argv", [["simulate", "--dry-run"], ["pipeline"]])
+def test_non_finite_source_wav_fails_config(tmp_path, capsys, bad, argv):
+    # a NaN or infinite sample once passed every stage and ended in a NaN
+    # verdict with exit 0
+    samples = simulate.synth_speech_noise(14400, 48000, 0)
+    samples[100] = bad
+    source = tmp_path / "bad.wav"
+    write_wav(source, samples, 48000)
+    config_path = tmp_path / "bad.yaml"
+    config_path.write_text(ECHO_YAML.replace(
+        "scene:\n", f"scene:\n  source_kind: wav\n"
+                    f"  source_wav: {str(source)!r}\n"))
+    out = tmp_path / "o"
+    rc = main(argv + ["--out", str(out), "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        f"error [config]: source wav sample 100 is {bad}, not a finite "
+        "number\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("stage", ["simulate", "design"])

@@ -281,6 +281,16 @@ def test_write_json_formatting(tmp_path):
     assert text.index('"a"') < text.index('"b"')
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_write_json_refuses_non_standard_tokens(tmp_path, value):
+    # json's NaN and Infinity tokens are not JSON; no file is left behind
+    path = tmp_path / "v.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()
+
+
 def test_manifest_verify_cycle(tmp_path):
     f1 = tmp_path / "one.bin"
     f1.write_bytes(b"payload one")
