@@ -11,7 +11,6 @@ Stage failures exit with a stage-specific code: 1 config, 2 simulate,
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +23,8 @@ from .containers import (canonical_json, load_filterbank, load_hrtf,
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import as_directions
-from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, point_receiver_hrtf,
-                   sh_fit_operator)
+from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, flat_sh,
+                   point_receiver_hrtf, point_receiver_sh, sh_fit_operator)
 from .render import apply_filterbank
 from .simulate import add_noise, binaural_references, max_arrival_delay, \
     render_mic_signals, scene_images, scene_statistics
@@ -74,6 +73,19 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
     return apply_sh_fit(operator, base)
 
 
+def _reference_hrtf(cfg, stft_cfg, order):
+    """The reference's HRTF SH coefficients at min(order, hrtf_sh_order),
+    the order a fit would give: in closed form for the analytic models,
+    which need no fit; a file's set is fitted."""
+    design = cfg["design"]
+    order = min(order, design["hrtf_sh_order"])
+    if design["hrtf_kind"] == "point":
+        return point_receiver_sh(design["hrtf_ear_offset"], stft_cfg, order)
+    if design["hrtf_kind"] == "flat":
+        return flat_sh(stft_cfg, order)
+    return _hrtf_coeffs(cfg, stft_cfg, order)
+
+
 def _write_binaural(out_dir, spectra, wavs, fs, digest):
     """Write each binaural spectrogram (file name -> spectrogram) and each
     listenable two-channel WAV (WAV name -> spectrogram). Returns the
@@ -97,19 +109,14 @@ def run_simulate(cfg, out_dir):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
-    # the fit forms only the reference's rows on its own thread while this
-    # one builds the room, and is joined before the first write; a
-    # too-short RIR fails before it starts. scipy.special, the fit's one
-    # scipy module, loads first, so the two threads never import scipy at once
+    # a too-short RIR fails before a file HRTF's fit, and a refused fit
+    # before the first write
     max_arrival_delay(scene, rir_s)
     ref_order = cfg["design"]["reference_order"]
-    import scipy.special  # noqa: F401
-    with ThreadPoolExecutor(1) as pool:
-        fit = pool.submit(_hrtf_coeffs, cfg, stft_cfg, ref_order)
-        images = scene_images(scene, max_order, rir_s)
-        stats = scene_statistics(scene, images, rir_s)
-        x, x_d = render_mic_signals(scene, images, rir_s)[:2]
-        hrtf_sh = fit.result()
+    hrtf_sh = _reference_hrtf(cfg, stft_cfg, ref_order)
+    images = scene_images(scene, max_order, rir_s)
+    stats = scene_statistics(scene, images, rir_s)
+    x, x_d = render_mic_signals(scene, images, rir_s)[:2]
     stats["scene_digest"] = digest
     write_json(out_dir / "scene_stats.json", stats)
     # sensor noise belongs to the measurement; the oracle direct component

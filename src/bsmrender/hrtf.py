@@ -6,6 +6,12 @@ the head faces +x and the interaural axis is +/-y, left ear on +y. The
 measured-database path of the original experiment is replaced by a small
 binary container (BSMH, read and written by `containers`) plus analytic
 test models, which keeps the whole pipeline self-verifying.
+
+The analytic models come twice: as responses on a direction grid
+(`point_receiver_hrtf`, `flat_hrtf`), which design fits, and as their exact
+SH coefficients (`point_receiver_sh`, `flat_sh`), which the simulated
+reference decodes with and which need no fit. A file's set has only the
+fit.
 """
 
 import math
@@ -14,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .geometry import wavenumbers
-from .sph import num_coeffs, sh_matrix
+from .sph import num_coeffs, sh_degrees, sh_matrix
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,40 @@ def flat_hrtf(stft_cfg, directions):
                    sample_rate=stft_cfg.sample_rate)
 
 
+# the ears of point_receiver_hrtf, +/- ear_offset on the y axis
+EAR_DIRECTIONS = np.array([[math.pi / 2, math.pi / 2],
+                           [math.pi / 2, 3 * math.pi / 2]])
+
+
+def point_receiver_sh(ear_offset, stft_cfg, order):
+    """point_receiver_hrtf's exact SH coefficients up to `order`, by
+    Jacobi-Anger: exp(i k r.u) = sum 4 pi i^n j_n(k r) conj(Y_nm(r^))
+    Y_nm(u), so c_nm(f) = 4 pi i^n j_n(k a) conj(Y_nm(ear)). Unlike a fit,
+    it has no aliasing from the orders above `order`."""
+    from scipy import special
+
+    if ear_offset <= 0:
+        raise ValueError("ear_offset must be positive")
+    n_idx = sh_degrees(order)[0]
+    ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset
+    degrees = np.arange(order + 1)
+    radial = (4 * np.pi * 1j ** degrees)[:, None] \
+        * special.spherical_jn(degrees[:, None], ka)
+    ears = np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
+        * radial[n_idx]
+    return HrtfSHCoefficients(order=order, ears=ears,
+                              sample_rate=stft_cfg.sample_rate)
+
+
+def flat_sh(stft_cfg, order):
+    """flat_hrtf's exact SH coefficients up to `order`: c_00 = sqrt(4 pi),
+    since Y_00 = 1 / sqrt(4 pi), and every other coefficient zero."""
+    ears = np.zeros((2, num_coeffs(order), stft_cfg.num_bins), dtype=complex)
+    ears[:, 0] = math.sqrt(4 * math.pi)
+    return HrtfSHCoefficients(order=order, ears=ears,
+                              sample_rate=stft_cfg.sample_rate)
+
+
 # a fit is refused when s_min/s_max <= RANK_RTOL (lambda_min/lambda_max
 # <= 1e-10 on the Gram matrix), where the Gram route's rounding error,
 # about kappa^2 eps, reaches 1e-6
@@ -109,7 +149,8 @@ def sh_fit_operator(order, directions, keep_order=None):
     reciprocal, the product), so it is bitwise pinv(Y), but conjugates Y in
     place and frees Y and U as soon as they are used. Leading rows come
     through the Gram matrix instead, within about kappa(Y)^2 eps of pinv's
-    at about half the SVD's CPU time. The full operator keeps the SVD only
+    at about half the SVD's CPU time (simulate asks for them for a file's
+    set). The full operator keeps the SVD only
     because design's direct bank, an ill-conditioned solve, turns a
     rounding-level change in the fit into a 1e-3 change per bin; once that
     bank is solved in closed form (ROADMAP item 1), the SVD route is

@@ -366,11 +366,12 @@ class _Turns(threading.Condition):
 
 
 def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
-                  turns, ears, chunk, buf, cols, g_pos, g_neg):
+                  window, turns, ears, chunk, buf, cols, g_pos, g_neg):
     """Add chunk `chunk`, both ears' share of the SH channels `cols` (all
     m >= 0) of the reverberant images, into `ears`: per block of
     FRAME_BLOCK frames, each transformed on its own, the positive-frequency
-    part, then the mirrored part, in the block's turn. The RIRs are
+    part, then the mirrored part, in the block's turn; `window` is the
+    config's analysis window, computed once per reference. The RIRs are
     convolved with the source (`src_spec` is its FFT) in place in `buf`,
     the worker slot's buffer, which is returned. Only private helpers run
     here, so a tracer that wraps the public ones sees no call on a worker;
@@ -396,8 +397,8 @@ def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
         frames = config.num_frames(num_samples)
         for block, start in enumerate(range(0, frames, FRAME_BLOCK)):
             stop = min(start + FRAME_BLOCK, frames)
-            spec = spfft.fft(_frames(p, config, start, stop), axis=2,
-                             overwrite_x=True)
+            spec = spfft.fft(_frames(p, config, window, start, stop),
+                             axis=2, overwrite_x=True)
             pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
             # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1
             # read through a reversed view instead of a gathered copy
@@ -474,8 +475,10 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         num_samples = signal_length(src.size, rir_seconds, fs)
         src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
+        # one analysis window for every block of every chunk
         chunk = partial(_reverb_chunk, reverb, delays, degrees, src_spec,
-                        num_samples, config, _Turns(), ears_r)
+                        num_samples, config, config.window(), _Turns(),
+                        ears_r)
         futures = []
         with ThreadPoolExecutor(REF_WORKERS) as pool:
             for k in range(-(-encoded.size // REF_CHUNK_CHANNELS)):

@@ -120,9 +120,10 @@ class Spectrogram:
         return self._combine(other, _DIFFERENCES, np.subtract)
 
 
-def _frames(signal, config, start=0, stop=None):
-    """Windowed analysis frames `start` to `stop` (default: the last) of a
-    (channels, samples) signal, written into a zeroed (channels, frames,
+def _frames(signal, config, window, start=0, stop=None):
+    """Analysis frames `start` to `stop` (default: the last) of a
+    (channels, samples) signal, weighted by `window` (config.window(),
+    computed once by the caller), written into a zeroed (channels, frames,
     fft_size) buffer, so a transform of the last axis needs no padding
     copy. The trailing frames are zero-padded; the dtype follows the
     signal, so complex channels frame as well. Private so that worker
@@ -130,11 +131,10 @@ def _frames(signal, config, start=0, stop=None):
     num_ch, num_samples = signal.shape
     if stop is None:
         stop = config.num_frames(num_samples)
-    win = config.window()
     out = np.zeros((num_ch, stop - start, config.fft_size), dtype=signal.dtype)
     for t in range(start, stop):
-        seg = signal[:, t * config.hop : t * config.hop + win.size]
-        np.multiply(seg, win[: seg.shape[1]],
+        seg = signal[:, t * config.hop : t * config.hop + window.size]
+        np.multiply(seg, window[: seg.shape[1]],
                     out=out[:, t - start, : seg.shape[1]])
     return out
 
@@ -148,7 +148,7 @@ def stft(signal, config, tag="x"):
         raise ValueError("stft takes real signals")
     if sig.ndim == 1:
         sig = sig[:, None]
-    spec = np.fft.rfft(_frames(sig.T, config), axis=2)
+    spec = np.fft.rfft(_frames(sig.T, config, config.window()), axis=2)
     return Spectrogram(data=spec, config=config, tag=tag)
 
 

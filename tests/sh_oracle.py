@@ -122,8 +122,8 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
 
 
 def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
-                           config, turns, ears, chunk, buf, cols, g_pos,
-                           g_neg):
+                           config, window, turns, ears, chunk, buf, cols,
+                           g_pos, g_neg):
     """simulate._reverb_chunk with the RIRs zero-padded by the FFT instead
     of written into `buf`, and every frame of the chunk framed into one
     (channels, frames, fft_size) buffer, transformed and decoded at once.
@@ -135,7 +135,7 @@ def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
     p = spfft.fft(rir.T, src_spec.size)
     p *= src_spec
     p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-    spec = spfft.fft(_frames(p, config), axis=2, overwrite_x=True)
+    spec = spfft.fft(_frames(p, config, window), axis=2, overwrite_x=True)
     bins = config.num_bins
     pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
     neg = np.empty_like(pos)

@@ -546,9 +546,8 @@ def test_rank_deficient_hrtf_file_fails_simulate_stage(tmp_path, capsys,
 
 
 def test_refused_simulate_fit_leaves_no_artifact(tmp_path, capsys):
-    # the fit runs beside the room and is joined before the first write:
-    # the equator grid's refusal reaches the caller while the out
-    # directory is still empty, though the room was built meanwhile
+    # a file HRTF is fitted before the room is built: the equator grid's
+    # refusal reaches the caller while the out directory is still empty
     equator = [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)]
     config_path = _flat_hrtf_file_config(tmp_path, equator, hrtf_sh_order=2,
                                          reference_order=1)
@@ -559,9 +558,44 @@ def test_refused_simulate_fit_leaves_no_artifact(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+# a small echoic scene with an order-16 HRTF on 400 directions: large
+# enough that threaded OpenBLAS splits a fit's products, so a fit in
+# simulate would write different reference bytes at 1 and 2 threads
+BLAS_YAML = (ECHO_YAML.replace("max_reflection_order: 2",
+                               "max_reflection_order: 1")
+             .replace("source_duration_s: 0.3", "source_duration_s: 0.1")
+             .replace("hrtf_grid_size: 64", "hrtf_grid_size: 400")
+             .replace("hrtf_sh_order: 5", "hrtf_sh_order: 16")
+             .replace("reference_order: 2", "reference_order: 8"))
+
+
+def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the point model's coefficients come in closed form, so simulate makes
+    # no BLAS call whose rounding follows the thread count: one and two
+    # OpenBLAS threads write the same files, the manifest included
+    config_path = tmp_path / "blas.yaml"
+    config_path.write_text(BLAS_YAML)
+    trees = []
+    for threads in ("1", "2"):
+        env = _src_env()
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        run = subprocess.run(
+            [sys.executable, "-m", "bsmrender.cli", "simulate", "--out",
+             str(out), "--config", str(config_path)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(trees[0]) == sorted(SIM_ARTIFACTS + (
+        "scene_stats.json", "manifest.json"))
+    for name in trees[0]:
+        assert trees[0][name] == trees[1][name], name
+
+
 def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
-    # a room failure while the fit runs ends in the stage's error, and the
-    # fit's thread has ended by the time main returns
+    # a room failure ends in the stage's error, and no thread simulate
+    # started is left running when main returns
     def boom(*args):
         raise ValueError("boom")
 
@@ -721,10 +755,10 @@ def test_hrtf_fit_peak_memory():
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
-    # the fit forms only the rows of the reference order, so the reference
-    # gets coefficients that own their data and no order-5 fit ever
-    # exists; it runs beside the room, and its result exists before the
-    # reference and before the first artifact is written
+    # the point model's coefficients come in closed form at the reference
+    # order, before the first artifact is written: simulate applies no
+    # fit, no order-5 expansion ever exists, and the reference gets
+    # order-2 coefficients that own their data
     seen, events = [], []
 
     def spy(images, source, hrtf_sh, *args):
@@ -732,10 +766,13 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
         seen.append(hrtf_sh)
         return simulate.binaural_references(images, source, hrtf_sh, *args)
 
-    def fit_spy(operator, hrtf_set):
-        result = apply_fit(operator, hrtf_set)
-        events.append(("fit", operator.shape[0]))
-        return result
+    def closed_spy(ear_offset, stft_cfg, order):
+        events.append(("closed form", order))
+        return closed_form(ear_offset, stft_cfg, order)
+
+    def fit_spy(*args):
+        events.append(("fit", None))
+        return apply_fit(*args)
 
     def write_spy(writer):
         def spy(path, *args):
@@ -743,23 +780,40 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
             return writer(path, *args)
         return spy
 
-    apply_fit = cli.apply_sh_fit
+    closed_form, apply_fit = cli.point_receiver_sh, cli.apply_sh_fit
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
+    monkeypatch.setattr(cli, "point_receiver_sh", closed_spy)
     monkeypatch.setattr(cli, "apply_sh_fit", fit_spy)
     monkeypatch.setattr(cli, "write_json", write_spy(cli.write_json))
     monkeypatch.setattr(cli, "write_wav", write_spy(cli.write_wav))
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
-    assert events[0] == ("fit", 9)
-    assert [e for e in events if e[0] == "fit"] == [("fit", 9)]
+    assert events[0] == ("closed form", 2)
+    assert ("fit", None) not in events
     assert ("reference", None) in events
     assert ("write", "scene_stats.json") in events
     (hrtf_sh,) = seen
     assert hrtf_sh.order == 2
     assert hrtf_sh.ears.shape[:2] == (2, 9)
     assert hrtf_sh.ears.base is None
+
+
+@pytest.mark.parametrize("kind", ["point", "flat"])
+@pytest.mark.parametrize("reference_order, hrtf_sh_order, want",
+                         [(2, 5, 2), (5, 2, 2), (3, 3, 3)])
+def test_closed_form_takes_the_fit_order_rule(kind, reference_order,
+                                              hrtf_sh_order, want):
+    # the closed form is built at min(reference_order, hrtf_sh_order), the
+    # order the fit gave, so the reference truncates as before
+    cfg = cfgmod.resolve("desk")
+    cfg["design"].update(hrtf_kind=kind, reference_order=reference_order,
+                         hrtf_sh_order=hrtf_sh_order)
+    stft_cfg = StftConfig(48000, 512, 256)
+    coeffs = cli._reference_hrtf(cfg, stft_cfg, reference_order)
+    assert coeffs.order == want
+    assert coeffs.ears.shape == (2, num_coeffs(want), stft_cfg.num_bins)
 
 
 def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
@@ -808,11 +862,14 @@ def test_rir_shorter_than_direct_path_fails_simulate_stage(tmp_path, capsys):
 def test_rir_too_short_is_refused_before_the_fit(tmp_path, capsys,
                                                 monkeypatch):
     # the RIR length check needs only the geometry, so a too-short RIR
-    # fails before the seconds-long HRTF fit rather than after it
+    # fails before a file HRTF's fit, the one fit simulate still runs,
+    # rather than after it
     fits = []
     monkeypatch.setattr(cli, "_hrtf_coeffs", lambda *args: fits.append(args))
-    config_path = tmp_path / "short.yaml"
-    config_path.write_text("scene: {rir_seconds: 0.001}\n")
+    config_path = _flat_hrtf_file_config(tmp_path, spiral_grid(16),
+                                         hrtf_sh_order=2)
+    with open(config_path, "a") as config:
+        config.write("scene: {rir_seconds: 0.001}\n")
     rc = main(["simulate", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
     assert rc == EXIT_CODES["simulate"]

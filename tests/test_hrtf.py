@@ -16,7 +16,9 @@ from bsmrender.hrtf import (
     apply_sh_fit,
     evaluate_sh,
     flat_hrtf,
+    flat_sh,
     point_receiver_hrtf,
+    point_receiver_sh,
     sh_fit_operator,
 )
 from bsmrender.sph import num_coeffs, sh_matrix, spiral_grid
@@ -24,6 +26,7 @@ from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal, sh_fit, sh_interpolate
 
 STFT = StftConfig(48000, 512, 256)
+DESK_STFT = StftConfig.default(48000, 32.0, 16.0)  # both profiles' STFT
 
 
 def test_point_receiver_dc_is_unity():
@@ -57,6 +60,54 @@ def test_point_receiver_rejects_bad_offset():
 def test_flat_hrtf_is_ones():
     hs = flat_hrtf(STFT, spiral_grid(8))
     np.testing.assert_array_equal(hs.ears, 1.0)
+
+
+@pytest.mark.parametrize("order, bound", [(14, 5e-4), (30, 5e-7)])
+def test_point_closed_form_synthesizes_the_model(order, bound):
+    # Y c reproduces both ears of the model wherever the truncated
+    # Jacobi-Anger series has converged, k a <= order / 2; the bounds are
+    # about twice the measured 2.1e-4 (order 14) and 1.0e-7 (order 30)
+    dirs = spiral_grid(300)
+    coeffs = point_receiver_sh(0.0875, DESK_STFT, order)
+    assert coeffs.order == order
+    assert coeffs.ears.shape == (2, num_coeffs(order), DESK_STFT.num_bins)
+    got = evaluate_sh(coeffs, dirs).ears
+    want = point_receiver_hrtf(0.0875, DESK_STFT, dirs).ears
+    ka = 2 * np.pi * DESK_STFT.bin_frequencies() / SPEED_OF_SOUND * 0.0875
+    valid = ka <= order / 2
+    assert valid.sum() > 150  # 4.4 kHz at order 14, 9.4 kHz at order 30
+    err = np.abs(got - want)[..., valid].max()
+    assert err <= bound, err
+
+
+def test_point_closed_form_matches_the_fit_below_8khz():
+    # the order-30 fit on the profiles' 1600-direction grid aliases the
+    # orders above 30 into its coefficients, which reaches 1e-10 relative
+    # only above 8 kHz; below, the fit and the closed form agree (measured
+    # 1.7e-11 at 4-8 kHz, 3.2e-15 below 4 kHz)
+    fit = sh_fit(point_receiver_hrtf(0.0875, DESK_STFT, spiral_grid(1600)), 30)
+    closed = point_receiver_sh(0.0875, DESK_STFT, 30)
+    below = DESK_STFT.bin_frequencies() < 8000.0
+    diff = np.abs(fit.ears - closed.ears)[..., below].max(axis=1)
+    scale = np.abs(closed.ears)[..., below].max(axis=1)
+    assert (diff <= 1e-10 * scale).all(), (diff / scale).max()
+
+
+def test_point_closed_form_rejects_bad_offset():
+    with pytest.raises(ValueError):
+        point_receiver_sh(0.0, STFT, 2)
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_flat_closed_form_is_exact(order):
+    # c_00 = sqrt(4 pi) on both ears at every bin, every other coefficient
+    # zero, so the expansion is the model's unit response
+    coeffs = flat_sh(STFT, order)
+    assert coeffs.ears.shape == (2, num_coeffs(order), STFT.num_bins)
+    np.testing.assert_array_equal(coeffs.ears[:, 0], np.sqrt(4 * np.pi))
+    np.testing.assert_array_equal(coeffs.ears[:, 1:], 0)
+    np.testing.assert_allclose(evaluate_sh(coeffs, spiral_grid(50)).ears,
+                               1.0, rtol=0, atol=1e-15)
 
 
 def test_hrtf_set_validation():

@@ -731,6 +731,23 @@ def test_blocked_reference_bitwise_equals_unblocked(monkeypatch, frames,
         assert_bits_equal(one.data, want.data)
 
 
+def test_reference_computes_the_window_once(monkeypatch):
+    # 70 frames are 3 blocks and order 4 encodes 15 channels, 8 chunks:
+    # every block of every chunk frames with the reference's one window,
+    # and the direct part's stft computes its own, once for all frames
+    calls = []
+    window = StftConfig.window
+
+    def spy(self):
+        calls.append(self)
+        return window(self)
+
+    case = _blocked_case(70, 4)
+    monkeypatch.setattr(StftConfig, "window", spy)
+    binaural_references(*case)
+    assert len(calls) == 2
+
+
 def _long_reference_case():
     """A 4 s source with a 20 ms RIR: the spectrograms are long, so parts
     of the whole signal would dominate a chunk's memory."""
@@ -768,12 +785,14 @@ def test_reverb_chunk_peak_memory():
     frames = cfg.num_frames(num_samples)
     ears = np.zeros((2, frames, cfg.num_bins), dtype=complex)
     _, conv, block, parts = _chunk_sizes(cfg, num_samples)
+    window = cfg.window()
     tracemalloc.start()
     try:
         buf = np.empty((cols.size, src_spec.size), dtype=complex)
         out = simulate._reverb_chunk(reverb, delays, sh_degrees(4), src_spec,
-                                     num_samples, cfg, simulate._Turns(),
-                                     ears, 0, buf, cols, g, g)
+                                     num_samples, cfg, window,
+                                     simulate._Turns(), ears, 0, buf, cols,
+                                     g, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

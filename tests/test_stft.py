@@ -132,7 +132,7 @@ def test_complex_input_keeps_analytic_sign():
     k = 100
     n = np.arange(CFG.window_length)
     up = np.exp(2j * np.pi * k * n / CFG.fft_size)
-    segs = _frames(np.stack([up, np.conj(up)]), CFG)
+    segs = _frames(np.stack([up, np.conj(up)]), CFG, CFG.window())
     assert segs.dtype.kind == "c" and segs.shape == (2, 1, CFG.fft_size)
     spec = np.fft.fft(segs, axis=2)[:, 0]
     mag_up, mag_down = np.abs(spec)
@@ -179,8 +179,10 @@ def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
     want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
     assert_bits_equal(stft(x, CFG).data, want)
     count = CFG.num_frames(num_samples)
-    blocks = [np.fft.rfft(_frames(x.T, CFG, start, min(start + block, count)),
-                          axis=2) for start in range(0, count, block)]
+    win = CFG.window()
+    blocks = [np.fft.rfft(_frames(x.T, CFG, win, start,
+                                  min(start + block, count)), axis=2)
+              for start in range(0, count, block)]
     assert_bits_equal(np.concatenate(blocks, axis=1), want)
 
 
@@ -190,7 +192,8 @@ def test_frames_match_padded_copy_framing(num_samples):
     rng = np.random.default_rng(num_samples)
     z = rng.standard_normal((2, num_samples)) \
         + 1j * rng.standard_normal((2, num_samples))
-    got = _frames(z, CFG)
+    win = CFG.window()
+    got = _frames(z, CFG, win)
     want = sliding_frames(z, CFG)
     assert got.shape == want.shape[:2] + (CFG.fft_size,)
     assert_bits_equal(got[..., : CFG.window_length], want)
@@ -200,5 +203,5 @@ def test_frames_match_padded_copy_framing(num_samples):
     for start, stop in ((0, count), (0, 1), (count - 1, count),
                         (count // 2, count), (count // 3, 2 * count // 3),
                         (count, count)):
-        assert_bits_equal(_frames(z, CFG, start, stop), got[:, start:stop])
-    assert_bits_equal(_frames(z, CFG, count // 2), got[:, count // 2 :])
+        assert_bits_equal(_frames(z, CFG, win, start, stop), got[:, start:stop])
+    assert_bits_equal(_frames(z, CFG, win, count // 2), got[:, count // 2 :])
