@@ -328,6 +328,8 @@ def main(argv=None):
     try:
         cfg = cfgmod.resolve(args.profile, args.config, args.seed)
         digest = cfgmod.run_digest(cfg)
+        if not args.dry_run:
+            args.out.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError) as err:
         print(f"error [config]: {err}", file=sys.stderr)
         return EXIT_CODES["config"]
@@ -337,7 +339,6 @@ def main(argv=None):
                               "config": cfg}))
         return 0
 
-    args.out.mkdir(parents=True, exist_ok=True)
     runners = {"simulate": run_simulate, "design": run_design,
                "render": run_render, "evaluate": run_evaluate}
     for stage in runners if args.command == "pipeline" else [args.command]:

@@ -20,9 +20,9 @@ BSMH. WAV has no version field and keeps its version 1 layout.
   colatitude/azimuth table; the (2, D, T) <f4 IR block, left ear first.
 
 manifest.json maps artifact names to content hashes so later stages can
-refuse stale or corrupted inputs. Every reader parses through one
+refuse stale or corrupted inputs. Every binary reader parses through one
 bounds-checked cursor: a truncated, damaged or over-long file raises
-ContainerError naming the file.
+ContainerError naming the file, as does a manifest of another shape.
 """
 
 import contextlib
@@ -343,10 +343,25 @@ def read_json(path):
         return json.load(fh)
 
 
+def _read_manifest(path):
+    """manifest.json as update_manifest writes it: {"artifacts": {name:
+    {"sha256": str, "scene_digest": str}}}. Any other content raises
+    ContainerError naming the file."""
+    try:
+        manifest = read_json(path)
+        for entry in manifest["artifacts"].values():
+            if not all(isinstance(entry[key], str)
+                       for key in ("sha256", "scene_digest")):
+                raise TypeError("a hash or digest is not a string")
+    except (ValueError, LookupError, TypeError, AttributeError) as err:
+        raise ContainerError(f"{path}: not a manifest: {err!r}") from None
+    return manifest
+
+
 def update_manifest(out_dir, entries, digest):
     """Record artifact hashes. entries maps file name -> path."""
     path = out_dir / "manifest.json"
-    manifest = read_json(path) if path.exists() else {"artifacts": {}}
+    manifest = _read_manifest(path) if path.exists() else {"artifacts": {}}
     for name, p in sorted(entries.items()):
         manifest["artifacts"][name] = {"sha256": file_sha256(p),
                                        "scene_digest": digest}
@@ -359,7 +374,7 @@ def verify_artifacts(out_dir, names, expected_digest, stage):
     path = out_dir / "manifest.json"
     if not path.exists():
         raise StaleArtifactError(f"{stage}: no manifest in {out_dir}")
-    manifest = read_json(path)["artifacts"]
+    manifest = _read_manifest(path)["artifacts"]
     for name in names:
         if name not in manifest:
             raise StaleArtifactError(f"{stage}: {name} missing from manifest")

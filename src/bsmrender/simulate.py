@@ -13,8 +13,6 @@ never loads it.
 """
 
 import os
-import threading
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -28,12 +26,12 @@ from .stft import Spectrogram, _frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
-# m >= 0 SH channels encoded per chunk of binaural_references; each worker
-# convolves them in one (REF_CHUNK_CHANNELS, signal) buffer, 8.5 MiB on the
-# full-size scene
+# m >= 0 SH channels encoded per chunk of binaural_references; each half
+# convolves its chunks in one (REF_CHUNK_CHANNELS, signal) buffer, 8.5 MiB
+# on the full-size scene
 REF_CHUNK_CHANNELS = 2
-# threads that encode, transform and decode the reverberant chunks; the
-# reference's bytes do not depend on it
+# threads that run the reference's two reverberant halves; its bytes do
+# not depend on it
 REF_WORKERS = min(2, len(os.sched_getaffinity(0)))
 # analysis frames each reverberant chunk frames, transforms and decodes at
 # once: (REF_CHUNK_CHANNELS, FRAME_BLOCK, fft_size) complex, 2 MiB at a
@@ -276,22 +274,16 @@ def scene_images(scene, max_order, rir_seconds):
 
 
 def _fft_convolve(a, b):
-    """Full linear convolution along the last axis, broadcast over the
-    others: the transforms of scipy.signal.fftconvolve, so the same bits,
-    without importing scipy.signal. A length-1 operand is a plain product,
-    as there."""
+    """Full linear convolution of two 1-D real signals: the transforms of
+    scipy.signal.fftconvolve, so the same bits, without importing
+    scipy.signal. A length-1 operand is a plain product, as there."""
     from scipy import fft as spfft
 
-    n = a.shape[-1] + b.shape[-1] - 1
-    if a.shape[-1] == 1 or b.shape[-1] == 1:
+    n = a.size + b.size - 1
+    if a.size == 1 or b.size == 1:
         return a * b
-    real = not (np.iscomplexobj(a) or np.iscomplexobj(b))
-    size = spfft.next_fast_len(n, real)
-    if real:
-        out = spfft.irfft(spfft.rfft(a, size) * spfft.rfft(b, size), size)
-    else:
-        out = spfft.ifft(spfft.fft(a, size) * spfft.fft(b, size), size)
-    return out[..., :n]
+    size = spfft.next_fast_len(n, True)
+    return spfft.irfft(spfft.rfft(a, size) * spfft.rfft(b, size), size)[:n]
 
 
 def _split_rirs(images, num_samples, sample_rate):
@@ -345,42 +337,24 @@ def _sh_weights_block(images, degrees, cols):
     return out * images.gains[:, None]
 
 
-class _Turns(threading.Condition):
-    """Chunk k adds to a block of frames of the reference after chunks
-    0..k-1 have, so each element gets its additions in chunk order. A
-    failed chunk wakes every chunk waiting for its turn, which then raises."""
-
-    def __init__(self):
-        super().__init__()
-        self.added, self.failed = Counter(), False
-
-    def add(self, chunk, block, total, parts):
-        with self:
-            self.wait_for(lambda: self.failed or self.added[block] == chunk)
-            if self.failed:
-                raise RuntimeError("an earlier reverberant chunk failed")
-            for part in parts:
-                total += part
-            self.added[block] += 1
-            self.notify_all()
-
-
-def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
-                  window, turns, ears, chunk, buf, cols, g_pos, g_neg):
-    """Add chunk `chunk`, both ears' share of the SH channels `cols` (all
-    m >= 0) of the reverberant images, into `ears`: per block of
-    FRAME_BLOCK frames, each transformed on its own, the positive-frequency
-    part, then the mirrored part, in the block's turn; `window` is the
-    config's analysis window, computed once per reference. The RIRs are
-    convolved with the source (`src_spec` is its FFT) in place in `buf`,
-    the worker slot's buffer, which is returned. Only private helpers run
-    here, so a tracer that wraps the public ones sees no call on a worker;
-    binaural_references loads their scipy modules first."""
+def _reverb_half(reverb, delays, degrees, src_spec, num_samples, config,
+                 window, ears, buf, cols, g_pos, g_neg):
+    """Add both ears' share of the SH channels `cols` (all m >= 0) of the
+    reverberant images into `ears`, REF_CHUNK_CHANNELS at a time in order,
+    each chunk's RIRs convolved with the source (`src_spec` is its FFT) in
+    place in `buf`: per block of FRAME_BLOCK frames, each transformed on
+    its own with the reference's one `window`, the positive-frequency part,
+    then the mirrored part. Only private helpers run here, so a tracer that
+    wraps the public ones sees no call on a worker."""
     from scipy import fft as spfft
 
-    try:
-        w = _sh_weights_block(reverb, degrees, cols)
-        c, rir_len = len(cols), delays.shape[0]
+    bins = config.num_bins
+    frames = config.num_frames(num_samples)
+    rir_len = delays.shape[0]
+    for first in range(0, len(cols), REF_CHUNK_CHANNELS):
+        chunk = slice(first, first + REF_CHUNK_CHANNELS)
+        w = _sh_weights_block(reverb, degrees, cols[chunk])
+        c = w.shape[1]
         # one pass over the taps for both parts; each element still adds
         # its taps in image order
         rirs = delays @ np.concatenate((w.real, w.imag), axis=1)
@@ -393,29 +367,22 @@ def _reverb_chunk(reverb, delays, degrees, src_spec, num_samples, config,
         p = spfft.fft(p, overwrite_x=True)
         p *= src_spec
         p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-        bins = config.num_bins
-        frames = config.num_frames(num_samples)
-        for block, start in enumerate(range(0, frames, FRAME_BLOCK)):
+        for start in range(0, frames, FRAME_BLOCK):
             stop = min(start + FRAME_BLOCK, frames)
             spec = spfft.fft(_frames(p, config, window, start, stop),
                              axis=2, overwrite_x=True)
-            pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
+            total = ears[:, start:stop]
+            total += np.einsum("cfb,ecb->efb", spec[..., :bins],
+                               g_pos[:, chunk])
             # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1
             # read through a reversed view instead of a gathered copy
-            neg = np.empty_like(pos)
-            np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
+            neg = np.empty_like(total)
+            np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[:, chunk, :1],
                       out=neg[..., :1])
-            np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
-                      out=neg[..., 1:])
-            turns.add(chunk, block, ears[:, start:stop],
-                      (pos, np.conjugate(neg, out=neg)))
-            del spec, pos, neg  # before the next block allocates its own
-        return buf
-    except BaseException:
-        with turns:
-            turns.failed = True
-            turns.notify_all()
-        raise
+            np.einsum("cfb,ecb->efb", spec[..., : -bins : -1],
+                      g_neg[:, chunk, 1:], out=neg[..., 1:])
+            total += np.conjugate(neg, out=neg)
+            del spec, neg  # before the next block allocates its own
 
 
 def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
@@ -434,13 +401,15 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     from the same full FFT. The full reference is direct + reverberant, so
     the two are identical in an anechoic room.
 
-    The chunks run on up to REF_WORKERS (two) threads, one per thread in
-    flight; chunk k + REF_WORKERS reuses chunk k's buffer. Each adds its
-    blocks of frames into the reference on its thread after every earlier
-    chunk, so the bytes do not depend on the thread count. The chunks'
-    scipy modules are loaded on the calling thread before the first is
-    submitted: scipy.fft here, scipy.special by the direct image's weights
-    and scipy.sparse by the delay matrices.
+    The reverberant chunks run as two fixed halves, the first ceil(K/2) of
+    the K chunks and the rest, on up to REF_WORKERS (two) threads or in
+    turn on one. The first half adds its chunks in order into the
+    reference, the second into a zeroed spectrogram added after it, so the
+    bytes do not depend on the thread count. Both halves' buffers come from
+    the calling thread, as glibc keeps what a worker thread frees, and the
+    direct part is formed after they and the second sum are freed.
+    Every scipy module the halves use is loaded first: scipy.fft here,
+    scipy.special by the direct weights, scipy.sparse by the delay matrices.
     """
     from scipy import fft as spfft
 
@@ -457,10 +426,10 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
     w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
-    ears_d = stft(_fft_convolve(src, kernel), config).data[0] \
-        * (w0 @ g)[:, None, :]
-
-    ears_r = np.zeros_like(ears_d)
+    gain_d = w0 @ g
+    num_samples = signal_length(src.size, rir_seconds, fs)
+    ears = np.zeros((2, config.num_frames(num_samples), config.num_bins),
+                    complex)
     if reverb.count:
         n_idx, m_idx = degrees
         encoded = np.nonzero(m_idx >= 0)[0]
@@ -472,27 +441,32 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
         del g
-        num_samples = signal_length(src.size, rir_seconds, fs)
         src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
+        chunks = -(-encoded.size // REF_CHUNK_CHANNELS)
+        split = -(-chunks // 2) * REF_CHUNK_CHANNELS
+        second = np.zeros_like(ears)
+        bufs = [np.empty((REF_CHUNK_CHANNELS, src_spec.size), complex)
+                for _ in range(2)]
         # one analysis window for every block of every chunk
-        chunk = partial(_reverb_chunk, reverb, delays, degrees, src_spec,
-                        num_samples, config, config.window(), _Turns(),
-                        ears_r)
-        futures = []
+        half = partial(_reverb_half, reverb, delays, degrees, src_spec,
+                       num_samples, config, config.window())
         with ThreadPoolExecutor(REF_WORKERS) as pool:
-            for k in range(-(-encoded.size // REF_CHUNK_CHANNELS)):
-                # chunk k - REF_WORKERS hands its slot's buffer on
-                buf = futures[k - REF_WORKERS].result() if k >= REF_WORKERS \
-                    else np.empty((REF_CHUNK_CHANNELS, src_spec.size), complex)
-                sl = slice(k * REF_CHUNK_CHANNELS, (k + 1) * REF_CHUNK_CHANNELS)
-                futures.append(pool.submit(chunk, k, buf, encoded[sl],
-                                           g_pos[:, sl], g_neg[:, sl]))
+            futures = [pool.submit(half, total, buf, encoded[sl],
+                                   g_pos[:, sl], g_neg[:, sl])
+                       for total, buf, sl in zip(
+                           (ears, second), bufs,
+                           (slice(0, split), slice(split, None)))]
             for future in futures:
                 future.result()
+        del half, bufs, src_spec, delays
+        ears += second
+        del second
 
-    ears_r += ears_d
-    return (Spectrogram(data=ears_r, config=config, tag="reference"),
+    ears_d = stft(_fft_convolve(src, kernel), config).data[0] \
+        * gain_d[:, None, :]
+    ears += ears_d
+    return (Spectrogram(data=ears, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))
 
 

@@ -6,9 +6,9 @@ into all (order+1)^2 SH channels at complex128, each channel gets its own
 complex STFT, and every bin is decoded with the HRTF's SH coefficients.
 The second is the same shortcut as binaural_references run on one thread,
 8 channels per chunk, with the negative bins gathered by index. The third
-is simulate._reverb_chunk with the whole chunk worked at once: the RIRs
-padded by the FFT, one framed buffer for every frame of the chunk, one
-transform and one decode, then added block by block in the blocks' turns.
+is simulate._reverb_half with each chunk worked at once: the RIRs padded
+by the FFT, one framed buffer for every frame of the chunk, one transform,
+one decode and one addition.
 """
 
 import numpy as np
@@ -16,8 +16,8 @@ from scipy import fft as spfft
 from scipy import signal as sps
 
 from bsmrender.render import decode_matrix
-from bsmrender.simulate import FRAME_BLOCK, _HALF, _delay_matrix, \
-    _fft_convolve, _sh_weights_block, compute_image_sources
+from bsmrender.simulate import REF_CHUNK_CHANNELS, _HALF, _delay_matrix, \
+    _sh_weights_block, compute_image_sources
 from bsmrender.sph import num_coeffs, sh_degrees
 from bsmrender.stft import Spectrogram, _frames, stft
 from oracles import sliding_frames
@@ -89,7 +89,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     reverb = images.take(slice(1, None))
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
-    base = stft(_fft_convolve(src, kernel), config).data[0]
+    base = stft(sps.fftconvolve(src, kernel), config).data[0]
     w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
@@ -109,7 +109,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
             w = _sh_weights_block(reverb, degrees, encoded[sl])
             rir = delays @ np.ascontiguousarray(w.real) \
                 + 1j * (delays @ np.ascontiguousarray(w.imag))
-            p = _fft_convolve(src[None, :], rir.T)
+            p = sps.fftconvolve(src[None, :], rir.T, axes=1)
             spec = spfft.fft(sliding_frames(p, config), n=config.fft_size,
                              axis=2)
             ears_r += np.einsum("cfb,ecb->efb", spec[..., : config.num_bins],
@@ -121,31 +121,26 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))
 
 
-def reverb_chunk_unblocked(reverb, delays, degrees, src_spec, num_samples,
-                           config, window, turns, ears, chunk, buf, cols,
-                           g_pos, g_neg):
-    """simulate._reverb_chunk with the RIRs zero-padded by the FFT instead
-    of written into `buf`, and every frame of the chunk framed into one
-    (channels, frames, fft_size) buffer, transformed and decoded at once.
-    Its parts are then added into `ears` FRAME_BLOCK frames at a time, in
-    each block's turn; it hands `buf` on untouched."""
-    w = _sh_weights_block(reverb, degrees, cols)
-    rir = delays @ np.ascontiguousarray(w.real) \
-        + 1j * (delays @ np.ascontiguousarray(w.imag))
-    p = spfft.fft(rir.T, src_spec.size)
-    p *= src_spec
-    p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-    spec = spfft.fft(_frames(p, config, window), axis=2, overwrite_x=True)
+def reverb_half_unblocked(reverb, delays, degrees, src_spec, num_samples,
+                          config, window, ears, buf, cols, g_pos, g_neg):
+    """simulate._reverb_half with each chunk's RIRs zero-padded by the FFT
+    instead of written into `buf`, and every frame of the chunk framed
+    into one (channels, frames, fft_size) buffer, transformed, decoded and
+    added into `ears` at once; `buf` is left untouched."""
     bins = config.num_bins
-    pos = np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos)
-    neg = np.empty_like(pos)
-    np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[..., :1],
-              out=neg[..., :1])
-    np.einsum("cfb,ecb->efb", spec[..., : -bins : -1], g_neg[..., 1:],
-              out=neg[..., 1:])
-    np.conjugate(neg, out=neg)
-    for block, start in enumerate(range(0, pos.shape[1], FRAME_BLOCK)):
-        frames = slice(start, start + FRAME_BLOCK)
-        turns.add(chunk, block, ears[:, frames],
-                  (pos[:, frames], neg[:, frames]))
-    return buf
+    for first in range(0, len(cols), REF_CHUNK_CHANNELS):
+        chunk = slice(first, first + REF_CHUNK_CHANNELS)
+        w = _sh_weights_block(reverb, degrees, cols[chunk])
+        rir = delays @ np.ascontiguousarray(w.real) \
+            + 1j * (delays @ np.ascontiguousarray(w.imag))
+        p = spfft.fft(rir.T, src_spec.size)
+        p *= src_spec
+        p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
+        spec = spfft.fft(_frames(p, config, window), axis=2, overwrite_x=True)
+        ears += np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos[:, chunk])
+        neg = np.empty_like(ears)
+        np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[:, chunk, :1],
+                  out=neg[..., :1])
+        np.einsum("cfb,ecb->efb", spec[..., : -bins : -1],
+                  g_neg[:, chunk, 1:], out=neg[..., 1:])
+        ears += np.conjugate(neg, out=neg)

@@ -140,19 +140,19 @@ print(json.dumps([rc, sorted(scipy)]))
 
 def test_reference_chunks_find_their_scipy_loaded(tmp_path):
     # the worker threads import nothing themselves: the calling thread has
-    # loaded every scipy module a chunk uses before the first is submitted
+    # loaded every scipy module a half uses before the first is submitted
     config_path = tmp_path / "echo.yaml"
     config_path.write_text(ECHO_YAML)
     probe = """\
 import json, sys
 import bsmrender.cli
 from bsmrender import simulate
-chunk, seen = simulate._reverb_chunk, []
+half, seen = simulate._reverb_half, []
 def spy(*args):
     seen.append([m for m in ("scipy.fft", "scipy.sparse", "scipy.special")
                  if m in sys.modules])
-    return chunk(*args)
-simulate._reverb_chunk = spy
+    return half(*args)
+simulate._reverb_half = spy
 rc = bsmrender.cli.main(sys.argv[1:])
 print(json.dumps([rc, seen]))
 """
@@ -207,6 +207,45 @@ def test_malformed_yaml_fails_config(tmp_path, text, problem):
     assert run.returncode == EXIT_CODES["config"]
     assert "Traceback" not in run.stderr
     assert run.stderr == f"error [config]: {config_path}: {problem}\n"
+
+
+def test_out_naming_a_file_fails_config(tmp_path):
+    # the output directory's mkdir once ran outside every handler, so a
+    # file in its place escaped main as a FileExistsError traceback
+    out = tmp_path / "taken"
+    out.write_text("")
+    run = subprocess.run(
+        [sys.executable, "-m", "bsmrender.cli", "simulate", "--out", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_CODES["config"]
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error [config]: ")
+    assert str(out) in run.stderr
+
+
+@pytest.mark.parametrize("stage, manifest", [
+    ("render", "{}"),
+    ("simulate", "[1]"),
+    ("render", '{"artifacts": {"mics_full.wav": {"scene_digest": "0"}}}'),
+    ("render", "{"),
+], ids=["no-artifacts", "list", "no-sha256", "not-json"])
+def test_malformed_manifest_fails_its_stage(tmp_path, stage, manifest):
+    # valid JSON of another shape once escaped main as a KeyError or
+    # TypeError traceback; simulate reads the manifest when it records
+    # its files, render before it reads any
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "manifest.json").write_text(manifest)
+    run = subprocess.run(
+        [sys.executable, "-m", "bsmrender.cli", stage, "--out", str(out),
+         "--config", str(config_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_CODES[stage]
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith(
+        f"error [{stage}]: {out / 'manifest.json'}: "), run.stderr
 
 
 @pytest.mark.parametrize("argv", [["pipeline", "--dry-run"], ["pipeline"],
@@ -480,18 +519,21 @@ def test_design_reports_capped_magls_bins(tmp_path, capsys, monkeypatch):
 
 def test_reference_worker_failure_fails_simulate_stage(tmp_path, capsys,
                                                        monkeypatch):
-    def failing_chunk(*args):
-        raise ValueError("reverberant chunk failed")
+    # the stage ends in the half's error, and no worker outlives it
+    def failing_half(*args):
+        raise ValueError("reverberant half failed")
 
     config_path = tmp_path / "echo.yaml"
     config_path.write_text(ECHO_YAML)
     monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    monkeypatch.setattr(simulate, "_reverb_chunk", failing_chunk)
+    monkeypatch.setattr(simulate, "_reverb_half", failing_half)
+    before = threading.active_count()
     rc = main(["simulate", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
     assert rc == EXIT_CODES["simulate"]
-    assert "error [simulate]: reverberant chunk failed" \
+    assert "error [simulate]: reverberant half failed" \
         in capsys.readouterr().err
+    assert threading.active_count() == before
 
 
 def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
@@ -593,7 +635,8 @@ def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert trees[0][name] == trees[1][name], name
 
 
-def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
+def test_failed_room_leaves_no_thread_running(tmp_path, capsys,
+                                               monkeypatch):
     # a room failure ends in the stage's error, and no thread simulate
     # started is left running when main returns
     def boom(*args):
@@ -608,59 +651,6 @@ def test_failed_room_joins_the_fit_thread(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_CODES["simulate"]
     assert "error [simulate]: boom" in capsys.readouterr().err
     assert threading.active_count() == before
-
-
-def test_failure_inside_a_running_chunk_wakes_the_waiting_one(tmp_path):
-    # two reverberant chunks of two frame blocks each. Chunk 0 fails while
-    # framing its second block, after chunk 1 has framed its own second
-    # block and gone on to wait for chunk 0 to add it: the waiting chunk
-    # must be woken, so the stage ends in its error instead of hanging. The
-    # stage runs in a child process with the spies installed, so a chunk
-    # that is never woken fails the test at the timeout, and the child is
-    # killed instead of keeping this process from exiting
-    config_path = tmp_path / "echo.yaml"
-    config_path.write_text(ECHO_YAML.replace("source_duration_s: 0.3",
-                                             "source_duration_s: 0.8"))
-    probe = """\
-import json, sys, threading, time
-import bsmrender.cli
-from bsmrender import simulate
-weights, frames = simulate._sh_weights_block, simulate._frames
-chunk_of, framed = {}, {}
-waiting = threading.Event()
-def weights_spy(images, degrees, cols):
-    # on a worker, the first column names the chunk: 0 for chunk 0
-    chunk_of[threading.get_ident()] = int(cols[0])
-    return weights(images, degrees, cols)
-def frames_spy(*args):
-    me = threading.get_ident()
-    framed[me] = framed.get(me, 0) + 1
-    if chunk_of[me] == 0 and framed[me] == 2:
-        assert waiting.wait(10)
-        time.sleep(0.2)  # chunk 1 transforms its block, then waits
-        raise ValueError("framing failed")
-    if chunk_of[me] != 0 and framed[me] == 2:
-        waiting.set()
-    return frames(*args)
-simulate.REF_WORKERS = 2
-simulate._sh_weights_block = weights_spy
-simulate._frames = frames_spy
-rc = bsmrender.cli.main(sys.argv[1:])
-print(json.dumps([rc, waiting.is_set(), threading.active_count()]))
-"""
-    try:
-        run = subprocess.run(
-            [sys.executable, "-c", probe, "simulate", "--out",
-             str(tmp_path / "o"), "--config", str(config_path)],
-            env=_src_env(), capture_output=True, text=True, timeout=30)
-    except subprocess.TimeoutExpired:
-        pytest.fail("the waiting chunk was never woken")
-    rc, waited, threads = json.loads(run.stdout.splitlines()[-1])
-    assert waited
-    assert rc == EXIT_CODES["simulate"]
-    assert "error [simulate]: framing failed" in run.stderr
-    # every worker has been joined by the time main returns
-    assert threads == 1
 
 
 def test_silent_source_fails_simulate_stage(tmp_path, capsys):

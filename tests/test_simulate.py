@@ -39,7 +39,7 @@ from bsmrender.stft import StftConfig
 from oracles import assert_bits_equal, delay_matrix_coo, sh_fit, \
     sh_weights_loop
 from sh_oracle import binaural_references_serial, render_reference, \
-    render_reference_plane_waves, reverb_chunk_unblocked
+    render_reference_plane_waves, reverb_half_unblocked
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                 reflection_coefficients=(0.8,) * 6)
@@ -338,35 +338,13 @@ def test_mic_signal_delay_between_mics():
     assert abs(got - want) <= 1.0
 
 
-def _signal(length, rng, complex_):
-    x = rng.standard_normal(length)
-    return x + 1j * rng.standard_normal(length) if complex_ else x
-
-
 @settings(max_examples=150)
-@given(st.integers(1, 300), st.integers(1, 300),
-       st.sampled_from(["real/real", "real/complex", "complex/real"]),
-       st.integers(0, 2**32 - 1))
-def test_fft_convolve_bitwise_equals_fftconvolve(len_a, len_b, kinds, seed):
+@given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_fft_convolve_bitwise_equals_fftconvolve(len_a, len_b, seed):
     rng = np.random.default_rng(seed)
-    kind_a, kind_b = kinds.split("/")
-    a = _signal(len_a, rng, kind_a == "complex")
-    b = _signal(len_b, rng, kind_b == "complex")
+    a = rng.standard_normal(len_a)
+    b = rng.standard_normal(len_b)
     assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b))
-
-
-@settings(max_examples=100)
-@given(st.integers(1, 300), st.integers(1, 300), st.integers(1, 5),
-       st.booleans(), st.integers(0, 2**32 - 1))
-def test_fft_convolve_broadcasts_like_fftconvolve(len_a, len_b, rows,
-                                                  transposed, seed):
-    # the reverberant chunks: one real source row against k complex RIRs,
-    # which arrive as the transpose of a (samples, k) block
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((1, len_a))
-    b = rng.standard_normal((len_b, rows)) + 1j * rng.standard_normal((len_b, rows))
-    b = b.T if transposed else np.ascontiguousarray(b.T)
-    assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b, axes=1))
 
 
 # colatitudes and azimuths drawn from their ranges plus the poles, the
@@ -590,15 +568,8 @@ def _reference_case(order, reflection=0.8):
     return (center, scene.source_signal, _hrtf_sh(cfg, 4), cfg, order, 0.05)
 
 
-@pytest.mark.parametrize("order, reflection", [(1, 0.8), (4, 0.8), (4, 0.0)])
-def test_reference_bits_do_not_depend_on_worker_count(monkeypatch, order,
-                                                      reflection):
-    # 3 and 15 encoded m >= 0 channels, neither a multiple of the chunk
-    # size; reflection 0 is the anechoic room, with no reverberant chunk.
-    # Three workers on a short switch interval oversubscribe a 2-core box.
-    encoded = (order + 1) * (order + 2) // 2
-    assert encoded % simulate.REF_CHUNK_CHANNELS != 0
-    case = _reference_case(order, reflection)
+def _assert_worker_count_free(monkeypatch, case):
+    # three workers on a short switch interval oversubscribe a 2-core box
     runs = []
     interval = sys.getswitchinterval()
     try:
@@ -613,13 +584,35 @@ def test_reference_bits_do_not_depend_on_worker_count(monkeypatch, order,
             assert_bits_equal(other.data, one.data)
 
 
+@pytest.mark.parametrize("order, reflection",
+                         [(0, 0.8), (1, 0.8), (4, 0.8), (4, 0.0)])
+def test_reference_bits_do_not_depend_on_worker_count(monkeypatch, order,
+                                                      reflection):
+    # 1, 3 and 15 encoded m >= 0 channels, none a multiple of the chunk
+    # size; order 0 is one chunk, so the second half is empty; reflection 0
+    # is the anechoic room, with no reverberant chunk
+    encoded = (order + 1) * (order + 2) // 2
+    assert encoded % simulate.REF_CHUNK_CHANNELS != 0
+    _assert_worker_count_free(monkeypatch, _reference_case(order, reflection))
+
+
+def test_whole_chunk_reference_bits_do_not_depend_on_worker_count(
+        monkeypatch):
+    # order 3 encodes 10 channels: five whole chunks, split 3 and 2
+    assert 10 % simulate.REF_CHUNK_CHANNELS == 0
+    _assert_worker_count_free(monkeypatch, _reference_case(3))
+
+
 @pytest.mark.parametrize("ref_order, hrtf_order, random_ears",
-                         [(5, 6, False), (6, 4, False), (3, 3, True)])
+                         [(5, 6, False), (6, 4, False), (3, 3, True),
+                          (0, 4, False), (3, 6, False)])
 def test_binaural_references_match_serial_loop(ref_order, hrtf_order,
                                                random_ears):
     # against the one-thread loop with 8-channel chunks, padded framing and
-    # gathered negative bins: only the rounding may differ. Random SH ears
-    # and a source with a DC offset give bin 0 of the mirrored part weight.
+    # gathered negative bins: only the rounding may differ. Order 0 is one
+    # chunk, whose second half is empty, and order 3 five, split 3 and 2.
+    # Random SH ears and a source with a DC offset give bin 0 of the
+    # mirrored part weight.
     scene = _scene(seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
     coeffs = _hrtf_sh(cfg, hrtf_order)
@@ -646,13 +639,13 @@ def test_binaural_references_match_serial_loop(ref_order, hrtf_order,
 def test_worker_exception_reaches_the_caller(monkeypatch):
     raised = []
 
-    def failing_chunk(*args):
-        raised.append(RuntimeError("chunk failed"))
+    def failing_half(*args):
+        raised.append(RuntimeError("half failed"))
         raise raised[-1]
 
     monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    monkeypatch.setattr(simulate, "_reverb_chunk", failing_chunk)
-    with pytest.raises(RuntimeError, match="chunk failed") as err:
+    monkeypatch.setattr(simulate, "_reverb_half", failing_half)
+    with pytest.raises(RuntimeError, match="half failed") as err:
         binaural_references(*_reference_case(4))
     assert err.value is raised[0]
 
@@ -726,7 +719,7 @@ def test_blocked_reference_bitwise_equals_unblocked(monkeypatch, frames,
     # with a DC offset give bin 0 of the mirrored part weight.
     case = _blocked_case(frames, order, random_ears)
     got = binaural_references(*case)
-    monkeypatch.setattr(simulate, "_reverb_chunk", reverb_chunk_unblocked)
+    monkeypatch.setattr(simulate, "_reverb_half", reverb_half_unblocked)
     for one, want in zip(got, binaural_references(*case)):
         assert_bits_equal(one.data, want.data)
 
@@ -760,7 +753,7 @@ def _long_reference_case():
 
 
 def _chunk_sizes(cfg, num_samples):
-    """Bytes of both ears' spectrogram, one slot's convolution buffer, one
+    """Bytes of both ears' spectrogram, one half's convolution buffer, one
     block of frames and one block's two decoded parts."""
     item = np.dtype(complex).itemsize
     ears = 2 * cfg.num_frames(num_samples) * cfg.num_bins * item
@@ -771,15 +764,15 @@ def _chunk_sizes(cfg, num_samples):
 
 
 def test_reverb_chunk_peak_memory():
-    # the chunk holds its slot's convolution buffer and one block of frames
-    # with its decoded parts, which it adds into the caller's spectrogram;
-    # nothing it holds grows with the number of frames
+    # a half holds its convolution buffer and one block of frames with its
+    # decoded parts, which it adds into its spectrogram chunk after chunk;
+    # nothing it holds grows with the number of frames or of chunks
     center, source, cfg, rir_seconds, num_samples = _long_reference_case()
     reverb = center.take(slice(1, None))
     src_spec = sp_fft.fft(source, sp_fft.next_fast_len(num_samples))
     delays = simulate._delay_matrix(reverb, int(round(rir_seconds * 48000)),
                                     48000)
-    cols = np.arange(simulate.REF_CHUNK_CHANNELS)
+    cols = np.arange(3 * simulate.REF_CHUNK_CHANNELS)
     rng = np.random.default_rng(0)
     g = rng.standard_normal((2, cols.size, cfg.num_bins)) + 0j
     frames = cfg.num_frames(num_samples)
@@ -788,22 +781,20 @@ def test_reverb_chunk_peak_memory():
     window = cfg.window()
     tracemalloc.start()
     try:
-        buf = np.empty((cols.size, src_spec.size), dtype=complex)
-        out = simulate._reverb_chunk(reverb, delays, sh_degrees(4), src_spec,
-                                     num_samples, cfg, window,
-                                     simulate._Turns(), ears, 0, buf, cols,
-                                     g, g)
+        buf = np.empty((simulate.REF_CHUNK_CHANNELS, src_spec.size),
+                       dtype=complex)
+        simulate._reverb_half(reverb, delays, sh_degrees(4), src_spec,
+                              num_samples, cfg, window, ears, buf, cols, g, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out is buf
     assert np.count_nonzero(ears[:, -1]) > 0  # every block was added
     assert peak <= 1.1 * (conv + block + parts), (peak, conv, block, parts)
 
 
 def test_binaural_references_peak_memory(monkeypatch):
-    # both spectrograms, the source spectrum and, per worker, one slot
-    # buffer and one block of frames with its parts. A chunk that held its
+    # two spectrograms, the source spectrum and, per half, one convolution
+    # buffer and one block of frames with its parts. A half that held its
     # two parts for the whole signal would add 2 ears per worker, and a
     # full reference formed out of place one more
     center, source, cfg, rir_seconds, num_samples = _long_reference_case()
