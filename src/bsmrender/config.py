@@ -47,7 +47,8 @@ _SCHEMA = {
         "array_mics": (lambda v: v is None or (isinstance(v, list)
                        and all(_vec(m, 3) for m in v)),
                        "list of [radius, colat, azim] or null"),
-        "noise_snr_db": (lambda v: v is None or _num(v), "number or null"),
+        "noise_snr_db": (lambda v: v is None or _snr_db(v),
+                         "dB or null, 10^(dB/10) and its inverse finite"),
         "rir_seconds": (lambda v: _pos(v), "positive number"),
         "max_reflection_order": (lambda v: _int(v, 0), "int >= 0"),
         "seed": (lambda v: _int(v, 0), "unsigned int"),
@@ -55,9 +56,11 @@ _SCHEMA = {
     "design": {
         "direct_doa": (lambda v: _vec(v, 2), "[colatitude, azimuth]"),
         "reverb_grid_size": (lambda v: _int(v, 1), "int >= 1"),
-        "direct_snr_db": (lambda v: v is None or _num(v),
-                          "number or null (null = no regularization)"),
-        "reverb_snr_db": (lambda v: v is None or _num(v), "number or null"),
+        "direct_snr_db": (lambda v: v is None or _snr_db(v),
+                          "dB or null (null = no regularization), "
+                          "10^(dB/10) and its inverse finite"),
+        "reverb_snr_db": (lambda v: v is None or _snr_db(v),
+                          "dB or null, 10^(dB/10) and its inverse finite"),
         "magls_enabled": (lambda v: isinstance(v, bool), "bool"),
         "magls_cutoff_hz": (lambda v: _pos(v), "positive number"),
         "hrtf_kind": (lambda v: v in ("point", "flat", "file"),
@@ -92,6 +95,15 @@ def _int(v, lo):
 
 def _pos(v):
     return _num(v) and v > 0
+
+
+def _snr_db(v):
+    """dB whose power ratio is finite and positive and, as the solvers and
+    the noise divide by it, not so small that its inverse is inf."""
+    try:
+        return _num(v) and math.isfinite(1.0 / snr_linear(v))
+    except (OverflowError, ZeroDivisionError):
+        return False
 
 
 def _vec(v, n, positive=False, lo=None, hi=None):

@@ -7,9 +7,9 @@ references decode a spherical-harmonic plane-wave encoding of every image
 source at the array center; their arrival directions use the same
 conventions as the steering vectors.
 
-scipy (fft, sparse, special) is imported inside the kernels that use it,
-so a stage process that only needs this module's types and statistics
-never loads it.
+scipy (fft, sparse) is imported inside the kernels that use it, so a
+stage process that only needs this module's types and statistics never
+loads it; the harmonics come from sph's numpy recursion.
 """
 
 import os
@@ -21,7 +21,7 @@ import numpy as np
 
 from .geometry import SPEED_OF_SOUND
 from .render import decode_matrix
-from .sph import num_coeffs, sh_degrees
+from .sph import _legendre, _put_harmonic, num_coeffs, sh_degrees
 from .stft import Spectrogram, _frames, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
@@ -321,20 +321,17 @@ def render_mic_signals(scene, images, rir_seconds):
 
 def _sh_weights_block(images, degrees, cols):
     """conj(Y) columns `cols` at the image arrival directions, times gains;
-    `degrees` is sh_degrees' (n, m) pair. Each column is its Legendre
-    factor p times exp(i m phi), each part rounded on its own as in
-    sph_harm_y's (p + 0i) e, so bitwise sph_harm_y at half its cost."""
-    from scipy import special
-
+    `degrees` is sh_degrees' (n, m) pair. Each column runs its own
+    _legendre chain up to its n and keeps only the last value, so no chain
+    outlives its column; the values are bitwise sph_harm_y's."""
     n_idx, m_idx = degrees
     out = np.empty((images.count, len(cols)), dtype=complex)
     for j, c in enumerate(cols):
         m = int(m_idx[c])
-        p = special.sph_legendre_p(int(n_idx[c]), m, images.colatitudes)[0]
-        e = np.exp(1j * m * images.azimuths)
-        out.real[:, j] = p * e.real - 0.0 * e.imag
-        out.imag[:, j] = -(p * e.imag + 0.0 * e.real)
-    return out * images.gains[:, None]
+        for p in _legendre(int(n_idx[c]), m, images.colatitudes):
+            pass
+        _put_harmonic(out[:, j], p, np.exp(1j * m * images.azimuths))
+    return np.conjugate(out, out=out) * images.gains[:, None]
 
 
 def _reverb_half(reverb, delays, degrees, src_spec, num_samples, config,
@@ -408,8 +405,8 @@ def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
     bytes do not depend on the thread count. Both halves' buffers come from
     the calling thread, as glibc keeps what a worker thread frees, and the
     direct part is formed after they and the second sum are freed.
-    Every scipy module the halves use is loaded first: scipy.fft here,
-    scipy.special by the direct weights, scipy.sparse by the delay matrices.
+    Every scipy module the halves use is loaded first: scipy.fft here and
+    scipy.sparse by the delay matrices.
     """
     from scipy import fft as spfft
 

@@ -11,13 +11,11 @@ position r as exp(+i k r.u). Time delays therefore map to exp(-i 2 pi f tau)
 in the rFFT spectrum.
 """
 
+import math
+
 import numpy as np
 
 from .geometry import wavenumbers
-
-# directions per sph_harm_y_all call in sh_matrix: at order 30 one block's
-# output is 7.4 MiB, against 46 MiB for the 1600 directions of an HRTF grid
-SH_BLOCK_DIRECTIONS = 256
 
 
 def num_coeffs(order):
@@ -31,30 +29,53 @@ def sh_degrees(order):
     return n, m
 
 
+def _legendre(n_max, m, colatitudes):
+    """Yield fully normalised P_n^m(cos theta), Condon-Shortley phase
+    included, for n = |m|..n_max (Rafaely 2015): scipy.special's
+    sph_legendre_p recurrences in its rounding order, so its bits, signed
+    zeros too. m < 0 seeds its own chain, and each sum starts from +0."""
+    a = abs(m)
+    x, s = np.cos(colatitudes), np.sin(colatitudes)
+    p0 = np.full_like(x, 1.0 / (2.0 * math.sqrt(math.pi)))
+    p1 = (math.sqrt(3.0) / (2.0 * math.sqrt(2.0 * math.pi))
+          * (-1.0 if m > 0 else 1.0)) * np.abs(s)
+    for k in range(2, a + 1):
+        c = math.sqrt((2 * k + 1) * (2 * k - 1) / (4 * k * (k - 1)))
+        p0, p1 = p1, 0.0 + c * s * s * p0 + 0.0 * p1
+    p0 = p1 if a else p0
+    yield p0
+    if n_max > a:
+        p1 = math.sqrt(2 * a + 3) * x * p0
+        yield p1
+    for n in range(a + 2, n_max + 1):
+        d = (2 * n - 3) * (n * n - m * m)
+        c0 = -math.sqrt((2 * n + 1) * ((n - 1) ** 2 - m * m) / d)
+        c1 = math.sqrt((2 * n + 1) * (4 * (n - 1) ** 2 - 1) / d)
+        p0, p1 = p1, 0.0 + c0 * p0 + c1 * x * p1
+        yield p1
+
+
+def _put_harmonic(out, p, e):
+    """Write (p + 0i) e into the complex array `out`, each part rounded on
+    its own as sph_harm_y's complex product rounds it."""
+    out.real = p * e.real - 0.0 * e.imag
+    out.imag = p * e.imag + 0.0 * e.real
+
+
 def sh_matrix(order, directions):
     """Rows of SH values at (colatitude, azimuth) rows, shape (D, 2).
 
-    Returns a C-contiguous complex array of shape (D, (order+1)^2). One
-    sph_harm_y_all call per block of SH_BLOCK_DIRECTIONS directions
-    evaluates every degree at once (m < 0 at the end of its second axis,
-    where the negative m index finds it) and is written straight into the
-    result, so the (order+1, 2 order+1, directions) output of a single call
-    never exists. sph_harm_y_all works elementwise, so the values are
-    bitwise those of one sph_harm_y call per (n, m). scipy.special loads on
-    the first call, so a process that never evaluates harmonics does not
-    pay for its import.
+    Returns a C-contiguous complex array of shape (D, (order+1)^2) from one
+    exp(i m phi) and one _legendre chain per m: bitwise sph_harm_y's values.
     """
-    from scipy import special
-
     if order < 0:
         raise ValueError("order must be >= 0")
     th, ph = np.asarray(directions, dtype=float).T
-    n, m = sh_degrees(order)
-    out = np.empty((th.size, n.size), dtype=complex)
-    for start in range(0, th.size, SH_BLOCK_DIRECTIONS):
-        block = slice(start, start + SH_BLOCK_DIRECTIONS)
-        y = special.sph_harm_y_all(order, order, th[block], ph[block])
-        out[block] = y[n, m].T
+    out = np.empty((th.size, num_coeffs(order)), dtype=complex)
+    for m in range(-order, order + 1):
+        e = np.exp(1j * m * ph)
+        for n, p in enumerate(_legendre(order, m, th), start=abs(m)):
+            _put_harmonic(out[:, n * n + n + m], p, e)
     return out
 
 

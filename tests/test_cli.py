@@ -107,9 +107,9 @@ def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
 
 
 def test_each_stage_loads_only_the_scipy_it_uses(tmp_path):
-    # scipy is imported inside the kernels that use it: a dry run, render
-    # and evaluate compute nothing with it, design needs only the harmonics
-    # of the HRTF fit
+    # scipy is imported inside the kernels that use it: a dry run, design,
+    # render and evaluate compute nothing with it (the harmonics are
+    # numpy's), and simulate needs fft, sparse and special's spherical_jn
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     probe = """\
@@ -129,10 +129,12 @@ print(json.dumps([rc, sorted(scipy)]))
             env=_src_env(), capture_output=True, text=True, check=True)
         rc, loaded[step[-1]] = json.loads(run.stdout.splitlines()[-1])
         assert rc == 0, (step, run.stderr)
-    for step in ("--dry-run", "render", "evaluate"):
+    for step in ("--dry-run", "design", "render", "evaluate"):
         assert loaded[step] == [], step
-    assert "scipy.special" in loaded["design"]
-    assert not {"scipy.fft", "scipy.sparse"} & set(loaded["design"])
+    # scipy's own private modules and its version module aside
+    public = {m.split(".")[1] for m in loaded["simulate"] if "." in m}
+    assert {p for p in public if not p.startswith("_")} - {"version"} == {
+        "fft", "sparse", "special"}
     for step, modules in loaded.items():
         for banned in ("scipy.signal", "scipy.stats"):
             assert banned not in modules, (step, banned)
@@ -149,7 +151,7 @@ import bsmrender.cli
 from bsmrender import simulate
 half, seen = simulate._reverb_half, []
 def spy(*args):
-    seen.append([m for m in ("scipy.fft", "scipy.sparse", "scipy.special")
+    seen.append([m for m in ("scipy.fft", "scipy.sparse")
                  if m in sys.modules])
     return half(*args)
 simulate._reverb_half = spy
@@ -162,7 +164,7 @@ print(json.dumps([rc, seen]))
         env=_src_env(), capture_output=True, text=True, check=True)
     rc, seen = json.loads(run.stdout.splitlines()[-1])
     assert rc == 0, run.stderr
-    assert seen and all(mods == ["scipy.fft", "scipy.sparse", "scipy.special"]
+    assert seen and all(mods == ["scipy.fft", "scipy.sparse"]
                         for mods in seen), seen
 
 

@@ -153,6 +153,26 @@ def test_magls_cutoff_above_nyquist_is_a_config_error(tmp_path, capsys):
                                      "  magls_cutoff_hz: 30000\n"))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("scene", "noise_snr_db"), ("design", "direct_snr_db"),
+    ("design", "reverb_snr_db")])
+@pytest.mark.parametrize("db", [4000, -4000, -3200])
+def test_snr_out_of_range_is_a_config_error(section, key, db, tmp_path,
+                                            capsys):
+    # 10^(dB/10) overflows (a traceback in the stage once), underflows to
+    # 0 or is subnormal, so that the solvers' and the noise's 1/ratio is
+    # inf: each is refused at --dry-run, not by simulate or design
+    text = f"{section}:\n  {key}: {db}\n"
+    code, err = _dry_run(tmp_path, capsys, text)
+    assert code == 1
+    assert err.startswith(f"error [config]: bad value for {section}.{key}: "
+                          f"{db} (expected dB or null"), err
+    assert err.endswith("10^(dB/10) and its inverse finite)\n"), err
+    # the ends of the range resolve
+    for edge in (3000, -3000):
+        resolve("desk", _write(tmp_path, f"{section}:\n  {key}: {edge}\n"))
+
+
 def test_snr_linear():
     assert snr_linear(None) == np.inf
     np.testing.assert_allclose(snr_linear(20.0), 100.0, rtol=1e-12)

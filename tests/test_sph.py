@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from bsmrender.geometry import SPEED_OF_SOUND, as_directions, semicircle_array
 from bsmrender.sph import (
-    SH_BLOCK_DIRECTIONS,
     num_coeffs,
     sh_degrees,
     sh_matrix,
@@ -98,17 +97,43 @@ def test_sh_matrix_bitwise_on_drawn_directions(order, angles):
     assert_bits_equal(sh_matrix(order, rows), sh_matrix_loop(order, *rows.T))
 
 
-@pytest.mark.parametrize("count", [1, 2, SH_BLOCK_DIRECTIONS - 1,
-                                   SH_BLOCK_DIRECTIONS,
-                                   SH_BLOCK_DIRECTIONS + 1, 300])
+@pytest.mark.parametrize("count", [1, 2, 255, 256, 257, 300])
 def test_sh_matrix_blocks_bitwise_equal_one_call(count):
-    # the blocked build writes every block into one array; its bits are
-    # those of a single sph_harm_y_all call over all directions
+    # the bits are those of a single sph_harm_y_all call over all
+    # directions, whatever their count
     dirs = spiral_grid(count)
     want = sh_matrix_one_call(12, *np.ascontiguousarray(dirs.T))
     got = sh_matrix(12, dirs)
     assert got.flags.c_contiguous
     assert_bits_equal(got, want)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 30),
+       st.lists(st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2 * np.pi,
+                                                           exclude_max=True)),
+                min_size=1, max_size=12))
+def test_sh_conjugate_symmetry(order, angles):
+    # Y_(n,-m) = (-1)^m conj(Y_(n,m)); == counts +0 and -0 as equal, so
+    # this holds whatever rounding scipy's oracle follows
+    rows = np.concatenate([EDGE_ROWS, angles])
+    y = sh_matrix(order, rows)
+    n, m = sh_degrees(order)
+    assert (y == np.power(-1.0, m) * np.conj(y[:, n * n + n - m])).all()
+
+
+def test_sh_matrix_orthonormal_on_exact_quadrature():
+    # Gauss-Legendre nodes in cos(theta) times 2 (order + 1) equispaced
+    # azimuths integrate every product of two order-30 harmonics exactly
+    order = 30
+    x, w = np.polynomial.legendre.leggauss(order + 1)
+    phi = 2 * np.pi * np.arange(2 * order + 2) / (2 * order + 2)
+    rows = np.stack(np.broadcast_arrays(np.arccos(x)[:, None], phi),
+                    axis=-1).reshape(-1, 2)
+    weights = np.repeat(w * 2 * np.pi / phi.size, phi.size)
+    y = sh_matrix(order, rows)
+    gram = y.conj().T @ (weights[:, None] * y)
+    assert np.abs(gram - np.eye(num_coeffs(order))).max() <= 1e-12
 
 
 def test_sh_matrix_of_no_directions_is_empty():
