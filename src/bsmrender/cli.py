@@ -23,8 +23,9 @@ from .containers import (canonical_json, load_filterbank, load_hrtf,
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
 from .geometry import as_directions
-from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf, flat_sh,
-                   point_receiver_hrtf, point_receiver_sh, sh_fit_operator)
+from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf,
+                   point_receiver_channels, point_receiver_hrtf, sh_channels,
+                   sh_fit_operator)
 from .render import apply_filterbank
 from .simulate import add_noise, binaural_references, max_arrival_delay, \
     render_mic_signals, scene_images, scene_statistics
@@ -73,17 +74,19 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
     return apply_sh_fit(operator, base)
 
 
-def _reference_hrtf(cfg, stft_cfg, order):
-    """The reference's HRTF SH coefficients at min(order, hrtf_sh_order),
-    the order a fit would give: in closed form for the analytic models,
-    which need no fit; a file's set is fitted."""
+def _reference_channels(cfg, stft_cfg, order):
+    """The reference's HRTF channels at min(order, hrtf_sh_order), the
+    order a fit would give: in closed form for the analytic models, which
+    need no fit, the flat model being the point model with its ears at the
+    center, at order 0; a file's set is fitted."""
     design = cfg["design"]
     order = min(order, design["hrtf_sh_order"])
     if design["hrtf_kind"] == "point":
-        return point_receiver_sh(design["hrtf_ear_offset"], stft_cfg, order)
+        return point_receiver_channels(design["hrtf_ear_offset"], stft_cfg,
+                                       order)
     if design["hrtf_kind"] == "flat":
-        return flat_sh(stft_cfg, order)
-    return _hrtf_coeffs(cfg, stft_cfg, order)
+        return point_receiver_channels(0.0, stft_cfg, 0)
+    return sh_channels(_hrtf_coeffs(cfg, stft_cfg, order), order)
 
 
 def _write_binaural(out_dir, spectra, wavs, fs, digest):
@@ -112,8 +115,8 @@ def run_simulate(cfg, out_dir):
     # a too-short RIR fails before a file HRTF's fit, and a refused fit
     # before the first write
     max_arrival_delay(scene, rir_s)
-    ref_order = cfg["design"]["reference_order"]
-    hrtf_sh = _reference_hrtf(cfg, stft_cfg, ref_order)
+    channels = _reference_channels(cfg, stft_cfg,
+                                   cfg["design"]["reference_order"])
     images = scene_images(scene, max_order, rir_s)
     stats = scene_statistics(scene, images, rir_s)
     x, x_d = render_mic_signals(scene, images, rir_s)[:2]
@@ -129,7 +132,7 @@ def run_simulate(cfg, out_dir):
     del x, x_d, images
 
     ref, ref_direct = binaural_references(
-        center, scene.source_signal, hrtf_sh, stft_cfg, ref_order, rir_s)
+        center, scene.source_signal, channels, stft_cfg, rir_s)
     entries = _write_binaural(
         out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
         {"reference.wav": ref, "reference_direct.wav": ref_direct}, fs, digest)

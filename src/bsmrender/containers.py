@@ -170,12 +170,20 @@ class _Cursor:
 # ---------------------------------------------------------------- WAV
 
 def write_wav(path, data, sample_rate, digest=None):
-    """float32 RIFF WAV, any channel count, optional digest chunk."""
+    """float32 RIFF WAV, any channel count, optional digest chunk. A sample
+    that is not finite as float32, a NaN or one beyond its range, is an
+    error before the file is opened."""
     arr = np.asarray(data)
     if arr.ndim == 1:
         arr = arr[:, None]
     frames, channels = arr.shape
-    samples = np.ascontiguousarray(arr, dtype="<f4")
+    # a float64 sum of finite float32 samples is finite, and it forms no
+    # payload-sized mask; an overflow or inf - inf there is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.ascontiguousarray(arr, dtype="<f4")
+        finite = np.isfinite(samples.sum(dtype=np.float64))
+    if not finite:
+        raise ContainerError(f"{path}: a sample is not finite as float32")
     block_align = channels * 4
     chunks = [
         (b"fmt ", struct.pack("<HHIIHH", 3, channels, int(sample_rate),

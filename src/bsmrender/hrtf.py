@@ -7,11 +7,11 @@ measured-database path of the original experiment is replaced by a small
 binary container (BSMH, read and written by `containers`) plus analytic
 test models, which keeps the whole pipeline self-verifying.
 
-The analytic models come twice: as responses on a direction grid
-(`point_receiver_hrtf`, `flat_hrtf`), which design fits, and as their exact
-SH coefficients (`point_receiver_sh`, `flat_sh`), which the simulated
-reference decodes with and which need no fit. A file's set has only the
-fit.
+Design fits every model from its responses on a direction grid
+(`point_receiver_hrtf`, `flat_hrtf`, or a file's set). The simulated
+reference takes an HRTF as real channels (`HrtfChannels`): the analytic
+models in closed form by the addition theorem, with no fit, and any SH
+expansion, a file's fitted set, by the complex-to-real harmonic map.
 """
 
 import math
@@ -20,7 +20,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .geometry import wavenumbers
-from .sph import num_coeffs, sh_degrees, sh_matrix
+from .sph import _legendre, num_coeffs, sh_matrix, spherical_jn
 
 
 @dataclass(frozen=True)
@@ -91,38 +91,73 @@ def flat_hrtf(stft_cfg, directions):
                    sample_rate=stft_cfg.sample_rate)
 
 
-# the ears of point_receiver_hrtf, +/- ear_offset on the y axis
-EAR_DIRECTIONS = np.array([[math.pi / 2, math.pi / 2],
-                           [math.pi / 2, 3 * math.pi / 2]])
+@dataclass(frozen=True)
+class HrtfChannels:
+    """An HRTF as K real angular functions a_k and a per-bin decode: both
+    ears' response to a plane wave from u is sum_k decode[:, k] a_k(u),
+    with decode of shape (2, K, bins), left ear first.
+
+    Zonal channels are the order + 1 normalised Legendre functions P_n^0
+    of the angle to +y, the left ear's axis. The others are all
+    (order + 1)^2 real harmonics, m = 0..order in turn: P_n^0, then
+    sqrt(2) P_n^m cos(m phi) and sqrt(2) P_n^m sin(m phi) for each n.
+    """
+
+    order: int
+    decode: np.ndarray = field(repr=False)
+    zonal: bool
+
+    def angular(self, colatitudes, azimuths):
+        """Yield each a_k at the directions, in the decode's order, from
+        one Legendre chain at a time."""
+        if self.zonal:
+            yield from _legendre(self.order, 0, np.arccos(
+                np.sin(colatitudes) * np.sin(azimuths)))
+            return
+        yield from _legendre(self.order, 0, colatitudes)
+        for m in range(1, self.order + 1):
+            c = math.sqrt(2) * np.cos(m * azimuths)
+            s = math.sqrt(2) * np.sin(m * azimuths)
+            for p in _legendre(self.order, m, colatitudes):
+                yield p * c
+                yield p * s
 
 
-def point_receiver_sh(ear_offset, stft_cfg, order):
-    """point_receiver_hrtf's exact SH coefficients up to `order`, by
-    Jacobi-Anger: exp(i k r.u) = sum 4 pi i^n j_n(k r) conj(Y_nm(r^))
-    Y_nm(u), so c_nm(f) = 4 pi i^n j_n(k a) conj(Y_nm(ear)). Unlike a fit,
-    it has no aliasing from the orders above `order`."""
-    from scipy import special
-
-    if ear_offset <= 0:
-        raise ValueError("ear_offset must be positive")
-    n_idx = sh_degrees(order)[0]
+def point_receiver_channels(ear_offset, stft_cfg, order):
+    """point_receiver_hrtf's channels up to `order`, by Jacobi-Anger and
+    the addition theorem: exp(+/- i k a cos g) = sum_n (+/- i)^n
+    sqrt(4 pi (2n+1)) j_n(k a) P_n^0(g), with g the angle to +y, so no
+    fit and no aliasing from the orders above `order`. The ears share
+    the channels, since P_n(-x) = (-1)^n P_n(x). At ear_offset 0 only
+    n = 0 is nonzero: a_0 = 1 / sqrt(4 pi) and a decode of sqrt(4 pi),
+    flat_hrtf's unit response, which needs order 0 alone."""
+    if ear_offset < 0:
+        raise ValueError("ear_offset must not be negative")
     ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset
-    degrees = np.arange(order + 1)
-    radial = (4 * np.pi * 1j ** degrees)[:, None] \
-        * special.spherical_jn(degrees[:, None], ka)
-    ears = np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
-        * radial[n_idx]
-    return HrtfSHCoefficients(order=order, ears=ears,
-                              sample_rate=stft_cfg.sample_rate)
+    n = np.arange(order + 1)
+    radial = np.sqrt(4 * np.pi * (2 * n + 1))[:, None] \
+        * spherical_jn(order, ka)
+    powers = np.array([1, 1j, -1, -1j])  # i^n, exactly
+    decode = np.stack([powers[n % 4, None] * radial,
+                       powers[-n % 4, None] * radial])
+    return HrtfChannels(order=order, decode=decode, zonal=True)
 
 
-def flat_sh(stft_cfg, order):
-    """flat_hrtf's exact SH coefficients up to `order`: c_00 = sqrt(4 pi),
-    since Y_00 = 1 / sqrt(4 pi), and every other coefficient zero."""
-    ears = np.zeros((2, num_coeffs(order), stft_cfg.num_bins), dtype=complex)
-    ears[:, 0] = math.sqrt(4 * math.pi)
-    return HrtfSHCoefficients(order=order, ears=ears,
-                              sample_rate=stft_cfg.sample_rate)
+def sh_channels(coeffs, order):
+    """The real channels of SH coefficients up to min(order, coeffs.order):
+    H_n0 for m = 0, and for m > 0 (H_nm + (-1)^m H_n,-m) / sqrt(2) with
+    the cosine and i (H_nm - (-1)^m H_n,-m) / sqrt(2) with the sine, so
+    sum_k decode_k a_k(u) = sum_c H_c Y_c(u) exactly."""
+    order = min(order, coeffs.order)
+    h = coeffs.ears
+    rows = [h[:, n * n + n] for n in range(order + 1)]
+    for m in range(1, order + 1):
+        for n in range(m, order + 1):
+            pos, neg = h[:, n * n + n + m], (-1) ** m * h[:, n * n + n - m]
+            rows += [(pos + neg) / math.sqrt(2),
+                     1j * (pos - neg) / math.sqrt(2)]
+    return HrtfChannels(order=order, decode=np.stack(rows, axis=1),
+                        zonal=False)
 
 
 # a fit is refused when s_min/s_max <= RANK_RTOL (lambda_min/lambda_max

@@ -1,4 +1,4 @@
-"""Filter application and binaural reference decoding.
+"""Filter application.
 
 Filtering keeps the provenance algebra of stft.Spectrogram: the whole
 measurement x gives the standard estimate, and its direct and reverberant
@@ -7,7 +7,6 @@ parts give the two components whose sum is the decomposed estimate.
 
 import numpy as np
 
-from .sph import sh_degrees
 from .stft import Spectrogram
 
 
@@ -31,16 +30,3 @@ def apply_filterbank(bank, spec):
     ears = np.einsum("mfb,ebm->efb", spec.data, np.conj(bank.ears))
     return Spectrogram(data=ears, config=spec.config,
                        tag=_COMPONENT_TAG[spec.tag])
-
-
-def decode_matrix(hrtf_sh, order):
-    """Decode vectors G_(n,m) = (-1)^m H_(n,-m) of both ears, shape
-    (2, C, bins) with C = (min(order, hrtf_sh.order)+1)^2, left ear first.
-
-    Contracting an SH-encoded plane wave with G reproduces the HRTF at the
-    wave's arrival direction (up to SH truncation at `order`).
-    """
-    n_idx, m_idx = sh_degrees(min(order, hrtf_sh.order))
-    flipped = (n_idx * n_idx + n_idx - m_idx).astype(int)  # index of (n, -m)
-    sign = np.where(m_idx % 2 == 0, 1.0, -1.0)[:, None]
-    return sign * hrtf_sh.ears[:, flipped]

@@ -3,40 +3,25 @@
 Rendering produces three aligned per-channel signals: the direct path, the
 reverberant remainder and their sum, so the measurement decomposition of
 the rendering model holds sample-exactly by construction. The binaural
-references decode a spherical-harmonic plane-wave encoding of every image
-source at the array center; their arrival directions use the same
-conventions as the steering vectors.
+references decode the order-N spherical-harmonic plane-wave encoding of
+every image source at the array center with the HRTF, through a few real
+channels; their arrival directions use the same conventions as the
+steering vectors.
 
 scipy (fft, sparse) is imported inside the kernels that use it, so a
 stage process that only needs this module's types and statistics never
-loads it; the harmonics come from sph's numpy recursion.
+loads it.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
 from .geometry import SPEED_OF_SOUND
-from .render import decode_matrix
-from .sph import _legendre, _put_harmonic, num_coeffs, sh_degrees
-from .stft import Spectrogram, _frames, stft
+from .stft import Spectrogram, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
-# m >= 0 SH channels encoded per chunk of binaural_references; each half
-# convolves its chunks in one (REF_CHUNK_CHANNELS, signal) buffer, 8.5 MiB
-# on the full-size scene
-REF_CHUNK_CHANNELS = 2
-# threads that run the reference's two reverberant halves; its bytes do
-# not depend on it
-REF_WORKERS = min(2, len(os.sched_getaffinity(0)))
-# analysis frames each reverberant chunk frames, transforms and decodes at
-# once: (REF_CHUNK_CHANNELS, FRAME_BLOCK, fft_size) complex, 2 MiB at a
-# 2048-point FFT, whatever the signal length
-FRAME_BLOCK = 32
 # images whose sinc taps a delay matrix forms at once: (DELAY_BLOCK,
 # SINC_TAPS) temporaries, 256 KiB each, whatever the image count
 DELAY_BLOCK = 1024
@@ -319,149 +304,45 @@ def render_mic_signals(scene, images, rir_seconds):
     return direct + reverb, direct, reverb
 
 
-def _sh_weights_block(images, degrees, cols):
-    """conj(Y) columns `cols` at the image arrival directions, times gains;
-    `degrees` is sh_degrees' (n, m) pair. Each column runs its own
-    _legendre chain up to its n and keeps only the last value, so no chain
-    outlives its column; the values are bitwise sph_harm_y's."""
-    n_idx, m_idx = degrees
-    out = np.empty((images.count, len(cols)), dtype=complex)
-    for j, c in enumerate(cols):
-        m = int(m_idx[c])
-        for p in _legendre(int(n_idx[c]), m, images.colatitudes):
-            pass
-        _put_harmonic(out[:, j], p, np.exp(1j * m * images.azimuths))
-    return np.conjugate(out, out=out) * images.gains[:, None]
+def binaural_references(images, source, channels, config, rir_seconds):
+    """Binaural reference spectrograms (full, direct) of `images`, the image
+    sources seen from the array center, decoded with `channels`
+    (hrtf.HrtfChannels).
 
-
-def _reverb_half(reverb, delays, degrees, src_spec, num_samples, config,
-                 window, ears, buf, cols, g_pos, g_neg):
-    """Add both ears' share of the SH channels `cols` (all m >= 0) of the
-    reverberant images into `ears`, REF_CHUNK_CHANNELS at a time in order,
-    each chunk's RIRs convolved with the source (`src_spec` is its FFT) in
-    place in `buf`: per block of FRAME_BLOCK frames, each transformed on
-    its own with the reference's one `window`, the positive-frequency part,
-    then the mirrored part. Only private helpers run here, so a tracer that
-    wraps the public ones sees no call on a worker."""
-    from scipy import fft as spfft
-
-    bins = config.num_bins
-    frames = config.num_frames(num_samples)
-    rir_len = delays.shape[0]
-    for first in range(0, len(cols), REF_CHUNK_CHANNELS):
-        chunk = slice(first, first + REF_CHUNK_CHANNELS)
-        w = _sh_weights_block(reverb, degrees, cols[chunk])
-        c = w.shape[1]
-        # one pass over the taps for both parts; each element still adds
-        # its taps in image order
-        rirs = delays @ np.concatenate((w.real, w.imag), axis=1)
-        del w
-        p = buf[:c]
-        p.real[:, :rir_len] = rirs[:, :c].T
-        p.imag[:, :rir_len] = rirs[:, c:].T
-        p[:, rir_len:] = 0
-        del rirs
-        p = spfft.fft(p, overwrite_x=True)
-        p *= src_spec
-        p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-        for start in range(0, frames, FRAME_BLOCK):
-            stop = min(start + FRAME_BLOCK, frames)
-            spec = spfft.fft(_frames(p, config, window, start, stop),
-                             axis=2, overwrite_x=True)
-            total = ears[:, start:stop]
-            total += np.einsum("cfb,ecb->efb", spec[..., :bins],
-                               g_pos[:, chunk])
-            # bin -k of the full FFT: bin 0 on its own, then k = 1..bins-1
-            # read through a reversed view instead of a gathered copy
-            neg = np.empty_like(total)
-            np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[:, chunk, :1],
-                      out=neg[..., :1])
-            np.einsum("cfb,ecb->efb", spec[..., : -bins : -1],
-                      g_neg[:, chunk, 1:], out=neg[..., 1:])
-            total += np.conjugate(neg, out=neg)
-            del spec, neg  # before the next block allocates its own
-
-
-def binaural_references(images, source, hrtf_sh, config, order, rir_seconds):
-    """Binaural reference spectrograms (full, direct) decoded from the
-    order-`order` SH plane-wave encoding of `images`, the image sources seen
-    from the array center.
-
-    Equal to encoding all (order+1)^2 SH channels, taking their STFTs and
-    decoding each bin with the HRTF's SH coefficients (truncated to the
-    smaller order), without forming the SH signals. The direct image is
-    rank one: its channels are w_c (s * k_0), so its ears get
-    STFT(s * k_0) sum_c w_c G_c. Of the other images only the m >= 0
-    channels are encoded, a chunk at a time: the source is real and the
-    harmonics carry the Condon-Shortley phase, so p_(n,-m) =
-    (-1)^m conj(p_(n,m)) and P_(n,-m)(f) = (-1)^m conj(P_(n,m)(-f)) comes
-    from the same full FFT. The full reference is direct + reverberant, so
+    A plane wave from u reaches ear e as sum_k D_e,k(f) a_k(u), so the
+    reference is sum_k D_k STFT(s * r_k), with the real RIR r_k = sum_i
+    a_k(u_i) g_i delta(t - tau_i): one convolution and one STFT per
+    channel, one channel at a time. This equals encoding the (N+1)^2
+    complex SH channels of the order-N plane-wave encoding and decoding
+    each bin with the HRTF's SH coefficients, without forming them. The
+    direct image is rank one: its ears get STFT(s * r_0) sum_k D_k
+    a_k(u_0), r_0 its RIR. The full reference is direct + reverberant, so
     the two are identical in an anechoic room.
-
-    The reverberant chunks run as two fixed halves, the first ceil(K/2) of
-    the K chunks and the rest, on up to REF_WORKERS (two) threads or in
-    turn on one. The first half adds its chunks in order into the
-    reference, the second into a zeroed spectrogram added after it, so the
-    bytes do not depend on the thread count. Both halves' buffers come from
-    the calling thread, as glibc keeps what a worker thread frees, and the
-    direct part is formed after they and the second sum are freed.
-    Every scipy module the halves use is loaded first: scipy.fft here and
-    scipy.sparse by the delay matrices.
     """
-    from scipy import fft as spfft
-
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
-    src = np.asarray(source, float)
-    order = min(order, hrtf_sh.order)
-    g = decode_matrix(hrtf_sh, order)  # (ears, channels, bins)
-    if g.shape[2] != config.num_bins:
+    decode = channels.decode
+    if decode.shape[2] != config.num_bins:
         raise ValueError("HRTF bin count does not match the STFT config")
-    degrees = sh_degrees(order)
+    src = np.asarray(source, float)
     direct = images.take(slice(0, 1))
     reverb = images.take(slice(1, None))
-
-    kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
-    w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
-    gain_d = w0 @ g
     num_samples = signal_length(src.size, rir_seconds, fs)
     ears = np.zeros((2, config.num_frames(num_samples), config.num_bins),
                     complex)
     if reverb.count:
-        n_idx, m_idx = degrees
-        encoded = np.nonzero(m_idx >= 0)[0]
-        m_enc = m_idx[encoded]
-        mirror = (n_idx * n_idx + n_idx - m_idx)[encoded]  # index of (n, -m)
-        # conj(P_(n,m)(-f)) decodes with conj((-1)^m G_(n,-m)) since
-        # sum G conj(P) = conj(sum conj(G) P); m = 0 has no partner
-        sign = np.where(m_enc > 0, np.power(-1.0, m_enc), 0.0)
-        g_pos = g[:, encoded]
-        g_neg = np.conj(sign[:, None] * g[:, mirror])
-        del g
-        src_spec = spfft.fft(src, spfft.next_fast_len(num_samples))
         delays = _delay_matrix(reverb, rir_len, fs)
-        chunks = -(-encoded.size // REF_CHUNK_CHANNELS)
-        split = -(-chunks // 2) * REF_CHUNK_CHANNELS
-        second = np.zeros_like(ears)
-        bufs = [np.empty((REF_CHUNK_CHANNELS, src_spec.size), complex)
-                for _ in range(2)]
-        # one analysis window for every block of every chunk
-        half = partial(_reverb_half, reverb, delays, degrees, src_spec,
-                       num_samples, config, config.window())
-        with ThreadPoolExecutor(REF_WORKERS) as pool:
-            futures = [pool.submit(half, total, buf, encoded[sl],
-                                   g_pos[:, sl], g_neg[:, sl])
-                       for total, buf, sl in zip(
-                           (ears, second), bufs,
-                           (slice(0, split), slice(split, None)))]
-            for future in futures:
-                future.result()
-        del half, bufs, src_spec, delays
-        ears += second
-        del second
+        for k, a in enumerate(channels.angular(reverb.colatitudes,
+                                               reverb.azimuths)):
+            rir = delays @ (a * reverb.gains)
+            ears += decode[:, k, None, :] \
+                * stft(_fft_convolve(src, rir), config).data[0]
+        del delays
 
-    ears_d = stft(_fft_convolve(src, kernel), config).data[0] \
-        * gain_d[:, None, :]
+    a0 = np.array([a[0] for a in channels.angular(direct.colatitudes,
+                                                  direct.azimuths)])
+    ears_d = stft(_fft_convolve(src, render_rir(direct, rir_len, fs)),
+                  config).data[0] * (a0 @ decode)[:, None, :]
     ears += ears_d
     return (Spectrogram(data=ears, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))

@@ -3,7 +3,9 @@
 Complex spherical harmonics with the Condon-Shortley phase throughout,
 ordered by (n, m) with m = -n..n, so index = n^2 + n + m. The same
 convention backs the steering matrices, the HRTF SH fit and the plane-wave
-encoding of the simulator; do not mix in real-valued harmonics.
+encoding of the simulator; do not mix in real-valued harmonics. The one
+exception is the simulated reference's real channels (hrtf.HrtfChannels),
+whose decode is derived from complex coefficients in this convention.
 
 Plane-wave phase convention: a unit plane wave arriving from direction u
 (unit vector pointing from the origin towards the source) is observed at
@@ -22,16 +24,9 @@ def num_coeffs(order):
     return (order + 1) ** 2
 
 
-def sh_degrees(order):
-    """(n, m) index arrays for the flat coefficient ordering."""
-    n = np.repeat(np.arange(order + 1), 2 * np.arange(order + 1) + 1)
-    m = np.concatenate([np.arange(-k, k + 1) for k in range(order + 1)])
-    return n, m
-
-
 def _legendre(n_max, m, colatitudes):
     """Yield fully normalised P_n^m(cos theta), Condon-Shortley phase
-    included, for n = |m|..n_max (Rafaely 2015): scipy.special's
+    included, for n = |m|..n_max (Rafaely 2015): scipy's
     sph_legendre_p recurrences in its rounding order, so its bits, signed
     zeros too. m < 0 seeds its own chain, and each sum starts from +0."""
     a = abs(m)
@@ -55,11 +50,38 @@ def _legendre(n_max, m, colatitudes):
         yield p1
 
 
-def _put_harmonic(out, p, e):
-    """Write (p + 0i) e into the complex array `out`, each part rounded on
-    its own as sph_harm_y's complex product rounds it."""
-    out.real = p * e.real - 0.0 * e.imag
-    out.imag = p * e.imag + 0.0 * e.real
+def spherical_jn(n_max, x):
+    """Spherical Bessel functions j_0..j_n_max at x >= 0, shape
+    (n_max + 1, x.size), with j_n(0) = delta_n0 exactly.
+
+    Miller's downward recursion (Abramowitz & Stegun 10.1) on g_n = j_n /
+    x^n, g_(n-1) = (2n+1) g_n - x^2 g_(n+1), which divides by no x; it
+    starts at n_max + ceil(max x) + 30 from g = (1, 0), is rescaled when
+    it grows large and is normalised by j_0 = sin x / x or j_1 = sin x /
+    x^2 - cos x / x, whichever is larger in magnitude: j_0 alone loses
+    digits near its zeros.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((n_max + 1, x.size))
+    out[0] = x == 0
+    z = x[x > 0]
+    if z.size == 0:
+        return out
+    top = n_max + int(np.ceil(z.max())) + 30
+    g = np.zeros((top + 2, z.size))
+    g[top] = 1.0
+    for n in range(top, 0, -1):
+        g[n - 1] = (2 * n + 1) * g[n] - z * z * g[n + 1]
+        big = np.abs(g[n - 1]) > 1e200
+        if big.any():
+            g[n - 1:, big] *= 1e-200
+    j0 = np.sin(z) / z
+    j1 = (j0 - np.cos(z)) / z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / g[0], j1 / (z * g[1]))
+    out[:, x > 0] = z ** np.arange(n_max + 1)[:, None] \
+        * (g[: n_max + 1] * scale)
+    return out
 
 
 def sh_matrix(order, directions):
@@ -75,7 +97,11 @@ def sh_matrix(order, directions):
     for m in range(-order, order + 1):
         e = np.exp(1j * m * ph)
         for n, p in enumerate(_legendre(order, m, th), start=abs(m)):
-            _put_harmonic(out[:, n * n + n + m], p, e)
+            # (p + 0i) e, each part rounded on its own as sph_harm_y's
+            # complex product rounds it
+            col = out[:, n * n + n + m]
+            col.real = p * e.real - 0.0 * e.imag
+            col.imag = p * e.imag + 0.0 * e.real
     return out
 
 

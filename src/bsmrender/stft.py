@@ -126,8 +126,8 @@ def _frames(signal, config, window, start=0, stop=None):
     computed once by the caller), written into a zeroed (channels, frames,
     fft_size) buffer, so a transform of the last axis needs no padding
     copy. The trailing frames are zero-padded; the dtype follows the
-    signal, so complex channels frame as well. Private so that worker
-    threads may call it untraced."""
+    signal, so complex channels frame as well. A caller that transforms a
+    long signal a block of frames at a time frames each block alone."""
     num_ch, num_samples = signal.shape
     if stop is None:
         stop = config.num_frames(num_samples)

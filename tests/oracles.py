@@ -1,12 +1,15 @@
 """Test-only helpers and reference implementations of library kernels.
 
-The wavenumber of one frequency, closed-form and truncated-series
+The (n, m) index arrays of the flat SH ordering, the wavenumber of one
+frequency, closed-form and truncated-series
 plane-wave steering, the steering
 matrix of one frequency, the unit vector of a direction, the largest
 radius of an array, the Cartesian to spherical conversion, the pinv
 HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
 one direction, the spherical-harmonic matrix from one call per (n, m)
-and from one call for all directions, STFT framing through a padded
+and from one call for all directions, the exact SH coefficients of the
+analytic HRTF models, the response of real HRTF channels at a set of
+directions, STFT framing through a padded
 copy of the signal, the version 1 (double precision) binaural
 spectrogram file, filter-bank design as one LS or MagLS solve per bin
 and ear, and the sinc delay matrix built as COO triplets and converted
@@ -14,17 +17,27 @@ to CSR. The library itself needs none of them; tests use them as
 oracles for what it does compute.
 """
 
+import math
 import struct
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse, special
 
-from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart
-from bsmrender.hrtf import apply_sh_fit, evaluate_sh, sh_fit_operator
+from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart, wavenumbers
+from bsmrender.hrtf import HrtfSHCoefficients, apply_sh_fit, evaluate_sh, \
+    sh_fit_operator
 from bsmrender import solvers
 from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel
-from bsmrender.sph import num_coeffs, sh_degrees, sh_matrix, steering_tensor
+from bsmrender.sph import num_coeffs, sh_matrix, steering_tensor
+
+
+def sh_degrees(order):
+    """(n, m) index arrays for the flat coefficient ordering,
+    index = n^2 + n + m."""
+    n = np.repeat(np.arange(order + 1), 2 * np.arange(order + 1) + 1)
+    m = np.concatenate([np.arange(-k, k + 1) for k in range(order + 1)])
+    return n, m
 
 
 def unit_vector(d):
@@ -150,6 +163,46 @@ def sh_weights_loop(images, degrees, cols):
                                                images.colatitudes,
                                                images.azimuths))
     return out * images.gains[:, None]
+
+
+# the ears of point_receiver_hrtf, +/- ear_offset on the y axis
+EAR_DIRECTIONS = np.array([[math.pi / 2, math.pi / 2],
+                           [math.pi / 2, 3 * math.pi / 2]])
+
+
+def point_receiver_sh(ear_offset, stft_cfg, order):
+    """point_receiver_hrtf's exact SH coefficients up to `order`, by
+    Jacobi-Anger: exp(i k r.u) = sum 4 pi i^n j_n(k r) conj(Y_nm(r^))
+    Y_nm(u), so c_nm(f) = 4 pi i^n j_n(k a) conj(Y_nm(ear)). Unlike a fit,
+    it has no aliasing from the orders above `order`."""
+    if ear_offset <= 0:
+        raise ValueError("ear_offset must be positive")
+    n_idx = sh_degrees(order)[0]
+    ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset
+    degrees = np.arange(order + 1)
+    radial = (4 * np.pi * 1j ** degrees)[:, None] \
+        * special.spherical_jn(degrees[:, None], ka)
+    ears = np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
+        * radial[n_idx]
+    return HrtfSHCoefficients(order=order, ears=ears,
+                              sample_rate=stft_cfg.sample_rate)
+
+
+def flat_sh(stft_cfg, order):
+    """flat_hrtf's exact SH coefficients up to `order`: c_00 = sqrt(4 pi),
+    since Y_00 = 1 / sqrt(4 pi), and every other coefficient zero."""
+    ears = np.zeros((2, num_coeffs(order), stft_cfg.num_bins), dtype=complex)
+    ears[:, 0] = math.sqrt(4 * math.pi)
+    return HrtfSHCoefficients(order=order, ears=ears,
+                              sample_rate=stft_cfg.sample_rate)
+
+
+def channel_response(channels, directions):
+    """Both ears' response sum_k decode_k a_k(u) of hrtf.HrtfChannels at
+    (colatitude, azimuth) rows, shape (2, D, bins) as an HrtfSet's."""
+    th, ph = np.asarray(directions, dtype=float).T
+    a = np.array(list(channels.angular(th, ph)))  # (K, D)
+    return np.einsum("ekb,kd->edb", channels.decode, a)
 
 
 def sh_matrix_one_call(order, theta, phi):

@@ -3,24 +3,34 @@
 The first is the direct route that simulate.binaural_references shortcuts:
 every image source seen from the array center is encoded as a plane wave
 into all (order+1)^2 SH channels at complex128, each channel gets its own
-complex STFT, and every bin is decoded with the HRTF's SH coefficients.
-The second is the same shortcut as binaural_references run on one thread,
-8 channels per chunk, with the negative bins gathered by index. The third
-is simulate._reverb_half with each chunk worked at once: the RIRs padded
-by the FFT, one framed buffer for every frame of the chunk, one transform,
-one decode and one addition.
+complex STFT, and every bin is decoded with the HRTF's SH coefficients
+through decode_matrix. The second is a different shortcut, run in 8-channel
+chunks: only the m >= 0 complex channels are encoded, and the m < 0 ones
+are decoded from the mirrored negative-frequency bins of the same FFT,
+gathered by index.
 """
 
 import numpy as np
 from scipy import fft as spfft
 from scipy import signal as sps
 
-from bsmrender.render import decode_matrix
-from bsmrender.simulate import REF_CHUNK_CHANNELS, _HALF, _delay_matrix, \
-    _sh_weights_block, compute_image_sources
-from bsmrender.sph import num_coeffs, sh_degrees
-from bsmrender.stft import Spectrogram, _frames, stft
-from oracles import sliding_frames
+from bsmrender.simulate import _HALF, _delay_matrix, compute_image_sources
+from bsmrender.sph import num_coeffs
+from bsmrender.stft import Spectrogram, stft
+from oracles import sh_degrees, sh_weights_loop, sliding_frames
+
+
+def decode_matrix(hrtf_sh, order):
+    """Decode vectors G_(n,m) = (-1)^m H_(n,-m) of both ears, shape
+    (2, C, bins) with C = (min(order, hrtf_sh.order)+1)^2, left ear first.
+
+    Contracting an SH-encoded plane wave with G reproduces the HRTF at the
+    wave's arrival direction (up to SH truncation at `order`).
+    """
+    n_idx, m_idx = sh_degrees(min(order, hrtf_sh.order))
+    flipped = (n_idx * n_idx + n_idx - m_idx).astype(int)  # index of (n, -m)
+    sign = np.where(m_idx % 2 == 0, 1.0, -1.0)[:, None]
+    return sign * hrtf_sh.ears[:, flipped]
 
 
 def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
@@ -44,7 +54,7 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     delays = _delay_matrix(images, rir_len, fs)
     for start in range(0, n_coeff, chunk_channels):
         cols = range(start, min(start + chunk_channels, n_coeff))
-        w = _sh_weights_block(images, sh_degrees(sh_order), cols)
+        w = sh_weights_loop(images, sh_degrees(sh_order), cols)
         rir = delays @ np.ascontiguousarray(w.real) \
             + 1j * (delays @ np.ascontiguousarray(w.imag))
         out[:, start : start + len(cols)] = sps.fftconvolve(
@@ -76,9 +86,13 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
 
 def binaural_references_serial(images, source, hrtf_sh, config, order,
                                rir_seconds, chunk_channels=8):
-    """simulate.binaural_references as one serial loop: the source spectrum
-    taken once per chunk, frames copied out of a padded signal and padded
-    again by the FFT, and the mirrored bins gathered by index."""
+    """Binaural reference spectrograms (full, direct) from the m >= 0
+    complex SH channels, `chunk_channels` at a time: the source is real and
+    the harmonics carry the Condon-Shortley phase, so p_(n,-m) = (-1)^m
+    conj(p_(n,m)) and P_(n,-m)(f) = (-1)^m conj(P_(n,m)(-f)) comes from the
+    same full FFT, decoded with conj((-1)^m G_(n,-m)). The direct image is
+    rank one; frames are copied out of a padded signal and padded again by
+    the FFT."""
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(source, float)
@@ -90,7 +104,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
 
     kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
     base = stft(sps.fftconvolve(src, kernel), config).data[0]
-    w0 = _sh_weights_block(direct, degrees, range(num_coeffs(order)))[0]
+    w0 = sh_weights_loop(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
     ears_r = np.zeros_like(ears_d)
@@ -106,7 +120,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
         delays = _delay_matrix(reverb, rir_len, fs)
         for start in range(0, encoded.size, chunk_channels):
             sl = slice(start, start + chunk_channels)
-            w = _sh_weights_block(reverb, degrees, encoded[sl])
+            w = sh_weights_loop(reverb, degrees, encoded[sl])
             rir = delays @ np.ascontiguousarray(w.real) \
                 + 1j * (delays @ np.ascontiguousarray(w.imag))
             p = sps.fftconvolve(src[None, :], rir.T, axes=1)
@@ -119,28 +133,3 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
 
     return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))
-
-
-def reverb_half_unblocked(reverb, delays, degrees, src_spec, num_samples,
-                          config, window, ears, buf, cols, g_pos, g_neg):
-    """simulate._reverb_half with each chunk's RIRs zero-padded by the FFT
-    instead of written into `buf`, and every frame of the chunk framed
-    into one (channels, frames, fft_size) buffer, transformed, decoded and
-    added into `ears` at once; `buf` is left untouched."""
-    bins = config.num_bins
-    for first in range(0, len(cols), REF_CHUNK_CHANNELS):
-        chunk = slice(first, first + REF_CHUNK_CHANNELS)
-        w = _sh_weights_block(reverb, degrees, cols[chunk])
-        rir = delays @ np.ascontiguousarray(w.real) \
-            + 1j * (delays @ np.ascontiguousarray(w.imag))
-        p = spfft.fft(rir.T, src_spec.size)
-        p *= src_spec
-        p = spfft.ifft(p, overwrite_x=True)[:, :num_samples]
-        spec = spfft.fft(_frames(p, config, window), axis=2, overwrite_x=True)
-        ears += np.einsum("cfb,ecb->efb", spec[..., :bins], g_pos[:, chunk])
-        neg = np.empty_like(ears)
-        np.einsum("cfb,ecb->efb", spec[..., :1], g_neg[:, chunk, :1],
-                  out=neg[..., :1])
-        np.einsum("cfb,ecb->efb", spec[..., : -bins : -1],
-                  g_neg[:, chunk, 1:], out=neg[..., 1:])
-        ears += np.conjugate(neg, out=neg)

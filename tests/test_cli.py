@@ -1,5 +1,6 @@
 """Command line wiring: stage orchestration, artifacts, digests, exits."""
 
+import ast
 import contextlib
 import io
 import json
@@ -108,64 +109,51 @@ def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
 
 def test_each_stage_loads_only_the_scipy_it_uses(tmp_path):
     # scipy is imported inside the kernels that use it: a dry run, design,
-    # render and evaluate compute nothing with it (the harmonics are
-    # numpy's), and simulate needs fft, sparse and special's spherical_jn
+    # render and evaluate compute nothing with it (the harmonics and j_n
+    # are numpy's), and simulate imports fft and sparse alone, so it loads
+    # exactly what importing those two loads (scipy.fft brings part of
+    # scipy.special with it)
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     probe = """\
 import json, sys
-import bsmrender.cli
-rc = bsmrender.cli.main(sys.argv[1:])
+{}
 scipy = [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 print(json.dumps([rc, sorted(scipy)]))
 """
+    run_cli = "import bsmrender.cli\nrc = bsmrender.cli.main(sys.argv[1:])"
     steps = (["pipeline", "--dry-run"], ["simulate"], ["design"], ["render"],
              ["evaluate"])
     loaded = {}
     for step in steps:
         run = subprocess.run(
-            [sys.executable, "-c", probe, *step, "--out", str(tmp_path / "o"),
-             "--config", str(config_path)],
+            [sys.executable, "-c", probe.format(run_cli), *step,
+             "--out", str(tmp_path / "o"), "--config", str(config_path)],
             env=_src_env(), capture_output=True, text=True, check=True)
         rc, loaded[step[-1]] = json.loads(run.stdout.splitlines()[-1])
         assert rc == 0, (step, run.stderr)
     for step in ("--dry-run", "design", "render", "evaluate"):
         assert loaded[step] == [], step
-    # scipy's own private modules and its version module aside
-    public = {m.split(".")[1] for m in loaded["simulate"] if "." in m}
-    assert {p for p in public if not p.startswith("_")} - {"version"} == {
-        "fft", "sparse", "special"}
+    run = subprocess.run(
+        [sys.executable, "-c", probe.format("import scipy.fft, scipy.sparse\n"
+                                            "rc = 0")],
+        env=_src_env(), capture_output=True, text=True, check=True)
+    assert loaded["simulate"] == json.loads(run.stdout.splitlines()[-1])[1]
     for step, modules in loaded.items():
         for banned in ("scipy.signal", "scipy.stats"):
             assert banned not in modules, (step, banned)
-
-
-def test_reference_chunks_find_their_scipy_loaded(tmp_path):
-    # the worker threads import nothing themselves: the calling thread has
-    # loaded every scipy module a half uses before the first is submitted
-    config_path = tmp_path / "echo.yaml"
-    config_path.write_text(ECHO_YAML)
-    probe = """\
-import json, sys
-import bsmrender.cli
-from bsmrender import simulate
-half, seen = simulate._reverb_half, []
-def spy(*args):
-    seen.append([m for m in ("scipy.fft", "scipy.sparse")
-                 if m in sys.modules])
-    return half(*args)
-simulate._reverb_half = spy
-rc = bsmrender.cli.main(sys.argv[1:])
-print(json.dumps([rc, seen]))
-"""
-    run = subprocess.run(
-        [sys.executable, "-c", probe, "simulate", "--out", str(tmp_path / "o"),
-         "--config", str(config_path)],
-        env=_src_env(), capture_output=True, text=True, check=True)
-    rc, seen = json.loads(run.stdout.splitlines()[-1])
-    assert rc == 0, run.stderr
-    assert seen and all(mods == ["scipy.fft", "scipy.sparse"]
-                        for mods in seen), seen
+    # and the package's own imports of scipy name those two alone
+    imported = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [alias.name for alias in node.names])
+                imported.update(n.split(".")[1] for n in names
+                                if n and n.startswith("scipy."))
+    assert imported == {"fft", "sparse"}, imported
 
 
 def test_dry_run_prints_config_without_side_effects(tmp_path, capsys):
@@ -519,25 +507,6 @@ def test_design_reports_capped_magls_bins(tmp_path, capsys, monkeypatch):
         "warning: 1922 MagLS bins stopped at the iteration cap")
 
 
-def test_reference_worker_failure_fails_simulate_stage(tmp_path, capsys,
-                                                       monkeypatch):
-    # the stage ends in the half's error, and no worker outlives it
-    def failing_half(*args):
-        raise ValueError("reverberant half failed")
-
-    config_path = tmp_path / "echo.yaml"
-    config_path.write_text(ECHO_YAML)
-    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    monkeypatch.setattr(simulate, "_reverb_half", failing_half)
-    before = threading.active_count()
-    rc = main(["simulate", "--out", str(tmp_path / "o"),
-               "--config", str(config_path)])
-    assert rc == EXIT_CODES["simulate"]
-    assert "error [simulate]: reverberant half failed" \
-        in capsys.readouterr().err
-    assert threading.active_count() == before
-
-
 def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
     # 16 equator directions pass the direction-count check of order 2, but
     # the harmonics odd in z vanish on them
@@ -655,6 +624,26 @@ def test_failed_room_leaves_no_thread_running(tmp_path, capsys,
     assert threading.active_count() == before
 
 
+def test_unstorable_noise_fails_simulate_stage(tmp_path):
+    # noise 3000 dB above the signal passes config, but its samples
+    # overflow float32: the WAV write refuses them, so the run ends at
+    # simulate rather than at evaluate, with no warning from the cast
+    config_path = tmp_path / "loud.yaml"
+    config_path.write_text(MINI_YAML.replace(
+        "scene:\n", "scene:\n  noise_snr_db: -3000\n"))
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-m", "bsmrender.cli", "simulate", "--out", str(out),
+         "--config", str(config_path)],
+        env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert run.returncode == EXIT_CODES["simulate"]
+    assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr == (f"error [simulate]: {out / 'mics_full.wav'}: a "
+                          "sample is not finite as float32\n")
+    assert not (out / "mics_full.wav").exists()
+
+
 def test_silent_source_fails_simulate_stage(tmp_path, capsys):
     # an all-zero source would pass simulate, design and render, and then
     # fail evaluate with no band holding energy
@@ -677,10 +666,15 @@ def test_silent_source_fails_simulate_stage(tmp_path, capsys):
 def test_non_finite_source_wav_fails_config(tmp_path, capsys, bad, argv):
     # a NaN or infinite sample once passed every stage and ended in a NaN
     # verdict with exit 0
+    # write_wav refuses the sample, so it goes into the file's last chunk,
+    # the data, afterwards
     samples = simulate.synth_speech_noise(14400, 48000, 0)
-    samples[100] = bad
     source = tmp_path / "bad.wav"
     write_wav(source, samples, 48000)
+    blob = bytearray(source.read_bytes())
+    at = len(blob) - 4 * (samples.size - 100)
+    blob[at : at + 4] = np.float32(bad).tobytes()
+    source.write_bytes(bytes(blob))
     config_path = tmp_path / "bad.yaml"
     config_path.write_text(ECHO_YAML.replace(
         "scene:\n", f"scene:\n  source_kind: wav\n"
@@ -747,16 +741,16 @@ def test_hrtf_fit_peak_memory():
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
-    # the point model's coefficients come in closed form at the reference
+    # the point model's channels come in closed form at the reference
     # order, before the first artifact is written: simulate applies no
-    # fit, no order-5 expansion ever exists, and the reference gets
-    # order-2 coefficients that own their data
+    # fit, no order-5 expansion ever exists, and the reference gets the
+    # three zonal channels of order 2, with a decode that owns its data
     seen, events = [], []
 
-    def spy(images, source, hrtf_sh, *args):
+    def spy(images, source, channels, *args):
         events.append(("reference", None))
-        seen.append(hrtf_sh)
-        return simulate.binaural_references(images, source, hrtf_sh, *args)
+        seen.append(channels)
+        return simulate.binaural_references(images, source, channels, *args)
 
     def closed_spy(ear_offset, stft_cfg, order):
         events.append(("closed form", order))
@@ -772,11 +766,11 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
             return writer(path, *args)
         return spy
 
-    closed_form, apply_fit = cli.point_receiver_sh, cli.apply_sh_fit
+    closed_form, apply_fit = cli.point_receiver_channels, cli.apply_sh_fit
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
-    monkeypatch.setattr(cli, "point_receiver_sh", closed_spy)
+    monkeypatch.setattr(cli, "point_receiver_channels", closed_spy)
     monkeypatch.setattr(cli, "apply_sh_fit", fit_spy)
     monkeypatch.setattr(cli, "write_json", write_spy(cli.write_json))
     monkeypatch.setattr(cli, "write_wav", write_spy(cli.write_wav))
@@ -786,10 +780,10 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
     assert ("fit", None) not in events
     assert ("reference", None) in events
     assert ("write", "scene_stats.json") in events
-    (hrtf_sh,) = seen
-    assert hrtf_sh.order == 2
-    assert hrtf_sh.ears.shape[:2] == (2, 9)
-    assert hrtf_sh.ears.base is None
+    (channels,) = seen
+    assert channels.order == 2 and channels.zonal
+    assert channels.decode.shape[:2] == (2, 3)
+    assert channels.decode.base is None
 
 
 @pytest.mark.parametrize("kind", ["point", "flat"])
@@ -797,15 +791,18 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
                          [(2, 5, 2), (5, 2, 2), (3, 3, 3)])
 def test_closed_form_takes_the_fit_order_rule(kind, reference_order,
                                               hrtf_sh_order, want):
-    # the closed form is built at min(reference_order, hrtf_sh_order), the
-    # order the fit gave, so the reference truncates as before
+    # the point model's closed form is built at min(reference_order,
+    # hrtf_sh_order), the order the fit gave, so the reference truncates
+    # as before; the flat model's unit response is its one order-0 channel
     cfg = cfgmod.resolve("desk")
     cfg["design"].update(hrtf_kind=kind, reference_order=reference_order,
                          hrtf_sh_order=hrtf_sh_order)
     stft_cfg = StftConfig(48000, 512, 256)
-    coeffs = cli._reference_hrtf(cfg, stft_cfg, reference_order)
-    assert coeffs.order == want
-    assert coeffs.ears.shape == (2, num_coeffs(want), stft_cfg.num_bins)
+    channels = cli._reference_channels(cfg, stft_cfg, reference_order)
+    if kind == "flat":
+        want = 0
+    assert channels.order == want and channels.zonal
+    assert channels.decode.shape == (2, want + 1, stft_cfg.num_bins)
 
 
 def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):

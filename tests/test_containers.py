@@ -3,7 +3,9 @@ manifest."""
 
 import hashlib
 import json
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +59,24 @@ def test_wav_mono_and_float64_input(tmp_path):
     assert back.shape == (100, 1)
     assert digest is None
     np.testing.assert_allclose(back[:, 0], x, atol=1e-7)  # float32 storage
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39, -3.5e38],
+                         ids=["nan", "inf", "-inf", "overflow", "-overflow"])
+def test_wav_refuses_a_sample_float32_cannot_hold(tmp_path, bad):
+    # a non-finite sample, or a finite one beyond float32's range that the
+    # cast alone makes infinite, fails the write before the file exists,
+    # and the cast's overflow warning is not shown
+    data = np.zeros((64, 3))
+    data[17, 2] = bad
+    path = tmp_path / "bad.wav"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContainerError,
+                           match=f"^{re.escape(str(path))}: a sample is not "
+                                 "finite as float32$"):
+            write_wav(path, data, 48000, DIGEST)
+    assert not path.exists()
 
 
 def test_wav_rejects_garbage(tmp_path):

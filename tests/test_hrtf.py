@@ -15,15 +15,17 @@ from bsmrender.hrtf import (
     HrtfSet,
     apply_sh_fit,
     evaluate_sh,
+    HrtfSHCoefficients,
     flat_hrtf,
-    flat_sh,
+    point_receiver_channels,
     point_receiver_hrtf,
-    point_receiver_sh,
+    sh_channels,
     sh_fit_operator,
 )
 from bsmrender.sph import num_coeffs, sh_matrix, spiral_grid
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, sh_fit, sh_interpolate
+from oracles import assert_bits_equal, channel_response, sh_fit, \
+    sh_interpolate
 
 STFT = StftConfig(48000, 512, 256)
 DESK_STFT = StftConfig.default(48000, 32.0, 16.0)  # both profiles' STFT
@@ -64,14 +66,15 @@ def test_flat_hrtf_is_ones():
 
 @pytest.mark.parametrize("order, bound", [(14, 5e-4), (30, 5e-7)])
 def test_point_closed_form_synthesizes_the_model(order, bound):
-    # Y c reproduces both ears of the model wherever the truncated
-    # Jacobi-Anger series has converged, k a <= order / 2; the bounds are
-    # about twice the measured 2.1e-4 (order 14) and 1.0e-7 (order 30)
+    # the zonal channels reproduce both ears of the model wherever the
+    # truncated Jacobi-Anger series has converged, k a <= order / 2; the
+    # bounds are about twice the measured 2.1e-4 (order 14) and 1.0e-7
+    # (order 30)
     dirs = spiral_grid(300)
-    coeffs = point_receiver_sh(0.0875, DESK_STFT, order)
-    assert coeffs.order == order
-    assert coeffs.ears.shape == (2, num_coeffs(order), DESK_STFT.num_bins)
-    got = evaluate_sh(coeffs, dirs).ears
+    channels = point_receiver_channels(0.0875, DESK_STFT, order)
+    assert channels.order == order
+    assert channels.decode.shape == (2, order + 1, DESK_STFT.num_bins)
+    got = channel_response(channels, dirs)
     want = point_receiver_hrtf(0.0875, DESK_STFT, dirs).ears
     ka = 2 * np.pi * DESK_STFT.bin_frequencies() / SPEED_OF_SOUND * 0.0875
     valid = ka <= order / 2
@@ -82,32 +85,61 @@ def test_point_closed_form_synthesizes_the_model(order, bound):
 
 def test_point_closed_form_matches_the_fit_below_8khz():
     # the order-30 fit on the profiles' 1600-direction grid aliases the
-    # orders above 30 into its coefficients, which reaches 1e-10 relative
-    # only above 8 kHz; below, the fit and the closed form agree (measured
-    # 1.7e-11 at 4-8 kHz, 3.2e-15 below 4 kHz)
+    # orders above 30 into its coefficients, 1.7e-11 relative at 4-8 kHz
+    # and 3.2e-15 below; a response sums the errors of 961 of them, so the
+    # fit's channels and the closed form answer within 3e-10 below 8 kHz
+    # (measured 1.3e-10 at 4-8 kHz, 1.4e-14 below 4 kHz)
     fit = sh_fit(point_receiver_hrtf(0.0875, DESK_STFT, spiral_grid(1600)), 30)
-    closed = point_receiver_sh(0.0875, DESK_STFT, 30)
+    closed = point_receiver_channels(0.0875, DESK_STFT, 30)
+    dirs = spiral_grid(200)
     below = DESK_STFT.bin_frequencies() < 8000.0
-    diff = np.abs(fit.ears - closed.ears)[..., below].max(axis=1)
-    scale = np.abs(closed.ears)[..., below].max(axis=1)
-    assert (diff <= 1e-10 * scale).all(), (diff / scale).max()
+    want = channel_response(closed, dirs)[..., below]
+    diff = np.abs(channel_response(sh_channels(fit, 30), dirs)[..., below]
+                  - want).max(axis=1)
+    scale = np.abs(want).max(axis=1)
+    assert (diff <= 3e-10 * scale).all(), (diff / scale).max()
 
 
 def test_point_closed_form_rejects_bad_offset():
+    # an offset of 0 is the flat model; a negative one is no model
     with pytest.raises(ValueError):
-        point_receiver_sh(0.0, STFT, 2)
+        point_receiver_channels(-0.01, STFT, 2)
 
 
 @pytest.mark.parametrize("order", [0, 3])
 def test_flat_closed_form_is_exact(order):
-    # c_00 = sqrt(4 pi) on both ears at every bin, every other coefficient
-    # zero, so the expansion is the model's unit response
-    coeffs = flat_sh(STFT, order)
-    assert coeffs.ears.shape == (2, num_coeffs(order), STFT.num_bins)
-    np.testing.assert_array_equal(coeffs.ears[:, 0], np.sqrt(4 * np.pi))
-    np.testing.assert_array_equal(coeffs.ears[:, 1:], 0)
-    np.testing.assert_allclose(evaluate_sh(coeffs, spiral_grid(50)).ears,
+    # ears at the center: j_n(0) = delta_n0 leaves a_0 = 1 / sqrt(4 pi)
+    # decoded by sqrt(4 pi) on both ears at every bin, the model's unit
+    # response, and every higher channel's decode exactly zero
+    channels = point_receiver_channels(0.0, STFT, order)
+    assert channels.decode.shape == (2, order + 1, STFT.num_bins)
+    np.testing.assert_array_equal(channels.decode[:, 0], np.sqrt(4 * np.pi))
+    np.testing.assert_array_equal(channels.decode[:, 1:], 0)
+    np.testing.assert_allclose(channel_response(channels, spiral_grid(50)),
                                1.0, rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 2**32 - 1))
+def test_sh_channels_reproduce_the_expansion(order, ref_order, seed):
+    # sum_c H_c Y_c(u) = sum_k D_k a_k(u) for drawn complex H and drawn u,
+    # the poles included, at the smaller of the two orders
+    rng = np.random.default_rng(seed)
+    bins = 3
+    shape = (2, num_coeffs(order), bins)
+    coeffs = HrtfSHCoefficients(
+        order=order, sample_rate=48000,
+        ears=rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    dirs = np.column_stack([rng.uniform(0, np.pi, 20),
+                            rng.uniform(0, 2 * np.pi, 20)])
+    dirs[:2, 0] = 0.0, np.pi
+    kept = min(order, ref_order)
+    channels = sh_channels(coeffs, ref_order)
+    assert channels.order == kept
+    assert channels.decode.shape == (2, num_coeffs(kept), bins)
+    want = sh_matrix(kept, dirs) @ coeffs.ears[:, : num_coeffs(kept)]
+    np.testing.assert_allclose(channel_response(channels, dirs), want,
+                               rtol=0, atol=1e-12)
 
 
 def test_hrtf_set_validation():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender.hrtf import point_receiver_hrtf
-from bsmrender.render import apply_filterbank, decode_matrix
+from bsmrender.hrtf import point_receiver_hrtf, sh_channels
+from bsmrender.render import apply_filterbank
 from bsmrender.simulate import RoomSpec, binaural_references, \
     compute_image_sources, render_rir
 from bsmrender.solvers import BsmFilterBank, SolverConfig
@@ -14,6 +14,7 @@ from bsmrender.sph import spiral_grid
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
     stft
 from oracles import sh_fit
+from sh_oracle import decode_matrix
 
 CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
 BINS = CFG.num_bins
@@ -209,8 +210,8 @@ def _center_images(reflection=0.8, max_order=2, rir_len=1200):
 
 def test_render_reference_zero_input_is_silent():
     coeffs = sh_fit(point_receiver_hrtf(0.0875, CFG, spiral_grid(64)), 3)
-    refs = binaural_references(_center_images(), np.zeros(1000), coeffs, CFG,
-                               3, 1200 / 48000)
+    refs = binaural_references(_center_images(), np.zeros(1000),
+                               sh_channels(coeffs, 3), CFG, 1200 / 48000)
     assert [r.tag for r in refs] == ["reference", "reference-direct"]
     for ref in refs:
         assert ref.num_channels == 2
@@ -224,7 +225,8 @@ def test_render_reference_linearity():
     a, b = rng.standard_normal((2, 800))
 
     def refs(sig):
-        return binaural_references(images, sig, coeffs, CFG, 2, 1200 / 48000)
+        return binaural_references(images, sig, sh_channels(coeffs, 2), CFG,
+                                   1200 / 48000)
 
     for both, ra, rb in zip(refs(a + 3 * b), refs(a), refs(b)):
         np.testing.assert_allclose(both.data, ra.data + 3 * rb.data,
@@ -234,7 +236,7 @@ def test_render_reference_linearity():
 def test_render_reference_decodes_plane_wave_to_hrtf():
     # a single image arriving from direction d must come out as the
     # pressure at the array center weighted by the ear response at d:
-    # sum_nm G_nm conj(Y_nm(d)) = H(d)
+    # sum_k D_k a_k(d) = sum_nm H_nm Y_nm(d) = H(d)
     order = 10
     images = _center_images(reflection=0.0, max_order=0)
     assert images.count == 1
@@ -243,8 +245,8 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     coeffs = sh_fit(hs, order)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(CFG.window_length * 4)
-    full, direct = binaural_references(images, x, coeffs, CFG, order,
-                                       1200 / 48000)
+    full, direct = binaural_references(images, x, sh_channels(coeffs, order),
+                                       CFG, 1200 / 48000)
     np.testing.assert_array_equal(full.data, direct.data)
     pressure = np.convolve(x, render_rir(images, 1200, 48000))
     base = stft(pressure, CFG)

@@ -1,20 +1,17 @@
 """Shoebox image-source model, RIR rendering, binaural SH references and
 room statistics."""
 
-import inspect
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.signal as sps
-from scipy import fft as sp_fft
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
-from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_hrtf
+from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_channels, \
+    point_receiver_hrtf, sh_channels
 from bsmrender import simulate
 from bsmrender.simulate import (
     ImageSourceList,
@@ -34,12 +31,12 @@ from bsmrender.simulate import (
     scene_statistics,
     synth_speech_noise,
 )
-from bsmrender.sph import num_coeffs, sh_degrees, spiral_grid
+from bsmrender.sph import spiral_grid
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, delay_matrix_coo, sh_fit, \
-    sh_weights_loop
+from oracles import assert_bits_equal, delay_matrix_coo, flat_sh, \
+    point_receiver_sh, sh_degrees, sh_fit
 from sh_oracle import binaural_references_serial, render_reference, \
-    render_reference_plane_waves, reverb_half_unblocked
+    render_reference_plane_waves
 
 ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                 reflection_coefficients=(0.8,) * 6)
@@ -347,32 +344,6 @@ def test_fft_convolve_bitwise_equals_fftconvolve(len_a, len_b, seed):
     assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b))
 
 
-# colatitudes and azimuths drawn from their ranges plus the poles, the
-# seam and the last double below 2 pi
-_COLATITUDE = st.floats(0.0, np.pi) | st.sampled_from([0.0, np.pi])
-_AZIMUTH = st.floats(0.0, 2 * np.pi, exclude_max=True) \
-    | st.sampled_from([0.0, np.nextafter(2 * np.pi, 0.0)])
-
-
-@settings(max_examples=40)
-@given(st.lists(st.tuples(_COLATITUDE, _AZIMUTH, st.floats(-2.0, 2.0)),
-                min_size=1, max_size=16))
-# a part of p e that underflows: a plain complex product gives it the
-# other sign, which the zero gain keeps
-@example([(np.pi, 9.2e-217, 0.0)])
-def test_sh_weights_block_bitwise_equals_sph_harm_y(rows):
-    # the Legendre factor times exp(i m phi) is sph_harm_y to the bit at
-    # every (n, m) of the reference order, conj and gains included
-    theta, phi, gains = (np.array(col) for col in zip(*rows))
-    images = ImageSourceList(
-        positions=np.zeros((theta.size, 3)), gains=gains,
-        delays=np.zeros(theta.size), colatitudes=theta, azimuths=phi,
-        orders=np.zeros(theta.size, dtype=int))
-    degrees, cols = sh_degrees(14), range(num_coeffs(14))
-    assert_bits_equal(simulate._sh_weights_block(images, degrees, cols),
-                      sh_weights_loop(images, degrees, cols))
-
-
 def test_sh_reference_order_zero_matches_pressure():
     # channel 0 is the omni pressure at the array center scaled by the
     # constant basis function
@@ -405,16 +376,42 @@ def _hrtf_sh(cfg, order):
     return sh_fit(point_receiver_hrtf(0.0875, cfg, spiral_grid(200)), order)
 
 
-@pytest.mark.parametrize("ref_order, hrtf_order", [(5, 6), (6, 4)])
-def test_binaural_references_match_oracle(ref_order, hrtf_order):
-    # rank-one direct path and m >= 0 encoding against the full complex128
-    # encode -> STFT -> decode route, including HRTF truncation
+def _reference_hrtf(kind, cfg, ref_order, hrtf_order):
+    """The SH coefficients an oracle decodes with and the real channels
+    binaural_references takes for the same HRTF at min(ref_order,
+    hrtf_order): the point model fitted or in closed form, the flat model
+    (order 0) or SH ears drawn at random."""
+    order = min(ref_order, hrtf_order)
+    if kind == "point":
+        return (point_receiver_sh(0.0875, cfg, order),
+                point_receiver_channels(0.0875, cfg, order))
+    if kind == "flat":
+        return flat_sh(cfg, 0), point_receiver_channels(0.0, cfg, 0)
+    coeffs = _hrtf_sh(cfg, hrtf_order)
+    if kind == "drawn":
+        rng = np.random.default_rng(7)
+        shape = coeffs.ears.shape[1:]
+        draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        coeffs = HrtfSHCoefficients(
+            order=hrtf_order, sample_rate=coeffs.sample_rate,
+            ears=np.stack([draw(), draw()]))
+    return coeffs, sh_channels(coeffs, ref_order)
+
+
+@pytest.mark.parametrize("kind, ref_order, hrtf_order", [
+    pytest.param("fit", 5, 6, id="5-6"), pytest.param("fit", 6, 4, id="6-4"),
+    pytest.param("point", 6, 4, id="point-6-4"),
+    pytest.param("flat", 5, 6, id="flat-5-6")])
+def test_binaural_references_match_oracle(kind, ref_order, hrtf_order):
+    # rank-one direct path and real channels against the full complex128
+    # encode -> STFT -> decode route, including HRTF truncation, for a
+    # fitted set and the two closed forms
     scene = _scene(seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
-    coeffs = _hrtf_sh(cfg, hrtf_order)
+    coeffs, channels = _reference_hrtf(kind, cfg, ref_order, hrtf_order)
     center, _ = scene_images(scene, 6, 0.05)
-    full, direct = binaural_references(center, scene.source_signal, coeffs,
-                                       cfg, ref_order, 0.05)
+    full, direct = binaural_references(center, scene.source_signal, channels,
+                                       cfg, 0.05)
     for got, direct_only in ((full, False), (direct, True)):
         sh = render_reference_plane_waves(scene, ref_order, 6, 0.05,
                                           direct_only=direct_only)
@@ -430,7 +427,7 @@ def test_binaural_references_match_oracle(ref_order, hrtf_order):
        st.floats(0.0, 0.95), st.integers(0, 4))
 def test_sh_encoding_conjugate_symmetry(source, reflection, order):
     # real source + Condon-Shortley phase: p_(n,-m) = (-1)^m conj(p_(n,m)),
-    # the identity binaural_references uses to skip the m < 0 channels
+    # the identity the chunked oracle uses to skip the m < 0 channels
     assume(np.linalg.norm(np.subtract(source, RCV)) > 0.2)  # off the array
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(reflection,) * 6)
@@ -449,8 +446,9 @@ def test_anechoic_reverberant_reference_is_exactly_zero():
     scene = _scene(room=room, seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
     center, _ = scene_images(scene, 4, 0.05)
-    full, direct = binaural_references(center, scene.source_signal,
-                                       _hrtf_sh(cfg, 4), cfg, 4, 0.05)
+    full, direct = binaural_references(
+        center, scene.source_signal, sh_channels(_hrtf_sh(cfg, 4), 4), cfg,
+        0.05)
     reverb = full - direct
     assert reverb.tag == "reference-reverb"
     np.testing.assert_array_equal(reverb.data, 0.0)
@@ -562,186 +560,33 @@ def test_speech_noise_shape_and_seed():
     assert mid > 30 * hi
 
 
-def _reference_case(order, reflection=0.8):
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(reflection,) * 6)
-    scene = _scene(room=room, seconds=0.1)
-    cfg = StftConfig(48000, 512, 256)
-    center, _ = scene_images(scene, 6, 0.05)
-    return (center, scene.source_signal, _hrtf_sh(cfg, 4), cfg, order, 0.05)
-
-
-def _assert_worker_count_free(monkeypatch, case):
-    # three workers on a short switch interval oversubscribe a 2-core box
-    runs = []
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-5)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(simulate, "REF_WORKERS", workers)
-            runs.append(binaural_references(*case))
-    finally:
-        sys.setswitchinterval(interval)
-    for one, *others in zip(*runs):
-        for other in others:
-            assert_bits_equal(other.data, one.data)
-
-
-@pytest.mark.parametrize("order, reflection",
-                         [(0, 0.8), (1, 0.8), (4, 0.8), (4, 0.0)])
-def test_reference_bits_do_not_depend_on_worker_count(monkeypatch, order,
-                                                      reflection):
-    # 1, 3 and 15 encoded m >= 0 channels, none a multiple of the chunk
-    # size; order 0 is one chunk, so the second half is empty; reflection 0
-    # is the anechoic room, with no reverberant chunk
-    encoded = (order + 1) * (order + 2) // 2
-    assert encoded % simulate.REF_CHUNK_CHANNELS != 0
-    _assert_worker_count_free(monkeypatch, _reference_case(order, reflection))
-
-
-def test_whole_chunk_reference_bits_do_not_depend_on_worker_count(
-        monkeypatch):
-    # order 3 encodes 10 channels: five whole chunks, split 3 and 2
-    assert 10 % simulate.REF_CHUNK_CHANNELS == 0
-    _assert_worker_count_free(monkeypatch, _reference_case(3))
-
-
-@pytest.mark.parametrize("ref_order, hrtf_order, random_ears",
-                         [(5, 6, False), (6, 4, False), (3, 3, True),
-                          (0, 4, False), (3, 6, False)])
-def test_binaural_references_match_serial_loop(ref_order, hrtf_order,
-                                               random_ears):
-    # against the one-thread loop with 8-channel chunks, padded framing and
-    # gathered negative bins: only the rounding may differ. Order 0 is one
-    # chunk, whose second half is empty, and order 3 five, split 3 and 2.
-    # Random SH ears and a source with a DC offset give bin 0 of the
-    # mirrored part weight.
+@pytest.mark.parametrize("kind, ref_order, hrtf_order", [
+    pytest.param("fit", 5, 6, id="5-6-False"),
+    pytest.param("fit", 6, 4, id="6-4-False"),
+    pytest.param("drawn", 3, 3, id="3-3-True"),
+    pytest.param("fit", 0, 4, id="0-4-False"),
+    pytest.param("fit", 3, 6, id="3-6-False"),
+    pytest.param("point", 5, 6, id="point-5-6"),
+    pytest.param("flat", 3, 3, id="flat-3-3")])
+def test_binaural_references_match_serial_loop(kind, ref_order, hrtf_order):
+    # the real channels against the m >= 0 complex channels in 8-channel
+    # chunks, decoded with the mirrored negative bins: two routes that
+    # differ only in rounding. Drawn SH ears and a source with a DC offset
+    # give bin 0 of the mirrored part and every m < 0 coefficient weight.
     scene = _scene(seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
-    coeffs = _hrtf_sh(cfg, hrtf_order)
-    source = scene.source_signal
-    if random_ears:
-        rng = np.random.default_rng(7)
-        shape = coeffs.ears.shape[1:]
-        draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeffs = HrtfSHCoefficients(
-            order=hrtf_order, sample_rate=coeffs.sample_rate,
-            ears=np.stack([draw(), draw()]))
-        source = source + 0.1
+    coeffs, channels = _reference_hrtf(kind, cfg, ref_order, hrtf_order)
+    source = scene.source_signal + (0.1 if kind == "drawn" else 0.0)
     center, _ = scene_images(scene, 6, 0.05)
-    args = (center, source, coeffs, cfg, ref_order, 0.05)
-    for got, want in zip(binaural_references(*args),
-                         binaural_references_serial(*args)):
-        assert got.tag == want.tag
+    got = binaural_references(center, source, channels, cfg, 0.05)
+    want = binaural_references_serial(center, source, coeffs, cfg, ref_order,
+                                      0.05)
+    for one, other in zip(got, want):
+        assert one.tag == other.tag
         for ear in range(2):
-            err = np.abs(got.data[ear] - want.data[ear]).max() \
-                / np.abs(want.data[ear]).max()
-            assert err <= 1e-12, (want.tag, ear, err)
-
-
-def test_worker_exception_reaches_the_caller(monkeypatch):
-    raised = []
-
-    def failing_half(*args):
-        raised.append(RuntimeError("half failed"))
-        raise raised[-1]
-
-    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    monkeypatch.setattr(simulate, "_reverb_half", failing_half)
-    with pytest.raises(RuntimeError, match="half failed") as err:
-        binaural_references(*_reference_case(4))
-    assert err.value is raised[0]
-
-
-def test_reference_workers_call_no_public_function(monkeypatch):
-    # perfbench's tracer wraps every public bsmrender function with one
-    # unsynchronised timing stack; a call from a worker thread would
-    # scramble it. Wrap them the same way and record the thread of each call.
-    calls = set()
-
-    def wrap(name, fn):
-        def wrapper(*args, **kwargs):
-            on_main = threading.current_thread() is threading.main_thread()
-            calls.add((name, on_main))
-            return fn(*args, **kwargs)
-        return wrapper
-
-    modules = [m for n, m in sys.modules.items()
-               if n.partition(".")[0] == "bsmrender"]
-    wrappers = {}
-    for mod in modules:
-        for attr, value in vars(mod).items():
-            if (inspect.isfunction(value) and not attr.startswith("_")
-                    and value.__module__ == mod.__name__):
-                wrappers[value] = wrap(f"{mod.__name__}.{attr}", value)
-    for mod in modules:
-        for attr, value in list(vars(mod).items()):
-            if inspect.isfunction(value) and value in wrappers:
-                monkeypatch.setattr(mod, attr, wrappers[value])
-    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    simulate.binaural_references(*_reference_case(4))
-    assert ("bsmrender.stft.stft", True) in calls  # the wrappers are live
-    assert {name for name, on_main in calls if not on_main} == set()
-
-
-FB = simulate.FRAME_BLOCK
-
-
-def _blocked_case(frames, order, random_ears=False):
-    """A reference case whose SH signals span exactly `frames` frames of a
-    2048-sample window, hop 1024, after a 20 ms RIR."""
-    cfg = StftConfig(48000, 2048, 1024)
-    rir_seconds = 0.02  # 960 samples
-    source_len = cfg.window_length + (frames - 1) * cfg.hop - 960 + 1
-    assert cfg.num_frames(source_len + 960 - 1) == frames
-    source = synth_speech_noise(source_len, 48000, 0)
-    coeffs = _hrtf_sh(cfg, 4)
-    if random_ears:
-        rng = np.random.default_rng(7)
-        shape = coeffs.ears.shape[1:]
-        draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeffs = HrtfSHCoefficients(
-            order=4, sample_rate=coeffs.sample_rate,
-            ears=np.stack([draw(), draw()]))
-        source = source + 0.1
-    center, _ = scene_images(_scene(), 6, rir_seconds)
-    assert center.count > 1
-    return (center, source, coeffs, cfg, order, rir_seconds)
-
-
-@pytest.mark.parametrize(
-    "frames, order, random_ears",
-    [(frames, order, False) for frames in (1, FB - 1, FB, FB + 1, 2 * FB + 3)
-     for order in (2, 4)] + [(2 * FB + 3, 3, True)])
-def test_blocked_reference_bitwise_equals_unblocked(monkeypatch, frames,
-                                                    order, random_ears):
-    # each frame is transformed as a row of its own and each decode
-    # contracts the same channels, so working FRAME_BLOCK frames at a time
-    # gives the bits of one transform over every frame: less than a block,
-    # exact blocks and a partial tail block. Random SH ears and a source
-    # with a DC offset give bin 0 of the mirrored part weight.
-    case = _blocked_case(frames, order, random_ears)
-    got = binaural_references(*case)
-    monkeypatch.setattr(simulate, "_reverb_half", reverb_half_unblocked)
-    for one, want in zip(got, binaural_references(*case)):
-        assert_bits_equal(one.data, want.data)
-
-
-def test_reference_computes_the_window_once(monkeypatch):
-    # 70 frames are 3 blocks and order 4 encodes 15 channels, 8 chunks:
-    # every block of every chunk frames with the reference's one window,
-    # and the direct part's stft computes its own, once for all frames
-    calls = []
-    window = StftConfig.window
-
-    def spy(self):
-        calls.append(self)
-        return window(self)
-
-    case = _blocked_case(70, 4)
-    monkeypatch.setattr(StftConfig, "window", spy)
-    binaural_references(*case)
-    assert len(calls) == 2
+            err = np.abs(one.data[ear] - other.data[ear]).max() \
+                / np.abs(other.data[ear]).max()
+            assert err <= 1e-12, (other.tag, ear, err)
 
 
 def _long_reference_case():
@@ -755,61 +600,20 @@ def _long_reference_case():
     return (center, scene.source_signal, cfg, rir_seconds, num_samples)
 
 
-def _chunk_sizes(cfg, num_samples):
-    """Bytes of both ears' spectrogram, one half's convolution buffer, one
-    block of frames and one block's two decoded parts."""
-    item = np.dtype(complex).itemsize
-    ears = 2 * cfg.num_frames(num_samples) * cfg.num_bins * item
-    conv = simulate.REF_CHUNK_CHANNELS * sp_fft.next_fast_len(num_samples) * item
-    block = simulate.REF_CHUNK_CHANNELS * FB * cfg.fft_size * item
-    parts = 2 * 2 * FB * cfg.num_bins * item
-    return ears, conv, block, parts
-
-
-def test_reverb_chunk_peak_memory():
-    # a half holds its convolution buffer and one block of frames with its
-    # decoded parts, which it adds into its spectrogram chunk after chunk;
-    # nothing it holds grows with the number of frames or of chunks
+def test_binaural_references_peak_memory():
+    # the reference and direct spectrograms, 2 ears each, and one channel's
+    # STFT: in the loop a channel's STFT and its decoded product of 2 ears
+    # sit next to the reference, and at the end the direct part's STFT and
+    # its 2 ears. A loop that kept each channel's STFT alive, or formed the
+    # reference out of place, would add at least one ear more
     center, source, cfg, rir_seconds, num_samples = _long_reference_case()
-    reverb = center.take(slice(1, None))
-    src_spec = sp_fft.fft(source, sp_fft.next_fast_len(num_samples))
-    delays = simulate._delay_matrix(reverb, int(round(rir_seconds * 48000)),
-                                    48000)
-    cols = np.arange(3 * simulate.REF_CHUNK_CHANNELS)
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((2, cols.size, cfg.num_bins)) + 0j
-    frames = cfg.num_frames(num_samples)
-    ears = np.zeros((2, frames, cfg.num_bins), dtype=complex)
-    _, conv, block, parts = _chunk_sizes(cfg, num_samples)
-    window = cfg.window()
+    ear = cfg.num_frames(num_samples) * cfg.num_bins \
+        * np.dtype(complex).itemsize
+    channels = sh_channels(_hrtf_sh(cfg, 4), 4)
     tracemalloc.start()
     try:
-        buf = np.empty((simulate.REF_CHUNK_CHANNELS, src_spec.size),
-                       dtype=complex)
-        simulate._reverb_half(reverb, delays, sh_degrees(4), src_spec,
-                              num_samples, cfg, window, ears, buf, cols, g, g)
+        binaural_references(center, source, channels, cfg, rir_seconds)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.count_nonzero(ears[:, -1]) > 0  # every block was added
-    assert peak <= 1.1 * (conv + block + parts), (peak, conv, block, parts)
-
-
-def test_binaural_references_peak_memory(monkeypatch):
-    # two spectrograms, the source spectrum and, per half, one convolution
-    # buffer and one block of frames with its parts. A half that held its
-    # two parts for the whole signal would add 2 ears per worker, and a
-    # full reference formed out of place one more
-    center, source, cfg, rir_seconds, num_samples = _long_reference_case()
-    ears, conv, block, parts = _chunk_sizes(cfg, num_samples)
-    spectrum = conv // simulate.REF_CHUNK_CHANNELS
-    monkeypatch.setattr(simulate, "REF_WORKERS", 2)
-    coeffs = _hrtf_sh(cfg, 4)
-    tracemalloc.start()
-    try:
-        binaural_references(center, source, coeffs, cfg, 4, rir_seconds)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = 2 * ears + spectrum + 2 * (conv + block + parts)
-    assert peak <= 1.15 * bound, (peak, bound)
+    assert peak <= 1.1 * 5 * ear, (peak, ear)

@@ -2,19 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from bsmrender.geometry import SPEED_OF_SOUND, as_directions, semicircle_array
 from bsmrender.sph import (
+    _legendre,
     num_coeffs,
-    sh_degrees,
     sh_matrix,
+    spherical_jn,
     spiral_grid,
     steering_tensor,
 )
 from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, sh_basis, sh_matrix_loop, \
+from oracles import assert_bits_equal, sh_basis, sh_degrees, sh_matrix_loop, \
     sh_matrix_one_call, steering_matrix, steering_vector, steering_vector_sh, \
     unit_vector
 
@@ -59,6 +61,58 @@ def test_sh_addition_theorem():
         coef[n] = 1.0
         want = (2 * n + 1) / (4 * np.pi) * legendre.legval(cos_gamma, coef)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+_DIRECTION = st.tuples(st.floats(0.0, np.pi) | st.sampled_from([0.0, np.pi]),
+                      st.floats(0.0, 2 * np.pi, exclude_max=True))
+
+
+@settings(max_examples=60)
+@given(_DIRECTION, _DIRECTION)
+@example((0.0, 0.0), (np.pi, 0.0))
+@example((1.0, 2.0), (1.0, 2.0))
+def test_sh_addition_theorem_to_order_30(u, v):
+    # sum_m conj(Y_nm(u)) Y_nm(v) = (2n+1)/(4 pi) P_n(u.v) for every
+    # n <= 30: the identity that folds the point model's reference into
+    # one zonal channel per degree, whose _legendre m = 0 chain at the
+    # angle between u and v is sqrt((2n+1)/(4 pi)) P_n(u.v)
+    y = np.conj(sh_matrix(30, [u])[0]) * sh_matrix(30, [v])[0]
+    cos_gamma = float(np.clip(unit_vector(u) @ unit_vector(v), -1.0, 1.0))
+    n_idx, _ = sh_degrees(30)
+    got = np.bincount(n_idx, weights=y.real) \
+        + 1j * np.bincount(n_idx, weights=y.imag)
+    n = np.arange(31)
+    want = (2 * n + 1) / (4 * np.pi) * special.eval_legendre(n, cos_gamma)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    gamma = np.array([np.arccos(cos_gamma)])
+    zonal = np.array([p[0] for p in _legendre(30, 0, gamma)])
+    np.testing.assert_allclose(np.sqrt((2 * n + 1) / (4 * np.pi)) * zonal,
+                               want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.floats(1e-200, 45.0), min_size=1, max_size=20))
+@example([np.pi, 2 * np.pi, 4.493409457909064, 45.0])  # zeros of j_0, j_1
+@example([1e-200, 1e-20, 1e-5])
+def test_spherical_jn_matches_scipy(ka):
+    # Miller's recursion against scipy's spherical_jn for n <= 30: within
+    # 1e-14 absolutely, and 1e-12 relative where the series decays, ka <
+    # n / 2, and the value is a normal double; a relative gate cannot hold
+    # at the zeros of j_n. At ka = 0, j_n is delta_n0 exactly. Below about
+    # 1e-200 scipy's j_1 reads 0 (NaN at 5e-324), so the leading term
+    # x / 3 stands in for it there
+    tiny = spherical_jn(1, np.array([1e-300, 5e-324]))
+    np.testing.assert_allclose(tiny[1], [1e-300 / 3, 5e-324 / 3], rtol=1e-15)
+    x = np.array([0.0, *ka])
+    got = spherical_jn(30, x)
+    n = np.arange(31)[:, None]
+    want = special.spherical_jn(n, x[None, :])
+    np.testing.assert_array_equal(got[:, 0], n[:, 0] == 0)
+    err = np.abs(got - want)
+    assert err.max() <= 1e-14, err.max()
+    decays = (x[None, :] < n / 2) & (np.abs(want) >= np.finfo(float).tiny)
+    rel = err[decays] / np.abs(want[decays])
+    assert rel.size == 0 or rel.max() <= 1e-12, rel.max()
 
 
 def test_sh_matrix_orthonormality():
