@@ -26,12 +26,12 @@ from .geometry import as_directions
 from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf,
                    point_receiver_channels, point_receiver_hrtf, sh_channels,
                    sh_fit_operator)
-from .render import apply_filterbank
+from .render import render_estimates
 from .simulate import add_noise, binaural_references, max_arrival_delay, \
     render_mic_signals, scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid
-from .stft import istft, stft
+from .stft import istft
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
@@ -198,25 +198,20 @@ def run_render(cfg, out_dir):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
-    def load_mics(name, tag):
+    def load_mics(name):
         data, rate, embedded = read_wav(out_dir / name)
         require_digest(out_dir / name, embedded, digest)
         if rate != fs:
             raise ValueError(f"{name}: sample rate {rate} is not {fs}")
-        return stft(np.asarray(data, float), stft_cfg, tag=tag)
+        return np.asarray(data, float)
 
-    x = load_mics("mics_full.wav", "x")
-    x_d = load_mics("mics_direct.wav", "x_d")
-    x_r = x - x_d
-
+    full, direct = (load_mics(name) for name in MIC_ARTIFACTS)
     bank_d, bank_r = (_read_current(load_filterbank, out_dir / name, digest)
                       for name in BANK_ARTIFACTS)
-
-    results = {
-        "component_direct.bsmg": apply_filterbank(bank_d, x_d),
-        "component_reverb.bsmg": apply_filterbank(bank_r, x_r),
-        "bsm_standard.bsmg": apply_filterbank(bank_r, x),
-    }
+    # the estimates' files are named by tag: bsm-standard, bsm_standard.bsmg
+    results = {f"{tag.replace('-', '_')}.bsmg": spec for tag, spec in
+               render_estimates(full, direct, bank_d, bank_r, stft_cfg).items()}
+    del full, direct  # dead once filtered, freed before the WAVs' istft
     # evaluate forms the same sum from the two component files
     decomposed = (results["component_direct.bsmg"]
                   + results["component_reverb.bsmg"])

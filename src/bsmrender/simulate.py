@@ -8,9 +8,9 @@ every image source at the array center with the HRTF, through a few real
 channels; their arrival directions use the same conventions as the
 steering vectors.
 
-scipy (fft, sparse) is imported inside the kernels that use it, so a
-stage process that only needs this module's types and statistics never
-loads it.
+scipy.sparse is imported inside the kernel that uses it, so a stage
+process that only needs this module's types and statistics never loads
+it.
 """
 
 from dataclasses import dataclass, field, fields
@@ -258,17 +258,31 @@ def scene_images(scene, max_order, rir_seconds):
     return images[0], images[1:]
 
 
-def _fft_convolve(a, b):
-    """Full linear convolution of two 1-D real signals: the transforms of
-    scipy.signal.fftconvolve, so the same bits, without importing
-    scipy.signal. A length-1 operand is a plain product, as there."""
-    from scipy import fft as spfft
+def _fast_len(n):
+    """scipy.fft.next_fast_len(n, True): the least m 2^k >= n, m = 3^i 5^j."""
+    odd = (3 ** i * 5 ** j for i in range(n.bit_length() + 1)
+           for j in range(n.bit_length() + 1))
+    return min(m << ((n - 1) // m).bit_length() for m in odd)
 
-    n = a.size + b.size - 1
-    if a.size == 1 or b.size == 1:
-        return a * b
-    size = spfft.next_fast_len(n, True)
-    return spfft.irfft(spfft.rfft(a, size) * spfft.rfft(b, size), size)[:n]
+
+def _convolver(src, rir_len):
+    """Full linear convolution of the 1-D real signal `src` with any
+    `rir_len`-sample one: the transforms of scipy.signal.fftconvolve, so
+    the same bits, with the source's spectrum taken once for every RIR. A
+    length-1 operand is a plain product, as there."""
+    n = src.size + rir_len - 1
+    if src.size == 1 or rir_len == 1:
+        return lambda rir: src * rir
+    size = _fast_len(n)
+    src_spec = np.fft.rfft(src, size)
+
+    def convolve(rir):
+        # the source on the left, as in fftconvolve: `src_spec * rfft(rir)`
+        # would swap the (not bitwise commutative) operands in place
+        rir_spec = np.fft.rfft(rir, size)
+        np.multiply(src_spec, rir_spec, out=rir_spec)
+        return np.fft.irfft(rir_spec, size)[:n]
+    return convolve
 
 
 def _split_rirs(images, num_samples, sample_rate):
@@ -297,10 +311,11 @@ def render_mic_signals(scene, images, rir_seconds):
     n_out = signal_length(src.size, rir_seconds, fs)
     direct = np.empty((n_out, len(mic_images)))
     reverb = np.empty((n_out, len(mic_images)))
+    convolve = _convolver(src, rir_len)
     for m, imgs in enumerate(mic_images):
         rir_d, rir_r = _split_rirs(imgs, rir_len, fs)
-        direct[:, m] = _fft_convolve(src, rir_d)
-        reverb[:, m] = _fft_convolve(src, rir_r)
+        direct[:, m] = convolve(rir_d)
+        reverb[:, m] = convolve(rir_r)
     return direct + reverb, direct, reverb
 
 
@@ -330,19 +345,22 @@ def binaural_references(images, source, channels, config, rir_seconds):
     num_samples = signal_length(src.size, rir_seconds, fs)
     ears = np.zeros((2, config.num_frames(num_samples), config.num_bins),
                     complex)
+    convolve = _convolver(src, rir_len)
     if reverb.count:
         delays = _delay_matrix(reverb, rir_len, fs)
         for k, a in enumerate(channels.angular(reverb.colatitudes,
                                                reverb.azimuths)):
-            rir = delays @ (a * reverb.gains)
-            ears += decode[:, k, None, :] \
-                * stft(_fft_convolve(src, rir), config).data[0]
+            spec = stft(convolve(delays @ (a * reverb.gains)), config).data[0]
+            for ear, row in zip(ears, decode[:, k, None, :]):
+                ear += row * spec  # one ear's product at a time
+            del spec  # before the next channel's STFT
         del delays
 
     a0 = np.array([a[0] for a in channels.angular(direct.colatitudes,
                                                   direct.azimuths)])
-    ears_d = stft(_fft_convolve(src, render_rir(direct, rir_len, fs)),
-                  config).data[0] * (a0 @ decode)[:, None, :]
+    spec = stft(convolve(render_rir(direct, rir_len, fs)), config).data[0]
+    del convolve  # the source's spectrum, before the direct part's ears
+    ears_d = spec * (a0 @ decode)[:, None, :]
     ears += ears_d
     return (Spectrogram(data=ears, config=config, tag="reference"),
             Spectrogram(data=ears_d, config=config, tag="reference-direct"))

@@ -126,8 +126,7 @@ def _frames(signal, config, window, start=0, stop=None):
     computed once by the caller), written into a zeroed (channels, frames,
     fft_size) buffer, so a transform of the last axis needs no padding
     copy. The trailing frames are zero-padded; the dtype follows the
-    signal, so complex channels frame as well. A caller that transforms a
-    long signal a block of frames at a time frames each block alone."""
+    signal, so complex channels frame as well."""
     num_ch, num_samples = signal.shape
     if stop is None:
         stop = config.num_frames(num_samples)
@@ -139,8 +138,9 @@ def _frames(signal, config, window, start=0, stop=None):
     return out
 
 
-def stft(signal, config, tag="x"):
-    """Forward transform of a real signal, (samples,) or (samples, channels)."""
+def stft(signal, config, tag="x", start=0, stop=None):
+    """Forward transform of a real signal, (samples,) or (samples, channels),
+    from frame `start` to `stop` (default: the last) with the whole's bits."""
     sig = np.asarray(signal)
     if sig.size == 0:
         raise ValueError("empty signal")
@@ -148,7 +148,8 @@ def stft(signal, config, tag="x"):
         raise ValueError("stft takes real signals")
     if sig.ndim == 1:
         sig = sig[:, None]
-    spec = np.fft.rfft(_frames(sig.T, config, config.window()), axis=2)
+    spec = np.fft.rfft(_frames(sig.T, config, config.window(), start, stop),
+                       axis=2)
     return Spectrogram(data=spec, config=config, tag=tag)
 
 

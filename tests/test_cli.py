@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender import cli, simulate, solvers
+from bsmrender import cli, render, simulate, solvers
 from bsmrender import config as cfgmod
 from bsmrender.cli import (
     BANK_ARTIFACTS,
@@ -32,7 +32,7 @@ from bsmrender.cli import (
     near_ear,
 )
 from bsmrender.containers import (read_binaural_spectrogram, read_wav,
-                                  save_hrtf, update_manifest,
+                                  save_filterbank, save_hrtf, update_manifest,
                                   verify_artifacts, write_wav)
 from bsmrender.evaluate import octave_bands
 from bsmrender.sph import num_coeffs, spiral_grid
@@ -109,10 +109,9 @@ def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
 
 def test_each_stage_loads_only_the_scipy_it_uses(tmp_path):
     # scipy is imported inside the kernels that use it: a dry run, design,
-    # render and evaluate compute nothing with it (the harmonics and j_n
-    # are numpy's), and simulate imports fft and sparse alone, so it loads
-    # exactly what importing those two loads (scipy.fft brings part of
-    # scipy.special with it)
+    # render and evaluate compute nothing with it (the harmonics, j_n and
+    # the FFTs are numpy's), and simulate imports sparse alone, so it
+    # loads exactly what importing scipy.sparse loads
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     probe = """\
@@ -135,14 +134,13 @@ print(json.dumps([rc, sorted(scipy)]))
     for step in ("--dry-run", "design", "render", "evaluate"):
         assert loaded[step] == [], step
     run = subprocess.run(
-        [sys.executable, "-c", probe.format("import scipy.fft, scipy.sparse\n"
-                                            "rc = 0")],
+        [sys.executable, "-c", probe.format("import scipy.sparse\nrc = 0")],
         env=_src_env(), capture_output=True, text=True, check=True)
     assert loaded["simulate"] == json.loads(run.stdout.splitlines()[-1])[1]
     for step, modules in loaded.items():
         for banned in ("scipy.signal", "scipy.stats"):
             assert banned not in modules, (step, banned)
-    # and the package's own imports of scipy name those two alone
+    # and the package's own imports of scipy name sparse alone
     imported = set()
     for path in Path(cli.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -153,7 +151,7 @@ print(json.dumps([rc, sorted(scipy)]))
                          else [alias.name for alias in node.names])
                 imported.update(n.split(".")[1] for n in names
                                 if n and n.startswith("scipy."))
-    assert imported == {"fft", "sparse"}, imported
+    assert imported == {"sparse"}, imported
 
 
 def test_dry_run_prints_config_without_side_effects(tmp_path, capsys):
@@ -420,6 +418,27 @@ def test_corrupt_bank_fails_render_stage(mini_run, tmp_path, capsys):
     rc = main(["render", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["render"]
     assert "error [render]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reshape", [lambda d: d[:-1],
+                                     lambda d: np.hstack([d, d])])
+def test_mismatched_direct_wav_fails_render_stage(mini_run, tmp_path, capsys,
+                                                  reshape):
+    # a well-formed mics_direct.wav of the run's digest, but with a sample
+    # fewer or a channel more than mics_full.wav, is refused instead of
+    # padded with zeros one block at a time
+    _, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "short"
+    shutil.copytree(out, work)
+    path = work / "mics_direct.wav"
+    data, rate, digest = read_wav(path)
+    write_wav(path, reshape(data), rate, digest)
+    update_manifest(work, {"mics_direct.wav": path}, digest)
+    rc = main(["render", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["render"]
+    assert "error [render]: mic signal shapes differ" in capsys.readouterr().err
 
 
 def test_evaluate_refuses_foreign_artifacts(mini_run, tmp_path, capsys):
@@ -737,6 +756,41 @@ def test_hrtf_fit_peak_memory():
     finally:
         tracemalloc.stop()
     assert coeffs.ears.shape == (2, c, bins)
+    assert peak <= 1.1 * live, (peak, live)
+
+
+def test_render_peak_memory(tmp_path):
+    # the mic spectrograms exist one block of frames at a time: the traced
+    # peak is the float64 mic samples, the three (2, frames, bins) outputs
+    # and one block (a frame buffer, x, x_d and x_r, one estimate), and the
+    # samples are freed before the WAV writes' inverse transforms
+    cfg = cfgmod.resolve("desk")
+    digest = cfgmod.run_digest(cfg)
+    stft_cfg = cfgmod.build_stft_config(cfg)
+    fs, mics, samples = cfg["sample_rate"], 6, 96_000
+    rng = np.random.default_rng(0)
+    for name in cli.MIC_ARTIFACTS:
+        write_wav(tmp_path / name, rng.standard_normal((samples, mics)), fs,
+                  digest)
+    for name, tag in zip(BANK_ARTIFACTS, ("direct", "reverberant")):
+        ears = rng.standard_normal((2, stft_cfg.num_bins, mics)) + 0j
+        save_filterbank(tmp_path / name, solvers.BsmFilterBank(
+            ears=ears, tag=tag, config=solvers.SolverConfig(), sample_rate=fs,
+            fft_size=stft_cfg.fft_size), digest)
+    update_manifest(tmp_path, {n: tmp_path / n for n in
+                               cli.MIC_ARTIFACTS + BANK_ARTIFACTS}, digest)
+    frames, bins = stft_cfg.num_frames(samples), stft_cfg.num_bins
+    block = render.FRAME_BLOCK * (mics * (stft_cfg.fft_size * 8 + 3 * bins * 16)
+                                  + 2 * bins * 16)
+    live = 2 * samples * mics * 8 + 3 * 2 * frames * bins * 16 + block
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            results = cli.run_render(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert results["bsm_standard.bsmg"].num_frames == frames
     assert peak <= 1.1 * live, (peak, live)
 
 

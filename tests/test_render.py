@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.hrtf import point_receiver_hrtf, sh_channels
-from bsmrender.render import apply_filterbank
+from bsmrender.render import FRAME_BLOCK, apply_filterbank, render_estimates
 from bsmrender.simulate import RoomSpec, binaural_references, \
     compute_image_sources, render_rir
 from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
     stft
-from oracles import sh_fit
+from oracles import assert_bits_equal, sh_fit
 from sh_oracle import decode_matrix
 
 CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
@@ -275,3 +275,35 @@ def test_binaural_spectrogram_validation():
         _spec(rng, 2, frames=4, tag="reference") - other  # configs differ
     ok = _spec(rng, 2, frames=4, tag="reference")
     assert ok.num_frames == 4
+
+
+@pytest.mark.parametrize("frames", [1, FRAME_BLOCK, FRAME_BLOCK + 1,
+                                    2 * FRAME_BLOCK + 5])
+def test_block_estimates_bitwise_equal_whole_spectrograms(frames):
+    # framed, transformed and filtered FRAME_BLOCK frames at a time, the
+    # three estimates carry the bits of the whole-spectrogram path; the
+    # frame counts cover one frame, an exact block and partial last blocks
+    rng = np.random.default_rng(frames)
+    num_samples = CFG.window_length + (frames - 1) * CFG.hop - 7 * (frames > 1)
+    assert CFG.num_frames(num_samples) == frames
+    full, direct = rng.standard_normal((2, num_samples, 3))
+    bank_d, bank_r = _bank(rng, 3, "direct"), _bank(rng, 3)
+    got = render_estimates(full, direct, bank_d, bank_r, CFG)
+    x, x_d = stft(full, CFG, "x"), stft(direct, CFG, "x_d")
+    want = [apply_filterbank(bank_d, x_d), apply_filterbank(bank_r, x - x_d),
+            apply_filterbank(bank_r, x)]
+    assert sorted(got) == sorted(w.tag for w in want)
+    for w in want:
+        assert got[w.tag].tag == w.tag and got[w.tag].config == CFG
+        assert_bits_equal(got[w.tag].data, w.data)
+
+
+@pytest.mark.parametrize("direct_shape", [(999, 3), (1000, 2)])
+def test_block_estimates_refuse_unequal_signals(direct_shape):
+    # framed one block at a time, a shorter direct signal would be padded
+    # with zeros instead of refused
+    rng = np.random.default_rng(11)
+    bank_d, bank_r = _bank(rng, 3, "direct"), _bank(rng, 3)
+    with pytest.raises(ValueError, match="mic signal shapes differ"):
+        render_estimates(np.ones((1000, 3)), np.ones(direct_shape), bank_d,
+                         bank_r, CFG)

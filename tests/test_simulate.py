@@ -16,7 +16,8 @@ from bsmrender import simulate
 from bsmrender.simulate import (
     ImageSourceList,
     RoomSpec,
-    _fft_convolve,
+    _convolver,
+    _fast_len,
     Scene,
     add_noise,
     binaural_references,
@@ -338,10 +339,21 @@ def test_mic_signal_delay_between_mics():
 @settings(max_examples=150)
 @given(st.integers(1, 300), st.integers(1, 300), st.integers(0, 2**32 - 1))
 def test_fft_convolve_bitwise_equals_fftconvolve(len_a, len_b, seed):
+    # one convolver, its source's spectrum taken once, serves every RIR
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(len_a)
-    b = rng.standard_normal(len_b)
-    assert_bits_equal(_fft_convolve(a, b), sps.fftconvolve(a, b))
+    convolve = _convolver(a, len_b)
+    for b in rng.standard_normal((2, len_b)):
+        assert_bits_equal(convolve(b), sps.fftconvolve(a, b))
+
+
+def test_fast_len_equals_scipy_next_fast_len():
+    # the smallest 5-smooth size >= n, as scipy.fft's real-transform rule
+    from scipy.fft import next_fast_len
+
+    sizes = [*range(1, 5000), 278_399, 279_936, 279_937, 2**20 + 1]
+    assert [_fast_len(n) for n in sizes] == \
+        [next_fast_len(n, True) for n in sizes]
 
 
 def test_sh_reference_order_zero_matches_pressure():
