@@ -1,9 +1,9 @@
 """Command line front end: simulate, design, render, evaluate, pipeline.
 
-Each stage reads and writes one output directory. Artifacts carry the run
-digest (a hash of the resolved config plus any input files) both embedded
-and in manifest.json, so a stage refuses to consume artifacts left over
-from a different configuration instead of producing quietly wrong output.
+Each stage reads, computes and writes in one output directory. Artifacts
+carry the run digest (a hash of the resolved config plus any input files,
+computed once by main) embedded and in manifest.json, so a stage's read,
+containers.read_artifacts, refuses artifacts of another configuration.
 
 Stage failures exit with a stage-specific code: 1 config, 2 simulate,
 3 design, 4 render, 5 evaluate.
@@ -16,9 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .containers import (canonical_json, load_filterbank, load_hrtf,
-                         read_binaural_spectrogram, read_wav, require_digest,
-                         save_filterbank, update_manifest, verify_artifacts,
+from .containers import (canonical_json, load_hrtf, read_artifacts,
+                         save_filterbank, update_manifest,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, broadband, compare, nmse,
                        write_comparison, write_report)
@@ -89,23 +88,8 @@ def _reference_channels(cfg, stft_cfg, order):
     return sh_channels(_hrtf_coeffs(cfg, stft_cfg, order), order)
 
 
-def _write_binaural(out_dir, spectra, wavs, fs, digest):
-    """Write each binaural spectrogram (file name -> spectrogram) and each
-    listenable two-channel WAV (WAV name -> spectrogram). Returns the
-    manifest entries."""
-    entries = {}
-    for name, spec in spectra.items():
-        write_binaural_spectrogram(out_dir / name, spec, digest)
-        entries[name] = out_dir / name
-    for name, spec in wavs.items():
-        write_wav(out_dir / name, istft(spec), fs, digest)
-        entries[name] = out_dir / name
-    return entries
-
-
-def run_simulate(cfg, out_dir):
+def run_simulate(cfg, out_dir, digest):
     scene_cfg = cfg["scene"]
-    digest = cfgmod.run_digest(cfg)
     scene = cfgmod.build_scene(cfg)
     max_order = scene_cfg["max_reflection_order"]
     rir_s = scene_cfg["rir_seconds"]
@@ -131,14 +115,12 @@ def run_simulate(cfg, out_dir):
     center = images[0]
     del x, x_d, images
 
-    ref, ref_direct = binaural_references(
+    references = binaural_references(
         center, scene.source_signal, channels, stft_cfg, rir_s)
-    entries = _write_binaural(
-        out_dir, {"reference.bsmg": ref, "reference_direct.bsmg": ref_direct},
-        {"reference.wav": ref, "reference_direct.wav": ref_direct}, fs, digest)
-    entries.update({n: out_dir / n for n in
-                    MIC_ARTIFACTS + ("scene_stats.json",)})
-    update_manifest(out_dir, entries, digest)
+    for name, spec in zip(("reference", "reference_direct"), references):
+        write_binaural_spectrogram(out_dir / f"{name}.bsmg", spec, digest)
+        write_wav(out_dir / f"{name}.wav", istft(spec), fs, digest)
+    update_manifest(out_dir, SIM_ARTIFACTS + ("scene_stats.json",), digest)
     t60 = stats["t60_s"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
     drr = stats["drr_db"]
@@ -148,8 +130,7 @@ def run_simulate(cfg, out_dir):
     return stats
 
 
-def run_design(cfg, out_dir):
-    digest = cfgmod.run_digest(cfg)
+def run_design(cfg, out_dir, digest):
     design = cfg["design"]
     stft_cfg = cfgmod.build_stft_config(cfg)
     geom = cfgmod.build_array(cfg)
@@ -174,7 +155,7 @@ def run_design(cfg, out_dir):
                                tag="reverberant")
     save_filterbank(out_dir / "bank_direct.bsmf", bank_d, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, digest)
-    update_manifest(out_dir, {n: out_dir / n for n in BANK_ARTIFACTS}, digest)
+    update_manifest(out_dir, BANK_ARTIFACTS, digest)
     capped = bank_d.magls_capped + bank_r.magls_capped
     # a capped solve still returns its last iterate, a usable filter, so
     # the cap is reported but does not fail the stage
@@ -185,42 +166,29 @@ def run_design(cfg, out_dir):
     return bank_d, bank_r
 
 
-def _read_current(reader, path, expected_digest):
-    """Read a BSMF or BSMG artifact, refusing one from another config."""
-    content, embedded = reader(path)
-    require_digest(path, embedded, expected_digest)
-    return content
-
-
-def run_render(cfg, out_dir):
-    digest = cfgmod.run_digest(cfg)
-    verify_artifacts(out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render")
+def run_render(cfg, out_dir, digest):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
-
-    def load_mics(name):
-        data, rate, embedded = read_wav(out_dir / name)
-        require_digest(out_dir / name, embedded, digest)
-        if rate != fs:
-            raise ValueError(f"{name}: sample rate {rate} is not {fs}")
-        return np.asarray(data, float)
-
-    full, direct = (load_mics(name) for name in MIC_ARTIFACTS)
-    bank_d, bank_r = (_read_current(load_filterbank, out_dir / name, digest)
-                      for name in BANK_ARTIFACTS)
+    (full, rate), (direct, rate_d), bank_d, bank_r = read_artifacts(
+        out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render")
+    for name, r in zip(MIC_ARTIFACTS, (rate, rate_d)):
+        if r != fs:
+            raise ValueError(f"{name}: sample rate {r} is not {fs}")
     # the estimates' files are named by tag: bsm-standard, bsm_standard.bsmg
     results = {f"{tag.replace('-', '_')}.bsmg": spec for tag, spec in
                render_estimates(full, direct, bank_d, bank_r, stft_cfg).items()}
     del full, direct  # dead once filtered, freed before the WAVs' istft
+    for name, spec in results.items():
+        write_binaural_spectrogram(out_dir / name, spec, digest)
+    write_wav(out_dir / "render_standard.wav",
+              istft(results["bsm_standard.bsmg"]), fs, digest)
     # evaluate forms the same sum from the two component files
-    decomposed = (results["component_direct.bsmg"]
-                  + results["component_reverb.bsmg"])
-
-    entries = _write_binaural(
-        out_dir, results, {"render_standard.wav": results["bsm_standard.bsmg"],
-                           "render_decomposed.wav": decomposed}, fs, digest)
-    update_manifest(out_dir, entries, digest)
-    print(f"render: {len(entries)} artifacts, "
+    write_wav(out_dir / "render_decomposed.wav",
+              istft(results["component_direct.bsmg"]
+                    + results["component_reverb.bsmg"]), fs, digest)
+    names = [*results, "render_standard.wav", "render_decomposed.wav"]
+    update_manifest(out_dir, names, digest)
+    print(f"render: {len(names)} artifacts, "
           f"{results['bsm_standard.bsmg'].num_frames} frames")
     return results
 
@@ -230,39 +198,28 @@ def near_ear(cfg):
     return "left" if np.sin(cfg["design"]["direct_doa"][1]) >= 0 else "right"
 
 
-def run_evaluate(cfg, out_dir):
-    digest = cfgmod.run_digest(cfg)
-    verify_artifacts(out_dir, SPECTRO_ARTIFACTS, digest, "evaluate")
+def run_evaluate(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
 
-    spec = {name: _read_current(read_binaural_spectrogram, out_dir / name,
-                                digest) for name in SPECTRO_ARTIFACTS}
-    for name, s in spec.items():
-        if s.config != stft_cfg:
+    standard, comp_d, comp_r, ref, ref_d = specs = tuple(read_artifacts(
+        out_dir, SPECTRO_ARTIFACTS, digest, "evaluate"))
+    for name, spec in zip(SPECTRO_ARTIFACTS, specs):
+        if spec.config != stft_cfg:
             raise ValueError(f"{name}: STFT parameters differ from the config")
-    ref = spec["reference.bsmg"]
-    ref_direct = spec["reference_direct.bsmg"]
-    ref_reverb = ref - ref_direct
-
-    meta = {"scene_digest": digest}
-    decomposed = spec["component_direct.bsmg"] + spec["component_reverb.bsmg"]
+    # ref - ref_d and the decomposed sum each live for one report only
     reports = {
-        "direct": nmse(spec["component_direct.bsmg"], ref_direct, trim, meta),
+        "direct": nmse(comp_d, ref_d, trim),
         # all bins flagged when the room is anechoic (no reverberant field)
-        "reverb": nmse(spec["component_reverb.bsmg"], ref_reverb, trim, meta),
-        "standard": nmse(spec["bsm_standard.bsmg"], ref, trim, meta),
-        "decomposed": nmse(decomposed, ref, trim, meta),
+        "reverb": nmse(comp_r, ref - ref_d, trim),
+        "standard": nmse(standard, ref, trim),
+        "decomposed": nmse(comp_d + comp_r, ref, trim),
     }
-    entries = {}
     for name, report in reports.items():
-        fname = f"nmse_{name}.csv"
-        write_report(out_dir / fname, report)
-        entries[fname] = out_dir / fname
+        write_report(out_dir / f"nmse_{name}.csv", report)
 
     cmp_result = compare(reports["decomposed"], reports["standard"])
     write_comparison(out_dir / "comparison.csv", cmp_result)
-    entries["comparison.csv"] = out_dir / "comparison.csv"
 
     bands = cfgmod.eval_bands(cfg)
     band_dec = band_summary(reports["decomposed"], bands)
@@ -286,8 +243,7 @@ def run_evaluate(cfg, out_dir):
             sum(1 for g in band_gain[ear_near] if g >= 1.0)),
     }
     write_json(out_dir / "verdict.json", verdict)
-    entries["verdict.json"] = out_dir / "verdict.json"
-    update_manifest(out_dir, entries, digest)
+    update_manifest(out_dir, REPORT_ARTIFACTS, digest)
 
     imp = cmp_result["broadband_db"]
     print(f"evaluate: decomposed vs standard {imp['left']:+.2f} dB left, "
@@ -341,7 +297,7 @@ def main(argv=None):
                "render": run_render, "evaluate": run_evaluate}
     for stage in runners if args.command == "pipeline" else [args.command]:
         try:
-            runners[stage](cfg, args.out)
+            runners[stage](cfg, args.out, digest)
         except (ValueError, RuntimeError, OSError, MemoryError) as err:
             if isinstance(err, MemoryError) and not str(err):
                 err = "out of memory"

@@ -366,12 +366,12 @@ def _read_manifest(path):
     return manifest
 
 
-def update_manifest(out_dir, entries, digest):
-    """Record artifact hashes. entries maps file name -> path."""
+def update_manifest(out_dir, names, digest):
+    """Record the hashes of the named artifacts in out_dir."""
     path = out_dir / "manifest.json"
     manifest = _read_manifest(path) if path.exists() else {"artifacts": {}}
-    for name, p in sorted(entries.items()):
-        manifest["artifacts"][name] = {"sha256": file_sha256(p),
+    for name in sorted(names):
+        manifest["artifacts"][name] = {"sha256": file_sha256(out_dir / name),
                                        "scene_digest": digest}
     write_json(path, manifest)
 
@@ -397,3 +397,25 @@ def verify_artifacts(out_dir, names, expected_digest, stage):
             raise StaleArtifactError(f"{stage}: artifact {name} is stale "
                                      f"(scene digest {entry['scene_digest']} != "
                                      f"{expected_digest})")
+
+
+def _read_checked(path, digest):
+    """One artifact, refused if it embeds another digest: a WAV's float64
+    samples and sample rate, a filter bank or a binaural spectrogram."""
+    if path.suffix == ".wav":
+        samples, rate, embedded = read_wav(path)
+        content = np.asarray(samples, float), rate
+    else:
+        reader = {".bsmf": load_filterbank,
+                  ".bsmg": read_binaural_spectrogram}[path.suffix]
+        content, embedded = reader(path)
+    require_digest(path, embedded, digest)
+    return content
+
+
+def read_artifacts(out_dir, names, digest, stage):
+    """A stage's one checked read: every name against manifest.json first
+    (listed, content hash, digest), then an iterator that parses one file
+    per step, so no two files' stored bytes are alive at once."""
+    verify_artifacts(out_dir, names, digest, stage)
+    return (_read_checked(out_dir / name, digest) for name in names)

@@ -24,8 +24,6 @@ class NmseReport:
     linear: dict = field(repr=False)      # ear -> (bins,) float, nan where flagged
     ref_energy: dict = field(repr=False)  # ear -> (bins,) frame-mean |ref|^2
     flags: dict = field(repr=False)       # ear -> (bins,) bool, True = low energy
-    frame_range: tuple = (0, 0)
-    metadata: dict = field(default_factory=dict)
 
     def db(self, ear):
         lin = self.linear[ear]
@@ -37,7 +35,7 @@ class NmseReport:
         return self.frequencies.size
 
 
-def nmse(est, ref, frame_trim=2, metadata=None):
+def nmse(est, ref, frame_trim=2):
     """Per-bin, per-ear NMSE between two binaural spectrograms."""
     if est.data.shape != ref.data.shape:
         raise ValueError("estimate and reference dimensions differ")
@@ -59,11 +57,8 @@ def nmse(est, ref, frame_trim=2, metadata=None):
         linear[ear] = lin
         energy[ear] = den
         flags[ear] = low
-    meta = dict(metadata or {})
-    meta.setdefault("est_tag", est.tag)
-    meta.setdefault("ref_tag", ref.tag)
     return NmseReport(frequencies=freqs, linear=linear, ref_energy=energy,
-                      flags=flags, frame_range=(lo, hi), metadata=meta)
+                      flags=flags)
 
 
 def broadband(report, ear):
@@ -127,12 +122,8 @@ def compare(report_a, report_b):
 
     Positive values mean a has the lower NMSE (improvement_db is b's dB
     minus a's dB, matching the sign convention 'halving the error is
-    +3 dB'). Reports must come from the same scene.
+    +3 dB').
     """
-    da = report_a.metadata.get("scene_digest")
-    db_ = report_b.metadata.get("scene_digest")
-    if da != db_:
-        raise ValueError(f"scene digests differ: {da} vs {db_}")
     if not np.array_equal(report_a.frequencies, report_b.frequencies):
         raise ValueError("reports use different frequency grids")
     per_bin = {}

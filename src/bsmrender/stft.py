@@ -120,27 +120,11 @@ class Spectrogram:
         return self._combine(other, _DIFFERENCES, np.subtract)
 
 
-def _frames(signal, config, window, start=0, stop=None):
-    """Analysis frames `start` to `stop` (default: the last) of a
-    (channels, samples) signal, weighted by `window` (config.window(),
-    computed once by the caller), written into a zeroed (channels, frames,
-    fft_size) buffer, so a transform of the last axis needs no padding
-    copy. The trailing frames are zero-padded; the dtype follows the
-    signal, so complex channels frame as well."""
-    num_ch, num_samples = signal.shape
-    if stop is None:
-        stop = config.num_frames(num_samples)
-    out = np.zeros((num_ch, stop - start, config.fft_size), dtype=signal.dtype)
-    for t in range(start, stop):
-        seg = signal[:, t * config.hop : t * config.hop + window.size]
-        np.multiply(seg, window[: seg.shape[1]],
-                    out=out[:, t - start, : seg.shape[1]])
-    return out
-
-
 def stft(signal, config, tag="x", start=0, stop=None):
     """Forward transform of a real signal, (samples,) or (samples, channels),
-    from frame `start` to `stop` (default: the last) with the whole's bits."""
+    from frame `start` to `stop` (default: the last) with the whole's bits.
+    Frames are windowed into a zeroed (channels, frames, fft_size) buffer
+    whose zeros pad each FFT and the trailing frames: no padding copy."""
     sig = np.asarray(signal)
     if sig.size == 0:
         raise ValueError("empty signal")
@@ -148,9 +132,16 @@ def stft(signal, config, tag="x", start=0, stop=None):
         raise ValueError("stft takes real signals")
     if sig.ndim == 1:
         sig = sig[:, None]
-    spec = np.fft.rfft(_frames(sig.T, config, config.window(), start, stop),
-                       axis=2)
-    return Spectrogram(data=spec, config=config, tag=tag)
+    if stop is None:
+        stop = config.num_frames(sig.shape[0])
+    window = config.window()
+    frames = np.zeros((sig.shape[1], stop - start, config.fft_size))
+    for t in range(start, stop):
+        seg = sig[t * config.hop : t * config.hop + window.size].T
+        np.multiply(seg, window[: seg.shape[1]],
+                    out=frames[:, t - start, : seg.shape[1]])
+    return Spectrogram(data=np.fft.rfft(frames, axis=2), config=config,
+                       tag=tag)
 
 
 def istft(spec, num_samples=None):

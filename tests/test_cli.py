@@ -31,9 +31,10 @@ from bsmrender.cli import (
     main,
     near_ear,
 )
-from bsmrender.containers import (read_binaural_spectrogram, read_wav,
-                                  save_filterbank, save_hrtf, update_manifest,
-                                  verify_artifacts, write_wav)
+from bsmrender.containers import (load_filterbank, read_binaural_spectrogram,
+                                  read_wav, save_filterbank, save_hrtf,
+                                  update_manifest, verify_artifacts,
+                                  write_binaural_spectrogram, write_wav)
 from bsmrender.evaluate import octave_bands
 from bsmrender.sph import num_coeffs, spiral_grid
 from bsmrender.stft import StftConfig
@@ -435,7 +436,7 @@ def test_mismatched_direct_wav_fails_render_stage(mini_run, tmp_path, capsys,
     path = work / "mics_direct.wav"
     data, rate, digest = read_wav(path)
     write_wav(path, reshape(data), rate, digest)
-    update_manifest(work, {"mics_direct.wav": path}, digest)
+    update_manifest(work, ["mics_direct.wav"], digest)
     rc = main(["render", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["render"]
     assert "error [render]: mic signal shapes differ" in capsys.readouterr().err
@@ -465,11 +466,68 @@ def test_version_1_spectrogram_fails_evaluate_stage(mini_run, tmp_path,
     path = work / "reference.bsmg"
     spec, digest = read_binaural_spectrogram(path)
     write_binaural_spectrogram_v1(path, spec, digest)
-    update_manifest(work, {"reference.bsmg": path}, digest)
+    update_manifest(work, ["reference.bsmg"], digest)
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["evaluate"]
     assert capsys.readouterr().err == (
         f"error [evaluate]: {path}: unsupported BSMG version 1\n")
+
+
+def _rewrite_wav(path, digest):
+    data, rate, _ = read_wav(path)
+    write_wav(path, data, rate, digest)
+
+
+def _rewrite_bank(path, digest):
+    save_filterbank(path, load_filterbank(path)[0], digest)
+
+
+def _rewrite_spectrogram(path, digest):
+    write_binaural_spectrogram(path, read_binaural_spectrogram(path)[0], digest)
+
+
+@pytest.mark.parametrize("stage, name, rewrite", [
+    ("render", "mics_direct.wav", _rewrite_wav),
+    ("render", "bank_reverb.bsmf", _rewrite_bank),
+    ("evaluate", "reference_direct.bsmg", _rewrite_spectrogram),
+], ids=["wav", "bank", "spectrogram"])
+def test_embedded_digest_fails_its_stage(mini_run, tmp_path, capsys, stage,
+                                         name, rewrite):
+    # the manifest vouches for the file under the run's digest, but the
+    # file itself embeds another one: the stage's read refuses it by name
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "embedded"
+    shutil.copytree(out, work)
+    rewrite(work / name, "f" * 16)
+    update_manifest(work, [name], cfgmod.run_digest(cfg))
+    rc = main([stage, "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES[stage]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{stage}]: {work / name}: embedded digest "
+                          f"{'f' * 16} "), err
+
+
+@pytest.mark.parametrize("argv", [["pipeline"], ["pipeline", "--dry-run"]],
+                         ids=["pipeline", "dry-run"])
+def test_run_digest_is_computed_once_per_process(tmp_path, monkeypatch,
+                                                 argv):
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML)
+    # main computes the digest once and hands it to every stage it runs
+    calls, digest = [], cfgmod.run_digest
+
+    def counted(cfg):
+        calls.append(cfg)
+        return digest(cfg)
+
+    monkeypatch.setattr(cfgmod, "run_digest", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv + ["--out", str(tmp_path / "o"),
+                          "--config", str(config_path)])
+    assert rc == 0
+    assert len(calls) == 1
 
 
 def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
@@ -729,7 +787,7 @@ def test_ill_conditioned_hrtf_file_fails_both_fits(tmp_path, capsys, stage):
                                              "cannot allocate 2 GiB")])
 def test_memory_error_maps_to_stage_exit(tmp_path, capsys, monkeypatch,
                                          message, shown):
-    def exhausted(cfg, out_dir):
+    def exhausted(cfg, out_dir, digest):
         raise MemoryError(message)
 
     monkeypatch.setattr(cli, "run_design", exhausted)
@@ -777,8 +835,7 @@ def test_render_peak_memory(tmp_path):
         save_filterbank(tmp_path / name, solvers.BsmFilterBank(
             ears=ears, tag=tag, config=solvers.SolverConfig(), sample_rate=fs,
             fft_size=stft_cfg.fft_size), digest)
-    update_manifest(tmp_path, {n: tmp_path / n for n in
-                               cli.MIC_ARTIFACTS + BANK_ARTIFACTS}, digest)
+    update_manifest(tmp_path, cli.MIC_ARTIFACTS + BANK_ARTIFACTS, digest)
     frames, bins = stft_cfg.num_frames(samples), stft_cfg.num_bins
     block = render.FRAME_BLOCK * (mics * (stft_cfg.fft_size * 8 + 3 * bins * 16)
                                   + 2 * bins * 16)
@@ -786,7 +843,7 @@ def test_render_peak_memory(tmp_path):
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            results = cli.run_render(cfg, tmp_path)
+            results = cli.run_render(cfg, tmp_path, digest)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

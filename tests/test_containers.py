@@ -19,6 +19,7 @@ from bsmrender.containers import (
     file_sha256,
     load_filterbank,
     load_hrtf,
+    read_artifacts,
     read_binaural_spectrogram,
     read_wav,
     require_digest,
@@ -316,8 +317,8 @@ def test_manifest_verify_cycle(tmp_path):
     f1.write_bytes(b"payload one")
     f2 = tmp_path / "two.bin"
     f2.write_bytes(b"payload two")
-    update_manifest(tmp_path, {"one.bin": f1}, DIGEST)
-    update_manifest(tmp_path, {"two.bin": f2}, DIGEST)  # merges, not replaces
+    update_manifest(tmp_path, ["one.bin"], DIGEST)
+    update_manifest(tmp_path, ["two.bin"], DIGEST)  # merges, not replaces
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"one.bin", "two.bin"}
     verify_artifacts(tmp_path, ("one.bin", "two.bin"), DIGEST, "render")
@@ -326,7 +327,7 @@ def test_manifest_verify_cycle(tmp_path):
 def test_verify_rejects_missing_entry(tmp_path):
     f1 = tmp_path / "one.bin"
     f1.write_bytes(b"payload")
-    update_manifest(tmp_path, {"one.bin": f1}, DIGEST)
+    update_manifest(tmp_path, ["one.bin"], DIGEST)
     with pytest.raises(StaleArtifactError):
         verify_artifacts(tmp_path, ("one.bin", "absent.bin"), DIGEST, "render")
 
@@ -334,7 +335,7 @@ def test_verify_rejects_missing_entry(tmp_path):
 def test_verify_rejects_tampered_bytes(tmp_path):
     f1 = tmp_path / "one.bin"
     f1.write_bytes(b"payload")
-    update_manifest(tmp_path, {"one.bin": f1}, DIGEST)
+    update_manifest(tmp_path, ["one.bin"], DIGEST)
     f1.write_bytes(b"tampered")
     with pytest.raises(StaleArtifactError):
         verify_artifacts(tmp_path, ("one.bin",), DIGEST, "render")
@@ -343,7 +344,7 @@ def test_verify_rejects_tampered_bytes(tmp_path):
 def test_verify_rejects_wrong_digest(tmp_path):
     f1 = tmp_path / "one.bin"
     f1.write_bytes(b"payload")
-    update_manifest(tmp_path, {"one.bin": f1}, DIGEST)
+    update_manifest(tmp_path, ["one.bin"], DIGEST)
     with pytest.raises(StaleArtifactError):
         verify_artifacts(tmp_path, ("one.bin",), "f" * 16, "evaluate")
 
@@ -358,6 +359,29 @@ def test_require_digest_refuses_foreign_artifacts():
     for embedded in ("f" * 16, None):
         with pytest.raises(StaleArtifactError, match="bank.bsmf"):
             require_digest("bank.bsmf", embedded, DIGEST)
+
+
+def test_read_artifacts_holds_one_file_at_a_time(tmp_path):
+    # each WAV is parsed and converted to float64 before the next file is
+    # read, so only one file's float32 bytes are ever alive
+    samples = np.random.default_rng(0).standard_normal((200_000, 2))
+    names = ("a.wav", "b.wav")
+    for name in names:
+        write_wav(tmp_path / name, samples, 48000, DIGEST)
+    update_manifest(tmp_path, names, DIGEST)
+    tracemalloc.start()
+    try:
+        read = [data for data, rate in
+                read_artifacts(tmp_path, names, DIGEST, "render")]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for data in read:
+        assert data.dtype == np.float64
+        np.testing.assert_array_equal(data, samples.astype(np.float32))
+    # both float64 copies plus one file's float32 samples make 2.5 times
+    # the samples' bytes; two files' float32 samples alive would make 3
+    assert peak < 2.75 * samples.nbytes, (peak, samples.nbytes)
 
 
 def test_file_sha256(tmp_path):

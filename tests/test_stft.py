@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
-    _frames, istft, stft
+    istft, stft
 
 from oracles import assert_bits_equal, sliding_frames
 
@@ -127,23 +127,11 @@ def test_zeros_stay_zero():
 
 
 def test_complex_input_keeps_analytic_sign():
-    # complex channels frame unchanged: a positive-frequency exponential
-    # peaks at bin k of the full DFT, its conjugate at the mirrored bin -k
+    # the real-signal transform refuses complex input instead of
+    # silently dropping its imaginary part
     k = 100
     n = np.arange(CFG.window_length)
     up = np.exp(2j * np.pi * k * n / CFG.fft_size)
-    segs = _frames(np.stack([up, np.conj(up)]), CFG, CFG.window())
-    assert segs.dtype.kind == "c" and segs.shape == (2, 1, CFG.fft_size)
-    spec = np.fft.fft(segs, axis=2)[:, 0]
-    mag_up, mag_down = np.abs(spec)
-    assert np.argmax(mag_up) == k
-    assert np.argmax(mag_down) == CFG.fft_size - k
-    near = slice(k - 4, k + 5)
-    e_near = np.sum(mag_up[near] ** 2)
-    assert e_near > 0.9 * np.sum(mag_up ** 2)
-    assert np.sum(mag_down[near] ** 2) < 1e-4 * e_near
-    # the real-signal transform refuses complex input instead of
-    # silently dropping its imaginary part
     with pytest.raises(ValueError):
         stft(up, CFG)
 
@@ -179,9 +167,7 @@ def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
     want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
     assert_bits_equal(stft(x, CFG).data, want)
     count = CFG.num_frames(num_samples)
-    win = CFG.window()
-    blocks = [np.fft.rfft(_frames(x.T, CFG, win, start,
-                                  min(start + block, count)), axis=2)
+    blocks = [stft(x, CFG, "x", start, min(start + block, count)).data
               for start in range(0, count, block)]
     assert_bits_equal(np.concatenate(blocks, axis=1), want)
 
@@ -189,19 +175,15 @@ def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
 @pytest.mark.parametrize("num_samples", [1, 767, 768, 1535, 1536, 1537,
                                          2304, 2305, 48000])
 def test_frames_match_padded_copy_framing(num_samples):
-    rng = np.random.default_rng(num_samples)
-    z = rng.standard_normal((2, num_samples)) \
-        + 1j * rng.standard_normal((2, num_samples))
-    win = CFG.window()
-    got = _frames(z, CFG, win)
-    want = sliding_frames(z, CFG)
-    assert got.shape == want.shape[:2] + (CFG.fft_size,)
-    assert_bits_equal(got[..., : CFG.window_length], want)
-    assert not got[..., CFG.window_length :].any()
-    # a frame range frames the same rows, the last one partial or not
+    x = np.random.default_rng(num_samples).standard_normal((num_samples, 2))
+    got = stft(x, CFG).data
+    want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
+    assert_bits_equal(got, want)
+    # a frame range transforms the same rows, the last one partial or not
     count = got.shape[1]
     for start, stop in ((0, count), (0, 1), (count - 1, count),
                         (count // 2, count), (count // 3, 2 * count // 3),
                         (count, count)):
-        assert_bits_equal(_frames(z, CFG, win, start, stop), got[:, start:stop])
-    assert_bits_equal(_frames(z, CFG, win, count // 2), got[:, count // 2 :])
+        assert_bits_equal(stft(x, CFG, "x", start, stop).data,
+                          got[:, start:stop])
+    assert_bits_equal(stft(x, CFG, "x", count // 2).data, got[:, count // 2 :])
