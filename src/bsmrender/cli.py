@@ -19,7 +19,7 @@ from . import config as cfgmod
 from .containers import (canonical_json, load_hrtf, read_artifacts,
                          save_filterbank, update_manifest,
                          write_binaural_spectrogram, write_json, write_wav)
-from .evaluate import (EARS, band_summary, broadband, compare, nmse,
+from .evaluate import (EARS, band_summary, compare, nmse, weighted_db,
                        write_comparison, write_report)
 from .geometry import as_directions
 from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf,
@@ -218,36 +218,35 @@ def run_evaluate(cfg, out_dir, digest):
     for name, report in reports.items():
         write_report(out_dir / f"nmse_{name}.csv", report)
 
-    cmp_result = compare(reports["decomposed"], reports["standard"])
-    write_comparison(out_dir / "comparison.csv", cmp_result)
+    per_bin, gain, improved = compare(reports["decomposed"],
+                                      reports["standard"])
+    write_comparison(out_dir / "comparison.csv",
+                     reports["standard"].frequencies, per_bin)
 
     bands = cfgmod.eval_bands(cfg)
-    band_dec = band_summary(reports["decomposed"], bands)
-    band_std = band_summary(reports["standard"], bands)
+    band_gain = (band_summary(reports["standard"], bands)
+                 - band_summary(reports["decomposed"], bands))
     ear_near = near_ear(cfg)
-    band_gain = {ear: (band_std[ear] - band_dec[ear]).tolist() for ear in EARS}
     verdict = {
         "scene_digest": digest,
         "broadband_nmse_db": {
-            name: {ear: (None if rep.flags[ear].all()
-                         else float(broadband(rep, ear))) for ear in EARS}
+            name: dict(zip(EARS, np.where(rep.flags.all(axis=1), None,
+                                          weighted_db(rep)).tolist()))
             for name, rep in reports.items()},
-        "improvement_db": cmp_result["broadband_db"],
-        "fraction_improved": cmp_result["fraction_improved"],
-        "decomposed_beats_standard": bool(
-            all(cmp_result["broadband_db"][ear] > 0.0 for ear in EARS)),
+        "improvement_db": dict(zip(EARS, gain.tolist())),
+        "fraction_improved": dict(zip(EARS, improved.tolist())),
+        "decomposed_beats_standard": bool(np.all(gain > 0.0)),
         "bands_hz": [[float(lo), float(hi)] for lo, hi in bands],
-        "band_improvement_db": band_gain,
+        "band_improvement_db": dict(zip(EARS, band_gain.tolist())),
         "near_ear": ear_near,
         "near_ear_bands_improved_1db": int(
-            sum(1 for g in band_gain[ear_near] if g >= 1.0)),
+            np.sum(band_gain[EARS.index(ear_near)] >= 1.0)),
     }
     write_json(out_dir / "verdict.json", verdict)
     update_manifest(out_dir, REPORT_ARTIFACTS, digest)
 
-    imp = cmp_result["broadband_db"]
-    print(f"evaluate: decomposed vs standard {imp['left']:+.2f} dB left, "
-          f"{imp['right']:+.2f} dB right")
+    print(f"evaluate: decomposed vs standard {gain[0]:+.2f} dB left, "
+          f"{gain[1]:+.2f} dB right")
     return verdict
 
 

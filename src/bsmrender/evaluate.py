@@ -21,72 +21,63 @@ EARS = ("left", "right")
 @dataclass(frozen=True)
 class NmseReport:
     frequencies: np.ndarray = field(repr=False)
-    linear: dict = field(repr=False)      # ear -> (bins,) float, nan where flagged
-    ref_energy: dict = field(repr=False)  # ear -> (bins,) frame-mean |ref|^2
-    flags: dict = field(repr=False)       # ear -> (bins,) bool, True = low energy
+    linear: np.ndarray = field(repr=False)      # (2, bins), nan where flagged
+    ref_energy: np.ndarray = field(repr=False)  # (2, bins) frame-mean |ref|^2
+    flags: np.ndarray = field(repr=False)       # (2, bins), True = low energy
 
-    def db(self, ear):
-        lin = self.linear[ear]
+    def db(self):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return 10.0 * np.log10(lin)
-
-    @property
-    def num_bins(self):
-        return self.frequencies.size
+            return 10.0 * np.log10(self.linear)
 
 
 def nmse(est, ref, frame_trim=2):
     """Per-bin, per-ear NMSE between two binaural spectrograms."""
     if est.data.shape != ref.data.shape:
         raise ValueError("estimate and reference dimensions differ")
-    frames = est.num_frames
-    lo, hi = frame_trim, frames - frame_trim
+    lo, hi = frame_trim, est.num_frames - frame_trim
     if hi - lo < 1:
         raise ValueError("no frames left after edge trimming")
-    freqs = ref.config.bin_frequencies()
-    linear, energy, flags = {}, {}, {}
-    for i, ear in enumerate(EARS):
-        e = est.data[i, lo:hi]
+    linear = np.full((len(EARS), ref.num_bins), np.nan)
+    energy, flags = np.empty_like(linear), np.empty(linear.shape, bool)
+    # one ear at a time, so only one ear's (frames, bins) temporaries live
+    for i in range(len(EARS)):
         r = ref.data[i, lo:hi]
-        den = np.mean(np.abs(r) ** 2, axis=0)
-        num = np.mean(np.abs(e - r) ** 2, axis=0)
-        peak = den.max()
-        low = (den < ENERGY_FLOOR * peak) | (peak == 0.0)
-        lin = np.full(den.shape, np.nan)
-        lin[~low] = num[~low] / den[~low]
-        linear[ear] = lin
-        energy[ear] = den
-        flags[ear] = low
-    return NmseReport(frequencies=freqs, linear=linear, ref_energy=energy,
-                      flags=flags)
+        energy[i] = np.mean(np.abs(r) ** 2, axis=0)
+        num = np.mean(np.abs(est.data[i, lo:hi] - r) ** 2, axis=0)
+        peak = energy[i].max()
+        flags[i] = (energy[i] < ENERGY_FLOOR * peak) | (peak == 0.0)
+        np.divide(num, energy[i], out=linear[i], where=~flags[i])
+    return NmseReport(frequencies=ref.config.bin_frequencies(), linear=linear,
+                      ref_energy=energy, flags=flags)
 
 
-def broadband(report, ear):
-    """Energy-weighted mean linear NMSE over unflagged bins, in dB."""
-    ok = ~report.flags[ear]
-    w = report.ref_energy[ear][ok]
-    v = report.linear[ear][ok]
-    return 10.0 * np.log10(np.sum(w * v) / np.sum(w))
+def weighted_db(report, bins=slice(None)):
+    """Each ear's energy-weighted mean linear NMSE over its unflagged
+    `bins`, in dB, as a (2,) array; nan for an ear with no usable bin."""
+    rows = zip(report.ref_energy[:, bins], report.linear[:, bins],
+               ~report.flags[:, bins])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # usable bins alone: masked zeros would regroup the pairwise sum
+        return 10.0 * np.log10([np.sum(w[ok] * v[ok]) / np.sum(w[ok])
+                                for w, v, ok in rows])
 
 
 def band_summary(report, bands):
     """Energy-weighted mean NMSE per frequency band, in dB.
 
-    bands is a list of (lo_hz, hi_hz) pairs, each band [lo, hi). Returns
-    {ear: array of len(bands)}. A band containing no usable bin is an
-    error (nan would silently poison downstream comparisons).
+    bands is a list of (lo_hz, hi_hz) pairs, each band [lo, hi). Returns a
+    (2, bands) array. A band containing no usable bin is an error (nan
+    would silently poison downstream comparisons).
     """
     check_bands(report.frequencies, bands)
-    out = {ear: np.empty(len(bands)) for ear in EARS}
+    out = np.empty((len(EARS), len(bands)))
     for i, (lo, hi) in enumerate(bands):
         sel = band_bins(report.frequencies, (lo, hi))
-        for ear in EARS:
-            ok = sel & ~report.flags[ear]
-            if not ok.any():
-                raise ValueError(f"band ({lo}, {hi}) has no usable bins ({ear})")
-            w = report.ref_energy[ear][ok]
-            v = report.linear[ear][ok]
-            out[ear][i] = 10.0 * np.log10(np.sum(w * v) / np.sum(w))
+        empty = ~(sel & ~report.flags).any(axis=1)
+        if empty.any():
+            raise ValueError(f"band ({lo}, {hi}) has no usable bins "
+                             f"({EARS[empty.argmax()]})")
+        out[:, i] = weighted_db(report, sel)
     return out
 
 
@@ -118,59 +109,44 @@ def octave_bands(upper_hz=24000.0, base_hz=125.0):
 
 
 def compare(report_a, report_b):
-    """Per-bin improvement of pipeline a over pipeline b.
-
-    Positive values mean a has the lower NMSE (improvement_db is b's dB
-    minus a's dB, matching the sign convention 'halving the error is
-    +3 dB').
-    """
+    """(per_bin, improvement_db, fraction_improved) of pipeline a over b:
+    a (2, bins) array, nan where either report flags the bin, and two (2,)
+    arrays. Positive values mean a has the lower NMSE (b's dB minus a's
+    dB, matching the sign convention 'halving the error is +3 dB')."""
     if not np.array_equal(report_a.frequencies, report_b.frequencies):
         raise ValueError("reports use different frequency grids")
-    per_bin = {}
-    summary = {"broadband_db": {}, "fraction_improved": {}}
-    for ear in EARS:
-        imp = report_b.db(ear) - report_a.db(ear)
-        imp[report_a.flags[ear] | report_b.flags[ear]] = np.nan
-        per_bin[ear] = imp
-        summary["broadband_db"][ear] = float(
-            broadband(report_b, ear) - broadband(report_a, ear))
-        ok = ~np.isnan(imp)
-        summary["fraction_improved"][ear] = float(np.mean(imp[ok] > 0))
-    return {"per_bin_db": per_bin, "frequencies": report_a.frequencies,
-            **summary}
+    per_bin = report_b.db() - report_a.db()
+    per_bin[report_a.flags | report_b.flags] = np.nan
+    improved = (per_bin > 0).sum(axis=1) / (~np.isnan(per_bin)).sum(axis=1)
+    return per_bin, weighted_db(report_b) - weighted_db(report_a), improved
 
 
 # ---------------------------------------------------------------- reports
 
-def _fmt(v):
-    return repr(float(v))
+def _field(value):
+    """A CSV field: text as it is, a float by repr, a nan left empty."""
+    if isinstance(value, str):
+        return value
+    return repr(value) if value == value else ""
+
+
+def _write_rows(path, header, frequencies, *columns):
+    """CSV rows (ear, freq_hz, *header) of (2, bins) columns, ear first."""
+    lines = [",".join(("ear", "freq_hz", *header))]
+    for ear, *ear_columns in zip(EARS, *(c.tolist() for c in columns)):
+        for freq, *values in zip(frequencies.tolist(), *ear_columns):
+            lines.append(",".join((ear, _field(freq), *map(_field, values))))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_report(path, report):
-    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag), ear then bin
-    ascending."""
-    lines = ["ear,freq_hz,nmse_linear,nmse_db,flag"]
-    for ear in EARS:
-        lin = report.linear[ear]
-        db = report.db(ear)
-        for b in range(report.num_bins):
-            if report.flags[ear][b]:
-                fields = (ear, _fmt(report.frequencies[b]), "", "", FLAG_LOW)
-            else:
-                fields = (ear, _fmt(report.frequencies[b]), _fmt(lin[b]),
-                          _fmt(db[b]), FLAG_OK)
-            lines.append(",".join(fields))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag) of a report."""
+    _write_rows(path, ("nmse_linear", "nmse_db", "flag"), report.frequencies,
+                report.linear, report.db(),
+                np.where(report.flags, FLAG_LOW, FLAG_OK))
 
 
-def write_comparison(path, cmp_result):
-    lines = ["ear,freq_hz,improvement_db"]
-    freqs = cmp_result["frequencies"]
-    for ear in EARS:
-        imp = cmp_result["per_bin_db"][ear]
-        for b in range(freqs.size):
-            val = "" if np.isnan(imp[b]) else _fmt(imp[b])
-            lines.append(f"{ear},{_fmt(freqs[b])},{val}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_comparison(path, frequencies, per_bin):
+    """CSV rows (ear, freq_hz, improvement_db) of compare's per_bin."""
+    _write_rows(path, ("improvement_db",), frequencies, per_bin)

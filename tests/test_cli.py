@@ -37,7 +37,7 @@ from bsmrender.containers import (load_filterbank, read_binaural_spectrogram,
                                   write_binaural_spectrogram, write_wav)
 from bsmrender.evaluate import octave_bands
 from bsmrender.sph import num_coeffs, spiral_grid
-from bsmrender.stft import StftConfig
+from bsmrender.stft import Spectrogram, StftConfig
 
 from oracles import write_binaural_spectrogram_v1
 
@@ -421,13 +421,15 @@ def test_corrupt_bank_fails_render_stage(mini_run, tmp_path, capsys):
     assert "error [render]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("reshape", [lambda d: d[:-1],
-                                     lambda d: np.hstack([d, d])])
+@pytest.mark.parametrize("reshape", [lambda d, r: (d[:-1], r),
+                                     lambda d, r: (np.hstack([d, d]), r),
+                                     lambda d, r: (d, r // 2)])
 def test_mismatched_direct_wav_fails_render_stage(mini_run, tmp_path, capsys,
                                                   reshape):
     # a well-formed mics_direct.wav of the run's digest, but with a sample
     # fewer or a channel more than mics_full.wav, is refused instead of
-    # padded with zeros one block at a time
+    # padded with zeros one block at a time, and one at another sample
+    # rate is refused by name instead of filtered at the run's rate
     _, config_path, out = mini_run
     import shutil
 
@@ -435,11 +437,17 @@ def test_mismatched_direct_wav_fails_render_stage(mini_run, tmp_path, capsys,
     shutil.copytree(out, work)
     path = work / "mics_direct.wav"
     data, rate, digest = read_wav(path)
-    write_wav(path, reshape(data), rate, digest)
+    data, new_rate = reshape(data, rate)
+    write_wav(path, data, new_rate, digest)
     update_manifest(work, ["mics_direct.wav"], digest)
     rc = main(["render", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["render"]
-    assert "error [render]: mic signal shapes differ" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if new_rate == rate:
+        assert "error [render]: mic signal shapes differ" in err
+    else:
+        assert err == (f"error [render]: mics_direct.wav: sample rate "
+                       f"{new_rate} is not {rate}\n")
 
 
 def test_evaluate_refuses_foreign_artifacts(mini_run, tmp_path, capsys):
@@ -471,6 +479,30 @@ def test_version_1_spectrogram_fails_evaluate_stage(mini_run, tmp_path,
     assert rc == EXIT_CODES["evaluate"]
     assert capsys.readouterr().err == (
         f"error [evaluate]: {path}: unsupported BSMG version 1\n")
+
+
+def test_other_stft_parameters_fail_evaluate_stage(mini_run, tmp_path,
+                                                  capsys):
+    # a spectrogram of the run's digest, vouched for by the manifest, but
+    # framed with half the configured hop is refused by name instead of
+    # compared bin by bin with frames of another length
+    _, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "hop"
+    shutil.copytree(out, work)
+    path = work / "reference_direct.bsmg"
+    spec, digest = read_binaural_spectrogram(path)
+    c = spec.config
+    other = StftConfig(c.sample_rate, c.window_length, c.hop // 2, c.fft_size)
+    write_binaural_spectrogram(path, Spectrogram(data=spec.data, config=other,
+                                                 tag=spec.tag), digest)
+    update_manifest(work, ["reference_direct.bsmg"], digest)
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        "error [evaluate]: reference_direct.bsmg: STFT parameters differ "
+        "from the config\n")
 
 
 def _rewrite_wav(path, digest):
@@ -849,6 +881,36 @@ def test_render_peak_memory(tmp_path):
         tracemalloc.stop()
     assert results["bsm_standard.bsmg"].num_frames == frames
     assert peak <= 1.1 * live, (peak, live)
+
+
+def test_evaluate_peak_memory(tmp_path):
+    # nmse forms its temporaries one ear at a time, and ref - ref_d and
+    # the decomposed sum each live for one report only: on desk-size
+    # spectrograms the traced peak stays under seven complex128
+    # (2, frames, bins) spectrograms, the five read and one sum among them
+    cfg = cfgmod.resolve("desk")
+    digest = cfgmod.run_digest(cfg)
+    stft_cfg = cfgmod.build_stft_config(cfg)
+    frames, bins = 146, stft_cfg.num_bins  # a desk run's spectrograms
+    tags = ("bsm-standard", "component-direct", "component-reverb",
+            "reference", "reference-direct")
+    rng = np.random.default_rng(0)
+    for name, tag in zip(SPECTRO_ARTIFACTS, tags):
+        data = (rng.standard_normal((2, frames, bins))
+                + 1j * rng.standard_normal((2, frames, bins)))
+        write_binaural_spectrogram(tmp_path / name, Spectrogram(
+            data=data, config=stft_cfg, tag=tag), digest)
+    update_manifest(tmp_path, SPECTRO_ARTIFACTS, digest)
+    spectrogram = 2 * frames * bins * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            verdict = cli.run_evaluate(cfg, tmp_path, digest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict["scene_digest"] == digest
+    assert peak <= 7 * spectrogram, peak / spectrogram
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):

@@ -1,18 +1,19 @@
 """NMSE reports, band summaries, comparisons and their file formats."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsmrender.evaluate import (
-    EARS,
     FLAG_LOW,
     band_summary,
-    broadband,
     compare,
     nmse,
     octave_bands,
+    weighted_db,
     write_comparison,
     write_report,
 )
@@ -40,9 +41,8 @@ def test_perfect_estimate_scores_zero():
     rng = np.random.default_rng(0)
     est, ref = _random_pair(rng, scale=0.0)
     report = nmse(est, ref)
-    for ear in EARS:
-        np.testing.assert_array_equal(report.linear[ear], 0.0)
-        assert not report.flags[ear].any()
+    np.testing.assert_array_equal(report.linear, 0.0)
+    assert not report.flags.any()
 
 
 def test_zero_estimate_scores_unity():
@@ -51,8 +51,8 @@ def test_zero_estimate_scores_unity():
     zero = _binaural(np.zeros((FRAMES, BINS), complex),
                      np.zeros((FRAMES, BINS), complex), tag="bsm-standard")
     report = nmse(zero, ref)
-    np.testing.assert_allclose(report.linear["left"], 1.0, rtol=1e-12)
-    np.testing.assert_allclose(report.db("left"), 0.0, atol=1e-10)
+    np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(report.db()[0], 0.0, atol=1e-10)
 
 
 def test_doubled_estimate_scores_unity():
@@ -62,8 +62,8 @@ def test_doubled_estimate_scores_unity():
     left = ref.data[0]
     est = _binaural(2 * left, 2 * ref.data[1], tag="bsm-standard")
     report = nmse(est, ref)
-    np.testing.assert_allclose(report.linear["left"], 1.0, rtol=1e-12)
-    np.testing.assert_allclose(report.linear["right"], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(report.linear[1], 1.0, rtol=1e-12)
 
 
 def test_nmse_against_double_loop():
@@ -76,7 +76,7 @@ def test_nmse_against_double_loop():
     for b in range(0, BINS, 17):
         want = (np.abs(e[:, b] - r[:, b]) ** 2).mean() \
             / (np.abs(r[:, b]) ** 2).mean()
-        np.testing.assert_allclose(report.linear["left"][b], want, rtol=1e-12)
+        np.testing.assert_allclose(report.linear[0][b], want, rtol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -89,7 +89,7 @@ def test_nmse_scale_invariance(alpha):
                             tag="bsm-standard"),
                   _binaural(alpha * ref.data[0], alpha * ref.data[1]))
     plain = nmse(est, ref)
-    np.testing.assert_allclose(scaled.linear["left"], plain.linear["left"],
+    np.testing.assert_allclose(scaled.linear[0], plain.linear[0],
                                rtol=1e-9)
 
 
@@ -104,7 +104,7 @@ def test_frame_permutation_invariance():
     ref_p = _binaural(ref.data[0][idx], ref.data[1][idx])
     a = nmse(est, ref)
     b = nmse(est_p, ref_p)
-    np.testing.assert_allclose(a.linear["left"], b.linear["left"], rtol=1e-12)
+    np.testing.assert_allclose(a.linear[0], b.linear[0], rtol=1e-12)
 
 
 def test_low_energy_bins_get_flagged():
@@ -114,9 +114,9 @@ def test_low_energy_bins_get_flagged():
     ref = _binaural(ref_data, ref_data)
     est = _binaural(ref_data * 1.1, ref_data * 1.1, tag="bsm-standard")
     report = nmse(est, ref)
-    assert report.flags["left"][40:50].all()
-    assert not report.flags["left"][:40].any()
-    assert np.isnan(report.linear["left"][45])
+    assert report.flags[0][40:50].all()
+    assert not report.flags[0][:40].any()
+    assert np.isnan(report.linear[0][45])
 
 
 def test_nmse_error_conditions():
@@ -131,20 +131,37 @@ def test_nmse_error_conditions():
     # an all-zero reference (anechoic reverberant field) flags every bin
     zeros = np.zeros((FRAMES, BINS), complex)
     report = nmse(est, _binaural(zeros, zeros))
-    for ear in EARS:
-        assert report.flags[ear].all()
-        assert np.isnan(report.linear[ear]).all()
-        np.testing.assert_array_equal(report.ref_energy[ear], 0.0)
+    assert report.flags.all()
+    assert np.isnan(report.linear).all()
+    np.testing.assert_array_equal(report.ref_energy, 0.0)
 
 
 def test_broadband_is_energy_weighted():
     rng = np.random.default_rng(8)
     est, ref = _random_pair(rng, scale=0.4)
     report = nmse(est, ref)
-    w = report.ref_energy["left"]
-    v = report.linear["left"]
+    w = report.ref_energy[0]
+    v = report.linear[0]
     want = 10 * np.log10(np.sum(w * v) / np.sum(w))
-    np.testing.assert_allclose(broadband(report, "left"), want, rtol=1e-12)
+    np.testing.assert_allclose(weighted_db(report)[0], want, rtol=1e-12)
+
+
+def test_weighted_db_of_an_ear_without_usable_bins_is_nan():
+    # a silent right-ear reference flags every right bin: that ear's mean
+    # is nan without a warning, the left ear's is unaffected, and a band
+    # summary names the ear it cannot summarize
+    rng = np.random.default_rng(16)
+    est, ref = _random_pair(rng, scale=0.4)
+    ref = _binaural(ref.data[0], np.zeros((FRAMES, BINS), complex))
+    report = nmse(est, ref)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_db(report)
+    assert np.isnan(got[1])
+    np.testing.assert_array_equal(got[0], weighted_db(nmse(est, _binaural(
+        ref.data[0], ref.data[0])))[0])
+    with pytest.raises(ValueError, match=r"no usable bins \(right\)$"):
+        band_summary(report, [(0.0, 4000.0)])
 
 
 def test_band_summary_flat_report():
@@ -155,8 +172,8 @@ def test_band_summary_flat_report():
                     tag="bsm-standard")
     report = nmse(est, ref)
     out = band_summary(report, [(0.0, 4000.0), (4000.0, 24000.0)])
-    np.testing.assert_allclose(out["left"], 10 * np.log10(0.25), atol=1e-9)
-    np.testing.assert_allclose(out["right"], 10 * np.log10(0.25), atol=1e-9)
+    np.testing.assert_allclose(out[0], 10 * np.log10(0.25), atol=1e-9)
+    np.testing.assert_allclose(out[1], 10 * np.log10(0.25), atol=1e-9)
 
 
 def test_band_summary_rejects_bad_bands():
@@ -196,16 +213,14 @@ def test_compare_sign_convention():
     bad = _binaural(ref_data + err, ref_data + err, tag="bsm-standard")
     rep_good = nmse(good, ref)
     rep_bad = nmse(bad, ref)
-    cmp_result = compare(rep_good, rep_bad)
-    np.testing.assert_allclose(cmp_result["per_bin_db"]["left"],
-                               20 * np.log10(2.0), atol=1e-9)
-    np.testing.assert_allclose(cmp_result["broadband_db"]["left"],
-                               20 * np.log10(2.0), atol=1e-9)
-    assert cmp_result["fraction_improved"]["left"] == 1.0
+    per_bin, improvement, fraction = compare(rep_good, rep_bad)
+    np.testing.assert_allclose(per_bin[0], 20 * np.log10(2.0), atol=1e-9)
+    np.testing.assert_allclose(improvement[0], 20 * np.log10(2.0), atol=1e-9)
+    assert fraction[0] == 1.0
     # identical reports compare to zero improvement
-    same = compare(rep_bad, rep_bad)
-    np.testing.assert_allclose(same["per_bin_db"]["left"], 0.0, atol=1e-12)
-    assert same["fraction_improved"]["left"] == 0.0
+    per_bin, _, fraction = compare(rep_bad, rep_bad)
+    np.testing.assert_allclose(per_bin[0], 0.0, atol=1e-12)
+    assert fraction[0] == 0.0
 
 
 def test_report_csv_schema(tmp_path):
@@ -241,9 +256,9 @@ def test_comparison_csv(tmp_path):
     rng = np.random.default_rng(15)
     est, ref = _random_pair(rng, scale=0.2)
     rep = nmse(est, ref)
-    cmp_result = compare(rep, rep)
+    per_bin = compare(rep, rep)[0]
     path = tmp_path / "comparison.csv"
-    write_comparison(path, cmp_result)
+    write_comparison(path, rep.frequencies, per_bin)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "ear,freq_hz,improvement_db"
     assert len(lines) == 1 + 2 * BINS
