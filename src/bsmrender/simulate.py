@@ -7,10 +7,6 @@ references decode the order-N spherical-harmonic plane-wave encoding of
 every image source at the array center with the HRTF, through a few real
 channels; their arrival directions use the same conventions as the
 steering vectors.
-
-scipy.sparse is imported inside the kernel that uses it, so a stage
-process that only needs this module's types and statistics never loads
-it.
 """
 
 from dataclasses import dataclass, field, fields
@@ -22,7 +18,7 @@ from .stft import Spectrogram, stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
-# images whose sinc taps a delay matrix forms at once: (DELAY_BLOCK,
+# images whose sinc taps _delay_taps forms at once: (DELAY_BLOCK,
 # SINC_TAPS) temporaries, 256 KiB each, whatever the image count
 DELAY_BLOCK = 1024
 
@@ -190,41 +186,36 @@ def _sinc_kernel(frac):
     return np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / _HALF))
 
 
-def _delay_matrix(images, num_samples, sample_rate):
-    """Sparse (num_samples x images) CSC matrix of windowed-sinc delay taps:
-    column j holds image j's taps inside the signal, in row order, so a
-    product adds each row's taps in image order. An image's taps inside the
-    signal follow from its base sample alone, so the column pointers come
-    first and the taps are formed DELAY_BLOCK images at a time into the
-    matrix's own arrays: the peak is the matrix plus one block's
-    temporaries, and each tap keeps the bits of an all-at-once build."""
-    from scipy import sparse
-
+def _delay_taps(images, num_samples, sample_rate):
+    """Each image's windowed-sinc delay taps and the RIR samples they fall
+    on, two (images, SINC_TAPS) arrays; a tap outside the signal falls on
+    sample num_samples. Formed DELAY_BLOCK images at a time, each tap with
+    the bits of an all-at-once build."""
     d_samp = images.delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
-    taps = np.arange(SINC_TAPS) - (_HALF - 1)
-    indptr = np.concatenate(([0], np.cumsum(
-        np.clip(base + _HALF + 1, 0, num_samples)
-        - np.clip(base - (_HALF - 1), 0, num_samples))))
-    data = np.empty(indptr[-1])
-    # rows lie below num_samples, and scipy keeps 32-bit indices as given
-    indices = np.empty(indptr[-1], np.int32)
+    rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
+    rows[(rows < 0) | (rows >= num_samples)] = num_samples
+    taps = np.empty(rows.shape)
     for start in range(0, images.count, DELAY_BLOCK):
-        stop = min(start + DELAY_BLOCK, images.count)
-        kernel = _sinc_kernel(d_samp[start:stop] - base[start:stop])
-        rows = base[start:stop, None] + taps
-        valid = (rows >= 0) & (rows < num_samples)
-        data[indptr[start]:indptr[stop]] = kernel[valid]
-        indices[indptr[start]:indptr[stop]] = rows[valid]
-        del kernel, rows, valid  # before the next block forms its own
-    return sparse.csc_matrix((data, indices, indptr),
-                             shape=(num_samples, images.count))
+        stop = start + DELAY_BLOCK
+        taps[start:stop] = _sinc_kernel(d_samp[start:stop] - base[start:stop])
+    return taps, rows
+
+
+def _scatter(taps, rows, weights, num_samples):
+    """sum_i weights_i x image i's taps, num_samples long. bincount adds
+    each sample's products tap x weight in image order, so the bits are
+    those of a sparse delay matrix's product with `weights`."""
+    sums = np.bincount(rows.ravel(), (taps * weights[:, None]).ravel(),
+                       num_samples + 1)
+    return sums[:num_samples].astype(float, copy=False)  # int if no image
 
 
 def render_rir(images, num_samples, sample_rate):
     """Scatter the image gains into an impulse response through their
     windowed-sinc delay taps."""
-    return _delay_matrix(images, num_samples, sample_rate) @ images.gains
+    taps, rows = _delay_taps(images, num_samples, sample_rate)
+    return _scatter(taps, rows, images.gains, num_samples)
 
 
 def max_arrival_delay(scene, rir_seconds):
@@ -347,14 +338,15 @@ def binaural_references(images, source, channels, config, rir_seconds):
                     complex)
     convolve = _convolver(src, rir_len)
     if reverb.count:
-        delays = _delay_matrix(reverb, rir_len, fs)
+        taps, rows = _delay_taps(reverb, rir_len, fs)
         for k, a in enumerate(channels.angular(reverb.colatitudes,
                                                reverb.azimuths)):
-            spec = stft(convolve(delays @ (a * reverb.gains)), config).data[0]
+            rir = _scatter(taps, rows, a * reverb.gains, rir_len)
+            spec = stft(convolve(rir), config).data[0]
             for ear, row in zip(ears, decode[:, k, None, :]):
                 ear += row * spec  # one ear's product at a time
             del spec  # before the next channel's STFT
-        del delays
+        del taps, rows
 
     a0 = np.array([a[0] for a in channels.angular(direct.colatitudes,
                                                   direct.azimuths)])

@@ -11,9 +11,9 @@ equal-power sources and white noise, leaving a single SNR knob:
 Above a configurable cutoff the magnitude-least-squares variant trades
 phase accuracy for magnitude accuracy, which is the perceptually relevant
 quantity at high frequencies. A bank builds A = V V^H + reg I for every
-bin at once and solves every bin's LS filter A^{-1}(V h*) in one batched
-solve per ear. A MagLS bin factors once, P = A^{-1} V, and then iterates
-matrix-vector products c <- P (|h| z/|z|), z = V^H c, using
+bin at once and solves every bin's LS filters A^{-1}(V h*) of both ears
+in one batched solve. A MagLS bin factors once, P = A^{-1} V, and then
+iterates matrix-vector products c <- P (|h| z/|z|), z = V^H c, using
 exp(i angle z) = z/|z| in place of a trig round trip per iteration.
 """
 
@@ -214,20 +214,20 @@ def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
         raise ValueError("magls_cutoff_hz above Nyquist")
     vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)  # (bins, M, L)
     bad_v = ~np.isfinite(vs).all(axis=(1, 2))
-    for ear, h in zip(("left", "right"), hrtf_at_doas.ears):
-        bad = bad_v | ~np.isfinite(h).all(axis=0)
-        if bad.any():
-            b = bad.argmax()
-            raise SolverError(f"{ear} ear, bin {b} ({freqs[b]:.1f} Hz): non-"
-                              f"finite values in {'v' if bad_v[b] else 'h'}")
+    bad = bad_v | ~np.isfinite(hrtf_at_doas.ears).all(axis=1)  # (2, bins)
+    if bad.any():
+        ear, b = np.unravel_index(bad.argmax(), bad.shape)  # left ear first
+        raise SolverError(f"{('left', 'right')[ear]} ear, bin {b} "
+                          f"({freqs[b]:.1f} Hz): non-finite values in "
+                          f"{'v' if bad_v[b] else 'h'}")
     # A for 64 bins at a time, so V's conjugate never exists in full
     a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr, config.tikhonov_floor)
                         for lo in range(0, stft_cfg.num_bins, 64)])  # (bins, M, M)
-    ears, capped = np.empty((2, *vs.shape[:2]), dtype=complex), 0
-    for coeffs, h in zip(ears, hrtf_at_doas.ears):
-        # every bin's LS filter A^{-1}(V h*), its right-hand side formed first
-        rhs = vs @ np.conj(h.T, order="C")[:, :, None]
-        coeffs[...] = np.linalg.solve(a, rhs)[:, :, 0]
+    # every bin's LS filters A^{-1}(V h*) of both ears in one (bins, M, 2)
+    # solve, each ear's right-hand side formed first
+    rhs = np.concatenate([vs @ np.conj(h.T, order="C")[:, :, None]
+                          for h in hrtf_at_doas.ears], axis=2)
+    ears, capped = np.moveaxis(np.linalg.solve(a, rhs), 2, 0).copy(), 0
     magls_bins = np.flatnonzero(freqs >= config.magls_cutoff_hz)  # never 0 Hz
     for b in magls_bins if config.magls_enabled else ():
         # one P_b for both ears, each seeded with its filter of bin b-1

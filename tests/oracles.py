@@ -299,8 +299,8 @@ def design_filterbank_loop(geom, stft_cfg, hrtf_at_doas, config):
 
 
 def delay_matrix_coo(images, num_samples, sample_rate):
-    """simulate._delay_matrix as COO triplets, one per tap inside the
-    signal, converted to CSR."""
+    """The sparse (num_samples x images) matrix of simulate._delay_taps
+    as COO triplets, one per tap inside the signal, converted to CSR."""
     d_samp = images.delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
     kern = _sinc_kernel(d_samp - base)

@@ -14,10 +14,11 @@ import numpy as np
 from scipy import fft as spfft
 from scipy import signal as sps
 
-from bsmrender.simulate import _HALF, _delay_matrix, compute_image_sources
+from bsmrender.simulate import _HALF, compute_image_sources
 from bsmrender.sph import num_coeffs
 from bsmrender.stft import Spectrogram, stft
-from oracles import sh_degrees, sh_weights_loop, sliding_frames
+from oracles import delay_matrix_coo, sh_degrees, sh_weights_loop, \
+    sliding_frames
 
 
 def decode_matrix(hrtf_sh, order):
@@ -51,7 +52,7 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     src = np.asarray(scene.source_signal, float)
     n_coeff = num_coeffs(sh_order)
     out = np.empty((src.size + rir_len - 1, n_coeff), dtype=complex)
-    delays = _delay_matrix(images, rir_len, fs)
+    delays = delay_matrix_coo(images, rir_len, fs)
     for start in range(0, n_coeff, chunk_channels):
         cols = range(start, min(start + chunk_channels, n_coeff))
         w = sh_weights_loop(images, sh_degrees(sh_order), cols)
@@ -102,7 +103,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     direct = images.take(slice(0, 1))
     reverb = images.take(slice(1, None))
 
-    kernel = _delay_matrix(direct, rir_len, fs).toarray()[:, 0]
+    kernel = delay_matrix_coo(direct, rir_len, fs).toarray()[:, 0]
     base = stft(sps.fftconvolve(src, kernel), config).data[0]
     w0 = sh_weights_loop(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
@@ -117,7 +118,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
         neg_bins = -np.arange(config.num_bins) % config.fft_size
-        delays = _delay_matrix(reverb, rir_len, fs)
+        delays = delay_matrix_coo(reverb, rir_len, fs)
         for start in range(0, encoded.size, chunk_channels):
             sl = slice(start, start + chunk_channels)
             w = sh_weights_loop(reverb, degrees, encoded[sl])

@@ -203,21 +203,24 @@ def test_render_rir_places_pulse_at_geometric_delay():
 
 def _images_at(delays, gains):
     """An image list with the given delays (s) and gains; the directions
-    and orders do not enter the delay matrix."""
+    and orders do not enter the delay taps."""
     return ImageSourceList(
         positions=np.zeros((delays.size, 3)), gains=gains, delays=delays,
         colatitudes=np.zeros(delays.size), azimuths=np.zeros(delays.size),
         orders=np.zeros(delays.size, dtype=int))
 
 
-def _assert_delay_products_match_coo(images, num_samples, fs, seed):
+def _assert_scatter_matches_coo(images, num_samples, fs, seed):
+    # every column of a 4- and an 8-column weight matrix, scattered one at
+    # a time, against the sparse matrix's product with all of them
     want = delay_matrix_coo(images, num_samples, fs)
     assert_bits_equal(render_rir(images, num_samples, fs), want @ images.gains)
-    got = simulate._delay_matrix(images, num_samples, fs)
+    taps, rows = simulate._delay_taps(images, num_samples, fs)
     rng = np.random.default_rng(seed)
     for cols in (4, 8):
         w = rng.standard_normal((images.count, cols))
-        assert_bits_equal(got @ w, want @ w)
+        got = [simulate._scatter(taps, rows, col, num_samples) for col in w.T]
+        assert_bits_equal(np.stack(got, axis=1), want @ w)
 
 
 # delays in samples: anywhere in or past the RIR, plus the stretches where
@@ -225,12 +228,11 @@ def _assert_delay_products_match_coo(images, num_samples, fs, seed):
 @settings(max_examples=80)
 @given(st.integers(1, 120), st.data(), st.integers(0, 2**32 - 1),
        st.sampled_from([1, 3, 4, simulate.DELAY_BLOCK]))
-def test_csc_delay_matrix_bitwise_equals_coo(num_samples, data, seed,
-                                             block):
-    # CSC columns hold each image's taps in row order, so every row adds
-    # its taps in image order, as the COO -> CSR matrix does; overlapping
-    # taps make the order matter. Small blocks give lists longer than one
-    # block, exact multiples of it and a partial last block
+def test_scatter_bitwise_equals_coo(num_samples, data, seed, block):
+    # bincount adds every sample's taps in image order, as the COO -> CSR
+    # matrix does; overlapping taps make the order matter. Small blocks
+    # give lists longer than one block, exact multiples of it and a partial
+    # last block
     where = (st.floats(0.0, num_samples + 20.0) | st.floats(0.0, 16.0)
              | st.floats(max(num_samples - 16.0, 0.0), num_samples + 0.0))
     rows = data.draw(st.lists(st.tuples(where, st.floats(-1.0, 1.0)),
@@ -239,8 +241,8 @@ def test_csc_delay_matrix_bitwise_equals_coo(num_samples, data, seed,
     d_samp, gains = np.array(rows, dtype=float).reshape(-1, 2).T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "DELAY_BLOCK", block)
-        _assert_delay_products_match_coo(_images_at(d_samp / fs, gains),
-                                         num_samples, fs, seed)
+        _assert_scatter_matches_coo(_images_at(d_samp / fs, gains),
+                                    num_samples, fs, seed)
 
 
 @pytest.mark.parametrize("count", [simulate.DELAY_BLOCK - 1,
@@ -253,33 +255,35 @@ def test_blocked_delay_matrix_bitwise_equals_coo(count):
     rng = np.random.default_rng(count)
     num_samples, fs = 600, 48000
     d_samp = rng.uniform(-20.0, num_samples + 20.0, count)
-    _assert_delay_products_match_coo(
+    _assert_scatter_matches_coo(
         _images_at(d_samp / fs, rng.standard_normal(count)),
         num_samples, fs, count)
 
 
 @pytest.mark.parametrize("count", [3_000, 30_000])
 def test_delay_matrix_peak_memory(count):
-    # the taps are formed a block of images at a time into the matrix's own
-    # arrays: the peak is the CSC arrays, the per-image delays and base
-    # samples, and one block's temporaries (np.sinc alone holds four),
+    # the taps are formed a block of images at a time into their own
+    # array: the peak is the tap and row arrays, the per-image delays and
+    # base samples, and one block's temporaries (np.sinc alone holds four),
     # however many images there are. Forming every image's taps at once
-    # would hold several (images, SINC_TAPS) arrays
+    # would hold several more (images, SINC_TAPS) arrays
     rng = np.random.default_rng(0)
     num_samples, fs = 40_000, 48000
     images = _images_at(rng.uniform(0.0, num_samples, count) / fs,
                         rng.standard_normal(count))
     tracemalloc.start()
     try:
-        matrix = simulate._delay_matrix(images, num_samples, fs)
+        taps, rows = simulate._delay_taps(images, num_samples, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csc = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+    arrays = taps.nbytes + rows.nbytes
     per_image = 2 * count * 8
     block = simulate.DELAY_BLOCK * simulate.SINC_TAPS * 8
-    assert matrix.nnz > 0.99 * count * simulate.SINC_TAPS
-    assert peak <= csc + per_image + 6 * block, (peak, csc, per_image, block)
+    assert np.count_nonzero(rows < num_samples) \
+        > 0.99 * count * simulate.SINC_TAPS
+    assert peak <= arrays + per_image + 6 * block, \
+        (peak, arrays, per_image, block)
 
 
 @pytest.mark.parametrize("reflection", [0.8, 0.0])
@@ -291,7 +295,7 @@ def test_scene_delay_matrix_bitwise_equals_coo(reflection):
     center, _ = scene_images(_scene(room=room, seconds=0.05), 6, 0.05)
     reverb = center.take(slice(1, None))
     assert (reverb.count == 0) == (reflection == 0.0)
-    _assert_delay_products_match_coo(reverb, 2400, 48000, 0)
+    _assert_scatter_matches_coo(reverb, 2400, 48000, 0)
 
 
 def test_mic_signals_split_and_anechoic_identity():
