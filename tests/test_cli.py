@@ -89,11 +89,33 @@ def _src_env():
     return env
 
 
-def test_no_stage_loads_scipy(tmp_path):
+def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
+    # every stage is its own process: scipy.signal (and scipy.stats, which
+    # it imports) would cost each call most of a second before any work,
+    # and the package now loads no scipy module at all
+    probe = ("import json, sys\n"
+             "import bsmrender.cli\n"
+             "loaded = {'import': sorted(sys.modules)}\n"
+             "bsmrender.cli.main(['design', '--out', sys.argv[1], '--dry-run'])\n"
+             "loaded['dry-run'] = sorted(sys.modules)\n"
+             "print(json.dumps(loaded))\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "out")],
+                         env=_src_env(), capture_output=True, text=True,
+                         check=True)
+    loaded = json.loads(run.stdout.splitlines()[-1])
+    assert "bsmrender.cli" in loaded["import"]
+    for step, modules in loaded.items():
+        for banned in ("scipy.signal", "scipy.stats"):
+            assert banned not in modules, (step, banned)
+        assert not [m for m in modules if m.partition(".")[0] == "scipy"], \
+            step
+
+
+def test_each_stage_loads_only_the_scipy_it_uses(tmp_path):
     # every stage is its own process, and the package needs numpy and
-    # PyYAML alone: a dry run and each stage load no scipy module (importing
-    # scipy.sparse cost each simulate call about 0.3 s), and no module of
-    # the package imports scipy
+    # PyYAML alone, so the scipy each stage uses is none: a dry run and
+    # each stage load no scipy module (importing scipy.sparse cost each
+    # simulate call about 0.3 s), and no module of the package imports scipy
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     probe = """\
