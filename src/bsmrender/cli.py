@@ -22,12 +22,11 @@ from .containers import (canonical_json, load_hrtf, read_artifacts,
 from .evaluate import (EARS, band_summary, compare, nmse, weighted_db,
                        write_comparison, write_report)
 from .geometry import as_directions
-from .hrtf import (apply_sh_fit, evaluate_sh, flat_hrtf,
-                   point_receiver_channels, point_receiver_hrtf, sh_channels,
-                   sh_fit_operator)
+from .hrtf import (apply_sh_fit, evaluate_sh, point_receiver_channels,
+                   point_receiver_hrtf, sh_channels, sh_fit_operator)
 from .render import render_estimates
-from .simulate import add_noise, binaural_references, max_arrival_delay, \
-    render_mic_signals, scene_images, scene_statistics
+from .simulate import add_noise, binaural_references, render_mic_signals, \
+    scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid
 from .stft import istft
@@ -65,11 +64,10 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
         measured_on = spiral_grid(design["hrtf_grid_size"])
     operator = sh_fit_operator(design["hrtf_sh_order"], measured_on,
                                keep_order)
-    if kind == "flat":
-        base = flat_hrtf(stft_cfg, measured_on)
-    elif kind == "point":
-        base = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
-                                   measured_on)
+    if kind != "file":
+        # the flat model is the point model with its ears at the center
+        offset = design["hrtf_ear_offset"] if kind == "point" else 0.0
+        base = point_receiver_hrtf(offset, stft_cfg, measured_on)
     return apply_sh_fit(operator, base)
 
 
@@ -98,10 +96,9 @@ def run_simulate(cfg, out_dir, digest):
 
     # a too-short RIR fails before a file HRTF's fit, and a refused fit
     # before the first write
-    max_arrival_delay(scene, rir_s)
+    images = scene_images(scene, max_order, rir_s)
     channels = _reference_channels(cfg, stft_cfg,
                                    cfg["design"]["reference_order"])
-    images = scene_images(scene, max_order, rir_s)
     stats = scene_statistics(scene, images, rir_s)
     x, x_d = render_mic_signals(scene, images, rir_s)[:2]
     stats["scene_digest"] = digest

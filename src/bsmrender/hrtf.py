@@ -8,10 +8,11 @@ binary container (BSMH, read and written by `containers`) plus analytic
 test models, which keeps the whole pipeline self-verifying.
 
 Design fits every model from its responses on a direction grid
-(`point_receiver_hrtf`, `flat_hrtf`, or a file's set). The simulated
-reference takes an HRTF as real channels (`HrtfChannels`): the analytic
-models in closed form by the addition theorem, with no fit, and any SH
-expansion, a file's fitted set, by the complex-to-real harmonic map.
+(`point_receiver_hrtf`, whose ears at the center give the flat model, or
+a file's set). The simulated reference takes an HRTF as real channels
+(`HrtfChannels`): the analytic models in closed form by the addition
+theorem, with no fit, and any SH expansion, a file's fitted set, by the
+complex-to-real harmonic map.
 """
 
 import math
@@ -69,10 +70,11 @@ def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     +/- ear_offset on the y axis.
 
     h(f, d) = exp(+i k r_ear . u(d)) per STFT bin, unit magnitude; the two
-    ears are complex conjugates of each other since r_left = -r_right.
+    ears are complex conjugates of each other since r_left = -r_right. At
+    ear_offset 0 both ears sit at the center: the flat model, h = 1.
     """
-    if ear_offset <= 0:
-        raise ValueError("ear_offset must be positive")
+    if ear_offset < 0:
+        raise ValueError("ear_offset must not be negative")
     th, ph = np.asarray(directions, dtype=float).T
     uy = np.sin(th) * np.sin(ph)  # only the y component reaches the phase
     ks = wavenumbers(stft_cfg.bin_frequencies())
@@ -81,13 +83,6 @@ def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
     np.conjugate(ears[0], out=ears[1])
     return HrtfSet(directions=directions, ears=ears,
-                   sample_rate=stft_cfg.sample_rate)
-
-
-def flat_hrtf(stft_cfg, directions):
-    """Unit response at every STFT bin and direction, both ears."""
-    ones = np.ones((2, len(directions), stft_cfg.num_bins), dtype=complex)
-    return HrtfSet(directions=directions, ears=ones,
                    sample_rate=stft_cfg.sample_rate)
 
 
@@ -130,7 +125,7 @@ def point_receiver_channels(ear_offset, stft_cfg, order):
     fit and no aliasing from the orders above `order`. The ears share
     the channels, since P_n(-x) = (-1)^n P_n(x). At ear_offset 0 only
     n = 0 is nonzero: a_0 = 1 / sqrt(4 pi) and a decode of sqrt(4 pi),
-    flat_hrtf's unit response, which needs order 0 alone."""
+    the flat model's unit response, which needs order 0 alone."""
     if ear_offset < 0:
         raise ValueError("ear_offset must not be negative")
     ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset

@@ -98,12 +98,10 @@ class Scene:
 class ImageSourceList:
     """Flat image-source table sorted by delay; row 0 is the direct path."""
 
-    positions: np.ndarray = field(repr=False)
     gains: np.ndarray = field(repr=False)
     delays: np.ndarray = field(repr=False)
     colatitudes: np.ndarray = field(repr=False)
     azimuths: np.ndarray = field(repr=False)
-    orders: np.ndarray = field(repr=False)
 
     @property
     def count(self):
@@ -115,69 +113,59 @@ class ImageSourceList:
                                   for f in fields(self)})
 
 
-def compute_image_sources(room, source, receiver, max_order, max_delay=None):
-    """Enumerate shoebox image sources seen from `receiver`.
+def image_lattice(room, source, max_order, max_delay=None):
+    """The shoebox image sources of `source`, whatever the receiver:
+    (positions (N, 3), reflection products (N,)), parity-major.
 
-    Bounded by reflection order and, when given, by arrival delay. Images
-    whose reflection product is exactly zero are dropped (they carry no
-    energy), so an anechoic room yields only the direct path.
+    Bounded by reflection order and, when given, by arrival delay from
+    any receiver inside the room. Images whose reflection product is
+    exactly zero are dropped (they carry no energy), so an anechoic room
+    yields only the direct path.
     """
     source = np.asarray(source, float)
-    receiver = np.asarray(receiver, float)
-    if not room.contains(source) or not room.contains(receiver):
-        raise ValueError("source and receiver must be inside the room")
+    if not room.contains(source):
+        raise ValueError("source must be inside the room")
     dims = np.asarray(room.dimensions)
     beta = np.asarray(room.reflection_coefficients).reshape(3, 2)  # [axis][wall0, wallL]
 
-    if max_delay is not None:
-        reach = SPEED_OF_SOUND * max_delay
-    else:
-        # order bound alone: |n| + |n - p| <= order limits |n|
-        reach = (max_order / 2.0 + 1.0) * 2.0 * dims.max()
+    # cells whose images may lie within `reach` of a receiver inside the
+    # room, for every parity; |n| + |n - p| <= max_order bounds |n| too
+    reach = np.inf if max_delay is None else SPEED_OF_SOUND * max_delay
+    n_max = np.minimum(np.ceil((reach + source + 2.0 * dims) / (2.0 * dims)),
+                       max_order // 2 + 1).astype(int)
+    cells = np.indices(2 * n_max + 1).reshape(3, -1).T - n_max
 
     blocks = []
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                p = np.array([px, py, pz])
-                mirrored = (1 - 2 * p) * source
-                n_axes = []
-                for a in range(3):
-                    span = reach + abs(mirrored[a]) + dims[a] + receiver[a]
-                    n_max = int(np.ceil(span / (2.0 * dims[a])))
-                    n_max = min(n_max, max_order // 2 + 1)
-                    n_axes.append(np.arange(-n_max, n_max + 1))
-                nx, ny, nz = np.meshgrid(*n_axes, indexing="ij")
-                n = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
-                order = (np.abs(n - p).sum(axis=1) + np.abs(n).sum(axis=1))
-                keep = order <= max_order
-                n = n[keep]
-                order = order[keep]
-                pos = mirrored + 2.0 * n * dims
-                diff = pos - receiver
-                dist = np.linalg.norm(diff, axis=1)
-                delay = dist / SPEED_OF_SOUND
-                if max_delay is not None:
-                    keep = delay <= max_delay
-                    n, order = n[keep], order[keep]
-                    pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
-                refl = np.ones(len(n))
-                for a in range(3):
-                    refl = refl * beta[a, 0] ** np.abs(n[:, a] - p[a])
-                    refl = refl * beta[a, 1] ** np.abs(n[:, a])
-                keep = refl > 0.0
-                n, order, refl = n[keep], order[keep], refl[keep]
-                pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
-                gain = refl / (4.0 * np.pi * dist)
-                theta = np.arccos(np.clip(diff[:, 2] / dist, -1.0, 1.0))
-                phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
-                blocks.append((pos, gain, delay, theta, phi, order))
+    for p in map(np.array, np.ndindex(2, 2, 2)):
+        order = np.abs(cells - p).sum(axis=1) + np.abs(cells).sum(axis=1)
+        n = cells[order <= max_order]
+        refl = np.ones(len(n))
+        for a in range(3):
+            refl = refl * beta[a, 0] ** np.abs(n[:, a] - p[a])
+            refl = refl * beta[a, 1] ** np.abs(n[:, a])
+        keep = refl > 0.0
+        blocks.append(((1 - 2 * p) * source + 2.0 * n[keep] * dims,
+                       refl[keep]))
+    return tuple(map(np.concatenate, zip(*blocks)))
 
-    pos, gain, delay, theta, phi, order = map(np.concatenate, zip(*blocks))
+
+def compute_image_sources(lattice, receiver, max_delay=None):
+    """The image sources of image_lattice's result seen from `receiver`,
+    sorted by delay and, when given, capped at `max_delay`: the lattice's
+    bound, which holds for a receiver inside the room (Scene checks it)."""
+    pos, refl = lattice
+    diff = pos - np.asarray(receiver, float)
+    dist = np.linalg.norm(diff, axis=1)
+    delay = dist / SPEED_OF_SOUND
+    if max_delay is not None:
+        keep = delay <= max_delay
+        refl, diff, dist, delay = refl[keep], diff[keep], dist[keep], delay[keep]
+    gain = refl / (4.0 * np.pi * dist)
+    theta = np.arccos(np.clip(diff[:, 2] / dist, -1.0, 1.0))
+    phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
     idx = np.argsort(delay, kind="stable")
-    return ImageSourceList(positions=pos[idx], gains=gain[idx], delays=delay[idx],
-                           colatitudes=theta[idx], azimuths=phi[idx],
-                           orders=order[idx])
+    return ImageSourceList(gains=gain[idx], delays=delay[idx],
+                           colatitudes=theta[idx], azimuths=phi[idx])
 
 
 def _sinc_kernel(frac):
@@ -240,11 +228,12 @@ def max_arrival_delay(scene, rir_seconds):
 
 def scene_images(scene, max_order, rir_seconds):
     """Image sources seen from the array center and from each microphone:
-    (center list, [one list per mic]). One enumeration per receiver, shared
+    (center list, [one list per mic]), views of one image lattice, shared
     by scene_statistics, render_mic_signals and binaural_references."""
     max_delay = max_arrival_delay(scene, rir_seconds)
-    images = [compute_image_sources(scene.room, scene.source_position,
-                                    tuple(receiver), max_order, max_delay)
+    lattice = image_lattice(scene.room, scene.source_position, max_order,
+                            max_delay)
+    images = [compute_image_sources(lattice, receiver, max_delay)
               for receiver in scene.receivers]
     return images[0], images[1:]
 

@@ -12,24 +12,29 @@ analytic HRTF models, the response of real HRTF channels at a set of
 directions, STFT framing through a padded
 copy of the signal, the version 1 (double precision) binaural
 spectrogram file, filter-bank design as one LS or MagLS solve per bin
-and ear, and the sinc delay matrix built as COO triplets and converted
-to CSR. The library itself needs none of them; tests use them as
-oracles for what it does compute.
+and ear, the sinc delay matrix built as COO triplets and converted
+to CSR, the image sources enumerated for one receiver at a time, and the
+point model's ear signals built from an image list. The library itself
+needs none of them; tests use them as oracles for what it does compute.
 """
 
 import math
 import struct
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import signal as sps
 from scipy import sparse, special
 
 from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart, wavenumbers
 from bsmrender.hrtf import HrtfSHCoefficients, apply_sh_fit, evaluate_sh, \
     sh_fit_operator
 from bsmrender import solvers
-from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel
+from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel, render_rir
 from bsmrender.sph import num_coeffs, sh_matrix, steering_tensor
+from bsmrender.stft import stft
 
 
 def sh_degrees(order):
@@ -189,7 +194,8 @@ def point_receiver_sh(ear_offset, stft_cfg, order):
 
 
 def flat_sh(stft_cfg, order):
-    """flat_hrtf's exact SH coefficients up to `order`: c_00 = sqrt(4 pi),
+    """The flat model's exact SH coefficients up to `order` (the point model
+    with its ears at the center, h = 1): c_00 = sqrt(4 pi),
     since Y_00 = 1 / sqrt(4 pi), and every other coefficient zero."""
     ears = np.zeros((2, num_coeffs(order), stft_cfg.num_bins), dtype=complex)
     ears[:, 0] = math.sqrt(4 * math.pi)
@@ -311,3 +317,89 @@ def delay_matrix_coo(images, num_samples, sample_rate):
         (kern[valid], (rows[valid], cols[valid])),
         shape=(num_samples, images.count))
     return mat.tocsr()
+
+
+def compute_image_sources_per_receiver(room, source, receiver, max_order,
+                                       max_delay=None):
+    """Shoebox image sources seen from `receiver`, enumerated for that
+    receiver alone: each parity's lattice bounded by the receiver's own
+    reach. Fields as simulate.ImageSourceList's, plus each image's position
+    and reflection order; rows sorted by delay."""
+    source = np.asarray(source, float)
+    receiver = np.asarray(receiver, float)
+    if not room.contains(source) or not room.contains(receiver):
+        raise ValueError("source and receiver must be inside the room")
+    dims = np.asarray(room.dimensions)
+    beta = np.asarray(room.reflection_coefficients).reshape(3, 2)  # [axis][wall0, wallL]
+
+    if max_delay is not None:
+        reach = SPEED_OF_SOUND * max_delay
+    else:
+        # order bound alone: |n| + |n - p| <= order limits |n|
+        reach = (max_order / 2.0 + 1.0) * 2.0 * dims.max()
+
+    blocks = []
+    for px in (0, 1):
+        for py in (0, 1):
+            for pz in (0, 1):
+                p = np.array([px, py, pz])
+                mirrored = (1 - 2 * p) * source
+                n_axes = []
+                for a in range(3):
+                    span = reach + abs(mirrored[a]) + dims[a] + receiver[a]
+                    n_max = int(np.ceil(span / (2.0 * dims[a])))
+                    n_max = min(n_max, max_order // 2 + 1)
+                    n_axes.append(np.arange(-n_max, n_max + 1))
+                nx, ny, nz = np.meshgrid(*n_axes, indexing="ij")
+                n = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
+                order = (np.abs(n - p).sum(axis=1) + np.abs(n).sum(axis=1))
+                keep = order <= max_order
+                n = n[keep]
+                order = order[keep]
+                pos = mirrored + 2.0 * n * dims
+                diff = pos - receiver
+                dist = np.linalg.norm(diff, axis=1)
+                delay = dist / SPEED_OF_SOUND
+                if max_delay is not None:
+                    keep = delay <= max_delay
+                    n, order = n[keep], order[keep]
+                    pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
+                refl = np.ones(len(n))
+                for a in range(3):
+                    refl = refl * beta[a, 0] ** np.abs(n[:, a] - p[a])
+                    refl = refl * beta[a, 1] ** np.abs(n[:, a])
+                keep = refl > 0.0
+                n, order, refl = n[keep], order[keep], refl[keep]
+                pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
+                gain = refl / (4.0 * np.pi * dist)
+                theta = np.arccos(np.clip(diff[:, 2] / dist, -1.0, 1.0))
+                phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
+                blocks.append((pos, gain, delay, theta, phi, order))
+
+    pos, gain, delay, theta, phi, order = map(np.concatenate, zip(*blocks))
+    idx = np.argsort(delay, kind="stable")
+    return SimpleNamespace(positions=pos[idx], gains=gain[idx],
+                           delays=delay[idx], colatitudes=theta[idx],
+                           azimuths=phi[idx], orders=order[idx])
+
+
+def point_ear_spectrograms(images, source, ear_offset, config, rir_seconds):
+    """The point model's ear signals built from the image list directly,
+    (2, frames, bins), left ear first: an image arriving from u reaches
+    the ears at +/- ear_offset on y ear_offset u_y / c earlier (left) or
+    later (right) than the array center, through render_rir's sinc taps,
+    and each ear's RIR is convolved with the source and transformed. The
+    RIRs run on until every shifted tap fits; the signals are cut to the
+    reference's length."""
+    fs = config.sample_rate
+    rir_len = int(round(rir_seconds * fs))
+    lead = ear_offset * np.sin(images.colatitudes) \
+        * np.sin(images.azimuths) / SPEED_OF_SOUND
+    pad = int(np.ceil(ear_offset / SPEED_OF_SOUND * fs))
+    src = np.asarray(source, float)
+    ears = []
+    for sign in (-1.0, 1.0):
+        shifted = replace(images, delays=images.delays + sign * lead)
+        signal = sps.fftconvolve(src, render_rir(shifted, rir_len + pad, fs))
+        ears.append(stft(signal[: src.size + rir_len - 1], config).data[0])
+    return np.stack(ears)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as spfft
 from scipy import signal as sps
 
-from bsmrender.simulate import _HALF, compute_image_sources
+from bsmrender.simulate import _HALF, compute_image_sources, image_lattice
 from bsmrender.sph import num_coeffs
 from bsmrender.stft import Spectrogram, stft
 from oracles import delay_matrix_coo, sh_degrees, sh_weights_loop, \
@@ -44,9 +44,10 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
     max_delay = (rir_len - _HALF - 1) / fs
-    images = compute_image_sources(scene.room, scene.source_position,
-                                   scene.array.center_position,
-                                   max_order, max_delay)
+    lattice = image_lattice(scene.room, scene.source_position, max_order,
+                            max_delay)
+    images = compute_image_sources(lattice, scene.array.center_position,
+                                   max_delay)
     if direct_only:
         images = images.take(slice(0, 1))
     src = np.asarray(scene.source_signal, float)

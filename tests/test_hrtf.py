@@ -16,7 +16,6 @@ from bsmrender.hrtf import (
     apply_sh_fit,
     evaluate_sh,
     HrtfSHCoefficients,
-    flat_hrtf,
     point_receiver_channels,
     point_receiver_hrtf,
     sh_channels,
@@ -53,14 +52,14 @@ def test_point_receiver_ears_are_conjugate():
 
 
 def test_point_receiver_rejects_bad_offset():
-    with pytest.raises(ValueError):
-        point_receiver_hrtf(0.0, STFT, spiral_grid(4))
-    with pytest.raises(ValueError):
-        point_receiver_hrtf(-0.1, STFT, spiral_grid(4))
+    for offset in (-0.1, -1e-300):
+        with pytest.raises(ValueError, match="must not be negative"):
+            point_receiver_hrtf(offset, STFT, spiral_grid(4))
 
 
 def test_flat_hrtf_is_ones():
-    hs = flat_hrtf(STFT, spiral_grid(8))
+    # the flat model is the point model with its ears at the center
+    hs = point_receiver_hrtf(0.0, STFT, spiral_grid(8))
     np.testing.assert_array_equal(hs.ears, 1.0)
 
 
@@ -201,7 +200,7 @@ def test_sh_fit_requires_enough_directions():
 def test_sh_fit_on_two_directions():
     # two direction rows are two directions
     dirs = spiral_grid(2)
-    coeffs = sh_fit(flat_hrtf(STFT, dirs), 0)
+    coeffs = sh_fit(point_receiver_hrtf(0.0, STFT, dirs), 0)
     np.testing.assert_allclose(coeffs.ears, np.sqrt(4 * np.pi), rtol=1e-14)
     back = evaluate_sh(coeffs, dirs)
     assert back.num_directions == 2
@@ -304,7 +303,7 @@ def test_rank_deficient_grid_is_refused():
     # the harmonics odd in z vanish there: rank 5, not a fit
     equator = [(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
     for fit in (lambda: sh_fit_operator(2, equator),
-                lambda: sh_fit(flat_hrtf(STFT, equator), 2)):
+                lambda: sh_fit(point_receiver_hrtf(0.0, STFT, equator), 2)):
         with pytest.raises(ValueError, match="order 2 is rank deficient.*"
                                              "rank 5 of 9 coefficients"):
             fit()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bsmrender.hrtf import point_receiver_hrtf, sh_channels
 from bsmrender.render import FRAME_BLOCK, apply_filterbank, render_estimates
 from bsmrender.simulate import RoomSpec, binaural_references, \
-    compute_image_sources, render_rir
+    compute_image_sources, image_lattice, render_rir
 from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
@@ -204,8 +204,9 @@ def test_decode_matrix_flips_degree_sign():
 def _center_images(reflection=0.8, max_order=2, rir_len=1200):
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(reflection,) * 6)
-    return compute_image_sources(room, (3.0, 1.2, 1.3), (1.0, 2.0, 1.1),
-                                 max_order, (rir_len - 17) / 48000)
+    max_delay = (rir_len - 17) / 48000
+    lattice = image_lattice(room, (3.0, 1.2, 1.3), max_order, max_delay)
+    return compute_image_sources(lattice, (1.0, 2.0, 1.1), max_delay)
 
 
 def test_render_reference_zero_input_is_silent():

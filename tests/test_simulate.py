@@ -9,6 +9,8 @@ import scipy.signal as sps
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bsmrender import config as cfgmod
+from bsmrender.evaluate import band_summary, nmse, octave_bands
 from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
 from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_channels, \
     point_receiver_hrtf, sh_channels
@@ -25,6 +27,7 @@ from bsmrender.simulate import (
     compute_image_sources,
     estimate_t60,
     eyring_t60,
+    image_lattice,
     reflection_for_t60,
     render_mic_signals,
     render_rir,
@@ -33,9 +36,10 @@ from bsmrender.simulate import (
     synth_speech_noise,
 )
 from bsmrender.sph import spiral_grid
-from bsmrender.stft import StftConfig
-from oracles import assert_bits_equal, delay_matrix_coo, flat_sh, \
-    point_receiver_sh, sh_degrees, sh_fit
+from bsmrender.stft import Spectrogram, StftConfig
+from oracles import assert_bits_equal, compute_image_sources_per_receiver, \
+    delay_matrix_coo, flat_sh, point_ear_spectrograms, point_receiver_sh, \
+    sh_degrees, sh_fit
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves
 
@@ -111,34 +115,40 @@ def test_rir_shorter_than_the_direct_path_is_named():
 
 
 def test_direct_path_gain_and_delay():
-    imgs = compute_image_sources(ROOM, SRC, RCV, 0)
+    imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
     assert imgs.count == 1
-    d = np.linalg.norm(np.array(SRC) - np.array(RCV))
+    diff = np.array(SRC) - np.array(RCV)
+    d = np.linalg.norm(diff)
     np.testing.assert_allclose(imgs.gains[0], 1.0 / (4 * np.pi * d), rtol=1e-12)
     np.testing.assert_allclose(imgs.delays[0], d / SPEED_OF_SOUND, rtol=1e-12)
-    np.testing.assert_allclose(imgs.positions[0], SRC, atol=1e-12)
+    # the direct path arrives from the source
+    th, ph = imgs.colatitudes[0], imgs.azimuths[0]
+    np.testing.assert_allclose(
+        [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)],
+        diff / d, atol=1e-12)
 
 
 def test_fully_absorptive_walls_leave_direct_only():
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(0.0,) * 6)
-    imgs = compute_image_sources(room, SRC, RCV, 6)
+    imgs = compute_image_sources(image_lattice(room, SRC, 6), RCV)
     assert imgs.count == 1  # zero-gain images are dropped
 
 
 def test_images_sorted_and_capped_by_delay():
     max_delay = 0.02
-    imgs = compute_image_sources(ROOM, SRC, RCV, 10, max_delay)
+    imgs = compute_image_sources(image_lattice(ROOM, SRC, 10, max_delay),
+                                 RCV, max_delay)
     assert np.all(np.diff(imgs.delays) >= 0)
     assert imgs.delays.max() <= max_delay
-    assert imgs.orders[0] == 0
 
 
 def test_image_lattice_against_brute_force():
-    # directly enumerate mirrored positions for order <= 2 and compare
+    # directly enumerate mirrored positions for order <= 2 and compare,
+    # each image keyed by its distance and arrival direction
     refl = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5), reflection_coefficients=refl)
-    got = compute_image_sources(room, SRC, RCV, 2)
+    got = compute_image_sources(image_lattice(room, SRC, 2), RCV)
     lx, ly, lz = room.dimensions
     want = {}
     for nx in range(-2, 3):
@@ -159,13 +169,20 @@ def test_image_lattice_against_brute_force():
                             g = (refl[0] ** abs(nx - px) * refl[1] ** abs(nx)
                                  * refl[2] ** abs(ny - py) * refl[3] ** abs(ny)
                                  * refl[4] ** abs(nz - pz) * refl[5] ** abs(nz))
-                            d = np.linalg.norm(np.array(pos) - np.array(RCV))
-                            want[tuple(np.round(pos, 9))] = g / (4 * np.pi * d)
+                            diff = np.array(pos) - np.array(RCV)
+                            d = np.linalg.norm(diff)
+                            key = tuple(np.round([d, *diff / d], 9))
+                            want[key] = g / (4 * np.pi * d)
     assert got.count == len(want)
-    for pos, gain in zip(got.positions, got.gains):
-        key = tuple(np.round(pos, 9))
-        assert key in want
-        np.testing.assert_allclose(gain, want[key], rtol=1e-10)
+    th, ph = got.colatitudes, got.azimuths
+    keys = np.round(np.stack([got.delays * SPEED_OF_SOUND,
+                              np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                              np.cos(th)], axis=1), 9)
+    for key, gain in zip(keys, got.gains):
+        assert tuple(key) in want
+        np.testing.assert_allclose(gain, want[tuple(key)], rtol=1e-10)
+    with pytest.raises(ValueError, match="source must be inside the room"):
+        image_lattice(room, (4.5, 1.2, 1.3), 2)
 
 
 def test_image_set_symmetric_under_room_inversion():
@@ -174,8 +191,8 @@ def test_image_set_symmetric_under_room_inversion():
     dims = np.array(ROOM.dimensions)
     src2 = tuple(dims - np.array(SRC))
     rcv2 = tuple(dims - np.array(RCV))
-    a = compute_image_sources(ROOM, SRC, RCV, 4)
-    b = compute_image_sources(ROOM, src2, rcv2, 4)
+    a = compute_image_sources(image_lattice(ROOM, SRC, 4), RCV)
+    b = compute_image_sources(image_lattice(ROOM, src2, 4), rcv2)
     np.testing.assert_allclose(np.sort(a.delays), np.sort(b.delays),
                                atol=1e-12)
     np.testing.assert_allclose(np.sort(a.gains), np.sort(b.gains), atol=1e-12)
@@ -186,14 +203,14 @@ def test_reverb_energy_monotone_in_reflectivity():
     for beta in (0.3, 0.6, 0.9):
         room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                         reflection_coefficients=(beta,) * 6)
-        imgs = compute_image_sources(room, SRC, RCV, 8)
+        imgs = compute_image_sources(image_lattice(room, SRC, 8), RCV)
         energies.append(np.sum(imgs.gains[1:] ** 2))
     assert energies[0] < energies[1] < energies[2]
 
 
 def test_render_rir_places_pulse_at_geometric_delay():
     fs = 48000
-    imgs = compute_image_sources(ROOM, SRC, RCV, 0)
+    imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
     rir = render_rir(imgs, 2000, fs)
     d = np.linalg.norm(np.array(SRC) - np.array(RCV))
     # peak within a sample of the geometric delay
@@ -203,11 +220,10 @@ def test_render_rir_places_pulse_at_geometric_delay():
 
 def _images_at(delays, gains):
     """An image list with the given delays (s) and gains; the directions
-    and orders do not enter the delay taps."""
+    do not enter the delay taps."""
     return ImageSourceList(
-        positions=np.zeros((delays.size, 3)), gains=gains, delays=delays,
-        colatitudes=np.zeros(delays.size), azimuths=np.zeros(delays.size),
-        orders=np.zeros(delays.size, dtype=int))
+        gains=gains, delays=delays, colatitudes=np.zeros(delays.size),
+        azimuths=np.zeros(delays.size))
 
 
 def _assert_scatter_matches_coo(images, num_samples, fs, seed):
@@ -366,9 +382,10 @@ def test_sh_reference_order_zero_matches_pressure():
     scene = _scene(seconds=0.05)
     fs = scene.sample_rate
     sh = render_reference_plane_waves(scene, 0, 2, 0.04)
-    imgs = compute_image_sources(scene.room, scene.source_position,
-                                 scene.array.center_position, 2,
-                                 (int(0.04 * fs) - 17) / fs)
+    max_delay = (int(0.04 * fs) - 17) / fs
+    imgs = compute_image_sources(
+        image_lattice(scene.room, scene.source_position, 2, max_delay),
+        scene.array.center_position, max_delay)
     rir = render_rir(imgs, int(0.04 * fs), fs)
     want = sps.fftconvolve(np.asarray(scene.source_signal), rir)
     np.testing.assert_allclose(sh[:, 0].real,
@@ -438,6 +455,31 @@ def test_binaural_references_match_oracle(kind, ref_order, hrtf_order):
             assert err <= 1e-10, (direct_only, ear, err)
 
 
+def test_point_reference_matches_the_ear_signals():
+    # an oracle that shares no SH code with the reference: desk's point
+    # model ear signals, each image shifted by its interaural lead. In the
+    # octave bands below 5.66 kHz the order-14 reference measured -32.5 to
+    # -36.5 dB from them on both ears, the floor of its STFT-domain decode;
+    # -30 dB leaves 2.5 dB. Swapped ears or a conjugated decode fail it
+    cfg = cfgmod.resolve("desk", seed=0)
+    scene, stft_cfg = cfgmod.build_scene(cfg), cfgmod.build_stft_config(cfg)
+    rir_s, design = cfg["scene"]["rir_seconds"], cfg["design"]
+    center, _ = scene_images(scene, cfg["scene"]["max_reflection_order"],
+                             rir_s)
+    channels = point_receiver_channels(design["hrtf_ear_offset"], stft_cfg,
+                                       design["reference_order"])
+    reference, _ = binaural_references(center, scene.source_signal,
+                                       channels, stft_cfg, rir_s)
+    ears = point_ear_spectrograms(center, scene.source_signal,
+                                  design["hrtf_ear_offset"], stft_cfg, rir_s)
+    bands = [band for band in octave_bands() if band[1] < 5.66e3]
+    assert len(bands) == 6
+    report = nmse(reference, Spectrogram(data=ears, config=stft_cfg,
+                                         tag="reference"))
+    per_band = band_summary(report, bands)
+    assert np.all(per_band < -30.0), per_band
+
+
 @settings(max_examples=20)
 @given(st.tuples(st.floats(0.3, 3.7), st.floats(0.3, 2.7), st.floats(0.3, 2.2)),
        st.floats(0.0, 0.95), st.integers(0, 4))
@@ -470,17 +512,53 @@ def test_anechoic_reverberant_reference_is_exactly_zero():
     np.testing.assert_array_equal(reverb.data, 0.0)
 
 
-def test_scene_images_enumerates_each_receiver_once():
+def _assert_images_bitwise(got, room, source, receiver, max_order,
+                           max_delay):
+    want = compute_image_sources_per_receiver(room, source, receiver,
+                                              max_order, max_delay)
+    for name in ("gains", "delays", "colatitudes", "azimuths"):
+        assert getattr(got, name).tobytes() == \
+            getattr(want, name).tobytes(), (name, receiver)
+
+
+@pytest.mark.parametrize("refl", [(0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
+                                  (0.9, 0.0, 0.7, 0.6, 0.5, 0.4)],
+                         ids=["distinct", "zero-wall"])
+@pytest.mark.parametrize("max_order, max_delay", [
+    (0, None), (0, 0.02), (3, None), (8, 0.02), (24, 0.03)])
+def test_image_lattice_bitwise_equals_per_receiver_enumeration(
+        refl, max_order, max_delay):
+    # one lattice viewed from any receiver keeps the images that receiver's
+    # own enumeration keeps, in its order and with its bits: off the walls,
+    # near a wall and in a corner, for a source off and near the walls
+    room = RoomSpec(dimensions=(4.0, 3.0, 2.5), reflection_coefficients=refl)
+    receivers = (RCV, (3.99, 1.5, 1.2), (0.01, 2.99, 0.01),
+                 (3.999, 2.999, 2.499))
+    for source in (SRC, (0.02, 1.5, 2.48)):
+        lattice = image_lattice(room, source, max_order, max_delay)
+        for receiver in receivers:
+            got = compute_image_sources(lattice, receiver, max_delay)
+            _assert_images_bitwise(got, room, source, receiver, max_order,
+                                   max_delay)
+
+
+def test_scene_images_bitwise_equals_per_receiver_enumeration(monkeypatch):
     # the array center's list, then one list per mic, each the image
-    # sources seen from that receiver up to the RIR's last arrival
+    # sources seen from that receiver up to the RIR's last arrival, from
+    # one lattice for the scene
+    lattices = []
+
+    def lattice_spy(*args):
+        lattices.append(args)
+        return image_lattice(*args)
+    monkeypatch.setattr(simulate, "image_lattice", lattice_spy)
     scene = _scene(seconds=0.05)
     center, mics = scene_images(scene, 6, 0.05)
-    assert len(mics) == 3
+    assert len(mics) == 3 and len(lattices) == 1
     max_delay = (int(0.05 * 48000) - 17) / 48000
     for images, receiver in zip([center, *mics], scene.receivers):
-        want = compute_image_sources(scene.room, scene.source_position,
-                                     tuple(receiver), 6, max_delay)
-        np.testing.assert_array_equal(images.delays, want.delays)
+        _assert_images_bitwise(images, scene.room, scene.source_position,
+                               receiver, 6, max_delay)
 
 
 def test_add_noise_power_and_determinism():

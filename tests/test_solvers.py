@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
 from bsmrender.geometry import semicircle_array
-from bsmrender.hrtf import HrtfSet, flat_hrtf, point_receiver_hrtf
+from bsmrender.hrtf import HrtfSet, point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
     BsmFilterBank,
@@ -264,7 +264,7 @@ def test_filterbank_validation():
 def test_filterbank_io_round_trip(tmp_path):
     geom = semicircle_array(3, 0.05)
     doas = spiral_grid(5)
-    hrtf = flat_hrtf(STFT_SMALL, doas)
+    hrtf = point_receiver_hrtf(0.0, STFT_SMALL, doas)
     cfg = SolverConfig(snr=12.5, magls_enabled=True, magls_cutoff_hz=9000.0)
     bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
                              tag="reverberant")
