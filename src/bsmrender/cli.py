@@ -45,17 +45,17 @@ REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
 
 
 def _hrtf_coeffs(cfg, stft_cfg, keep_order):
-    """SH expansion of the configured HRTF model up to `keep_order` at the
-    STFT's bins; only those rows of the fit operator are formed and applied.
+    """SH expansion of the configured HRTF up to `keep_order` at the STFT's
+    bins; only those rows of the fit operator are formed and applied.
 
-    For the analytic models the fit operator is built before the responses
+    For the point model the fit operator is built before the responses
     exist, so the fit's SVD and the responses are never held at once; a
     file's directions define the operator, so its set is loaded first.
     """
     design = cfg["design"]
-    kind = design["hrtf_kind"]
-    if kind == "file":
-        base = load_hrtf(design["hrtf_file"], fft_size=stft_cfg.fft_size)
+    path = design["hrtf_file"]
+    if path is not None:
+        base = load_hrtf(path, fft_size=stft_cfg.fft_size)
         if int(base.sample_rate) != cfg["sample_rate"]:
             raise ValueError(f"HRTF sample rate {base.sample_rate} does not "
                              f"match the run sample rate {cfg['sample_rate']}")
@@ -64,26 +64,23 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
         measured_on = spiral_grid(design["hrtf_grid_size"])
     operator = sh_fit_operator(design["hrtf_sh_order"], measured_on,
                                keep_order)
-    if kind != "file":
-        # the flat model is the point model with its ears at the center
-        offset = design["hrtf_ear_offset"] if kind == "point" else 0.0
-        base = point_receiver_hrtf(offset, stft_cfg, measured_on)
+    if path is None:
+        base = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
+                                   measured_on)
     return apply_sh_fit(operator, base)
 
 
 def _reference_channels(cfg, stft_cfg, order):
     """The reference's HRTF channels at min(order, hrtf_sh_order), the
-    order a fit would give: in closed form for the analytic models, which
-    need no fit, the flat model being the point model with its ears at the
-    center, at order 0; a file's set is fitted."""
+    order a fit would give: a file's set is fitted, and the point model,
+    which needs no fit, comes in closed form; with its ears at the center
+    it is the flat model, whose unit response is its one order-0 channel."""
     design = cfg["design"]
     order = min(order, design["hrtf_sh_order"])
-    if design["hrtf_kind"] == "point":
-        return point_receiver_channels(design["hrtf_ear_offset"], stft_cfg,
-                                       order)
-    if design["hrtf_kind"] == "flat":
-        return point_receiver_channels(0.0, stft_cfg, 0)
-    return sh_channels(_hrtf_coeffs(cfg, stft_cfg, order), order)
+    if design["hrtf_file"] is not None:
+        return sh_channels(_hrtf_coeffs(cfg, stft_cfg, order), order)
+    offset = design["hrtf_ear_offset"]
+    return point_receiver_channels(offset, stft_cfg, order if offset else 0)
 
 
 def run_simulate(cfg, out_dir, digest):

@@ -36,12 +36,10 @@ _SCHEMA = {
             lambda v: v is None or _vec(v, 6, lo=0.0, hi=1.0),
             "6 numbers in [0, 1) or null"),
         "source_position": (lambda v: _vec(v, 3), "3 numbers"),
-        "source_kind": (lambda v: v in ("speech_noise", "wav"), "speech_noise|wav"),
         "source_duration_s": (lambda v: _pos(v), "positive number"),
-        "source_wav": (lambda v: v is None or isinstance(v, str), "path or null"),
+        "source_wav": (lambda v: v is None or (isinstance(v, str) and v != ""),
+                       "non-empty path or null"),
         "array_center": (lambda v: _vec(v, 3), "3 numbers"),
-        "array_kind": (lambda v: v in ("semicircle", "explicit"),
-                       "semicircle|explicit"),
         "array_num_mics": (lambda v: _int(v, 1), "int >= 1"),
         "array_radius": (lambda v: _pos(v), "positive number"),
         "array_mics": (lambda v: v is None or (isinstance(v, list)
@@ -63,12 +61,11 @@ _SCHEMA = {
                           "dB or null, 10^(dB/10) and its inverse finite"),
         "magls_enabled": (lambda v: isinstance(v, bool), "bool"),
         "magls_cutoff_hz": (lambda v: _pos(v), "positive number"),
-        "hrtf_kind": (lambda v: v in ("point", "flat", "file"),
-                      "point|flat|file"),
-        "hrtf_ear_offset": (lambda v: _pos(v), "positive number"),
+        "hrtf_ear_offset": (lambda v: _num(v) and v >= 0, "number >= 0"),
         "hrtf_grid_size": (lambda v: _int(v, 1), "int >= 1"),
         "hrtf_sh_order": (lambda v: _int(v, 0), "int >= 0"),
-        "hrtf_file": (lambda v: v is None or isinstance(v, str), "path or null"),
+        "hrtf_file": (lambda v: v is None or (isinstance(v, str) and v != ""),
+                      "non-empty path or null"),
         "reference_order": (lambda v: _int(v, 0), "int >= 0"),
     },
     "stft": {
@@ -84,9 +81,13 @@ _SCHEMA = {
 
 
 def _num(v):
-    """A finite int or float; YAML's true and false are ints, not numbers."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and (isinstance(v, int) or math.isfinite(v)))
+    """An int or float that converts to a finite float; YAML's true and
+    false are ints, not numbers."""
+    try:
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def _int(v, lo):
@@ -127,11 +128,9 @@ def desk_profile():
             "target_t60_s": 0.3,
             "reflection_coefficients": None,
             "source_position": [c + dist * ui for c, ui in zip(center, u)],
-            "source_kind": "speech_noise",
             "source_duration_s": 2.0,
             "source_wav": None,
             "array_center": list(center),
-            "array_kind": "semicircle",
             "array_num_mics": 6,
             "array_radius": 0.07,
             "array_mics": None,
@@ -150,7 +149,6 @@ def desk_profile():
             "reverb_snr_db": 20.0,
             "magls_enabled": True,
             "magls_cutoff_hz": 1500.0,
-            "hrtf_kind": "point",
             "hrtf_ear_offset": 0.0875,
             "hrtf_grid_size": 1600,
             "hrtf_sh_order": 30,
@@ -234,10 +232,6 @@ def resolve(profile="desk", config_path=None, seed=None):
     if (scene["target_t60_s"] is None) == (scene["reflection_coefficients"] is None):
         raise ConfigError("set exactly one of scene.target_t60_s and "
                           "scene.reflection_coefficients")
-    if scene["source_kind"] == "wav" and not scene["source_wav"]:
-        raise ConfigError("scene.source_wav required when source_kind is wav")
-    if cfg["design"]["hrtf_kind"] == "file" and not cfg["design"]["hrtf_file"]:
-        raise ConfigError("design.hrtf_file required when hrtf_kind is file")
     # the overlap-add rules, the bands' bins, the frames left after the
     # edge trim, the direct DOA, the microphone rows and the design's fit
     # and cutoff fail here, not in a stage
@@ -252,7 +246,7 @@ def resolve(profile="desk", config_path=None, seed=None):
     build_array(cfg)
     order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
     # a file set's direction count is in its header, so design checks its fit
-    if design["hrtf_kind"] != "file" and num_coeffs(order) > size:
+    if design["hrtf_file"] is None and num_coeffs(order) > size:
         raise ConfigError(f"design.hrtf_sh_order {order} needs design."
                           f"hrtf_grid_size >= {num_coeffs(order)}, got {size}")
     if design["magls_enabled"] and design["magls_cutoff_hz"] > nyquist:
@@ -277,7 +271,7 @@ def _check_frame_trim(cfg):
     channel the run reads is not finite; one that does not parse is left
     for simulate, which reads it, to refuse."""
     scene = cfg["scene"]
-    if scene["source_kind"] == "wav":
+    if scene["source_wav"] is not None:
         try:
             data, rate, _ = read_wav(scene["source_wav"])
         except ContainerError:
@@ -310,12 +304,9 @@ def snr_linear(db_value):
 
 def input_hashes(cfg):
     """Content hashes of files the run depends on (source, HRTF)."""
-    hashes = {}
-    if cfg["scene"]["source_kind"] == "wav":
-        hashes["source_wav"] = file_sha256(cfg["scene"]["source_wav"])
-    if cfg["design"]["hrtf_kind"] == "file":
-        hashes["hrtf_file"] = file_sha256(cfg["design"]["hrtf_file"])
-    return hashes
+    return {key: file_sha256(cfg[section][key]) for section, key in
+            (("scene", "source_wav"), ("design", "hrtf_file"))
+            if cfg[section][key] is not None}
 
 
 def run_digest(cfg):
@@ -327,8 +318,10 @@ def run_digest(cfg):
 def build_stft_config(cfg):
     window_ms, hop_ms = cfg["stft"]["window_ms"], cfg["stft"]["hop_ms"]
     try:
-        return StftConfig.default(cfg["sample_rate"], window_ms, hop_ms)
-    except ValueError as err:
+        stft_cfg = StftConfig.default(cfg["sample_rate"], window_ms, hop_ms)
+        stft_cfg.bin_frequencies()  # a window whose bins no array can hold
+        return stft_cfg
+    except (ValueError, MemoryError) as err:
         raise ConfigError(f"stft.window_ms {window_ms} with stft.hop_ms "
                           f"{hop_ms}: {err}") from None
 
@@ -346,19 +339,20 @@ def build_room(cfg):
 
 def build_array(cfg):
     scene = cfg["scene"]
-    if scene["array_kind"] == "semicircle":
-        return semicircle_array(scene["array_num_mics"], scene["array_radius"],
-                                tuple(scene["array_center"]))
+    mics, center = scene["array_mics"], tuple(scene["array_center"])
     try:
-        return ArrayGeometry(mics=scene["array_mics"],
-                             center_position=tuple(scene["array_center"]))
-    except ValueError as err:
-        raise ConfigError(f"scene.array_mics: {err}") from None
+        if mics is not None:
+            return ArrayGeometry(mics=mics, center_position=center)
+        return semicircle_array(scene["array_num_mics"], scene["array_radius"],
+                                center)
+    except (ValueError, MemoryError) as err:
+        key = "array_mics" if mics is not None else "array_num_mics"
+        raise ConfigError(f"scene.{key}: {err}") from None
 
 
 def build_source(cfg):
     scene = cfg["scene"]
-    if scene["source_kind"] == "wav":
+    if scene["source_wav"] is not None:
         # resolve has refused a rate other than the run's
         return np.asarray(read_wav(scene["source_wav"])[0][:, 0], dtype=float)
     return synth_speech_noise(_noise_samples(cfg), cfg["sample_rate"],

@@ -179,9 +179,10 @@ def point_receiver_sh(ear_offset, stft_cfg, order):
     """point_receiver_hrtf's exact SH coefficients up to `order`, by
     Jacobi-Anger: exp(i k r.u) = sum 4 pi i^n j_n(k r) conj(Y_nm(r^))
     Y_nm(u), so c_nm(f) = 4 pi i^n j_n(k a) conj(Y_nm(ear)). Unlike a fit,
-    it has no aliasing from the orders above `order`."""
-    if ear_offset <= 0:
-        raise ValueError("ear_offset must be positive")
+    it has no aliasing from the orders above `order`. At ear_offset 0 only
+    c_00 = sqrt(4 pi) is nonzero: the flat model, h = 1."""
+    if ear_offset < 0:
+        raise ValueError("ear_offset must not be negative")
     n_idx = sh_degrees(order)[0]
     ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset
     degrees = np.arange(order + 1)
@@ -189,16 +190,6 @@ def point_receiver_sh(ear_offset, stft_cfg, order):
         * special.spherical_jn(degrees[:, None], ka)
     ears = np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
         * radial[n_idx]
-    return HrtfSHCoefficients(order=order, ears=ears,
-                              sample_rate=stft_cfg.sample_rate)
-
-
-def flat_sh(stft_cfg, order):
-    """The flat model's exact SH coefficients up to `order` (the point model
-    with its ears at the center, h = 1): c_00 = sqrt(4 pi),
-    since Y_00 = 1 / sqrt(4 pi), and every other coefficient zero."""
-    ears = np.zeros((2, num_coeffs(order), stft_cfg.num_bins), dtype=complex)
-    ears[:, 0] = math.sqrt(4 * math.pi)
     return HrtfSHCoefficients(order=order, ears=ears,
                               sample_rate=stft_cfg.sample_rate)
 

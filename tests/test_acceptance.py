@@ -214,7 +214,6 @@ def test_10_single_mic_at_ear_oracle(tmp_path):
         "  reflection_coefficients: [0.0, 0.0, 0.0, 0.0, 0.0, 0.0]\n"
         "  source_position: [25.0, 5.0, 3.0]\n"
         "  array_center: [5.0, 5.0, 3.0]\n"
-        "  array_kind: explicit\n"
         f"  array_mics: [[0.01, {half_pi}, {half_pi}]]\n"
         "  rir_seconds: 0.1\n"
         "  max_reflection_order: 0\n"

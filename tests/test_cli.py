@@ -51,7 +51,6 @@ scene:
   source_position: [4.0, 2.5, 2.0]
   source_duration_s: 0.3
   array_center: [2.0, 2.5, 2.0]
-  array_kind: explicit
   array_mics: [[0.01, {half_pi}, 0.0]]
   rir_seconds: 0.05
   max_reflection_order: 0
@@ -261,8 +260,7 @@ def test_empty_explicit_band_fails_config(tmp_path, capsys):
 BAD_ROWS = {
     "direct_doa": ("design: {direct_doa: [4.0, 0.5]}\n",
                    "design.direct_doa: colatitude 4.0 outside [0, pi]"),
-    "array_mics": ("scene: {array_kind: explicit, "
-                   "array_mics: [[-0.05, 1.5, 0.0]]}\n",
+    "array_mics": ("scene: {array_mics: [[-0.05, 1.5, 0.0]]}\n",
                    "scene.array_mics: microphone radius must be positive "
                    "and finite"),
 }
@@ -302,7 +300,7 @@ def test_frame_trim_leaving_no_frame_fails_config(tmp_path, capsys, argv):
 def test_frame_trim_counts_a_wav_source_from_its_file(tmp_path, capsys):
     source = tmp_path / "source.wav"
     write_wav(source, np.zeros(960), 48000)
-    scene = (f"scene: {{source_kind: wav, source_wav: {str(source)!r}, "
+    scene = (f"scene: {{source_wav: {str(source)!r}, "
              "rir_seconds: 0.02}\n")
     config_path = tmp_path / "wav.yaml"
     config_path.write_text(scene + "evaluation: {frame_trim: 1}\n")
@@ -324,8 +322,7 @@ def test_wav_source_at_another_rate_fails_config(tmp_path, capsys, argv):
     source = tmp_path / "source.wav"
     write_wav(source, np.zeros(1600), 16000)
     config_path = tmp_path / "wav.yaml"
-    config_path.write_text(f"scene: {{source_kind: wav, source_wav: "
-                           f"{str(source)!r}}}\n")
+    config_path.write_text(f"scene: {{source_wav: {str(source)!r}}}\n")
     rc = main(argv + ["--out", str(tmp_path / "o"),
                       "--config", str(config_path)])
     assert rc == EXIT_CODES["config"]
@@ -558,8 +555,7 @@ def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
     write_wav(source, np.zeros(480), 48000)
     source.write_bytes(source.read_bytes()[:30])  # cut inside the fmt chunk
     config_path = tmp_path / "wav.yaml"
-    config_path.write_text(f"scene:\n  source_kind: wav\n"
-                           f"  source_wav: {str(source)!r}\n")
+    config_path.write_text(f"scene:\n  source_wav: {str(source)!r}\n")
     rc = main(["simulate", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
     assert rc == EXIT_CODES["simulate"]
@@ -572,8 +568,7 @@ def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
     save_hrtf(hrtf, spiral_grid(4), ir, ir, 48000)
     hrtf.write_bytes(hrtf.read_bytes()[:50])  # cut inside the direction table
     config_path = tmp_path / "hrtf.yaml"
-    config_path.write_text(f"design:\n  hrtf_kind: file\n"
-                           f"  hrtf_file: {str(hrtf)!r}\n")
+    config_path.write_text(f"design:\n  hrtf_file: {str(hrtf)!r}\n")
     rc = main(["design", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
     assert rc == EXIT_CODES["design"]
@@ -616,8 +611,7 @@ def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):
     save_hrtf(hrtf, [(math.pi / 2, 2 * math.pi * k / 16) for k in range(16)],
               ir, ir, 48000)
     config_path = tmp_path / "equator.yaml"
-    config_path.write_text(f"design:\n  hrtf_kind: file\n"
-                           f"  hrtf_file: {str(hrtf)!r}\n"
+    config_path.write_text(f"design:\n  hrtf_file: {str(hrtf)!r}\n"
                            f"  hrtf_sh_order: 2\n")
     rc = main(["design", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
@@ -636,7 +630,7 @@ def _flat_hrtf_file_config(tmp_path, directions, **design):
     save_hrtf(hrtf, directions, ir, ir, 48000)
     config_path = tmp_path / "grid.yaml"
     config_path.write_text(
-        f"design:\n  hrtf_kind: file\n  hrtf_file: {str(hrtf)!r}\n"
+        f"design:\n  hrtf_file: {str(hrtf)!r}\n"
         + "".join(f"  {key}: {value}\n" for key, value in design.items()))
     return config_path
 
@@ -751,8 +745,7 @@ def test_silent_source_fails_simulate_stage(tmp_path, capsys):
     write_wav(source, np.zeros(14400), 48000)
     config_path = tmp_path / "silent.yaml"
     config_path.write_text(ECHO_YAML.replace(
-        "scene:\n", f"scene:\n  source_kind: wav\n"
-                    f"  source_wav: {str(source)!r}\n"))
+        "scene:\n", f"scene:\n  source_wav: {str(source)!r}\n"))
     out = tmp_path / "o"
     rc = main(["pipeline", "--out", str(out), "--config", str(config_path)])
     assert rc == EXIT_CODES["simulate"]
@@ -777,8 +770,7 @@ def test_non_finite_source_wav_fails_config(tmp_path, capsys, bad, argv):
     source.write_bytes(bytes(blob))
     config_path = tmp_path / "bad.yaml"
     config_path.write_text(ECHO_YAML.replace(
-        "scene:\n", f"scene:\n  source_kind: wav\n"
-                    f"  source_wav: {str(source)!r}\n"))
+        "scene:\n", f"scene:\n  source_wav: {str(source)!r}\n"))
     out = tmp_path / "o"
     rc = main(argv + ["--out", str(out), "--config", str(config_path)])
     assert rc == EXIT_CODES["config"]
@@ -824,8 +816,7 @@ def test_hrtf_fit_peak_memory():
     # and its copies of the SH matrix never meet the responses: the traced
     # peak is operator + responses + coefficients, give or take
     cfg = cfgmod.resolve("desk")
-    cfg["design"].update(hrtf_kind="point", hrtf_sh_order=12,
-                         hrtf_grid_size=400)
+    cfg["design"].update(hrtf_sh_order=12, hrtf_grid_size=400)
     stft_cfg = StftConfig(cfg["sample_rate"], 512, 256)
     c, d, bins = num_coeffs(12), 400, stft_cfg.num_bins
     item = np.dtype(complex).itemsize
@@ -950,23 +941,35 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
     assert channels.decode.base is None
 
 
-@pytest.mark.parametrize("kind", ["point", "flat"])
+@pytest.mark.parametrize("offset", [0.0875, 0.0], ids=["point", "flat"])
 @pytest.mark.parametrize("reference_order, hrtf_sh_order, want",
                          [(2, 5, 2), (5, 2, 2), (3, 3, 3)])
-def test_closed_form_takes_the_fit_order_rule(kind, reference_order,
+def test_closed_form_takes_the_fit_order_rule(offset, reference_order,
                                               hrtf_sh_order, want):
     # the point model's closed form is built at min(reference_order,
     # hrtf_sh_order), the order the fit gave, so the reference truncates
-    # as before; the flat model's unit response is its one order-0 channel
+    # as before; with its ears at the center (the flat model) its unit
+    # response is its one order-0 channel
     cfg = cfgmod.resolve("desk")
-    cfg["design"].update(hrtf_kind=kind, reference_order=reference_order,
+    cfg["design"].update(hrtf_ear_offset=offset,
+                         reference_order=reference_order,
                          hrtf_sh_order=hrtf_sh_order)
     stft_cfg = StftConfig(48000, 512, 256)
     channels = cli._reference_channels(cfg, stft_cfg, reference_order)
-    if kind == "flat":
+    if offset == 0.0:
         want = 0
     assert channels.order == want and channels.zonal
     assert channels.decode.shape == (2, want + 1, stft_cfg.num_bins)
+
+
+def test_file_hrtf_is_fitted_at_any_ear_offset(tmp_path):
+    # the ear offset belongs to the point model: with a file set, an offset
+    # of 0 does not cut the reference to the flat model's one channel
+    config_path = _flat_hrtf_file_config(tmp_path, spiral_grid(16),
+                                         hrtf_sh_order=2, hrtf_ear_offset=0.0)
+    cfg = cfgmod.resolve("desk", config_path)
+    channels = cli._reference_channels(cfg, StftConfig(48000, 512, 256), 2)
+    assert channels.order == 2 and not channels.zonal
 
 
 def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
@@ -1055,7 +1058,7 @@ def _small_configs(draw):
             "hrtf_grid_size": draw(st.integers(1, 50)),
             "hrtf_sh_order": draw(st.integers(0, 4)),
             "reference_order": draw(st.integers(0, 4)),
-            "hrtf_kind": draw(st.sampled_from(["point", "flat"])),
+            "hrtf_ear_offset": draw(st.sampled_from([0.0875, 0.0])),
         },
         "stft": {"window_ms": draw(st.sampled_from([2, 8, 32])),
                  "hop_ms": draw(st.sampled_from([1, 4, 16]))},

@@ -18,13 +18,24 @@ from bsmrender.config import (
     run_digest,
     snr_linear,
 )
+from bsmrender.containers import (file_sha256, read_wav, save_hrtf,
+                                  scene_digest, write_wav)
 from bsmrender.simulate import reflection_for_t60
+from bsmrender.sph import spiral_grid
 
 
 def _write(tmp_path, text, name="override.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def _leaf_yaml(key, value):
+    """YAML that sets the dotted `key` to `value`."""
+    *sections, leaf = key.split(".")
+    lines = [f"{'  ' * depth}{name}:" for depth, name in enumerate(sections)]
+    lines.append(f"{'  ' * len(sections)}{leaf}: {value}")
+    return "\n".join(lines) + "\n"
 
 
 def test_profiles_resolve_clean():
@@ -50,6 +61,65 @@ def test_unknown_keys_rejected(tmp_path):
         resolve("desk", _write(tmp_path, "extra: 1\n"))
     with pytest.raises(ConfigError, match="scene.typo"):
         resolve("desk", _write(tmp_path, "scene:\n  typo: 2\n"))
+
+
+# the switches that once named each input beside the input's own key
+REMOVED_KEYS = {"scene.source_kind": "wav", "scene.array_kind": "explicit",
+                "design.hrtf_kind": "flat"}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_kind_keys_are_unknown(key, tmp_path, capsys):
+    # each input is selected by whether its own key is set, so a switch
+    # naming it is a typo like any other
+    assert _dry_run(tmp_path, capsys, _leaf_yaml(key, REMOVED_KEYS[key])) \
+        == (1, f"error [config]: unknown config key: {key}\n")
+
+
+def test_set_inputs_are_used(tmp_path):
+    # a source WAV, an HRTF file and a microphone list each select
+    # themselves: the digest hashes the files and the builders use them
+    source, hrtf = tmp_path / "source.wav", tmp_path / "ears.bsmh"
+    write_wav(source, np.linspace(-0.5, 0.5, 9600), 48000)
+    ir = np.zeros((4, 16))
+    save_hrtf(hrtf, spiral_grid(4), ir, ir, 48000)
+    text = (f"scene:\n  source_wav: {str(source)!r}\n"
+            "  array_mics: [[0.02, 1.5, 0.5], [0.03, 1.0, 2.0]]\n"
+            f"design:\n  hrtf_file: {str(hrtf)!r}\n")
+    cfg = resolve("desk", _write(tmp_path, text))
+    assert run_digest(cfg) == scene_digest(cfg, {
+        "source_wav": file_sha256(source), "hrtf_file": file_sha256(hrtf)})
+    np.testing.assert_array_equal(build_source(cfg),
+                                  read_wav(source)[0][:, 0])
+    np.testing.assert_array_equal(build_array(cfg).mics,
+                                  [[0.02, 1.5, 0.5], [0.03, 1.0, 2.0]])
+    # a file's content moves the digest with the config unchanged
+    before = run_digest(cfg)
+    save_hrtf(hrtf, spiral_grid(4), ir + 1.0, ir, 48000)
+    assert run_digest(cfg) != before
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("scene.array_num_mics", "100000000000000000000",
+     "scene.array_num_mics: Maximum allowed size exceeded"),
+    ("stft.window_ms", "1.0e+300",
+     "stft.window_ms 1e+300 with stft.hop_ms 16.0: Maximum allowed size "
+     "exceeded"),
+    # arrays larger than a 47-bit address space: numpy's MemoryError, at
+    # once, however the host overcommits memory
+    ("scene.array_num_mics", "100000000000000",
+     "scene.array_num_mics: Unable to allocate 728. TiB"),
+    ("stft.window_ms", "1.0e+12",
+     "stft.window_ms 1000000000000.0 with stft.hop_ms 16.0: Unable to "
+     "allocate 256. TiB")],
+    ids=["array_num_mics", "window_ms", "array_num_mics-memory",
+         "window_ms-memory"])
+def test_sizes_beyond_memory_name_their_key(key, value, message, tmp_path,
+                                            capsys):
+    # each once ended in a config error that named no key, or a traceback
+    code, err = _dry_run(tmp_path, capsys, _leaf_yaml(key, value))
+    assert code == 1
+    assert err.startswith(f"error [config]: {message}"), err
 
 
 def test_bad_values_rejected(tmp_path):
@@ -106,13 +176,6 @@ def test_exactly_one_decay_control(tmp_path):
         resolve("desk", _write(tmp_path, text))
 
 
-def test_conditional_requirements(tmp_path):
-    with pytest.raises(ConfigError, match="source_wav"):
-        resolve("desk", _write(tmp_path, "scene:\n  source_kind: wav\n"))
-    with pytest.raises(ConfigError, match="hrtf_file"):
-        resolve("desk", _write(tmp_path, "design:\n  hrtf_kind: file\n"))
-
-
 def _dry_run(tmp_path, capsys, text):
     """Exit code and stderr of a desk `simulate --dry-run` with `text`."""
     code = main(["simulate", "--out", str(tmp_path / "out"), "--config",
@@ -120,24 +183,23 @@ def _dry_run(tmp_path, capsys, text):
     return code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["point", "flat"])
-def test_hrtf_order_beyond_its_grid_is_a_config_error(kind, tmp_path,
+@pytest.mark.parametrize("offset", [0.0875, 0.0], ids=["point", "flat"])
+def test_hrtf_order_beyond_its_grid_is_a_config_error(offset, tmp_path,
                                                       capsys):
     # order 40 has 1681 coefficients and desk's analytic grid 1600
     # directions: refused before any stage, not by simulate (exit 2) or
     # design (exit 3)
-    text = f"design:\n  hrtf_kind: {kind}\n  hrtf_sh_order: 40\n"
+    text = f"design:\n  hrtf_ear_offset: {offset}\n  hrtf_sh_order: 40\n"
     assert _dry_run(tmp_path, capsys, text) == (1, (
         "error [config]: design.hrtf_sh_order 40 needs "
         "design.hrtf_grid_size >= 1681, got 1600\n"))
     # an exactly determined fit resolves
-    resolve("desk", _write(tmp_path, f"design:\n  hrtf_kind: {kind}\n"
-                                     "  hrtf_sh_order: 39\n"))
+    resolve("desk", _write(tmp_path, text.replace("order: 40", "order: 39")))
 
 
 def test_hrtf_file_order_is_left_to_the_stage(tmp_path):
     # a file set's direction count is in its header, which design reads
-    text = ("design:\n  hrtf_kind: file\n  hrtf_file: set.bsmh\n"
+    text = ("design:\n  hrtf_file: set.bsmh\n"
             "  hrtf_grid_size: 1\n  hrtf_sh_order: 40\n")
     assert resolve("desk", _write(tmp_path, text))["design"]["hrtf_sh_order"] == 40
 
@@ -188,15 +250,10 @@ def test_build_array_semicircle():
 
 
 def test_build_array_explicit(tmp_path):
-    text = ("scene:\n  array_kind: explicit\n"
-            "  array_mics: [[0.01, 1.5707963, 1.5707963]]\n")
+    text = "scene:\n  array_mics: [[0.01, 1.5707963, 1.5707963]]\n"
     array = build_array(resolve("desk", _write(tmp_path, text)))
     assert array.mics.shape == (1, 3)
     assert tuple(array.mics[0]) == (0.01, 1.5707963, 1.5707963)
-    with pytest.raises(ConfigError, match="array_mics"):
-        build_array(resolve("desk",
-                            _write(tmp_path, "scene:\n  array_kind: explicit\n",
-                                   name="bare.yaml")))
 
 
 def test_build_room_from_t60():
@@ -234,12 +291,12 @@ def test_build_source_speech_noise():
      r"design\.direct_doa: colatitude 4\.0 outside \[0, pi\]"),
     ("design: {direct_doa: [-0.1, 0.5]}",
      r"design\.direct_doa: colatitude -0\.1 outside"),
-    ("scene: {array_kind: explicit, array_mics: [[-0.05, 1.5, 0.0]]}",
+    ("scene: {array_mics: [[-0.05, 1.5, 0.0]]}",
      r"scene\.array_mics: microphone radius must be positive"),
-    ("scene: {array_kind: explicit, array_mics: [[0.05, 1.5, 0.0], "
+    ("scene: {array_mics: [[0.05, 1.5, 0.0], "
      "[0.05, 3.5, 0.0]]}",
      r"scene\.array_mics: colatitude 3\.5 outside \[0, pi\]"),
-    ("scene: {array_kind: explicit, array_mics: []}",
+    ("scene: {array_mics: []}",
      r"scene\.array_mics: array needs one or more"),
 ], ids=["doa-above-pi", "doa-below-zero", "mic-radius", "mic-colatitude",
         "no-mics"])
@@ -253,7 +310,7 @@ def test_resolve_leaves_azimuths_as_written(tmp_path):
     # an azimuth outside [0, 2 pi) is a direction; the config and its digest
     # keep the value as written, and the stages take it mod 2 pi
     text = ("design: {direct_doa: [1.0, -0.5]}\n"
-            "scene: {array_kind: explicit, array_mics: [[0.05, 1.5, 7.0]]}\n")
+            "scene: {array_mics: [[0.05, 1.5, 7.0]]}\n")
     cfg = resolve("desk", _write(tmp_path, text))
     assert cfg["design"]["direct_doa"] == [1.0, -0.5]
     assert cfg["scene"]["array_mics"] == [[0.05, 1.5, 7.0]]
@@ -296,16 +353,19 @@ FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}")
 def test_schema_fuzz_ends_in_config_error(key, tmp_path, capsys):
     # every leaf value either resolves or is refused as a config error;
     # none ends in a traceback
-    *sections, leaf = key.split(".")
     for value in FUZZ_VALUES:
-        lines = [f"{'  ' * depth}{name}:" for depth, name in
-                 enumerate(sections)]
-        lines.append(f"{'  ' * len(sections)}{leaf}: {value}")
-        path = _write(tmp_path, "\n".join(lines) + "\n")
-        code = main(["simulate", "--out", str(tmp_path / "out"), "--config",
-                     path, "--dry-run"])
-        err = capsys.readouterr().err
+        code, err = _dry_run(tmp_path, capsys, _leaf_yaml(key, value))
         assert code in (0, 1), (value, code)
         assert (code == 0) == (err == ""), (value, err)
         if code:
             assert err.startswith("error [config]: "), (value, err)
+
+
+@pytest.mark.parametrize("key", [".".join(k) for k in _leaf_keys(_SCHEMA)])
+def test_number_beyond_float_range_ends_in_config_error(key, tmp_path,
+                                                        capsys):
+    # a YAML int that no float holds once passed the schema and ended in
+    # an OverflowError traceback; no leaf takes it
+    code, err = _dry_run(tmp_path, capsys, _leaf_yaml(key, 10 ** 400))
+    assert code == 1
+    assert err.startswith(f"error [config]: bad value for {key}: "), err

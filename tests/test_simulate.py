@@ -38,7 +38,7 @@ from bsmrender.simulate import (
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import Spectrogram, StftConfig
 from oracles import assert_bits_equal, compute_image_sources_per_receiver, \
-    delay_matrix_coo, flat_sh, point_ear_spectrograms, point_receiver_sh, \
+    delay_matrix_coo, point_ear_spectrograms, point_receiver_sh, \
     sh_degrees, sh_fit
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves
@@ -412,14 +412,13 @@ def _hrtf_sh(cfg, order):
 def _reference_hrtf(kind, cfg, ref_order, hrtf_order):
     """The SH coefficients an oracle decodes with and the real channels
     binaural_references takes for the same HRTF at min(ref_order,
-    hrtf_order): the point model fitted or in closed form, the flat model
-    (order 0) or SH ears drawn at random."""
+    hrtf_order): the point model fitted or in closed form, at ear offset
+    0 (the flat model) at order 0, or SH ears drawn at random."""
     order = min(ref_order, hrtf_order)
-    if kind == "point":
-        return (point_receiver_sh(0.0875, cfg, order),
-                point_receiver_channels(0.0875, cfg, order))
-    if kind == "flat":
-        return flat_sh(cfg, 0), point_receiver_channels(0.0, cfg, 0)
+    if kind in ("point", "flat"):
+        offset, order = (0.0875, order) if kind == "point" else (0.0, 0)
+        return (point_receiver_sh(offset, cfg, order),
+                point_receiver_channels(offset, cfg, order))
     coeffs = _hrtf_sh(cfg, hrtf_order)
     if kind == "drawn":
         rng = np.random.default_rng(7)
