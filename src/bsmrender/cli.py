@@ -138,10 +138,8 @@ def run_design(cfg, out_dir, digest):
 
     # the direct bank serves a single known DOA where the plain LS solve is
     # already phase-exact, so MagLS is reserved for the reverberant bank
-    direct_cfg = SolverConfig(snr=cfgmod.snr_linear(design["direct_snr_db"]),
-                              magls_enabled=False)
+    direct_cfg = SolverConfig(snr=cfgmod.snr_linear(design["direct_snr_db"]))
     reverb_cfg = SolverConfig(snr=cfgmod.snr_linear(design["reverb_snr_db"]),
-                              magls_enabled=design["magls_enabled"],
                               magls_cutoff_hz=design["magls_cutoff_hz"])
 
     bank_d = design_filterbank(geom, stft_cfg, hrtf_d, direct_cfg, tag="direct")

@@ -55,12 +55,12 @@ _SCHEMA = {
         "direct_doa": (lambda v: _vec(v, 2), "[colatitude, azimuth]"),
         "reverb_grid_size": (lambda v: _int(v, 1), "int >= 1"),
         "direct_snr_db": (lambda v: v is None or _snr_db(v),
-                          "dB or null (null = no regularization), "
+                          "dB or null (null = the Tikhonov floor alone), "
                           "10^(dB/10) and its inverse finite"),
         "reverb_snr_db": (lambda v: v is None or _snr_db(v),
                           "dB or null, 10^(dB/10) and its inverse finite"),
-        "magls_enabled": (lambda v: isinstance(v, bool), "bool"),
-        "magls_cutoff_hz": (lambda v: _pos(v), "positive number"),
+        "magls_cutoff_hz": (lambda v: v is None or _pos(v),
+                            "positive number or null (null = no MagLS)"),
         "hrtf_ear_offset": (lambda v: _num(v) and v >= 0, "number >= 0"),
         "hrtf_grid_size": (lambda v: _int(v, 1), "int >= 1"),
         "hrtf_sh_order": (lambda v: _int(v, 0), "int >= 0"),
@@ -147,7 +147,6 @@ def desk_profile():
             "reverb_grid_size": 240,
             "direct_snr_db": None,
             "reverb_snr_db": 20.0,
-            "magls_enabled": True,
             "magls_cutoff_hz": 1500.0,
             "hrtf_ear_offset": 0.0875,
             "hrtf_grid_size": 1600,
@@ -197,15 +196,11 @@ def _validate(node, schema, path=""):
                                   f"(expected {expect})")
 
 
-def _merge(base, override, path=""):
+def _merge(base, override):
+    """A mapping merges into a mapping, any other value replaces the old."""
     for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"section {where} must be a mapping")
-            _merge(base[key], value, where)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            _merge(base[key], value)
         else:
             base[key] = value
 
@@ -225,7 +220,7 @@ def resolve(profile="desk", config_path=None, seed=None):
         if not isinstance(overrides, dict):
             raise ConfigError("config file must contain a mapping")
         _merge(cfg, overrides)
-    if seed is not None:
+    if seed is not None and isinstance(cfg["scene"], dict):
         cfg["scene"]["seed"] = int(seed)
     _validate(cfg, _SCHEMA)
     scene = cfg["scene"]
@@ -249,9 +244,10 @@ def resolve(profile="desk", config_path=None, seed=None):
     if design["hrtf_file"] is None and num_coeffs(order) > size:
         raise ConfigError(f"design.hrtf_sh_order {order} needs design."
                           f"hrtf_grid_size >= {num_coeffs(order)}, got {size}")
-    if design["magls_enabled"] and design["magls_cutoff_hz"] > nyquist:
-        raise ConfigError(f"design.magls_cutoff_hz {design['magls_cutoff_hz']:g}"
-                          f" is above the Nyquist frequency {nyquist:g} Hz")
+    cutoff = design["magls_cutoff_hz"]
+    if cutoff is not None and cutoff > nyquist:
+        raise ConfigError(f"design.magls_cutoff_hz {cutoff:g} is above the "
+                          f"Nyquist frequency {nyquist:g} Hz")
     return cfg
 
 

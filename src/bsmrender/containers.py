@@ -9,13 +9,16 @@ BSMH. WAV has no version field and keeps its version 1 layout.
 - WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
   optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
 - BSMG version 2, binaural spectrogram: u32 sample rate, window, hop, FFT
-  size, frames, bins; str tag; digest; the (2, frames, bins) <c8 ears
-  block, left ear first. Spectrograms are stored at single precision and
-  read back as complex128; version 1 stored the same header with a <c16
-  block and is refused.
+  size (the window's, which the reader checks), frames, bins; str tag;
+  digest; the (2, frames, bins) <c8 ears block, left ear first.
+  Spectrograms are stored at single precision and read back as
+  complex128; version 1 stored the same header with a <c16 block and is
+  refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size; str tag;
-  digest; str solver config (JSON, sorted keys, default separators); the
-  (2, bins, mics) <c16 ears block, left ear first.
+  digest; str solver config (standard JSON, sorted keys, default
+  separators: `snr`, null for an infinite SNR, and `magls_cutoff_hz`,
+  null for plain LS at every bin); the (2, bins, mics) <c16 ears block,
+  left ear first.
 - BSMH, HRTF set: u32 sample rate, directions D, taps T; the (D, 2) <f8
   colatitude/azimuth table; the (2, D, T) <f4 IR block, left ear first.
 
@@ -267,7 +270,10 @@ def read_binaural_spectrogram(path):
     if tag not in BINAURAL_TAGS:
         cur.fail(f"{tag!r} is not a binaural tag")
     with cur.checked("STFT parameters"):
-        config = StftConfig(rate, window, hop, fft_size)
+        config = StftConfig(rate, window, hop)
+        if config.fft_size != fft_size:
+            raise ValueError(f"FFT size {fft_size} is not the {window}-sample "
+                             f"window's {config.fft_size}")
         return Spectrogram(data=ears.astype(complex), config=config,
                            tag=tag), digest
 
@@ -275,8 +281,11 @@ def read_binaural_spectrogram(path):
 # ---------------------------------------------------------------- BSMF
 
 def save_filterbank(path, bank, digest):
-    # the default JSON separators are part of the version 1 bytes
-    config = json.dumps(bank.config.to_dict(), sort_keys=True)
+    # the default JSON separators are part of the version 1 bytes, and an
+    # unset cutoff or an infinite SNR is null, as standard JSON has no inf
+    snr = bank.config.snr
+    config = json.dumps({"magls_cutoff_hz": bank.config.magls_cutoff_hz,
+                         "snr": None if np.isinf(snr) else snr}, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
                          int(bank.sample_rate), bank.fft_size)
@@ -294,8 +303,10 @@ def load_filterbank(path):
     ears = cur.array("<c16", (2, bins, mics), "filters")
     cur.end()
     with cur.checked("filter bank"):
-        bank = BsmFilterBank(ears=ears, tag=tag,
-                             config=SolverConfig(**json.loads(config)),
+        solver = dict(json.loads(config))
+        if solver.get("snr") is None:
+            solver["snr"] = np.inf
+        bank = BsmFilterBank(ears=ears, tag=tag, config=SolverConfig(**solver),
                              sample_rate=float(rate), fft_size=fft_size)
     return bank, digest
 

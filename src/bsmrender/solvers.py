@@ -8,11 +8,11 @@ equal-power sources and white noise, leaving a single SNR knob:
 
     c = (V V^H + (1/SNR) I)^{-1} V h*
 
-Above a configurable cutoff the magnitude-least-squares variant trades
-phase accuracy for magnitude accuracy, which is the perceptually relevant
-quantity at high frequencies. A bank builds A = V V^H + reg I for every
-bin at once and solves every bin's LS filters A^{-1}(V h*) of both ears
-in one batched solve. A MagLS bin factors once, P = A^{-1} V, and then
+Above a cutoff, when one is set, the magnitude-least-squares variant
+trades phase accuracy for magnitude accuracy, which is the perceptually
+relevant quantity at high frequencies. A bank builds A = V V^H + reg I for
+every bin at once and solves every bin's LS filters A^{-1}(V h*) of both
+ears in one batched solve. A MagLS bin factors once, P = A^{-1} V, and then
 iterates matrix-vector products c <- P (|h| z/|z|), z = V^H c, using
 exp(i angle z) = z/|z| in place of a trig round trip per iteration.
 """
@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from .sph import steering_tensor
 
 COND_CEILING = 1e12
+TIKHONOV_FLOOR = 1e-12
 MAGLS_MAX_ITER = 50
 MAGLS_PHASE_TOL = 1e-6
 
@@ -34,22 +35,13 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     snr: float = np.inf  # linear power ratio sigma_s^2 / sigma_n^2
-    magls_enabled: bool = False
-    magls_cutoff_hz: float = 1500.0
-    tikhonov_floor: float = 1e-12
+    magls_cutoff_hz: float = None  # None: plain LS at every bin
 
     def __post_init__(self):
         if not self.snr > 0:
             raise ValueError("snr must be positive (may be inf)")
-        if self.magls_enabled and not self.magls_cutoff_hz > 0:
-            raise ValueError("magls_cutoff_hz must be positive when enabled")
-        if self.tikhonov_floor < 0:
-            raise ValueError("tikhonov_floor must be non-negative")
-
-    def to_dict(self):
-        return {"snr": float(self.snr), "magls_enabled": bool(self.magls_enabled),
-                "magls_cutoff_hz": float(self.magls_cutoff_hz),
-                "tikhonov_floor": float(self.tikhonov_floor)}
+        if self.magls_cutoff_hz is not None and not self.magls_cutoff_hz > 0:
+            raise ValueError("magls_cutoff_hz must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -91,23 +83,21 @@ def solve_general(v, cov, h):
     return np.linalg.solve(a, vrs @ np.conj(h))
 
 
-def _ls_system(v, snr, tikhonov_floor):
-    """V V^H + reg I for one (M, L) system or a stack of them (..., M, L)."""
+def _ls_system(v, snr):
+    """V V^H + reg I for one (M, L) system or a stack of them (..., M, L),
+    reg = max(1/snr, TIKHONOV_FLOOR tr(V V^H)/M) per system."""
     m = v.shape[-2]
     a = v @ np.swapaxes(v.conj(), -1, -2)
-    if np.isinf(snr):
-        reg = tikhonov_floor * np.trace(a, axis1=-2, axis2=-1).real / m
-    else:
-        reg = np.asarray(1.0 / snr)
-    return a + reg[..., None, None] * np.eye(m)
+    floor = TIKHONOV_FLOOR * np.trace(a, axis1=-2, axis2=-1).real / m
+    return a + np.maximum(1.0 / snr, floor)[..., None, None] * np.eye(m)
 
 
-def solve_ls(v, h, snr, tikhonov_floor=1e-12):
-    """Uncorrelated-sources solution (V V^H + (1/SNR) I)^{-1} V h*.
+def solve_ls(v, h, snr):
+    """Uncorrelated-sources solution (V V^H + reg I)^{-1} V h*, reg = 1/SNR
+    or the trace-scaled Tikhonov floor, whichever is larger.
 
-    snr=inf keeps a tiny trace-scaled Tikhonov term so the solve stays
-    well posed; with M >= L and full column rank this reproduces h*
-    exactly (push-through identity).
+    At snr=inf the floor keeps the solve well posed; with M >= L and full
+    column rank this reproduces h* exactly (push-through identity).
     """
     v = np.asarray(v, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -115,11 +105,11 @@ def solve_ls(v, h, snr, tikhonov_floor=1e-12):
     # the regularized system is invertible by construction, so no
     # conditioning gate here (unlike solve_general): rank-deficient VV^H
     # plus the floor is the intended overdetermined regime, not an error
-    a = _ls_system(v, snr, tikhonov_floor)
+    a = _ls_system(v, snr)
     return np.linalg.solve(a, v @ np.conj(h))
 
 
-def solve_magls(v, h, snr, phase_init=None, tikhonov_floor=1e-12):
+def solve_magls(v, h, snr, phase_init=None):
     """Magnitude least squares via iterated phase substitution.
 
     Alternates between the phase of the current response V^H c and an LS
@@ -133,7 +123,7 @@ def solve_magls(v, h, snr, phase_init=None, tikhonov_floor=1e-12):
     v = np.asarray(v, dtype=complex)
     h = np.asarray(h, dtype=complex)
     _check_finite(v=v, h=h)
-    a = _ls_system(v, snr, tikhonov_floor)
+    a = _ls_system(v, snr)
     c = np.asarray(phase_init, dtype=complex) if phase_init is not None \
         else np.linalg.solve(a, v @ np.conj(h))
     return _magls_iterate(np.linalg.solve(a, v) * np.abs(h), v.conj().T, c)[0]
@@ -202,15 +192,16 @@ class BsmFilterBank:
 
 def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
     """Design one filter bank over every bin of `stft_cfg`, steered at the
-    directions of hrtf_at_doas. Below the MagLS cutoff (and always at bin
-    0) the plain LS solve is used; above it, MagLS seeded with the
-    previous bin's filter. The bank's magls_capped counts the MagLS solves
-    that hit the iteration cap.
+    directions of hrtf_at_doas. With no MagLS cutoff, and below a set one
+    (and always at bin 0), the plain LS solve is used; above it, MagLS
+    seeded with the previous bin's filter. The bank's magls_capped counts
+    the MagLS solves that hit the iteration cap.
     """
     if hrtf_at_doas.num_bins != stft_cfg.num_bins:
         raise ValueError("hrtf bin count does not match the STFT")
     freqs = stft_cfg.bin_frequencies()
-    if config.magls_enabled and config.magls_cutoff_hz > freqs[-1]:
+    cutoff = config.magls_cutoff_hz
+    if cutoff is not None and cutoff > freqs[-1]:
         raise ValueError("magls_cutoff_hz above Nyquist")
     vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)  # (bins, M, L)
     bad_v = ~np.isfinite(vs).all(axis=(1, 2))
@@ -221,15 +212,15 @@ def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
                           f"({freqs[b]:.1f} Hz): non-finite values in "
                           f"{'v' if bad_v[b] else 'h'}")
     # A for 64 bins at a time, so V's conjugate never exists in full
-    a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr, config.tikhonov_floor)
+    a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr)
                         for lo in range(0, stft_cfg.num_bins, 64)])  # (bins, M, M)
     # every bin's LS filters A^{-1}(V h*) of both ears in one (bins, M, 2)
     # solve, each ear's right-hand side formed first
     rhs = np.concatenate([vs @ np.conj(h.T, order="C")[:, :, None]
                           for h in hrtf_at_doas.ears], axis=2)
     ears, capped = np.moveaxis(np.linalg.solve(a, rhs), 2, 0).copy(), 0
-    magls_bins = np.flatnonzero(freqs >= config.magls_cutoff_hz)  # never 0 Hz
-    for b in magls_bins if config.magls_enabled else ():
+    magls_bins = [] if cutoff is None else np.flatnonzero(freqs >= cutoff)
+    for b in magls_bins:  # never bin 0: the cutoff is positive
         # one P_b for both ears, each seeded with its filter of bin b-1
         p, vh = np.linalg.solve(a[b], vs[b]), vs[b].conj().T
         for coeffs, h in zip(ears, hrtf_at_doas.ears):

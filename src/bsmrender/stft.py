@@ -32,7 +32,6 @@ class StftConfig:
     sample_rate: int
     window_length: int
     hop: int
-    fft_size: int = 0
 
     def __post_init__(self):
         if self.window_length <= 0 or self.hop <= 0:
@@ -41,19 +40,17 @@ class StftConfig:
             raise ValueError("hop must divide window_length (overlap-add)")
         if self.window_length // self.hop < 2:
             raise ValueError("need at least 50% overlap")
-        if self.fft_size == 0:  # the next power of two
-            below = int(np.ceil(self.window_length)) - 1
-            object.__setattr__(self, "fft_size", 1 << below.bit_length())
-        if self.fft_size < self.window_length:
-            raise ValueError("fft_size must cover the window")
-        if self.fft_size & (self.fft_size - 1):
-            raise ValueError("fft_size must be a power of two")
 
     @classmethod
     def default(cls, sample_rate=48000, window_ms=32.0, hop_ms=16.0):
         w = int(round(sample_rate * window_ms / 1000.0))
         h = int(round(sample_rate * hop_ms / 1000.0))
         return cls(sample_rate=int(sample_rate), window_length=w, hop=h)
+
+    @property
+    def fft_size(self):
+        """The least power of two at or above the window length."""
+        return 1 << (self.window_length - 1).bit_length()
 
     @property
     def num_bins(self):

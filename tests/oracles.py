@@ -244,21 +244,18 @@ def write_binaural_spectrogram_v1(path, spec, digest):
         fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))
 
 
-def _ls_system_loop(v, snr, tikhonov_floor):
+def _ls_system_loop(v, snr):
     m = v.shape[0]
     a = v @ v.conj().T
-    if np.isinf(snr):
-        reg = tikhonov_floor * np.trace(a).real / m
-    else:
-        reg = 1.0 / snr
+    reg = max(1.0 / snr, solvers.TIKHONOV_FLOOR * np.trace(a).real / m)
     return a + reg * np.eye(m)
 
 
-def magls_loop(v, h, snr, phase_init, tikhonov_floor=1e-12):
+def magls_loop(v, h, snr, phase_init):
     """One bin's MagLS seeded with filter phase_init, through a full solve
     per iteration and the phase as an angle: (filter, whether it stopped
     at MAGLS_MAX_ITER)."""
-    a = _ls_system_loop(v, snr, tikhonov_floor)
+    a = _ls_system_loop(v, snr)
     c = np.asarray(phase_init, dtype=complex)
     mag = np.abs(h)
     phase = np.angle(v.conj().T @ c)
@@ -284,12 +281,12 @@ def design_filterbank_loop(geom, stft_cfg, hrtf_at_doas, config):
         coeffs = np.empty((stft_cfg.num_bins, geom.num_mics), dtype=complex)
         for b, f in enumerate(stft_cfg.bin_frequencies()):
             v, h = vs[b], h_all[:, b]
-            if config.magls_enabled and b > 0 and f >= config.magls_cutoff_hz:
-                coeffs[b], hit_cap = magls_loop(v, h, config.snr, coeffs[b - 1],
-                                                config.tikhonov_floor)
+            cutoff = config.magls_cutoff_hz
+            if cutoff is not None and b > 0 and f >= cutoff:
+                coeffs[b], hit_cap = magls_loop(v, h, config.snr, coeffs[b - 1])
                 capped += hit_cap
             else:
-                a = _ls_system_loop(v, config.snr, config.tikhonov_floor)
+                a = _ls_system_loop(v, config.snr)
                 coeffs[b] = np.linalg.solve(a, v @ np.conj(h))
         banks.append(coeffs)
     return banks[0], banks[1], capped

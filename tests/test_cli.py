@@ -39,7 +39,8 @@ from bsmrender.evaluate import octave_bands
 from bsmrender.sph import num_coeffs, spiral_grid
 from bsmrender.stft import Spectrogram, StftConfig
 
-from oracles import write_binaural_spectrogram_v1
+from compare_payloads import bank_parts
+from oracles import assert_bits_equal, write_binaural_spectrogram_v1
 
 # anechoic single-mic scene: one image, sub-second stages, and the direct
 # path is the whole field so full and direct recordings must coincide
@@ -61,6 +62,9 @@ design:
   hrtf_sh_order: 5
   reference_order: 2
 """.format(half_pi=repr(math.pi / 2))
+# the same scene on two mics: one DOA leaves the direct bank's V V^H rank one
+TWO_MIC_YAML = MINI_YAML.replace("array_mics: [[",
+                                 "array_mics: [[0.01, 1.0, 1.0], [")
 # the same scene with walls: a handful of reverberant images
 ECHO_YAML = (MINI_YAML.replace("[0.0, 0.0, 0.0, 0.0, 0.0, 0.0]",
                                "[0.5, 0.5, 0.5, 0.5, 0.5, 0.5]")
@@ -482,7 +486,7 @@ def test_other_stft_parameters_fail_evaluate_stage(mini_run, tmp_path,
     path = work / "reference_direct.bsmg"
     spec, digest = read_binaural_spectrogram(path)
     c = spec.config
-    other = StftConfig(c.sample_rate, c.window_length, c.hop // 2, c.fft_size)
+    other = StftConfig(c.sample_rate, c.window_length, c.hop // 2)
     write_binaural_spectrogram(path, Spectrogram(data=spec.data, config=other,
                                                  tag=spec.tag), digest)
     update_manifest(work, ["reference_direct.bsmg"], digest)
@@ -600,6 +604,53 @@ def test_design_reports_capped_magls_bins(tmp_path, capsys, monkeypatch):
     assert rc == 0  # a warning, not a stage failure
     assert out.rstrip().endswith(
         "warning: 1922 MagLS bins stopped at the iteration cap")
+
+
+def _design_banks(tmp_path, text):
+    """The direct and reverberant banks of a design run on config `text`."""
+    out = tmp_path / f"run{len(list(tmp_path.glob('run*.yaml')))}"
+    config_path = out.with_suffix(".yaml")
+    config_path.write_text(text)
+    assert main(["design", "--out", str(out), "--config",
+                 str(config_path)]) == 0
+    return [load_filterbank(out / name)[0] for name in BANK_ARTIFACTS]
+
+
+def test_null_cutoff_designs_plain_ls(tmp_path, capsys, monkeypatch):
+    # MagLS is on exactly when a cutoff is set: with none, no bin iterates,
+    # so none stops at a cap of 0, and every bin below a Nyquist cutoff's
+    # one MagLS bin is that design's LS filter
+    monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", 0)
+    ls = _design_banks(tmp_path, MINI_YAML + "  magls_cutoff_hz: null\n")[1]
+    assert "warning" not in capsys.readouterr().out
+    assert ls.config == solvers.SolverConfig(snr=100.0, magls_cutoff_hz=None)
+    top = _design_banks(tmp_path, MINI_YAML + "  magls_cutoff_hz: 24000\n")[1]
+    assert capsys.readouterr().out.rstrip().endswith(
+        "warning: 2 MagLS bins stopped at the iteration cap")
+    assert_bits_equal(ls.ears[:, :-1], top.ears[:, :-1])
+
+
+@pytest.mark.parametrize("db", [200, 3000])
+def test_snr_beyond_the_floor_designs_as_null(db, tmp_path):
+    # 1/SNR under the Tikhonov floor once stood alone and, from 160 dB,
+    # left the direct bank's 0 Hz system v v^H + I/SNR exactly singular
+    # (exit 3); the floor applies at every SNR, so these design as null
+    null = _design_banks(tmp_path, TWO_MIC_YAML)[0]
+    high = _design_banks(tmp_path, TWO_MIC_YAML + f"  direct_snr_db: {db}\n")
+    assert_bits_equal(high[0].ears, null.ears)
+
+
+def test_bank_configs_are_standard_json(mini_run):
+    # RFC 8259 has no Infinity or NaN token: the direct bank's infinite SNR
+    # and unset cutoff are null, the reverberant bank's are as configured
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    out = mini_run[2]
+    assert [json.loads(bank_parts(out / name)["solver config"],
+                       parse_constant=refuse) for name in BANK_ARTIFACTS] \
+        == [{"magls_cutoff_hz": None, "snr": None},
+            {"magls_cutoff_hz": 1500.0, "snr": 100.0}]
 
 
 def test_rank_deficient_hrtf_file_fails_design_stage(tmp_path, capsys):

@@ -20,6 +20,7 @@ from bsmrender.config import (
 )
 from bsmrender.containers import (file_sha256, read_wav, save_hrtf,
                                   scene_digest, write_wav)
+from bsmrender.geometry import sph_to_cart
 from bsmrender.simulate import reflection_for_t60
 from bsmrender.sph import spiral_grid
 
@@ -43,7 +44,7 @@ def test_profiles_resolve_clean():
     paper = resolve("paper")
     assert desk["scene"]["room_dimensions"] == [4.0, 3.0, 2.5]
     assert desk["scene"]["target_t60_s"] == 0.3
-    assert desk["design"]["magls_enabled"] is True
+    assert desk["design"]["magls_cutoff_hz"] == 1500.0
     assert paper["scene"]["room_dimensions"] == [8.0, 5.0, 3.0]
     assert paper["scene"]["target_t60_s"] == 0.68
     assert paper["scene"]["array_radius"] == 0.1
@@ -61,17 +62,25 @@ def test_unknown_keys_rejected(tmp_path):
         resolve("desk", _write(tmp_path, "extra: 1\n"))
     with pytest.raises(ConfigError, match="scene.typo"):
         resolve("desk", _write(tmp_path, "scene:\n  typo: 2\n"))
+    # the merge only merges, and the schema check judges what it made
+    for text, message in (("extra: {a: 1}\n", "unknown config key: extra"),
+                          ("design: 5\n", "section design must be a mapping"),
+                          ("design:\n", "section design must be a mapping")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            resolve("desk", _write(tmp_path, text))
 
 
-# the switches that once named each input beside the input's own key
+# the switches that once stood beside the key they switch: one naming
+# each input, and MagLS's beside its cutoff
 REMOVED_KEYS = {"scene.source_kind": "wav", "scene.array_kind": "explicit",
-                "design.hrtf_kind": "flat"}
+                "design.hrtf_kind": "flat", "design.magls_enabled": "false"}
 
 
 @pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
 def test_removed_kind_keys_are_unknown(key, tmp_path, capsys):
-    # each input is selected by whether its own key is set, so a switch
-    # naming it is a typo like any other
+    # each input is selected by whether its own key is set, and MagLS is on
+    # exactly when design.magls_cutoff_hz is set, so a switch is a typo
+    # like any other and no set value is ignored
     assert _dry_run(tmp_path, capsys, _leaf_yaml(key, REMOVED_KEYS[key])) \
         == (1, f"error [config]: unknown config key: {key}\n")
 
@@ -165,6 +174,12 @@ def test_seed_parameter_wins(tmp_path):
     path = _write(tmp_path, "scene:\n  seed: 3\n")
     assert resolve("desk", path)["scene"]["seed"] == 3
     assert resolve("desk", path, seed=9)["scene"]["seed"] == 9
+    # a scene that is not a mapping takes no seed: it is refused by name
+    path = _write(tmp_path, "scene: 5\n")
+    for seed in (None, 3):
+        with pytest.raises(ConfigError, match="^section scene must be a "
+                                              "mapping$"):
+            resolve("desk", path, seed=seed)
 
 
 def test_exactly_one_decay_control(tmp_path):
@@ -209,10 +224,10 @@ def test_magls_cutoff_above_nyquist_is_a_config_error(tmp_path, capsys):
     assert _dry_run(tmp_path, capsys, text) == (1, (
         "error [config]: design.magls_cutoff_hz 30000 is above the Nyquist "
         "frequency 24000 Hz\n"))
-    # Nyquist is the last bin, and a disabled MagLS ignores its cutoff
+    # Nyquist is the last bin, and a null cutoff has no bin to check
     resolve("desk", _write(tmp_path, "design:\n  magls_cutoff_hz: 24000\n"))
-    resolve("desk", _write(tmp_path, "design:\n  magls_enabled: false\n"
-                                     "  magls_cutoff_hz: 30000\n"))
+    cfg = resolve("desk", _write(tmp_path, "design:\n  magls_cutoff_hz: null\n"))
+    assert cfg["design"]["magls_cutoff_hz"] is None
 
 
 @pytest.mark.parametrize("section, key", [
@@ -233,6 +248,18 @@ def test_snr_out_of_range_is_a_config_error(section, key, db, tmp_path,
     # the ends of the range resolve
     for edge in (3000, -3000):
         resolve("desk", _write(tmp_path, f"{section}:\n  {key}: {edge}\n"))
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_direct_doa_points_at_the_source(profile):
+    # design.direct_doa is set apart from the scene's positions: the
+    # direct bank of each profile must still steer at its own source
+    cfg = resolve(profile)
+    scene = cfg["scene"]
+    toward = np.subtract(scene["source_position"], scene["array_center"])
+    steered = sph_to_cart((1.0, *cfg["design"]["direct_doa"]))
+    cosine = steered @ toward / np.linalg.norm(toward)
+    assert math.degrees(math.acos(min(cosine, 1.0))) < 0.2
 
 
 def test_snr_linear():

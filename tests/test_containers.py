@@ -142,6 +142,31 @@ def test_version_1_spectrogram_is_refused_by_name(tmp_path):
         read_binaural_spectrogram(path)
 
 
+def test_spectrogram_fft_size_must_be_the_windows(tmp_path):
+    # the FFT size follows the window, so a header naming another size is
+    # refused by the file's name
+    path = tmp_path / "padded.bsmg"
+    _write_sample_bsmg(path)
+    blob = bytearray(path.read_bytes())
+    blob[20:24] = (16).to_bytes(4, "little")  # the 8-sample window's is 8
+    path.write_bytes(blob)
+    with pytest.raises(ContainerError, match=re.escape(
+            f"{path}: invalid STFT parameters: FFT size 16 is not the "
+            "8-sample window's 8")):
+        read_binaural_spectrogram(path)
+
+
+def test_bank_keeps_an_infinite_snr_and_no_cutoff(tmp_path):
+    # both are stored as JSON null and read back as inf and None
+    bank = BsmFilterBank(ears=np.ones((2, 5, 3), complex), tag="direct",
+                         config=SolverConfig(), sample_rate=48000, fft_size=8)
+    save_filterbank(tmp_path / "bank.bsmf", bank, DIGEST)
+    assert b'{"magls_cutoff_hz": null, "snr": null}' \
+        in (tmp_path / "bank.bsmf").read_bytes()
+    back = load_filterbank(tmp_path / "bank.bsmf")[0].config
+    assert back == SolverConfig(snr=np.inf, magls_cutoff_hz=None)
+
+
 def _write_sample_wav(path):
     write_wav(path, np.arange(12, dtype=float).reshape(6, 2), 48000, DIGEST)
 
@@ -156,8 +181,7 @@ def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
 def _write_sample_bsmf(path):
     coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
     bank = BsmFilterBank(ears=np.stack([coeffs, -coeffs]), tag="reverberant",
-                         config=SolverConfig(snr=12.5, magls_enabled=True,
-                                             magls_cutoff_hz=9000.0),
+                         config=SolverConfig(snr=12.5, magls_cutoff_hz=9000.0),
                          sample_rate=48000, fft_size=8)
     save_filterbank(path, bank, DIGEST)
 
@@ -177,7 +201,7 @@ READERS = {"wav": (_write_sample_wav, read_wav),
 # sha256 of each sample file: BSMG version 2 and the version 1 layouts of
 # the others, pinned to the byte
 SAMPLE_SHA256 = {
-    "bsmf": "fb8822443a609b2a935ff6d3d4edb86de9758e64eb9058841d504f305cc1ffe9",
+    "bsmf": "3c63eb749f9ea925d0c975fdee5c4e04af75aebf2dae79b3918384e870aa98cc",
     "bsmg": "6e2d2d086e48a58588190ebe36afed36e09333c7bb86b410c279489033df93f1",
     "bsmh": "de400c1d67af2c2cf2b0a2f54f993dfffe9a7251c01b3297f3adca459a14a138",
     "wav": "9bb5df03a45fed338a0ec2d1e513188003a112034120434fcc843058f189038c",

@@ -270,7 +270,7 @@ def test_binaural_spectrogram_validation():
             _spec(rng, channels, tag="reference")
         assert _spec(rng, channels, tag="x").num_channels == channels
     other = Spectrogram(data=rng.standard_normal((2, 4, 129)) + 0j,
-                        config=StftConfig(48000, 128, 64, fft_size=256),
+                        config=StftConfig(48000, 256, 64),
                         tag="reference-direct")
     with pytest.raises(ValueError):
         _spec(rng, 2, frames=4, tag="reference") - other  # configs differ
