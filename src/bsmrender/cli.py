@@ -21,9 +21,9 @@ from .containers import (canonical_json, load_hrtf, read_artifacts,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, compare, nmse, weighted_db,
                        write_comparison, write_report)
-from .geometry import as_directions
-from .hrtf import (apply_sh_fit, evaluate_sh, point_receiver_channels,
-                   point_receiver_hrtf, sh_channels, sh_fit_operator)
+from .geometry import SPEED_OF_SOUND, as_directions
+from .hrtf import (evaluate_sh, point_receiver_channels, point_receiver_hrtf,
+                   sh_channels, sh_fit_operator)
 from .render import render_estimates
 from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
@@ -55,10 +55,7 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
     design = cfg["design"]
     path = design["hrtf_file"]
     if path is not None:
-        base = load_hrtf(path, fft_size=stft_cfg.fft_size)
-        if int(base.sample_rate) != cfg["sample_rate"]:
-            raise ValueError(f"HRTF sample rate {base.sample_rate} does not "
-                             f"match the run sample rate {cfg['sample_rate']}")
+        base = load_hrtf(path, stft_cfg)
         measured_on = base.directions
     else:
         measured_on = spiral_grid(design["hrtf_grid_size"])
@@ -67,7 +64,7 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
     if path is None:
         base = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
                                    measured_on)
-    return apply_sh_fit(operator, base)
+    return operator @ base.ears
 
 
 def _reference_channels(cfg, stft_cfg, order):
@@ -145,8 +142,8 @@ def run_design(cfg, out_dir, digest):
     bank_d = design_filterbank(geom, stft_cfg, hrtf_d, direct_cfg, tag="direct")
     bank_r = design_filterbank(geom, stft_cfg, hrtf_r, reverb_cfg,
                                tag="reverberant")
-    save_filterbank(out_dir / "bank_direct.bsmf", bank_d, digest)
-    save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, digest)
+    save_filterbank(out_dir / "bank_direct.bsmf", bank_d, stft_cfg, digest)
+    save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, stft_cfg, digest)
     update_manifest(out_dir, BANK_ARTIFACTS, digest)
     capped = bank_d.magls_capped + bank_r.magls_capped
     # a capped solve still returns its last iterate, a usable filter, so
@@ -161,11 +158,8 @@ def run_design(cfg, out_dir, digest):
 def run_render(cfg, out_dir, digest):
     fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
-    (full, rate), (direct, rate_d), bank_d, bank_r = read_artifacts(
-        out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render")
-    for name, r in zip(MIC_ARTIFACTS, (rate, rate_d)):
-        if r != fs:
-            raise ValueError(f"{name}: sample rate {r} is not {fs}")
+    full, direct, bank_d, bank_r = read_artifacts(
+        out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render", stft_cfg)
     # the estimates' files are named by tag: bsm-standard, bsm_standard.bsmg
     results = {f"{tag.replace('-', '_')}.bsmg": spec for tag, spec in
                render_estimates(full, direct, bank_d, bank_r, stft_cfg).items()}
@@ -190,15 +184,28 @@ def near_ear(cfg):
     return "left" if np.sin(cfg["design"]["direct_doa"][1]) >= 0 else "right"
 
 
+def reference_valid_hz(cfg):
+    """Where the reference stops holding the point model's ears: kr <= N
+    at the ear offset a gives N c / (2 pi a), N = min(reference_order,
+    hrtf_sh_order), at most Nyquist, which the flat model (a = 0) holds at
+    order 0. None for a file's set, for which the rule says nothing."""
+    design = cfg["design"]
+    if design["hrtf_file"] is not None:
+        return None
+    nyquist = cfg["sample_rate"] / 2
+    offset = design["hrtf_ear_offset"]
+    if offset == 0:
+        return nyquist
+    order = min(design["reference_order"], design["hrtf_sh_order"])
+    return min(order * SPEED_OF_SOUND / (2 * np.pi * offset), nyquist)
+
+
 def run_evaluate(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
 
-    standard, comp_d, comp_r, ref, ref_d = specs = tuple(read_artifacts(
-        out_dir, SPECTRO_ARTIFACTS, digest, "evaluate"))
-    for name, spec in zip(SPECTRO_ARTIFACTS, specs):
-        if spec.config != stft_cfg:
-            raise ValueError(f"{name}: STFT parameters differ from the config")
+    standard, comp_d, comp_r, ref, ref_d = read_artifacts(
+        out_dir, SPECTRO_ARTIFACTS, digest, "evaluate", stft_cfg)
     # ref - ref_d and the decomposed sum each live for one report only
     reports = {
         "direct": nmse(comp_d, ref_d, trim),
@@ -219,6 +226,7 @@ def run_evaluate(cfg, out_dir, digest):
     band_gain = (band_summary(reports["standard"], bands)
                  - band_summary(reports["decomposed"], bands))
     ear_near = near_ear(cfg)
+    valid_hz = reference_valid_hz(cfg)
     verdict = {
         "scene_digest": digest,
         "broadband_nmse_db": {
@@ -233,6 +241,9 @@ def run_evaluate(cfg, out_dir, digest):
         "near_ear": ear_near,
         "near_ear_bands_improved_1db": int(
             np.sum(band_gain[EARS.index(ear_near)] >= 1.0)),
+        "reference_valid_hz": valid_hz,
+        "bands_above_reference_valid_hz": None if valid_hz is None else [
+            [float(lo), float(hi)] for lo, hi in bands if hi > valid_hz],
     }
     write_json(out_dir / "verdict.json", verdict)
     update_manifest(out_dir, REPORT_ARTIFACTS, digest)

@@ -262,10 +262,11 @@ def _yaml_problem(err):
 def _check_frame_trim(cfg):
     """Refuse an evaluation.frame_trim that leaves none of the frames of
     the run's spectrograms, counted from the source and RIR lengths as the
-    simulator renders them. A wav source is counted from its file, and
-    refused here if its sample rate is not the run's or a sample of the
-    channel the run reads is not finite; one that does not parse is left
-    for simulate, which reads it, to refuse."""
+    simulator renders them, and a synthetic source of under 2 samples,
+    which has no band but DC to shape. A wav source is counted from its
+    file, and refused here if its sample rate is not the run's or a sample
+    of the channel the run reads is not finite; one that does not parse is
+    left for simulate, which reads it, to refuse."""
     scene = cfg["scene"]
     if scene["source_wav"] is not None:
         try:
@@ -282,6 +283,11 @@ def _check_frame_trim(cfg):
         source = data.shape[0]
     else:
         source = _noise_samples(cfg)
+        if source < 2:
+            raise ConfigError(
+                "scene.source_duration_s: the synthetic source needs at least "
+                f"2 samples, and {scene['source_duration_s']:g} s at "
+                f"{cfg['sample_rate']} Hz gives {source}")
     frames = build_stft_config(cfg).num_frames(
         signal_length(source, scene["rir_seconds"], cfg["sample_rate"]))
     trim = cfg["evaluation"]["frame_trim"]

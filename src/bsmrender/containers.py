@@ -14,18 +14,20 @@ BSMH. WAV has no version field and keeps its version 1 layout.
   Spectrograms are stored at single precision and read back as
   complex128; version 1 stored the same header with a <c16 block and is
   refused.
-- BSMF, filter bank: u32 mics, bins, sample rate, FFT size; str tag;
-  digest; str solver config (standard JSON, sorted keys, default
-  separators: `snr`, null for an infinite SNR, and `magls_cutoff_hz`,
-  null for plain LS at every bin); the (2, bins, mics) <c16 ears block,
-  left ear first.
-- BSMH, HRTF set: u32 sample rate, directions D, taps T; the (D, 2) <f8
-  colatitude/azimuth table; the (2, D, T) <f4 IR block, left ear first.
+- BSMF, filter bank: u32 mics, bins, sample rate, FFT size (the last
+  three the run's StftConfig's); str tag; digest; str solver config
+  (standard JSON, sorted keys, default separators: `snr`, null for an
+  infinite SNR, and `magls_cutoff_hz`, null for plain LS at every bin);
+  the (2, bins, mics) <c16 ears block, left ear first.
+- BSMH, HRTF set: u32 sample rate (the run's), directions D, taps T; the
+  (D, 2) <f8 colatitude/azimuth table; the (2, D, T) <f4 IRs, left first.
 
 manifest.json maps artifact names to content hashes so later stages can
 refuse stale or corrupted inputs. Every binary reader parses through one
 bounds-checked cursor: a truncated, damaged or over-long file raises
-ContainerError naming the file, as does a manifest of another shape.
+ContainerError naming the file, as does a manifest of another shape or a
+file that read_artifacts, load_filterbank or load_hrtf finds sampled
+otherwise than the run's StftConfig.
 """
 
 import contextlib
@@ -102,6 +104,12 @@ def _string(text):
 
 def _header(magic, fields, *values):
     return magic + struct.pack("<I" + fields, VERSIONS[magic], *values)
+
+
+def _require_run(path, what, got, want):
+    """Refuse a file whose sampling is not the run's."""
+    if got != want:
+        raise ContainerError(f"{path}: {what} is {got}, not the run's {want}")
 
 
 class _Cursor:
@@ -280,7 +288,7 @@ def read_binaural_spectrogram(path):
 
 # ---------------------------------------------------------------- BSMF
 
-def save_filterbank(path, bank, digest):
+def save_filterbank(path, bank, stft_cfg, digest):
     # the default JSON separators are part of the version 1 bytes, and an
     # unset cutoff or an infinite SNR is null, as standard JSON has no inf
     snr = bank.config.snr
@@ -288,15 +296,17 @@ def save_filterbank(path, bank, digest):
                          "snr": None if np.isinf(snr) else snr}, sort_keys=True)
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
-                         int(bank.sample_rate), bank.fft_size)
+                         int(stft_cfg.sample_rate), stft_cfg.fft_size)
                  + _string(bank.tag) + _digest_bytes(digest) + _string(config))
         fh.write(np.ascontiguousarray(bank.ears, dtype="<c16"))
 
 
-def load_filterbank(path):
-    """Returns (BsmFilterBank, embedded digest)."""
+def load_filterbank(path, stft_cfg):
+    """Returns (BsmFilterBank, embedded digest) of the run's sampling."""
     cur = _Cursor(path)
     mics, bins, rate, fft_size = cur.header(b"BSMF", "IIII")
+    _require_run(path, "(sample rate, FFT size, bins)", (rate, fft_size, bins),
+                 (stft_cfg.sample_rate, stft_cfg.fft_size, stft_cfg.num_bins))
     tag = cur.string("tag")
     digest = cur.ascii(DIGEST_LEN, "digest")
     config = cur.string("solver config")
@@ -306,8 +316,7 @@ def load_filterbank(path):
         solver = dict(json.loads(config))
         if solver.get("snr") is None:
             solver["snr"] = np.inf
-        bank = BsmFilterBank(ears=ears, tag=tag, config=SolverConfig(**solver),
-                             sample_rate=float(rate), fft_size=fft_size)
+        bank = BsmFilterBank(ears=ears, tag=tag, config=SolverConfig(**solver))
     return bank, digest
 
 
@@ -329,22 +338,23 @@ def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
             fh.write(block)
 
 
-def load_hrtf(path, fft_size):
-    """Read a BSMH container. Responses are the rFFT of each impulse
-    response, zero-padded to fft_size."""
+def load_hrtf(path, stft_cfg):
+    """Read a BSMH container of the run's sample rate. Responses are the
+    rFFT of each impulse response, zero-padded to the run's FFT size."""
     cur = _Cursor(path)
     rate, count, taps = cur.header(b"BSMH", "III")
+    _require_run(path, "sample rate", rate, stft_cfg.sample_rate)
     if count == 0 or taps == 0:
         cur.fail("empty HRTF set")
     table = cur.array("<f8", (count, 2), "direction table")
     irs = cur.array("<f4", (2, count, taps), "impulse responses")
     cur.end()
-    if fft_size < taps:
-        cur.fail(f"{taps}-tap impulse responses exceed fft_size {fft_size}")
+    if stft_cfg.fft_size < taps:
+        cur.fail(f"{taps}-tap impulse responses exceed the FFT size "
+                 f"{stft_cfg.fft_size}")
     with cur.checked("HRTF set"):
         return HrtfSet(directions=as_directions(table),
-                       ears=np.fft.rfft(irs, n=fft_size, axis=2),
-                       sample_rate=float(rate))
+                       ears=np.fft.rfft(irs, n=stft_cfg.fft_size, axis=2))
 
 
 # ---------------------------------------------------------------- manifest
@@ -410,23 +420,25 @@ def verify_artifacts(out_dir, names, expected_digest, stage):
                                      f"{expected_digest})")
 
 
-def _read_checked(path, digest):
-    """One artifact, refused if it embeds another digest: a WAV's float64
-    samples and sample rate, a filter bank or a binaural spectrogram."""
+def _read_checked(path, digest, stft_cfg):
+    """One artifact of the run's digest and sampling: a WAV's float64
+    samples, a filter bank or a binaural spectrogram."""
     if path.suffix == ".wav":
         samples, rate, embedded = read_wav(path)
-        content = np.asarray(samples, float), rate
+        _require_run(path, "sample rate", rate, stft_cfg.sample_rate)
+        content = np.asarray(samples, float)
+    elif path.suffix == ".bsmf":
+        content, embedded = load_filterbank(path, stft_cfg)
     else:
-        reader = {".bsmf": load_filterbank,
-                  ".bsmg": read_binaural_spectrogram}[path.suffix]
-        content, embedded = reader(path)
+        content, embedded = read_binaural_spectrogram(path)
+        _require_run(path, "STFT", content.config, stft_cfg)
     require_digest(path, embedded, digest)
     return content
 
 
-def read_artifacts(out_dir, names, digest, stage):
+def read_artifacts(out_dir, names, digest, stage, stft_cfg):
     """A stage's one checked read: every name against manifest.json first
     (listed, content hash, digest), then an iterator that parses one file
     per step, so no two files' stored bytes are alive at once."""
     verify_artifacts(out_dir, names, digest, stage)
-    return (_read_checked(out_dir / name, digest) for name in names)
+    return (_read_checked(out_dir / name, digest, stft_cfg) for name in names)

@@ -9,10 +9,12 @@ test models, which keeps the whole pipeline self-verifying.
 
 Design fits every model from its responses on a direction grid
 (`point_receiver_hrtf`, whose ears at the center give the flat model, or
-a file's set). The simulated reference takes an HRTF as real channels
-(`HrtfChannels`): the analytic models in closed form by the addition
-theorem, with no fit, and any SH expansion, a file's fitted set, by the
-complex-to-real harmonic map.
+a file's set). A fit is a plain (2, C, bins) array of SH coefficients,
+left ear first, whose order is read from C = (order + 1)^2. The
+simulated reference takes an HRTF as real channels (`HrtfChannels`): the
+analytic models in closed form by the addition theorem, with no fit, and
+any SH expansion, a file's fitted set, by the complex-to-real harmonic
+map.
 """
 
 import math
@@ -33,7 +35,6 @@ class HrtfSet:
 
     directions: np.ndarray = field(repr=False)
     ears: np.ndarray = field(repr=False)
-    sample_rate: float
 
     def __post_init__(self):
         if len(self.directions) == 0:
@@ -50,19 +51,6 @@ class HrtfSet:
     @property
     def num_bins(self):
         return self.ears.shape[2]
-
-
-@dataclass(frozen=True)
-class HrtfSHCoefficients:
-    """Per-bin SH expansion of an HrtfSet, ears (2, C, bins), left first."""
-
-    order: int
-    ears: np.ndarray = field(repr=False)
-    sample_rate: float
-
-    def __post_init__(self):
-        if self.ears.shape[:2] != (2, num_coeffs(self.order)):
-            raise ValueError("coefficient count does not match order")
 
 
 def point_receiver_hrtf(ear_offset, stft_cfg, directions):
@@ -82,8 +70,7 @@ def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     ears = np.empty((2, *phase.shape), dtype=complex)
     np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
     np.conjugate(ears[0], out=ears[1])
-    return HrtfSet(directions=directions, ears=ears,
-                   sample_rate=stft_cfg.sample_rate)
+    return HrtfSet(directions=directions, ears=ears)
 
 
 @dataclass(frozen=True)
@@ -138,13 +125,12 @@ def point_receiver_channels(ear_offset, stft_cfg, order):
     return HrtfChannels(order=order, decode=decode, zonal=True)
 
 
-def sh_channels(coeffs, order):
-    """The real channels of SH coefficients up to min(order, coeffs.order):
-    H_n0 for m = 0, and for m > 0 (H_nm + (-1)^m H_n,-m) / sqrt(2) with
-    the cosine and i (H_nm - (-1)^m H_n,-m) / sqrt(2) with the sine, so
+def sh_channels(h, order):
+    """The real channels of a fit h up to min(order, h's order): H_n0 for
+    m = 0, and for m > 0 (H_nm + (-1)^m H_n,-m) / sqrt(2) with the cosine
+    and i (H_nm - (-1)^m H_n,-m) / sqrt(2) with the sine, so
     sum_k decode_k a_k(u) = sum_c H_c Y_c(u) exactly."""
-    order = min(order, coeffs.order)
-    h = coeffs.ears
+    order = min(order, math.isqrt(h.shape[1]) - 1)
     rows = [h[:, n * n + n] for n in range(order + 1)]
     for m in range(1, order + 1):
         for n in range(m, order + 1):
@@ -232,18 +218,7 @@ def _leading_rows(order, y, rows):
     return (np.conjugate(y, out=y) @ w).T
 
 
-def apply_sh_fit(operator, hrtf_set):
-    """Both ears' SH coefficients from sh_fit_operator's result for the
-    set's directions, one product per ear in one matmul."""
-    if operator.shape[1] != hrtf_set.num_directions:
-        raise ValueError("fit operator does not match the direction count")
-    return HrtfSHCoefficients(order=math.isqrt(operator.shape[0]) - 1,
-                              ears=operator @ hrtf_set.ears,
-                              sample_rate=hrtf_set.sample_rate)
-
-
 def evaluate_sh(coeffs, targets):
-    """Evaluate SH coefficients at (colatitude, azimuth) rows -> HrtfSet."""
-    y = sh_matrix(coeffs.order, targets)
-    return HrtfSet(directions=targets, ears=y @ coeffs.ears,
-                   sample_rate=coeffs.sample_rate)
+    """Evaluate a fit at (colatitude, azimuth) rows -> HrtfSet."""
+    y = sh_matrix(math.isqrt(coeffs.shape[1]) - 1, targets)
+    return HrtfSet(directions=targets, ears=y @ coeffs)

@@ -158,7 +158,8 @@ def _magls_iterate(pm, vh, c):
 @dataclass(frozen=True)
 class BsmFilterBank:
     """Filters per ear and bin, ears shape (2, bins, M) with the left ear
-    first, plus design provenance.
+    first, plus design provenance. The bins are the run's STFT bins; the
+    run's StftConfig, not the bank, holds their sample rate and FFT size.
 
     magls_capped counts the bins, over both ears, whose MagLS solve stopped
     at MAGLS_MAX_ITER without converging. It is a diagnostic of the design
@@ -167,8 +168,6 @@ class BsmFilterBank:
     ears: np.ndarray = field(repr=False)
     tag: str
     config: SolverConfig
-    sample_rate: float
-    fft_size: int
     magls_capped: int = 0
 
     def __post_init__(self):
@@ -178,8 +177,6 @@ class BsmFilterBank:
             raise ValueError(f"unknown filter bank tag {self.tag!r}")
         if not np.all(np.isfinite(self.ears)):
             raise ValueError("non-finite filter coefficients")
-        if self.num_bins != self.fft_size // 2 + 1:
-            raise ValueError("bin count does not match fft_size")
 
     @property
     def num_bins(self):
@@ -227,5 +224,5 @@ def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
             coeffs[b], hit_cap = _magls_iterate(p * np.abs(h[:, b]), vh,
                                                 coeffs[b - 1])
             capped += hit_cap
-    return BsmFilterBank(ears=ears, tag=tag, config=config, magls_capped=capped,
-                         sample_rate=stft_cfg.sample_rate, fft_size=stft_cfg.fft_size)
+    return BsmFilterBank(ears=ears, tag=tag, config=config,
+                         magls_capped=capped)

@@ -5,7 +5,7 @@ frequency, closed-form and truncated-series
 plane-wave steering, the steering
 matrix of one frequency, the unit vector of a direction, the largest
 radius of an array, the Cartesian to spherical conversion, the pinv
-HRTF SH fit and fit-then-evaluate HRTF interpolation, the SH vector of
+HRTF SH fit, the order of a fit and fit-then-evaluate HRTF interpolation, the SH vector of
 one direction, the spherical-harmonic matrix from one call per (n, m)
 and from one call for all directions, the exact SH coefficients of the
 analytic HRTF models, the response of real HRTF channels at a set of
@@ -29,8 +29,7 @@ from scipy import signal as sps
 from scipy import sparse, special
 
 from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart, wavenumbers
-from bsmrender.hrtf import HrtfSHCoefficients, apply_sh_fit, evaluate_sh, \
-    sh_fit_operator
+from bsmrender.hrtf import evaluate_sh, sh_fit_operator
 from bsmrender import solvers
 from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel, render_rir
 from bsmrender.sph import num_coeffs, sh_matrix, steering_tensor
@@ -129,11 +128,16 @@ def cart_to_sph(xyz):
 
 
 def sh_fit(hrtf_set, order):
-    """The pinv oracle: least-squares SH expansion per bin, both ears, by
-    the full fit operator (bitwise np.linalg.pinv of the set's SH matrix,
-    with the library's refusals) applied to the set's responses."""
-    return apply_sh_fit(sh_fit_operator(order, hrtf_set.directions),
-                        hrtf_set)
+    """The pinv oracle: least-squares SH expansion per bin, both ears,
+    (2, C, bins), by the full fit operator (bitwise np.linalg.pinv of the
+    set's SH matrix, with the library's refusals) applied to the set's
+    responses."""
+    return sh_fit_operator(order, hrtf_set.directions) @ hrtf_set.ears
+
+
+def fit_order(coeffs):
+    """The order of (2, C, bins) SH coefficients, C = (order + 1)^2."""
+    return math.isqrt(coeffs.shape[1]) - 1
 
 
 def sh_interpolate(hrtf_set, order, targets):
@@ -188,10 +192,8 @@ def point_receiver_sh(ear_offset, stft_cfg, order):
     degrees = np.arange(order + 1)
     radial = (4 * np.pi * 1j ** degrees)[:, None] \
         * special.spherical_jn(degrees[:, None], ka)
-    ears = np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
+    return np.conj(sh_matrix(order, EAR_DIRECTIONS))[:, :, None] \
         * radial[n_idx]
-    return HrtfSHCoefficients(order=order, ears=ears,
-                              sample_rate=stft_cfg.sample_rate)
 
 
 def channel_response(channels, directions):

@@ -17,21 +17,22 @@ from scipy import signal as sps
 from bsmrender.simulate import _HALF, compute_image_sources, image_lattice
 from bsmrender.sph import num_coeffs
 from bsmrender.stft import Spectrogram, stft
-from oracles import delay_matrix_coo, sh_degrees, sh_weights_loop, \
-    sliding_frames
+from oracles import delay_matrix_coo, fit_order, sh_degrees, \
+    sh_weights_loop, sliding_frames
 
 
 def decode_matrix(hrtf_sh, order):
     """Decode vectors G_(n,m) = (-1)^m H_(n,-m) of both ears, shape
-    (2, C, bins) with C = (min(order, hrtf_sh.order)+1)^2, left ear first.
+    (2, C, bins) with C = (min(order, fit_order(hrtf_sh))+1)^2, left ear
+    first.
 
     Contracting an SH-encoded plane wave with G reproduces the HRTF at the
     wave's arrival direction (up to SH truncation at `order`).
     """
-    n_idx, m_idx = sh_degrees(min(order, hrtf_sh.order))
+    n_idx, m_idx = sh_degrees(min(order, fit_order(hrtf_sh)))
     flipped = (n_idx * n_idx + n_idx - m_idx).astype(int)  # index of (n, -m)
     sign = np.where(m_idx % 2 == 0, 1.0, -1.0)[:, None]
-    return sign * hrtf_sh.ears[:, flipped]
+    return sign * hrtf_sh[:, flipped]
 
 
 def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
@@ -79,7 +80,7 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
     order = int(round(np.sqrt(n_ch))) - 1
     if num_coeffs(order) != n_ch:
         raise ValueError("channel count is not a complete SH band")
-    order = min(order, hrtf_sh.order)
+    order = min(order, fit_order(hrtf_sh))
     g = decode_matrix(hrtf_sh, order)
     spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
     ears = np.stack([np.einsum("cfb,cb->fb", spec, g_ear) for g_ear in g])
@@ -98,7 +99,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
     src = np.asarray(source, float)
-    order = min(order, hrtf_sh.order)
+    order = min(order, fit_order(hrtf_sh))
     g = decode_matrix(hrtf_sh, order)
     degrees = sh_degrees(order)
     direct = images.take(slice(0, 1))

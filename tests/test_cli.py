@@ -335,6 +335,26 @@ def test_wav_source_at_another_rate_fails_config(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("duration, shown, samples",
+                         [("1.0e-5", "1e-05", 0), ("3.0e-5", "3e-05", 1)])
+@pytest.mark.parametrize("stage", ["simulate", "evaluate"])
+def test_source_too_short_to_shape_fails_config(tmp_path, capsys, stage,
+                                                duration, shown, samples):
+    # a synthetic source of 0 samples ended simulate in a ZeroDivisionError
+    # traceback and one of 1 sample, all DC, in a "non-finite sample"
+    # report, while the later stages accepted the config: every stage
+    # refuses it by its key, and no stage runs
+    config_path = tmp_path / "short.yaml"
+    config_path.write_text(f"scene: {{source_duration_s: {duration}}}\n")
+    rc = main([stage, "--out", str(tmp_path / "o"),
+               "--config", str(config_path)])
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err == (
+        "error [config]: scene.source_duration_s: the synthetic source needs "
+        f"at least 2 samples, and {shown} s at 48000 Hz gives {samples}\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_short_window_evaluates_the_octaves_holding_bins(tmp_path):
     # a 2 ms window has 375 Hz bins: the 125 and 250 Hz octaves hold none
     # and are left out instead of failing evaluate after every other stage
@@ -385,6 +405,45 @@ def test_scene_stats_and_verdict(mini_run):
     for report in ("nmse_direct.csv", "nmse_standard.csv"):
         header = (out / report).read_text().split("\n", 1)[0]
         assert header == "ear,freq_hz,nmse_linear,nmse_db,flag"
+
+
+def test_reference_valid_band_on_the_profiles():
+    # kr <= N at the ear offset a = 0.0875 m with N = min(14, 30): both
+    # profiles' reference holds the point model's ears up to 8.73 kHz
+    for profile in ("desk", "paper"):
+        valid = cli.reference_valid_hz(cfgmod.resolve(profile))
+        assert valid == pytest.approx(8734.42, abs=0.01)
+
+
+@pytest.mark.parametrize("hrtf", ["point", "flat", "file"])
+def test_verdict_states_the_reference_valid_band(tmp_path, hrtf):
+    # the point model's order-2 reference (min(reference_order 2,
+    # hrtf_sh_order 5)) holds its ears up to 2 c / (2 pi a); the flat
+    # model's order-0 reference holds them at every bin up to Nyquist, so
+    # no band lies above it; a file's set gets no stated band
+    text = MINI_YAML
+    if hrtf == "flat":
+        text += "  hrtf_ear_offset: 0.0\n"
+    elif hrtf == "file":
+        ir = np.zeros((64, 16))
+        ir[:, 0] = 1.0
+        save_hrtf(tmp_path / "ears.bsmh", spiral_grid(64), ir, ir, 48000)
+        text += f"  hrtf_file: {str(tmp_path / 'ears.bsmh')!r}\n"
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(text)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--out", str(out), "--config",
+                 str(config_path)]) == 0
+    verdict = json.loads((out / "verdict.json").read_text())
+    valid = verdict["reference_valid_hz"]
+    above = verdict["bands_above_reference_valid_hz"]
+    if hrtf == "file":
+        assert valid is None and above is None
+        return
+    want = {"point": 2 * 343.0 / (2 * math.pi * 0.0875), "flat": 24000.0}
+    assert valid == pytest.approx(want[hrtf], rel=1e-12)
+    assert above == [band for band in verdict["bands_hz"] if band[1] > valid]
+    assert len(above) == (6 if hrtf == "point" else 0)
 
 
 def test_anechoic_decomposed_matches_standard(mini_run):
@@ -438,8 +497,8 @@ def test_mismatched_direct_wav_fails_render_stage(mini_run, tmp_path, capsys,
     if new_rate == rate:
         assert "error [render]: mic signal shapes differ" in err
     else:
-        assert err == (f"error [render]: mics_direct.wav: sample rate "
-                       f"{new_rate} is not {rate}\n")
+        assert err == (f"error [render]: {path}: sample rate is {new_rate}, "
+                       f"not the run's {rate}\n")
 
 
 def test_evaluate_refuses_foreign_artifacts(mini_run, tmp_path, capsys):
@@ -493,8 +552,66 @@ def test_other_stft_parameters_fail_evaluate_stage(mini_run, tmp_path,
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["evaluate"]
     assert capsys.readouterr().err == (
-        "error [evaluate]: reference_direct.bsmg: STFT parameters differ "
-        "from the config\n")
+        f"error [evaluate]: {path}: STFT is {other}, not the run's {c}\n")
+
+
+# the mini run's window, hop, FFT size and bins at another sample rate
+OTHER_RATE = StftConfig(44100, 1536, 768)
+
+
+def _wav_at_other_rate(path, digest):
+    write_wav(path, read_wav(path)[0], OTHER_RATE.sample_rate, digest)
+    return "sample rate is 44100, not the run's 48000"
+
+
+def _bank_at_other_rate(path, digest):
+    bank = load_filterbank(path, StftConfig.default())[0]
+    save_filterbank(path, bank, OTHER_RATE, digest)
+    return ("(sample rate, FFT size, bins) is (44100, 2048, 1025), not the "
+            "run's (48000, 2048, 1025)")
+
+
+def _spectrogram_at_other_rate(path, digest):
+    spec = read_binaural_spectrogram(path)[0]
+    write_binaural_spectrogram(path, Spectrogram(spec.data, OTHER_RATE,
+                                                 spec.tag), digest)
+    return f"STFT is {OTHER_RATE}, not the run's {StftConfig.default()}"
+
+
+def _hrtf_at_other_rate(path, digest):
+    ir = np.zeros((64, 16))
+    ir[:, 0] = 1.0
+    save_hrtf(path, spiral_grid(64), ir, ir, OTHER_RATE.sample_rate)
+    return "sample rate is 44100, not the run's 48000"
+
+
+@pytest.mark.parametrize("stage, name, rewrite", [
+    ("render", "mics_full.wav", _wav_at_other_rate),
+    ("evaluate", "reference.bsmg", _spectrogram_at_other_rate),
+    ("render", "bank_reverb.bsmf", _bank_at_other_rate),
+    ("design", "ears.bsmh", _hrtf_at_other_rate),
+], ids=["wav", "bsmg", "bsmf", "bsmh"])
+def test_file_of_another_sampling_fails_its_stage(mini_run, tmp_path, capsys,
+                                                  stage, name, rewrite):
+    # every file is read against the run's StftConfig: one recorded at
+    # 44.1 kHz, vouched for by the manifest under the run's digest (or, a
+    # BSMH, named by the config), is refused by name with its stage's exit
+    # code instead of being read as 48 kHz data
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "other"
+    shutil.copytree(out, work)
+    path, digest = work / name, cfgmod.run_digest(cfg)
+    problem = rewrite(path, digest)
+    if name.endswith(".bsmh"):
+        config_path = tmp_path / "file.yaml"
+        config_path.write_text(MINI_YAML + f"  hrtf_file: {str(path)!r}\n")
+    else:
+        update_manifest(work, [name], digest)
+    rc = main([stage, "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES[stage]
+    assert capsys.readouterr().err == f"error [{stage}]: {path}: {problem}\n"
 
 
 def _rewrite_wav(path, digest):
@@ -503,7 +620,8 @@ def _rewrite_wav(path, digest):
 
 
 def _rewrite_bank(path, digest):
-    save_filterbank(path, load_filterbank(path)[0], digest)
+    stft_cfg = StftConfig.default()  # the mini run's STFT, desk's
+    save_filterbank(path, load_filterbank(path, stft_cfg)[0], stft_cfg, digest)
 
 
 def _rewrite_spectrogram(path, digest):
@@ -613,7 +731,8 @@ def _design_banks(tmp_path, text):
     config_path.write_text(text)
     assert main(["design", "--out", str(out), "--config",
                  str(config_path)]) == 0
-    return [load_filterbank(out / name)[0] for name in BANK_ARTIFACTS]
+    stft_cfg = cfgmod.build_stft_config(cfgmod.resolve("desk", config_path))
+    return [load_filterbank(out / name, stft_cfg)[0] for name in BANK_ARTIFACTS]
 
 
 def test_null_cutoff_designs_plain_ls(tmp_path, capsys, monkeypatch):
@@ -878,7 +997,7 @@ def test_hrtf_fit_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert coeffs.ears.shape == (2, c, bins)
+    assert coeffs.shape == (2, c, bins)
     assert peak <= 1.1 * live, (peak, live)
 
 
@@ -898,8 +1017,8 @@ def test_render_peak_memory(tmp_path):
     for name, tag in zip(BANK_ARTIFACTS, ("direct", "reverberant")):
         ears = rng.standard_normal((2, stft_cfg.num_bins, mics)) + 0j
         save_filterbank(tmp_path / name, solvers.BsmFilterBank(
-            ears=ears, tag=tag, config=solvers.SolverConfig(), sample_rate=fs,
-            fft_size=stft_cfg.fft_size), digest)
+            ears=ears, tag=tag, config=solvers.SolverConfig()), stft_cfg,
+            digest)
     update_manifest(tmp_path, cli.MIC_ARTIFACTS + BANK_ARTIFACTS, digest)
     frames, bins = stft_cfg.num_frames(samples), stft_cfg.num_bins
     block = render.FRAME_BLOCK * (mics * (stft_cfg.fft_size * 8 + 3 * bins * 16)
@@ -964,7 +1083,7 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
 
     def fit_spy(*args):
         events.append(("fit", None))
-        return apply_fit(*args)
+        return fit_operator(*args)
 
     def write_spy(writer):
         def spy(path, *args):
@@ -972,12 +1091,12 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
             return writer(path, *args)
         return spy
 
-    closed_form, apply_fit = cli.point_receiver_channels, cli.apply_sh_fit
+    closed_form, fit_operator = cli.point_receiver_channels, cli.sh_fit_operator
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
     monkeypatch.setattr(cli, "point_receiver_channels", closed_spy)
-    monkeypatch.setattr(cli, "apply_sh_fit", fit_spy)
+    monkeypatch.setattr(cli, "sh_fit_operator", fit_spy)
     monkeypatch.setattr(cli, "write_json", write_spy(cli.write_json))
     monkeypatch.setattr(cli, "write_wav", write_spy(cli.write_wav))
     assert main(["simulate", "--out", str(tmp_path / "o"),

@@ -21,9 +21,8 @@ def _write_run(folder, digest, scale=1.0, snr=np.inf):
     write_binaural_spectrogram(folder / "reference.bsmg",
                                Spectrogram(ears, cfg, "reference"), digest)
     bank = BsmFilterBank(ears=np.ones((2, cfg.num_bins, 3), complex),
-                         tag="direct", config=SolverConfig(snr=snr),
-                         sample_rate=48000, fft_size=cfg.fft_size)
-    save_filterbank(folder / "bank.bsmf", bank, digest)
+                         tag="direct", config=SolverConfig(snr=snr))
+    save_filterbank(folder / "bank.bsmf", bank, cfg, digest)
     write_json(folder / "verdict.json", {"scene_digest": digest, "gain": 1.5})
     (folder / "nmse.csv").write_text("frequency_hz,left_db\n0,-20\n")
     write_json(folder / "manifest.json", {"digest": digest})

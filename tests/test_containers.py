@@ -39,6 +39,8 @@ from bsmrender.stft import Spectrogram, StftConfig
 from oracles import write_binaural_spectrogram_v1
 
 DIGEST = "0123456789abcdef"
+# the run's STFT the sample files are read against: 5 bins of an 8-point FFT
+SAMPLE_STFT = StftConfig(48000, 8, 4)
 
 
 def test_wav_round_trip_with_digest(tmp_path):
@@ -159,11 +161,11 @@ def test_spectrogram_fft_size_must_be_the_windows(tmp_path):
 def test_bank_keeps_an_infinite_snr_and_no_cutoff(tmp_path):
     # both are stored as JSON null and read back as inf and None
     bank = BsmFilterBank(ears=np.ones((2, 5, 3), complex), tag="direct",
-                         config=SolverConfig(), sample_rate=48000, fft_size=8)
-    save_filterbank(tmp_path / "bank.bsmf", bank, DIGEST)
+                         config=SolverConfig())
+    save_filterbank(tmp_path / "bank.bsmf", bank, SAMPLE_STFT, DIGEST)
     assert b'{"magls_cutoff_hz": null, "snr": null}' \
         in (tmp_path / "bank.bsmf").read_bytes()
-    back = load_filterbank(tmp_path / "bank.bsmf")[0].config
+    back = load_filterbank(tmp_path / "bank.bsmf", SAMPLE_STFT)[0].config
     assert back == SolverConfig(snr=np.inf, magls_cutoff_hz=None)
 
 
@@ -181,9 +183,8 @@ def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
 def _write_sample_bsmf(path):
     coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
     bank = BsmFilterBank(ears=np.stack([coeffs, -coeffs]), tag="reverberant",
-                         config=SolverConfig(snr=12.5, magls_cutoff_hz=9000.0),
-                         sample_rate=48000, fft_size=8)
-    save_filterbank(path, bank, DIGEST)
+                         config=SolverConfig(snr=12.5, magls_cutoff_hz=9000.0))
+    save_filterbank(path, bank, SAMPLE_STFT, DIGEST)
 
 
 def _write_sample_bsmh(path):
@@ -194,8 +195,10 @@ def _write_sample_bsmh(path):
 # kind -> (writer of a small valid file, its reader)
 READERS = {"wav": (_write_sample_wav, read_wav),
            "bsmg": (_write_sample_bsmg, read_binaural_spectrogram),
-           "bsmf": (_write_sample_bsmf, load_filterbank),
-           "bsmh": (_write_sample_bsmh, lambda path: load_hrtf(path, 8))}
+           "bsmf": (_write_sample_bsmf,
+                    lambda path: load_filterbank(path, SAMPLE_STFT)),
+           "bsmh": (_write_sample_bsmh,
+                    lambda path: load_hrtf(path, SAMPLE_STFT))}
 
 
 # sha256 of each sample file: BSMG version 2 and the version 1 layouts of
@@ -231,9 +234,9 @@ def _big_spectrogram(path):
 
 def _big_bank(path):
     ears = np.ones((2, 1025, 64), dtype=complex)
-    bank = BsmFilterBank(ears=ears, tag="direct", config=SolverConfig(),
-                         sample_rate=48000, fft_size=2048)
-    return ears.nbytes, lambda: save_filterbank(path, bank, DIGEST)
+    bank = BsmFilterBank(ears=ears, tag="direct", config=SolverConfig())
+    return ears.nbytes, lambda: save_filterbank(
+        path, bank, StftConfig(48000, 2048, 1024), DIGEST)
 
 
 def _big_wav(path):
@@ -395,8 +398,8 @@ def test_read_artifacts_holds_one_file_at_a_time(tmp_path):
     update_manifest(tmp_path, names, DIGEST)
     tracemalloc.start()
     try:
-        read = [data for data, rate in
-                read_artifacts(tmp_path, names, DIGEST, "render")]
+        read = list(read_artifacts(tmp_path, names, DIGEST, "render",
+                                   SAMPLE_STFT))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

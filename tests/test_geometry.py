@@ -117,7 +117,7 @@ def test_bad_direction_raises_and_fails_a_bsmh_file(rows, data):
         ir = np.zeros((len(rows), 4))
         save_hrtf(path, rows, ir, ir, 48000)
         with pytest.raises(ContainerError, match="invalid HRTF set"):
-            load_hrtf(path, 8)
+            load_hrtf(path, StftConfig(48000, 8, 4))
 
 
 def test_as_directions_shapes():

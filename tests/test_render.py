@@ -30,8 +30,7 @@ def _bank(rng, mics, tag="reverberant"):
     shape = (BINS, mics)
     draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return BsmFilterBank(ears=np.stack([draw(), draw()]), tag=tag,
-                         config=SolverConfig(), sample_rate=48000,
-                         fft_size=CFG.fft_size)
+                         config=SolverConfig())
 
 
 def test_apply_filterbank_against_double_loop():
@@ -57,8 +56,7 @@ def test_apply_filterbank_selector():
     ears[0, :, 1] = 1.0
     ears[1, :, 2] = 1.0
     bank = BsmFilterBank(ears=ears, tag="reverberant",
-                         config=SolverConfig(), sample_rate=48000,
-                         fft_size=CFG.fft_size)
+                         config=SolverConfig())
     out = apply_filterbank(bank, x)
     np.testing.assert_array_equal(out.data[0], x.data[1])
     np.testing.assert_array_equal(out.data[1], x.data[2])
@@ -68,8 +66,7 @@ def test_apply_filterbank_zero_bank():
     rng = np.random.default_rng(2)
     x = _spec(rng, 2)
     bank = BsmFilterBank(ears=np.zeros((2, BINS, 2), complex), tag="direct",
-                         config=SolverConfig(), sample_rate=48000,
-                         fft_size=CFG.fft_size)
+                         config=SolverConfig())
     out = apply_filterbank(bank, x)
     np.testing.assert_array_equal(out.data, 0)
 
@@ -197,7 +194,7 @@ def test_decode_matrix_flips_degree_sign():
         assert g.shape == (2, (kept + 1) ** 2, 3)
         for n in range(kept + 1):
             for m in range(-n, n + 1):
-                want = (-1) ** m * coeffs.ears[:, n * n + n - m]
+                want = (-1) ** m * coeffs[:, n * n + n - m]
                 np.testing.assert_array_equal(g[:, n * n + n + m], want)
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bsmrender import config as cfgmod
 from bsmrender.evaluate import band_summary, nmse, octave_bands
 from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
-from bsmrender.hrtf import HrtfSHCoefficients, point_receiver_channels, \
+from bsmrender.hrtf import point_receiver_channels, \
     point_receiver_hrtf, sh_channels
 from bsmrender import simulate
 from bsmrender.simulate import (
@@ -422,11 +422,9 @@ def _reference_hrtf(kind, cfg, ref_order, hrtf_order):
     coeffs = _hrtf_sh(cfg, hrtf_order)
     if kind == "drawn":
         rng = np.random.default_rng(7)
-        shape = coeffs.ears.shape[1:]
+        shape = coeffs.shape[1:]
         draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        coeffs = HrtfSHCoefficients(
-            order=hrtf_order, sample_rate=coeffs.sample_rate,
-            ears=np.stack([draw(), draw()]))
+        coeffs = np.stack([draw(), draw()])
     return coeffs, sh_channels(coeffs, ref_order)
 
 

@@ -1,5 +1,6 @@
 """Filter solvers: LS, covariance-weighted, MagLS, bank design and IO."""
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -248,17 +249,12 @@ def test_filterbank_validation():
     cfg = SolverConfig()
     for bad in (ears[0], ears[:1], ears[None]):
         with pytest.raises(ValueError, match=r"shape \(2, bins, M\)"):
-            BsmFilterBank(ears=bad, tag="direct", config=cfg,
-                          sample_rate=48000, fft_size=8)
+            BsmFilterBank(ears=bad, tag="direct", config=cfg)
     with pytest.raises(ValueError):
-        BsmFilterBank(ears=ears, tag="mystery", config=cfg,
-                      sample_rate=48000, fft_size=8)
+        BsmFilterBank(ears=ears, tag="mystery", config=cfg)
     with pytest.raises(ValueError):
         BsmFilterBank(ears=np.full((2, 5, 3), np.inf, complex), tag="direct",
-                      config=cfg, sample_rate=48000, fft_size=8)
-    with pytest.raises(ValueError):
-        BsmFilterBank(ears=ears, tag="direct", config=cfg,
-                      sample_rate=48000, fft_size=16)
+                      config=cfg)
 
 
 def test_filterbank_io_round_trip(tmp_path):
@@ -269,12 +265,13 @@ def test_filterbank_io_round_trip(tmp_path):
     bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
                              tag="reverberant")
     path = tmp_path / "bank.bsmf"
-    save_filterbank(path, bank, "ab" * 8)
-    back, digest = load_filterbank(path)
+    save_filterbank(path, bank, STFT_SMALL, "ab" * 8)
+    back, digest = load_filterbank(path, STFT_SMALL)
     assert digest == "ab" * 8
     assert back.tag == "reverberant"
     assert back.config == cfg
-    assert back.sample_rate == 48000 and back.fft_size == 8
+    # mics, bins, then the sample rate and FFT size of the run's STFT
+    assert struct.unpack_from("<4I", path.read_bytes(), 8) == (3, 5, 48000, 8)
     assert_bits_equal(back.ears, bank.ears)
 
 
@@ -282,7 +279,7 @@ def test_filterbank_io_rejects_damage(tmp_path):
     path = tmp_path / "bank.bsmf"
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ContainerError):
-        load_filterbank(path)
+        load_filterbank(path, STFT_SMALL)
 
 
 def test_solver_config_validation():
@@ -321,10 +318,9 @@ def test_capped_count_is_not_stored(tmp_path):
     bank = design_filterbank(geom, STFT_SMALL, hrtf, SolverConfig(),
                              tag="reverberant")
     capped = BsmFilterBank(ears=bank.ears, tag=bank.tag,
-                           config=bank.config, sample_rate=bank.sample_rate,
-                           fft_size=bank.fft_size, magls_capped=7)
-    save_filterbank(tmp_path / "a.bsmf", bank, "ab" * 8)
-    save_filterbank(tmp_path / "b.bsmf", capped, "ab" * 8)
+                           config=bank.config, magls_capped=7)
+    save_filterbank(tmp_path / "a.bsmf", bank, STFT_SMALL, "ab" * 8)
+    save_filterbank(tmp_path / "b.bsmf", capped, STFT_SMALL, "ab" * 8)
     assert (tmp_path / "a.bsmf").read_bytes() \
         == (tmp_path / "b.bsmf").read_bytes()
 
@@ -332,8 +328,7 @@ def test_capped_count_is_not_stored(tmp_path):
 def _random_hrtf(rng, stft_cfg, doas):
     shape = (len(doas), stft_cfg.num_bins)
     draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return HrtfSet(directions=tuple(doas), ears=np.stack([draw(), draw()]),
-                   sample_rate=stft_cfg.sample_rate)
+    return HrtfSet(directions=tuple(doas), ears=np.stack([draw(), draw()]))
 
 
 def _relative_per_bin(got, want):
@@ -424,8 +419,7 @@ def test_design_filterbank_zero_response_keeps_angle_phase(monkeypatch):
     doas = spiral_grid(2)
     ones = np.ones(stft_cfg.num_bins, complex)
     hrtf = HrtfSet(directions=tuple(doas),
-                   ears=np.array([[ones, 0 * ones], [ones, 2j * ones]]),
-                   sample_rate=48000)
+                   ears=np.array([[ones, 0 * ones], [ones, 2j * ones]]))
     cfg = SolverConfig(snr=10.0, magls_cutoff_hz=6000.0)
     geom = semicircle_array(2, 0.07)
     bank = design_filterbank(geom, stft_cfg, hrtf, cfg, tag="reverberant")
