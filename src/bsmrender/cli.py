@@ -20,8 +20,8 @@ from .containers import (canonical_json, load_hrtf, read_artifacts,
                          save_filterbank, update_manifest,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, compare, nmse, weighted_db,
-                       write_comparison, write_report)
-from .geometry import SPEED_OF_SOUND, as_directions
+                       write_report)
+from .geometry import SPEED_OF_SOUND, as_directions, sph_to_cart
 from .hrtf import (evaluate_sh, point_receiver_channels, point_receiver_hrtf,
                    sh_channels, sh_fit_operator)
 from .render import render_estimates
@@ -29,19 +29,17 @@ from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid
-from .stft import istft
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
 MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
-SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg",
-                                 "reference.wav", "reference_direct.wav")
+SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg")
 BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
 SPECTRO_ARTIFACTS = ("bsm_standard.bsmg", "component_direct.bsmg",
                      "component_reverb.bsmg", "reference.bsmg",
                      "reference_direct.bsmg")
 REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
-                    "nmse_decomposed.csv", "comparison.csv", "verdict.json")
+                    "nmse_decomposed.csv", "verdict.json")
 
 
 def _hrtf_coeffs(cfg, stft_cfg, keep_order):
@@ -83,14 +81,12 @@ def _reference_channels(cfg, stft_cfg, order):
 def run_simulate(cfg, out_dir, digest):
     scene_cfg = cfg["scene"]
     scene = cfgmod.build_scene(cfg)
-    max_order = scene_cfg["max_reflection_order"]
     rir_s = scene_cfg["rir_seconds"]
-    fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
     # a too-short RIR fails before a file HRTF's fit, and a refused fit
     # before the first write
-    images = scene_images(scene, max_order, rir_s)
+    images = scene_images(scene, scene_cfg["max_reflection_order"], rir_s)
     channels = _reference_channels(cfg, stft_cfg,
                                    cfg["design"]["reference_order"])
     stats = scene_statistics(scene, images, rir_s)
@@ -100,8 +96,8 @@ def run_simulate(cfg, out_dir, digest):
     # sensor noise belongs to the measurement; the oracle direct component
     # stays clean
     x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)
-    write_wav(out_dir / "mics_full.wav", x, fs, digest)
-    write_wav(out_dir / "mics_direct.wav", x_d, fs, digest)
+    write_wav(out_dir / "mics_full.wav", x, stft_cfg.sample_rate, digest)
+    write_wav(out_dir / "mics_direct.wav", x_d, stft_cfg.sample_rate, digest)
     # written; the reference needs neither them nor the per-mic images
     center = images[0]
     del x, x_d, images
@@ -110,11 +106,9 @@ def run_simulate(cfg, out_dir, digest):
         center, scene.source_signal, channels, stft_cfg, rir_s)
     for name, spec in zip(("reference", "reference_direct"), references):
         write_binaural_spectrogram(out_dir / f"{name}.bsmg", spec, digest)
-        write_wav(out_dir / f"{name}.wav", istft(spec), fs, digest)
     update_manifest(out_dir, SIM_ARTIFACTS + ("scene_stats.json",), digest)
-    t60 = stats["t60_s"]
+    t60, drr = stats["t60_s"], stats["drr_db"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
-    drr = stats["drr_db"]
     drr_text = f"{drr:+.2f} dB" if drr is not None else "anechoic"
     print(f"simulate: {stats['image_count']} images, "
           f"drr {drr_text}, t60 {t60_text}")
@@ -156,25 +150,16 @@ def run_design(cfg, out_dir, digest):
 
 
 def run_render(cfg, out_dir, digest):
-    fs = cfg["sample_rate"]
     stft_cfg = cfgmod.build_stft_config(cfg)
     full, direct, bank_d, bank_r = read_artifacts(
         out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render", stft_cfg)
     # the estimates' files are named by tag: bsm-standard, bsm_standard.bsmg
     results = {f"{tag.replace('-', '_')}.bsmg": spec for tag, spec in
                render_estimates(full, direct, bank_d, bank_r, stft_cfg).items()}
-    del full, direct  # dead once filtered, freed before the WAVs' istft
     for name, spec in results.items():
         write_binaural_spectrogram(out_dir / name, spec, digest)
-    write_wav(out_dir / "render_standard.wav",
-              istft(results["bsm_standard.bsmg"]), fs, digest)
-    # evaluate forms the same sum from the two component files
-    write_wav(out_dir / "render_decomposed.wav",
-              istft(results["component_direct.bsmg"]
-                    + results["component_reverb.bsmg"]), fs, digest)
-    names = [*results, "render_standard.wav", "render_decomposed.wav"]
-    update_manifest(out_dir, names, digest)
-    print(f"render: {len(names)} artifacts, "
+    update_manifest(out_dir, results, digest)
+    print(f"render: {len(results)} artifacts, "
           f"{results['bsm_standard.bsmg'].num_frames} frames")
     return results
 
@@ -182,6 +167,15 @@ def run_render(cfg, out_dir, digest):
 def near_ear(cfg):
     """Which ear faces the direct source (ears sit on the +/- y axis)."""
     return "left" if np.sin(cfg["design"]["direct_doa"][1]) >= 0 else "right"
+
+
+def direct_doa_offset_deg(cfg):
+    """Degrees from design.direct_doa to the source seen from the array
+    center: atan2(|s x u|, s . u), which keeps a match at rounding level."""
+    scene = cfg["scene"]
+    s = np.subtract(scene["source_position"], scene["array_center"])
+    u = sph_to_cart((1.0, *cfg["design"]["direct_doa"]))
+    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(s, u)), s @ u)))
 
 
 def reference_valid_hz(cfg):
@@ -217,10 +211,7 @@ def run_evaluate(cfg, out_dir, digest):
     for name, report in reports.items():
         write_report(out_dir / f"nmse_{name}.csv", report)
 
-    per_bin, gain, improved = compare(reports["decomposed"],
-                                      reports["standard"])
-    write_comparison(out_dir / "comparison.csv",
-                     reports["standard"].frequencies, per_bin)
+    _, gain, improved = compare(reports["decomposed"], reports["standard"])
 
     bands = cfgmod.eval_bands(cfg)
     band_gain = (band_summary(reports["standard"], bands)
@@ -239,6 +230,7 @@ def run_evaluate(cfg, out_dir, digest):
         "bands_hz": [[float(lo), float(hi)] for lo, hi in bands],
         "band_improvement_db": dict(zip(EARS, band_gain.tolist())),
         "near_ear": ear_near,
+        "direct_doa_offset_deg": direct_doa_offset_deg(cfg),
         "near_ear_bands_improved_1db": int(
             np.sum(band_gain[EARS.index(ear_near)] >= 1.0)),
         "reference_valid_hz": valid_hz,

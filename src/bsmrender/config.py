@@ -13,7 +13,8 @@ import math
 import numpy as np
 import yaml
 
-from .containers import ContainerError, file_sha256, read_wav, scene_digest
+from .containers import (ContainerError, file_sha256, read_hrtf_header,
+                         read_wav, scene_digest)
 from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import ArrayGeometry, as_directions, semicircle_array, sph_to_cart
 from .simulate import (RoomSpec, Scene, reflection_for_t60, signal_length,
@@ -228,8 +229,8 @@ def resolve(profile="desk", config_path=None, seed=None):
         raise ConfigError("set exactly one of scene.target_t60_s and "
                           "scene.reflection_coefficients")
     # the overlap-add rules, the bands' bins, the frames left after the
-    # edge trim, the direct DOA, the microphone rows and the design's fit
-    # and cutoff fail here, not in a stage
+    # edge trim, the direct DOA, the microphone rows, the HRTF set's rate
+    # and fit and the design's cutoff fail here, not in a stage
     nyquist = build_stft_config(cfg).bin_frequencies()[-1]
     eval_bands(cfg)
     _check_frame_trim(cfg)
@@ -239,11 +240,7 @@ def resolve(profile="desk", config_path=None, seed=None):
     except ValueError as err:
         raise ConfigError(f"design.direct_doa: {err}") from None
     build_array(cfg)
-    order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
-    # a file set's direction count is in its header, so design checks its fit
-    if design["hrtf_file"] is None and num_coeffs(order) > size:
-        raise ConfigError(f"design.hrtf_sh_order {order} needs design."
-                          f"hrtf_grid_size >= {num_coeffs(order)}, got {size}")
+    _check_hrtf_set(design, cfg["sample_rate"])
     cutoff = design["magls_cutoff_hz"]
     if cutoff is not None and cutoff > nyquist:
         raise ConfigError(f"design.magls_cutoff_hz {cutoff:g} is above the "
@@ -295,6 +292,25 @@ def _check_frame_trim(cfg):
         raise ConfigError(f"evaluation.frame_trim {trim} leaves no frame: "
                           f"the run has {frames} STFT frames and the trim "
                           f"drops {trim} from each end")
+
+
+def _check_hrtf_set(design, fs):
+    """Refuse too few HRTF directions for the fit, or a file header's rate
+    other than `fs`; a file that does not parse is left to the stage."""
+    order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
+    where, path = "design.hrtf_grid_size", design["hrtf_file"]
+    if path is not None:
+        try:
+            rate, size, _ = read_hrtf_header(path)
+        except (ContainerError, OSError):
+            return
+        if rate != fs:
+            raise ConfigError(f"{path}: sample rate is {rate}, not the run's "
+                              f"{fs}")
+        where = "design.hrtf_file's direction count"
+    if num_coeffs(order) > size:
+        raise ConfigError(f"design.hrtf_sh_order {order} needs {where} >= "
+                          f"{num_coeffs(order)}, got {size}")
 
 
 def snr_linear(db_value):

@@ -338,6 +338,12 @@ def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
             fh.write(block)
 
 
+def read_hrtf_header(path):
+    """(sample rate, directions, taps) from a BSMH file's 20-byte header."""
+    with open(path, "rb") as fh:
+        return _Cursor(path, fh.read(20)).header(b"BSMH", "III")
+
+
 def load_hrtf(path, stft_cfg):
     """Read a BSMH container of the run's sample rate. Responses are the
     rFFT of each impulse response, zero-padded to the run's FFT size."""

@@ -130,23 +130,14 @@ def _field(value):
     return repr(value) if value == value else ""
 
 
-def _write_rows(path, header, frequencies, *columns):
-    """CSV rows (ear, freq_hz, *header) of (2, bins) columns, ear first."""
-    lines = [",".join(("ear", "freq_hz", *header))]
+def write_report(path, report):
+    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag) of a report,
+    ear first."""
+    columns = (report.linear, report.db(),
+               np.where(report.flags, FLAG_LOW, FLAG_OK))
+    lines = ["ear,freq_hz,nmse_linear,nmse_db,flag"]
     for ear, *ear_columns in zip(EARS, *(c.tolist() for c in columns)):
-        for freq, *values in zip(frequencies.tolist(), *ear_columns):
+        for freq, *values in zip(report.frequencies.tolist(), *ear_columns):
             lines.append(",".join((ear, _field(freq), *map(_field, values))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_report(path, report):
-    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag) of a report."""
-    _write_rows(path, ("nmse_linear", "nmse_db", "flag"), report.frequencies,
-                report.linear, report.db(),
-                np.where(report.flags, FLAG_LOW, FLAG_OK))
-
-
-def write_comparison(path, frequencies, per_bin):
-    """CSV rows (ear, freq_hz, improvement_db) of compare's per_bin."""
-    _write_rows(path, ("improvement_db",), frequencies, per_bin)

@@ -365,7 +365,8 @@ def add_noise(signals, snr, seed=0):
 
 def eyring_t60(room):
     """Eyring reverberation time from the room's reflection coefficients."""
-    areas = _wall_areas(room.dimensions)
+    lx, ly, lz = room.dimensions
+    areas = np.repeat([ly * lz, lx * lz, lx * ly], 2)  # the walls' order
     absorb = 1.0 - np.asarray(room.reflection_coefficients) ** 2
     mean_abs = float(np.dot(areas, absorb) / areas.sum())
     if mean_abs <= 0:
@@ -377,16 +378,9 @@ def eyring_t60(room):
 
 def reflection_for_t60(dimensions, t60):
     """Uniform wall reflection coefficient hitting an Eyring T60 target."""
-    lx, ly, lz = dimensions
-    volume = lx * ly * lz
-    surface = 2.0 * (lx * ly + lx * lz + ly * lz)
-    alpha = 1.0 - np.exp(-0.161 * volume / (surface * t60))
+    room = RoomSpec(dimensions, (0.0,) * 6)
+    alpha = 1.0 - np.exp(-0.161 * room.volume / (room.surface * t60))
     return float(np.sqrt(1.0 - alpha))
-
-
-def _wall_areas(dimensions):
-    lx, ly, lz = dimensions
-    return np.array([ly * lz, ly * lz, lx * lz, lx * lz, lx * ly, lx * ly])
 
 
 def estimate_t60(rir, sample_rate):

@@ -369,19 +369,21 @@ def test_short_window_evaluates_the_octaves_holding_bins(tmp_path):
 
 
 def test_pipeline_writes_every_artifact(mini_run):
+    # each result is stored once: no listenable WAV, which is the istft of
+    # a stored spectrogram, and no comparison.csv, which is the difference
+    # of two reports' nmse_db columns
     cfg, _, out = mini_run
-    names = (SIM_ARTIFACTS + BANK_ARTIFACTS + SPECTRO_ARTIFACTS
-             + REPORT_ARTIFACTS
-             + ("scene_stats.json", "render_standard.wav",
-                "render_decomposed.wav", "reference.wav",
-                "reference_direct.wav"))
-    for name in names:
-        assert (out / name).exists(), name
-    assert not list(out.glob("*.bsma"))
-    # evaluate sums the two component files itself
-    assert not (out / "bsm_decomposed.bsmg").exists()
-    # the manifest covers them all under the run digest
-    verify_artifacts(out, names, cfgmod.run_digest(cfg), "test")
+    names = {*SIM_ARTIFACTS, *BANK_ARTIFACTS, *SPECTRO_ARTIFACTS,
+             *REPORT_ARTIFACTS, "scene_stats.json"}
+    assert len(names) == 15
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        names | {"manifest.json"})
+    assert sorted(p.name for p in out.glob("*.wav")) == [
+        "mics_direct.wav", "mics_full.wav"]
+    # the manifest lists exactly them, under the run digest
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["artifacts"]) == names
+    verify_artifacts(out, sorted(names), cfgmod.run_digest(cfg), "test")
 
 
 def test_anechoic_full_equals_direct(mini_run):
@@ -399,6 +401,8 @@ def test_scene_stats_and_verdict(mini_run):
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["scene_digest"] == cfgmod.run_digest(cfg)
     assert verdict["near_ear"] == "left"
+    # the direct DOA points along the array center's x axis at the source
+    assert verdict["direct_doa_offset_deg"] < 1e-12
     # no reverberant field -> that report is fully flagged
     assert verdict["broadband_nmse_db"]["reverb"]["left"] is None
     assert verdict["broadband_nmse_db"]["direct"]["left"] is not None
@@ -585,18 +589,20 @@ def _hrtf_at_other_rate(path, digest):
     return "sample rate is 44100, not the run's 48000"
 
 
-@pytest.mark.parametrize("stage, name, rewrite", [
-    ("render", "mics_full.wav", _wav_at_other_rate),
-    ("evaluate", "reference.bsmg", _spectrogram_at_other_rate),
-    ("render", "bank_reverb.bsmf", _bank_at_other_rate),
-    ("design", "ears.bsmh", _hrtf_at_other_rate),
+@pytest.mark.parametrize("stage, name, rewrite, refused_by", [
+    ("render", "mics_full.wav", _wav_at_other_rate, "render"),
+    ("evaluate", "reference.bsmg", _spectrogram_at_other_rate, "evaluate"),
+    ("render", "bank_reverb.bsmf", _bank_at_other_rate, "render"),
+    ("design", "ears.bsmh", _hrtf_at_other_rate, "config"),
 ], ids=["wav", "bsmg", "bsmf", "bsmh"])
 def test_file_of_another_sampling_fails_its_stage(mini_run, tmp_path, capsys,
-                                                  stage, name, rewrite):
+                                                  stage, name, rewrite,
+                                                  refused_by):
     # every file is read against the run's StftConfig: one recorded at
-    # 44.1 kHz, vouched for by the manifest under the run's digest (or, a
-    # BSMH, named by the config), is refused by name with its stage's exit
-    # code instead of being read as 48 kHz data
+    # 44.1 kHz, vouched for by the manifest under the run's digest, is
+    # refused by name with its stage's exit code instead of being read as
+    # 48 kHz data; a BSMH named by the config is refused, in the same
+    # words, when the config resolves, before any stage
     cfg, config_path, out = mini_run
     import shutil
 
@@ -610,8 +616,9 @@ def test_file_of_another_sampling_fails_its_stage(mini_run, tmp_path, capsys,
     else:
         update_manifest(work, [name], digest)
     rc = main([stage, "--out", str(work), "--config", str(config_path)])
-    assert rc == EXIT_CODES[stage]
-    assert capsys.readouterr().err == f"error [{stage}]: {path}: {problem}\n"
+    assert rc == EXIT_CODES[refused_by]
+    assert capsys.readouterr().err == (f"error [{refused_by}]: {path}: "
+                                       f"{problem}\n")
 
 
 def _rewrite_wav(path, digest):
@@ -690,7 +697,9 @@ def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
     save_hrtf(hrtf, spiral_grid(4), ir, ir, 48000)
     hrtf.write_bytes(hrtf.read_bytes()[:50])  # cut inside the direction table
     config_path = tmp_path / "hrtf.yaml"
-    config_path.write_text(f"design:\n  hrtf_file: {str(hrtf)!r}\n")
+    # order 1 fits the header's 4 directions, so resolve passes the file
+    config_path.write_text(f"design:\n  hrtf_file: {str(hrtf)!r}\n"
+                           "  hrtf_sh_order: 1\n")
     rc = main(["design", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
     assert rc == EXIT_CODES["design"]
@@ -1004,8 +1013,7 @@ def test_hrtf_fit_peak_memory():
 def test_render_peak_memory(tmp_path):
     # the mic spectrograms exist one block of frames at a time: the traced
     # peak is the float64 mic samples, the three (2, frames, bins) outputs
-    # and one block (a frame buffer, x, x_d and x_r, one estimate), and the
-    # samples are freed before the WAV writes' inverse transforms
+    # and one block (a frame buffer, x, x_d and x_r, one estimate)
     cfg = cfgmod.resolve("desk")
     digest = cfgmod.run_digest(cfg)
     stft_cfg = cfgmod.build_stft_config(cfg)

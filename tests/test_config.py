@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bsmrender.cli import main
+from bsmrender.cli import direct_doa_offset_deg, main
 from bsmrender.config import (
     _SCHEMA,
     ConfigError,
@@ -20,7 +20,6 @@ from bsmrender.config import (
 )
 from bsmrender.containers import (file_sha256, read_wav, save_hrtf,
                                   scene_digest, write_wav)
-from bsmrender.geometry import sph_to_cart
 from bsmrender.simulate import reflection_for_t60
 from bsmrender.sph import spiral_grid
 
@@ -94,7 +93,7 @@ def test_set_inputs_are_used(tmp_path):
     save_hrtf(hrtf, spiral_grid(4), ir, ir, 48000)
     text = (f"scene:\n  source_wav: {str(source)!r}\n"
             "  array_mics: [[0.02, 1.5, 0.5], [0.03, 1.0, 2.0]]\n"
-            f"design:\n  hrtf_file: {str(hrtf)!r}\n")
+            f"design:\n  hrtf_file: {str(hrtf)!r}\n  hrtf_sh_order: 1\n")
     cfg = resolve("desk", _write(tmp_path, text))
     assert run_digest(cfg) == scene_digest(cfg, {
         "source_wav": file_sha256(source), "hrtf_file": file_sha256(hrtf)})
@@ -213,10 +212,51 @@ def test_hrtf_order_beyond_its_grid_is_a_config_error(offset, tmp_path,
 
 
 def test_hrtf_file_order_is_left_to_the_stage(tmp_path):
-    # a file set's direction count is in its header, which design reads
+    # set.bsmh does not exist, so resolve has no header to count: the
+    # stage that reads the file refuses it
     text = ("design:\n  hrtf_file: set.bsmh\n"
             "  hrtf_grid_size: 1\n  hrtf_sh_order: 40\n")
     assert resolve("desk", _write(tmp_path, text))["design"]["hrtf_sh_order"] == 40
+
+
+def _hrtf_file_yaml(tmp_path, count, rate):
+    """A desk override whose design.hrtf_file holds `count` directions
+    sampled at `rate`."""
+    path = tmp_path / "ears.bsmh"
+    ir = np.zeros((count, 16))
+    save_hrtf(path, spiral_grid(count), ir, ir, rate)
+    return f"design:\n  hrtf_file: {str(path)!r}\n"
+
+
+def test_hrtf_file_of_another_rate_is_a_config_error(tmp_path, capsys):
+    # read from the header at --dry-run, as a source WAV's rate is, not by
+    # simulate (exit 2) or design (exit 3)
+    text = _hrtf_file_yaml(tmp_path, 1000, 44100)
+    assert _dry_run(tmp_path, capsys, text) == (1, (
+        f"error [config]: {tmp_path / 'ears.bsmh'}: sample rate is 44100, "
+        "not the run's 48000\n"))
+
+
+def test_hrtf_file_too_small_for_its_fit_is_a_config_error(tmp_path, capsys):
+    # desk's order-30 fit has 961 coefficients: a 500-direction file is
+    # refused with the message an analytic grid gets, and 961 resolve
+    text = _hrtf_file_yaml(tmp_path, 500, 48000)
+    assert _dry_run(tmp_path, capsys, text) == (1, (
+        "error [config]: design.hrtf_sh_order 30 needs design.hrtf_file's "
+        "direction count >= 961, got 500\n"))
+    resolve("desk", _write(tmp_path, _hrtf_file_yaml(tmp_path, 961, 48000)))
+
+
+def test_hrtf_file_that_does_not_parse_is_left_to_the_stage(tmp_path,
+                                                            capsys):
+    # a damaged header is simulate's to refuse, as a damaged source WAV is
+    text = _hrtf_file_yaml(tmp_path, 500, 48000)
+    (tmp_path / "ears.bsmh").write_bytes(b"BSMH")
+    assert _dry_run(tmp_path, capsys, text)[0] == 0
+    assert main(["simulate", "--out", str(tmp_path / "out"), "--config",
+                 _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [simulate]: {tmp_path / 'ears.bsmh'}: truncated header\n")
 
 
 def test_magls_cutoff_above_nyquist_is_a_config_error(tmp_path, capsys):
@@ -253,13 +293,30 @@ def test_snr_out_of_range_is_a_config_error(section, key, db, tmp_path,
 @pytest.mark.parametrize("profile", ["desk", "paper"])
 def test_direct_doa_points_at_the_source(profile):
     # design.direct_doa is set apart from the scene's positions: the
-    # direct bank of each profile must still steer at its own source
-    cfg = resolve(profile)
+    # direct bank of each profile must still steer at its own source.
+    # Desk's source lies on its DOA, and atan2 keeps that at rounding
+    # level where arccos would read about 1e-6 degrees; paper steers at
+    # 30 degrees at a source that lies at 29.88
+    offset = direct_doa_offset_deg(resolve(profile))
+    if profile == "desk":
+        assert offset < 1e-12
+    else:
+        assert offset == pytest.approx(0.124, abs=1e-3)
+
+
+def test_direct_doa_offset_follows_a_moved_source():
+    # a scene override that turns the source 10 degrees in azimuth about
+    # the array center leaves the direct bank steering the old way; the
+    # verdict's direct_doa_offset_deg says by how much
+    cfg = resolve("desk")
     scene = cfg["scene"]
-    toward = np.subtract(scene["source_position"], scene["array_center"])
-    steered = sph_to_cart((1.0, *cfg["design"]["direct_doa"]))
-    cosine = steered @ toward / np.linalg.norm(toward)
-    assert math.degrees(math.acos(min(cosine, 1.0))) < 0.2
+    center = np.array(scene["array_center"])
+    turn = math.radians(10.0)
+    rot = np.array([[math.cos(turn), -math.sin(turn), 0.0],
+                    [math.sin(turn), math.cos(turn), 0.0], [0.0, 0.0, 1.0]])
+    source = center + rot @ (np.array(scene["source_position"]) - center)
+    scene["source_position"] = source.tolist()
+    assert direct_doa_offset_deg(cfg) == pytest.approx(10.0, rel=1e-12)
 
 
 def test_snr_linear():

@@ -34,7 +34,7 @@ from bsmrender.containers import (
 )
 from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
-from bsmrender.stft import Spectrogram, StftConfig
+from bsmrender.stft import Spectrogram, StftConfig, istft, stft
 
 from oracles import write_binaural_spectrogram_v1
 
@@ -113,6 +113,21 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     assert spec.tag == "reference"
     assert digest == DIGEST
     assert spec.config == cfg
+
+
+def test_stored_spectrogram_is_listenable(tmp_path):
+    # a run stores no WAV of a spectrogram: istft of the file read back is
+    # the listenable signal, within single-precision rounding of istft of
+    # the float64 spectrogram before it was written
+    cfg = StftConfig.default()
+    signal = np.random.default_rng(3).standard_normal((48000, 2))
+    spec = stft(signal, cfg, tag="reference")
+    path = tmp_path / "reference.bsmg"
+    write_binaural_spectrogram(path, spec, DIGEST)
+    want = istft(spec)
+    got = istft(read_binaural_spectrogram(path)[0])
+    rms = np.sqrt(np.mean((got - want) ** 2) / np.mean(want ** 2))
+    assert rms < 1e-7, rms
 
 
 @pytest.mark.parametrize("frames", [0, 1, 31, 32, 33, 70])

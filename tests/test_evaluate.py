@@ -14,7 +14,6 @@ from bsmrender.evaluate import (
     nmse,
     octave_bands,
     weighted_db,
-    write_comparison,
     write_report,
 )
 from bsmrender.stft import Spectrogram, StftConfig
@@ -250,15 +249,3 @@ def test_report_csv_flags_leave_blanks(tmp_path):
     row = path.read_text().strip().split("\n")[1 + 7].split(",")
     assert row[2] == "" and row[3] == ""
     assert row[4] == FLAG_LOW
-
-
-def test_comparison_csv(tmp_path):
-    rng = np.random.default_rng(15)
-    est, ref = _random_pair(rng, scale=0.2)
-    rep = nmse(est, ref)
-    per_bin = compare(rep, rep)[0]
-    path = tmp_path / "comparison.csv"
-    write_comparison(path, rep.frequencies, per_bin)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "ear,freq_hz,improvement_db"
-    assert len(lines) == 1 + 2 * BINS
