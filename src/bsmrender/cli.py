@@ -28,16 +28,17 @@ from .render import render_estimates
 from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
-from .sph import spiral_grid
+from .sph import spiral_grid, steering_tensor
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
 MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
 SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg")
 BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
-SPECTRO_ARTIFACTS = ("bsm_standard.bsmg", "component_direct.bsmg",
-                     "component_reverb.bsmg", "reference.bsmg",
-                     "reference_direct.bsmg")
+# in the order evaluate reads them
+SPECTRO_ARTIFACTS = ("reference_direct.bsmg", "component_direct.bsmg",
+                     "reference.bsmg", "component_reverb.bsmg",
+                     "bsm_standard.bsmg")
 REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
                     "nmse_decomposed.csv", "verdict.json")
 
@@ -46,23 +47,19 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
     """SH expansion of the configured HRTF up to `keep_order` at the STFT's
     bins; only those rows of the fit operator are formed and applied.
 
-    For the point model the fit operator is built before the responses
-    exist, so the fit's SVD and the responses are never held at once; a
-    file's directions define the operator, so its set is loaded first.
+    The point model's responses are formed after the fit operator, so the
+    fit's SVD never meets them; a file's directions define the operator.
     """
     design = cfg["design"]
     path = design["hrtf_file"]
-    if path is not None:
-        base = load_hrtf(path, stft_cfg)
-        measured_on = base.directions
-    else:
-        measured_on = spiral_grid(design["hrtf_grid_size"])
+    measured_on, ears = load_hrtf(path, stft_cfg) if path is not None \
+        else (spiral_grid(design["hrtf_grid_size"]), None)
     operator = sh_fit_operator(design["hrtf_sh_order"], measured_on,
                                keep_order)
-    if path is None:
-        base = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
+    if ears is None:
+        ears = point_receiver_hrtf(design["hrtf_ear_offset"], stft_cfg,
                                    measured_on)
-    return operator @ base.ears
+    return operator @ ears
 
 
 def _reference_channels(cfg, stft_cfg, order):
@@ -133,9 +130,11 @@ def run_design(cfg, out_dir, digest):
     reverb_cfg = SolverConfig(snr=cfgmod.snr_linear(design["reverb_snr_db"]),
                               magls_cutoff_hz=design["magls_cutoff_hz"])
 
-    bank_d = design_filterbank(geom, stft_cfg, hrtf_d, direct_cfg, tag="direct")
-    bank_r = design_filterbank(geom, stft_cfg, hrtf_r, reverb_cfg,
-                               tag="reverberant")
+    # each bank's steering tensor, built from its DOAs, lives for its design
+    bank_d = design_filterbank(steering_tensor(stft_cfg, geom, direct_doas),
+                               hrtf_d, stft_cfg, direct_cfg, tag="direct")
+    bank_r = design_filterbank(steering_tensor(stft_cfg, geom, reverb_doas),
+                               hrtf_r, stft_cfg, reverb_cfg, tag="reverberant")
     save_filterbank(out_dir / "bank_direct.bsmf", bank_d, stft_cfg, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, stft_cfg, digest)
     update_manifest(out_dir, BANK_ARTIFACTS, digest)
@@ -198,16 +197,21 @@ def run_evaluate(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
 
-    standard, comp_d, comp_r, ref, ref_d = read_artifacts(
-        out_dir, SPECTRO_ARTIFACTS, digest, "evaluate", stft_cfg)
-    # ref - ref_d and the decomposed sum each live for one report only
-    reports = {
-        "direct": nmse(comp_d, ref_d, trim),
-        # all bins flagged when the room is anechoic (no reverberant field)
-        "reverb": nmse(comp_r, ref - ref_d, trim),
-        "standard": nmse(standard, ref, trim),
-        "decomposed": nmse(comp_d + comp_r, ref, trim),
-    }
+    # all checked first, then each parsed when first needed, dropped after
+    spectra = read_artifacts(out_dir, SPECTRO_ARTIFACTS, digest, "evaluate",
+                             stft_cfg)
+    ref_d, comp_d = next(spectra), next(spectra)
+    reports = {"direct": nmse(comp_d, ref_d, trim)}
+    ref = next(spectra)
+    ref_r = ref - ref_d
+    del ref_d
+    comp_r = next(spectra)
+    # all bins flagged when the room is anechoic (no reverberant field)
+    reports["reverb"] = nmse(comp_r, ref_r, trim)
+    del ref_r
+    reports["decomposed"] = nmse(comp_d + comp_r, ref, trim)
+    del comp_d, comp_r
+    reports["standard"] = nmse(next(spectra), ref, trim)
     for name, report in reports.items():
         write_report(out_dir / f"nmse_{name}.csv", report)
 

@@ -40,7 +40,6 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import as_directions
-from .hrtf import HrtfSet
 from .solvers import BsmFilterBank, SolverConfig
 from .stft import BINAURAL_TAGS, Spectrogram, StftConfig
 
@@ -345,8 +344,8 @@ def read_hrtf_header(path):
 
 
 def load_hrtf(path, stft_cfg):
-    """Read a BSMH container of the run's sample rate. Responses are the
-    rFFT of each impulse response, zero-padded to the run's FFT size."""
+    """(D, 2) directions and (2, D, bins) ears of a BSMH set of the run's
+    sample rate: each IR's rFFT, zero-padded to the run's FFT size."""
     cur = _Cursor(path)
     rate, count, taps = cur.header(b"BSMH", "III")
     _require_run(path, "sample rate", rate, stft_cfg.sample_rate)
@@ -359,8 +358,10 @@ def load_hrtf(path, stft_cfg):
         cur.fail(f"{taps}-tap impulse responses exceed the FFT size "
                  f"{stft_cfg.fft_size}")
     with cur.checked("HRTF set"):
-        return HrtfSet(directions=as_directions(table),
-                       ears=np.fft.rfft(irs, n=stft_cfg.fft_size, axis=2))
+        directions = as_directions(table)
+        if not np.isfinite(irs).all():
+            raise ValueError("non-finite impulse responses")
+    return directions, np.fft.rfft(irs, n=stft_cfg.fft_size, axis=2)
 
 
 # ---------------------------------------------------------------- manifest

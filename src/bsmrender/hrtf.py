@@ -1,5 +1,5 @@
-"""Head-related transfer functions: direction-indexed sets, analytic
-models and SH-domain interpolation.
+"""Head-related transfer functions: analytic models and SH-domain
+interpolation.
 
 The head frame matches the room frame conventions used everywhere else:
 the head faces +x and the interaural axis is +/-y, left ear on +y. The
@@ -7,14 +7,15 @@ measured-database path of the original experiment is replaced by a small
 binary container (BSMH, read and written by `containers`) plus analytic
 test models, which keeps the whole pipeline self-verifying.
 
-Design fits every model from its responses on a direction grid
-(`point_receiver_hrtf`, whose ears at the center give the flat model, or
-a file's set). A fit is a plain (2, C, bins) array of SH coefficients,
-left ear first, whose order is read from C = (order + 1)^2. The
-simulated reference takes an HRTF as real channels (`HrtfChannels`): the
-analytic models in closed form by the addition theorem, with no fit, and
-any SH expansion, a file's fitted set, by the complex-to-real harmonic
-map.
+Ear responses are plain (2, D, bins) arrays at D direction rows, and a
+fit a plain (2, C, bins) array of SH coefficients, left ear first, whose
+order is read from C = (order + 1)^2. Design fits every model from its
+responses on a direction grid (`point_receiver_hrtf`, whose ears at the
+center give the flat model, or a file's set) and evaluates the fit at
+its DOAs (`evaluate_sh`). The simulated reference takes an HRTF as real
+channels (`HrtfChannels`): the analytic models in closed form by the
+addition theorem, with no fit, and any SH expansion, a file's fitted
+set, by the complex-to-real harmonic map.
 """
 
 import math
@@ -26,36 +27,9 @@ from .geometry import wavenumbers
 from .sph import _legendre, num_coeffs, sh_matrix, spherical_jn
 
 
-@dataclass(frozen=True)
-class HrtfSet:
-    """Ear responses indexed by direction on a one-sided frequency grid.
-
-    directions holds (D, 2) rows; ears (2, D, bins), left ear first.
-    """
-
-    directions: np.ndarray = field(repr=False)
-    ears: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.directions) == 0:
-            raise ValueError("direction list is empty")
-        if self.ears.ndim != 3 or self.ears.shape[:2] != (2, self.num_directions):
-            raise ValueError("responses must have shape (2, directions, bins)")
-        if not np.all(np.isfinite(self.ears)):
-            raise ValueError("non-finite HRTF responses")
-
-    @property
-    def num_directions(self):
-        return len(self.directions)
-
-    @property
-    def num_bins(self):
-        return self.ears.shape[2]
-
-
 def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     """Analytic test model: each ear is an omni point receiver at
-    +/- ear_offset on the y axis.
+    +/- ear_offset on the y axis; (2, D, bins) responses, left ear first.
 
     h(f, d) = exp(+i k r_ear . u(d)) per STFT bin, unit magnitude; the two
     ears are complex conjugates of each other since r_left = -r_right. At
@@ -70,7 +44,7 @@ def point_receiver_hrtf(ear_offset, stft_cfg, directions):
     ears = np.empty((2, *phase.shape), dtype=complex)
     np.exp(np.multiply(1j, phase, out=ears[0]), out=ears[0])
     np.conjugate(ears[0], out=ears[1])
-    return HrtfSet(directions=directions, ears=ears)
+    return ears
 
 
 @dataclass(frozen=True)
@@ -219,6 +193,5 @@ def _leading_rows(order, y, rows):
 
 
 def evaluate_sh(coeffs, targets):
-    """Evaluate a fit at (colatitude, azimuth) rows -> HrtfSet."""
-    y = sh_matrix(math.isqrt(coeffs.shape[1]) - 1, targets)
-    return HrtfSet(directions=targets, ears=y @ coeffs)
+    """A fit's (2, D, bins) responses at (colatitude, azimuth) rows."""
+    return sh_matrix(math.isqrt(coeffs.shape[1]) - 1, targets) @ coeffs

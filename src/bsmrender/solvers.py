@@ -10,17 +10,17 @@ equal-power sources and white noise, leaving a single SNR knob:
 
 Above a cutoff, when one is set, the magnitude-least-squares variant
 trades phase accuracy for magnitude accuracy, which is the perceptually
-relevant quantity at high frequencies. A bank builds A = V V^H + reg I for
-every bin at once and solves every bin's LS filters A^{-1}(V h*) of both
-ears in one batched solve. A MagLS bin factors once, P = A^{-1} V, and then
-iterates matrix-vector products c <- P (|h| z/|z|), z = V^H c, using
-exp(i angle z) = z/|z| in place of a trig round trip per iteration.
+relevant quantity at high frequencies. A bank takes V and h as the
+caller built them, (bins, M, L) and (2, L, bins) arrays, builds
+A = V V^H + reg I for every bin at once and solves every bin's LS
+filters A^{-1}(V h*) of both ears in one batched solve. A MagLS bin
+factors once, P = A^{-1} V, and then iterates matrix-vector products
+c <- P (|h| z/|z|), z = V^H c, using exp(i angle z) = z/|z| in place of a
+trig round trip per iteration.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
-
-from .sph import steering_tensor
 
 COND_CEILING = 1e12
 TIKHONOV_FLOOR = 1e-12
@@ -187,22 +187,24 @@ class BsmFilterBank:
         return self.ears.shape[2]
 
 
-def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
-    """Design one filter bank over every bin of `stft_cfg`, steered at the
-    directions of hrtf_at_doas. With no MagLS cutoff, and below a set one
-    (and always at bin 0), the plain LS solve is used; above it, MagLS
-    seeded with the previous bin's filter. The bank's magls_capped counts
-    the MagLS solves that hit the iteration cap.
+def design_filterbank(vs, responses, stft_cfg, config, tag):
+    """Design one filter bank over every bin of `stft_cfg` from the
+    steering tensor vs (bins, M, L) and the ears' responses (2, L, bins).
+    With no MagLS cutoff, and below a set one (and always at bin 0), the
+    plain LS solve is used; above it, MagLS seeded with the previous bin's
+    filter. The bank's magls_capped counts the solves that hit the cap.
     """
-    if hrtf_at_doas.num_bins != stft_cfg.num_bins:
-        raise ValueError("hrtf bin count does not match the STFT")
+    bins, _, doas = vs.shape
+    if responses.shape != (2, doas, bins) or bins != stft_cfg.num_bins:
+        raise ValueError(f"steering tensor {vs.shape} and responses "
+                         f"{responses.shape} do not share L directions and "
+                         f"the STFT's {stft_cfg.num_bins} bins")
     freqs = stft_cfg.bin_frequencies()
     cutoff = config.magls_cutoff_hz
     if cutoff is not None and cutoff > freqs[-1]:
         raise ValueError("magls_cutoff_hz above Nyquist")
-    vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)  # (bins, M, L)
     bad_v = ~np.isfinite(vs).all(axis=(1, 2))
-    bad = bad_v | ~np.isfinite(hrtf_at_doas.ears).all(axis=1)  # (2, bins)
+    bad = bad_v | ~np.isfinite(responses).all(axis=1)  # (2, bins)
     if bad.any():
         ear, b = np.unravel_index(bad.argmax(), bad.shape)  # left ear first
         raise SolverError(f"{('left', 'right')[ear]} ear, bin {b} "
@@ -210,17 +212,17 @@ def design_filterbank(geom, stft_cfg, hrtf_at_doas, config, tag):
                           f"{'v' if bad_v[b] else 'h'}")
     # A for 64 bins at a time, so V's conjugate never exists in full
     a = np.concatenate([_ls_system(vs[lo:lo + 64], config.snr)
-                        for lo in range(0, stft_cfg.num_bins, 64)])  # (bins, M, M)
+                        for lo in range(0, bins, 64)])  # (bins, M, M)
     # every bin's LS filters A^{-1}(V h*) of both ears in one (bins, M, 2)
     # solve, each ear's right-hand side formed first
     rhs = np.concatenate([vs @ np.conj(h.T, order="C")[:, :, None]
-                          for h in hrtf_at_doas.ears], axis=2)
+                          for h in responses], axis=2)
     ears, capped = np.moveaxis(np.linalg.solve(a, rhs), 2, 0).copy(), 0
     magls_bins = [] if cutoff is None else np.flatnonzero(freqs >= cutoff)
     for b in magls_bins:  # never bin 0: the cutoff is positive
         # one P_b for both ears, each seeded with its filter of bin b-1
         p, vh = np.linalg.solve(a[b], vs[b]), vs[b].conj().T
-        for coeffs, h in zip(ears, hrtf_at_doas.ears):
+        for coeffs, h in zip(ears, responses):
             coeffs[b], hit_cap = _magls_iterate(p * np.abs(h[:, b]), vh,
                                                 coeffs[b - 1])
             capped += hit_cap

@@ -32,7 +32,7 @@ from bsmrender.geometry import SPEED_OF_SOUND, sph_to_cart, wavenumbers
 from bsmrender.hrtf import evaluate_sh, sh_fit_operator
 from bsmrender import solvers
 from bsmrender.simulate import SINC_TAPS, _HALF, _sinc_kernel, render_rir
-from bsmrender.sph import num_coeffs, sh_matrix, steering_tensor
+from bsmrender.sph import num_coeffs, sh_matrix
 from bsmrender.stft import stft
 
 
@@ -127,12 +127,12 @@ def cart_to_sph(xyz):
     return r, np.array([theta, phi])
 
 
-def sh_fit(hrtf_set, order):
+def sh_fit(directions, ears, order):
     """The pinv oracle: least-squares SH expansion per bin, both ears,
     (2, C, bins), by the full fit operator (bitwise np.linalg.pinv of the
-    set's SH matrix, with the library's refusals) applied to the set's
-    responses."""
-    return sh_fit_operator(order, hrtf_set.directions) @ hrtf_set.ears
+    directions' SH matrix, with the library's refusals) applied to the
+    (2, D, bins) responses at them."""
+    return sh_fit_operator(order, directions) @ ears
 
 
 def fit_order(coeffs):
@@ -140,13 +140,13 @@ def fit_order(coeffs):
     return math.isqrt(coeffs.shape[1]) - 1
 
 
-def sh_interpolate(hrtf_set, order, targets):
+def sh_interpolate(directions, ears, order, targets):
     """Fit at `order`, then evaluate at `targets`.
 
     Exact reproduction (to solver precision) when targets coincide with the
     source grid and the fit is exactly determined.
     """
-    return evaluate_sh(sh_fit(hrtf_set, order), targets)
+    return evaluate_sh(sh_fit(directions, ears, order), targets)
 
 
 def sh_matrix_loop(order, theta, phi):
@@ -198,7 +198,7 @@ def point_receiver_sh(ear_offset, stft_cfg, order):
 
 def channel_response(channels, directions):
     """Both ears' response sum_k decode_k a_k(u) of hrtf.HrtfChannels at
-    (colatitude, azimuth) rows, shape (2, D, bins) as an HrtfSet's."""
+    (colatitude, azimuth) rows, shape (2, D, bins), left ear first."""
     th, ph = np.asarray(directions, dtype=float).T
     a = np.array(list(channels.angular(th, ph)))  # (K, D)
     return np.einsum("ekb,kd->edb", channels.decode, a)
@@ -271,16 +271,16 @@ def magls_loop(v, h, snr, phase_init):
     return c, True
 
 
-def design_filterbank_loop(geom, stft_cfg, hrtf_at_doas, config):
-    """solvers.design_filterbank one bin and ear at a time: per bin, the
-    LS solve A^{-1}(V h*) below the MagLS cutoff (and at bin 0), above it
-    MagLS seeded with the ear's filter of the bin before.
+def design_filterbank_loop(vs, responses, stft_cfg, config):
+    """solvers.design_filterbank one bin and ear at a time, from the
+    (bins, M, L) steering tensor and the (2, L, bins) ear responses: per
+    bin, the LS solve A^{-1}(V h*) below the MagLS cutoff (and at bin 0),
+    above it MagLS seeded with the ear's filter of the bin before.
     Returns (left, right, magls_capped)."""
-    vs = steering_tensor(stft_cfg, geom, hrtf_at_doas.directions)
     banks = []
     capped = 0
-    for h_all in hrtf_at_doas.ears:
-        coeffs = np.empty((stft_cfg.num_bins, geom.num_mics), dtype=complex)
+    for h_all in responses:
+        coeffs = np.empty(vs.shape[:2], dtype=complex)
         for b, f in enumerate(stft_cfg.bin_frequencies()):
             v, h = vs[b], h_all[:, b]
             cutoff = config.magls_cutoff_hz

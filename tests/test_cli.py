@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender import cli, render, simulate, solvers
+from bsmrender import cli, containers, render, simulate, solvers
 from bsmrender import config as cfgmod
 from bsmrender.cli import (
     BANK_ARTIFACTS,
@@ -1043,25 +1043,33 @@ def test_render_peak_memory(tmp_path):
     assert peak <= 1.1 * live, (peak, live)
 
 
-def test_evaluate_peak_memory(tmp_path):
-    # nmse forms its temporaries one ear at a time, and ref - ref_d and
-    # the decomposed sum each live for one report only: on desk-size
-    # spectrograms the traced peak stays under seven complex128
-    # (2, frames, bins) spectrograms, the five read and one sum among them
+def _write_spectrograms(out_dir, frames):
+    """Random desk-STFT spectrograms, frames by bins, for every file
+    evaluate reads, recorded in the manifest; returns (cfg, digest)."""
     cfg = cfgmod.resolve("desk")
     digest = cfgmod.run_digest(cfg)
     stft_cfg = cfgmod.build_stft_config(cfg)
-    frames, bins = 146, stft_cfg.num_bins  # a desk run's spectrograms
-    tags = ("bsm-standard", "component-direct", "component-reverb",
-            "reference", "reference-direct")
+    shape = (2, frames, stft_cfg.num_bins)
     rng = np.random.default_rng(0)
-    for name, tag in zip(SPECTRO_ARTIFACTS, tags):
-        data = (rng.standard_normal((2, frames, bins))
-                + 1j * rng.standard_normal((2, frames, bins)))
-        write_binaural_spectrogram(tmp_path / name, Spectrogram(
-            data=data, config=stft_cfg, tag=tag), digest)
-    update_manifest(tmp_path, SPECTRO_ARTIFACTS, digest)
-    spectrogram = 2 * frames * bins * np.dtype(complex).itemsize
+    for name in SPECTRO_ARTIFACTS:  # bsm_standard.bsmg holds bsm-standard
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        write_binaural_spectrogram(out_dir / name, Spectrogram(
+            data=data, config=stft_cfg, tag=name[:-5].replace("_", "-")),
+            digest)
+    update_manifest(out_dir, SPECTRO_ARTIFACTS, digest)
+    return cfg, digest
+
+
+def test_evaluate_peak_memory(tmp_path):
+    # the spectrograms are read in turn and each dropped after its last
+    # report: at most four complex128 (2, frames, bins) spectrograms are
+    # alive (the decomposed sum with its two parts and the reference),
+    # plus nmse's temporaries of one ear, a complex difference and two
+    # float arrays of (frames, bins); all five at once would be 5 or more
+    frames = 146  # a desk run's spectrograms
+    cfg, digest = _write_spectrograms(tmp_path, frames)
+    bins = cfgmod.build_stft_config(cfg).num_bins
+    live = 4 * 2 * frames * bins * 16 + frames * bins * (16 + 2 * 8)
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -1070,7 +1078,43 @@ def test_evaluate_peak_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert verdict["scene_digest"] == digest
-    assert peak <= 7 * spectrogram, peak / spectrogram
+    assert peak <= 1.1 * live, (peak, live)
+
+
+def test_evaluate_reads_spectrograms_in_turn(tmp_path, monkeypatch):
+    # every file is checked against the manifest before the first is
+    # parsed; then each is parsed when a report first needs it, and the
+    # ones whose reports are all written are gone by the next read
+    cfg, digest = _write_spectrograms(tmp_path, 8)
+    events, parsed = [], {}
+    verify = containers.verify_artifacts
+    read = containers.read_binaural_spectrogram
+
+    def verify_spy(out_dir, names, *args):
+        events.append(("verify", sorted(names)))
+        return verify(out_dir, names, *args)
+
+    def read_spy(path):
+        spec, embedded = read(path)
+        events.append((path.name, sorted(
+            name for name, ref in parsed.items() if ref() is not None)))
+        parsed[path.name] = weakref.ref(spec)
+        return spec, embedded
+
+    monkeypatch.setattr(containers, "verify_artifacts", verify_spy)
+    monkeypatch.setattr(containers, "read_binaural_spectrogram", read_spy)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run_evaluate(cfg, tmp_path, digest)
+    assert events == [
+        ("verify", sorted(SPECTRO_ARTIFACTS)),
+        ("reference_direct.bsmg", []),
+        ("component_direct.bsmg", ["reference_direct.bsmg"]),
+        ("reference.bsmg", ["component_direct.bsmg",
+                            "reference_direct.bsmg"]),
+        ("component_reverb.bsmg", ["component_direct.bsmg",
+                                   "reference.bsmg"]),
+        ("bsm_standard.bsmg", ["reference.bsmg"]),
+    ]
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):

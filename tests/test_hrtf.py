@@ -12,7 +12,6 @@ from bsmrender.geometry import SPEED_OF_SOUND
 from bsmrender import hrtf
 from bsmrender.hrtf import (
     RANK_RTOL,
-    HrtfSet,
     evaluate_sh,
     point_receiver_channels,
     point_receiver_hrtf,
@@ -30,7 +29,7 @@ DESK_STFT = StftConfig.default(48000, 32.0, 16.0)  # both profiles' STFT
 
 def test_point_receiver_dc_is_unity():
     hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(16))
-    np.testing.assert_array_equal(hs.ears[:, :, 0], 1.0)
+    np.testing.assert_array_equal(hs[:, :, 0], 1.0)
 
 
 def test_point_receiver_quarter_wave_phase():
@@ -40,13 +39,14 @@ def test_point_receiver_quarter_wave_phase():
     # a 4-point FFT at 4 f has the bins 0, f and 2 f
     stft_cfg = StftConfig(4 * f, 4, 2)
     hs = point_receiver_hrtf(offset, stft_cfg, [(np.pi / 2, np.pi / 2)])
-    np.testing.assert_allclose(hs.ears[:, 0, 1], [1j, -1j], atol=1e-12)
+    np.testing.assert_allclose(hs[:, 0, 1], [1j, -1j], atol=1e-12)
 
 
 def test_point_receiver_ears_are_conjugate():
     hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(32))
-    np.testing.assert_array_equal(hs.ears[1], np.conj(hs.ears[0]))
-    np.testing.assert_allclose(np.abs(hs.ears[0]), 1.0, atol=1e-12)
+    assert hs.shape == (2, 32, STFT.num_bins)
+    np.testing.assert_array_equal(hs[1], np.conj(hs[0]))
+    np.testing.assert_allclose(np.abs(hs[0]), 1.0, atol=1e-12)
 
 
 def test_point_receiver_rejects_bad_offset():
@@ -58,7 +58,7 @@ def test_point_receiver_rejects_bad_offset():
 def test_flat_hrtf_is_ones():
     # the flat model is the point model with its ears at the center
     hs = point_receiver_hrtf(0.0, STFT, spiral_grid(8))
-    np.testing.assert_array_equal(hs.ears, 1.0)
+    np.testing.assert_array_equal(hs, 1.0)
 
 
 @pytest.mark.parametrize("order, bound", [(14, 5e-4), (30, 5e-7)])
@@ -72,7 +72,7 @@ def test_point_closed_form_synthesizes_the_model(order, bound):
     assert channels.order == order
     assert channels.decode.shape == (2, order + 1, DESK_STFT.num_bins)
     got = channel_response(channels, dirs)
-    want = point_receiver_hrtf(0.0875, DESK_STFT, dirs).ears
+    want = point_receiver_hrtf(0.0875, DESK_STFT, dirs)
     ka = 2 * np.pi * DESK_STFT.bin_frequencies() / SPEED_OF_SOUND * 0.0875
     valid = ka <= order / 2
     assert valid.sum() > 150  # 4.4 kHz at order 14, 9.4 kHz at order 30
@@ -86,7 +86,8 @@ def test_point_closed_form_matches_the_fit_below_8khz():
     # and 3.2e-15 below; a response sums the errors of 961 of them, so the
     # fit's channels and the closed form answer within 3e-10 below 8 kHz
     # (measured 1.3e-10 at 4-8 kHz, 1.4e-14 below 4 kHz)
-    fit = sh_fit(point_receiver_hrtf(0.0875, DESK_STFT, spiral_grid(1600)), 30)
+    grid = spiral_grid(1600)
+    fit = sh_fit(grid, point_receiver_hrtf(0.0875, DESK_STFT, grid), 30)
     closed = point_receiver_channels(0.0875, DESK_STFT, 30)
     dirs = spiral_grid(200)
     below = DESK_STFT.bin_frequencies() < 8000.0
@@ -137,27 +138,31 @@ def test_sh_channels_reproduce_the_expansion(order, ref_order, seed):
                                rtol=0, atol=1e-12)
 
 
-def test_hrtf_set_validation():
-    dirs = spiral_grid(4)
-    good = np.ones((2, 4, STFT.num_bins), complex)
-    with pytest.raises(ValueError, match="empty"):
-        HrtfSet(directions=(), ears=good[:, :0])
-    for bad in (good[0], good[:1], good[:, :3], good[None]):
-        with pytest.raises(ValueError, match=r"shape \(2, directions, bins\)"):
-            HrtfSet(directions=dirs, ears=bad)
-    with pytest.raises(ValueError, match="non-finite"):
-        HrtfSet(directions=dirs, ears=good * np.nan)
-    hs = HrtfSet(directions=dirs, ears=good)
-    assert hs.num_directions == 4 and hs.num_bins == STFT.num_bins
+def test_load_hrtf_refuses_non_finite_responses(tmp_path):
+    # a non-finite impulse response sample, in either ear, is a
+    # ContainerError naming the file; so is a set of no directions
+    ir = np.zeros((4, 8))
+    for ear, bad in ((0, np.nan), (1, np.inf), (1, -np.inf)):
+        irs = [ir, ir.copy()]
+        irs[ear][2, 5] = bad
+        path = tmp_path / f"bad{ear}.bsmh"
+        save_hrtf(path, spiral_grid(4), *irs, 48000)
+        with pytest.raises(ContainerError, match=rf"^{path}: invalid HRTF "
+                           r"set: non-finite impulse responses$"):
+            load_hrtf(path, StftConfig(48000, 16, 8))
+    path = tmp_path / "empty.bsmh"
+    save_hrtf(path, np.zeros((0, 2)), ir[:0], ir[:0], 48000)
+    with pytest.raises(ContainerError, match=rf"^{path}: empty HRTF set$"):
+        load_hrtf(path, StftConfig(48000, 16, 8))
 
 
 def test_sh_fit_reproduces_fit_grid():
     # enough coefficients for an exact interpolatory fit on the sample grid
     dirs = spiral_grid(36)
     hs = point_receiver_hrtf(0.0875, STFT, dirs)
-    coeffs = sh_fit(hs, 5)  # 36 coefficients for 36 directions
+    coeffs = sh_fit(dirs, hs, 5)  # 36 coefficients for 36 directions
     back = evaluate_sh(coeffs, dirs)
-    np.testing.assert_allclose(back.ears, hs.ears, atol=1e-8)
+    np.testing.assert_allclose(back, hs, atol=1e-8)
 
 
 def test_sh_fit_generalizes_to_held_out_directions():
@@ -166,12 +171,11 @@ def test_sh_fit_generalizes_to_held_out_directions():
     fit_dirs = spiral_grid(400)
     test_dirs = spiral_grid(37)
     hs = point_receiver_hrtf(0.0875, STFT, fit_dirs)
-    coeffs = sh_fit(hs, 12)
+    coeffs = sh_fit(fit_dirs, hs, 12)
     got = evaluate_sh(coeffs, test_dirs)
     want = point_receiver_hrtf(0.0875, STFT, test_dirs)
     low = STFT.bin_frequencies() <= 2000.0
-    np.testing.assert_allclose(got.ears[:, :, low], want.ears[:, :, low],
-                               atol=1e-4)
+    np.testing.assert_allclose(got[:, :, low], want[:, :, low], atol=1e-4)
 
 
 def test_sh_fit_residual_shrinks_with_order():
@@ -182,25 +186,26 @@ def test_sh_fit_residual_shrinks_with_order():
     low = STFT.bin_frequencies() <= 4000.0  # kr up to ~6.4
     errs = []
     for order in (2, 6, 10):
-        got = evaluate_sh(sh_fit(hs, order), targets)
-        errs.append(np.abs(got.ears[0, :, low] - want.ears[0, :, low]).max())
+        got = evaluate_sh(sh_fit(fit_dirs, hs, order), targets)
+        errs.append(np.abs(got[0, :, low] - want[0, :, low]).max())
     assert errs[0] > errs[1] > errs[2]
 
 
 def test_sh_fit_requires_enough_directions():
-    hs = point_receiver_hrtf(0.0875, STFT, spiral_grid(8))
+    dirs = spiral_grid(8)
     with pytest.raises(ValueError):
-        sh_fit(hs, 3)  # 16 coefficients, 8 directions
+        # 16 coefficients, 8 directions
+        sh_fit(dirs, point_receiver_hrtf(0.0875, STFT, dirs), 3)
 
 
 def test_sh_fit_on_two_directions():
     # two direction rows are two directions
     dirs = spiral_grid(2)
-    coeffs = sh_fit(point_receiver_hrtf(0.0, STFT, dirs), 0)
+    coeffs = sh_fit(dirs, point_receiver_hrtf(0.0, STFT, dirs), 0)
     np.testing.assert_allclose(coeffs, np.sqrt(4 * np.pi), rtol=1e-14)
     back = evaluate_sh(coeffs, dirs)
-    assert back.num_directions == 2
-    np.testing.assert_allclose(back.ears, 1.0, rtol=1e-14)
+    assert back.shape == (2, 2, STFT.num_bins)
+    np.testing.assert_allclose(back, 1.0, rtol=1e-14)
 
 
 def _assert_rows_of_pinv(order, count, keep):
@@ -285,11 +290,11 @@ def test_fit_operator_peak_memory():
 def test_sh_fit_is_operator_applied_to_responses():
     dirs = spiral_grid(64)
     hs = point_receiver_hrtf(0.0875, STFT, dirs)
-    coeffs = sh_fit(hs, 4)
+    coeffs = sh_fit(dirs, hs, 4)
     op = np.linalg.pinv(sh_matrix(4, dirs))
     assert coeffs.shape == (2, num_coeffs(4), STFT.num_bins)
-    assert_bits_equal(coeffs[0], op @ hs.ears[0])
-    assert_bits_equal(coeffs[1], op @ hs.ears[1])
+    assert_bits_equal(coeffs[0], op @ hs[0])
+    assert_bits_equal(coeffs[1], op @ hs[1])
 
 
 def test_rank_deficient_grid_is_refused():
@@ -297,7 +302,8 @@ def test_rank_deficient_grid_is_refused():
     # the harmonics odd in z vanish there: rank 5, not a fit
     equator = [(np.pi / 2, 2 * np.pi * k / 16) for k in range(16)]
     for fit in (lambda: sh_fit_operator(2, equator),
-                lambda: sh_fit(point_receiver_hrtf(0.0, STFT, equator), 2)):
+                lambda: sh_fit(equator,
+                               point_receiver_hrtf(0.0, STFT, equator), 2)):
         with pytest.raises(ValueError, match="order 2 is rank deficient.*"
                                              "rank 5 of 9 coefficients"):
             fit()
@@ -388,12 +394,11 @@ def test_sh_interpolate_linearity():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((64, STFT.num_bins)) + 0j
     b = rng.standard_normal((64, STFT.num_bins)) + 0j
-    mk = lambda arr: HrtfSet(directions=dirs, ears=np.stack([arr, arr]))
-    one = sh_interpolate(mk(a + 2 * b), 5, targets)
-    two_a = sh_interpolate(mk(a), 5, targets)
-    two_b = sh_interpolate(mk(b), 5, targets)
-    np.testing.assert_allclose(one.ears[0], two_a.ears[0] + 2 * two_b.ears[0],
-                               atol=1e-10)
+    both = lambda arr: np.stack([arr, arr])
+    one = sh_interpolate(dirs, both(a + 2 * b), 5, targets)
+    two_a = sh_interpolate(dirs, both(a), 5, targets)
+    two_b = sh_interpolate(dirs, both(b), 5, targets)
+    np.testing.assert_allclose(one[0], two_a[0] + 2 * two_b[0], atol=1e-10)
 
 
 def test_ir_container_round_trip(tmp_path):
@@ -403,18 +408,18 @@ def test_ir_container_round_trip(tmp_path):
     right = rng.standard_normal((6, 64)).astype(np.float32)
     path = tmp_path / "set.bsmh"
     save_hrtf(path, dirs, left, right, 48000)
-    hs = load_hrtf(path, StftConfig(48000, 64, 32))
-    assert hs.num_directions == 6
+    back, ears = load_hrtf(path, StftConfig(48000, 64, 32))
+    assert ears.shape == (2, 6, 33)
     # the run's StftConfig owns the sample rate: a set of another is refused
     with pytest.raises(ContainerError, match=f"{path}: sample rate is 48000, "
                        "not the run's 44100"):
         load_hrtf(path, StftConfig(44100, 64, 32))
     # the table is stored at double precision: the same rows, to the bit
-    assert_bits_equal(hs.directions, dirs)
+    assert_bits_equal(back, dirs)
     # spectra are plain transforms of the stored IRs
-    np.testing.assert_allclose(hs.ears[0], np.fft.rfft(left, 64, axis=1),
+    np.testing.assert_allclose(ears[0], np.fft.rfft(left, 64, axis=1),
                                atol=1e-5)
-    np.testing.assert_allclose(hs.ears[1], np.fft.rfft(right, 64, axis=1),
+    np.testing.assert_allclose(ears[1], np.fft.rfft(right, 64, axis=1),
                                atol=1e-5)
 
 
@@ -424,9 +429,9 @@ def test_identity_impulse_gives_flat_response(tmp_path):
     ir[:, 0] = 1.0
     path = tmp_path / "flat.bsmh"
     save_hrtf(path, dirs, ir, ir, 48000)
-    hs = load_hrtf(path, StftConfig(48000, 128, 64))
-    assert hs.num_bins == 65
-    np.testing.assert_allclose(hs.ears, 1.0, atol=1e-7)
+    _, ears = load_hrtf(path, StftConfig(48000, 128, 64))
+    assert ears.shape == (2, 3, 65)
+    np.testing.assert_allclose(ears, 1.0, atol=1e-7)
 
 
 def test_ir_container_errors(tmp_path):

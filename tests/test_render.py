@@ -184,8 +184,9 @@ def test_tag_pairs_outside_the_rules_raise(op, tag_a, tag_b):
 
 
 def test_decode_matrix_flips_degree_sign():
-    hs = point_receiver_hrtf(0.0875, StftConfig(48000, 4, 2), spiral_grid(64))
-    coeffs = sh_fit(hs, 3)
+    dirs = spiral_grid(64)
+    coeffs = sh_fit(dirs, point_receiver_hrtf(0.0875, StftConfig(48000, 4, 2),
+                                              dirs), 3)
     # flat index n^2 + n + m; decoding swaps m -> -m with a parity sign.
     # A lower order decodes the leading rows of the fit, and an order
     # above the fit's decodes all of them
@@ -207,7 +208,8 @@ def _center_images(reflection=0.8, max_order=2, rir_len=1200):
 
 
 def test_render_reference_zero_input_is_silent():
-    coeffs = sh_fit(point_receiver_hrtf(0.0875, CFG, spiral_grid(64)), 3)
+    dirs = spiral_grid(64)
+    coeffs = sh_fit(dirs, point_receiver_hrtf(0.0875, CFG, dirs), 3)
     refs = binaural_references(_center_images(), np.zeros(1000),
                                sh_channels(coeffs, 3), CFG, 1200 / 48000)
     assert [r.tag for r in refs] == ["reference", "reference-direct"]
@@ -218,7 +220,8 @@ def test_render_reference_zero_input_is_silent():
 
 def test_render_reference_linearity():
     rng = np.random.default_rng(8)
-    coeffs = sh_fit(point_receiver_hrtf(0.0875, CFG, spiral_grid(64)), 2)
+    dirs = spiral_grid(64)
+    coeffs = sh_fit(dirs, point_receiver_hrtf(0.0875, CFG, dirs), 2)
     images = _center_images()
     a, b = rng.standard_normal((2, 800))
 
@@ -239,8 +242,8 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     images = _center_images(reflection=0.0, max_order=0)
     assert images.count == 1
     doa = (images.colatitudes[0], images.azimuths[0])
-    hs = point_receiver_hrtf(0.0875, CFG, spiral_grid(600))
-    coeffs = sh_fit(hs, order)
+    dirs = spiral_grid(600)
+    coeffs = sh_fit(dirs, point_receiver_hrtf(0.0875, CFG, dirs), order)
     rng = np.random.default_rng(9)
     x = rng.standard_normal(CFG.window_length * 4)
     full, direct = binaural_references(images, x, sh_channels(coeffs, order),
@@ -254,7 +257,7 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     # the relative error
     low = CFG.bin_frequencies() <= 2000.0
     got = direct.data[0][:, low]
-    ideal = base.data[0][:, low] * want.ears[0, 0, low][None, :]
+    ideal = base.data[0][:, low] * want[0, 0, low][None, :]
     err = np.abs(got - ideal).max() / np.abs(base.data[0][:, low]).max()
     assert err < 10 ** (-50 / 20)  # below -50 dB
 

@@ -406,7 +406,8 @@ def test_sh_reference_direct_only_keeps_first_image():
 
 
 def _hrtf_sh(cfg, order):
-    return sh_fit(point_receiver_hrtf(0.0875, cfg, spiral_grid(200)), order)
+    dirs = spiral_grid(200)
+    return sh_fit(dirs, point_receiver_hrtf(0.0875, cfg, dirs), order)
 
 
 def _reference_hrtf(kind, cfg, ref_order, hrtf_order):

@@ -1,5 +1,6 @@
 """Filter solvers: LS, covariance-weighted, MagLS, bank design and IO."""
 
+import re
 import struct
 import tracemalloc
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from bsmrender.containers import ContainerError, load_filterbank, save_filterbank
 from bsmrender.geometry import semicircle_array
-from bsmrender.hrtf import HrtfSet, point_receiver_hrtf
+from bsmrender.hrtf import point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
     BsmFilterBank,
@@ -24,7 +25,6 @@ from bsmrender.solvers import (
 )
 from bsmrender.sph import spiral_grid, steering_tensor
 from bsmrender.stft import StftConfig
-import oracles
 from oracles import assert_bits_equal, design_filterbank_loop, magls_loop, \
     steering_matrix
 
@@ -209,23 +209,25 @@ def test_design_filterbank_matches_per_bin_solver():
     doas = spiral_grid(8)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=100.0)
-    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg, tag="direct")
+    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
+                             STFT_SMALL, cfg, tag="direct")
     assert bank.num_bins == STFT_SMALL.num_bins
     assert bank.num_mics == 6
     for b, f in enumerate(STFT_SMALL.bin_frequencies()):
         v = steering_matrix(float(f), geom, doas)
-        want = solve_ls(v, hrtf.ears[0][:, b], 100.0)
+        want = solve_ls(v, hrtf[0][:, b], 100.0)
         np.testing.assert_allclose(bank.ears[0][b], want, atol=1e-12)
 
 
 def test_design_filterbank_magls_kicks_in_above_cutoff():
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
+    vs = steering_tensor(STFT_SMALL, geom, doas)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    plain = design_filterbank(geom, STFT_SMALL, hrtf,
-                              SolverConfig(snr=30.0), tag="reverberant")
+    plain = design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig(snr=30.0),
+                              tag="reverberant")
     mixed = design_filterbank(
-        geom, STFT_SMALL, hrtf,
+        vs, hrtf, STFT_SMALL,
         SolverConfig(snr=30.0, magls_cutoff_hz=10000.0),
         tag="reverberant")
     # identical below the cutoff, different above it
@@ -239,9 +241,32 @@ def test_design_filterbank_validation():
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     with pytest.raises(ValueError):
         design_filterbank(
-            geom, STFT_SMALL, hrtf,
+            steering_tensor(STFT_SMALL, geom, doas), hrtf, STFT_SMALL,
             SolverConfig(magls_cutoff_hz=30000.0),
             tag="direct")
+
+
+@pytest.mark.parametrize("h_shape", [
+    (2, 11, 5),  # one direction short of the steering tensor's 12
+    (2, 12, 4),  # a bin short
+    (1, 12, 5),  # one ear
+    (2, 5, 12),  # the axes of a (2, bins, L) array
+])
+def test_design_filterbank_refuses_mismatched_responses(h_shape):
+    # the ear responses must be (2, L, bins) of the steering tensor's L
+    # directions and bins, and the bins those of the STFT
+    vs = steering_tensor(STFT_SMALL, semicircle_array(4, 0.07),
+                         spiral_grid(12))
+    message = re.escape(f"steering tensor (5, 4, 12) and responses {h_shape} "
+                        "do not share L directions and the STFT's 5 bins")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        design_filterbank(vs, np.ones(h_shape, complex), STFT_SMALL,
+                          SolverConfig(), tag="direct")
+    # responses of the tensor's shape, both a bin short of the STFT's
+    with pytest.raises(ValueError, match=re.escape(
+            "steering tensor (4, 4, 12) and responses (2, 12, 4)")):
+        design_filterbank(vs[:4], np.ones((2, 12, 4), complex), STFT_SMALL,
+                          SolverConfig(), tag="direct")
 
 
 def test_filterbank_validation():
@@ -262,8 +287,8 @@ def test_filterbank_io_round_trip(tmp_path):
     doas = spiral_grid(5)
     hrtf = point_receiver_hrtf(0.0, STFT_SMALL, doas)
     cfg = SolverConfig(snr=12.5, magls_cutoff_hz=9000.0)
-    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
-                             tag="reverberant")
+    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
+                             STFT_SMALL, cfg, tag="reverberant")
     path = tmp_path / "bank.bsmf"
     save_filterbank(path, bank, STFT_SMALL, "ab" * 8)
     back, digest = load_filterbank(path, STFT_SMALL)
@@ -297,13 +322,12 @@ def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
     # stops all six, while 1000 iterations let every one converge
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
+    vs = steering_tensor(STFT_SMALL, geom, doas)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=30.0, magls_cutoff_hz=10000.0)
-    default = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
-                                tag="reverberant")
+    default = design_filterbank(vs, hrtf, STFT_SMALL, cfg, tag="reverberant")
     monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", max_iter)
-    bank = design_filterbank(geom, STFT_SMALL, hrtf, cfg,
-                             tag="reverberant")
+    bank = design_filterbank(vs, hrtf, STFT_SMALL, cfg, tag="reverberant")
     assert bank.magls_capped == want
     assert 0 < default.magls_capped < 6  # 50 iterations: some, not all
     # the LS bins below the cutoff do not depend on the cap
@@ -315,8 +339,8 @@ def test_capped_count_is_not_stored(tmp_path):
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    bank = design_filterbank(geom, STFT_SMALL, hrtf, SolverConfig(),
-                             tag="reverberant")
+    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
+                             STFT_SMALL, SolverConfig(), tag="reverberant")
     capped = BsmFilterBank(ears=bank.ears, tag=bank.tag,
                            config=bank.config, magls_capped=7)
     save_filterbank(tmp_path / "a.bsmf", bank, STFT_SMALL, "ab" * 8)
@@ -328,7 +352,7 @@ def test_capped_count_is_not_stored(tmp_path):
 def _random_hrtf(rng, stft_cfg, doas):
     shape = (len(doas), stft_cfg.num_bins)
     draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return HrtfSet(directions=tuple(doas), ears=np.stack([draw(), draw()]))
+    return np.stack([draw(), draw()])
 
 
 def _relative_per_bin(got, want):
@@ -361,17 +385,17 @@ def test_design_filterbank_matches_loop(m, l, fft_size, radius, snr_db,
     freqs = stft_cfg.bin_frequencies()
     cutoff = float(freqs[min(max(cutoff_bin, 1), stft_cfg.num_bins - 1)])
     cfg = SolverConfig(snr=snr, magls_cutoff_hz=cutoff if magls else None)
-    bank = design_filterbank(geom, stft_cfg, hrtf, cfg, tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, stft_cfg, hrtf, cfg)
+    vs = steering_tensor(stft_cfg, geom, doas)
+    bank = design_filterbank(vs, hrtf, stft_cfg, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(vs, hrtf, stft_cfg, cfg)
     if not magls:
         assert_bits_equal(bank.ears[0], left)
         assert_bits_equal(bank.ears[1], right)
         assert bank.magls_capped == capped == 0
         return
-    vs = steering_tensor(stft_cfg, geom, doas)
     first = int(np.flatnonzero(freqs >= cutoff)[0])
     seeded_capped = 0
-    for got, want, h in zip(bank.ears, (left, right), hrtf.ears):
+    for got, want, h in zip(bank.ears, (left, right), hrtf):
         assert_bits_equal(got[:first], want[:first])
         for b in range(first, stft_cfg.num_bins):
             c, hit_cap = magls_loop(vs[b], h[:, b], snr, got[b - 1])
@@ -391,39 +415,34 @@ def test_design_filterbank_matches_loop_at_desk_size():
     direct = [(np.pi / 2, 0.3)]
     reverb = spiral_grid(240)
     cfg = SolverConfig(snr=np.inf)
+    vs = steering_tensor(DESK_STFT, geom, direct)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, direct)
-    bank = design_filterbank(geom, DESK_STFT, hrtf, cfg, tag="direct")
-    left, right, _ = design_filterbank_loop(geom, DESK_STFT, hrtf, cfg)
+    bank = design_filterbank(vs, hrtf, DESK_STFT, cfg, tag="direct")
+    left, right, _ = design_filterbank_loop(vs, hrtf, DESK_STFT, cfg)
     assert_bits_equal(bank.ears[0], left)
     assert_bits_equal(bank.ears[1], right)
     cfg = SolverConfig(snr=100.0, magls_cutoff_hz=1500.0)
+    vs = steering_tensor(DESK_STFT, geom, reverb)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, reverb)
-    bank = design_filterbank(geom, DESK_STFT, hrtf, cfg,
-                             tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, DESK_STFT,
-                                                 hrtf, cfg)
+    bank = design_filterbank(vs, hrtf, DESK_STFT, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(vs, hrtf, DESK_STFT, cfg)
     assert _relative_per_bin(bank.ears[0], left) < 1e-9
     assert _relative_per_bin(bank.ears[1], right) < 1e-9
     assert bank.magls_capped == capped > 0
 
 
-def test_design_filterbank_zero_response_keeps_angle_phase(monkeypatch):
+def test_design_filterbank_zero_response_keeps_angle_phase():
     # V = [[1, 1], [1, -1]] at every bin and a left ear that wants [1, 0]:
     # every filter is a multiple of [1, 1], so the second component of
     # V^H c is exactly zero and its phase is np.angle's, not 0/0
     stft_cfg = StftConfig(48000, 8, 4)
     v = np.array([[1.0, 1.0], [1.0, -1.0]], complex)
     vs = np.repeat(v[None], stft_cfg.num_bins, axis=0)
-    for module in (solvers, oracles):
-        monkeypatch.setattr(module, "steering_tensor", lambda *args: vs)
-    doas = spiral_grid(2)
     ones = np.ones(stft_cfg.num_bins, complex)
-    hrtf = HrtfSet(directions=tuple(doas),
-                   ears=np.array([[ones, 0 * ones], [ones, 2j * ones]]))
+    hrtf = np.array([[ones, 0 * ones], [ones, 2j * ones]])
     cfg = SolverConfig(snr=10.0, magls_cutoff_hz=6000.0)
-    geom = semicircle_array(2, 0.07)
-    bank = design_filterbank(geom, stft_cfg, hrtf, cfg, tag="reverberant")
-    left, right, capped = design_filterbank_loop(geom, stft_cfg, hrtf, cfg)
+    bank = design_filterbank(vs, hrtf, stft_cfg, cfg, tag="reverberant")
+    left, right, capped = design_filterbank_loop(vs, hrtf, stft_cfg, cfg)
     assert np.all((v.conj().T @ bank.ears[0].T)[1] == 0)
     assert _relative_per_bin(bank.ears[0], left) < 1e-12
     assert _relative_per_bin(bank.ears[1], right) < 1e-12
@@ -439,27 +458,27 @@ def test_design_filterbank_names_non_finite_bins(ear, b, where):
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    hrtf.ears[("left", "right").index(ear), 5, b] = np.nan
+    hrtf[("left", "right").index(ear), 5, b] = np.nan
     cfg = SolverConfig(snr=30.0, magls_cutoff_hz=10000.0)
     f = STFT_SMALL.bin_frequencies()[b]
     with pytest.raises(SolverError, match=rf"^{ear} ear, bin {b} \({f:.1f} "
                                           r"Hz\): non-finite values in h$"):
-        design_filterbank(geom, STFT_SMALL, hrtf, cfg, tag="reverberant")
+        design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
+                          STFT_SMALL, cfg, tag="reverberant")
 
 
-def test_design_filterbank_names_non_finite_steering(monkeypatch):
+def test_design_filterbank_names_non_finite_steering():
     # a bad steering bin is the left ear's first failure, even where the
     # right ear's responses fail earlier
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    hrtf.ears[1, 0, 1] = np.inf
+    hrtf[1, 0, 1] = np.inf
     vs = steering_tensor(STFT_SMALL, geom, doas)
     vs[3, 2, 7] = np.nan
-    monkeypatch.setattr(solvers, "steering_tensor", lambda *args: vs)
     with pytest.raises(SolverError, match=r"^left ear, bin 3 \(18000\.0 Hz\): "
                                           r"non-finite values in v$"):
-        design_filterbank(geom, STFT_SMALL, hrtf, SolverConfig(),
+        design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig(),
                           tag="reverberant")
 
 
@@ -467,8 +486,9 @@ def test_design_filterbank_peak_memory():
     # at desk size the steering tensor V (bins, M, L) is the largest array.
     # It is exponentiated in place, the Gram V V^H conjugates 64 bins at a
     # time and P = A^{-1} V is formed one bin at a time, so no second
-    # (bins, M, L) array is ever traced; the rest is the conjugated ear
-    # responses (bins, L) and V's finiteness mask
+    # (bins, M, L) array is ever traced, from V's build through the design;
+    # the rest is the conjugated ear responses (bins, L) and V's finiteness
+    # mask
     geom = semicircle_array(6, 0.07)
     doas = spiral_grid(240)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, doas)
@@ -476,7 +496,8 @@ def test_design_filterbank_peak_memory():
     tensor = DESK_STFT.num_bins * 6 * 240 * np.dtype(complex).itemsize
     tracemalloc.start()
     try:
-        design_filterbank(geom, DESK_STFT, hrtf, cfg, tag="reverberant")
+        design_filterbank(steering_tensor(DESK_STFT, geom, doas), hrtf,
+                          DESK_STFT, cfg, tag="reverberant")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
