@@ -65,14 +65,12 @@ def _hrtf_coeffs(cfg, stft_cfg, keep_order):
 def _reference_channels(cfg, stft_cfg, order):
     """The reference's HRTF channels at min(order, hrtf_sh_order), the
     order a fit would give: a file's set is fitted, and the point model,
-    which needs no fit, comes in closed form; with its ears at the center
-    it is the flat model, whose unit response is its one order-0 channel."""
+    which needs no fit, is projected on its zonal channels."""
     design = cfg["design"]
     order = min(order, design["hrtf_sh_order"])
     if design["hrtf_file"] is not None:
         return sh_channels(_hrtf_coeffs(cfg, stft_cfg, order), order)
-    offset = design["hrtf_ear_offset"]
-    return point_receiver_channels(offset, stft_cfg, order if offset else 0)
+    return point_receiver_channels(design["hrtf_ear_offset"], stft_cfg, order)
 
 
 def run_simulate(cfg, out_dir, digest):

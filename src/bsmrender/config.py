@@ -62,7 +62,8 @@ _SCHEMA = {
                           "dB or null, 10^(dB/10) and its inverse finite"),
         "magls_cutoff_hz": (lambda v: v is None or _pos(v),
                             "positive number or null (null = no MagLS)"),
-        "hrtf_ear_offset": (lambda v: _num(v) and v >= 0, "number >= 0"),
+        "hrtf_ear_offset": (lambda v: _num(v) and 0 <= v < 1,
+                            "number in [0, 1) m"),
         "hrtf_grid_size": (lambda v: _int(v, 1), "int >= 1"),
         "hrtf_sh_order": (lambda v: _int(v, 0), "int >= 0"),
         "hrtf_file": (lambda v: v is None or (isinstance(v, str) and v != ""),

@@ -13,9 +13,9 @@ order is read from C = (order + 1)^2. Design fits every model from its
 responses on a direction grid (`point_receiver_hrtf`, whose ears at the
 center give the flat model, or a file's set) and evaluates the fit at
 its DOAs (`evaluate_sh`). The simulated reference takes an HRTF as real
-channels (`HrtfChannels`): the analytic models in closed form by the
-addition theorem, with no fit, and any SH expansion, a file's fitted
-set, by the complex-to-real harmonic map.
+channels (`HrtfChannels`): the point model's zonal channels projected
+from its own responses, with no fit, and any SH expansion, a file's
+fitted set, by the complex-to-real harmonic map.
 """
 
 import math
@@ -24,7 +24,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from .geometry import wavenumbers
-from .sph import _legendre, num_coeffs, sh_matrix, spherical_jn
+from .sph import _legendre, num_coeffs, sh_matrix
 
 
 def point_receiver_hrtf(ear_offset, stft_cfg, directions):
@@ -80,23 +80,25 @@ class HrtfChannels:
 
 
 def point_receiver_channels(ear_offset, stft_cfg, order):
-    """point_receiver_hrtf's channels up to `order`, by Jacobi-Anger and
-    the addition theorem: exp(+/- i k a cos g) = sum_n (+/- i)^n
-    sqrt(4 pi (2n+1)) j_n(k a) P_n^0(g), with g the angle to +y, so no
-    fit and no aliasing from the orders above `order`. The ears share
-    the channels, since P_n(-x) = (-1)^n P_n(x). At ear_offset 0 only
-    n = 0 is nonzero: a_0 = 1 / sqrt(4 pi) and a decode of sqrt(4 pi),
-    the flat model's unit response, which needs order 0 alone."""
+    """point_receiver_hrtf's channels up to `order`, projected on them:
+    D_n(f) = 2 pi int h(f, t) P_n^0(t) dt over t = u . y, the cosine of
+    the angle to +y, by Gauss-Legendre at Q = order + floor(k a) + 20
+    nodes (k a at Nyquist), which integrates every bin to rounding. The
+    weights are Christoffel's, 2 pi w_q = 1 / sum_(n < Q) P_n^0(t_q)^2,
+    from the same Legendre chain; h is taken at (pi/2, arcsin t), whose
+    u . y is t. No fit, so no aliasing from the orders above `order`.
+    With its ears at the center the model is flat, h = 1, whose one
+    channel is order 0."""
     if ear_offset < 0:
         raise ValueError("ear_offset must not be negative")
-    ka = wavenumbers(stft_cfg.bin_frequencies()) * ear_offset
-    n = np.arange(order + 1)
-    radial = np.sqrt(4 * np.pi * (2 * n + 1))[:, None] \
-        * spherical_jn(order, ka)
-    powers = np.array([1, 1j, -1, -1j])  # i^n, exactly
-    decode = np.stack([powers[n % 4, None] * radial,
-                       powers[-n % 4, None] * radial])
-    return HrtfChannels(order=order, decode=decode, zonal=True)
+    order = order if ear_offset else 0
+    ka = wavenumbers(stft_cfg.bin_frequencies()[-1]) * ear_offset
+    t = np.polynomial.legendre.leggauss(order + int(ka) + 20)[0]
+    chain = np.array(list(_legendre(t.size - 1, 0, np.arccos(t))))
+    ears = point_receiver_hrtf(ear_offset, stft_cfg, np.column_stack(
+        [np.full_like(t, np.pi / 2), np.arcsin(t)]))
+    weights = chain[:order + 1] / (chain * chain).sum(axis=0)
+    return HrtfChannels(order=order, decode=weights @ ears, zonal=True)
 
 
 def sh_channels(h, order):

@@ -50,40 +50,6 @@ def _legendre(n_max, m, colatitudes):
         yield p1
 
 
-def spherical_jn(n_max, x):
-    """Spherical Bessel functions j_0..j_n_max at x >= 0, shape
-    (n_max + 1, x.size), with j_n(0) = delta_n0 exactly.
-
-    Miller's downward recursion (Abramowitz & Stegun 10.1) on g_n = j_n /
-    x^n, g_(n-1) = (2n+1) g_n - x^2 g_(n+1), which divides by no x; it
-    starts at n_max + ceil(max x) + 30 from g = (1, 0), is rescaled when
-    it grows large and is normalised by j_0 = sin x / x or j_1 = sin x /
-    x^2 - cos x / x, whichever is larger in magnitude: j_0 alone loses
-    digits near its zeros.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros((n_max + 1, x.size))
-    out[0] = x == 0
-    z = x[x > 0]
-    if z.size == 0:
-        return out
-    top = n_max + int(np.ceil(z.max())) + 30
-    g = np.zeros((top + 2, z.size))
-    g[top] = 1.0
-    for n in range(top, 0, -1):
-        g[n - 1] = (2 * n + 1) * g[n] - z * z * g[n + 1]
-        big = np.abs(g[n - 1]) > 1e200
-        if big.any():
-            g[n - 1:, big] *= 1e-200
-    j0 = np.sin(z) / z
-    j1 = (j0 - np.cos(z)) / z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / g[0], j1 / (z * g[1]))
-    out[:, x > 0] = z ** np.arange(n_max + 1)[:, None] \
-        * (g[: n_max + 1] * scale)
-    return out
-
-
 def sh_matrix(order, directions):
     """Rows of SH values at (colatitude, azimuth) rows, shape (D, 2).
 

@@ -17,7 +17,12 @@ one printed line is "identical" when every other file's bytes match,
 "digests only" when the bytes differ but no payload does, or else names
 each file whose payload differs, a container file with the parts that
 differ (for example "bank_direct.bsmf (solver config)"), and each file
-that one directory lacks.
+that one directory lacks. A numeric part that differs (WAV samples, BSMG
+spectra, BSMF filters, JSON numbers) carries its largest absolute change
+relative to the old part's largest magnitude, so "reference.bsmg
+(spectra 3e-8)" reads as a rounding-level change; JSON whose numbers
+alone differ shows as "verdict.json (numbers 2e-12)". Arrays of another
+shape, or JSON that differs in more than its numbers, carry no figure.
 
 Usage: PYTHONPATH=src python tests/compare_payloads.py OLD_DIR NEW_DIR
 """
@@ -26,6 +31,8 @@ import json
 import struct
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from bsmrender.containers import (DIGEST_LEN, read_binaural_spectrogram,
                                   read_wav)
@@ -42,7 +49,8 @@ def bank_parts(path):
     tag = blob[28:pos].decode("ascii")
     pos += DIGEST_LEN + 4
     config = blob[pos:pos + struct.unpack_from("<I", blob, pos - 4)[0]]
-    return {"filters": ((2, bins, mics), blob[pos + len(config):]),
+    filters = np.frombuffer(blob[pos + len(config):], "<c16")
+    return {"filters": filters.reshape(2, bins, mics),
             "tag": tag, "solver config": config.decode("ascii"),
             "sample rate": rate, "FFT size": fft_size}
 
@@ -51,11 +59,10 @@ def payload(path):
     """The named parts of one artifact's content, without its digest."""
     if path.suffix == ".wav":
         samples, rate, _ = read_wav(path)
-        return {"samples": (samples.shape, samples.tobytes()),
-                "sample rate": rate}
+        return {"samples": samples, "sample rate": rate}
     if path.suffix == ".bsmg":
         spec, _ = read_binaural_spectrogram(path)
-        return {"spectra": (spec.data.shape, spec.data.tobytes()),
+        return {"spectra": spec.data,
                 "tag": spec.tag, "STFT parameters": spec.config}
     if path.suffix == ".bsmf":
         parts = bank_parts(path)
@@ -66,6 +73,61 @@ def payload(path):
         content.pop("scene_digest", None)
         return {"content": content}
     return {"bytes": path.read_bytes()}
+
+
+def _same(old, new):
+    """Bitwise equality of two parts, arrays by shape and bytes."""
+    if isinstance(old, np.ndarray):
+        return old.shape == new.shape and old.tobytes() == new.tobytes()
+    return old == new
+
+
+_NUMBER = object()  # stands in for each number of a JSON document
+
+
+def _numbers(value, found):
+    """`value` with each JSON number moved to the list `found`."""
+    if isinstance(value, dict):
+        return {key: _numbers(item, found) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_numbers(item, found) for item in value]
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        found.append(value)
+        return _NUMBER
+    return value
+
+
+def relative_change(old, new):
+    """max |new - old| / max |old| over a numeric part, or None when the
+    two do not line up: arrays of other shapes, or JSON documents that
+    differ in more than their numbers."""
+    if not isinstance(old, np.ndarray):  # a JSON document
+        old_numbers, new_numbers = [], []
+        if _numbers(old, old_numbers) != _numbers(new, new_numbers):
+            return None
+        old, new = old_numbers, new_numbers
+    old, new = np.asarray(old), np.asarray(new)
+    if old.shape != new.shape:
+        return None
+    wide = np.promote_types(old.dtype, np.float64)
+    change = np.abs(new.astype(wide) - old.astype(wide)).max(initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(change / np.abs(old.astype(wide)).max(initial=0.0))
+
+
+def _figure(x):
+    """One significant digit without exponent padding: 3e-8, not 3e-08."""
+    return f"{x:.0e}".replace("e-0", "e-").replace("e+0", "e+")
+
+
+def _part_text(part, old, new):
+    """A differing part's name, with its relative change if numeric."""
+    if isinstance(old, np.ndarray) or part == "content":
+        change = relative_change(old, new)
+        if change is not None:
+            return f"{'numbers' if part == 'content' else part} " \
+                   f"{_figure(change)}"
+    return part
 
 
 def compare(old_dir, new_dir):
@@ -85,11 +147,13 @@ def compare(old_dir, new_dir):
                 changed.append(name)
                 continue
             parts = [part for part in old_parts
-                     if old_parts[part] != new_parts[part]]
+                     if not _same(old_parts[part], new_parts[part])]
+            texts = [_part_text(part, old_parts[part], new_parts[part])
+                     for part in parts]
             if not parts:
                 digests += 1
-            elif len(old_parts) > 1:
-                changed.append(f"{name} ({', '.join(parts)})")
+            elif len(old_parts) > 1 or texts != parts:
+                changed.append(f"{name} ({', '.join(texts)})")
             else:
                 changed.append(name)
     parts = []

@@ -95,7 +95,9 @@ def _src_env():
 def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
     # every stage is its own process: scipy.signal (and scipy.stats, which
     # it imports) would cost each call most of a second before any work,
-    # and the package now loads no scipy module at all
+    # and the package now loads no scipy module at all; numpy.polynomial
+    # (about 4 ms) is left to the point model's projection, which looks
+    # up leggauss when it runs
     probe = ("import json, sys\n"
              "import bsmrender.cli\n"
              "loaded = {'import': sorted(sys.modules)}\n"
@@ -108,7 +110,7 @@ def test_cli_import_leaves_out_scipy_signal_and_stats(tmp_path):
     loaded = json.loads(run.stdout.splitlines()[-1])
     assert "bsmrender.cli" in loaded["import"]
     for step, modules in loaded.items():
-        for banned in ("scipy.signal", "scipy.stats"):
+        for banned in ("scipy.signal", "scipy.stats", "numpy.polynomial"):
             assert banned not in modules, (step, banned)
         assert not [m for m in modules if m.partition(".")[0] == "scipy"], \
             step
@@ -856,8 +858,8 @@ BLAS_YAML = (ECHO_YAML.replace("max_reflection_order: 2",
 
 
 def test_simulate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # the point model's coefficients come in closed form, so simulate makes
-    # no BLAS call whose rounding follows the thread count: one and two
+    # the point model's channels need no fit, so simulate makes no BLAS
+    # call whose rounding follows the thread count: one and two
     # OpenBLAS threads write the same files, the manifest included
     config_path = tmp_path / "blas.yaml"
     config_path.write_text(BLAS_YAML)
@@ -1118,7 +1120,7 @@ def test_evaluate_reads_spectrograms_in_turn(tmp_path, monkeypatch):
 
 
 def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
-    # the point model's channels come in closed form at the reference
+    # the point model's channels are projected at the reference
     # order, before the first artifact is written: simulate applies no
     # fit, no order-5 expansion ever exists, and the reference gets the
     # three zonal channels of order 2, with a decode that owns its data
@@ -1129,9 +1131,9 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
         seen.append(channels)
         return simulate.binaural_references(images, source, channels, *args)
 
-    def closed_spy(ear_offset, stft_cfg, order):
-        events.append(("closed form", order))
-        return closed_form(ear_offset, stft_cfg, order)
+    def projection_spy(ear_offset, stft_cfg, order):
+        events.append(("projection", order))
+        return projection(ear_offset, stft_cfg, order)
 
     def fit_spy(*args):
         events.append(("fit", None))
@@ -1143,17 +1145,17 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
             return writer(path, *args)
         return spy
 
-    closed_form, fit_operator = cli.point_receiver_channels, cli.sh_fit_operator
+    projection, fit_operator = cli.point_receiver_channels, cli.sh_fit_operator
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     monkeypatch.setattr(cli, "binaural_references", spy)
-    monkeypatch.setattr(cli, "point_receiver_channels", closed_spy)
+    monkeypatch.setattr(cli, "point_receiver_channels", projection_spy)
     monkeypatch.setattr(cli, "sh_fit_operator", fit_spy)
     monkeypatch.setattr(cli, "write_json", write_spy(cli.write_json))
     monkeypatch.setattr(cli, "write_wav", write_spy(cli.write_wav))
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
-    assert events[0] == ("closed form", 2)
+    assert events[0] == ("projection", 2)
     assert ("fit", None) not in events
     assert ("reference", None) in events
     assert ("write", "scene_stats.json") in events
@@ -1168,10 +1170,11 @@ def test_reference_gets_its_own_order_only(tmp_path, monkeypatch):
                          [(2, 5, 2), (5, 2, 2), (3, 3, 3)])
 def test_closed_form_takes_the_fit_order_rule(offset, reference_order,
                                               hrtf_sh_order, want):
-    # the point model's closed form is built at min(reference_order,
+    # the point model's projection is built at min(reference_order,
     # hrtf_sh_order), the order the fit gave, so the reference truncates
     # as before; with its ears at the center (the flat model) its unit
-    # response is its one order-0 channel
+    # response is its one order-0 channel, which point_receiver_channels
+    # returns whatever order is asked
     cfg = cfgmod.resolve("desk")
     cfg["design"].update(hrtf_ear_offset=offset,
                          reference_order=reference_order,
@@ -1182,6 +1185,17 @@ def test_closed_form_takes_the_fit_order_rule(offset, reference_order,
         want = 0
     assert channels.order == want and channels.zonal
     assert channels.decode.shape == (2, want + 1, stft_cfg.num_bins)
+
+
+def test_simulate_at_the_largest_ear_offset(tmp_path):
+    # 0.99 m, just inside the schema's bound, projects the point model on
+    # 2 + floor(k a) + 20 = 457 nodes at the mini scene's 24 kHz Nyquist
+    config_path = tmp_path / "mini.yaml"
+    config_path.write_text(MINI_YAML + "  hrtf_ear_offset: 0.99\n")
+    assert main(["simulate", "--out", str(tmp_path / "o"),
+                 "--config", str(config_path)]) == 0
+    spec, _ = read_binaural_spectrogram(tmp_path / "o" / "reference.bsmg")
+    assert np.isfinite(spec.data).all()
 
 
 def test_file_hrtf_is_fitted_at_any_ear_offset(tmp_path):

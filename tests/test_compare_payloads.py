@@ -2,17 +2,18 @@
 
 import numpy as np
 
-from bsmrender.containers import (save_filterbank, write_binaural_spectrogram,
-                                  write_json, write_wav)
+from bsmrender.containers import (read_binaural_spectrogram, save_filterbank,
+                                  write_binaural_spectrogram, write_json,
+                                  write_wav)
 from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.stft import Spectrogram, StftConfig
 
-from compare_payloads import compare
+from compare_payloads import compare, relative_change
 
 
-def _write_run(folder, digest, scale=1.0, snr=np.inf):
-    """One artifact of each kind under `digest`, its payload scaled and
-    its bank designed at `snr`."""
+def _write_run(folder, digest, scale=1.0, snr=np.inf, gain=1.5):
+    """One artifact of each kind under `digest`, its payload scaled, its
+    bank designed at `snr` and its verdict's gain `gain`."""
     folder.mkdir()
     write_wav(folder / "mics.wav", scale * np.linspace(-1, 1, 12), 48000,
               digest)
@@ -23,7 +24,7 @@ def _write_run(folder, digest, scale=1.0, snr=np.inf):
     bank = BsmFilterBank(ears=np.ones((2, cfg.num_bins, 3), complex),
                          tag="direct", config=SolverConfig(snr=snr))
     save_filterbank(folder / "bank.bsmf", bank, cfg, digest)
-    write_json(folder / "verdict.json", {"scene_digest": digest, "gain": 1.5})
+    write_json(folder / "verdict.json", {"scene_digest": digest, "gain": gain})
     (folder / "nmse.csv").write_text("frequency_hz,left_db\n0,-20\n")
     write_json(folder / "manifest.json", {"digest": digest})
 
@@ -43,7 +44,7 @@ def test_payload_changes_are_named(tmp_path):
     (tmp_path / "b" / "extra.wav").write_bytes(b"")
     assert compare(tmp_path / "a", tmp_path / "b") == (
         "in one directory only: extra.wav; payloads differ: mics.wav "
-        "(samples) nmse.csv; digests only in the other 3 files")
+        "(samples 5e-1) nmse.csv; digests only in the other 3 files")
 
 
 def test_bank_config_changes_are_named(tmp_path):
@@ -67,3 +68,54 @@ def test_bank_config_changes_are_named(tmp_path):
     _write_run(tmp_path / "c", "0123456789abcdef")
     assert compare(tmp_path / "a", tmp_path / "c") == (
         "payloads differ: bank.bsmf (solver config)")
+
+
+def test_numeric_changes_carry_their_size(tmp_path):
+    # each numeric part that differs carries max |new - old| / max |old|,
+    # one significant digit: the WAV's float32 samples by 1e-3 of their
+    # peak, one spectrum bin by 2e-5 of the spectra's peak, and the
+    # verdict's one number by 2e-12 of itself
+    _write_run(tmp_path / "a", "0123456789abcdef")
+    _write_run(tmp_path / "b", "0123456789abcdef", scale=1.001,
+               gain=1.5 * (1 + 2e-12))
+    spec, _ = read_binaural_spectrogram(tmp_path / "a" / "reference.bsmg")
+    data = spec.data.copy()
+    data[1, 0, -1] += 2e-5 * np.abs(data).max()
+    write_binaural_spectrogram(tmp_path / "b" / "reference.bsmg",
+                               Spectrogram(data, spec.config, spec.tag),
+                               "0123456789abcdef")
+    assert compare(tmp_path / "a", tmp_path / "b") == (
+        "payloads differ: mics.wav (samples 1e-3) reference.bsmg "
+        "(spectra 2e-5) verdict.json (numbers 2e-12)")
+
+
+def test_parts_that_do_not_line_up_carry_no_size(tmp_path):
+    # other shapes, or JSON that differs in more than its numbers, have no
+    # elementwise change to report; a bank's filters have one
+    _write_run(tmp_path / "a", "0123456789abcdef")
+    _write_run(tmp_path / "b", "0123456789abcdef")
+    write_wav(tmp_path / "b" / "mics.wav", np.linspace(-1, 1, 13), 48000,
+              "0123456789abcdef")
+    write_json(tmp_path / "b" / "verdict.json",
+               {"scene_digest": "0123456789abcdef", "gain": 1.5, "note": 1})
+    cfg = StftConfig(48000, 8, 4)
+    bank = BsmFilterBank(ears=np.full((2, cfg.num_bins, 3), 1 - 1e-6, complex),
+                         tag="direct", config=SolverConfig(snr=np.inf))
+    save_filterbank(tmp_path / "b" / "bank.bsmf", bank, cfg,
+                    "0123456789abcdef")
+    assert compare(tmp_path / "a", tmp_path / "b") == (
+        "payloads differ: bank.bsmf (filters 1e-6) mics.wav (samples) "
+        "verdict.json")
+
+
+def test_relative_change():
+    assert relative_change(np.array([2.0, -4.0]), np.array([2.0, -3.0])) \
+        == 0.25
+    assert relative_change({"a": [1, 2.0], "b": None},
+                           {"a": [1, 2.5], "b": None}) == 0.25
+    # a number where a null was is not a change of a number
+    assert relative_change({"a": None, "b": 1.0},
+                           {"a": 1.0, "b": None}) is None
+    assert relative_change({"a": True}, {"a": 1}) is None
+    assert relative_change([1.0, {"b": 4.0}], [1.0, {"b": 3.0}]) == 0.25
+    assert relative_change(np.zeros(2), np.ones(2)) == np.inf

@@ -130,6 +130,19 @@ def test_sizes_beyond_memory_name_their_key(key, value, message, tmp_path,
     assert err.startswith(f"error [config]: {message}"), err
 
 
+@pytest.mark.parametrize("value", ["1.0", "1.0e+300"])
+def test_ear_offset_beyond_a_head_is_a_config_error(value, tmp_path, capsys):
+    # the point model's ears sit within 1 m of the center: offsets of 1 m
+    # and 1e300 m once resolved, and the projection's node count grows
+    # with the offset (about 470 nodes at 0.99 m and 48 kHz)
+    code, err = _dry_run(tmp_path, capsys,
+                         _leaf_yaml("design.hrtf_ear_offset", value))
+    assert code == 1
+    assert err.startswith(
+        "error [config]: bad value for design.hrtf_ear_offset: "), err
+    assert err.endswith("(expected number in [0, 1) m)\n"), err
+
+
 def test_bad_values_rejected(tmp_path):
     with pytest.raises(ConfigError, match="rir_seconds"):
         resolve("desk", _write(tmp_path, "scene:\n  rir_seconds: -0.1\n"))

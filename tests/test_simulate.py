@@ -413,8 +413,8 @@ def _hrtf_sh(cfg, order):
 def _reference_hrtf(kind, cfg, ref_order, hrtf_order):
     """The SH coefficients an oracle decodes with and the real channels
     binaural_references takes for the same HRTF at min(ref_order,
-    hrtf_order): the point model fitted or in closed form, at ear offset
-    0 (the flat model) at order 0, or SH ears drawn at random."""
+    hrtf_order): the point model fitted or projected, at ear offset 0
+    (the flat model) at order 0, or SH ears drawn at random."""
     order = min(ref_order, hrtf_order)
     if kind in ("point", "flat"):
         offset, order = (0.0875, order) if kind == "point" else (0.0, 0)
@@ -436,7 +436,7 @@ def _reference_hrtf(kind, cfg, ref_order, hrtf_order):
 def test_binaural_references_match_oracle(kind, ref_order, hrtf_order):
     # rank-one direct path and real channels against the full complex128
     # encode -> STFT -> decode route, including HRTF truncation, for a
-    # fitted set and the two closed forms
+    # fitted set and the two projected models
     scene = _scene(seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
     coeffs, channels = _reference_hrtf(kind, cfg, ref_order, hrtf_order)

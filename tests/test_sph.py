@@ -11,7 +11,6 @@ from bsmrender.sph import (
     _legendre,
     num_coeffs,
     sh_matrix,
-    spherical_jn,
     spiral_grid,
     steering_tensor,
 )
@@ -88,31 +87,6 @@ def test_sh_addition_theorem_to_order_30(u, v):
     zonal = np.array([p[0] for p in _legendre(30, 0, gamma)])
     np.testing.assert_allclose(np.sqrt((2 * n + 1) / (4 * np.pi)) * zonal,
                                want, rtol=0, atol=1e-12)
-
-
-@settings(max_examples=60)
-@given(st.lists(st.floats(1e-200, 45.0), min_size=1, max_size=20))
-@example([np.pi, 2 * np.pi, 4.493409457909064, 45.0])  # zeros of j_0, j_1
-@example([1e-200, 1e-20, 1e-5])
-def test_spherical_jn_matches_scipy(ka):
-    # Miller's recursion against scipy's spherical_jn for n <= 30: within
-    # 1e-14 absolutely, and 1e-12 relative where the series decays, ka <
-    # n / 2, and the value is a normal double; a relative gate cannot hold
-    # at the zeros of j_n. At ka = 0, j_n is delta_n0 exactly. Below about
-    # 1e-200 scipy's j_1 reads 0 (NaN at 5e-324), so the leading term
-    # x / 3 stands in for it there
-    tiny = spherical_jn(1, np.array([1e-300, 5e-324]))
-    np.testing.assert_allclose(tiny[1], [1e-300 / 3, 5e-324 / 3], rtol=1e-15)
-    x = np.array([0.0, *ka])
-    got = spherical_jn(30, x)
-    n = np.arange(31)[:, None]
-    want = special.spherical_jn(n, x[None, :])
-    np.testing.assert_array_equal(got[:, 0], n[:, 0] == 0)
-    err = np.abs(got - want)
-    assert err.max() <= 1e-14, err.max()
-    decays = (x[None, :] < n / 2) & (np.abs(want) >= np.finfo(float).tiny)
-    rel = err[decays] / np.abs(want[decays])
-    assert rel.size == 0 or rel.max() <= 1e-12, rel.max()
 
 
 def test_sh_matrix_orthonormality():
