@@ -8,12 +8,11 @@ a config-driven CLI (see bsmrender.cli).
 __version__ = "0.1.0"
 
 from .geometry import ArrayGeometry, sph_to_cart
-from .solvers import BsmFilterBank, CovarianceModel, SolverConfig
+from .solvers import CovarianceModel, SolverConfig
 from .stft import Spectrogram, StftConfig
 
 __all__ = [
     "ArrayGeometry",
-    "BsmFilterBank",
     "CovarianceModel",
     "SolverConfig",
     "Spectrogram",

@@ -29,12 +29,15 @@ from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid, steering_tensor
+from .stft import Spectrogram
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
 MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
 SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg")
 BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
+ESTIMATE_ARTIFACTS = ("component_direct.bsmg", "component_reverb.bsmg",
+                      "bsm_standard.bsmg")  # as render_estimates orders them
 # in the order evaluate reads them
 SPECTRO_ARTIFACTS = ("reference_direct.bsmg", "component_direct.bsmg",
                      "reference.bsmg", "component_reverb.bsmg",
@@ -99,8 +102,8 @@ def run_simulate(cfg, out_dir, digest):
 
     references = binaural_references(
         center, scene.source_signal, channels, stft_cfg, rir_s)
-    for name, spec in zip(("reference", "reference_direct"), references):
-        write_binaural_spectrogram(out_dir / f"{name}.bsmg", spec, digest)
+    for name, spec in zip(SIM_ARTIFACTS[2:], references):
+        write_binaural_spectrogram(out_dir / name, spec, digest)
     update_manifest(out_dir, SIM_ARTIFACTS + ("scene_stats.json",), digest)
     t60, drr = stats["t60_s"], stats["drr_db"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
@@ -129,36 +132,36 @@ def run_design(cfg, out_dir, digest):
                               magls_cutoff_hz=design["magls_cutoff_hz"])
 
     # each bank's steering tensor, built from its DOAs, lives for its design
-    bank_d = design_filterbank(steering_tensor(stft_cfg, geom, direct_doas),
-                               hrtf_d, stft_cfg, direct_cfg, tag="direct")
-    bank_r = design_filterbank(steering_tensor(stft_cfg, geom, reverb_doas),
-                               hrtf_r, stft_cfg, reverb_cfg, tag="reverberant")
-    save_filterbank(out_dir / "bank_direct.bsmf", bank_d, stft_cfg, digest)
-    save_filterbank(out_dir / "bank_reverb.bsmf", bank_r, stft_cfg, digest)
+    ears_d, capped_d = design_filterbank(
+        steering_tensor(stft_cfg, geom, direct_doas), hrtf_d, stft_cfg,
+        direct_cfg)
+    ears_r, capped_r = design_filterbank(
+        steering_tensor(stft_cfg, geom, reverb_doas), hrtf_r, stft_cfg,
+        reverb_cfg)
+    save_filterbank(out_dir / "bank_direct.bsmf", ears_d, "direct",
+                    direct_cfg, stft_cfg, digest)
+    save_filterbank(out_dir / "bank_reverb.bsmf", ears_r, "reverberant",
+                    reverb_cfg, stft_cfg, digest)
     update_manifest(out_dir, BANK_ARTIFACTS, digest)
-    capped = bank_d.magls_capped + bank_r.magls_capped
+    capped = capped_d + capped_r
     # a capped solve still returns its last iterate, a usable filter, so
     # the cap is reported but does not fail the stage
     cap_text = (f", warning: {capped} MagLS bins stopped at the iteration "
                 "cap" if capped else "")
     print(f"design: {geom.num_mics} mics, {stft_cfg.num_bins} bins, "
           f"{len(reverb_doas)} coverage directions{cap_text}")
-    return bank_d, bank_r
 
 
 def run_render(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
-    full, direct, bank_d, bank_r = read_artifacts(
-        out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render", stft_cfg)
-    # the estimates' files are named by tag: bsm-standard, bsm_standard.bsmg
-    results = {f"{tag.replace('-', '_')}.bsmg": spec for tag, spec in
-               render_estimates(full, direct, bank_d, bank_r, stft_cfg).items()}
-    for name, spec in results.items():
+    estimates = render_estimates(*read_artifacts(
+        out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render", stft_cfg),
+        stft_cfg)
+    for name, spec in zip(ESTIMATE_ARTIFACTS, estimates):
         write_binaural_spectrogram(out_dir / name, spec, digest)
-    update_manifest(out_dir, results, digest)
-    print(f"render: {len(results)} artifacts, "
-          f"{results['bsm_standard.bsmg'].num_frames} frames")
-    return results
+    update_manifest(out_dir, ESTIMATE_ARTIFACTS, digest)
+    print(f"render: {len(estimates)} artifacts, {spec.num_frames} frames")
+    return dict(zip(ESTIMATE_ARTIFACTS, estimates))
 
 
 def near_ear(cfg):
@@ -201,13 +204,14 @@ def run_evaluate(cfg, out_dir, digest):
     ref_d, comp_d = next(spectra), next(spectra)
     reports = {"direct": nmse(comp_d, ref_d, trim)}
     ref = next(spectra)
-    ref_r = ref - ref_d
+    ref_r = Spectrogram(ref.data - ref_d.data, stft_cfg)
     del ref_d
     comp_r = next(spectra)
     # all bins flagged when the room is anechoic (no reverberant field)
     reports["reverb"] = nmse(comp_r, ref_r, trim)
     del ref_r
-    reports["decomposed"] = nmse(comp_d + comp_r, ref, trim)
+    reports["decomposed"] = nmse(Spectrogram(comp_d.data + comp_r.data,
+                                             stft_cfg), ref, trim)
     del comp_d, comp_r
     reports["standard"] = nmse(next(spectra), ref, trim)
     for name, report in reports.items():

@@ -9,16 +9,17 @@ BSMH. WAV has no version field and keeps its version 1 layout.
 - WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
   optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
 - BSMG version 2, binaural spectrogram: u32 sample rate, window, hop, FFT
-  size (the window's, which the reader checks), frames, bins; str tag;
-  digest; the (2, frames, bins) <c8 ears block, left ear first.
+  size (the window's, which the reader checks), frames, bins; str tag:
+  the file's name, `_` read as `-`, which the reader checks; digest; the
+  (2, frames, bins) <c8 ears block, left ear first.
   Spectrograms are stored at single precision and read back as
   complex128; version 1 stored the same header with a <c16 block and is
   refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size (the last
-  three the run's StftConfig's); str tag; digest; str solver config
-  (standard JSON, sorted keys, default separators: `snr`, null for an
-  infinite SNR, and `magls_cutoff_hz`, null for plain LS at every bin);
-  the (2, bins, mics) <c16 ears block, left ear first.
+  three the run's StftConfig's); str tag, direct or reverberant; digest;
+  str solver config (standard JSON, sorted keys, default separators:
+  `snr`, null for an infinite SNR, and `magls_cutoff_hz`, null for plain
+  LS at every bin); the (2, bins, mics) <c16 ears block, left ear first.
 - BSMH, HRTF set: u32 sample rate (the run's), directions D, taps T; the
   (D, 2) <f8 colatitude/azimuth table; the (2, D, T) <f4 IRs, left first.
 
@@ -40,8 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import as_directions
-from .solvers import BsmFilterBank, SolverConfig
-from .stft import BINAURAL_TAGS, Spectrogram, StftConfig
+from .solvers import SolverConfig
+from .stft import Spectrogram, StftConfig
 
 DIGEST_LEN = 16  # hex chars of sha256, enough to catch staleness
 VERSIONS = {b"BSMG": 2, b"BSMF": 1, b"BSMH": 1}
@@ -246,16 +247,21 @@ def read_wav(path):
 
 # ---------------------------------------------------------------- BSMG
 
+def _spectrogram_tag(path):
+    """The tag a BSMG file stores: its name, `_` read as `-`."""
+    return Path(path).stem.replace("_", "-")
+
+
 def write_binaural_spectrogram(path, spec, digest):
     """Write a two-channel (left, right) binaural Spectrogram."""
-    if spec.tag not in BINAURAL_TAGS:
-        raise ContainerError(f"{spec.tag!r} is not a binaural tag")
+    if spec.num_channels != 2:
+        raise ContainerError(f"{path}: {spec.num_channels} channels, not 2")
     cfg = spec.config
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMG", "IIIIII", int(cfg.sample_rate),
                          cfg.window_length, cfg.hop, cfg.fft_size,
                          spec.num_frames, spec.num_bins)
-                 + _string(spec.tag) + _digest_bytes(digest))
+                 + _string(_spectrogram_tag(path)) + _digest_bytes(digest))
         block = np.empty((min(WRITE_FRAMES, spec.num_frames), spec.num_bins),
                          dtype="<c8")
         for ear in spec.data:
@@ -274,34 +280,37 @@ def read_binaural_spectrogram(path):
     digest = cur.ascii(DIGEST_LEN, "digest")
     ears = cur.array("<c8", (2, frames, bins), "spectra")
     cur.end()
-    if tag not in BINAURAL_TAGS:
-        cur.fail(f"{tag!r} is not a binaural tag")
+    if tag != _spectrogram_tag(path):
+        cur.fail(f"stores the tag {tag!r}, not {_spectrogram_tag(path)!r}")
     with cur.checked("STFT parameters"):
         config = StftConfig(rate, window, hop)
         if config.fft_size != fft_size:
             raise ValueError(f"FFT size {fft_size} is not the {window}-sample "
                              f"window's {config.fft_size}")
-        return Spectrogram(data=ears.astype(complex), config=config,
-                           tag=tag), digest
+        return Spectrogram(data=ears.astype(complex), config=config), digest
 
 
 # ---------------------------------------------------------------- BSMF
 
-def save_filterbank(path, bank, stft_cfg, digest):
+def save_filterbank(path, ears, tag, solver, stft_cfg, digest):
+    """Write a bank's (2, bins, M) filters `ears`, left ear first, with its
+    tag and the SolverConfig `solver` that designed it."""
     # the default JSON separators are part of the version 1 bytes, and an
     # unset cutoff or an infinite SNR is null, as standard JSON has no inf
-    snr = bank.config.snr
-    config = json.dumps({"magls_cutoff_hz": bank.config.magls_cutoff_hz,
-                         "snr": None if np.isinf(snr) else snr}, sort_keys=True)
+    config = json.dumps({"magls_cutoff_hz": solver.magls_cutoff_hz,
+                         "snr": None if np.isinf(solver.snr) else solver.snr},
+                        sort_keys=True)
+    _, bins, mics = ears.shape
     with open(path, "wb") as fh:
-        fh.write(_header(b"BSMF", "IIII", bank.num_mics, bank.num_bins,
+        fh.write(_header(b"BSMF", "IIII", mics, bins,
                          int(stft_cfg.sample_rate), stft_cfg.fft_size)
-                 + _string(bank.tag) + _digest_bytes(digest) + _string(config))
-        fh.write(np.ascontiguousarray(bank.ears, dtype="<c16"))
+                 + _string(tag) + _digest_bytes(digest) + _string(config))
+        fh.write(np.ascontiguousarray(ears, dtype="<c16"))
 
 
 def load_filterbank(path, stft_cfg):
-    """Returns (BsmFilterBank, embedded digest) of the run's sampling."""
+    """Returns the (2, bins, M) filters of a bank of the run's sampling and
+    its embedded digest, after checking its tag and solver config."""
     cur = _Cursor(path)
     mics, bins, rate, fft_size = cur.header(b"BSMF", "IIII")
     _require_run(path, "(sample rate, FFT size, bins)", (rate, fft_size, bins),
@@ -315,8 +324,12 @@ def load_filterbank(path, stft_cfg):
         solver = dict(json.loads(config))
         if solver.get("snr") is None:
             solver["snr"] = np.inf
-        bank = BsmFilterBank(ears=ears, tag=tag, config=SolverConfig(**solver))
-    return bank, digest
+        SolverConfig(**solver)
+        if tag not in ("direct", "reverberant"):
+            raise ValueError(f"unknown filter bank tag {tag!r}")
+        if not np.isfinite(ears).all():
+            raise ValueError("non-finite filter coefficients")
+    return ears, digest
 
 
 # ---------------------------------------------------------------- BSMH

@@ -343,8 +343,7 @@ def binaural_references(images, source, channels, config, rir_seconds):
     del convolve  # the source's spectrum, before the direct part's ears
     ears_d = spec * (a0 @ decode)[:, None, :]
     ears += ears_d
-    return (Spectrogram(data=ears, config=config, tag="reference"),
-            Spectrogram(data=ears_d, config=config, tag="reference-direct"))
+    return Spectrogram(ears, config), Spectrogram(ears_d, config)
 
 
 def add_noise(signals, snr, seed=0):

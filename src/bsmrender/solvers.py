@@ -10,8 +10,9 @@ equal-power sources and white noise, leaving a single SNR knob:
 
 Above a cutoff, when one is set, the magnitude-least-squares variant
 trades phase accuracy for magnitude accuracy, which is the perceptually
-relevant quantity at high frequencies. A bank takes V and h as the
-caller built them, (bins, M, L) and (2, L, bins) arrays, builds
+relevant quantity at high frequencies. A bank is its (2, bins, M)
+filters, left ear first. design_filterbank takes V and h as the caller
+built them, (bins, M, L) and (2, L, bins) arrays, builds
 A = V V^H + reg I for every bin at once and solves every bin's LS
 filters A^{-1}(V h*) of both ears in one batched solve. A MagLS bin
 factors once, P = A^{-1} V, and then iterates matrix-vector products
@@ -155,44 +156,14 @@ def _magls_iterate(pm, vh, c):
     return c, True
 
 
-@dataclass(frozen=True)
-class BsmFilterBank:
-    """Filters per ear and bin, ears shape (2, bins, M) with the left ear
-    first, plus design provenance. The bins are the run's STFT bins; the
-    run's StftConfig, not the bank, holds their sample rate and FFT size.
-
-    magls_capped counts the bins, over both ears, whose MagLS solve stopped
-    at MAGLS_MAX_ITER without converging. It is a diagnostic of the design
-    run and is not stored with the bank."""
-
-    ears: np.ndarray = field(repr=False)
-    tag: str
-    config: SolverConfig
-    magls_capped: int = 0
-
-    def __post_init__(self):
-        if self.ears.ndim != 3 or self.ears.shape[0] != 2:
-            raise ValueError("coefficients must have shape (2, bins, M)")
-        if self.tag not in ("direct", "reverberant"):
-            raise ValueError(f"unknown filter bank tag {self.tag!r}")
-        if not np.all(np.isfinite(self.ears)):
-            raise ValueError("non-finite filter coefficients")
-
-    @property
-    def num_bins(self):
-        return self.ears.shape[1]
-
-    @property
-    def num_mics(self):
-        return self.ears.shape[2]
-
-
-def design_filterbank(vs, responses, stft_cfg, config, tag):
+def design_filterbank(vs, responses, stft_cfg, config):
     """Design one filter bank over every bin of `stft_cfg` from the
     steering tensor vs (bins, M, L) and the ears' responses (2, L, bins).
     With no MagLS cutoff, and below a set one (and always at bin 0), the
     plain LS solve is used; above it, MagLS seeded with the previous bin's
-    filter. The bank's magls_capped counts the solves that hit the cap.
+    filter. Returns (ears, capped): the (2, bins, M) filters, left ear
+    first, and the count of MagLS solves over both ears that stopped at
+    MAGLS_MAX_ITER without converging, a diagnostic of the design run.
     """
     bins, _, doas = vs.shape
     if responses.shape != (2, doas, bins) or bins != stft_cfg.num_bins:
@@ -226,5 +197,4 @@ def design_filterbank(vs, responses, stft_cfg, config, tag):
             coeffs[b], hit_cap = _magls_iterate(p * np.abs(h[:, b]), vh,
                                                 coeffs[b - 1])
             capped += hit_cap
-    return BsmFilterBank(ears=ears, tag=tag, config=config,
-                         magls_capped=capped)
+    return ears, capped

@@ -5,26 +5,13 @@ analysis windows (WOLA square-root splitting is deliberately not used).
 The Hamming window never reaches zero, so the overlap-add denominator is
 strictly positive everywhere and unmodified frames reconstruct exactly.
 
-Every spectrogram carries a provenance tag, so that mixing incompatible
-pipelines is an error instead of a silent bug. Microphone spectrograms are
-the measurement x or its direct and reverberant parts; binaural ones have
-two channels (left, right). The decomposition x = x_d + x_r and the
-decomposed rendering are the only sums and differences allowed: x - x_d
-gives x_r, reference - reference-direct gives reference-reverb and
-component-direct + component-reverb gives bsm-decomposed.
+A spectrogram is its data and its StftConfig: one channel per microphone,
+or two (left, right) for a binaural one. The artifact that stores it names
+the signal it holds.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
-
-MIC_TAGS = ("x", "x_d", "x_r")
-BINAURAL_TAGS = ("reference", "reference-direct", "reference-reverb",
-                 "bsm-standard", "bsm-decomposed",
-                 "component-direct", "component-reverb")
-_DIFFERENCES = {("x", "x_d"): "x_r",
-                ("reference", "reference-direct"): "reference-reverb"}
-_SUMS = {("component-direct", "component-reverb"): "bsm-decomposed",
-         ("component-reverb", "component-direct"): "bsm-decomposed"}
 
 
 @dataclass(frozen=True)
@@ -72,22 +59,17 @@ class StftConfig:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT data, shape (channels, frames, bins), plus provenance.
+    """Complex STFT data, shape (channels, frames, bins), and its config.
     Binaural spectrograms hold channel 0 = left ear, channel 1 = right."""
 
     data: np.ndarray = field(repr=False)
     config: StftConfig
-    tag: str = "x"
 
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ValueError("data must be (channels, frames, bins)")
         if self.data.shape[2] != self.config.num_bins:
             raise ValueError("bin count does not match config")
-        if self.tag not in MIC_TAGS + BINAURAL_TAGS:
-            raise ValueError(f"unknown tag {self.tag!r}")
-        if self.tag in BINAURAL_TAGS and self.num_channels != 2:
-            raise ValueError(f"a {self.tag!r} spectrogram needs 2 channels")
 
     @property
     def num_channels(self):
@@ -101,23 +83,8 @@ class Spectrogram:
     def num_bins(self):
         return self.data.shape[2]
 
-    def _combine(self, other, rules, op):
-        out_tag = rules.get((self.tag, other.tag))
-        if out_tag is None:
-            raise ValueError(f"cannot combine {self.tag!r} with {other.tag!r}")
-        if self.data.shape != other.data.shape or self.config != other.config:
-            raise ValueError("operands have different shapes or configs")
-        return Spectrogram(data=op(self.data, other.data), config=self.config,
-                           tag=out_tag)
 
-    def __add__(self, other):
-        return self._combine(other, _SUMS, np.add)
-
-    def __sub__(self, other):
-        return self._combine(other, _DIFFERENCES, np.subtract)
-
-
-def stft(signal, config, tag="x", start=0, stop=None):
+def stft(signal, config, start=0, stop=None):
     """Forward transform of a real signal, (samples,) or (samples, channels),
     from frame `start` to `stop` (default: the last) with the whole's bits.
     Frames are windowed into a zeroed (channels, frames, fft_size) buffer
@@ -137,8 +104,7 @@ def stft(signal, config, tag="x", start=0, stop=None):
         seg = sig[t * config.hop : t * config.hop + window.size].T
         np.multiply(seg, window[: seg.shape[1]],
                     out=frames[:, t - start, : seg.shape[1]])
-    return Spectrogram(data=np.fft.rfft(frames, axis=2), config=config,
-                       tag=tag)
+    return Spectrogram(data=np.fft.rfft(frames, axis=2), config=config)
 
 
 def istft(spec, num_samples=None):

@@ -5,12 +5,15 @@ change to the config's keys alone changes the bytes of every file. This
 compares what the stages and readers take from each file:
 
 - WAV: the samples and the sample rate
-- BSMG: the spectra, the tag and the STFT parameters
+- BSMG: the spectra and the STFT parameters; the reader checks that the
+  stored tag is the file's name
 - BSMF: the filters, the tag, the solver config, sample rate and FFT size,
   read from the file's layout with the solver config as the JSON it
   stores, so that banks whose config keys differ still compare
 - JSON: the content without its scene_digest
-- CSV and any other file: the bytes
+- CSV: the rows, the fields of the `nmse_linear` and `nmse_db` columns as
+  numbers (an empty field as null) and every other field as text
+- any other file: the bytes
 
 manifest.json holds only content hashes and digests and is skipped. The
 one printed line is "identical" when every other file's bytes match,
@@ -18,11 +21,12 @@ one printed line is "identical" when every other file's bytes match,
 each file whose payload differs, a container file with the parts that
 differ (for example "bank_direct.bsmf (solver config)"), and each file
 that one directory lacks. A numeric part that differs (WAV samples, BSMG
-spectra, BSMF filters, JSON numbers) carries its largest absolute change
-relative to the old part's largest magnitude, so "reference.bsmg
-(spectra 3e-8)" reads as a rounding-level change; JSON whose numbers
-alone differ shows as "verdict.json (numbers 2e-12)". Arrays of another
-shape, or JSON that differs in more than its numbers, carry no figure.
+spectra, BSMF filters, JSON and CSV numbers) carries its largest absolute
+change relative to the old part's largest magnitude, so "reference.bsmg
+(spectra 3e-8)" reads as a rounding-level change; JSON or CSV whose
+numbers alone differ shows as "verdict.json (numbers 2e-12)" or
+"nmse_reverb.csv (numbers 2e-16)". Arrays of another shape, or JSON or
+CSV that differs in more than its numbers, carry no figure.
 
 Usage: PYTHONPATH=src python tests/compare_payloads.py OLD_DIR NEW_DIR
 """
@@ -36,6 +40,8 @@ import numpy as np
 
 from bsmrender.containers import (DIGEST_LEN, read_binaural_spectrogram,
                                   read_wav)
+
+NUMERIC_COLUMNS = ("nmse_linear", "nmse_db")  # of evaluate's report CSVs
 
 
 def bank_parts(path):
@@ -62,8 +68,7 @@ def payload(path):
         return {"samples": samples, "sample rate": rate}
     if path.suffix == ".bsmg":
         spec, _ = read_binaural_spectrogram(path)
-        return {"spectra": spec.data,
-                "tag": spec.tag, "STFT parameters": spec.config}
+        return {"spectra": spec.data, "STFT parameters": spec.config}
     if path.suffix == ".bsmf":
         parts = bank_parts(path)
         parts["solver config"] = json.loads(parts["solver config"])
@@ -72,6 +77,14 @@ def payload(path):
         content = json.loads(path.read_text())
         content.pop("scene_digest", None)
         return {"content": content}
+    if path.suffix == ".csv":
+        lines = path.read_text().splitlines() or [""]
+        header, *rows = (line.split(",") for line in lines)
+        numeric = {i for i, name in enumerate(header)
+                   if name in NUMERIC_COLUMNS}
+        return {"content": [header] + [
+            [(float(field) if field else None) if i in numeric else field
+             for i, field in enumerate(row)] for row in rows]}
     return {"bytes": path.read_bytes()}
 
 

@@ -235,8 +235,9 @@ def assert_bits_equal(got, want):
 
 def write_binaural_spectrogram_v1(path, spec, digest):
     """A BSMG file in the version 1 layout: version 2's header with a
-    version field of 1, and the (2, frames, bins) payload at <c16."""
-    cfg, tag = spec.config, spec.tag.encode("ascii")
+    version field of 1, and the (2, frames, bins) payload at <c16. The tag
+    is the file's name, `_` read as `-`."""
+    cfg, tag = spec.config, path.stem.replace("_", "-").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(b"BSMG" + struct.pack("<7I", 1, int(cfg.sample_rate),
                                        cfg.window_length, cfg.hop,

@@ -73,7 +73,7 @@ def complex_stft(signal, config):
     return spec[..., : config.num_bins]
 
 
-def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
+def render_reference(sh_signal, hrtf_sh, config):
     """Binaural reference from an SH-domain time signal, decoded per STFT
     bin with the HRTF's SH coefficients (truncated to the smaller order)."""
     n_ch = sh_signal.shape[1]
@@ -84,7 +84,7 @@ def render_reference(sh_signal, hrtf_sh, config, tag="reference"):
     g = decode_matrix(hrtf_sh, order)
     spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
     ears = np.stack([np.einsum("cfb,cb->fb", spec, g_ear) for g_ear in g])
-    return Spectrogram(data=ears, config=config, tag=tag)
+    return Spectrogram(data=ears, config=config)
 
 
 def binaural_references_serial(images, source, hrtf_sh, config, order,
@@ -134,5 +134,5 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
             ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
                                         g_neg[:, sl]))
 
-    return (Spectrogram(data=ears_d + ears_r, config=config, tag="reference"),
-            Spectrogram(data=ears_d, config=config, tag="reference-direct"))
+    return (Spectrogram(data=ears_d + ears_r, config=config),
+            Spectrogram(data=ears_d, config=config))

@@ -13,6 +13,7 @@ import threading
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from bsmrender.cli import (
     main,
     near_ear,
 )
-from bsmrender.containers import (load_filterbank, read_binaural_spectrogram,
-                                  read_wav, save_filterbank, save_hrtf,
+from bsmrender.containers import (read_binaural_spectrogram, read_wav,
+                                  save_filterbank, save_hrtf,
                                   update_manifest, verify_artifacts,
                                   write_binaural_spectrogram, write_wav)
 from bsmrender.evaluate import octave_bands
@@ -478,6 +479,59 @@ def test_corrupt_bank_fails_render_stage(mini_run, tmp_path, capsys):
     assert "error [render]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tag, bad_filter, snr, problem", [
+    ("mystery", False, 100.0, "unknown filter bank tag 'mystery'"),
+    ("reverberant", True, 100.0, "non-finite filter coefficients"),
+    ("reverberant", False, 0, "snr must be positive (may be inf)"),
+    ("reverberant", False, -1, "snr must be positive (may be inf)"),
+], ids=["tag", "nan", "snr-0", "snr-negative"])
+def test_invalid_bank_fails_render_stage(mini_run, tmp_path, capsys, tag,
+                                         bad_filter, snr, problem):
+    # a bank the manifest vouches for, of an unknown tag, with a NaN
+    # filter or with a stored solver config SolverConfig refuses, is
+    # refused by load_filterbank by the file's name
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "bank"
+    shutil.copytree(out, work)
+    path, digest = work / "bank_reverb.bsmf", cfgmod.run_digest(cfg)
+    filters = bank_parts(path)["filters"].copy()
+    if bad_filter:
+        filters[1, 7, 0] = np.nan
+    save_filterbank(path, filters, tag,
+                    SimpleNamespace(snr=snr, magls_cutoff_hz=1500.0),
+                    StftConfig.default(), digest)
+    update_manifest(work, [path.name], digest)
+    rc = main(["render", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["render"]
+    assert capsys.readouterr().err == (
+        f"error [render]: {path}: invalid filter bank: {problem}\n")
+
+
+def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
+                                                             tmp_path,
+                                                             capsys):
+    # a BSMG file stores its name as its tag: bsm_standard.bsmg holding
+    # the tag "reference", vouched for by the manifest, was once scored
+    # without a word; it is refused by its name
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "renamed"
+    shutil.copytree(out, work)
+    path = work / "bsm_standard.bsmg"
+    spec, digest = read_binaural_spectrogram(path)
+    write_binaural_spectrogram(tmp_path / "reference.bsmg", spec, digest)
+    shutil.copyfile(tmp_path / "reference.bsmg", path)
+    update_manifest(work, [path.name], digest)
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        f"error [evaluate]: {path}: stores the tag 'reference', not "
+        "'bsm-standard'\n")
+
+
 @pytest.mark.parametrize("reshape", [lambda d, r: (d[:-1], r),
                                      lambda d, r: (np.hstack([d, d]), r),
                                      lambda d, r: (d, r // 2)])
@@ -552,8 +606,8 @@ def test_other_stft_parameters_fail_evaluate_stage(mini_run, tmp_path,
     spec, digest = read_binaural_spectrogram(path)
     c = spec.config
     other = StftConfig(c.sample_rate, c.window_length, c.hop // 2)
-    write_binaural_spectrogram(path, Spectrogram(data=spec.data, config=other,
-                                                 tag=spec.tag), digest)
+    write_binaural_spectrogram(path, Spectrogram(data=spec.data, config=other),
+                               digest)
     update_manifest(work, ["reference_direct.bsmg"], digest)
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["evaluate"]
@@ -570,17 +624,27 @@ def _wav_at_other_rate(path, digest):
     return "sample rate is 44100, not the run's 48000"
 
 
+def _resave_bank(path, stft_cfg, digest):
+    """Write the bank at `path` again for `stft_cfg` under `digest`, its
+    filters, tag and solver config kept."""
+    parts = bank_parts(path)
+    solver = json.loads(parts["solver config"])
+    if solver["snr"] is None:
+        solver["snr"] = np.inf
+    save_filterbank(path, parts["filters"], parts["tag"],
+                    solvers.SolverConfig(**solver), stft_cfg, digest)
+
+
 def _bank_at_other_rate(path, digest):
-    bank = load_filterbank(path, StftConfig.default())[0]
-    save_filterbank(path, bank, OTHER_RATE, digest)
+    _resave_bank(path, OTHER_RATE, digest)
     return ("(sample rate, FFT size, bins) is (44100, 2048, 1025), not the "
             "run's (48000, 2048, 1025)")
 
 
 def _spectrogram_at_other_rate(path, digest):
     spec = read_binaural_spectrogram(path)[0]
-    write_binaural_spectrogram(path, Spectrogram(spec.data, OTHER_RATE,
-                                                 spec.tag), digest)
+    write_binaural_spectrogram(path, Spectrogram(spec.data, OTHER_RATE),
+                               digest)
     return f"STFT is {OTHER_RATE}, not the run's {StftConfig.default()}"
 
 
@@ -629,8 +693,7 @@ def _rewrite_wav(path, digest):
 
 
 def _rewrite_bank(path, digest):
-    stft_cfg = StftConfig.default()  # the mini run's STFT, desk's
-    save_filterbank(path, load_filterbank(path, stft_cfg)[0], stft_cfg, digest)
+    _resave_bank(path, StftConfig.default(), digest)  # the mini run's STFT
 
 
 def _rewrite_spectrogram(path, digest):
@@ -736,14 +799,14 @@ def test_design_reports_capped_magls_bins(tmp_path, capsys, monkeypatch):
 
 
 def _design_banks(tmp_path, text):
-    """The direct and reverberant banks of a design run on config `text`."""
+    """The direct and reverberant banks of a design run on config `text`,
+    each as compare_payloads.bank_parts reads it."""
     out = tmp_path / f"run{len(list(tmp_path.glob('run*.yaml')))}"
     config_path = out.with_suffix(".yaml")
     config_path.write_text(text)
     assert main(["design", "--out", str(out), "--config",
                  str(config_path)]) == 0
-    stft_cfg = cfgmod.build_stft_config(cfgmod.resolve("desk", config_path))
-    return [load_filterbank(out / name, stft_cfg)[0] for name in BANK_ARTIFACTS]
+    return [bank_parts(out / name) for name in BANK_ARTIFACTS]
 
 
 def test_null_cutoff_designs_plain_ls(tmp_path, capsys, monkeypatch):
@@ -753,11 +816,12 @@ def test_null_cutoff_designs_plain_ls(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", 0)
     ls = _design_banks(tmp_path, MINI_YAML + "  magls_cutoff_hz: null\n")[1]
     assert "warning" not in capsys.readouterr().out
-    assert ls.config == solvers.SolverConfig(snr=100.0, magls_cutoff_hz=None)
+    assert json.loads(ls["solver config"]) \
+        == {"magls_cutoff_hz": None, "snr": 100.0}
     top = _design_banks(tmp_path, MINI_YAML + "  magls_cutoff_hz: 24000\n")[1]
     assert capsys.readouterr().out.rstrip().endswith(
         "warning: 2 MagLS bins stopped at the iteration cap")
-    assert_bits_equal(ls.ears[:, :-1], top.ears[:, :-1])
+    assert_bits_equal(ls["filters"][:, :-1], top["filters"][:, :-1])
 
 
 @pytest.mark.parametrize("db", [200, 3000])
@@ -767,7 +831,7 @@ def test_snr_beyond_the_floor_designs_as_null(db, tmp_path):
     # (exit 3); the floor applies at every SNR, so these design as null
     null = _design_banks(tmp_path, TWO_MIC_YAML)[0]
     high = _design_banks(tmp_path, TWO_MIC_YAML + f"  direct_snr_db: {db}\n")
-    assert_bits_equal(high[0].ears, null.ears)
+    assert_bits_equal(high[0]["filters"], null["filters"])
 
 
 def test_bank_configs_are_standard_json(mini_run):
@@ -1026,9 +1090,8 @@ def test_render_peak_memory(tmp_path):
                   digest)
     for name, tag in zip(BANK_ARTIFACTS, ("direct", "reverberant")):
         ears = rng.standard_normal((2, stft_cfg.num_bins, mics)) + 0j
-        save_filterbank(tmp_path / name, solvers.BsmFilterBank(
-            ears=ears, tag=tag, config=solvers.SolverConfig()), stft_cfg,
-            digest)
+        save_filterbank(tmp_path / name, ears, tag, solvers.SolverConfig(),
+                        stft_cfg, digest)
     update_manifest(tmp_path, cli.MIC_ARTIFACTS + BANK_ARTIFACTS, digest)
     frames, bins = stft_cfg.num_frames(samples), stft_cfg.num_bins
     block = render.FRAME_BLOCK * (mics * (stft_cfg.fft_size * 8 + 3 * bins * 16)
@@ -1053,11 +1116,11 @@ def _write_spectrograms(out_dir, frames):
     stft_cfg = cfgmod.build_stft_config(cfg)
     shape = (2, frames, stft_cfg.num_bins)
     rng = np.random.default_rng(0)
-    for name in SPECTRO_ARTIFACTS:  # bsm_standard.bsmg holds bsm-standard
+    for name in SPECTRO_ARTIFACTS:
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        write_binaural_spectrogram(out_dir / name, Spectrogram(
-            data=data, config=stft_cfg, tag=name[:-5].replace("_", "-")),
-            digest)
+        write_binaural_spectrogram(out_dir / name,
+                                   Spectrogram(data=data, config=stft_cfg),
+                                   digest)
     update_manifest(out_dir, SPECTRO_ARTIFACTS, digest)
     return cfg, digest
 

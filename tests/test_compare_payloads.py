@@ -5,7 +5,7 @@ import numpy as np
 from bsmrender.containers import (read_binaural_spectrogram, save_filterbank,
                                   write_binaural_spectrogram, write_json,
                                   write_wav)
-from bsmrender.solvers import BsmFilterBank, SolverConfig
+from bsmrender.solvers import SolverConfig
 from bsmrender.stft import Spectrogram, StftConfig
 
 from compare_payloads import compare, relative_change
@@ -20,10 +20,9 @@ def _write_run(folder, digest, scale=1.0, snr=np.inf, gain=1.5):
     cfg = StftConfig(48000, 8, 4)
     ears = np.arange(2 * cfg.num_bins).reshape(2, 1, cfg.num_bins) * (1 + 1j)
     write_binaural_spectrogram(folder / "reference.bsmg",
-                               Spectrogram(ears, cfg, "reference"), digest)
-    bank = BsmFilterBank(ears=np.ones((2, cfg.num_bins, 3), complex),
-                         tag="direct", config=SolverConfig(snr=snr))
-    save_filterbank(folder / "bank.bsmf", bank, cfg, digest)
+                               Spectrogram(ears, cfg), digest)
+    save_filterbank(folder / "bank.bsmf", np.ones((2, cfg.num_bins, 3), complex),
+                    "direct", SolverConfig(snr=snr), cfg, digest)
     write_json(folder / "verdict.json", {"scene_digest": digest, "gain": gain})
     (folder / "nmse.csv").write_text("frequency_hz,left_db\n0,-20\n")
     write_json(folder / "manifest.json", {"digest": digest})
@@ -70,11 +69,19 @@ def test_bank_config_changes_are_named(tmp_path):
         "payloads differ: bank.bsmf (solver config)")
 
 
+def _write_report(path, db, flag=""):
+    """An NMSE report CSV whose second row holds `db` and `flag`."""
+    path.write_text("ear,freq_hz,nmse_linear,nmse_db,flag\n"
+                    "left,0.0,,,insufficient_energy\n"
+                    f"left,375.0,0.5,{float(db)!r},{flag}\n")
+
+
 def test_numeric_changes_carry_their_size(tmp_path):
     # each numeric part that differs carries max |new - old| / max |old|,
     # one significant digit: the WAV's float32 samples by 1e-3 of their
-    # peak, one spectrum bin by 2e-5 of the spectra's peak, and the
-    # verdict's one number by 2e-12 of itself
+    # peak, one spectrum bin by 2e-5 of the spectra's peak, the report's
+    # dB field by one rounding step of 3.0 (1e-16 of the largest number)
+    # and the verdict's one number by 2e-12 of itself
     _write_run(tmp_path / "a", "0123456789abcdef")
     _write_run(tmp_path / "b", "0123456789abcdef", scale=1.001,
                gain=1.5 * (1 + 2e-12))
@@ -82,11 +89,14 @@ def test_numeric_changes_carry_their_size(tmp_path):
     data = spec.data.copy()
     data[1, 0, -1] += 2e-5 * np.abs(data).max()
     write_binaural_spectrogram(tmp_path / "b" / "reference.bsmg",
-                               Spectrogram(data, spec.config, spec.tag),
+                               Spectrogram(data, spec.config),
                                "0123456789abcdef")
+    _write_report(tmp_path / "a" / "nmse_reverb.csv", -3.0)
+    _write_report(tmp_path / "b" / "nmse_reverb.csv", np.nextafter(-3.0, 0))
     assert compare(tmp_path / "a", tmp_path / "b") == (
-        "payloads differ: mics.wav (samples 1e-3) reference.bsmg "
-        "(spectra 2e-5) verdict.json (numbers 2e-12)")
+        "payloads differ: mics.wav (samples 1e-3) nmse_reverb.csv "
+        "(numbers 1e-16) reference.bsmg (spectra 2e-5) verdict.json "
+        "(numbers 2e-12)")
 
 
 def test_parts_that_do_not_line_up_carry_no_size(tmp_path):
@@ -99,13 +109,16 @@ def test_parts_that_do_not_line_up_carry_no_size(tmp_path):
     write_json(tmp_path / "b" / "verdict.json",
                {"scene_digest": "0123456789abcdef", "gain": 1.5, "note": 1})
     cfg = StftConfig(48000, 8, 4)
-    bank = BsmFilterBank(ears=np.full((2, cfg.num_bins, 3), 1 - 1e-6, complex),
-                         tag="direct", config=SolverConfig(snr=np.inf))
-    save_filterbank(tmp_path / "b" / "bank.bsmf", bank, cfg,
-                    "0123456789abcdef")
+    save_filterbank(tmp_path / "b" / "bank.bsmf",
+                    np.full((2, cfg.num_bins, 3), 1 - 1e-6, complex), "direct",
+                    SolverConfig(snr=np.inf), cfg, "0123456789abcdef")
+    # a report whose verdict on a bin moved, not only its numbers
+    _write_report(tmp_path / "a" / "nmse_reverb.csv", -3.0)
+    _write_report(tmp_path / "b" / "nmse_reverb.csv", -3.0,
+                  "insufficient_energy")
     assert compare(tmp_path / "a", tmp_path / "b") == (
         "payloads differ: bank.bsmf (filters 1e-6) mics.wav (samples) "
-        "verdict.json")
+        "nmse_reverb.csv verdict.json")
 
 
 def test_relative_change():

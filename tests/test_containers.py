@@ -32,7 +32,7 @@ from bsmrender.containers import (
     write_json,
     write_wav,
 )
-from bsmrender.solvers import BsmFilterBank, SolverConfig
+from bsmrender.solvers import SolverConfig
 from bsmrender.sph import spiral_grid
 from bsmrender.stft import Spectrogram, StftConfig, istft, stft
 
@@ -97,8 +97,8 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     right = (rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)).astype("<c8")
     path = tmp_path / "out.bsmg"
     write_binaural_spectrogram(
-        path, Spectrogram(np.stack([left, right]).astype(complex), cfg,
-                          "reference"), DIGEST)
+        path, Spectrogram(np.stack([left, right]).astype(complex), cfg),
+        DIGEST)
     spec, digest = read_binaural_spectrogram(path)
     assert spec.data.shape == (2, 7, cfg.num_bins)
     assert spec.data.dtype == np.complex128
@@ -108,9 +108,9 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     tail = path.read_bytes()[-2 * left.size * 8:]
     assert tail == left.tobytes() + right.tobytes()
     with pytest.raises(ContainerError):  # only binaural spectrograms
-        write_binaural_spectrogram(path, Spectrogram(left[None], cfg, "x"),
-                                   DIGEST)
-    assert spec.tag == "reference"
+        write_binaural_spectrogram(path, Spectrogram(left[None], cfg), DIGEST)
+    # the stored tag, after the 32-byte header, is the file's name
+    assert path.read_bytes()[32:39] == b"\x03\x00\x00\x00out"
     assert digest == DIGEST
     assert spec.config == cfg
 
@@ -121,7 +121,7 @@ def test_stored_spectrogram_is_listenable(tmp_path):
     # the float64 spectrogram before it was written
     cfg = StftConfig.default()
     signal = np.random.default_rng(3).standard_normal((48000, 2))
-    spec = stft(signal, cfg, tag="reference")
+    spec = stft(signal, cfg)
     path = tmp_path / "reference.bsmg"
     write_binaural_spectrogram(path, spec, DIGEST)
     want = istft(spec)
@@ -139,8 +139,7 @@ def test_spectrogram_payload_is_the_single_precision_cast(frames, tmp_path):
     data = (rng.standard_normal((2, frames, cfg.num_bins))
             + 1j * rng.standard_normal((2, frames, cfg.num_bins)))
     path = tmp_path / "cast.bsmg"
-    write_binaural_spectrogram(path, Spectrogram(data, cfg, "reference"),
-                               DIGEST)
+    write_binaural_spectrogram(path, Spectrogram(data, cfg), DIGEST)
     blob = path.read_bytes()
     assert blob[4:8] == (2).to_bytes(4, "little")
     assert blob[len(blob) - data.size * 8:] == data.astype("<c8").tobytes()
@@ -151,7 +150,7 @@ def test_spectrogram_payload_is_the_single_precision_cast(frames, tmp_path):
 
 def test_version_1_spectrogram_is_refused_by_name(tmp_path):
     # the double-precision layout this format replaced is never misread
-    path = tmp_path / "old.bsmg"
+    path = tmp_path / "reference.bsmg"  # the sample's tag, as pinned
     _write_sample_bsmg(path, writer=write_binaural_spectrogram_v1)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "c9915675de9128165a5e865c596d17cc89cf4646c6f4216a4a166bbe767db9ff")
@@ -173,15 +172,31 @@ def test_spectrogram_fft_size_must_be_the_windows(tmp_path):
         read_binaural_spectrogram(path)
 
 
+def test_spectrogram_tag_is_the_files_name(tmp_path):
+    # the stored tag is the file's name, `_` read as `-`, so a file read
+    # under another artifact's name is refused by name
+    path = tmp_path / "reference_direct.bsmg"
+    _write_sample_bsmg(path)
+    assert b"reference-direct" in path.read_bytes()
+    read_binaural_spectrogram(path)
+    moved = path.rename(tmp_path / "bsm_standard.bsmg")
+    with pytest.raises(ContainerError, match=re.escape(
+            f"{moved}: stores the tag 'reference-direct', not "
+            "'bsm-standard'")):
+        read_binaural_spectrogram(moved)
+
+
 def test_bank_keeps_an_infinite_snr_and_no_cutoff(tmp_path):
-    # both are stored as JSON null and read back as inf and None
-    bank = BsmFilterBank(ears=np.ones((2, 5, 3), complex), tag="direct",
-                         config=SolverConfig())
-    save_filterbank(tmp_path / "bank.bsmf", bank, SAMPLE_STFT, DIGEST)
+    # both are stored as JSON null, and the loader's solver config check
+    # reads them back as inf and None, a valid config
+    ears = np.ones((2, 5, 3), complex)
+    save_filterbank(tmp_path / "bank.bsmf", ears, "direct", SolverConfig(),
+                    SAMPLE_STFT, DIGEST)
     assert b'{"magls_cutoff_hz": null, "snr": null}' \
         in (tmp_path / "bank.bsmf").read_bytes()
-    back = load_filterbank(tmp_path / "bank.bsmf", SAMPLE_STFT)[0].config
-    assert back == SolverConfig(snr=np.inf, magls_cutoff_hz=None)
+    back, digest = load_filterbank(tmp_path / "bank.bsmf", SAMPLE_STFT)
+    np.testing.assert_array_equal(back, ears)
+    assert digest == DIGEST
 
 
 def _write_sample_wav(path):
@@ -191,15 +206,14 @@ def _write_sample_wav(path):
 def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
     cfg = StftConfig(48000, 8, 4)
     data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
-    writer(path, Spectrogram(np.stack([data, -data]), cfg, "reference"),
-           DIGEST)
+    writer(path, Spectrogram(np.stack([data, -data]), cfg), DIGEST)
 
 
 def _write_sample_bsmf(path):
     coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
-    bank = BsmFilterBank(ears=np.stack([coeffs, -coeffs]), tag="reverberant",
-                         config=SolverConfig(snr=12.5, magls_cutoff_hz=9000.0))
-    save_filterbank(path, bank, SAMPLE_STFT, DIGEST)
+    save_filterbank(path, np.stack([coeffs, -coeffs]), "reverberant",
+                    SolverConfig(snr=12.5, magls_cutoff_hz=9000.0),
+                    SAMPLE_STFT, DIGEST)
 
 
 def _write_sample_bsmh(path):
@@ -228,7 +242,8 @@ SAMPLE_SHA256 = {
 
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_writers_keep_their_bytes(kind, tmp_path):
-    path = tmp_path / kind
+    # a BSMG file stores its name as its tag: the sample's is "reference"
+    path = tmp_path / ("reference.bsmg" if kind == "bsmg" else kind)
     READERS[kind][0](path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_SHA256[kind]
 
@@ -242,16 +257,16 @@ def test_wav_without_digest_keeps_its_bytes(tmp_path):
 
 def _big_spectrogram(path):
     data = np.ones((2, 256, 1025), dtype=complex)
-    spec = Spectrogram(data, StftConfig(48000, 1536, 768), "reference")
+    spec = Spectrogram(data, StftConfig(48000, 1536, 768))
     # the file holds the payload at single precision
     return data.size * 8, lambda: write_binaural_spectrogram(path, spec, DIGEST)
 
 
 def _big_bank(path):
     ears = np.ones((2, 1025, 64), dtype=complex)
-    bank = BsmFilterBank(ears=ears, tag="direct", config=SolverConfig())
     return ears.nbytes, lambda: save_filterbank(
-        path, bank, StftConfig(48000, 2048, 1024), DIGEST)
+        path, ears, "direct", SolverConfig(), StftConfig(48000, 2048, 1024),
+        DIGEST)
 
 
 def _big_wav(path):

@@ -23,8 +23,8 @@ BINS = CFG.num_bins
 FRAMES = 12
 
 
-def _binaural(left, right, tag="reference"):
-    return Spectrogram(data=np.stack([left, right]), config=CFG, tag=tag)
+def _binaural(left, right):
+    return Spectrogram(data=np.stack([left, right]), config=CFG)
 
 
 def _random_pair(rng, scale=1.0):
@@ -32,8 +32,7 @@ def _random_pair(rng, scale=1.0):
     ref = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     est = ref + scale * (rng.standard_normal(shape)
                          + 1j * rng.standard_normal(shape))
-    return (_binaural(est, est, tag="bsm-decomposed"),
-            _binaural(ref, ref, tag="reference"))
+    return _binaural(est, est), _binaural(ref, ref)
 
 
 def test_perfect_estimate_scores_zero():
@@ -48,7 +47,7 @@ def test_zero_estimate_scores_unity():
     rng = np.random.default_rng(1)
     _, ref = _random_pair(rng)
     zero = _binaural(np.zeros((FRAMES, BINS), complex),
-                     np.zeros((FRAMES, BINS), complex), tag="bsm-standard")
+                     np.zeros((FRAMES, BINS), complex))
     report = nmse(zero, ref)
     np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
     np.testing.assert_allclose(report.db()[0], 0.0, atol=1e-10)
@@ -59,7 +58,7 @@ def test_doubled_estimate_scores_unity():
     rng = np.random.default_rng(2)
     _, ref = _random_pair(rng)
     left = ref.data[0]
-    est = _binaural(2 * left, 2 * ref.data[1], tag="bsm-standard")
+    est = _binaural(2 * left, 2 * ref.data[1])
     report = nmse(est, ref)
     np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
     np.testing.assert_allclose(report.linear[1], 1.0, rtol=1e-12)
@@ -84,8 +83,7 @@ def test_nmse_scale_invariance(alpha):
     # common gain on estimate and reference cancels out of the ratio
     rng = np.random.default_rng(4)
     est, ref = _random_pair(rng, scale=0.5)
-    scaled = nmse(_binaural(alpha * est.data[0], alpha * est.data[1],
-                            tag="bsm-standard"),
+    scaled = nmse(_binaural(alpha * est.data[0], alpha * est.data[1]),
                   _binaural(alpha * ref.data[0], alpha * ref.data[1]))
     plain = nmse(est, ref)
     np.testing.assert_allclose(scaled.linear[0], plain.linear[0],
@@ -98,8 +96,7 @@ def test_frame_permutation_invariance():
     est, ref = _random_pair(rng, scale=0.2)
     perm = rng.permutation(np.arange(2, FRAMES - 2))
     idx = np.concatenate([[0, 1], perm, [FRAMES - 2, FRAMES - 1]])
-    est_p = _binaural(est.data[0][idx], est.data[1][idx],
-                      tag="bsm-standard")
+    est_p = _binaural(est.data[0][idx], est.data[1][idx])
     ref_p = _binaural(ref.data[0][idx], ref.data[1][idx])
     a = nmse(est, ref)
     b = nmse(est_p, ref_p)
@@ -111,7 +108,7 @@ def test_low_energy_bins_get_flagged():
     ref_data = rng.standard_normal((FRAMES, BINS)) + 0j
     ref_data[:, 40:50] = 1e-9  # relatively negligible energy
     ref = _binaural(ref_data, ref_data)
-    est = _binaural(ref_data * 1.1, ref_data * 1.1, tag="bsm-standard")
+    est = _binaural(ref_data * 1.1, ref_data * 1.1)
     report = nmse(est, ref)
     assert report.flags[0][40:50].all()
     assert not report.flags[0][:40].any()
@@ -121,8 +118,7 @@ def test_low_energy_bins_get_flagged():
 def test_nmse_error_conditions():
     rng = np.random.default_rng(7)
     est, ref = _random_pair(rng)
-    short = _binaural(est.data[0][:5], est.data[1][:5],
-                      tag="bsm-standard")
+    short = _binaural(est.data[0][:5], est.data[1][:5])
     with pytest.raises(ValueError):
         nmse(short, ref)
     with pytest.raises(ValueError):
@@ -167,8 +163,7 @@ def test_band_summary_flat_report():
     rng = np.random.default_rng(9)
     est, ref = _random_pair(rng, scale=0.0)
     # force a known flat linear NMSE of 0.25 (-6.02 dB)
-    est = _binaural(ref.data[0] * 1.5, ref.data[1] * 1.5,
-                    tag="bsm-standard")
+    est = _binaural(ref.data[0] * 1.5, ref.data[1] * 1.5)
     report = nmse(est, ref)
     out = band_summary(report, [(0.0, 4000.0), (4000.0, 24000.0)])
     np.testing.assert_allclose(out[0], 10 * np.log10(0.25), atol=1e-9)
@@ -207,9 +202,8 @@ def test_compare_sign_convention():
     ref_data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     err = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ref = _binaural(ref_data, ref_data)
-    good = _binaural(ref_data + 0.5 * err, ref_data + 0.5 * err,
-                     tag="bsm-decomposed")
-    bad = _binaural(ref_data + err, ref_data + err, tag="bsm-standard")
+    good = _binaural(ref_data + 0.5 * err, ref_data + 0.5 * err)
+    bad = _binaural(ref_data + err, ref_data + err)
     rep_good = nmse(good, ref)
     rep_bad = nmse(bad, ref)
     per_bin, improvement, fraction = compare(rep_good, rep_bad)
@@ -242,7 +236,7 @@ def test_report_csv_flags_leave_blanks(tmp_path):
     ref_data = rng.standard_normal((FRAMES, BINS)) + 0j
     ref_data[:, 7] = 1e-10
     ref = _binaural(ref_data, ref_data)
-    est = _binaural(ref_data, ref_data, tag="bsm-standard")
+    est = _binaural(ref_data, ref_data)
     report = nmse(est, ref)
     path = tmp_path / "report.csv"
     write_report(path, report)

@@ -1,18 +1,17 @@
-"""Filter application, decomposition algebra and binaural SH references."""
+"""Filter application, the decomposed rendering and binaural SH references."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bsmrender.containers import ContainerError, write_binaural_spectrogram
 from bsmrender.hrtf import point_receiver_hrtf, sh_channels
 from bsmrender.render import FRAME_BLOCK, apply_filterbank, render_estimates
 from bsmrender.simulate import RoomSpec, binaural_references, \
     compute_image_sources, image_lattice, render_rir
-from bsmrender.solvers import BsmFilterBank, SolverConfig
 from bsmrender.sph import spiral_grid
-from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
-    stft
+from bsmrender.stft import Spectrogram, StftConfig, stft
 from oracles import assert_bits_equal, sh_fit
 from sh_oracle import decode_matrix
 
@@ -20,17 +19,16 @@ CFG = StftConfig(48000, 256, 128)  # fft 256, 129 bins
 BINS = CFG.num_bins
 
 
-def _spec(rng, channels, frames=5, tag="x"):
-    data = (rng.standard_normal((channels, frames, BINS))
-            + 1j * rng.standard_normal((channels, frames, BINS)))
-    return Spectrogram(data=data, config=CFG, tag=tag)
+def _spec(rng, channels, frames=5):
+    """Random (channels, frames, bins) spectra."""
+    shape = (channels, frames, BINS)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _bank(rng, mics, tag="reverberant"):
-    shape = (BINS, mics)
-    draw = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return BsmFilterBank(ears=np.stack([draw(), draw()]), tag=tag,
-                         config=SolverConfig())
+def _bank(rng, mics):
+    """Random (2, bins, mics) filters."""
+    shape = (2, BINS, mics)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def test_apply_filterbank_against_double_loop():
@@ -41,11 +39,15 @@ def test_apply_filterbank_against_double_loop():
     want = np.zeros((5, BINS), complex)
     for f in range(5):
         for b in range(BINS):
-            want[f, b] = np.vdot(bank.ears[0, b], x.data[:, f, b])
-    assert out.data.shape == (2, 5, BINS)
-    np.testing.assert_allclose(out.data[0], want, atol=1e-12)
-    want_r = np.einsum("mfb,bm->fb", x.data, np.conj(bank.ears[1]))
-    np.testing.assert_allclose(out.data[1], want_r, atol=1e-12)
+            want[f, b] = np.vdot(bank[0, b], x[:, f, b])
+    assert out.shape == (2, 5, BINS)
+    np.testing.assert_allclose(out[0], want, atol=1e-12)
+    want_r = np.einsum("mfb,bm->fb", x, np.conj(bank[1]))
+    np.testing.assert_allclose(out[1], want_r, atol=1e-12)
+    # a bank of another bin or mic count than the spectra is refused
+    for bad in (bank[:, 1:], bank[..., 1:]):
+        with pytest.raises(ValueError, match="bin counts|channel count"):
+            apply_filterbank(bad, x)
 
 
 def test_apply_filterbank_selector():
@@ -55,71 +57,35 @@ def test_apply_filterbank_selector():
     ears = np.zeros((2, BINS, 3), complex)
     ears[0, :, 1] = 1.0
     ears[1, :, 2] = 1.0
-    bank = BsmFilterBank(ears=ears, tag="reverberant",
-                         config=SolverConfig())
-    out = apply_filterbank(bank, x)
-    np.testing.assert_array_equal(out.data[0], x.data[1])
-    np.testing.assert_array_equal(out.data[1], x.data[2])
+    out = apply_filterbank(ears, x)
+    np.testing.assert_array_equal(out[0], x[1])
+    np.testing.assert_array_equal(out[1], x[2])
 
 
 def test_apply_filterbank_zero_bank():
     rng = np.random.default_rng(2)
-    x = _spec(rng, 2)
-    bank = BsmFilterBank(ears=np.zeros((2, BINS, 2), complex), tag="direct",
-                         config=SolverConfig())
-    out = apply_filterbank(bank, x)
-    np.testing.assert_array_equal(out.data, 0)
-
-
-def test_apply_filterbank_origin_tags():
-    rng = np.random.default_rng(3)
-    bank = _bank(rng, 2)
-    for tag_in, tag in (("x", "bsm-standard"), ("x_d", "component-direct"),
-                        ("x_r", "component-reverb")):
-        out = apply_filterbank(bank, _spec(rng, 2, tag=tag_in))
-        assert out.tag == tag
-    # a binaural spectrogram is not a recording
-    with pytest.raises(ValueError):
-        apply_filterbank(bank, _spec(rng, 2, tag="reference"))
+    out = apply_filterbank(np.zeros((2, BINS, 2), complex), _spec(rng, 2))
+    np.testing.assert_array_equal(out, 0)
 
 
 def test_apply_filterbank_is_linear_over_components():
     rng = np.random.default_rng(4)
     bank = _bank(rng, 3)
-    x_d = _spec(rng, 3, tag="x_d")
-    x_r = _spec(rng, 3, tag="x_r")
-    x = Spectrogram(data=x_d.data + x_r.data, config=CFG, tag="x")
-    whole = apply_filterbank(bank, x)
+    x_d = _spec(rng, 3)
+    x_r = _spec(rng, 3)
+    whole = apply_filterbank(bank, x_d + x_r)
     split = apply_filterbank(bank, x_d) + apply_filterbank(bank, x_r)
-    assert split.tag == "bsm-decomposed"
-    np.testing.assert_allclose(split.data, whole.data, atol=1e-12)
-
-
-def test_decompose_measurement():
-    rng = np.random.default_rng(5)
-    x = _spec(rng, 3, tag="x")
-    x_d = _spec(rng, 3, tag="x_d")
-    x_r = x - x_d
-    assert x_r.tag == "x_r"
-    np.testing.assert_array_equal(x_r.data, x.data - x_d.data)
-    with pytest.raises(ValueError):
-        x_d - x  # operands swapped
-    with pytest.raises(ValueError):
-        x - x  # second must be x_d
-    with pytest.raises(ValueError):
-        x - _spec(rng, 2, tag="x_d")  # channel counts differ
+    np.testing.assert_allclose(split, whole, atol=1e-12)
 
 
 def test_render_standard_and_decomposed_agree_with_shared_bank():
     rng = np.random.default_rng(6)
     bank = _bank(rng, 3)
-    x = _spec(rng, 3, tag="x")
-    x_d = _spec(rng, 3, tag="x_d")
+    x = _spec(rng, 3)
+    x_d = _spec(rng, 3)
     standard = apply_filterbank(bank, x)
     decomposed = apply_filterbank(bank, x_d) + apply_filterbank(bank, x - x_d)
-    assert standard.tag == "bsm-standard"
-    assert decomposed.tag == "bsm-decomposed"
-    np.testing.assert_allclose(decomposed.data, standard.data, atol=1e-12)
+    np.testing.assert_allclose(decomposed, standard, atol=1e-12)
 
 
 @settings(max_examples=30)
@@ -129,58 +95,12 @@ def test_decomposition_identity(mics, frames, seed):
     # is the standard one up to rounding
     rng = np.random.default_rng(seed)
     bank = _bank(rng, mics)
-    x = _spec(rng, mics, frames, tag="x")
-    x_d = _spec(rng, mics, frames, tag="x_d")
-    x_r = x - x_d
-    assert x_r.tag == "x_r"
-    split = apply_filterbank(bank, x_d) + apply_filterbank(bank, x_r)
+    x = _spec(rng, mics, frames)
+    x_d = _spec(rng, mics, frames)
+    split = apply_filterbank(bank, x_d) + apply_filterbank(bank, x - x_d)
     whole = apply_filterbank(bank, x)
-    assert split.tag == "bsm-decomposed"
-    scale = np.abs(whole.data).max()
-    np.testing.assert_allclose(split.data, whole.data, rtol=0,
-                               atol=1e-13 * scale)
-
-
-def test_binaural_tag_algebra():
-    rng = np.random.default_rng(7)
-
-    def bs(tag):
-        return _spec(rng, 2, frames=4, tag=tag)
-
-    total = bs("component-direct") + bs("component-reverb")
-    assert total.tag == "bsm-decomposed"
-    assert (bs("component-reverb") + bs("component-direct")).tag \
-        == "bsm-decomposed"
-    with pytest.raises(ValueError):
-        bs("component-direct") + bs("component-direct")
-    with pytest.raises(ValueError):
-        bs("bsm-standard") + bs("component-reverb")
-    rev = bs("reference") - bs("reference-direct")
-    assert rev.tag == "reference-reverb"
-    with pytest.raises(ValueError):
-        bs("reference") - bs("reference")
-    with pytest.raises(ValueError):
-        bs("mystery")
-
-
-ALLOWED = {("-", "x", "x_d"), ("-", "reference", "reference-direct"),
-           ("+", "component-direct", "component-reverb"),
-           ("+", "component-reverb", "component-direct")}
-
-
-@settings(max_examples=100)
-@given(st.sampled_from(("+", "-")), st.sampled_from(MIC_TAGS + BINAURAL_TAGS),
-       st.sampled_from(MIC_TAGS + BINAURAL_TAGS))
-def test_tag_pairs_outside_the_rules_raise(op, tag_a, tag_b):
-    rng = np.random.default_rng(0)
-    a = _spec(rng, 2, frames=3, tag=tag_a)
-    b = _spec(rng, 2, frames=3, tag=tag_b)
-    combine = (lambda: a + b) if op == "+" else (lambda: a - b)
-    if (op, tag_a, tag_b) in ALLOWED:
-        combine()
-    else:
-        with pytest.raises(ValueError):
-            combine()
+    scale = np.abs(whole).max()
+    np.testing.assert_allclose(split, whole, rtol=0, atol=1e-13 * scale)
 
 
 def test_decode_matrix_flips_degree_sign():
@@ -212,7 +132,6 @@ def test_render_reference_zero_input_is_silent():
     coeffs = sh_fit(dirs, point_receiver_hrtf(0.0875, CFG, dirs), 3)
     refs = binaural_references(_center_images(), np.zeros(1000),
                                sh_channels(coeffs, 3), CFG, 1200 / 48000)
-    assert [r.tag for r in refs] == ["reference", "reference-direct"]
     for ref in refs:
         assert ref.num_channels == 2
         np.testing.assert_array_equal(ref.data, 0)
@@ -262,20 +181,17 @@ def test_render_reference_decodes_plane_wave_to_hrtf():
     assert err < 10 ** (-50 / 20)  # below -50 dB
 
 
-def test_binaural_spectrogram_validation():
-    # binaural tags need exactly two channels; mic tags take any count
+def test_binaural_spectrogram_validation(tmp_path):
+    # a binaural spectrogram is stored with exactly two channels; a
+    # spectrogram of the mics takes any count
     rng = np.random.default_rng(10)
+    path = tmp_path / "reference.bsmg"
     for channels in (1, 3):
-        with pytest.raises(ValueError):
-            _spec(rng, channels, tag="reference")
-        assert _spec(rng, channels, tag="x").num_channels == channels
-    other = Spectrogram(data=rng.standard_normal((2, 4, 129)) + 0j,
-                        config=StftConfig(48000, 256, 64),
-                        tag="reference-direct")
-    with pytest.raises(ValueError):
-        _spec(rng, 2, frames=4, tag="reference") - other  # configs differ
-    ok = _spec(rng, 2, frames=4, tag="reference")
-    assert ok.num_frames == 4
+        spec = Spectrogram(data=_spec(rng, channels), config=CFG)
+        assert spec.num_channels == channels
+        with pytest.raises(ContainerError, match=f"{channels} channels"):
+            write_binaural_spectrogram(path, spec, "0123456789abcdef")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("frames", [1, FRAME_BLOCK, FRAME_BLOCK + 1,
@@ -288,15 +204,16 @@ def test_block_estimates_bitwise_equal_whole_spectrograms(frames):
     num_samples = CFG.window_length + (frames - 1) * CFG.hop - 7 * (frames > 1)
     assert CFG.num_frames(num_samples) == frames
     full, direct = rng.standard_normal((2, num_samples, 3))
-    bank_d, bank_r = _bank(rng, 3, "direct"), _bank(rng, 3)
+    bank_d, bank_r = _bank(rng, 3), _bank(rng, 3)
     got = render_estimates(full, direct, bank_d, bank_r, CFG)
-    x, x_d = stft(full, CFG, "x"), stft(direct, CFG, "x_d")
+    x, x_d = stft(full, CFG).data, stft(direct, CFG).data
+    # the direct bank on x_d, the reverberant one on x - x_d and on x
     want = [apply_filterbank(bank_d, x_d), apply_filterbank(bank_r, x - x_d),
             apply_filterbank(bank_r, x)]
-    assert sorted(got) == sorted(w.tag for w in want)
-    for w in want:
-        assert got[w.tag].tag == w.tag and got[w.tag].config == CFG
-        assert_bits_equal(got[w.tag].data, w.data)
+    assert len(got) == len(want)
+    for est, w in zip(got, want):
+        assert est.config == CFG
+        assert_bits_equal(est.data, w)
 
 
 @pytest.mark.parametrize("direct_shape", [(999, 3), (1000, 2)])
@@ -304,7 +221,7 @@ def test_block_estimates_refuse_unequal_signals(direct_shape):
     # framed one block at a time, a shorter direct signal would be padded
     # with zeros instead of refused
     rng = np.random.default_rng(11)
-    bank_d, bank_r = _bank(rng, 3, "direct"), _bank(rng, 3)
+    bank_d, bank_r = _bank(rng, 3), _bank(rng, 3)
     with pytest.raises(ValueError, match="mic signal shapes differ"):
         render_estimates(np.ones((1000, 3)), np.ones(direct_shape), bank_d,
                          bank_r, CFG)

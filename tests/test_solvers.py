@@ -3,6 +3,7 @@
 import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from bsmrender.geometry import semicircle_array
 from bsmrender.hrtf import point_receiver_hrtf
 from bsmrender import solvers
 from bsmrender.solvers import (
-    BsmFilterBank,
     CovarianceModel,
     SolverConfig,
     SolverError,
@@ -209,14 +209,13 @@ def test_design_filterbank_matches_per_bin_solver():
     doas = spiral_grid(8)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=100.0)
-    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
-                             STFT_SMALL, cfg, tag="direct")
-    assert bank.num_bins == STFT_SMALL.num_bins
-    assert bank.num_mics == 6
+    ears, capped = design_filterbank(steering_tensor(STFT_SMALL, geom, doas),
+                                     hrtf, STFT_SMALL, cfg)
+    assert ears.shape == (2, STFT_SMALL.num_bins, 6) and capped == 0
     for b, f in enumerate(STFT_SMALL.bin_frequencies()):
         v = steering_matrix(float(f), geom, doas)
         want = solve_ls(v, hrtf[0][:, b], 100.0)
-        np.testing.assert_allclose(bank.ears[0][b], want, atol=1e-12)
+        np.testing.assert_allclose(ears[0][b], want, atol=1e-12)
 
 
 def test_design_filterbank_magls_kicks_in_above_cutoff():
@@ -224,15 +223,13 @@ def test_design_filterbank_magls_kicks_in_above_cutoff():
     doas = spiral_grid(12)
     vs = steering_tensor(STFT_SMALL, geom, doas)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    plain = design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig(snr=30.0),
-                              tag="reverberant")
+    plain = design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig(snr=30.0))[0]
     mixed = design_filterbank(
         vs, hrtf, STFT_SMALL,
-        SolverConfig(snr=30.0, magls_cutoff_hz=10000.0),
-        tag="reverberant")
+        SolverConfig(snr=30.0, magls_cutoff_hz=10000.0))[0]
     # identical below the cutoff, different above it
-    np.testing.assert_array_equal(mixed.ears[0][:2], plain.ears[0][:2])
-    assert np.abs(mixed.ears[0][3:] - plain.ears[0][3:]).max() > 1e-6
+    np.testing.assert_array_equal(mixed[0][:2], plain[0][:2])
+    assert np.abs(mixed[0][3:] - plain[0][3:]).max() > 1e-6
 
 
 def test_design_filterbank_validation():
@@ -242,8 +239,7 @@ def test_design_filterbank_validation():
     with pytest.raises(ValueError):
         design_filterbank(
             steering_tensor(STFT_SMALL, geom, doas), hrtf, STFT_SMALL,
-            SolverConfig(magls_cutoff_hz=30000.0),
-            tag="direct")
+            SolverConfig(magls_cutoff_hz=30000.0))
 
 
 @pytest.mark.parametrize("h_shape", [
@@ -261,25 +257,30 @@ def test_design_filterbank_refuses_mismatched_responses(h_shape):
                         "do not share L directions and the STFT's 5 bins")
     with pytest.raises(ValueError, match=f"^{message}$"):
         design_filterbank(vs, np.ones(h_shape, complex), STFT_SMALL,
-                          SolverConfig(), tag="direct")
+                          SolverConfig())
     # responses of the tensor's shape, both a bin short of the STFT's
     with pytest.raises(ValueError, match=re.escape(
             "steering tensor (4, 4, 12) and responses (2, 12, 4)")):
         design_filterbank(vs[:4], np.ones((2, 12, 4), complex), STFT_SMALL,
-                          SolverConfig(), tag="direct")
+                          SolverConfig())
 
 
-def test_filterbank_validation():
+def test_filterbank_validation(tmp_path):
+    # the loader refuses a bank of an unknown tag, with a non-finite
+    # filter or with a solver config SolverConfig refuses, by the file's
+    # name; the saver writes what it is given
+    path = tmp_path / "bank.bsmf"
     ears = np.zeros((2, 5, 3), complex)
-    cfg = SolverConfig()
-    for bad in (ears[0], ears[:1], ears[None]):
-        with pytest.raises(ValueError, match=r"shape \(2, bins, M\)"):
-            BsmFilterBank(ears=bad, tag="direct", config=cfg)
-    with pytest.raises(ValueError):
-        BsmFilterBank(ears=ears, tag="mystery", config=cfg)
-    with pytest.raises(ValueError):
-        BsmFilterBank(ears=np.full((2, 5, 3), np.inf, complex), tag="direct",
-                      config=cfg)
+    for bad, tag, solver, problem in (
+            (ears, "mystery", SolverConfig(), "unknown filter bank tag"),
+            (np.full_like(ears, np.inf), "direct", SolverConfig(),
+             "non-finite filter coefficients"),
+            (ears, "direct", SimpleNamespace(snr=0, magls_cutoff_hz=None),
+             "snr must be positive")):
+        save_filterbank(path, bad, tag, solver, STFT_SMALL, "ab" * 8)
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{path}: invalid filter bank: {problem}")):
+            load_filterbank(path, STFT_SMALL)
 
 
 def test_filterbank_io_round_trip(tmp_path):
@@ -287,17 +288,19 @@ def test_filterbank_io_round_trip(tmp_path):
     doas = spiral_grid(5)
     hrtf = point_receiver_hrtf(0.0, STFT_SMALL, doas)
     cfg = SolverConfig(snr=12.5, magls_cutoff_hz=9000.0)
-    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
-                             STFT_SMALL, cfg, tag="reverberant")
+    ears = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
+                             STFT_SMALL, cfg)[0]
     path = tmp_path / "bank.bsmf"
-    save_filterbank(path, bank, STFT_SMALL, "ab" * 8)
+    save_filterbank(path, ears, "reverberant", cfg, STFT_SMALL, "ab" * 8)
     back, digest = load_filterbank(path, STFT_SMALL)
     assert digest == "ab" * 8
-    assert back.tag == "reverberant"
-    assert back.config == cfg
-    # mics, bins, then the sample rate and FFT size of the run's STFT
-    assert struct.unpack_from("<4I", path.read_bytes(), 8) == (3, 5, 48000, 8)
-    assert_bits_equal(back.ears, bank.ears)
+    # mics, bins, then the sample rate and FFT size of the run's STFT; the
+    # tag and the solver config follow the 32-byte header and the digest
+    blob = path.read_bytes()
+    assert struct.unpack_from("<4I", blob, 8) == (3, 5, 48000, 8)
+    assert blob[28:39] == b"reverberant"
+    assert b'{"magls_cutoff_hz": 9000.0, "snr": 12.5}' in blob
+    assert_bits_equal(back, ears)
 
 
 def test_filterbank_io_rejects_damage(tmp_path):
@@ -325,28 +328,33 @@ def test_design_filterbank_counts_capped_magls_bins(monkeypatch, max_iter,
     vs = steering_tensor(STFT_SMALL, geom, doas)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
     cfg = SolverConfig(snr=30.0, magls_cutoff_hz=10000.0)
-    default = design_filterbank(vs, hrtf, STFT_SMALL, cfg, tag="reverberant")
+    default, default_capped = design_filterbank(vs, hrtf, STFT_SMALL, cfg)
     monkeypatch.setattr(solvers, "MAGLS_MAX_ITER", max_iter)
-    bank = design_filterbank(vs, hrtf, STFT_SMALL, cfg, tag="reverberant")
-    assert bank.magls_capped == want
-    assert 0 < default.magls_capped < 6  # 50 iterations: some, not all
+    ears, capped = design_filterbank(vs, hrtf, STFT_SMALL, cfg)
+    assert capped == want
+    assert 0 < default_capped < 6  # 50 iterations: some, not all
     # the LS bins below the cutoff do not depend on the cap
-    np.testing.assert_array_equal(bank.ears[0][:2], default.ears[0][:2])
-    assert np.isfinite(bank.ears[0]).all() and np.isfinite(bank.ears[1]).all()
+    np.testing.assert_array_equal(ears[0][:2], default[0][:2])
+    assert np.isfinite(ears).all()
 
 
 def test_capped_count_is_not_stored(tmp_path):
+    # a design whose MagLS solves hit the cap stores its filters, tag and
+    # solver config, and nothing more: the file is the 28-byte header and
+    # tag length, the tag, the digest, the config and the filters
     geom = semicircle_array(4, 0.07)
     doas = spiral_grid(12)
     hrtf = point_receiver_hrtf(0.0875, STFT_SMALL, doas)
-    bank = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
-                             STFT_SMALL, SolverConfig(), tag="reverberant")
-    capped = BsmFilterBank(ears=bank.ears, tag=bank.tag,
-                           config=bank.config, magls_capped=7)
-    save_filterbank(tmp_path / "a.bsmf", bank, STFT_SMALL, "ab" * 8)
-    save_filterbank(tmp_path / "b.bsmf", capped, STFT_SMALL, "ab" * 8)
-    assert (tmp_path / "a.bsmf").read_bytes() \
-        == (tmp_path / "b.bsmf").read_bytes()
+    cfg = SolverConfig(snr=30.0, magls_cutoff_hz=10000.0)
+    ears, capped = design_filterbank(steering_tensor(STFT_SMALL, geom, doas),
+                                     hrtf, STFT_SMALL, cfg)
+    assert capped > 0
+    path = tmp_path / "bank.bsmf"
+    save_filterbank(path, ears, "reverberant", cfg, STFT_SMALL, "ab" * 8)
+    config = b'{"magls_cutoff_hz": 10000.0, "snr": 30.0}'
+    assert config in path.read_bytes()
+    assert path.stat().st_size == (28 + len(b"reverberant") + 16 + 4
+                                   + len(config) + ears.nbytes)
 
 
 def _random_hrtf(rng, stft_cfg, doas):
@@ -386,22 +394,22 @@ def test_design_filterbank_matches_loop(m, l, fft_size, radius, snr_db,
     cutoff = float(freqs[min(max(cutoff_bin, 1), stft_cfg.num_bins - 1)])
     cfg = SolverConfig(snr=snr, magls_cutoff_hz=cutoff if magls else None)
     vs = steering_tensor(stft_cfg, geom, doas)
-    bank = design_filterbank(vs, hrtf, stft_cfg, cfg, tag="reverberant")
+    ears, bank_capped = design_filterbank(vs, hrtf, stft_cfg, cfg)
     left, right, capped = design_filterbank_loop(vs, hrtf, stft_cfg, cfg)
     if not magls:
-        assert_bits_equal(bank.ears[0], left)
-        assert_bits_equal(bank.ears[1], right)
-        assert bank.magls_capped == capped == 0
+        assert_bits_equal(ears[0], left)
+        assert_bits_equal(ears[1], right)
+        assert bank_capped == capped == 0
         return
     first = int(np.flatnonzero(freqs >= cutoff)[0])
     seeded_capped = 0
-    for got, want, h in zip(bank.ears, (left, right), hrtf):
+    for got, want, h in zip(ears, (left, right), hrtf):
         assert_bits_equal(got[:first], want[:first])
         for b in range(first, stft_cfg.num_bins):
             c, hit_cap = magls_loop(vs[b], h[:, b], snr, got[b - 1])
             seeded_capped += hit_cap
             assert _relative_per_bin(got[b:b + 1], c[None]) < 1e-9
-    assert bank.magls_capped == seeded_capped
+    assert bank_capped == seeded_capped
 
 
 DESK_STFT = StftConfig(48000, 2048, 1024)  # 1025 bins
@@ -417,18 +425,18 @@ def test_design_filterbank_matches_loop_at_desk_size():
     cfg = SolverConfig(snr=np.inf)
     vs = steering_tensor(DESK_STFT, geom, direct)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, direct)
-    bank = design_filterbank(vs, hrtf, DESK_STFT, cfg, tag="direct")
+    ears = design_filterbank(vs, hrtf, DESK_STFT, cfg)[0]
     left, right, _ = design_filterbank_loop(vs, hrtf, DESK_STFT, cfg)
-    assert_bits_equal(bank.ears[0], left)
-    assert_bits_equal(bank.ears[1], right)
+    assert_bits_equal(ears[0], left)
+    assert_bits_equal(ears[1], right)
     cfg = SolverConfig(snr=100.0, magls_cutoff_hz=1500.0)
     vs = steering_tensor(DESK_STFT, geom, reverb)
     hrtf = point_receiver_hrtf(0.0875, DESK_STFT, reverb)
-    bank = design_filterbank(vs, hrtf, DESK_STFT, cfg, tag="reverberant")
+    ears, bank_capped = design_filterbank(vs, hrtf, DESK_STFT, cfg)
     left, right, capped = design_filterbank_loop(vs, hrtf, DESK_STFT, cfg)
-    assert _relative_per_bin(bank.ears[0], left) < 1e-9
-    assert _relative_per_bin(bank.ears[1], right) < 1e-9
-    assert bank.magls_capped == capped > 0
+    assert _relative_per_bin(ears[0], left) < 1e-9
+    assert _relative_per_bin(ears[1], right) < 1e-9
+    assert bank_capped == capped > 0
 
 
 def test_design_filterbank_zero_response_keeps_angle_phase():
@@ -441,12 +449,12 @@ def test_design_filterbank_zero_response_keeps_angle_phase():
     ones = np.ones(stft_cfg.num_bins, complex)
     hrtf = np.array([[ones, 0 * ones], [ones, 2j * ones]])
     cfg = SolverConfig(snr=10.0, magls_cutoff_hz=6000.0)
-    bank = design_filterbank(vs, hrtf, stft_cfg, cfg, tag="reverberant")
+    ears, bank_capped = design_filterbank(vs, hrtf, stft_cfg, cfg)
     left, right, capped = design_filterbank_loop(vs, hrtf, stft_cfg, cfg)
-    assert np.all((v.conj().T @ bank.ears[0].T)[1] == 0)
-    assert _relative_per_bin(bank.ears[0], left) < 1e-12
-    assert _relative_per_bin(bank.ears[1], right) < 1e-12
-    assert bank.magls_capped == capped
+    assert np.all((v.conj().T @ ears[0].T)[1] == 0)
+    assert _relative_per_bin(ears[0], left) < 1e-12
+    assert _relative_per_bin(ears[1], right) < 1e-12
+    assert bank_capped == capped
 
 
 @pytest.mark.parametrize("ear, b, where", [
@@ -464,7 +472,7 @@ def test_design_filterbank_names_non_finite_bins(ear, b, where):
     with pytest.raises(SolverError, match=rf"^{ear} ear, bin {b} \({f:.1f} "
                                           r"Hz\): non-finite values in h$"):
         design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
-                          STFT_SMALL, cfg, tag="reverberant")
+                          STFT_SMALL, cfg)
 
 
 def test_design_filterbank_names_non_finite_steering():
@@ -478,8 +486,7 @@ def test_design_filterbank_names_non_finite_steering():
     vs[3, 2, 7] = np.nan
     with pytest.raises(SolverError, match=r"^left ear, bin 3 \(18000\.0 Hz\): "
                                           r"non-finite values in v$"):
-        design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig(),
-                          tag="reverberant")
+        design_filterbank(vs, hrtf, STFT_SMALL, SolverConfig())
 
 
 def test_design_filterbank_peak_memory():
@@ -497,7 +504,7 @@ def test_design_filterbank_peak_memory():
     tracemalloc.start()
     try:
         design_filterbank(steering_tensor(DESK_STFT, geom, doas), hrtf,
-                          DESK_STFT, cfg, tag="reverberant")
+                          DESK_STFT, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsmrender.stft import BINAURAL_TAGS, MIC_TAGS, Spectrogram, StftConfig, \
-    istft, stft
+from bsmrender.stft import Spectrogram, StftConfig, istft, stft
 
 from oracles import assert_bits_equal, sliding_frames
 
@@ -140,17 +139,12 @@ def test_complex_input_keeps_analytic_sign():
 
 def test_spectrogram_validation():
     spec = stft(np.ones(2000), CFG)
-    assert spec.tag == "x"
-    assert stft(np.ones(2000), CFG, tag="x_d").tag == "x_d"
-    assert MIC_TAGS == ("x", "x_d", "x_r")
-    assert "bsm-decomposed" in BINAURAL_TAGS
+    assert spec.config == CFG and spec.num_channels == 1
     with pytest.raises(ValueError):
-        Spectrogram(data=spec.data, config=CFG, tag="bogus")
-    with pytest.raises(ValueError):
-        Spectrogram(data=spec.data, config=CFG, tag="reference")  # 1 channel
+        Spectrogram(data=spec.data[0], config=CFG)  # not (channels, ...)
     with pytest.raises(ValueError):
         Spectrogram(data=np.zeros((2, 4, CFG.num_bins - 1), complex),
-                    config=CFG, tag="x")
+                    config=CFG)
     with pytest.raises(ValueError):
         stft(np.array([]), CFG)
 
@@ -169,7 +163,7 @@ def test_stft_bitwise_equals_padded_frame_transform(num_samples, channels,
     want = np.fft.rfft(sliding_frames(x.T, CFG), n=CFG.fft_size, axis=2)
     assert_bits_equal(stft(x, CFG).data, want)
     count = CFG.num_frames(num_samples)
-    blocks = [stft(x, CFG, "x", start, min(start + block, count)).data
+    blocks = [stft(x, CFG, start, min(start + block, count)).data
               for start in range(0, count, block)]
     assert_bits_equal(np.concatenate(blocks, axis=1), want)
 
@@ -186,6 +180,6 @@ def test_frames_match_padded_copy_framing(num_samples):
     for start, stop in ((0, count), (0, 1), (count - 1, count),
                         (count // 2, count), (count // 3, 2 * count // 3),
                         (count, count)):
-        assert_bits_equal(stft(x, CFG, "x", start, stop).data,
+        assert_bits_equal(stft(x, CFG, start, stop).data,
                           got[:, start:stop])
-    assert_bits_equal(stft(x, CFG, "x", count // 2).data, got[:, count // 2 :])
+    assert_bits_equal(stft(x, CFG, count // 2).data, got[:, count // 2 :])
