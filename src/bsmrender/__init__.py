@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 
 from .geometry import ArrayGeometry, sph_to_cart
 from .solvers import CovarianceModel, SolverConfig
-from .stft import Spectrogram, StftConfig
+from .stft import StftConfig
 
 __all__ = [
     "ArrayGeometry",
     "CovarianceModel",
     "SolverConfig",
-    "Spectrogram",
     "StftConfig",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from .simulate import add_noise, binaural_references, render_mic_signals, \
     scene_images, scene_statistics
 from .solvers import SolverConfig, design_filterbank
 from .sph import spiral_grid, steering_tensor
-from .stft import Spectrogram
 
 EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 5}
 
@@ -103,7 +102,7 @@ def run_simulate(cfg, out_dir, digest):
     references = binaural_references(
         center, scene.source_signal, channels, stft_cfg, rir_s)
     for name, spec in zip(SIM_ARTIFACTS[2:], references):
-        write_binaural_spectrogram(out_dir / name, spec, digest)
+        write_binaural_spectrogram(out_dir / name, spec, stft_cfg, digest)
     update_manifest(out_dir, SIM_ARTIFACTS + ("scene_stats.json",), digest)
     t60, drr = stats["t60_s"], stats["drr_db"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
@@ -158,9 +157,9 @@ def run_render(cfg, out_dir, digest):
         out_dir, MIC_ARTIFACTS + BANK_ARTIFACTS, digest, "render", stft_cfg),
         stft_cfg)
     for name, spec in zip(ESTIMATE_ARTIFACTS, estimates):
-        write_binaural_spectrogram(out_dir / name, spec, digest)
+        write_binaural_spectrogram(out_dir / name, spec, stft_cfg, digest)
     update_manifest(out_dir, ESTIMATE_ARTIFACTS, digest)
-    print(f"render: {len(estimates)} artifacts, {spec.num_frames} frames")
+    print(f"render: {len(estimates)} artifacts, {spec.shape[1]} frames")
     return dict(zip(ESTIMATE_ARTIFACTS, estimates))
 
 
@@ -197,26 +196,34 @@ def reference_valid_hz(cfg):
 def run_evaluate(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
+    freqs = stft_cfg.bin_frequencies()
 
     # all checked first, then each parsed when first needed, dropped after
     spectra = read_artifacts(out_dir, SPECTRO_ARTIFACTS, digest, "evaluate",
                              stft_cfg)
     ref_d, comp_d = next(spectra), next(spectra)
-    reports = {"direct": nmse(comp_d, ref_d, trim)}
+    reports = {"direct": nmse(comp_d, ref_d, freqs, trim)}
     ref = next(spectra)
-    ref_r = Spectrogram(ref.data - ref_d.data, stft_cfg)
+    ref_r = ref - ref_d
     del ref_d
     comp_r = next(spectra)
     # all bins flagged when the room is anechoic (no reverberant field)
-    reports["reverb"] = nmse(comp_r, ref_r, trim)
+    reports["reverb"] = nmse(comp_r, ref_r, freqs, trim)
     del ref_r
-    reports["decomposed"] = nmse(Spectrogram(comp_d.data + comp_r.data,
-                                             stft_cfg), ref, trim)
+    reports["decomposed"] = nmse(comp_d + comp_r, ref, freqs, trim)
     del comp_d, comp_r
-    reports["standard"] = nmse(next(spectra), ref, trim)
-    for name, report in reports.items():
-        write_report(out_dir / f"nmse_{name}.csv", report)
+    reports["standard"] = nmse(next(spectra), ref, freqs, trim)
 
+    broadband = {}
+    for name, rep in reports.items():
+        db = weighted_db(rep)
+        if np.isneginf(db).any():
+            raise ValueError(
+                f"the {name} report's NMSE is 0 in the "
+                f"{EARS[np.isneginf(db).argmax()]} ear: an estimate equal to "
+                "its reference has no dB figure")
+        broadband[name] = dict(zip(EARS, np.where(rep.flags.all(axis=1), None,
+                                                  db).tolist()))
     _, gain, improved = compare(reports["decomposed"], reports["standard"])
 
     bands = cfgmod.eval_bands(cfg)
@@ -226,10 +233,7 @@ def run_evaluate(cfg, out_dir, digest):
     valid_hz = reference_valid_hz(cfg)
     verdict = {
         "scene_digest": digest,
-        "broadband_nmse_db": {
-            name: dict(zip(EARS, np.where(rep.flags.all(axis=1), None,
-                                          weighted_db(rep)).tolist()))
-            for name, rep in reports.items()},
+        "broadband_nmse_db": broadband,
         "improvement_db": dict(zip(EARS, gain.tolist())),
         "fraction_improved": dict(zip(EARS, improved.tolist())),
         "decomposed_beats_standard": bool(np.all(gain > 0.0)),
@@ -243,7 +247,11 @@ def run_evaluate(cfg, out_dir, digest):
         "bands_above_reference_valid_hz": None if valid_hz is None else [
             [float(lo), float(hi)] for lo, hi in bands if hi > valid_hz],
     }
+    # the verdict first: write_json refuses a figure that is not finite
+    # before any file is opened
     write_json(out_dir / "verdict.json", verdict)
+    for name, report in reports.items():
+        write_report(out_dir / f"nmse_{name}.csv", report)
     update_manifest(out_dir, REPORT_ARTIFACTS, digest)
 
     print(f"evaluate: decomposed vs standard {gain[0]:+.2f} dB left, "

@@ -9,10 +9,10 @@ BSMH. WAV has no version field and keeps its version 1 layout.
 - WAV: RIFF/WAVE chunks `fmt ` (32-bit IEEE float), `fact` (frames), an
   optional `bsmd` (digest) and `data` (interleaved <f4); odd ones padded.
 - BSMG version 2, binaural spectrogram: u32 sample rate, window, hop, FFT
-  size (the window's, which the reader checks), frames, bins; str tag:
-  the file's name, `_` read as `-`, which the reader checks; digest; the
-  (2, frames, bins) <c8 ears block, left ear first.
-  Spectrograms are stored at single precision and read back as
+  size (the window's), frames, bins (the FFT's), both of which the reader
+  checks; str tag: the file's name, `_` read as `-`, which the reader
+  checks; digest; the (2, frames, bins) <c8 ears block, left ear first.
+  The spectra are stored at single precision and read back as
   complex128; version 1 stored the same header with a <c16 block and is
   refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size (the last
@@ -42,7 +42,7 @@ import numpy as np
 
 from .geometry import as_directions
 from .solvers import SolverConfig
-from .stft import Spectrogram, StftConfig
+from .stft import StftConfig
 
 DIGEST_LEN = 16  # hex chars of sha256, enough to catch staleness
 VERSIONS = {b"BSMG": 2, b"BSMF": 1, b"BSMH": 1}
@@ -252,28 +252,28 @@ def _spectrogram_tag(path):
     return Path(path).stem.replace("_", "-")
 
 
-def write_binaural_spectrogram(path, spec, digest):
-    """Write a two-channel (left, right) binaural Spectrogram."""
-    if spec.num_channels != 2:
-        raise ContainerError(f"{path}: {spec.num_channels} channels, not 2")
-    cfg = spec.config
+def write_binaural_spectrogram(path, spec, cfg, digest):
+    """Write (2, frames, bins) spectra `spec` on `cfg`, left ear first."""
+    if spec.ndim != 3 or spec.shape[::2] != (2, cfg.num_bins):
+        raise ContainerError(f"{path}: spectra of shape {spec.shape}, not "
+                             f"(2, frames, {cfg.num_bins})")
+    frames, bins = spec.shape[1:]
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMG", "IIIIII", int(cfg.sample_rate),
                          cfg.window_length, cfg.hop, cfg.fft_size,
-                         spec.num_frames, spec.num_bins)
+                         frames, bins)
                  + _string(_spectrogram_tag(path)) + _digest_bytes(digest))
-        block = np.empty((min(WRITE_FRAMES, spec.num_frames), spec.num_bins),
-                         dtype="<c8")
-        for ear in spec.data:
-            for start in range(0, spec.num_frames, WRITE_FRAMES):
-                rows = block[: min(WRITE_FRAMES, spec.num_frames - start)]
+        block = np.empty((min(WRITE_FRAMES, frames), bins), dtype="<c8")
+        for ear in spec:
+            for start in range(0, frames, WRITE_FRAMES):
+                rows = block[: min(WRITE_FRAMES, frames - start)]
                 rows[...] = ear[start : start + WRITE_FRAMES]
                 fh.write(rows)
 
 
 def read_binaural_spectrogram(path):
-    """Returns (binaural Spectrogram, embedded digest). The spectra are
-    upcast to complex128; the file's bytes are not kept."""
+    """Returns (spectra, StftConfig, embedded digest). The (2, frames, bins)
+    spectra are upcast to complex128; the file's bytes are not kept."""
     cur = _Cursor(path)
     rate, window, hop, fft_size, frames, bins = cur.header(b"BSMG", "IIIIII")
     tag = cur.string("tag")
@@ -287,7 +287,10 @@ def read_binaural_spectrogram(path):
         if config.fft_size != fft_size:
             raise ValueError(f"FFT size {fft_size} is not the {window}-sample "
                              f"window's {config.fft_size}")
-        return Spectrogram(data=ears.astype(complex), config=config), digest
+        if config.num_bins != bins:
+            raise ValueError(f"bin count {bins} is not the {fft_size}-point "
+                             f"FFT's {config.num_bins}")
+    return ears.astype(complex), config, digest
 
 
 # ---------------------------------------------------------------- BSMF
@@ -450,8 +453,8 @@ def _read_checked(path, digest, stft_cfg):
     elif path.suffix == ".bsmf":
         content, embedded = load_filterbank(path, stft_cfg)
     else:
-        content, embedded = read_binaural_spectrogram(path)
-        _require_run(path, "STFT", content.config, stft_cfg)
+        content, config, embedded = read_binaural_spectrogram(path)
+        _require_run(path, "STFT", config, stft_cfg)
     require_digest(path, embedded, digest)
     return content
 

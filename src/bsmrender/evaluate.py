@@ -30,24 +30,24 @@ class NmseReport:
             return 10.0 * np.log10(self.linear)
 
 
-def nmse(est, ref, frame_trim=2):
-    """Per-bin, per-ear NMSE between two binaural spectrograms."""
-    if est.data.shape != ref.data.shape:
-        raise ValueError("estimate and reference dimensions differ")
-    lo, hi = frame_trim, est.num_frames - frame_trim
+def nmse(est, ref, frequencies, frame_trim=2):
+    """Per-bin, per-ear NMSE of (2, frames, bins) spectra at `frequencies`."""
+    if est.shape != ref.shape or ref.shape[2] != len(frequencies):
+        raise ValueError("estimate, reference and frequency dimensions differ")
+    lo, hi = frame_trim, est.shape[1] - frame_trim
     if hi - lo < 1:
         raise ValueError("no frames left after edge trimming")
-    linear = np.full((len(EARS), ref.num_bins), np.nan)
+    linear = np.full((len(EARS), ref.shape[2]), np.nan)
     energy, flags = np.empty_like(linear), np.empty(linear.shape, bool)
     # one ear at a time, so only one ear's (frames, bins) temporaries live
     for i in range(len(EARS)):
-        r = ref.data[i, lo:hi]
+        r = ref[i, lo:hi]
         energy[i] = np.mean(np.abs(r) ** 2, axis=0)
-        num = np.mean(np.abs(est.data[i, lo:hi] - r) ** 2, axis=0)
+        num = np.mean(np.abs(est[i, lo:hi] - r) ** 2, axis=0)
         peak = energy[i].max()
         flags[i] = (energy[i] < ENERGY_FLOOR * peak) | (peak == 0.0)
         np.divide(num, energy[i], out=linear[i], where=~flags[i])
-    return NmseReport(frequencies=ref.config.bin_frequencies(), linear=linear,
+    return NmseReport(frequencies=frequencies, linear=linear,
                       ref_energy=energy, flags=flags)
 
 

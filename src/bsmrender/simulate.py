@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .geometry import SPEED_OF_SOUND
-from .stft import Spectrogram, stft
+from .stft import stft
 
 SINC_TAPS = 32  # windowed-sinc fractional delay, in-band error < -60 dB
 _HALF = SINC_TAPS // 2
@@ -300,9 +300,9 @@ def render_mic_signals(scene, images, rir_seconds):
 
 
 def binaural_references(images, source, channels, config, rir_seconds):
-    """Binaural reference spectrograms (full, direct) of `images`, the image
-    sources seen from the array center, decoded with `channels`
-    (hrtf.HrtfChannels).
+    """Binaural reference spectra (full, direct), each (2, frames, bins),
+    of `images`, the image sources seen from the array center, decoded
+    with `channels` (hrtf.HrtfChannels).
 
     A plane wave from u reaches ear e as sum_k D_e,k(f) a_k(u), so the
     reference is sum_k D_k STFT(s * r_k), with the real RIR r_k = sum_i
@@ -331,7 +331,7 @@ def binaural_references(images, source, channels, config, rir_seconds):
         for k, a in enumerate(channels.angular(reverb.colatitudes,
                                                reverb.azimuths)):
             rir = _scatter(taps, rows, a * reverb.gains, rir_len)
-            spec = stft(convolve(rir), config).data[0]
+            spec = stft(convolve(rir), config)[0]
             for ear, row in zip(ears, decode[:, k, None, :]):
                 ear += row * spec  # one ear's product at a time
             del spec  # before the next channel's STFT
@@ -339,11 +339,11 @@ def binaural_references(images, source, channels, config, rir_seconds):
 
     a0 = np.array([a[0] for a in channels.angular(direct.colatitudes,
                                                   direct.azimuths)])
-    spec = stft(convolve(render_rir(direct, rir_len, fs)), config).data[0]
+    spec = stft(convolve(render_rir(direct, rir_len, fs)), config)[0]
     del convolve  # the source's spectrum, before the direct part's ears
     ears_d = spec * (a0 @ decode)[:, None, :]
     ears += ears_d
-    return Spectrogram(ears, config), Spectrogram(ears_d, config)
+    return ears, ears_d
 
 
 def add_noise(signals, snr, seed=0):
@@ -406,30 +406,12 @@ def estimate_t60(rir, sample_rate):
     return -60.0 / slope
 
 
-def compute_drr(full_rir, direct_rir):
-    """Direct-to-reverberant energy ratio in dB; +inf when anechoic."""
-    full = np.asarray(full_rir, float)
-    direct = np.asarray(direct_rir, float)
-    if full.shape != direct.shape:
-        raise ValueError("RIRs must be aligned and equally long")
-    e_dir = float(np.sum(direct ** 2))
-    e_rev = float(np.sum((full - direct) ** 2))
-    if e_rev == 0.0:
-        return np.inf
-    return 10.0 * np.log10(e_dir / e_rev)
-
-
 def scene_statistics(scene, images, rir_seconds):
     """Scene descriptors from scene_images' result: array DRR, measured
     and predicted T60, direct delay and the image count.
 
     drr_db is the phase-averaged (incoherent) energy ratio summed over the
-    microphones: sum of squared image gains, direct against the rest. The
-    coherent waveform ratio at the array center is reported separately as
-    drr_center_coherent_db; it is systematically lower here because exact
-    source/receiver symmetries (shared horizontal plane) create equal-delay
-    image pairs that interfere constructively in the rendered RIR, which no
-    diffuse-field DRR figure accounts for.
+    microphones: sum of squared image gains, direct against the rest.
     """
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
@@ -445,10 +427,8 @@ def scene_statistics(scene, images, rir_seconds):
         e_reverb += float(np.sum(imgs.gains[1:] ** 2))
     # None rather than inf for anechoic rooms: the dict goes to JSON
     drr = None if e_reverb == 0.0 else 10.0 * np.log10(e_direct / e_reverb)
-    coherent = compute_drr(rir_d + rir_r, rir_d)
     return {
         "drr_db": drr,
-        "drr_center_coherent_db": None if np.isinf(coherent) else coherent,
         "t60_s": t60,
         "t60_eyring_s": eyring_t60(scene.room),
         "direct_delay_samples": float(center.delays[0] * fs),

@@ -5,13 +5,13 @@ analysis windows (WOLA square-root splitting is deliberately not used).
 The Hamming window never reaches zero, so the overlap-add denominator is
 strictly positive everywhere and unmodified frames reconstruct exactly.
 
-A spectrogram is its data and its StftConfig: one channel per microphone,
-or two (left, right) for a binaural one. The artifact that stores it names
-the signal it holds.
+A spectrogram is a complex (channels, frames, bins) array on the run's
+StftConfig: one channel per microphone, or two (left, right) for a
+binaural one. The artifact that stores it names the signal it holds.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -57,38 +57,12 @@ class StftConfig:
         return 1 + int(np.ceil((num_samples - self.window_length) / self.hop))
 
 
-@dataclass
-class Spectrogram:
-    """Complex STFT data, shape (channels, frames, bins), and its config.
-    Binaural spectrograms hold channel 0 = left ear, channel 1 = right."""
-
-    data: np.ndarray = field(repr=False)
-    config: StftConfig
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError("data must be (channels, frames, bins)")
-        if self.data.shape[2] != self.config.num_bins:
-            raise ValueError("bin count does not match config")
-
-    @property
-    def num_channels(self):
-        return self.data.shape[0]
-
-    @property
-    def num_frames(self):
-        return self.data.shape[1]
-
-    @property
-    def num_bins(self):
-        return self.data.shape[2]
-
-
 def stft(signal, config, start=0, stop=None):
-    """Forward transform of a real signal, (samples,) or (samples, channels),
-    from frame `start` to `stop` (default: the last) with the whole's bits.
-    Frames are windowed into a zeroed (channels, frames, fft_size) buffer
-    whose zeros pad each FFT and the trailing frames: no padding copy."""
+    """Complex (channels, frames, bins) spectra of a real signal, (samples,)
+    or (samples, channels), from frame `start` to `stop` (default: the
+    last) with the whole's bits. Frames are windowed into a zeroed
+    (channels, frames, fft_size) buffer whose zeros pad each FFT and the
+    trailing frames: no padding copy."""
     sig = np.asarray(signal)
     if sig.size == 0:
         raise ValueError("empty signal")
@@ -104,28 +78,28 @@ def stft(signal, config, start=0, stop=None):
         seg = sig[t * config.hop : t * config.hop + window.size].T
         np.multiply(seg, window[: seg.shape[1]],
                     out=frames[:, t - start, : seg.shape[1]])
-    return Spectrogram(data=np.fft.rfft(frames, axis=2), config=config)
+    return np.fft.rfft(frames, axis=2)
 
 
-def istft(spec, num_samples=None):
-    """Inverse transform via overlap-add with window-sum normalization.
+def istft(spec, config, num_samples=None):
+    """Inverse transform of (channels, frames, bins) spectra `spec` on
+    `config` via overlap-add with window-sum normalization.
 
     Returns (samples, channels) float64. With an unmodified spectrogram the
     interior reconstruction error is at rounding level; the zero-padded tail
     introduced by the forward transform is trimmed when num_samples is given.
     """
-    cfg = spec.config
-    win = cfg.window()
-    frames = spec.num_frames
-    total = (frames - 1) * cfg.hop + cfg.window_length
-    segs = np.fft.irfft(np.moveaxis(spec.data, 0, 2), n=cfg.fft_size, axis=1)
-    segs = segs[:, : cfg.window_length, :]
-    out = np.zeros((total, spec.num_channels))
+    win = config.window()
+    channels, frames = spec.shape[:2]
+    total = (frames - 1) * config.hop + config.window_length
+    segs = np.fft.irfft(np.moveaxis(spec, 0, 2), n=config.fft_size, axis=1)
+    segs = segs[:, : config.window_length, :]
+    out = np.zeros((total, channels))
     den = np.zeros(total)
     for t in range(frames):
-        s = t * cfg.hop
-        out[s : s + cfg.window_length] += segs[t]
-        den[s : s + cfg.window_length] += win
+        s = t * config.hop
+        out[s : s + config.window_length] += segs[t]
+        den[s : s + config.window_length] += win
     out /= den[:, None]
     if num_samples is not None:
         out = out[:num_samples]

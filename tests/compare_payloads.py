@@ -67,8 +67,8 @@ def payload(path):
         samples, rate, _ = read_wav(path)
         return {"samples": samples, "sample rate": rate}
     if path.suffix == ".bsmg":
-        spec, _ = read_binaural_spectrogram(path)
-        return {"spectra": spec.data, "STFT parameters": spec.config}
+        spectra, config, _ = read_binaural_spectrogram(path)
+        return {"spectra": spectra, "STFT parameters": config}
     if path.suffix == ".bsmf":
         parts = bank_parts(path)
         parts["solver config"] = json.loads(parts["solver config"])

@@ -233,18 +233,17 @@ def assert_bits_equal(got, want):
     np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
 
-def write_binaural_spectrogram_v1(path, spec, digest):
+def write_binaural_spectrogram_v1(path, spec, cfg, digest):
     """A BSMG file in the version 1 layout: version 2's header with a
-    version field of 1, and the (2, frames, bins) payload at <c16. The tag
-    is the file's name, `_` read as `-`."""
-    cfg, tag = spec.config, path.stem.replace("_", "-").encode("ascii")
+    version field of 1, and the (2, frames, bins) payload `spec` at <c16.
+    The tag is the file's name, `_` read as `-`."""
+    tag = path.stem.replace("_", "-").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(b"BSMG" + struct.pack("<7I", 1, int(cfg.sample_rate),
                                        cfg.window_length, cfg.hop,
-                                       cfg.fft_size, spec.num_frames,
-                                       spec.num_bins)
+                                       cfg.fft_size, *spec.shape[1:])
                  + struct.pack("<I", len(tag)) + tag + digest.encode("ascii"))
-        fh.write(np.ascontiguousarray(spec.data, dtype="<c16"))
+        fh.write(np.ascontiguousarray(spec, dtype="<c16"))
 
 
 def _ls_system_loop(v, snr):
@@ -392,5 +391,5 @@ def point_ear_spectrograms(images, source, ear_offset, config, rir_seconds):
     for sign in (-1.0, 1.0):
         shifted = replace(images, delays=images.delays + sign * lead)
         signal = sps.fftconvolve(src, render_rir(shifted, rir_len + pad, fs))
-        ears.append(stft(signal[: src.size + rir_len - 1], config).data[0])
+        ears.append(stft(signal[: src.size + rir_len - 1], config)[0])
     return np.stack(ears)

@@ -16,7 +16,7 @@ from scipy import signal as sps
 
 from bsmrender.simulate import _HALF, compute_image_sources, image_lattice
 from bsmrender.sph import num_coeffs
-from bsmrender.stft import Spectrogram, stft
+from bsmrender.stft import stft
 from oracles import delay_matrix_coo, fit_order, sh_degrees, \
     sh_weights_loop, sliding_frames
 
@@ -83,13 +83,12 @@ def render_reference(sh_signal, hrtf_sh, config):
     order = min(order, fit_order(hrtf_sh))
     g = decode_matrix(hrtf_sh, order)
     spec = complex_stft(sh_signal[:, : num_coeffs(order)], config)
-    ears = np.stack([np.einsum("cfb,cb->fb", spec, g_ear) for g_ear in g])
-    return Spectrogram(data=ears, config=config)
+    return np.stack([np.einsum("cfb,cb->fb", spec, g_ear) for g_ear in g])
 
 
 def binaural_references_serial(images, source, hrtf_sh, config, order,
                                rir_seconds, chunk_channels=8):
-    """Binaural reference spectrograms (full, direct) from the m >= 0
+    """Binaural reference spectra (full, direct) from the m >= 0
     complex SH channels, `chunk_channels` at a time: the source is real and
     the harmonics carry the Condon-Shortley phase, so p_(n,-m) = (-1)^m
     conj(p_(n,m)) and P_(n,-m)(f) = (-1)^m conj(P_(n,m)(-f)) comes from the
@@ -106,7 +105,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     reverb = images.take(slice(1, None))
 
     kernel = delay_matrix_coo(direct, rir_len, fs).toarray()[:, 0]
-    base = stft(sps.fftconvolve(src, kernel), config).data[0]
+    base = stft(sps.fftconvolve(src, kernel), config)[0]
     w0 = sh_weights_loop(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
@@ -134,5 +133,4 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
             ears_r += np.conj(np.einsum("cfb,ecb->efb", spec[..., neg_bins],
                                         g_neg[:, sl]))
 
-    return (Spectrogram(data=ears_d + ears_r, config=config),
-            Spectrogram(data=ears_d, config=config))
+    return ears_d + ears_r, ears_d

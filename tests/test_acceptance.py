@@ -118,7 +118,7 @@ def test_04_stft_round_trip():
     rng = np.random.default_rng(4)
     x = rng.standard_normal(48000)
     cfg = StftConfig.default(48000, 32.0, 16.0)
-    y = istft(stft(x, cfg), num_samples=48000)[:, 0]
+    y = istft(stft(x, cfg), cfg, num_samples=48000)[:, 0]
     w = cfg.window_length
     rel = np.linalg.norm(y[w:-w] - x[w:-w]) / np.linalg.norm(x[w:-w])
     assert rel < 1e-10

@@ -38,7 +38,7 @@ from bsmrender.containers import (read_binaural_spectrogram, read_wav,
                                   write_binaural_spectrogram, write_wav)
 from bsmrender.evaluate import octave_bands
 from bsmrender.sph import num_coeffs, spiral_grid
-from bsmrender.stft import Spectrogram, StftConfig
+from bsmrender.stft import StftConfig
 
 from compare_payloads import bank_parts
 from oracles import assert_bits_equal, write_binaural_spectrogram_v1
@@ -521,8 +521,9 @@ def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
     work = tmp_path / "renamed"
     shutil.copytree(out, work)
     path = work / "bsm_standard.bsmg"
-    spec, digest = read_binaural_spectrogram(path)
-    write_binaural_spectrogram(tmp_path / "reference.bsmg", spec, digest)
+    spec, stft_cfg, digest = read_binaural_spectrogram(path)
+    write_binaural_spectrogram(tmp_path / "reference.bsmg", spec, stft_cfg,
+                               digest)
     shutil.copyfile(tmp_path / "reference.bsmg", path)
     update_manifest(work, [path.name], digest)
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
@@ -530,6 +531,31 @@ def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
     assert capsys.readouterr().err == (
         f"error [evaluate]: {path}: stores the tag 'reference', not "
         "'bsm-standard'\n")
+
+
+def test_perfect_estimate_fails_evaluate_stage(tmp_path, capsys):
+    # desk's reference stored as the standard estimate scores NMSE 0 in
+    # every bin, which has no dB figure: the stage names the report and
+    # the ear and writes no report, verdict or manifest entry
+    out = tmp_path / "perfect"
+    assert main(["simulate", "--out", str(out)]) == 0
+    digest = cfgmod.run_digest(cfgmod.resolve("desk"))
+    ref, stft_cfg, _ = read_binaural_spectrogram(out / "reference.bsmg")
+    ref_d = read_binaural_spectrogram(out / "reference_direct.bsmg")[0]
+    # halves of the two components: every other report has an error
+    for name, spec in (("component_direct.bsmg", 0.5 * ref_d),
+                       ("component_reverb.bsmg", 0.5 * (ref - ref_d)),
+                       ("bsm_standard.bsmg", ref)):
+        write_binaural_spectrogram(out / name, spec, stft_cfg, digest)
+    update_manifest(out, cli.ESTIMATE_ARTIFACTS, digest)
+    manifest = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(out)]) == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        "error [evaluate]: the standard report's NMSE is 0 in the left ear: "
+        "an estimate equal to its reference has no dB figure\n")
+    assert not any((out / name).exists() for name in REPORT_ARTIFACTS)
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 @pytest.mark.parametrize("reshape", [lambda d, r: (d[:-1], r),
@@ -583,8 +609,8 @@ def test_version_1_spectrogram_fails_evaluate_stage(mini_run, tmp_path,
     work = tmp_path / "stale"
     shutil.copytree(out, work)
     path = work / "reference.bsmg"
-    spec, digest = read_binaural_spectrogram(path)
-    write_binaural_spectrogram_v1(path, spec, digest)
+    spec, stft_cfg, digest = read_binaural_spectrogram(path)
+    write_binaural_spectrogram_v1(path, spec, stft_cfg, digest)
     update_manifest(work, ["reference.bsmg"], digest)
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["evaluate"]
@@ -603,11 +629,9 @@ def test_other_stft_parameters_fail_evaluate_stage(mini_run, tmp_path,
     work = tmp_path / "hop"
     shutil.copytree(out, work)
     path = work / "reference_direct.bsmg"
-    spec, digest = read_binaural_spectrogram(path)
-    c = spec.config
+    spec, c, digest = read_binaural_spectrogram(path)
     other = StftConfig(c.sample_rate, c.window_length, c.hop // 2)
-    write_binaural_spectrogram(path, Spectrogram(data=spec.data, config=other),
-                               digest)
+    write_binaural_spectrogram(path, spec, other, digest)
     update_manifest(work, ["reference_direct.bsmg"], digest)
     rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["evaluate"]
@@ -643,8 +667,7 @@ def _bank_at_other_rate(path, digest):
 
 def _spectrogram_at_other_rate(path, digest):
     spec = read_binaural_spectrogram(path)[0]
-    write_binaural_spectrogram(path, Spectrogram(spec.data, OTHER_RATE),
-                               digest)
+    write_binaural_spectrogram(path, spec, OTHER_RATE, digest)
     return f"STFT is {OTHER_RATE}, not the run's {StftConfig.default()}"
 
 
@@ -697,7 +720,8 @@ def _rewrite_bank(path, digest):
 
 
 def _rewrite_spectrogram(path, digest):
-    write_binaural_spectrogram(path, read_binaural_spectrogram(path)[0], digest)
+    write_binaural_spectrogram(path, *read_binaural_spectrogram(path)[:2],
+                               digest)
 
 
 @pytest.mark.parametrize("stage, name, rewrite", [
@@ -1104,7 +1128,7 @@ def test_render_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert results["bsm_standard.bsmg"].num_frames == frames
+    assert results["bsm_standard.bsmg"].shape[1] == frames
     assert peak <= 1.1 * live, (peak, live)
 
 
@@ -1118,9 +1142,7 @@ def _write_spectrograms(out_dir, frames):
     rng = np.random.default_rng(0)
     for name in SPECTRO_ARTIFACTS:
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        write_binaural_spectrogram(out_dir / name,
-                                   Spectrogram(data=data, config=stft_cfg),
-                                   digest)
+        write_binaural_spectrogram(out_dir / name, data, stft_cfg, digest)
     update_manifest(out_dir, SPECTRO_ARTIFACTS, digest)
     return cfg, digest
 
@@ -1149,7 +1171,7 @@ def test_evaluate_peak_memory(tmp_path):
 def test_evaluate_reads_spectrograms_in_turn(tmp_path, monkeypatch):
     # every file is checked against the manifest before the first is
     # parsed; then each is parsed when a report first needs it, and the
-    # ones whose reports are all written are gone by the next read
+    # ones whose reports are all made are gone by the next read
     cfg, digest = _write_spectrograms(tmp_path, 8)
     events, parsed = [], {}
     verify = containers.verify_artifacts
@@ -1160,11 +1182,11 @@ def test_evaluate_reads_spectrograms_in_turn(tmp_path, monkeypatch):
         return verify(out_dir, names, *args)
 
     def read_spy(path):
-        spec, embedded = read(path)
+        spec, config, embedded = read(path)
         events.append((path.name, sorted(
             name for name, ref in parsed.items() if ref() is not None)))
         parsed[path.name] = weakref.ref(spec)
-        return spec, embedded
+        return spec, config, embedded
 
     monkeypatch.setattr(containers, "verify_artifacts", verify_spy)
     monkeypatch.setattr(containers, "read_binaural_spectrogram", read_spy)
@@ -1257,8 +1279,8 @@ def test_simulate_at_the_largest_ear_offset(tmp_path):
     config_path.write_text(MINI_YAML + "  hrtf_ear_offset: 0.99\n")
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
-    spec, _ = read_binaural_spectrogram(tmp_path / "o" / "reference.bsmg")
-    assert np.isfinite(spec.data).all()
+    spec = read_binaural_spectrogram(tmp_path / "o" / "reference.bsmg")[0]
+    assert np.isfinite(spec).all()
 
 
 def test_file_hrtf_is_fitted_at_any_ear_offset(tmp_path):

@@ -6,7 +6,7 @@ from bsmrender.containers import (read_binaural_spectrogram, save_filterbank,
                                   write_binaural_spectrogram, write_json,
                                   write_wav)
 from bsmrender.solvers import SolverConfig
-from bsmrender.stft import Spectrogram, StftConfig
+from bsmrender.stft import StftConfig
 
 from compare_payloads import compare, relative_change
 
@@ -19,8 +19,7 @@ def _write_run(folder, digest, scale=1.0, snr=np.inf, gain=1.5):
               digest)
     cfg = StftConfig(48000, 8, 4)
     ears = np.arange(2 * cfg.num_bins).reshape(2, 1, cfg.num_bins) * (1 + 1j)
-    write_binaural_spectrogram(folder / "reference.bsmg",
-                               Spectrogram(ears, cfg), digest)
+    write_binaural_spectrogram(folder / "reference.bsmg", ears, cfg, digest)
     save_filterbank(folder / "bank.bsmf", np.ones((2, cfg.num_bins, 3), complex),
                     "direct", SolverConfig(snr=snr), cfg, digest)
     write_json(folder / "verdict.json", {"scene_digest": digest, "gain": gain})
@@ -85,11 +84,10 @@ def test_numeric_changes_carry_their_size(tmp_path):
     _write_run(tmp_path / "a", "0123456789abcdef")
     _write_run(tmp_path / "b", "0123456789abcdef", scale=1.001,
                gain=1.5 * (1 + 2e-12))
-    spec, _ = read_binaural_spectrogram(tmp_path / "a" / "reference.bsmg")
-    data = spec.data.copy()
+    data, cfg, _ = read_binaural_spectrogram(
+        tmp_path / "a" / "reference.bsmg")
     data[1, 0, -1] += 2e-5 * np.abs(data).max()
-    write_binaural_spectrogram(tmp_path / "b" / "reference.bsmg",
-                               Spectrogram(data, spec.config),
+    write_binaural_spectrogram(tmp_path / "b" / "reference.bsmg", data, cfg,
                                "0123456789abcdef")
     _write_report(tmp_path / "a" / "nmse_reverb.csv", -3.0)
     _write_report(tmp_path / "b" / "nmse_reverb.csv", np.nextafter(-3.0, 0))

@@ -34,7 +34,7 @@ from bsmrender.containers import (
 )
 from bsmrender.solvers import SolverConfig
 from bsmrender.sph import spiral_grid
-from bsmrender.stft import Spectrogram, StftConfig, istft, stft
+from bsmrender.stft import StftConfig, istft, stft
 
 from oracles import write_binaural_spectrogram_v1
 
@@ -97,22 +97,21 @@ def test_binaural_spectrogram_round_trip(tmp_path):
     right = (rng.standard_normal((7, cfg.num_bins)) * (1 - 2j)).astype("<c8")
     path = tmp_path / "out.bsmg"
     write_binaural_spectrogram(
-        path, Spectrogram(np.stack([left, right]).astype(complex), cfg),
-        DIGEST)
-    spec, digest = read_binaural_spectrogram(path)
-    assert spec.data.shape == (2, 7, cfg.num_bins)
-    assert spec.data.dtype == np.complex128
-    np.testing.assert_array_equal(spec.data[0], left)
-    np.testing.assert_array_equal(spec.data[1], right)
+        path, np.stack([left, right]).astype(complex), cfg, DIGEST)
+    spec, config, digest = read_binaural_spectrogram(path)
+    assert spec.shape == (2, 7, cfg.num_bins)
+    assert spec.dtype == np.complex128
+    np.testing.assert_array_equal(spec[0], left)
+    np.testing.assert_array_equal(spec[1], right)
     # the payload is the left block followed by the right block
     tail = path.read_bytes()[-2 * left.size * 8:]
     assert tail == left.tobytes() + right.tobytes()
     with pytest.raises(ContainerError):  # only binaural spectrograms
-        write_binaural_spectrogram(path, Spectrogram(left[None], cfg), DIGEST)
+        write_binaural_spectrogram(path, left[None], cfg, DIGEST)
     # the stored tag, after the 32-byte header, is the file's name
     assert path.read_bytes()[32:39] == b"\x03\x00\x00\x00out"
     assert digest == DIGEST
-    assert spec.config == cfg
+    assert config == cfg
 
 
 def test_stored_spectrogram_is_listenable(tmp_path):
@@ -123,9 +122,9 @@ def test_stored_spectrogram_is_listenable(tmp_path):
     signal = np.random.default_rng(3).standard_normal((48000, 2))
     spec = stft(signal, cfg)
     path = tmp_path / "reference.bsmg"
-    write_binaural_spectrogram(path, spec, DIGEST)
-    want = istft(spec)
-    got = istft(read_binaural_spectrogram(path)[0])
+    write_binaural_spectrogram(path, spec, cfg, DIGEST)
+    want = istft(spec, cfg)
+    got = istft(read_binaural_spectrogram(path)[0], cfg)
     rms = np.sqrt(np.mean((got - want) ** 2) / np.mean(want ** 2))
     assert rms < 1e-7, rms
 
@@ -139,13 +138,13 @@ def test_spectrogram_payload_is_the_single_precision_cast(frames, tmp_path):
     data = (rng.standard_normal((2, frames, cfg.num_bins))
             + 1j * rng.standard_normal((2, frames, cfg.num_bins)))
     path = tmp_path / "cast.bsmg"
-    write_binaural_spectrogram(path, Spectrogram(data, cfg), DIGEST)
+    write_binaural_spectrogram(path, data, cfg, DIGEST)
     blob = path.read_bytes()
     assert blob[4:8] == (2).to_bytes(4, "little")
     assert blob[len(blob) - data.size * 8:] == data.astype("<c8").tobytes()
-    spec, _ = read_binaural_spectrogram(path)
-    np.testing.assert_array_equal(spec.data, data.astype(np.complex64))
-    assert spec.data.flags.owndata  # not a view that keeps the file's bytes
+    spec = read_binaural_spectrogram(path)[0]
+    np.testing.assert_array_equal(spec, data.astype(np.complex64))
+    assert spec.flags.owndata  # not a view that keeps the file's bytes
 
 
 def test_version_1_spectrogram_is_refused_by_name(tmp_path):
@@ -159,17 +158,22 @@ def test_version_1_spectrogram_is_refused_by_name(tmp_path):
 
 
 def test_spectrogram_fft_size_must_be_the_windows(tmp_path):
-    # the FFT size follows the window, so a header naming another size is
-    # refused by the file's name
+    # the FFT size follows the window and the bin count the FFT size, so a
+    # header naming another size, or another bin count whose frames still
+    # fit the payload, is refused by the file's name
     path = tmp_path / "padded.bsmg"
-    _write_sample_bsmg(path)
-    blob = bytearray(path.read_bytes())
-    blob[20:24] = (16).to_bytes(4, "little")  # the 8-sample window's is 8
-    path.write_bytes(blob)
-    with pytest.raises(ContainerError, match=re.escape(
-            f"{path}: invalid STFT parameters: FFT size 16 is not the "
-            "8-sample window's 8")):
-        read_binaural_spectrogram(path)
+    # header field offset -> (stored value, the refusal)
+    cases = [({20: 16}, "FFT size 16 is not the 8-sample window's 8"),
+             ({24: 10, 28: 1}, "bin count 1 is not the 8-point FFT's 5")]
+    for fields, problem in cases:
+        _write_sample_bsmg(path)
+        blob = bytearray(path.read_bytes())
+        for offset, value in fields.items():
+            blob[offset : offset + 4] = value.to_bytes(4, "little")
+        path.write_bytes(blob)
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{path}: invalid STFT parameters: {problem}")):
+            read_binaural_spectrogram(path)
 
 
 def test_spectrogram_tag_is_the_files_name(tmp_path):
@@ -206,7 +210,7 @@ def _write_sample_wav(path):
 def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
     cfg = StftConfig(48000, 8, 4)
     data = np.arange(2 * cfg.num_bins).reshape(2, cfg.num_bins) * (1 + 1j)
-    writer(path, Spectrogram(np.stack([data, -data]), cfg), DIGEST)
+    writer(path, np.stack([data, -data]), cfg, DIGEST)
 
 
 def _write_sample_bsmf(path):
@@ -257,9 +261,10 @@ def test_wav_without_digest_keeps_its_bytes(tmp_path):
 
 def _big_spectrogram(path):
     data = np.ones((2, 256, 1025), dtype=complex)
-    spec = Spectrogram(data, StftConfig(48000, 1536, 768))
+    cfg = StftConfig(48000, 1536, 768)
     # the file holds the payload at single precision
-    return data.size * 8, lambda: write_binaural_spectrogram(path, spec, DIGEST)
+    return data.size * 8, lambda: write_binaural_spectrogram(path, data, cfg,
+                                                             DIGEST)
 
 
 def _big_bank(path):

@@ -16,15 +16,16 @@ from bsmrender.evaluate import (
     weighted_db,
     write_report,
 )
-from bsmrender.stft import Spectrogram, StftConfig
+from bsmrender.stft import StftConfig
 
 CFG = StftConfig(48000, 256, 128)
 BINS = CFG.num_bins
+FREQS = CFG.bin_frequencies()
 FRAMES = 12
 
 
 def _binaural(left, right):
-    return Spectrogram(data=np.stack([left, right]), config=CFG)
+    return np.stack([left, right])
 
 
 def _random_pair(rng, scale=1.0):
@@ -38,7 +39,7 @@ def _random_pair(rng, scale=1.0):
 def test_perfect_estimate_scores_zero():
     rng = np.random.default_rng(0)
     est, ref = _random_pair(rng, scale=0.0)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     np.testing.assert_array_equal(report.linear, 0.0)
     assert not report.flags.any()
 
@@ -48,7 +49,7 @@ def test_zero_estimate_scores_unity():
     _, ref = _random_pair(rng)
     zero = _binaural(np.zeros((FRAMES, BINS), complex),
                      np.zeros((FRAMES, BINS), complex))
-    report = nmse(zero, ref)
+    report = nmse(zero, ref, FREQS)
     np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
     np.testing.assert_allclose(report.db()[0], 0.0, atol=1e-10)
 
@@ -57,9 +58,9 @@ def test_doubled_estimate_scores_unity():
     # est = 2 ref leaves an error exactly equal to the reference
     rng = np.random.default_rng(2)
     _, ref = _random_pair(rng)
-    left = ref.data[0]
-    est = _binaural(2 * left, 2 * ref.data[1])
-    report = nmse(est, ref)
+    left = ref[0]
+    est = _binaural(2 * left, 2 * ref[1])
+    report = nmse(est, ref, FREQS)
     np.testing.assert_allclose(report.linear[0], 1.0, rtol=1e-12)
     np.testing.assert_allclose(report.linear[1], 1.0, rtol=1e-12)
 
@@ -68,9 +69,9 @@ def test_nmse_against_double_loop():
     rng = np.random.default_rng(3)
     est, ref = _random_pair(rng, scale=0.3)
     trim = 2
-    report = nmse(est, ref, frame_trim=trim)
-    e = est.data[0][trim : FRAMES - trim]
-    r = ref.data[0][trim : FRAMES - trim]
+    report = nmse(est, ref, FREQS, frame_trim=trim)
+    e = est[0][trim : FRAMES - trim]
+    r = ref[0][trim : FRAMES - trim]
     for b in range(0, BINS, 17):
         want = (np.abs(e[:, b] - r[:, b]) ** 2).mean() \
             / (np.abs(r[:, b]) ** 2).mean()
@@ -83,9 +84,9 @@ def test_nmse_scale_invariance(alpha):
     # common gain on estimate and reference cancels out of the ratio
     rng = np.random.default_rng(4)
     est, ref = _random_pair(rng, scale=0.5)
-    scaled = nmse(_binaural(alpha * est.data[0], alpha * est.data[1]),
-                  _binaural(alpha * ref.data[0], alpha * ref.data[1]))
-    plain = nmse(est, ref)
+    scaled = nmse(_binaural(alpha * est[0], alpha * est[1]),
+                  _binaural(alpha * ref[0], alpha * ref[1]), FREQS)
+    plain = nmse(est, ref, FREQS)
     np.testing.assert_allclose(scaled.linear[0], plain.linear[0],
                                rtol=1e-9)
 
@@ -96,10 +97,10 @@ def test_frame_permutation_invariance():
     est, ref = _random_pair(rng, scale=0.2)
     perm = rng.permutation(np.arange(2, FRAMES - 2))
     idx = np.concatenate([[0, 1], perm, [FRAMES - 2, FRAMES - 1]])
-    est_p = _binaural(est.data[0][idx], est.data[1][idx])
-    ref_p = _binaural(ref.data[0][idx], ref.data[1][idx])
-    a = nmse(est, ref)
-    b = nmse(est_p, ref_p)
+    est_p = _binaural(est[0][idx], est[1][idx])
+    ref_p = _binaural(ref[0][idx], ref[1][idx])
+    a = nmse(est, ref, FREQS)
+    b = nmse(est_p, ref_p, FREQS)
     np.testing.assert_allclose(a.linear[0], b.linear[0], rtol=1e-12)
 
 
@@ -109,7 +110,7 @@ def test_low_energy_bins_get_flagged():
     ref_data[:, 40:50] = 1e-9  # relatively negligible energy
     ref = _binaural(ref_data, ref_data)
     est = _binaural(ref_data * 1.1, ref_data * 1.1)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     assert report.flags[0][40:50].all()
     assert not report.flags[0][:40].any()
     assert np.isnan(report.linear[0][45])
@@ -118,14 +119,16 @@ def test_low_energy_bins_get_flagged():
 def test_nmse_error_conditions():
     rng = np.random.default_rng(7)
     est, ref = _random_pair(rng)
-    short = _binaural(est.data[0][:5], est.data[1][:5])
+    short = _binaural(est[0][:5], est[1][:5])
     with pytest.raises(ValueError):
-        nmse(short, ref)
+        nmse(short, ref, FREQS)
+    with pytest.raises(ValueError, match="frequency dimensions differ"):
+        nmse(est, ref, FREQS[:-1])  # a grid of another bin count
     with pytest.raises(ValueError):
-        nmse(est, ref, frame_trim=6)  # nothing left
+        nmse(est, ref, FREQS, frame_trim=6)  # nothing left
     # an all-zero reference (anechoic reverberant field) flags every bin
     zeros = np.zeros((FRAMES, BINS), complex)
-    report = nmse(est, _binaural(zeros, zeros))
+    report = nmse(est, _binaural(zeros, zeros), FREQS)
     assert report.flags.all()
     assert np.isnan(report.linear).all()
     np.testing.assert_array_equal(report.ref_energy, 0.0)
@@ -134,7 +137,7 @@ def test_nmse_error_conditions():
 def test_broadband_is_energy_weighted():
     rng = np.random.default_rng(8)
     est, ref = _random_pair(rng, scale=0.4)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     w = report.ref_energy[0]
     v = report.linear[0]
     want = 10 * np.log10(np.sum(w * v) / np.sum(w))
@@ -147,14 +150,14 @@ def test_weighted_db_of_an_ear_without_usable_bins_is_nan():
     # summary names the ear it cannot summarize
     rng = np.random.default_rng(16)
     est, ref = _random_pair(rng, scale=0.4)
-    ref = _binaural(ref.data[0], np.zeros((FRAMES, BINS), complex))
-    report = nmse(est, ref)
+    ref = _binaural(ref[0], np.zeros((FRAMES, BINS), complex))
+    report = nmse(est, ref, FREQS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = weighted_db(report)
     assert np.isnan(got[1])
     np.testing.assert_array_equal(got[0], weighted_db(nmse(est, _binaural(
-        ref.data[0], ref.data[0])))[0])
+        ref[0], ref[0]), FREQS))[0])
     with pytest.raises(ValueError, match=r"no usable bins \(right\)$"):
         band_summary(report, [(0.0, 4000.0)])
 
@@ -163,8 +166,8 @@ def test_band_summary_flat_report():
     rng = np.random.default_rng(9)
     est, ref = _random_pair(rng, scale=0.0)
     # force a known flat linear NMSE of 0.25 (-6.02 dB)
-    est = _binaural(ref.data[0] * 1.5, ref.data[1] * 1.5)
-    report = nmse(est, ref)
+    est = _binaural(ref[0] * 1.5, ref[1] * 1.5)
+    report = nmse(est, ref, FREQS)
     out = band_summary(report, [(0.0, 4000.0), (4000.0, 24000.0)])
     np.testing.assert_allclose(out[0], 10 * np.log10(0.25), atol=1e-9)
     np.testing.assert_allclose(out[1], 10 * np.log10(0.25), atol=1e-9)
@@ -173,7 +176,7 @@ def test_band_summary_flat_report():
 def test_band_summary_rejects_bad_bands():
     rng = np.random.default_rng(10)
     est, ref = _random_pair(rng)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     with pytest.raises(ValueError):
         band_summary(report, [(25000.0, 30000.0)])  # beyond Nyquist
     with pytest.raises(ValueError):
@@ -204,8 +207,8 @@ def test_compare_sign_convention():
     ref = _binaural(ref_data, ref_data)
     good = _binaural(ref_data + 0.5 * err, ref_data + 0.5 * err)
     bad = _binaural(ref_data + err, ref_data + err)
-    rep_good = nmse(good, ref)
-    rep_bad = nmse(bad, ref)
+    rep_good = nmse(good, ref, FREQS)
+    rep_bad = nmse(bad, ref, FREQS)
     per_bin, improvement, fraction = compare(rep_good, rep_bad)
     np.testing.assert_allclose(per_bin[0], 20 * np.log10(2.0), atol=1e-9)
     np.testing.assert_allclose(improvement[0], 20 * np.log10(2.0), atol=1e-9)
@@ -219,7 +222,7 @@ def test_compare_sign_convention():
 def test_report_csv_schema(tmp_path):
     rng = np.random.default_rng(13)
     est, ref = _random_pair(rng, scale=0.1)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     path = tmp_path / "report.csv"
     write_report(path, report)
     lines = path.read_text().strip().split("\n")
@@ -237,7 +240,7 @@ def test_report_csv_flags_leave_blanks(tmp_path):
     ref_data[:, 7] = 1e-10
     ref = _binaural(ref_data, ref_data)
     est = _binaural(ref_data, ref_data)
-    report = nmse(est, ref)
+    report = nmse(est, ref, FREQS)
     path = tmp_path / "report.csv"
     write_report(path, report)
     row = path.read_text().strip().split("\n")[1 + 7].split(",")
