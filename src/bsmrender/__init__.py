@@ -7,7 +7,7 @@ a config-driven CLI (see bsmrender.cli).
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry, sph_to_cart
+from .geometry import ArrayGeometry
 from .solvers import CovarianceModel, SolverConfig
 from .stft import StftConfig
 

@@ -19,8 +19,8 @@ from . import config as cfgmod
 from .containers import (canonical_json, load_hrtf, read_artifacts,
                          save_filterbank, update_manifest,
                          write_binaural_spectrogram, write_json, write_wav)
-from .evaluate import (EARS, band_summary, compare, nmse, weighted_db,
-                       write_report)
+from .evaluate import (EARS, band_summary, fraction_improved, nmse,
+                       weighted_db, write_report)
 from .geometry import SPEED_OF_SOUND, as_directions, sph_to_cart
 from .hrtf import (evaluate_sh, point_receiver_channels, point_receiver_hrtf,
                    sh_channels, sh_fit_operator)
@@ -196,46 +196,51 @@ def reference_valid_hz(cfg):
 def run_evaluate(cfg, out_dir, digest):
     stft_cfg = cfgmod.build_stft_config(cfg)
     trim = cfg["evaluation"]["frame_trim"]
-    freqs = stft_cfg.bin_frequencies()
 
-    # all checked first, then each parsed when first needed, dropped after
+    # all checked first, then each parsed when first needed, dropped after;
+    # a report is nmse's (NMSE, reference energy) pair
     spectra = read_artifacts(out_dir, SPECTRO_ARTIFACTS, digest, "evaluate",
                              stft_cfg)
     ref_d, comp_d = next(spectra), next(spectra)
-    reports = {"direct": nmse(comp_d, ref_d, freqs, trim)}
+    reports = {"direct": nmse(comp_d, ref_d, trim)}
     ref = next(spectra)
     ref_r = ref - ref_d
     del ref_d
     comp_r = next(spectra)
-    # all bins flagged when the room is anechoic (no reverberant field)
-    reports["reverb"] = nmse(comp_r, ref_r, freqs, trim)
+    # all bins NaN when the room is anechoic (no reverberant field)
+    reports["reverb"] = nmse(comp_r, ref_r, trim)
     del ref_r
-    reports["decomposed"] = nmse(comp_d + comp_r, ref, freqs, trim)
+    reports["decomposed"] = nmse(comp_d + comp_r, ref, trim)
     del comp_d, comp_r
-    reports["standard"] = nmse(next(spectra), ref, freqs, trim)
+    reports["standard"] = nmse(next(spectra), ref, trim)
 
-    broadband = {}
-    for name, rep in reports.items():
-        db = weighted_db(rep)
+    freqs = stft_cfg.bin_frequencies()
+    bands = cfgmod.eval_bands(cfg)
+    broadband = {name: weighted_db(*rep) for name, rep in reports.items()}
+    band_db = {name: band_summary(*reports[name], freqs, bands)
+               for name in ("standard", "decomposed")}
+    figures = {(name, "broadband"): db for name, db in broadband.items()}
+    figures.update(((name, f"{lo:g}-{hi:g} Hz band"), db)
+                   for name, rows in band_db.items()
+                   for (lo, hi), db in zip(bands, rows.T))
+    for (name, band), db in figures.items():
         if np.isneginf(db).any():
             raise ValueError(
-                f"the {name} report's NMSE is 0 in the "
+                f"the {name} report's {band} NMSE is 0 in the "
                 f"{EARS[np.isneginf(db).argmax()]} ear: an estimate equal to "
-                "its reference has no dB figure")
-        broadband[name] = dict(zip(EARS, np.where(rep.flags.all(axis=1), None,
-                                                  db).tolist()))
-    _, gain, improved = compare(reports["decomposed"], reports["standard"])
-
-    bands = cfgmod.eval_bands(cfg)
-    band_gain = (band_summary(reports["standard"], bands)
-                 - band_summary(reports["decomposed"], bands))
+                "its reference there has no dB figure")
+    gain = broadband["standard"] - broadband["decomposed"]
+    band_gain = band_db["standard"] - band_db["decomposed"]
     ear_near = near_ear(cfg)
     valid_hz = reference_valid_hz(cfg)
     verdict = {
         "scene_digest": digest,
-        "broadband_nmse_db": broadband,
+        "broadband_nmse_db": {
+            name: dict(zip(EARS, np.where(np.isnan(db), None, db).tolist()))
+            for name, db in broadband.items()},
         "improvement_db": dict(zip(EARS, gain.tolist())),
-        "fraction_improved": dict(zip(EARS, improved.tolist())),
+        "fraction_improved": dict(zip(EARS, fraction_improved(
+            reports["decomposed"][0], reports["standard"][0]).tolist())),
         "decomposed_beats_standard": bool(np.all(gain > 0.0)),
         "bands_hz": [[float(lo), float(hi)] for lo, hi in bands],
         "band_improvement_db": dict(zip(EARS, band_gain.tolist())),
@@ -250,8 +255,8 @@ def run_evaluate(cfg, out_dir, digest):
     # the verdict first: write_json refuses a figure that is not finite
     # before any file is opened
     write_json(out_dir / "verdict.json", verdict)
-    for name, report in reports.items():
-        write_report(out_dir / f"nmse_{name}.csv", report)
+    for name, (linear, _) in reports.items():
+        write_report(out_dir / f"nmse_{name}.csv", linear, freqs)
     update_manifest(out_dir, REPORT_ARTIFACTS, digest)
 
     print(f"evaluate: decomposed vs standard {gain[0]:+.2f} dB left, "

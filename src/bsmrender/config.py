@@ -17,8 +17,8 @@ from .containers import (ContainerError, file_sha256, read_hrtf_header,
                          read_wav, scene_digest)
 from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import ArrayGeometry, as_directions, semicircle_array, sph_to_cart
-from .simulate import (RoomSpec, Scene, reflection_for_t60, signal_length,
-                       synth_speech_noise)
+from .simulate import (RoomSpec, Scene, check_positions, reflection_for_t60,
+                       signal_length, synth_speech_noise)
 from .sph import num_coeffs
 from .stft import StftConfig
 
@@ -230,8 +230,9 @@ def resolve(profile="desk", config_path=None, seed=None):
         raise ConfigError("set exactly one of scene.target_t60_s and "
                           "scene.reflection_coefficients")
     # the overlap-add rules, the bands' bins, the frames left after the
-    # edge trim, the direct DOA, the microphone rows, the HRTF set's rate
-    # and fit and the design's cutoff fail here, not in a stage
+    # edge trim, the direct DOA, the microphone rows, the positions in the
+    # room, the HRTF set's rate and fit and the design's cutoff fail here,
+    # not in a stage
     nyquist = build_stft_config(cfg).bin_frequencies()[-1]
     eval_bands(cfg)
     _check_frame_trim(cfg)
@@ -240,7 +241,11 @@ def resolve(profile="desk", config_path=None, seed=None):
         as_directions(design["direct_doa"])
     except ValueError as err:
         raise ConfigError(f"design.direct_doa: {err}") from None
-    build_array(cfg)
+    try:  # the positions need the walls, not what they reflect
+        check_positions(RoomSpec(scene["room_dimensions"], (0.0,) * 6),
+                        scene["source_position"], build_array(cfg))
+    except ValueError as err:  # build_array's ConfigError passes as it is
+        raise ConfigError(str(err)) from None
     _check_hrtf_set(design, cfg["sample_rate"])
     cutoff = design["magls_cutoff_hz"]
     if cutoff is not None and cutoff > nyquist:

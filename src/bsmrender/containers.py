@@ -290,6 +290,8 @@ def read_binaural_spectrogram(path):
         if config.num_bins != bins:
             raise ValueError(f"bin count {bins} is not the {fft_size}-point "
                              f"FFT's {config.num_bins}")
+    if not np.isfinite(ears).all():
+        cur.fail("non-finite spectra")
     return ears.astype(complex), config, digest
 
 

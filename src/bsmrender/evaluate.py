@@ -1,15 +1,14 @@
-"""NMSE reports, band summaries and pipeline comparisons.
+"""Per-bin NMSE, band summaries and the share of improved bins.
 
 The per-bin error is the frame-averaged squared deviation normalized by
 the frame-averaged reference energy. Bins whose reference energy falls
-below 1e-12 of the strongest bin are flagged as lacking energy instead of
-being divided, and an all-zero reference (the reverberant reference of an
-anechoic room) flags every bin; edge frames are excluded because the
-analysis windows there see zero-padding.
+below 1e-12 of the strongest bin lack energy, and their NMSE is NaN, the
+only meaning a NaN has; an all-zero reference (the reverberant reference
+of an anechoic room) leaves every bin NaN. Edge frames are excluded
+because the analysis windows there see zero-padding.
 """
 
 import numpy as np
-from dataclasses import dataclass, field
 
 ENERGY_FLOOR = 1e-12
 FLAG_OK = ""
@@ -18,66 +17,58 @@ FLAG_LOW = "insufficient_energy"
 EARS = ("left", "right")
 
 
-@dataclass(frozen=True)
-class NmseReport:
-    frequencies: np.ndarray = field(repr=False)
-    linear: np.ndarray = field(repr=False)      # (2, bins), nan where flagged
-    ref_energy: np.ndarray = field(repr=False)  # (2, bins) frame-mean |ref|^2
-    flags: np.ndarray = field(repr=False)       # (2, bins), True = low energy
-
-    def db(self):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 10.0 * np.log10(self.linear)
-
-
-def nmse(est, ref, frequencies, frame_trim=2):
-    """Per-bin, per-ear NMSE of (2, frames, bins) spectra at `frequencies`."""
-    if est.shape != ref.shape or ref.shape[2] != len(frequencies):
-        raise ValueError("estimate, reference and frequency dimensions differ")
+def nmse(est, ref, frame_trim=2):
+    """Per-bin, per-ear NMSE of finite (2, frames, bins) spectra and the
+    reference's frame-mean energy |ref|^2, two (2, bins) arrays. The NMSE
+    is NaN exactly at the bins whose reference lacks energy."""
+    if est.shape != ref.shape:
+        raise ValueError("estimate and reference dimensions differ")
     lo, hi = frame_trim, est.shape[1] - frame_trim
     if hi - lo < 1:
         raise ValueError("no frames left after edge trimming")
+    if not (np.isfinite(est).all() and np.isfinite(ref).all()):
+        raise ValueError("spectra must be finite")
     linear = np.full((len(EARS), ref.shape[2]), np.nan)
-    energy, flags = np.empty_like(linear), np.empty(linear.shape, bool)
+    energy = np.empty_like(linear)
     # one ear at a time, so only one ear's (frames, bins) temporaries live
     for i in range(len(EARS)):
         r = ref[i, lo:hi]
         energy[i] = np.mean(np.abs(r) ** 2, axis=0)
         num = np.mean(np.abs(est[i, lo:hi] - r) ** 2, axis=0)
         peak = energy[i].max()
-        flags[i] = (energy[i] < ENERGY_FLOOR * peak) | (peak == 0.0)
-        np.divide(num, energy[i], out=linear[i], where=~flags[i])
-    return NmseReport(frequencies=frequencies, linear=linear,
-                      ref_energy=energy, flags=flags)
+        low = (energy[i] < ENERGY_FLOOR * peak) | (peak == 0.0)
+        np.divide(num, energy[i], out=linear[i], where=~low)
+    return linear, energy
 
 
-def weighted_db(report, bins=slice(None)):
-    """Each ear's energy-weighted mean linear NMSE over its unflagged
-    `bins`, in dB, as a (2,) array; nan for an ear with no usable bin."""
-    rows = zip(report.ref_energy[:, bins], report.linear[:, bins],
-               ~report.flags[:, bins])
+def weighted_db(linear, energy, bins=slice(None)):
+    """Each ear's `energy`-weighted mean of the `linear` NMSE over the
+    `bins` that have one (not NaN), in dB, as a (2,) array; NaN for an ear
+    with no such bin."""
+    rows = zip(energy[:, bins], linear[:, bins], ~np.isnan(linear[:, bins]))
     with np.errstate(divide="ignore", invalid="ignore"):
         # usable bins alone: masked zeros would regroup the pairwise sum
         return 10.0 * np.log10([np.sum(w[ok] * v[ok]) / np.sum(w[ok])
                                 for w, v, ok in rows])
 
 
-def band_summary(report, bands):
-    """Energy-weighted mean NMSE per frequency band, in dB.
+def band_summary(linear, energy, frequencies, bands):
+    """Energy-weighted mean NMSE per frequency band, in dB, of a (2, bins)
+    NMSE on the bin grid `frequencies`.
 
     bands is a list of (lo_hz, hi_hz) pairs, each band [lo, hi). Returns a
     (2, bands) array. A band containing no usable bin is an error (nan
     would silently poison downstream comparisons).
     """
-    check_bands(report.frequencies, bands)
+    check_bands(frequencies, bands)
     out = np.empty((len(EARS), len(bands)))
     for i, (lo, hi) in enumerate(bands):
-        sel = band_bins(report.frequencies, (lo, hi))
-        empty = ~(sel & ~report.flags).any(axis=1)
+        sel = band_bins(frequencies, (lo, hi))
+        empty = np.isnan(linear[:, sel]).all(axis=1)
         if empty.any():
             raise ValueError(f"band ({lo}, {hi}) has no usable bins "
                              f"({EARS[empty.argmax()]})")
-        out[:, i] = weighted_db(report, sel)
+        out[:, i] = weighted_db(linear, energy, sel)
     return out
 
 
@@ -108,17 +99,12 @@ def octave_bands(upper_hz=24000.0, base_hz=125.0):
     return bands
 
 
-def compare(report_a, report_b):
-    """(per_bin, improvement_db, fraction_improved) of pipeline a over b:
-    a (2, bins) array, nan where either report flags the bin, and two (2,)
-    arrays. Positive values mean a has the lower NMSE (b's dB minus a's
-    dB, matching the sign convention 'halving the error is +3 dB')."""
-    if not np.array_equal(report_a.frequencies, report_b.frequencies):
-        raise ValueError("reports use different frequency grids")
-    per_bin = report_b.db() - report_a.db()
-    per_bin[report_a.flags | report_b.flags] = np.nan
-    improved = (per_bin > 0).sum(axis=1) / (~np.isnan(per_bin)).sum(axis=1)
-    return per_bin, weighted_db(report_b) - weighted_db(report_a), improved
+def fraction_improved(nmse_a, nmse_b):
+    """Each ear's share of the bins where both (2, bins) NMSE arrays have a
+    dB figure and a's is below b's, as a (2,) array."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        per_bin = 10.0 * np.log10(nmse_b) - 10.0 * np.log10(nmse_a)
+    return (per_bin > 0).sum(axis=1) / (~np.isnan(per_bin)).sum(axis=1)
 
 
 # ---------------------------------------------------------------- reports
@@ -130,14 +116,16 @@ def _field(value):
     return repr(value) if value == value else ""
 
 
-def write_report(path, report):
-    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag) of a report,
-    ear first."""
-    columns = (report.linear, report.db(),
-               np.where(report.flags, FLAG_LOW, FLAG_OK))
+def write_report(path, linear, frequencies):
+    """CSV rows (ear, freq_hz, nmse_linear, nmse_db, flag) of a (2, bins)
+    NMSE on the bin grid `frequencies`, ear first; a NaN bin is flagged."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = (linear, 10.0 * np.log10(linear),
+                   np.where(np.isnan(linear), FLAG_LOW, FLAG_OK))
     lines = ["ear,freq_hz,nmse_linear,nmse_db,flag"]
     for ear, *ear_columns in zip(EARS, *(c.tolist() for c in columns)):
-        for freq, *values in zip(report.frequencies.tolist(), *ear_columns):
+        for freq, *values in zip(frequencies.tolist(), *ear_columns,
+                                 strict=True):
             lines.append(",".join((ear, _field(freq), *map(_field, values))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -69,18 +69,7 @@ class Scene:
     def __post_init__(self):
         object.__setattr__(self, "source_position",
                            tuple(float(v) for v in self.source_position))
-        if not self.room.contains(self.source_position):
-            raise ValueError("source must be strictly inside the room")
-        if self.array is not None:
-            for pos in self.array.room_positions():
-                if not self.room.contains(pos):
-                    raise ValueError("every microphone must be inside the room")
-            # a receiver on the source sees its direct path at distance 0:
-            # an infinite gain and no arrival direction
-            for pos in self.receivers:
-                if tuple(float(v) for v in pos) == self.source_position:
-                    raise ValueError("the source must not sit on the array "
-                                     "center or a microphone")
+        check_positions(self.room, self.source_position, self.array)
         # an empty or silent source leaves evaluate no band with energy,
         # and a non-finite one leaves it nothing but NaN
         if not np.any(self.source_signal):
@@ -92,6 +81,29 @@ class Scene:
     def receivers(self):
         """The array center, then each microphone, in room coordinates."""
         return (self.array.center_position, *self.array.room_positions())
+
+
+def check_positions(room, source, array):
+    """ValueError naming the first position that breaks the scene's rules:
+    the source, the array center and every microphone of `array` (None:
+    no receivers) lie strictly inside `room`, and the source sits on no
+    receiver, whose direct path would have no direction and no finite
+    gain. Scene and config.resolve both apply them."""
+    receivers = [] if array is None else [
+        ("scene.array_center", array.center_position),
+        *((f"microphone {m}", tuple(pos))
+          for m, pos in enumerate(array.room_positions().tolist()))]
+    source = tuple(float(v) for v in source)
+    walls = " x ".join(f"{v:g}" for v in room.dimensions)
+    for name, pos in [("scene.source_position", source), *receivers]:
+        if not room.contains(pos):
+            raise ValueError(f"{name} {np.round(pos, 6).tolist()} is not "
+                             f"strictly inside the {walls} m room")
+    for name, pos in receivers:
+        if pos == source:
+            raise ValueError(f"scene.source_position {list(source)} must not "
+                             f"sit on the array center or a microphone: it "
+                             f"is {name}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +164,8 @@ def image_lattice(room, source, max_order, max_delay=None):
 def compute_image_sources(lattice, receiver, max_delay=None):
     """The image sources of image_lattice's result seen from `receiver`,
     sorted by delay and, when given, capped at `max_delay`: the lattice's
-    bound, which holds for a receiver inside the room (Scene checks it)."""
+    bound, which holds for a receiver inside the room (check_positions
+    holds the array center and every microphone to that)."""
     pos, refl = lattice
     diff = pos - np.asarray(receiver, float)
     dist = np.linalg.norm(diff, axis=1)

@@ -262,14 +262,23 @@ def test_empty_explicit_band_fails_config(tmp_path, capsys):
         "bins\n")
 
 
-# a direct DOA off the sphere and a microphone at a negative radius: each
-# once passed --dry-run, then failed in design or simulate
+# a direct DOA off the sphere, a microphone at a negative radius, a source
+# outside the room, and an array center outside it with its three mics
+# inside: each once passed --dry-run, then failed in design or simulate,
+# or, the last two, wrote both banks
 BAD_ROWS = {
     "direct_doa": ("design: {direct_doa: [4.0, 0.5]}\n",
                    "design.direct_doa: colatitude 4.0 outside [0, pi]"),
     "array_mics": ("scene: {array_mics: [[-0.05, 1.5, 0.0]]}\n",
                    "scene.array_mics: microphone radius must be positive "
                    "and finite"),
+    "source_position": ("scene: {source_position: [9, 1, 1]}\n",
+                        "scene.source_position [9.0, 1.0, 1.0] is not strictly "
+                        "inside the 4 x 3 x 2.5 m room"),
+    "array_center": ("scene: {array_center: [1.1, -0.1, 1.2], array_mics: "
+                     f"{[[0.2, math.pi / 2, math.pi / 2]] * 3}}}\n",
+                     "scene.array_center [1.1, -0.1, 1.2] is not strictly "
+                     "inside the 4 x 3 x 2.5 m room"),
 }
 
 
@@ -535,27 +544,55 @@ def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
 
 def test_perfect_estimate_fails_evaluate_stage(tmp_path, capsys):
     # desk's reference stored as the standard estimate scores NMSE 0 in
-    # every bin, which has no dB figure: the stage names the report and
-    # the ear and writes no report, verdict or manifest entry
+    # every bin, and its bins below 170 Hz alone in the lowest octave
+    # band; neither has a dB figure: the stage names the report, the band
+    # and the ear and writes no report, verdict or manifest entry
     out = tmp_path / "perfect"
     assert main(["simulate", "--out", str(out)]) == 0
     digest = cfgmod.run_digest(cfgmod.resolve("desk"))
     ref, stft_cfg, _ = read_binaural_spectrogram(out / "reference.bsmg")
     ref_d = read_binaural_spectrogram(out / "reference_direct.bsmg")[0]
-    # halves of the two components: every other report has an error
-    for name, spec in (("component_direct.bsmg", 0.5 * ref_d),
-                       ("component_reverb.bsmg", 0.5 * (ref - ref_d)),
-                       ("bsm_standard.bsmg", ref)):
-        write_binaural_spectrogram(out / name, spec, stft_cfg, digest)
-    update_manifest(out, cli.ESTIMATE_ARTIFACTS, digest)
-    manifest = (out / "manifest.json").read_bytes()
-    capsys.readouterr()
-    assert main(["evaluate", "--out", str(out)]) == EXIT_CODES["evaluate"]
+    low = stft_cfg.bin_frequencies() < 170.0
+    for standard, band in ((ref, "broadband"),
+                           (np.where(low, ref, 0.5 * ref),
+                            "88.3883-176.777 Hz band")):
+        # halves of the two components: every other report has an error
+        for name, spec in (("component_direct.bsmg", 0.5 * ref_d),
+                           ("component_reverb.bsmg", 0.5 * (ref - ref_d)),
+                           ("bsm_standard.bsmg", standard)):
+            write_binaural_spectrogram(out / name, spec, stft_cfg, digest)
+        update_manifest(out, cli.ESTIMATE_ARTIFACTS, digest)
+        manifest = (out / "manifest.json").read_bytes()
+        capsys.readouterr()
+        assert main(["evaluate", "--out", str(out)]) == EXIT_CODES["evaluate"]
+        assert capsys.readouterr().err == (
+            f"error [evaluate]: the standard report's {band} NMSE is 0 in the "
+            "left ear: an estimate equal to its reference there has no dB "
+            "figure\n")
+        assert not any((out / name).exists() for name in REPORT_ARTIFACTS)
+        assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_non_finite_spectrogram_fails_evaluate_stage(mini_run, tmp_path,
+                                                    capsys):
+    # a NaN in a spectrogram the manifest vouches for would read as a bin
+    # without energy; it is refused by the file's name
+    _, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "nan"
+    shutil.copytree(out, work)
+    path = work / "bsm_standard.bsmg"
+    spec, stft_cfg, digest = read_binaural_spectrogram(path)
+    spec[1, 3, 5] = np.nan
+    write_binaural_spectrogram(path, spec, stft_cfg, digest)
+    update_manifest(work, [path.name], digest)
+    verdict = (work / "verdict.json").read_bytes()
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
     assert capsys.readouterr().err == (
-        "error [evaluate]: the standard report's NMSE is 0 in the left ear: "
-        "an estimate equal to its reference has no dB figure\n")
-    assert not any((out / name).exists() for name in REPORT_ARTIFACTS)
-    assert (out / "manifest.json").read_bytes() == manifest
+        f"error [evaluate]: {path}: non-finite spectra\n")
+    assert (work / "verdict.json").read_bytes() == verdict
 
 
 @pytest.mark.parametrize("reshape", [lambda d, r: (d[:-1], r),

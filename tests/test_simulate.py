@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from bsmrender import config as cfgmod
 from bsmrender.evaluate import band_summary, nmse, octave_bands
-from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, ArrayGeometry, semicircle_array
 from bsmrender.hrtf import point_receiver_channels, \
     point_receiver_hrtf, sh_channels
 from bsmrender import simulate
@@ -75,11 +75,17 @@ def test_room_spec_validation():
 def test_scene_validates_positions():
     with pytest.raises(ValueError):
         _scene(src=(5.0, 1.0, 1.0))
-    # array mic poking through a wall
+    # array mic poking through a wall, and an array center outside the
+    # room whose mics are all inside
     sig = np.zeros(100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="microphone 0 .* not strictly"):
         Scene(room=ROOM, source_position=SRC, source_signal=sig,
               array=semicircle_array(3, 0.5, (0.2, 1.0, 1.0)))
+    mics = [(0.2, np.pi / 2, np.pi / 2)] * 3
+    with pytest.raises(ValueError,
+                       match=r"array_center \[1.0, -0.1, 1.0\] is not"):
+        Scene(room=ROOM, source_position=SRC, source_signal=sig,
+              array=ArrayGeometry(mics, (1.0, -0.1, 1.0)))
     # a source on the array center or on a mic has no direct-path direction
     # and an infinite gain
     array = semicircle_array(3, 0.5, RCV)
@@ -471,8 +477,8 @@ def test_point_reference_matches_the_ear_signals():
                                   design["hrtf_ear_offset"], stft_cfg, rir_s)
     bands = [band for band in octave_bands() if band[1] < 5.66e3]
     assert len(bands) == 6
-    report = nmse(reference, ears, stft_cfg.bin_frequencies())
-    per_band = band_summary(report, bands)
+    per_band = band_summary(*nmse(reference, ears),
+                            stft_cfg.bin_frequencies(), bands)
     assert np.all(per_band < -30.0), per_band
 
 
