@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .containers import (canonical_json, load_hrtf, read_artifacts,
-                         save_filterbank, update_manifest,
+from .containers import (BANK_TAGS, canonical_json, load_hrtf,
+                         read_artifacts, save_filterbank, update_manifest,
                          write_binaural_spectrogram, write_json, write_wav)
 from .evaluate import (EARS, band_summary, fraction_improved, nmse,
                        weighted_db, write_report)
@@ -34,7 +34,7 @@ EXIT_CODES = {"config": 1, "simulate": 2, "design": 3, "render": 4, "evaluate": 
 
 MIC_ARTIFACTS = ("mics_full.wav", "mics_direct.wav")
 SIM_ARTIFACTS = MIC_ARTIFACTS + ("reference.bsmg", "reference_direct.bsmg")
-BANK_ARTIFACTS = ("bank_direct.bsmf", "bank_reverb.bsmf")
+BANK_ARTIFACTS = tuple(BANK_TAGS)  # direct, then reverberant
 ESTIMATE_ARTIFACTS = ("component_direct.bsmg", "component_reverb.bsmg",
                       "bsm_standard.bsmg")  # as render_estimates orders them
 # in the order evaluate reads them
@@ -92,7 +92,8 @@ def run_simulate(cfg, out_dir, digest):
     write_json(out_dir / "scene_stats.json", stats)
     # sensor noise belongs to the measurement; the oracle direct component
     # stays clean
-    x = add_noise(x, scene.noise_snr, seed=scene.seed + 1)
+    x = add_noise(x, cfgmod.snr_linear(scene_cfg["noise_snr_db"]),
+                  seed=scene_cfg["seed"] + 1)
     write_wav(out_dir / "mics_full.wav", x, stft_cfg.sample_rate, digest)
     write_wav(out_dir / "mics_direct.wav", x_d, stft_cfg.sample_rate, digest)
     # written; the reference needs neither them nor the per-mic images
@@ -137,10 +138,10 @@ def run_design(cfg, out_dir, digest):
     ears_r, capped_r = design_filterbank(
         steering_tensor(stft_cfg, geom, reverb_doas), hrtf_r, stft_cfg,
         reverb_cfg)
-    save_filterbank(out_dir / "bank_direct.bsmf", ears_d, "direct",
-                    direct_cfg, stft_cfg, digest)
-    save_filterbank(out_dir / "bank_reverb.bsmf", ears_r, "reverberant",
-                    reverb_cfg, stft_cfg, digest)
+    save_filterbank(out_dir / "bank_direct.bsmf", ears_d, direct_cfg,
+                    stft_cfg, digest)
+    save_filterbank(out_dir / "bank_reverb.bsmf", ears_r, reverb_cfg,
+                    stft_cfg, digest)
     update_manifest(out_dir, BANK_ARTIFACTS, digest)
     capped = capped_d + capped_r
     # a capped solve still returns its last iterate, a usable filter, so

@@ -27,61 +27,6 @@ class ConfigError(ValueError):
     pass
 
 
-# leaf validators: (predicate, description)
-_SCHEMA = {
-    "sample_rate": (lambda v: _int(v, 1), "positive int"),
-    "scene": {
-        "room_dimensions": (lambda v: _vec(v, 3, positive=True), "3 positive numbers"),
-        "target_t60_s": (lambda v: v is None or _pos(v), "positive number or null"),
-        "reflection_coefficients": (
-            lambda v: v is None or _vec(v, 6, lo=0.0, hi=1.0),
-            "6 numbers in [0, 1) or null"),
-        "source_position": (lambda v: _vec(v, 3), "3 numbers"),
-        "source_duration_s": (lambda v: _pos(v), "positive number"),
-        "source_wav": (lambda v: v is None or (isinstance(v, str) and v != ""),
-                       "non-empty path or null"),
-        "array_center": (lambda v: _vec(v, 3), "3 numbers"),
-        "array_num_mics": (lambda v: _int(v, 1), "int >= 1"),
-        "array_radius": (lambda v: _pos(v), "positive number"),
-        "array_mics": (lambda v: v is None or (isinstance(v, list)
-                       and all(_vec(m, 3) for m in v)),
-                       "list of [radius, colat, azim] or null"),
-        "noise_snr_db": (lambda v: v is None or _snr_db(v),
-                         "dB or null, 10^(dB/10) and its inverse finite"),
-        "rir_seconds": (lambda v: _pos(v), "positive number"),
-        "max_reflection_order": (lambda v: _int(v, 0), "int >= 0"),
-        "seed": (lambda v: _int(v, 0), "unsigned int"),
-    },
-    "design": {
-        "direct_doa": (lambda v: _vec(v, 2), "[colatitude, azimuth]"),
-        "reverb_grid_size": (lambda v: _int(v, 1), "int >= 1"),
-        "direct_snr_db": (lambda v: v is None or _snr_db(v),
-                          "dB or null (null = the Tikhonov floor alone), "
-                          "10^(dB/10) and its inverse finite"),
-        "reverb_snr_db": (lambda v: v is None or _snr_db(v),
-                          "dB or null, 10^(dB/10) and its inverse finite"),
-        "magls_cutoff_hz": (lambda v: v is None or _pos(v),
-                            "positive number or null (null = no MagLS)"),
-        "hrtf_ear_offset": (lambda v: _num(v) and 0 <= v < 1,
-                            "number in [0, 1) m"),
-        "hrtf_grid_size": (lambda v: _int(v, 1), "int >= 1"),
-        "hrtf_sh_order": (lambda v: _int(v, 0), "int >= 0"),
-        "hrtf_file": (lambda v: v is None or (isinstance(v, str) and v != ""),
-                      "non-empty path or null"),
-        "reference_order": (lambda v: _int(v, 0), "int >= 0"),
-    },
-    "stft": {
-        "window_ms": (lambda v: _pos(v), "positive number"),
-        "hop_ms": (lambda v: _pos(v), "positive number"),
-    },
-    "evaluation": {
-        "bands": (lambda v: v == "octave" or (isinstance(v, list)
-                  and all(_vec(b, 2) for b in v)), "octave or [[lo, hi], ...]"),
-        "frame_trim": (lambda v: _int(v, 0), "int >= 0"),
-    },
-}
-
-
 def _num(v):
     """An int or float that converts to a finite float; YAML's true and
     false are ints, not numbers."""
@@ -109,6 +54,10 @@ def _snr_db(v):
         return False
 
 
+def _path(v):
+    return v is None or (isinstance(v, str) and v != "")
+
+
 def _vec(v, n, positive=False, lo=None, hi=None):
     """n numbers, each positive and in [lo, hi) when those are given."""
     return (isinstance(v, (list, tuple)) and len(v) == n
@@ -117,48 +66,85 @@ def _vec(v, n, positive=False, lo=None, hi=None):
                     for x in v))
 
 
+# the desk source sits 0.65 m from the array center at the direct DOA
+_DESK_CENTER = (1.1, 1.05, 1.2)
+_DESK_DOA = (math.pi / 2, math.pi / 6)
+
+# every config leaf, declared once: (desk default, check, what the check
+# wants); desk_profile reads its defaults off this table, and _validate
+# its checks
+_SCHEMA = {
+    "sample_rate": (48000, lambda v: _int(v, 1), "positive int"),
+    "scene": {
+        "room_dimensions": ([4.0, 3.0, 2.5],
+                            lambda v: _vec(v, 3, positive=True),
+                            "3 positive numbers"),
+        "target_t60_s": (0.3, lambda v: v is None or _pos(v),
+                         "positive number or null"),
+        "reflection_coefficients": (
+            None, lambda v: v is None or _vec(v, 6, lo=0.0, hi=1.0),
+            "6 numbers in [0, 1) or null"),
+        "source_position": (
+            [c + 0.65 * u for c, u in
+             zip(_DESK_CENTER, sph_to_cart((1.0, *_DESK_DOA)))],
+            lambda v: _vec(v, 3), "3 numbers"),
+        "source_duration_s": (2.0, _pos, "positive number"),
+        "source_wav": (None, _path, "non-empty path or null"),
+        "array_center": (list(_DESK_CENTER), lambda v: _vec(v, 3),
+                         "3 numbers"),
+        "array_num_mics": (6, lambda v: _int(v, 1), "int >= 1"),
+        "array_radius": (0.07, _pos, "positive number"),
+        "array_mics": (None, lambda v: v is None or (
+                           isinstance(v, list) and all(_vec(m, 3) for m in v)),
+                       "list of [radius, colat, azim] or null"),
+        "noise_snr_db": (None, lambda v: v is None or _snr_db(v),
+                         "dB or null, 10^(dB/10) and its inverse finite"),
+        "rir_seconds": (0.35, _pos, "positive number"),
+        # order cap doubles as the late-tail control: pure specular
+        # image models decay slower than Eyring predicts, and capping
+        # the lattice keeps the measured T60 near the target
+        "max_reflection_order": (24, lambda v: _int(v, 0), "int >= 0"),
+        "seed": (0, lambda v: _int(v, 0), "unsigned int"),
+    },
+    "design": {
+        "direct_doa": (list(_DESK_DOA), lambda v: _vec(v, 2),
+                       "[colatitude, azimuth]"),
+        "reverb_grid_size": (240, lambda v: _int(v, 1), "int >= 1"),
+        "direct_snr_db": (None, lambda v: v is None or _snr_db(v),
+                          "dB or null (null = the Tikhonov floor alone), "
+                          "10^(dB/10) and its inverse finite"),
+        "reverb_snr_db": (20.0, lambda v: v is None or _snr_db(v),
+                          "dB or null, 10^(dB/10) and its inverse finite"),
+        "magls_cutoff_hz": (1500.0, lambda v: v is None or _pos(v),
+                            "positive number or null (null = no MagLS)"),
+        "hrtf_ear_offset": (0.0875, lambda v: _num(v) and 0 <= v < 1,
+                            "number in [0, 1) m"),
+        "hrtf_grid_size": (1600, lambda v: _int(v, 1), "int >= 1"),
+        "hrtf_sh_order": (30, lambda v: _int(v, 0), "int >= 0"),
+        "hrtf_file": (None, _path, "non-empty path or null"),
+        "reference_order": (14, lambda v: _int(v, 0), "int >= 0"),
+    },
+    "stft": {
+        "window_ms": (32.0, _pos, "positive number"),
+        "hop_ms": (16.0, _pos, "positive number"),
+    },
+    "evaluation": {
+        "bands": ("octave", lambda v: v == "octave" or (
+                      isinstance(v, list) and all(_vec(b, 2) for b in v)),
+                  "octave or [[lo, hi], ...]"),
+        "frame_trim": (2, lambda v: _int(v, 0), "int >= 0"),
+    },
+}
+
+
+def _defaults(schema):
+    return {key: _defaults(rule) if isinstance(rule, dict)
+            else copy.deepcopy(rule[0]) for key, rule in schema.items()}
+
+
 def desk_profile():
     """Small-room default: 2 s source, sub-minute simulation."""
-    center = (1.1, 1.05, 1.2)
-    doa = (math.pi / 2, math.pi / 6)
-    dist = 0.65
-    u = sph_to_cart((1.0, *doa))
-    return {
-        "sample_rate": 48000,
-        "scene": {
-            "room_dimensions": [4.0, 3.0, 2.5],
-            "target_t60_s": 0.3,
-            "reflection_coefficients": None,
-            "source_position": [c + dist * ui for c, ui in zip(center, u)],
-            "source_duration_s": 2.0,
-            "source_wav": None,
-            "array_center": list(center),
-            "array_num_mics": 6,
-            "array_radius": 0.07,
-            "array_mics": None,
-            "noise_snr_db": None,
-            "rir_seconds": 0.35,
-            # order cap doubles as the late-tail control: pure specular
-            # image models decay slower than Eyring predicts, and capping
-            # the lattice keeps the measured T60 near the target
-            "max_reflection_order": 24,
-            "seed": 0,
-        },
-        "design": {
-            "direct_doa": list(doa),
-            "reverb_grid_size": 240,
-            "direct_snr_db": None,
-            "reverb_snr_db": 20.0,
-            "magls_cutoff_hz": 1500.0,
-            "hrtf_ear_offset": 0.0875,
-            "hrtf_grid_size": 1600,
-            "hrtf_sh_order": 30,
-            "hrtf_file": None,
-            "reference_order": 14,
-        },
-        "stft": {"window_ms": 32.0, "hop_ms": 16.0},
-        "evaluation": {"bands": "octave", "frame_trim": 2},
-    }
+    return _defaults(_SCHEMA)
 
 
 def paper_profile():
@@ -192,7 +178,7 @@ def _validate(node, schema, path=""):
         if isinstance(rule, dict):
             _validate(value, rule, where)
         else:
-            check, expect = rule
+            _, check, expect = rule
             if not check(value):
                 raise ConfigError(f"bad value for {where}: {value!r} "
                                   f"(expected {expect})")
@@ -211,7 +197,7 @@ def resolve(profile="desk", config_path=None, seed=None):
     """Profile defaults + optional YAML overrides -> validated config dict."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}")
-    cfg = copy.deepcopy(PROFILES[profile]())
+    cfg = PROFILES[profile]()
     if config_path is not None:
         with open(config_path) as fh:
             try:
@@ -394,9 +380,7 @@ def build_scene(cfg):
                  source_position=tuple(scene["source_position"]),
                  source_signal=build_source(cfg),
                  sample_rate=cfg["sample_rate"],
-                 array=build_array(cfg),
-                 noise_snr=snr_linear(scene["noise_snr_db"]),
-                 seed=scene["seed"])
+                 array=build_array(cfg))
 
 
 def eval_bands(cfg):

@@ -16,7 +16,8 @@ BSMH. WAV has no version field and keeps its version 1 layout.
   complex128; version 1 stored the same header with a <c16 block and is
   refused.
 - BSMF, filter bank: u32 mics, bins, sample rate, FFT size (the last
-  three the run's StftConfig's); str tag, direct or reverberant; digest;
+  three the run's StftConfig's); str tag: the role its name gives
+  (BANK_TAGS), which the reader checks; digest;
   str solver config (standard JSON, sorted keys, default separators:
   `snr`, null for an infinite SNR, and `magls_cutoff_hz`, null for plain
   LS at every bin); the (2, bins, mics) <c16 ears block, left ear first.
@@ -297,14 +298,28 @@ def read_binaural_spectrogram(path):
 
 # ---------------------------------------------------------------- BSMF
 
-def save_filterbank(path, ears, tag, solver, stft_cfg, digest):
+# a bank's role is its name: the writer stores the tag its name gives, and
+# the reader refuses another
+BANK_TAGS = {"bank_direct.bsmf": "direct", "bank_reverb.bsmf": "reverberant"}
+
+
+def _bank_tag(path):
+    """The tag a BSMF file stores: its name's role."""
+    if Path(path).name not in BANK_TAGS:
+        raise ContainerError(f"{path}: a filter bank is named "
+                             f"{' or '.join(BANK_TAGS)}")
+    return BANK_TAGS[Path(path).name]
+
+
+def save_filterbank(path, ears, solver, stft_cfg, digest):
     """Write a bank's (2, bins, M) filters `ears`, left ear first, with its
-    tag and the SolverConfig `solver` that designed it."""
+    name's tag and the SolverConfig `solver` that designed it."""
     # the default JSON separators are part of the version 1 bytes, and an
     # unset cutoff or an infinite SNR is null, as standard JSON has no inf
     config = json.dumps({"magls_cutoff_hz": solver.magls_cutoff_hz,
                          "snr": None if np.isinf(solver.snr) else solver.snr},
                         sort_keys=True)
+    tag = _bank_tag(path)
     _, bins, mics = ears.shape
     with open(path, "wb") as fh:
         fh.write(_header(b"BSMF", "IIII", mics, bins,
@@ -316,6 +331,7 @@ def save_filterbank(path, ears, tag, solver, stft_cfg, digest):
 def load_filterbank(path, stft_cfg):
     """Returns the (2, bins, M) filters of a bank of the run's sampling and
     its embedded digest, after checking its tag and solver config."""
+    want = _bank_tag(path)
     cur = _Cursor(path)
     mics, bins, rate, fft_size = cur.header(b"BSMF", "IIII")
     _require_run(path, "(sample rate, FFT size, bins)", (rate, fft_size, bins),
@@ -326,12 +342,12 @@ def load_filterbank(path, stft_cfg):
     ears = cur.array("<c16", (2, bins, mics), "filters")
     cur.end()
     with cur.checked("filter bank"):
+        if tag != want:
+            raise ValueError(f"stores the tag {tag!r}, not {want!r}")
         solver = dict(json.loads(config))
         if solver.get("snr") is None:
             solver["snr"] = np.inf
         SolverConfig(**solver)
-        if tag not in ("direct", "reverberant"):
-            raise ValueError(f"unknown filter bank tag {tag!r}")
         if not np.isfinite(ears).all():
             raise ValueError("non-finite filter coefficients")
     return ears, digest

@@ -61,10 +61,8 @@ class Scene:
     room: RoomSpec
     source_position: tuple
     source_signal: np.ndarray = field(repr=False)
+    array: object  # ArrayGeometry
     sample_rate: int = 48000
-    array: object = None  # ArrayGeometry
-    noise_snr: float = np.inf
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "source_position",
@@ -85,14 +83,13 @@ class Scene:
 
 def check_positions(room, source, array):
     """ValueError naming the first position that breaks the scene's rules:
-    the source, the array center and every microphone of `array` (None:
-    no receivers) lie strictly inside `room`, and the source sits on no
-    receiver, whose direct path would have no direction and no finite
-    gain. Scene and config.resolve both apply them."""
-    receivers = [] if array is None else [
-        ("scene.array_center", array.center_position),
-        *((f"microphone {m}", tuple(pos))
-          for m, pos in enumerate(array.room_positions().tolist()))]
+    the source, the array center and every microphone of `array` lie
+    strictly inside `room`, and the source sits on no receiver, whose
+    direct path would have no direction and no finite gain. Scene and
+    config.resolve both apply them."""
+    receivers = [("scene.array_center", array.center_position),
+                 *((f"microphone {m}", tuple(pos))
+                   for m, pos in enumerate(array.room_positions().tolist()))]
     source = tuple(float(v) for v in source)
     walls = " x ".join(f"{v:g}" for v in room.dimensions)
     for name, pos in [("scene.source_position", source), *receivers]:

@@ -488,17 +488,19 @@ def test_corrupt_bank_fails_render_stage(mini_run, tmp_path, capsys):
     assert "error [render]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tag, bad_filter, snr, problem", [
-    ("mystery", False, 100.0, "unknown filter bank tag 'mystery'"),
-    ("reverberant", True, 100.0, "non-finite filter coefficients"),
-    ("reverberant", False, 0, "snr must be positive (may be inf)"),
-    ("reverberant", False, -1, "snr must be positive (may be inf)"),
+@pytest.mark.parametrize("written, bad_filter, snr, problem", [
+    ("bank_direct.bsmf", False, 100.0,
+     "stores the tag 'direct', not 'reverberant'"),
+    ("bank_reverb.bsmf", True, 100.0, "non-finite filter coefficients"),
+    ("bank_reverb.bsmf", False, 0, "snr must be positive (may be inf)"),
+    ("bank_reverb.bsmf", False, -1, "snr must be positive (may be inf)"),
 ], ids=["tag", "nan", "snr-0", "snr-negative"])
-def test_invalid_bank_fails_render_stage(mini_run, tmp_path, capsys, tag,
+def test_invalid_bank_fails_render_stage(mini_run, tmp_path, capsys, written,
                                          bad_filter, snr, problem):
-    # a bank the manifest vouches for, of an unknown tag, with a NaN
-    # filter or with a stored solver config SolverConfig refuses, is
-    # refused by load_filterbank by the file's name
+    # a bank the manifest vouches for, written under another name and so
+    # of another tag, with a NaN filter or with a stored solver config
+    # SolverConfig refuses, is refused by load_filterbank by the file's
+    # name
     cfg, config_path, out = mini_run
     import shutil
 
@@ -508,14 +510,37 @@ def test_invalid_bank_fails_render_stage(mini_run, tmp_path, capsys, tag,
     filters = bank_parts(path)["filters"].copy()
     if bad_filter:
         filters[1, 7, 0] = np.nan
-    save_filterbank(path, filters, tag,
+    save_filterbank(tmp_path / written, filters,
                     SimpleNamespace(snr=snr, magls_cutoff_hz=1500.0),
                     StftConfig.default(), digest)
+    shutil.copyfile(tmp_path / written, path)
     update_manifest(work, [path.name], digest)
     rc = main(["render", "--out", str(work), "--config", str(config_path)])
     assert rc == EXIT_CODES["render"]
     assert capsys.readouterr().err == (
         f"error [render]: {path}: invalid filter bank: {problem}\n")
+
+
+def test_swapped_banks_fail_render_stage(mini_run, tmp_path, capsys):
+    # a bank's role is its name: bank_direct.bsmf and bank_reverb.bsmf
+    # swapped and vouched for by the manifest were once rendered and
+    # scored without a word, with the verdict's sign flipped; render
+    # refuses the first one it reads by its name
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "swapped"
+    shutil.copytree(out, work)
+    direct, reverb = work / "bank_direct.bsmf", work / "bank_reverb.bsmf"
+    direct.replace(work / "swap")
+    reverb.replace(direct)
+    (work / "swap").replace(reverb)
+    update_manifest(work, BANK_ARTIFACTS, cfgmod.run_digest(cfg))
+    rc = main(["render", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["render"]
+    assert capsys.readouterr().err == (
+        f"error [render]: {direct}: invalid filter bank: stores the tag "
+        "'reverberant', not 'direct'\n")
 
 
 def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
@@ -687,13 +712,13 @@ def _wav_at_other_rate(path, digest):
 
 def _resave_bank(path, stft_cfg, digest):
     """Write the bank at `path` again for `stft_cfg` under `digest`, its
-    filters, tag and solver config kept."""
+    filters and solver config kept."""
     parts = bank_parts(path)
     solver = json.loads(parts["solver config"])
     if solver["snr"] is None:
         solver["snr"] = np.inf
-    save_filterbank(path, parts["filters"], parts["tag"],
-                    solvers.SolverConfig(**solver), stft_cfg, digest)
+    save_filterbank(path, parts["filters"], solvers.SolverConfig(**solver),
+                    stft_cfg, digest)
 
 
 def _bank_at_other_rate(path, digest):
@@ -1149,9 +1174,9 @@ def test_render_peak_memory(tmp_path):
     for name in cli.MIC_ARTIFACTS:
         write_wav(tmp_path / name, rng.standard_normal((samples, mics)), fs,
                   digest)
-    for name, tag in zip(BANK_ARTIFACTS, ("direct", "reverberant")):
+    for name in BANK_ARTIFACTS:
         ears = rng.standard_normal((2, stft_cfg.num_bins, mics)) + 0j
-        save_filterbank(tmp_path / name, ears, tag, solvers.SolverConfig(),
+        save_filterbank(tmp_path / name, ears, solvers.SolverConfig(),
                         stft_cfg, digest)
     update_manifest(tmp_path, cli.MIC_ARTIFACTS + BANK_ARTIFACTS, digest)
     frames, bins = stft_cfg.num_frames(samples), stft_cfg.num_bins

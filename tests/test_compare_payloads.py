@@ -20,8 +20,9 @@ def _write_run(folder, digest, scale=1.0, snr=np.inf, gain=1.5):
     cfg = StftConfig(48000, 8, 4)
     ears = np.arange(2 * cfg.num_bins).reshape(2, 1, cfg.num_bins) * (1 + 1j)
     write_binaural_spectrogram(folder / "reference.bsmg", ears, cfg, digest)
-    save_filterbank(folder / "bank.bsmf", np.ones((2, cfg.num_bins, 3), complex),
-                    "direct", SolverConfig(snr=snr), cfg, digest)
+    save_filterbank(folder / "bank_direct.bsmf",
+                    np.ones((2, cfg.num_bins, 3), complex),
+                    SolverConfig(snr=snr), cfg, digest)
     write_json(folder / "verdict.json", {"scene_digest": digest, "gain": gain})
     (folder / "nmse.csv").write_text("frequency_hz,left_db\n0,-20\n")
     write_json(folder / "manifest.json", {"digest": digest})
@@ -52,10 +53,10 @@ def test_bank_config_changes_are_named(tmp_path):
     _write_run(tmp_path / "a", "0123456789abcdef")
     _write_run(tmp_path / "b", "fedcba9876543210", snr=100.0)
     assert compare(tmp_path / "a", tmp_path / "b") == (
-        "payloads differ: bank.bsmf (solver config); digests only in the "
-        "other 3 files")
+        "payloads differ: bank_direct.bsmf (solver config); digests only in "
+        "the other 3 files")
     # a bank as an earlier writer stored it, under four keys
-    path = tmp_path / "a" / "bank.bsmf"
+    path = tmp_path / "a" / "bank_direct.bsmf"
     new, old = (b'{"magls_cutoff_hz": null, "snr": null}',
                 b'{"magls_cutoff_hz": 1500.0, "magls_enabled": false, '
                 b'"snr": Infinity, "tikhonov_floor": 1e-12}')
@@ -65,7 +66,7 @@ def test_bank_config_changes_are_named(tmp_path):
                                   len(old).to_bytes(4, "little") + old))
     _write_run(tmp_path / "c", "0123456789abcdef")
     assert compare(tmp_path / "a", tmp_path / "c") == (
-        "payloads differ: bank.bsmf (solver config)")
+        "payloads differ: bank_direct.bsmf (solver config)")
 
 
 def _write_report(path, db, flag=""):
@@ -107,16 +108,16 @@ def test_parts_that_do_not_line_up_carry_no_size(tmp_path):
     write_json(tmp_path / "b" / "verdict.json",
                {"scene_digest": "0123456789abcdef", "gain": 1.5, "note": 1})
     cfg = StftConfig(48000, 8, 4)
-    save_filterbank(tmp_path / "b" / "bank.bsmf",
-                    np.full((2, cfg.num_bins, 3), 1 - 1e-6, complex), "direct",
+    save_filterbank(tmp_path / "b" / "bank_direct.bsmf",
+                    np.full((2, cfg.num_bins, 3), 1 - 1e-6, complex),
                     SolverConfig(snr=np.inf), cfg, "0123456789abcdef")
     # a report whose verdict on a bin moved, not only its numbers
     _write_report(tmp_path / "a" / "nmse_reverb.csv", -3.0)
     _write_report(tmp_path / "b" / "nmse_reverb.csv", -3.0,
                   "insufficient_energy")
     assert compare(tmp_path / "a", tmp_path / "b") == (
-        "payloads differ: bank.bsmf (filters 1e-6) mics.wav (samples) "
-        "nmse_reverb.csv verdict.json")
+        "payloads differ: bank_direct.bsmf (filters 1e-6) mics.wav "
+        "(samples) nmse_reverb.csv verdict.json")
 
 
 def test_relative_change():

@@ -441,6 +441,21 @@ def _leaf_keys(schema, path=()):
             yield path + (key,)
 
 
+@pytest.mark.parametrize("profile, digest", [("desk", "0300d830349c448a"),
+                                             ("paper", "f0887d55f835ccc1")])
+def test_profile_digests_are_pinned(profile, digest):
+    # every default and the digest's encoding feed this value: a change
+    # to either is deliberate, re-pins it and is stated as such
+    assert run_digest(resolve(profile)) == digest
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_profiles_resolve_to_the_tables_leaves(profile):
+    # each leaf is declared once, with its default: a profile holds
+    # exactly the table's leaves, so no stage meets a missing key
+    assert sorted(_leaf_keys(resolve(profile))) == sorted(_leaf_keys(_SCHEMA))
+
+
 # YAML scalars and containers of the wrong kind: a bool, the float
 # specials, a string, an int, and empty containers
 FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}")

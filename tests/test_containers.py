@@ -194,11 +194,10 @@ def test_bank_keeps_an_infinite_snr_and_no_cutoff(tmp_path):
     # both are stored as JSON null, and the loader's solver config check
     # reads them back as inf and None, a valid config
     ears = np.ones((2, 5, 3), complex)
-    save_filterbank(tmp_path / "bank.bsmf", ears, "direct", SolverConfig(),
-                    SAMPLE_STFT, DIGEST)
-    assert b'{"magls_cutoff_hz": null, "snr": null}' \
-        in (tmp_path / "bank.bsmf").read_bytes()
-    back, digest = load_filterbank(tmp_path / "bank.bsmf", SAMPLE_STFT)
+    path = tmp_path / "bank_direct.bsmf"
+    save_filterbank(path, ears, SolverConfig(), SAMPLE_STFT, DIGEST)
+    assert b'{"magls_cutoff_hz": null, "snr": null}' in path.read_bytes()
+    back, digest = load_filterbank(path, SAMPLE_STFT)
     np.testing.assert_array_equal(back, ears)
     assert digest == DIGEST
 
@@ -215,7 +214,7 @@ def _write_sample_bsmg(path, writer=write_binaural_spectrogram):
 
 def _write_sample_bsmf(path):
     coeffs = np.arange(10).reshape(5, 2) * (1 - 1j)
-    save_filterbank(path, np.stack([coeffs, -coeffs]), "reverberant",
+    save_filterbank(path, np.stack([coeffs, -coeffs]),
                     SolverConfig(snr=12.5, magls_cutoff_hz=9000.0),
                     SAMPLE_STFT, DIGEST)
 
@@ -234,6 +233,15 @@ READERS = {"wav": (_write_sample_wav, read_wav),
                     lambda path: load_hrtf(path, SAMPLE_STFT))}
 
 
+# a BSMG file stores its name as its tag, and a BSMF file its name's role:
+# the samples store "reference" and "reverberant"
+SAMPLE_NAMES = {"bsmg": "reference.bsmg", "bsmf": "bank_reverb.bsmf"}
+
+
+def _sample_path(folder, kind):
+    return folder / SAMPLE_NAMES.get(kind, f"sample.{kind}")
+
+
 # sha256 of each sample file: BSMG version 2 and the version 1 layouts of
 # the others, pinned to the byte
 SAMPLE_SHA256 = {
@@ -246,8 +254,7 @@ SAMPLE_SHA256 = {
 
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_writers_keep_their_bytes(kind, tmp_path):
-    # a BSMG file stores its name as its tag: the sample's is "reference"
-    path = tmp_path / ("reference.bsmg" if kind == "bsmg" else kind)
+    path = _sample_path(tmp_path, kind)
     READERS[kind][0](path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SAMPLE_SHA256[kind]
 
@@ -259,44 +266,47 @@ def test_wav_without_digest_keeps_its_bytes(tmp_path):
         "206d6307880dbf7beec5e23b74d94fe35e508331db6ab2fc5ec37f0b45fd8cdc")
 
 
-def _big_spectrogram(path):
+def _big_spectrogram(folder):
+    path = folder / "big.bsmg"
     data = np.ones((2, 256, 1025), dtype=complex)
     cfg = StftConfig(48000, 1536, 768)
     # the file holds the payload at single precision
-    return data.size * 8, lambda: write_binaural_spectrogram(path, data, cfg,
-                                                             DIGEST)
+    return path, data.size * 8, lambda: write_binaural_spectrogram(
+        path, data, cfg, DIGEST)
 
 
-def _big_bank(path):
+def _big_bank(folder):
+    path = folder / "bank_direct.bsmf"
     ears = np.ones((2, 1025, 64), dtype=complex)
-    return ears.nbytes, lambda: save_filterbank(
-        path, ears, "direct", SolverConfig(), StftConfig(48000, 2048, 1024),
-        DIGEST)
+    return path, ears.nbytes, lambda: save_filterbank(
+        path, ears, SolverConfig(), StftConfig(48000, 2048, 1024), DIGEST)
 
 
-def _big_wav(path):
+def _big_wav(folder):
+    path = folder / "big.wav"
     samples = np.ones((200000, 2), dtype=np.float32)
-    return samples.nbytes, lambda: write_wav(path, samples, 48000, DIGEST)
+    return path, samples.nbytes, lambda: write_wav(path, samples, 48000,
+                                                   DIGEST)
 
 
 @pytest.mark.parametrize("make", [_big_spectrogram, _big_bank, _big_wav])
 def test_writers_copy_no_payload(make, tmp_path):
     # an array already in its on-disk layout goes to the file from its own
     # buffer: a bytes copy of the payload would allocate its whole size
-    payload, write = make(tmp_path / "big")
+    path, payload, write = make(tmp_path)
     tracemalloc.start()
     try:
         write()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (tmp_path / "big").stat().st_size > payload
+    assert path.stat().st_size > payload
     assert peak < payload / 8, (peak, payload)
 
 
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_readers_reject_every_truncation(kind, tmp_path):
-    path = tmp_path / f"sample.{kind}"
+    path = _sample_path(tmp_path, kind)
     write, reader = READERS[kind]
     write(path)
     blob = path.read_bytes()
@@ -309,7 +319,7 @@ def test_readers_reject_every_truncation(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(READERS))
 def test_readers_reject_trailing_bytes(kind, tmp_path):
-    path = tmp_path / f"sample.{kind}"
+    path = _sample_path(tmp_path, kind)
     write, reader = READERS[kind]
     write(path)
     path.write_bytes(path.read_bytes() + bytes(16))
@@ -323,7 +333,7 @@ def test_readers_reject_trailing_bytes(kind, tmp_path):
 def test_readers_raise_only_container_errors(kind, data, tmp_path):
     # flipped bytes, possibly after a cut, either still parse or raise
     # ContainerError: never struct.error, IndexError or a reshape failure
-    path = tmp_path / f"fuzz.{kind}"
+    path = _sample_path(tmp_path, kind)
     write, reader = READERS[kind]
     write(path)
     blob = bytearray(path.read_bytes())

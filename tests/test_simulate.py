@@ -51,8 +51,7 @@ RCV = (1.0, 2.0, 1.1)
 def _scene(room=ROOM, src=SRC, seconds=0.2, fs=48000, mics=3, seed=0):
     sig = synth_speech_noise(int(seconds * fs), fs, seed)
     return Scene(room=room, source_position=src, source_signal=sig,
-                 sample_rate=fs, array=semicircle_array(mics, 0.05, RCV),
-                 seed=seed)
+                 sample_rate=fs, array=semicircle_array(mics, 0.05, RCV))
 
 
 def test_room_spec_validation():
@@ -93,6 +92,13 @@ def test_scene_validates_positions():
         with pytest.raises(ValueError, match="must not sit on the array"):
             Scene(room=ROOM, source_position=tuple(receiver),
                   source_signal=sig, array=array)
+
+
+def test_scene_needs_an_array():
+    # a scene without receivers once built and failed later, in
+    # scene_images, on the array it did not have
+    with pytest.raises(TypeError, match="array"):
+        Scene(RoomSpec((4, 3, 2.5), (0.5,) * 6), (1, 1, 1), np.ones(100))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

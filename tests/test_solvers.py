@@ -266,21 +266,38 @@ def test_design_filterbank_refuses_mismatched_responses(h_shape):
 
 
 def test_filterbank_validation(tmp_path):
-    # the loader refuses a bank of an unknown tag, with a non-finite
-    # filter or with a solver config SolverConfig refuses, by the file's
-    # name; the saver writes what it is given
-    path = tmp_path / "bank.bsmf"
+    # the loader refuses a bank that stores another name's tag, with a
+    # non-finite filter or with a solver config SolverConfig refuses, by
+    # the file's name; the saver writes what it is given
+    path = tmp_path / "bank_direct.bsmf"
     ears = np.zeros((2, 5, 3), complex)
-    for bad, tag, solver, problem in (
-            (ears, "mystery", SolverConfig(), "unknown filter bank tag"),
-            (np.full_like(ears, np.inf), "direct", SolverConfig(),
+    for bad, written, solver, problem in (
+            (ears, "bank_reverb.bsmf", SolverConfig(),
+             "stores the tag 'reverberant', not 'direct'"),
+            (np.full_like(ears, np.inf), path.name, SolverConfig(),
              "non-finite filter coefficients"),
-            (ears, "direct", SimpleNamespace(snr=0, magls_cutoff_hz=None),
+            (ears, path.name, SimpleNamespace(snr=0, magls_cutoff_hz=None),
              "snr must be positive")):
-        save_filterbank(path, bad, tag, solver, STFT_SMALL, "ab" * 8)
+        save_filterbank(tmp_path / written, bad, solver, STFT_SMALL, "ab" * 8)
+        (tmp_path / written).replace(path)
         with pytest.raises(ContainerError, match=re.escape(
                 f"{path}: invalid filter bank: {problem}")):
             load_filterbank(path, STFT_SMALL)
+
+
+def test_a_bank_is_named_for_its_role(tmp_path):
+    # bank_direct.bsmf stores "direct" and bank_reverb.bsmf "reverberant"
+    # (the round trips read them back); neither the saver nor the loader
+    # takes a file of another name
+    ears = np.zeros((2, 5, 3), complex)
+    path = tmp_path / "bank.bsmf"
+    for call in (lambda: save_filterbank(path, ears, SolverConfig(),
+                                         STFT_SMALL, "ab" * 8),
+                 lambda: load_filterbank(path, STFT_SMALL)):
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{path}: a filter bank is named bank_direct.bsmf or "
+                "bank_reverb.bsmf")):
+            call()
 
 
 def test_filterbank_io_round_trip(tmp_path):
@@ -290,8 +307,8 @@ def test_filterbank_io_round_trip(tmp_path):
     cfg = SolverConfig(snr=12.5, magls_cutoff_hz=9000.0)
     ears = design_filterbank(steering_tensor(STFT_SMALL, geom, doas), hrtf,
                              STFT_SMALL, cfg)[0]
-    path = tmp_path / "bank.bsmf"
-    save_filterbank(path, ears, "reverberant", cfg, STFT_SMALL, "ab" * 8)
+    path = tmp_path / "bank_reverb.bsmf"
+    save_filterbank(path, ears, cfg, STFT_SMALL, "ab" * 8)
     back, digest = load_filterbank(path, STFT_SMALL)
     assert digest == "ab" * 8
     # mics, bins, then the sample rate and FFT size of the run's STFT; the
@@ -304,7 +321,7 @@ def test_filterbank_io_round_trip(tmp_path):
 
 
 def test_filterbank_io_rejects_damage(tmp_path):
-    path = tmp_path / "bank.bsmf"
+    path = tmp_path / "bank_direct.bsmf"
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(ContainerError):
         load_filterbank(path, STFT_SMALL)
@@ -349,8 +366,8 @@ def test_capped_count_is_not_stored(tmp_path):
     ears, capped = design_filterbank(steering_tensor(STFT_SMALL, geom, doas),
                                      hrtf, STFT_SMALL, cfg)
     assert capped > 0
-    path = tmp_path / "bank.bsmf"
-    save_filterbank(path, ears, "reverberant", cfg, STFT_SMALL, "ab" * 8)
+    path = tmp_path / "bank_reverb.bsmf"
+    save_filterbank(path, ears, cfg, STFT_SMALL, "ab" * 8)
     config = b'{"magls_cutoff_hz": 10000.0, "snr": 30.0}'
     assert config in path.read_bytes()
     assert path.stat().st_size == (28 + len(b"reverberant") + 16 + 4
