@@ -4,6 +4,9 @@ Each stage reads, computes and writes in one output directory. Artifacts
 carry the run digest (a hash of the resolved config plus any input files,
 computed once by main) embedded and in manifest.json, so a stage's read,
 containers.read_artifacts, refuses artifacts of another configuration.
+Before it reads anything, a stage drops its own outputs and every later
+stage's from the manifest, so none of them outlives a failed or re-run
+stage as current.
 
 Stage failures exit with a stage-specific code: 1 config, 2 simulate,
 3 design, 4 render, 5 evaluate.
@@ -17,8 +20,9 @@ import numpy as np
 
 from . import config as cfgmod
 from .containers import (BANK_TAGS, canonical_json, load_hrtf,
-                         read_artifacts, save_filterbank, update_manifest,
-                         write_binaural_spectrogram, write_json, write_wav)
+                         read_artifacts, retract_manifest, save_filterbank,
+                         update_manifest, write_binaural_spectrogram,
+                         write_json, write_wav)
 from .evaluate import (EARS, band_summary, fraction_improved, nmse,
                        weighted_db, write_report)
 from .geometry import SPEED_OF_SOUND, as_directions, sph_to_cart
@@ -43,6 +47,10 @@ SPECTRO_ARTIFACTS = ("reference_direct.bsmg", "component_direct.bsmg",
                      "bsm_standard.bsmg")
 REPORT_ARTIFACTS = ("nmse_direct.csv", "nmse_reverb.csv", "nmse_standard.csv",
                     "nmse_decomposed.csv", "verdict.json")
+# what each stage records in the manifest, in stage order
+STAGE_OUTPUTS = {"simulate": SIM_ARTIFACTS + ("scene_stats.json",),
+                 "design": BANK_ARTIFACTS, "render": ESTIMATE_ARTIFACTS,
+                 "evaluate": REPORT_ARTIFACTS}
 
 
 def _hrtf_coeffs(cfg, stft_cfg, keep_order):
@@ -104,7 +112,7 @@ def run_simulate(cfg, out_dir, digest):
         center, scene.source_signal, channels, stft_cfg, rir_s)
     for name, spec in zip(SIM_ARTIFACTS[2:], references):
         write_binaural_spectrogram(out_dir / name, spec, stft_cfg, digest)
-    update_manifest(out_dir, SIM_ARTIFACTS + ("scene_stats.json",), digest)
+    update_manifest(out_dir, STAGE_OUTPUTS["simulate"], digest)
     t60, drr = stats["t60_s"], stats["drr_db"]
     t60_text = f"{t60:.3f} s" if t60 is not None else "n/a"
     drr_text = f"{drr:+.2f} dB" if drr is not None else "anechoic"
@@ -142,7 +150,7 @@ def run_design(cfg, out_dir, digest):
                     stft_cfg, digest)
     save_filterbank(out_dir / "bank_reverb.bsmf", ears_r, reverb_cfg,
                     stft_cfg, digest)
-    update_manifest(out_dir, BANK_ARTIFACTS, digest)
+    update_manifest(out_dir, STAGE_OUTPUTS["design"], digest)
     capped = capped_d + capped_r
     # a capped solve still returns its last iterate, a usable filter, so
     # the cap is reported but does not fail the stage
@@ -159,7 +167,7 @@ def run_render(cfg, out_dir, digest):
         stft_cfg)
     for name, spec in zip(ESTIMATE_ARTIFACTS, estimates):
         write_binaural_spectrogram(out_dir / name, spec, stft_cfg, digest)
-    update_manifest(out_dir, ESTIMATE_ARTIFACTS, digest)
+    update_manifest(out_dir, STAGE_OUTPUTS["render"], digest)
     print(f"render: {len(estimates)} artifacts, {spec.shape[1]} frames")
     return dict(zip(ESTIMATE_ARTIFACTS, estimates))
 
@@ -258,7 +266,7 @@ def run_evaluate(cfg, out_dir, digest):
     write_json(out_dir / "verdict.json", verdict)
     for name, (linear, _) in reports.items():
         write_report(out_dir / f"nmse_{name}.csv", linear, freqs)
-    update_manifest(out_dir, REPORT_ARTIFACTS, digest)
+    update_manifest(out_dir, STAGE_OUTPUTS["evaluate"], digest)
 
     print(f"evaluate: decomposed vs standard {gain[0]:+.2f} dB left, "
           f"{gain[1]:+.2f} dB right")
@@ -309,8 +317,12 @@ def main(argv=None):
 
     runners = {"simulate": run_simulate, "design": run_design,
                "render": run_render, "evaluate": run_evaluate}
-    for stage in runners if args.command == "pipeline" else [args.command]:
+    stages = list(runners)
+    for stage in stages if args.command == "pipeline" else [args.command]:
         try:
+            # its own and every later stage's outputs are no longer current
+            retract_manifest(args.out, sum(
+                (STAGE_OUTPUTS[s] for s in stages[stages.index(stage):]), ()))
             runners[stage](cfg, args.out, digest)
         except (ValueError, RuntimeError, OSError, MemoryError) as err:
             if isinstance(err, MemoryError) and not str(err):

@@ -438,6 +438,17 @@ def update_manifest(out_dir, names, digest):
     write_json(path, manifest)
 
 
+def retract_manifest(out_dir, names):
+    """Drop the named artifacts from out_dir's manifest, if it lists any,
+    so that no later read takes them for current."""
+    path = out_dir / "manifest.json"
+    if path.exists():
+        listed = _read_manifest(path)["artifacts"]
+        kept = {n: entry for n, entry in listed.items() if n not in names}
+        if len(kept) < len(listed):
+            write_json(path, {"artifacts": kept})
+
+
 def verify_artifacts(out_dir, names, expected_digest, stage):
     """Check that each named artifact exists, matches its recorded content
     hash, and was produced under the expected scene digest."""

@@ -142,11 +142,15 @@ def sh_fit_operator(order, directions, keep_order=None):
     place and frees Y and U as soon as they are used. Leading rows come
     through the Gram matrix instead, within about kappa(Y)^2 eps of pinv's
     at about half the SVD's CPU time (simulate asks for them for a file's
-    set). The full operator keeps the SVD only
-    because design's direct bank, an ill-conditioned solve, turns a
-    rounding-level change in the fit into a 1e-3 change per bin; once that
-    bank is solved in closed form (ROADMAP item 1), the SVD route is
-    deleted and every fit takes the Gram route.
+    set). The full operator keeps the SVD for two reasons. First,
+    design's direct bank, an ill-conditioned solve, turns a rounding-level
+    change in the fit into a 1e-3 change per bin. Second, the bank
+    summaries recorded in perfbench/expected.json hold the SVD route's
+    banks to 1e-6: on desk the Gram route moves bank_direct.bsmf's |sum c|
+    by 8.1e-5 (left) and 2.0e-4 (right) relative, and a direct bank solved
+    in closed form reads 7.9e-5 and 1.5e-5 off, so the closed form and
+    the Gram route come with a re-record of those summaries (ROADMAP item
+    1), and then every fit takes the Gram route.
 
     An underdetermined fit (fewer than C directions) or one with
     s_min/s_max <= RANK_RTOL (rank counted at that cutoff) is an error

@@ -9,7 +9,7 @@ channels; their arrival directions use the same conventions as the
 steering vectors.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,25 +103,6 @@ def check_positions(room, source, array):
                              f"is {name}")
 
 
-@dataclass(frozen=True)
-class ImageSourceList:
-    """Flat image-source table sorted by delay; row 0 is the direct path."""
-
-    gains: np.ndarray = field(repr=False)
-    delays: np.ndarray = field(repr=False)
-    colatitudes: np.ndarray = field(repr=False)
-    azimuths: np.ndarray = field(repr=False)
-
-    @property
-    def count(self):
-        return self.gains.size
-
-    def take(self, index):
-        """The rows selected by `index` (a slice or index array)."""
-        return ImageSourceList(**{f.name: getattr(self, f.name)[index]
-                                  for f in fields(self)})
-
-
 def image_lattice(room, source, max_order, max_delay=None):
     """The shoebox image sources of `source`, whatever the receiver:
     (positions (N, 3), reflection products (N,)), parity-major.
@@ -160,9 +141,11 @@ def image_lattice(room, source, max_order, max_delay=None):
 
 def compute_image_sources(lattice, receiver, max_delay=None):
     """The image sources of image_lattice's result seen from `receiver`,
-    sorted by delay and, when given, capped at `max_delay`: the lattice's
-    bound, which holds for a receiver inside the room (check_positions
-    holds the array center and every microphone to that)."""
+    one (4, N) array whose rows are gain, delay (s), colatitude and
+    azimuth, its columns sorted by delay, so column 0 is the direct path.
+    Capped at `max_delay` when given: the lattice's bound, which holds for
+    a receiver inside the room (check_positions holds the array center and
+    every microphone to that)."""
     pos, refl = lattice
     diff = pos - np.asarray(receiver, float)
     dist = np.linalg.norm(diff, axis=1)
@@ -174,8 +157,7 @@ def compute_image_sources(lattice, receiver, max_delay=None):
     theta = np.arccos(np.clip(diff[:, 2] / dist, -1.0, 1.0))
     phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
     idx = np.argsort(delay, kind="stable")
-    return ImageSourceList(gains=gain[idx], delays=delay[idx],
-                           colatitudes=theta[idx], azimuths=phi[idx])
+    return np.stack([gain, delay, theta, phi])[:, idx]
 
 
 def _sinc_kernel(frac):
@@ -184,17 +166,17 @@ def _sinc_kernel(frac):
     return np.sinc(u) * 0.5 * (1.0 + np.cos(np.pi * u / _HALF))
 
 
-def _delay_taps(images, num_samples, sample_rate):
-    """Each image's windowed-sinc delay taps and the RIR samples they fall
-    on, two (images, SINC_TAPS) arrays; a tap outside the signal falls on
-    sample num_samples. Formed DELAY_BLOCK images at a time, each tap with
-    the bits of an all-at-once build."""
-    d_samp = images.delays * sample_rate
+def _delay_taps(delays, num_samples, sample_rate):
+    """The windowed-sinc taps of each delay (s) and the RIR samples they
+    fall on, two (delays, SINC_TAPS) arrays; a tap outside the signal falls
+    on sample num_samples. Formed DELAY_BLOCK delays at a time, each tap
+    with the bits of an all-at-once build."""
+    d_samp = delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
     rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
     rows[(rows < 0) | (rows >= num_samples)] = num_samples
     taps = np.empty(rows.shape)
-    for start in range(0, images.count, DELAY_BLOCK):
+    for start in range(0, delays.size, DELAY_BLOCK):
         stop = start + DELAY_BLOCK
         taps[start:stop] = _sinc_kernel(d_samp[start:stop] - base[start:stop])
     return taps, rows
@@ -209,11 +191,11 @@ def _scatter(taps, rows, weights, num_samples):
     return sums[:num_samples].astype(float, copy=False)  # int if no image
 
 
-def render_rir(images, num_samples, sample_rate):
-    """Scatter the image gains into an impulse response through their
-    windowed-sinc delay taps."""
-    taps, rows = _delay_taps(images, num_samples, sample_rate)
-    return _scatter(taps, rows, images.gains, num_samples)
+def render_rir(gains, delays, num_samples, sample_rate):
+    """Scatter image gains into an impulse response through the
+    windowed-sinc taps of their delays (s)."""
+    taps, rows = _delay_taps(delays, num_samples, sample_rate)
+    return _scatter(taps, rows, gains, num_samples)
 
 
 def max_arrival_delay(scene, rir_seconds):
@@ -238,7 +220,7 @@ def max_arrival_delay(scene, rir_seconds):
 
 def scene_images(scene, max_order, rir_seconds):
     """Image sources seen from the array center and from each microphone:
-    (center list, [one list per mic]), views of one image lattice, shared
+    (center's array, [each mic's]), views of one image lattice, shared
     by scene_statistics, render_mic_signals and binaural_references."""
     max_delay = max_arrival_delay(scene, rir_seconds)
     lattice = image_lattice(scene.room, scene.source_position, max_order,
@@ -275,10 +257,10 @@ def _convolver(src, rir_len):
     return convolve
 
 
-def _split_rirs(images, num_samples, sample_rate):
-    """Direct and reverberant RIRs of one image list (same length)."""
-    return (render_rir(images.take(slice(0, 1)), num_samples, sample_rate),
-            render_rir(images.take(slice(1, None)), num_samples, sample_rate))
+def _split_rirs(gains, delays, num_samples, sample_rate):
+    """Direct and reverberant RIRs of one receiver's images (same length)."""
+    return (render_rir(gains[:1], delays[:1], num_samples, sample_rate),
+            render_rir(gains[1:], delays[1:], num_samples, sample_rate))
 
 
 def signal_length(source_samples, rir_seconds, sample_rate):
@@ -303,7 +285,7 @@ def render_mic_signals(scene, images, rir_seconds):
     reverb = np.empty((n_out, len(mic_images)))
     convolve = _convolver(src, rir_len)
     for m, imgs in enumerate(mic_images):
-        rir_d, rir_r = _split_rirs(imgs, rir_len, fs)
+        rir_d, rir_r = _split_rirs(*imgs[:2], rir_len, fs)
         direct[:, m] = convolve(rir_d)
         reverb[:, m] = convolve(rir_r)
     return direct + reverb, direct, reverb
@@ -330,26 +312,23 @@ def binaural_references(images, source, channels, config, rir_seconds):
     if decode.shape[2] != config.num_bins:
         raise ValueError("HRTF bin count does not match the STFT config")
     src = np.asarray(source, float)
-    direct = images.take(slice(0, 1))
-    reverb = images.take(slice(1, None))
+    gains, delays, theta, phi = images[:, 1:]  # the reverberant images
     num_samples = signal_length(src.size, rir_seconds, fs)
     ears = np.zeros((2, config.num_frames(num_samples), config.num_bins),
                     complex)
     convolve = _convolver(src, rir_len)
-    if reverb.count:
-        taps, rows = _delay_taps(reverb, rir_len, fs)
-        for k, a in enumerate(channels.angular(reverb.colatitudes,
-                                               reverb.azimuths)):
-            rir = _scatter(taps, rows, a * reverb.gains, rir_len)
+    if gains.size:
+        taps, rows = _delay_taps(delays, rir_len, fs)
+        for k, a in enumerate(channels.angular(theta, phi)):
+            rir = _scatter(taps, rows, a * gains, rir_len)
             spec = stft(convolve(rir), config)[0]
             for ear, row in zip(ears, decode[:, k, None, :]):
                 ear += row * spec  # one ear's product at a time
             del spec  # before the next channel's STFT
         del taps, rows
 
-    a0 = np.array([a[0] for a in channels.angular(direct.colatitudes,
-                                                  direct.azimuths)])
-    spec = stft(convolve(render_rir(direct, rir_len, fs)), config)[0]
+    a0 = np.array([a[0] for a in channels.angular(*images[2:, :1])])
+    spec = stft(convolve(render_rir(*images[:2, :1], rir_len, fs)), config)[0]
     del convolve  # the source's spectrum, before the direct part's ears
     ears_d = spec * (a0 @ decode)[:, None, :]
     ears += ears_d
@@ -426,23 +405,23 @@ def scene_statistics(scene, images, rir_seconds):
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
     center, mic_images = images
-    rir_d, rir_r = _split_rirs(center, rir_len, fs)
+    rir_d, rir_r = _split_rirs(*center[:2], rir_len, fs)
     try:
         t60 = estimate_t60(rir_d + rir_r, fs)
     except ValueError:
         t60 = None
     e_direct = e_reverb = 0.0
-    for imgs in mic_images:
-        e_direct += float(imgs.gains[0] ** 2)
-        e_reverb += float(np.sum(imgs.gains[1:] ** 2))
+    for gains, *_ in mic_images:
+        e_direct += float(gains[0] ** 2)
+        e_reverb += float(np.sum(gains[1:] ** 2))
     # None rather than inf for anechoic rooms: the dict goes to JSON
     drr = None if e_reverb == 0.0 else 10.0 * np.log10(e_direct / e_reverb)
     return {
         "drr_db": drr,
         "t60_s": t60,
         "t60_eyring_s": eyring_t60(scene.room),
-        "direct_delay_samples": float(center.delays[0] * fs),
-        "image_count": int(center.count),
+        "direct_delay_samples": float(center[1, 0] * fs),
+        "image_count": center.shape[1],
         "sample_rate": fs,
     }
 

@@ -20,8 +20,6 @@ needs none of them; tests use them as oracles for what it does compute.
 
 import math
 import struct
-from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -163,15 +161,16 @@ def sh_matrix_loop(order, theta, phi):
 
 def sh_weights_loop(images, degrees, cols):
     """conj(Y) columns `cols` at the image arrival directions times the
-    image gains, from one sph_harm_y call per column; `degrees` is
-    sh_degrees' (n, m) pair."""
+    image gains, from one sph_harm_y call per column; `images` is
+    compute_image_sources' (4, N) array and `degrees` sh_degrees' (n, m)
+    pair."""
+    gains, _, theta, phi = images
     n_idx, m_idx = degrees
-    out = np.empty((images.count, len(cols)), dtype=complex)
+    out = np.empty((gains.size, len(cols)), dtype=complex)
     for j, c in enumerate(cols):
         out[:, j] = np.conj(special.sph_harm_y(int(n_idx[c]), int(m_idx[c]),
-                                               images.colatitudes,
-                                               images.azimuths))
-    return out * images.gains[:, None]
+                                               theta, phi))
+    return out * gains[:, None]
 
 
 # the ears of point_receiver_hrtf, +/- ear_offset on the y axis
@@ -294,18 +293,18 @@ def design_filterbank_loop(vs, responses, stft_cfg, config):
     return banks[0], banks[1], capped
 
 
-def delay_matrix_coo(images, num_samples, sample_rate):
-    """The sparse (num_samples x images) matrix of simulate._delay_taps
+def delay_matrix_coo(delays, num_samples, sample_rate):
+    """The sparse (num_samples x delays) matrix of simulate._delay_taps
     as COO triplets, one per tap inside the signal, converted to CSR."""
-    d_samp = images.delays * sample_rate
+    d_samp = delays * sample_rate
     base = np.floor(d_samp).astype(np.int64)
     kern = _sinc_kernel(d_samp - base)
     rows = base[:, None] + (np.arange(SINC_TAPS) - (_HALF - 1))
-    cols = np.broadcast_to(np.arange(images.count)[:, None], rows.shape)
+    cols = np.broadcast_to(np.arange(delays.size)[:, None], rows.shape)
     valid = (rows >= 0) & (rows < num_samples)
     mat = sparse.coo_matrix(
         (kern[valid], (rows[valid], cols[valid])),
-        shape=(num_samples, images.count))
+        shape=(num_samples, delays.size))
     return mat.tocsr()
 
 
@@ -313,8 +312,8 @@ def compute_image_sources_per_receiver(room, source, receiver, max_order,
                                        max_delay=None):
     """Shoebox image sources seen from `receiver`, enumerated for that
     receiver alone: each parity's lattice bounded by the receiver's own
-    reach. Fields as simulate.ImageSourceList's, plus each image's position
-    and reflection order; rows sorted by delay."""
+    reach. Rows as simulate.compute_image_sources' (gain, delay,
+    colatitude, azimuth), columns sorted by delay."""
     source = np.asarray(source, float)
     receiver = np.asarray(receiver, float)
     if not room.contains(source) or not room.contains(receiver):
@@ -343,34 +342,28 @@ def compute_image_sources_per_receiver(room, source, receiver, max_order,
                 nx, ny, nz = np.meshgrid(*n_axes, indexing="ij")
                 n = np.stack([nx.ravel(), ny.ravel(), nz.ravel()], axis=1)
                 order = (np.abs(n - p).sum(axis=1) + np.abs(n).sum(axis=1))
-                keep = order <= max_order
-                n = n[keep]
-                order = order[keep]
-                pos = mirrored + 2.0 * n * dims
-                diff = pos - receiver
+                n = n[order <= max_order]
+                diff = mirrored + 2.0 * n * dims - receiver
                 dist = np.linalg.norm(diff, axis=1)
                 delay = dist / SPEED_OF_SOUND
                 if max_delay is not None:
                     keep = delay <= max_delay
-                    n, order = n[keep], order[keep]
-                    pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
+                    n, diff, dist, delay = n[keep], diff[keep], dist[keep], delay[keep]
                 refl = np.ones(len(n))
                 for a in range(3):
                     refl = refl * beta[a, 0] ** np.abs(n[:, a] - p[a])
                     refl = refl * beta[a, 1] ** np.abs(n[:, a])
                 keep = refl > 0.0
-                n, order, refl = n[keep], order[keep], refl[keep]
-                pos, diff, dist, delay = pos[keep], diff[keep], dist[keep], delay[keep]
+                refl = refl[keep]
+                diff, dist, delay = diff[keep], dist[keep], delay[keep]
                 gain = refl / (4.0 * np.pi * dist)
                 theta = np.arccos(np.clip(diff[:, 2] / dist, -1.0, 1.0))
                 phi = np.mod(np.arctan2(diff[:, 1], diff[:, 0]), 2.0 * np.pi)
-                blocks.append((pos, gain, delay, theta, phi, order))
+                blocks.append((gain, delay, theta, phi))
 
-    pos, gain, delay, theta, phi, order = map(np.concatenate, zip(*blocks))
+    gain, delay, theta, phi = map(np.concatenate, zip(*blocks))
     idx = np.argsort(delay, kind="stable")
-    return SimpleNamespace(positions=pos[idx], gains=gain[idx],
-                           delays=delay[idx], colatitudes=theta[idx],
-                           azimuths=phi[idx], orders=order[idx])
+    return np.stack([gain[idx], delay[idx], theta[idx], phi[idx]])
 
 
 def point_ear_spectrograms(images, source, ear_offset, config, rir_seconds):
@@ -383,13 +376,13 @@ def point_ear_spectrograms(images, source, ear_offset, config, rir_seconds):
     reference's length."""
     fs = config.sample_rate
     rir_len = int(round(rir_seconds * fs))
-    lead = ear_offset * np.sin(images.colatitudes) \
-        * np.sin(images.azimuths) / SPEED_OF_SOUND
+    gains, delays, theta, phi = images
+    lead = ear_offset * np.sin(theta) * np.sin(phi) / SPEED_OF_SOUND
     pad = int(np.ceil(ear_offset / SPEED_OF_SOUND * fs))
     src = np.asarray(source, float)
     ears = []
     for sign in (-1.0, 1.0):
-        shifted = replace(images, delays=images.delays + sign * lead)
-        signal = sps.fftconvolve(src, render_rir(shifted, rir_len + pad, fs))
+        signal = sps.fftconvolve(src, render_rir(gains, delays + sign * lead,
+                                                 rir_len + pad, fs))
         ears.append(stft(signal[: src.size + rir_len - 1], config)[0])
     return np.stack(ears)

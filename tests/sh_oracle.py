@@ -50,11 +50,11 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     images = compute_image_sources(lattice, scene.array.center_position,
                                    max_delay)
     if direct_only:
-        images = images.take(slice(0, 1))
+        images = images[:, :1]
     src = np.asarray(scene.source_signal, float)
     n_coeff = num_coeffs(sh_order)
     out = np.empty((src.size + rir_len - 1, n_coeff), dtype=complex)
-    delays = delay_matrix_coo(images, rir_len, fs)
+    delays = delay_matrix_coo(images[1], rir_len, fs)
     for start in range(0, n_coeff, chunk_channels):
         cols = range(start, min(start + chunk_channels, n_coeff))
         w = sh_weights_loop(images, sh_degrees(sh_order), cols)
@@ -101,16 +101,15 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
     order = min(order, fit_order(hrtf_sh))
     g = decode_matrix(hrtf_sh, order)
     degrees = sh_degrees(order)
-    direct = images.take(slice(0, 1))
-    reverb = images.take(slice(1, None))
+    direct, reverb = images[:, :1], images[:, 1:]
 
-    kernel = delay_matrix_coo(direct, rir_len, fs).toarray()[:, 0]
+    kernel = delay_matrix_coo(direct[1], rir_len, fs).toarray()[:, 0]
     base = stft(sps.fftconvolve(src, kernel), config)[0]
     w0 = sh_weights_loop(direct, degrees, range(num_coeffs(order)))[0]
     ears_d = base[None] * (w0 @ g)[:, None, :]
 
     ears_r = np.zeros_like(ears_d)
-    if reverb.count:
+    if reverb.size:
         n_idx, m_idx = degrees
         encoded = np.nonzero(m_idx >= 0)[0]
         m_enc = m_idx[encoded]
@@ -119,7 +118,7 @@ def binaural_references_serial(images, source, hrtf_sh, config, order,
         g_pos = g[:, encoded]
         g_neg = np.conj(sign[:, None] * g[:, mirror])
         neg_bins = -np.arange(config.num_bins) % config.fft_size
-        delays = delay_matrix_coo(reverb, rir_len, fs)
+        delays = delay_matrix_coo(reverb[1], rir_len, fs)
         for start in range(0, encoded.size, chunk_channels):
             sl = slice(start, start + chunk_channels)
             w = sh_weights_loop(reverb, degrees, encoded[sl])

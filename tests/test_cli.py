@@ -217,8 +217,8 @@ def test_out_naming_a_file_fails_config(tmp_path):
 ], ids=["no-artifacts", "list", "no-sha256", "not-json"])
 def test_malformed_manifest_fails_its_stage(tmp_path, stage, manifest):
     # valid JSON of another shape once escaped main as a KeyError or
-    # TypeError traceback; simulate reads the manifest when it records
-    # its files, render before it reads any
+    # TypeError traceback; every stage reads the manifest first, to drop
+    # its own and later stages' outputs from it
     config_path = tmp_path / "mini.yaml"
     config_path.write_text(MINI_YAML)
     out = tmp_path / "o"
@@ -525,7 +525,9 @@ def test_swapped_banks_fail_render_stage(mini_run, tmp_path, capsys):
     # a bank's role is its name: bank_direct.bsmf and bank_reverb.bsmf
     # swapped and vouched for by the manifest were once rendered and
     # scored without a word, with the verdict's sign flipped; render
-    # refuses the first one it reads by its name
+    # refuses the first one it reads by its name. The refused render
+    # leaves the estimates of the earlier render unvouched, so evaluate,
+    # which once scored them with exit 0, refuses them too
     cfg, config_path, out = mini_run
     import shutil
 
@@ -541,6 +543,39 @@ def test_swapped_banks_fail_render_stage(mini_run, tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error [render]: {direct}: invalid filter bank: stores the tag "
         "'reverberant', not 'direct'\n")
+    assert all((work / name).exists() for name in cli.ESTIMATE_ARTIFACTS)
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        "error [evaluate]: evaluate: component_direct.bsmg missing from "
+        "manifest\n")
+
+
+def test_rerun_design_unvouches_later_stages(mini_run, tmp_path, capsys):
+    # a dry run leaves the manifest as it is; a design run drops render's
+    # and evaluate's outputs from it before it starts, and what it records
+    # is what simulate and design alone would have left
+    cfg, config_path, out = mini_run
+    import shutil
+
+    work = tmp_path / "rerun"
+    shutil.copytree(out, work)
+    manifest = work / "manifest.json"
+    before = manifest.read_bytes()
+    argv = ["design", "--out", str(work), "--config", str(config_path)]
+    assert main(argv + ["--dry-run"]) == 0
+    assert manifest.read_bytes() == before
+    assert main(argv) == 0
+    kept = cli.STAGE_OUTPUTS["simulate"] + cli.STAGE_OUTPUTS["design"]
+    assert json.loads(manifest.read_text()) == {"artifacts": {
+        name: entry for name, entry in json.loads(before)["artifacts"].items()
+        if name in kept}}
+    capsys.readouterr()
+    rc = main(["evaluate", "--out", str(work), "--config", str(config_path)])
+    assert rc == EXIT_CODES["evaluate"]
+    assert capsys.readouterr().err == (
+        "error [evaluate]: evaluate: component_direct.bsmg missing from "
+        "manifest\n")
 
 
 def test_spectrogram_under_another_name_fails_evaluate_stage(mini_run,
@@ -1356,8 +1391,8 @@ def test_file_hrtf_is_fitted_at_any_ear_offset(tmp_path):
 
 
 def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
-    # once the mic signals exist only the array-center list is needed: the
-    # per-mic lists are gone by the time the reference runs
+    # once the mic signals exist only the array center's images are
+    # needed: the per-mic arrays are gone by the time the reference runs
     mic_lists, seen = [], []
 
     def images_spy(*args):
@@ -1376,11 +1411,11 @@ def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
     assert main(["simulate", "--out", str(tmp_path / "o"),
                  "--config", str(config_path)]) == 0
     ((images, alive),) = seen
-    assert isinstance(images, simulate.ImageSourceList) and images.count > 1
+    assert images.shape[0] == 4 and images.shape[1] > 1
     cfg = cfgmod.resolve("desk", config_path)
     center, _ = simulate.scene_images(cfgmod.build_scene(cfg), 2,
                                       cfg["scene"]["rir_seconds"])
-    np.testing.assert_array_equal(images.delays, center.delays)
+    np.testing.assert_array_equal(images, center)
     assert len(alive) == 1 and alive == [None]
 
 

@@ -16,7 +16,6 @@ from bsmrender.hrtf import point_receiver_channels, \
     point_receiver_hrtf, sh_channels
 from bsmrender import simulate
 from bsmrender.simulate import (
-    ImageSourceList,
     RoomSpec,
     _convolver,
     _fast_len,
@@ -120,20 +119,20 @@ def test_rir_shorter_than_the_direct_path_is_named():
         scene_images(scene, 2, 0.001)
     need = float(str(err.value).rsplit(">= ", 1)[1])
     center, mics = scene_images(scene, 2, need)
-    assert center.count >= 1 and all(imgs.count >= 1 for imgs in mics)
+    assert all(imgs.shape[1] >= 1 for imgs in [center, *mics])
     with pytest.raises(ValueError, match="shorter than the direct path"):
         scene_images(scene, 2, need - 1.0 / scene.sample_rate)
 
 
 def test_direct_path_gain_and_delay():
     imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
-    assert imgs.count == 1
+    assert imgs.shape == (4, 1)
+    gain, delay, th, ph = imgs[:, 0]
     diff = np.array(SRC) - np.array(RCV)
     d = np.linalg.norm(diff)
-    np.testing.assert_allclose(imgs.gains[0], 1.0 / (4 * np.pi * d), rtol=1e-12)
-    np.testing.assert_allclose(imgs.delays[0], d / SPEED_OF_SOUND, rtol=1e-12)
+    np.testing.assert_allclose(gain, 1.0 / (4 * np.pi * d), rtol=1e-12)
+    np.testing.assert_allclose(delay, d / SPEED_OF_SOUND, rtol=1e-12)
     # the direct path arrives from the source
-    th, ph = imgs.colatitudes[0], imgs.azimuths[0]
     np.testing.assert_allclose(
         [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)],
         diff / d, atol=1e-12)
@@ -143,15 +142,15 @@ def test_fully_absorptive_walls_leave_direct_only():
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(0.0,) * 6)
     imgs = compute_image_sources(image_lattice(room, SRC, 6), RCV)
-    assert imgs.count == 1  # zero-gain images are dropped
+    assert imgs.shape == (4, 1)  # zero-gain images are dropped
 
 
 def test_images_sorted_and_capped_by_delay():
     max_delay = 0.02
-    imgs = compute_image_sources(image_lattice(ROOM, SRC, 10, max_delay),
-                                 RCV, max_delay)
-    assert np.all(np.diff(imgs.delays) >= 0)
-    assert imgs.delays.max() <= max_delay
+    delays = compute_image_sources(image_lattice(ROOM, SRC, 10, max_delay),
+                                   RCV, max_delay)[1]
+    assert np.all(np.diff(delays) >= 0)
+    assert delays.max() <= max_delay
 
 
 def test_image_lattice_against_brute_force():
@@ -184,12 +183,12 @@ def test_image_lattice_against_brute_force():
                             d = np.linalg.norm(diff)
                             key = tuple(np.round([d, *diff / d], 9))
                             want[key] = g / (4 * np.pi * d)
-    assert got.count == len(want)
-    th, ph = got.colatitudes, got.azimuths
-    keys = np.round(np.stack([got.delays * SPEED_OF_SOUND,
+    assert got.shape == (4, len(want))
+    gains, delays, th, ph = got
+    keys = np.round(np.stack([delays * SPEED_OF_SOUND,
                               np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                               np.cos(th)], axis=1), 9)
-    for key, gain in zip(keys, got.gains):
+    for key, gain in zip(keys, gains):
         assert tuple(key) in want
         np.testing.assert_allclose(gain, want[tuple(key)], rtol=1e-10)
     with pytest.raises(ValueError, match="source must be inside the room"):
@@ -204,9 +203,8 @@ def test_image_set_symmetric_under_room_inversion():
     rcv2 = tuple(dims - np.array(RCV))
     a = compute_image_sources(image_lattice(ROOM, SRC, 4), RCV)
     b = compute_image_sources(image_lattice(ROOM, src2, 4), rcv2)
-    np.testing.assert_allclose(np.sort(a.delays), np.sort(b.delays),
-                               atol=1e-12)
-    np.testing.assert_allclose(np.sort(a.gains), np.sort(b.gains), atol=1e-12)
+    # each row sorted: the delays and the gains as sets
+    np.testing.assert_allclose(np.sort(a[:2]), np.sort(b[:2]), atol=1e-12)
 
 
 def test_reverb_energy_monotone_in_reflectivity():
@@ -215,37 +213,30 @@ def test_reverb_energy_monotone_in_reflectivity():
         room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                         reflection_coefficients=(beta,) * 6)
         imgs = compute_image_sources(image_lattice(room, SRC, 8), RCV)
-        energies.append(np.sum(imgs.gains[1:] ** 2))
+        energies.append(np.sum(imgs[0, 1:] ** 2))
     assert energies[0] < energies[1] < energies[2]
 
 
 def test_render_rir_places_pulse_at_geometric_delay():
     fs = 48000
     imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
-    rir = render_rir(imgs, 2000, fs)
+    rir = render_rir(*imgs[:2], 2000, fs)
     d = np.linalg.norm(np.array(SRC) - np.array(RCV))
     # peak within a sample of the geometric delay
     assert abs(np.argmax(np.abs(rir)) - d / SPEED_OF_SOUND * fs) <= 1.0
-    np.testing.assert_allclose(np.sum(rir), imgs.gains[0], rtol=1e-3)
+    np.testing.assert_allclose(np.sum(rir), imgs[0, 0], rtol=1e-3)
 
 
-def _images_at(delays, gains):
-    """An image list with the given delays (s) and gains; the directions
-    do not enter the delay taps."""
-    return ImageSourceList(
-        gains=gains, delays=delays, colatitudes=np.zeros(delays.size),
-        azimuths=np.zeros(delays.size))
-
-
-def _assert_scatter_matches_coo(images, num_samples, fs, seed):
+def _assert_scatter_matches_coo(gains, delays, num_samples, fs, seed):
     # every column of a 4- and an 8-column weight matrix, scattered one at
     # a time, against the sparse matrix's product with all of them
-    want = delay_matrix_coo(images, num_samples, fs)
-    assert_bits_equal(render_rir(images, num_samples, fs), want @ images.gains)
-    taps, rows = simulate._delay_taps(images, num_samples, fs)
+    want = delay_matrix_coo(delays, num_samples, fs)
+    assert_bits_equal(render_rir(gains, delays, num_samples, fs),
+                      want @ gains)
+    taps, rows = simulate._delay_taps(delays, num_samples, fs)
     rng = np.random.default_rng(seed)
     for cols in (4, 8):
-        w = rng.standard_normal((images.count, cols))
+        w = rng.standard_normal((delays.size, cols))
         got = [simulate._scatter(taps, rows, col, num_samples) for col in w.T]
         assert_bits_equal(np.stack(got, axis=1), want @ w)
 
@@ -268,8 +259,8 @@ def test_scatter_bitwise_equals_coo(num_samples, data, seed, block):
     d_samp, gains = np.array(rows, dtype=float).reshape(-1, 2).T
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simulate, "DELAY_BLOCK", block)
-        _assert_scatter_matches_coo(_images_at(d_samp / fs, gains),
-                                    num_samples, fs, seed)
+        _assert_scatter_matches_coo(gains, d_samp / fs, num_samples, fs,
+                                    seed)
 
 
 @pytest.mark.parametrize("count", [simulate.DELAY_BLOCK - 1,
@@ -282,9 +273,8 @@ def test_blocked_delay_matrix_bitwise_equals_coo(count):
     rng = np.random.default_rng(count)
     num_samples, fs = 600, 48000
     d_samp = rng.uniform(-20.0, num_samples + 20.0, count)
-    _assert_scatter_matches_coo(
-        _images_at(d_samp / fs, rng.standard_normal(count)),
-        num_samples, fs, count)
+    _assert_scatter_matches_coo(rng.standard_normal(count), d_samp / fs,
+                                num_samples, fs, count)
 
 
 @pytest.mark.parametrize("count", [3_000, 30_000])
@@ -296,11 +286,10 @@ def test_delay_matrix_peak_memory(count):
     # would hold several more (images, SINC_TAPS) arrays
     rng = np.random.default_rng(0)
     num_samples, fs = 40_000, 48000
-    images = _images_at(rng.uniform(0.0, num_samples, count) / fs,
-                        rng.standard_normal(count))
+    delays = rng.uniform(0.0, num_samples, count) / fs
     tracemalloc.start()
     try:
-        taps, rows = simulate._delay_taps(images, num_samples, fs)
+        taps, rows = simulate._delay_taps(delays, num_samples, fs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -320,9 +309,9 @@ def test_scene_delay_matrix_bitwise_equals_coo(reflection):
     room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
                     reflection_coefficients=(reflection,) * 6)
     center, _ = scene_images(_scene(room=room, seconds=0.05), 6, 0.05)
-    reverb = center.take(slice(1, None))
-    assert (reverb.count == 0) == (reflection == 0.0)
-    _assert_scatter_matches_coo(reverb, 2400, 48000, 0)
+    gains, delays = center[:2, 1:]
+    assert (gains.size == 0) == (reflection == 0.0)
+    _assert_scatter_matches_coo(gains, delays, 2400, 48000, 0)
 
 
 def test_mic_signals_split_and_anechoic_identity():
@@ -397,7 +386,7 @@ def test_sh_reference_order_zero_matches_pressure():
     imgs = compute_image_sources(
         image_lattice(scene.room, scene.source_position, 2, max_delay),
         scene.array.center_position, max_delay)
-    rir = render_rir(imgs, int(0.04 * fs), fs)
+    rir = render_rir(*imgs[:2], int(0.04 * fs), fs)
     want = sps.fftconvolve(np.asarray(scene.source_signal), rir)
     np.testing.assert_allclose(sh[:, 0].real,
                                want / np.sqrt(4 * np.pi), atol=1e-10)
@@ -522,9 +511,10 @@ def _assert_images_bitwise(got, room, source, receiver, max_order,
                            max_delay):
     want = compute_image_sources_per_receiver(room, source, receiver,
                                               max_order, max_delay)
-    for name in ("gains", "delays", "colatitudes", "azimuths"):
-        assert getattr(got, name).tobytes() == \
-            getattr(want, name).tobytes(), (name, receiver)
+    assert got.shape == want.shape, receiver
+    for name, one, other in zip(("gain", "delay", "colatitude", "azimuth"),
+                                got, want):
+        assert one.tobytes() == other.tobytes(), (name, receiver)
 
 
 @pytest.mark.parametrize("refl", [(0.9, 0.8, 0.7, 0.6, 0.5, 0.4),
