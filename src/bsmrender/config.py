@@ -215,6 +215,15 @@ def resolve(profile="desk", config_path=None, seed=None):
     if (scene["target_t60_s"] is None) == (scene["reflection_coefficients"] is None):
         raise ConfigError("set exactly one of scene.target_t60_s and "
                           "scene.reflection_coefficients")
+    # a duration whose sample count overflows a float has no count: refused
+    # before build_stft_config, _noise_samples or signal_length rounds it
+    rate = cfg["sample_rate"]
+    for section, leaf in (("scene", "source_duration_s"),
+                          ("scene", "rir_seconds"), ("stft", "window_ms"),
+                          ("stft", "hop_ms")):
+        if math.isinf(cfg[section][leaf] * rate):
+            raise ConfigError(f"{section}.{leaf} {cfg[section][leaf]:g} at "
+                              f"{rate} Hz is too long to count in samples")
     # the overlap-add rules, the bands' bins, the frames left after the
     # edge trim, the direct DOA, the microphone rows, the positions in the
     # room, the HRTF set's rate and fit and the design's cutoff fail here,

@@ -47,11 +47,6 @@ from .stft import StftConfig
 
 DIGEST_LEN = 16  # hex chars of sha256, enough to catch staleness
 VERSIONS = {b"BSMG": 2, b"BSMF": 1, b"BSMH": 1}
-# frames of a spectrogram cast to single precision per write, through one
-# reused buffer instead of a copy of the payload: 64 KiB at 1025 bins,
-# under glibc's default 128 KiB mmap threshold, so the buffer reuses freed
-# heap memory instead of mapping fresh pages
-WRITE_FRAMES = 8
 
 
 class ContainerError(ValueError):
@@ -264,12 +259,7 @@ def write_binaural_spectrogram(path, spec, cfg, digest):
                          cfg.window_length, cfg.hop, cfg.fft_size,
                          frames, bins)
                  + _string(_spectrogram_tag(path)) + _digest_bytes(digest))
-        block = np.empty((min(WRITE_FRAMES, frames), bins), dtype="<c8")
-        for ear in spec:
-            for start in range(0, frames, WRITE_FRAMES):
-                rows = block[: min(WRITE_FRAMES, frames - start)]
-                rows[...] = ear[start : start + WRITE_FRAMES]
-                fh.write(rows)
+        fh.write(np.ascontiguousarray(spec, dtype="<c8"))
 
 
 def read_binaural_spectrogram(path):

@@ -357,8 +357,6 @@ def eyring_t60(room):
     areas = np.repeat([ly * lz, lx * lz, lx * ly], 2)  # the walls' order
     absorb = 1.0 - np.asarray(room.reflection_coefficients) ** 2
     mean_abs = float(np.dot(areas, absorb) / areas.sum())
-    if mean_abs <= 0:
-        return np.inf
     if mean_abs >= 1.0:
         return 0.0
     return 0.161 * room.volume / (-room.surface * np.log(1.0 - mean_abs))

@@ -458,7 +458,8 @@ def test_profiles_resolve_to_the_tables_leaves(profile):
 
 # YAML scalars and containers of the wrong kind: a bool, the float
 # specials, a string, an int, and empty containers
-FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}")
+FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}",
+               "1.0e+308")
 
 
 @pytest.mark.parametrize("key", [".".join(k) for k in _leaf_keys(_SCHEMA)])
@@ -471,6 +472,24 @@ def test_schema_fuzz_ends_in_config_error(key, tmp_path, capsys):
         assert (code == 0) == (err == ""), (value, err)
         if code:
             assert err.startswith("error [config]: "), (value, err)
+
+
+@pytest.mark.parametrize("key", ["scene.source_duration_s",
+                                 "scene.rir_seconds", "stft.window_ms",
+                                 "stft.hop_ms"])
+def test_duration_too_long_to_count_is_a_config_error(key, tmp_path, capsys):
+    # 1e308 s (or ms) at 48 kHz is more samples than a float holds: its
+    # count once ended --dry-run and every stage in an OverflowError
+    # traceback, and is now refused naming the key, before any directory
+    path = _write(tmp_path, _leaf_yaml(key, "1.0e+308"))
+    for dry_run in (["--dry-run"], []):
+        code = main(["pipeline", "--out", str(tmp_path / "out"), "--config",
+                     path, *dry_run])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error [config]: {key} 1e+308 "), err
+        assert err.endswith(" is too long to count in samples\n"), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", [".".join(k) for k in _leaf_keys(_SCHEMA)])

@@ -266,15 +266,6 @@ def test_wav_without_digest_keeps_its_bytes(tmp_path):
         "206d6307880dbf7beec5e23b74d94fe35e508331db6ab2fc5ec37f0b45fd8cdc")
 
 
-def _big_spectrogram(folder):
-    path = folder / "big.bsmg"
-    data = np.ones((2, 256, 1025), dtype=complex)
-    cfg = StftConfig(48000, 1536, 768)
-    # the file holds the payload at single precision
-    return path, data.size * 8, lambda: write_binaural_spectrogram(
-        path, data, cfg, DIGEST)
-
-
 def _big_bank(folder):
     path = folder / "bank_direct.bsmf"
     ears = np.ones((2, 1025, 64), dtype=complex)
@@ -289,7 +280,7 @@ def _big_wav(folder):
                                                    DIGEST)
 
 
-@pytest.mark.parametrize("make", [_big_spectrogram, _big_bank, _big_wav])
+@pytest.mark.parametrize("make", [_big_bank, _big_wav])
 def test_writers_copy_no_payload(make, tmp_path):
     # an array already in its on-disk layout goes to the file from its own
     # buffer: a bytes copy of the payload would allocate its whole size
