@@ -7,12 +7,10 @@ a config-driven CLI (see bsmrender.cli).
 
 __version__ = "0.1.0"
 
-from .geometry import ArrayGeometry
 from .solvers import CovarianceModel, SolverConfig
 from .stft import StftConfig
 
 __all__ = [
-    "ArrayGeometry",
     "CovarianceModel",
     "SolverConfig",
     "StftConfig",

@@ -124,7 +124,7 @@ def run_simulate(cfg, out_dir, digest):
 def run_design(cfg, out_dir, digest):
     design = cfg["design"]
     stft_cfg = cfgmod.build_stft_config(cfg)
-    geom = cfgmod.build_array(cfg)
+    positions = cfgmod.build_array(cfg)
     coeffs = _hrtf_coeffs(cfg, stft_cfg, design["hrtf_sh_order"])
 
     direct_doas = as_directions(design["direct_doa"])
@@ -141,10 +141,10 @@ def run_design(cfg, out_dir, digest):
 
     # each bank's steering tensor, built from its DOAs, lives for its design
     ears_d, capped_d = design_filterbank(
-        steering_tensor(stft_cfg, geom, direct_doas), hrtf_d, stft_cfg,
+        steering_tensor(stft_cfg, positions, direct_doas), hrtf_d, stft_cfg,
         direct_cfg)
     ears_r, capped_r = design_filterbank(
-        steering_tensor(stft_cfg, geom, reverb_doas), hrtf_r, stft_cfg,
+        steering_tensor(stft_cfg, positions, reverb_doas), hrtf_r, stft_cfg,
         reverb_cfg)
     save_filterbank(out_dir / "bank_direct.bsmf", ears_d, direct_cfg,
                     stft_cfg, digest)
@@ -156,7 +156,7 @@ def run_design(cfg, out_dir, digest):
     # the cap is reported but does not fail the stage
     cap_text = (f", warning: {capped} MagLS bins stopped at the iteration "
                 "cap" if capped else "")
-    print(f"design: {geom.num_mics} mics, {stft_cfg.num_bins} bins, "
+    print(f"design: {len(positions)} mics, {stft_cfg.num_bins} bins, "
           f"{len(reverb_doas)} coverage directions{cap_text}")
 
 

@@ -9,6 +9,7 @@ change an experiment.
 
 import copy
 import math
+import sys
 
 import numpy as np
 import yaml
@@ -16,8 +17,8 @@ import yaml
 from .containers import (ContainerError, file_sha256, read_hrtf_header,
                          read_wav, scene_digest)
 from .evaluate import band_bins, check_bands, octave_bands
-from .geometry import ArrayGeometry, as_directions, semicircle_array, sph_to_cart
-from .simulate import (RoomSpec, Scene, check_positions, reflection_for_t60,
+from .geometry import as_directions, semicircle_array, sph_to_cart
+from .simulate import (Scene, check_positions, reflection_for_t60,
                        signal_length, synth_speech_noise)
 from .sph import num_coeffs
 from .stft import StftConfig
@@ -237,8 +238,10 @@ def resolve(profile="desk", config_path=None, seed=None):
     except ValueError as err:
         raise ConfigError(f"design.direct_doa: {err}") from None
     try:  # the positions need the walls, not what they reflect
-        check_positions(RoomSpec(scene["room_dimensions"], (0.0,) * 6),
-                        scene["source_position"], build_array(cfg))
+        check_positions(scene["room_dimensions"], scene["source_position"],
+                        scene["array_center"], build_array(cfg),
+                        "scene.array_mics" if scene["array_mics"] is not None
+                        else "scene.array_radius")
     except ValueError as err:  # build_array's ConfigError passes as it is
         raise ConfigError(str(err)) from None
     _check_hrtf_set(design, cfg["sample_rate"])
@@ -260,11 +263,13 @@ def _yaml_problem(err):
 def _check_frame_trim(cfg):
     """Refuse an evaluation.frame_trim that leaves none of the frames of
     the run's spectrograms, counted from the source and RIR lengths as the
-    simulator renders them, and a synthetic source of under 2 samples,
-    which has no band but DC to shape. A wav source is counted from its
-    file, and refused here if its sample rate is not the run's or a sample
-    of the channel the run reads is not finite; one that does not parse is
-    left for simulate, which reads it, to refuse."""
+    simulator renders them, a signal too long to count them, and a
+    synthetic source of under 2 samples, which has no band but DC to
+    shape. A wav source is counted from its file, and refused here if its
+    sample rate is not the run's, or the channel the run reads has a
+    sample that is not finite or none that is nonzero, which would leave
+    evaluate no band with energy; one that does not parse is left for
+    simulate, which reads it, to refuse."""
     scene = cfg["scene"]
     if scene["source_wav"] is not None:
         try:
@@ -278,6 +283,9 @@ def _check_frame_trim(cfg):
         if bad.size:
             raise ConfigError(f"source wav sample {bad[0]} is "
                               f"{data[bad[0], 0]}, not a finite number")
+        if not np.any(data[:, 0]):
+            raise ConfigError(f"scene.source_wav {scene['source_wav']}: the "
+                              "source has no nonzero sample")
         source = data.shape[0]
     else:
         source = _noise_samples(cfg)
@@ -286,8 +294,13 @@ def _check_frame_trim(cfg):
                 "scene.source_duration_s: the synthetic source needs at least "
                 f"2 samples, and {scene['source_duration_s']:g} s at "
                 f"{cfg['sample_rate']} Hz gives {source}")
-    frames = build_stft_config(cfg).num_frames(
-        signal_length(source, scene["rir_seconds"], cfg["sample_rate"]))
+    samples = signal_length(source, scene["rir_seconds"], cfg["sample_rate"])
+    if samples > sys.float_info.max:  # num_frames divides it as a float
+        raise ConfigError(
+            f"scene.source_duration_s {scene['source_duration_s']:g} plus "
+            f"scene.rir_seconds {scene['rir_seconds']:g} at "
+            f"{cfg['sample_rate']} Hz is too long to count in samples")
+    frames = build_stft_config(cfg).num_frames(samples)
     trim = cfg["evaluation"]["frame_trim"]
     if frames - 2 * trim < 1:
         raise ConfigError(f"evaluation.frame_trim {trim} leaves no frame: "
@@ -346,24 +359,33 @@ def build_stft_config(cfg):
 
 
 def build_room(cfg):
+    """The room: its (3,) dimensions and (6,) reflection coefficients."""
     scene = cfg["scene"]
-    if scene["reflection_coefficients"] is not None:
-        refl = tuple(scene["reflection_coefficients"])
-    else:
-        beta = reflection_for_t60(scene["room_dimensions"], scene["target_t60_s"])
-        refl = (beta,) * 6
-    return RoomSpec(dimensions=tuple(scene["room_dimensions"]),
-                    reflection_coefficients=refl)
+    dims = np.array(scene["room_dimensions"], float)
+    refl = scene["reflection_coefficients"]
+    if refl is None:
+        refl = [reflection_for_t60(dims, scene["target_t60_s"])] * 6
+    return dims, np.array(refl, float)
 
 
 def build_array(cfg):
+    """The (M, 3) mic positions relative to scene.array_center: the
+    semicircle's, or sph_to_cart of the scene.array_mics rows, each radius
+    positive and each colatitude in [0, pi], azimuths taken mod 2 pi."""
     scene = cfg["scene"]
-    mics, center = scene["array_mics"], tuple(scene["array_center"])
+    mics = scene["array_mics"]
     try:
-        if mics is not None:
-            return ArrayGeometry(mics=mics, center_position=center)
-        return semicircle_array(scene["array_num_mics"], scene["array_radius"],
-                                center)
+        if mics is None:
+            return semicircle_array(scene["array_num_mics"],
+                                    scene["array_radius"])
+        rows = np.array(mics, dtype=float, ndmin=2)
+        if rows.size == 0:
+            raise ValueError("array needs one or more (radius, colatitude, "
+                             "azimuth) rows")
+        if not np.all(rows[:, 0] > 0):  # the schema holds each one finite
+            raise ValueError("microphone radius must be positive and finite")
+        rows[:, 1:] = as_directions(rows[:, 1:])
+        return sph_to_cart(rows)
     except (ValueError, MemoryError) as err:
         key = "array_mics" if mics is not None else "array_num_mics"
         raise ConfigError(f"scene.{key}: {err}") from None
@@ -385,11 +407,12 @@ def _noise_samples(cfg):
 
 def build_scene(cfg):
     scene = cfg["scene"]
-    return Scene(room=build_room(cfg),
-                 source_position=tuple(scene["source_position"]),
+    return Scene(*build_room(cfg),
+                 source_position=np.array(scene["source_position"], float),
                  source_signal=build_source(cfg),
-                 sample_rate=cfg["sample_rate"],
-                 array=build_array(cfg))
+                 array_center=np.array(scene["array_center"], float),
+                 mic_positions=build_array(cfg),
+                 sample_rate=cfg["sample_rate"])
 
 
 def eval_bands(cfg):

@@ -1,4 +1,4 @@
-"""Coordinate conventions and basic geometry containers.
+"""Coordinate conventions, directions and array layouts.
 
 Spherical coordinates follow the physics convention: colatitude theta is
 measured from the +z axis downwards, azimuth phi from +x towards +y.
@@ -7,7 +7,6 @@ float (D, 2) array of (colatitude, azimuth) rows.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 SPEED_OF_SOUND = 343.0  # m/s, dry air at ~20 C; simulation and design share it
 
@@ -50,45 +49,13 @@ def sph_to_cart(rows):
                      r * np.cos(th)], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class ArrayGeometry:
-    """Microphone layout: a (radius, colatitude, azimuth) row per mic,
-    relative to the array center, plus the center's room position."""
-
-    mics: np.ndarray
-    center_position: tuple = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        mics = np.array(self.mics, dtype=float, ndmin=2)
-        if mics.ndim != 2 or mics.shape[1] != 3 or mics.size == 0:
-            raise ValueError("array needs one or more (radius, colatitude, "
-                             "azimuth) rows")
-        if not np.all((mics[:, 0] > 0) & np.isfinite(mics[:, 0])):
-            raise ValueError("microphone radius must be positive and finite")
-        mics[:, 1:] = as_directions(mics[:, 1:])
-        object.__setattr__(self, "mics", mics)
-        object.__setattr__(
-            self, "center_position", tuple(float(v) for v in self.center_position)
-        )
-
-    @property
-    def num_mics(self):
-        return len(self.mics)
-
-    def local_positions(self):
-        """Mic positions relative to the array center, shape (M, 3)."""
-        return sph_to_cart(self.mics)
-
-    def room_positions(self):
-        return self.local_positions() + np.asarray(self.center_position)
-
-
-def semicircle_array(num_mics, radius, center_position=(0.0, 0.0, 0.0)):
-    """Horizontal semicircular layout, azimuths from pi down to 0.
+def semicircle_array(num_mics, radius):
+    """Mic positions (num_mics, 3) relative to the array center of a
+    horizontal semicircular layout, azimuths from pi down to 0.
 
     phi_m = pi - pi*(m-1)/(M-1) for m = 1..M, all at colatitude pi/2.
     A single mic sits at phi = pi.
     """
     phis = np.pi - np.pi * np.arange(num_mics) / max(num_mics - 1, 1)
-    mics = np.stack(np.broadcast_arrays(float(radius), np.pi / 2, phis), axis=1)
-    return ArrayGeometry(mics=mics, center_position=center_position)
+    return sph_to_cart(
+        np.stack(np.broadcast_arrays(float(radius), np.pi / 2, phis), axis=1))

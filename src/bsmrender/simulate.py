@@ -9,7 +9,7 @@ channels; their arrival directions use the same conventions as the
 steering vectors.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,89 +23,59 @@ _HALF = SINC_TAPS // 2
 DELAY_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class RoomSpec:
-    """Axis-aligned room. reflection_coefficients order:
-    (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz)."""
+class Scene(NamedTuple):
+    """One source and one array in a shoebox room, as config.resolve
+    checked them. The room is its (3,) dimensions and (6,) reflection
+    coefficients, ordered (x=0, x=Lx, y=0, y=Ly, z=0, z=Lz); the array is
+    its (M, 3) mic positions relative to its (3,) center."""
 
-    dimensions: tuple
-    reflection_coefficients: tuple
-
-    def __post_init__(self):
-        dims = tuple(float(v) for v in self.dimensions)
-        refl = tuple(float(v) for v in self.reflection_coefficients)
-        if len(dims) != 3 or any(v <= 0 for v in dims):
-            raise ValueError("dimensions must be three positive lengths")
-        if len(refl) != 6 or any(not (0.0 <= b < 1.0) for b in refl):
-            raise ValueError("need six reflection coefficients in [0, 1)")
-        object.__setattr__(self, "dimensions", dims)
-        object.__setattr__(self, "reflection_coefficients", refl)
-
-    @property
-    def volume(self):
-        lx, ly, lz = self.dimensions
-        return lx * ly * lz
-
-    @property
-    def surface(self):
-        lx, ly, lz = self.dimensions
-        return 2.0 * (lx * ly + lx * lz + ly * lz)
-
-    def contains(self, point, margin=0.0):
-        return all(margin < p < l - margin
-                   for p, l in zip(point, self.dimensions))
-
-
-@dataclass(frozen=True)
-class Scene:
-    room: RoomSpec
-    source_position: tuple
-    source_signal: np.ndarray = field(repr=False)
-    array: object  # ArrayGeometry
-    sample_rate: int = 48000
-
-    def __post_init__(self):
-        object.__setattr__(self, "source_position",
-                           tuple(float(v) for v in self.source_position))
-        check_positions(self.room, self.source_position, self.array)
-        # an empty or silent source leaves evaluate no band with energy,
-        # and a non-finite one leaves it nothing but NaN
-        if not np.any(self.source_signal):
-            raise ValueError("source signal has no nonzero sample")
-        if not np.all(np.isfinite(self.source_signal)):
-            raise ValueError("source signal has a non-finite sample")
+    room_dimensions: np.ndarray
+    reflection_coefficients: np.ndarray
+    source_position: np.ndarray
+    source_signal: np.ndarray
+    array_center: np.ndarray
+    mic_positions: np.ndarray
+    sample_rate: int
 
     @property
     def receivers(self):
         """The array center, then each microphone, in room coordinates."""
-        return (self.array.center_position, *self.array.room_positions())
+        return (self.array_center, *(self.mic_positions + self.array_center))
 
 
-def check_positions(room, source, array):
+def _point(pos):
+    return "[" + ", ".join(f"{v:g}" for v in pos) + "]"
+
+
+def check_positions(dimensions, source, center, mic_positions, mics_key):
     """ValueError naming the first position that breaks the scene's rules:
-    the source, the array center and every microphone of `array` lie
-    strictly inside `room`, and the source sits on no receiver, whose
-    direct path would have no direction and no finite gain. Scene and
-    config.resolve both apply them."""
-    receivers = [("scene.array_center", array.center_position),
-                 *((f"microphone {m}", tuple(pos))
-                   for m, pos in enumerate(array.room_positions().tolist()))]
-    source = tuple(float(v) for v in source)
-    walls = " x ".join(f"{v:g}" for v in room.dimensions)
+    the source, the array `center` and every microphone, `mic_positions`
+    (M, 3) relative to it and named by row of the config key `mics_key`,
+    lie strictly inside the room of `dimensions`, and the source sits on
+    no receiver, whose direct path would have no direction and no finite
+    gain. config.resolve applies them."""
+    center = np.asarray(center, float)
+    receivers = [("scene.array_center", center),
+                 *((f"microphone {m} of {mics_key}", pos)
+                   for m, pos in enumerate(mic_positions + center))]
+    source = np.asarray(source, float)
+    walls = " x ".join(f"{v:g}" for v in dimensions)
     for name, pos in [("scene.source_position", source), *receivers]:
-        if not room.contains(pos):
-            raise ValueError(f"{name} {np.round(pos, 6).tolist()} is not "
-                             f"strictly inside the {walls} m room")
+        if not np.all((0.0 < pos) & (pos < dimensions)):
+            raise ValueError(f"{name} {_point(pos)} is not strictly inside "
+                             f"the {walls} m room")
     for name, pos in receivers:
-        if pos == source:
-            raise ValueError(f"scene.source_position {list(source)} must not "
-                             f"sit on the array center or a microphone: it "
-                             f"is {name}")
+        if np.array_equal(pos, source):
+            raise ValueError(f"scene.source_position {_point(source)} must "
+                             f"not sit on the array center or a microphone: "
+                             f"it is {name}")
 
 
-def image_lattice(room, source, max_order, max_delay=None):
-    """The shoebox image sources of `source`, whatever the receiver:
-    (positions (N, 3), reflection products (N,)), parity-major.
+def image_lattice(dimensions, reflection_coefficients, source, max_order,
+                  max_delay=None):
+    """The image sources of `source` in the shoebox of (3,) `dimensions`
+    and (6,) `reflection_coefficients`, whatever the receiver: (positions
+    (N, 3), reflection products (N,)), parity-major.
 
     Bounded by reflection order and, when given, by arrival delay from
     any receiver inside the room. Images whose reflection product is
@@ -113,10 +83,10 @@ def image_lattice(room, source, max_order, max_delay=None):
     yields only the direct path.
     """
     source = np.asarray(source, float)
-    if not room.contains(source):
+    dims = np.asarray(dimensions, float)
+    if not np.all((0.0 < source) & (source < dims)):
         raise ValueError("source must be inside the room")
-    dims = np.asarray(room.dimensions)
-    beta = np.asarray(room.reflection_coefficients).reshape(3, 2)  # [axis][wall0, wallL]
+    beta = np.asarray(reflection_coefficients, float).reshape(3, 2)  # [axis][wall0, wallL]
 
     # cells whose images may lie within `reach` of a receiver inside the
     # room, for every parity; |n| + |n - p| <= max_order bounds |n| too
@@ -223,8 +193,9 @@ def scene_images(scene, max_order, rir_seconds):
     (center's array, [each mic's]), views of one image lattice, shared
     by scene_statistics, render_mic_signals and binaural_references."""
     max_delay = max_arrival_delay(scene, rir_seconds)
-    lattice = image_lattice(scene.room, scene.source_position, max_order,
-                            max_delay)
+    lattice = image_lattice(scene.room_dimensions,
+                            scene.reflection_coefficients,
+                            scene.source_position, max_order, max_delay)
     images = [compute_image_sources(lattice, receiver, max_delay)
               for receiver in scene.receivers]
     return images[0], images[1:]
@@ -351,21 +322,28 @@ def add_noise(signals, snr, seed=0):
 
 # ------------------------------------------------------------- statistics
 
-def eyring_t60(room):
-    """Eyring reverberation time from the room's reflection coefficients."""
-    lx, ly, lz = room.dimensions
+def _volume_surface(dimensions):
+    lx, ly, lz = np.asarray(dimensions, float)
+    return lx * ly * lz, 2.0 * (lx * ly + lx * lz + ly * lz)
+
+
+def eyring_t60(dimensions, reflection_coefficients):
+    """Eyring reverberation time of the room of (3,) `dimensions` and (6,)
+    `reflection_coefficients`."""
+    lx, ly, lz = np.asarray(dimensions, float)
     areas = np.repeat([ly * lz, lx * lz, lx * ly], 2)  # the walls' order
-    absorb = 1.0 - np.asarray(room.reflection_coefficients) ** 2
+    absorb = 1.0 - np.asarray(reflection_coefficients, float) ** 2
     mean_abs = float(np.dot(areas, absorb) / areas.sum())
     if mean_abs >= 1.0:
         return 0.0
-    return 0.161 * room.volume / (-room.surface * np.log(1.0 - mean_abs))
+    volume, surface = _volume_surface(dimensions)
+    return 0.161 * volume / (-surface * np.log(1.0 - mean_abs))
 
 
 def reflection_for_t60(dimensions, t60):
     """Uniform wall reflection coefficient hitting an Eyring T60 target."""
-    room = RoomSpec(dimensions, (0.0,) * 6)
-    alpha = 1.0 - np.exp(-0.161 * room.volume / (room.surface * t60))
+    volume, surface = _volume_surface(dimensions)
+    alpha = 1.0 - np.exp(-0.161 * volume / (surface * t60))
     return float(np.sqrt(1.0 - alpha))
 
 
@@ -417,7 +395,8 @@ def scene_statistics(scene, images, rir_seconds):
     return {
         "drr_db": drr,
         "t60_s": t60,
-        "t60_eyring_s": eyring_t60(scene.room),
+        "t60_eyring_s": eyring_t60(scene.room_dimensions,
+                                   scene.reflection_coefficients),
         "direct_delay_samples": float(center[1, 0] * fs),
         "image_count": center.shape[1],
         "sample_rate": fs,

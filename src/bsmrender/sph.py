@@ -87,15 +87,16 @@ def spiral_grid(num_points):
     return np.stack([theta, phi], axis=1)
 
 
-def steering_tensor(stft_cfg, geom, doas):
+def steering_tensor(stft_cfg, mic_positions, doas):
     """Free-field array responses exp(+i k r_m . u_l) for every STFT bin
-    at once, shape (bins, M, L): column l of bin b belongs to doas[l]."""
+    at once, shape (bins, M, L), r_m row m of the (M, 3) `mic_positions`
+    relative to the array center: column l of bin b belongs to doas[l]."""
     if len(doas) == 0:
         raise ValueError("doas must be non-empty")
     ks = wavenumbers(stft_cfg.bin_frequencies())
     th, ph = np.asarray(doas, dtype=float).T
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)
-    proj = geom.local_positions() @ u  # (M, L)
+    proj = mic_positions @ u  # (M, L)
     v = 1j * ks[:, None, None] * proj[None, :, :]
     return np.exp(v, out=v)  # in place: one (bins, M, L) array at a time

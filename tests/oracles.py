@@ -47,9 +47,9 @@ def unit_vector(d):
     return sph_to_cart((1.0, *d))
 
 
-def max_radius(geom):
+def max_radius(mic_positions):
     """Largest mic distance from the array center."""
-    return geom.mics[:, 0].max()
+    return np.linalg.norm(mic_positions, axis=1).max()
 
 
 def sh_basis(order, d):
@@ -67,7 +67,7 @@ def wavenumber(f):
     return 2.0 * np.pi * f / SPEED_OF_SOUND
 
 
-def steering_vector(f, geom, doa):
+def steering_vector(f, mic_positions, doa):
     """Free-field omni array response to a unit plane wave from `doa`.
 
     v_m = exp(+i k r_m . u), with r_m the mic position relative to the
@@ -76,11 +76,11 @@ def steering_vector(f, geom, doa):
     """
     k = wavenumber(f)  # rejects negative f
     u = unit_vector(doa)
-    proj = geom.local_positions() @ u
+    proj = mic_positions @ u
     return np.exp(1j * k * proj)
 
 
-def steering_matrix(f, geom, doas):
+def steering_matrix(f, mic_positions, doas):
     """Column-stacked steering vectors at one frequency, shape (M, L),
     column l <-> doas[l]."""
     if len(doas) == 0:
@@ -89,10 +89,10 @@ def steering_matrix(f, geom, doas):
     th, ph = np.asarray(doas, dtype=float).T
     st = np.sin(th)
     u = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=0)  # (3, L)
-    return np.exp(1j * k * (geom.local_positions() @ u))
+    return np.exp(1j * k * (mic_positions @ u))
 
 
-def steering_vector_sh(f, geom, doa, order=None, pad=10):
+def steering_vector_sh(f, mic_positions, doa, order=None, pad=10):
     """SH-truncated evaluation of the same steering vector.
 
     Expands the plane wave at each mic radius: 4 pi sum_nm i^n j_n(k r_m)
@@ -102,11 +102,11 @@ def steering_vector_sh(f, geom, doa, order=None, pad=10):
     """
     k = wavenumber(f)
     if order is None:
-        order = int(np.ceil(k * max_radius(geom))) + pad
+        order = int(np.ceil(k * max_radius(mic_positions))) + pad
     n_idx, _ = sh_degrees(order)
     y_doa = np.conj(sh_basis(order, doa))
-    out = np.empty(geom.num_mics, dtype=complex)
-    for i, (r, *d) in enumerate(geom.mics):
+    out = np.empty(len(mic_positions), dtype=complex)
+    for i, (r, d) in enumerate(map(cart_to_sph, mic_positions)):
         jn = special.spherical_jn(np.arange(order + 1), k * r)
         y_mic = sh_basis(order, d)
         out[i] = 4.0 * np.pi * np.sum((1j ** n_idx) * jn[n_idx] * y_mic * y_doa)
@@ -308,7 +308,8 @@ def delay_matrix_coo(delays, num_samples, sample_rate):
     return mat.tocsr()
 
 
-def compute_image_sources_per_receiver(room, source, receiver, max_order,
+def compute_image_sources_per_receiver(dimensions, reflection_coefficients,
+                                       source, receiver, max_order,
                                        max_delay=None):
     """Shoebox image sources seen from `receiver`, enumerated for that
     receiver alone: each parity's lattice bounded by the receiver's own
@@ -316,10 +317,10 @@ def compute_image_sources_per_receiver(room, source, receiver, max_order,
     colatitude, azimuth), columns sorted by delay."""
     source = np.asarray(source, float)
     receiver = np.asarray(receiver, float)
-    if not room.contains(source) or not room.contains(receiver):
+    dims = np.asarray(dimensions, float)
+    if not all(np.all((0 < p) & (p < dims)) for p in (source, receiver)):
         raise ValueError("source and receiver must be inside the room")
-    dims = np.asarray(room.dimensions)
-    beta = np.asarray(room.reflection_coefficients).reshape(3, 2)  # [axis][wall0, wallL]
+    beta = np.asarray(reflection_coefficients, float).reshape(3, 2)  # [axis][wall0, wallL]
 
     if max_delay is not None:
         reach = SPEED_OF_SOUND * max_delay

@@ -45,10 +45,10 @@ def render_reference_plane_waves(scene, sh_order, max_order, rir_seconds,
     fs = scene.sample_rate
     rir_len = int(round(rir_seconds * fs))
     max_delay = (rir_len - _HALF - 1) / fs
-    lattice = image_lattice(scene.room, scene.source_position, max_order,
-                            max_delay)
-    images = compute_image_sources(lattice, scene.array.center_position,
-                                   max_delay)
+    lattice = image_lattice(scene.room_dimensions,
+                            scene.reflection_coefficients,
+                            scene.source_position, max_order, max_delay)
+    images = compute_image_sources(lattice, scene.array_center, max_delay)
     if direct_only:
         images = images[:, :1]
     src = np.asarray(scene.source_signal, float)

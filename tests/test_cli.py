@@ -273,7 +273,7 @@ BAD_ROWS = {
                    "scene.array_mics: microphone radius must be positive "
                    "and finite"),
     "source_position": ("scene: {source_position: [9, 1, 1]}\n",
-                        "scene.source_position [9.0, 1.0, 1.0] is not strictly "
+                        "scene.source_position [9, 1, 1] is not strictly "
                         "inside the 4 x 3 x 2.5 m room"),
     "array_center": ("scene: {array_center: [1.1, -0.1, 1.2], array_mics: "
                      f"{[[0.2, math.pi / 2, math.pi / 2]] * 3}}}\n",
@@ -315,7 +315,7 @@ def test_frame_trim_leaving_no_frame_fails_config(tmp_path, capsys, argv):
 
 def test_frame_trim_counts_a_wav_source_from_its_file(tmp_path, capsys):
     source = tmp_path / "source.wav"
-    write_wav(source, np.zeros(960), 48000)
+    write_wav(source, np.full(960, 0.1), 48000)  # a silent one is refused
     scene = (f"scene: {{source_wav: {str(source)!r}, "
              "rir_seconds: 0.02}\n")
     config_path = tmp_path / "wav.yaml"
@@ -1106,18 +1106,37 @@ def test_unstorable_noise_fails_simulate_stage(tmp_path):
 
 def test_silent_source_fails_simulate_stage(tmp_path, capsys):
     # an all-zero source would pass simulate, design and render, and then
-    # fail evaluate with no band holding energy
+    # fail evaluate with no band holding energy; it once failed simulate,
+    # and is now refused with the config, before any directory is made
     source = tmp_path / "silent.wav"
     write_wav(source, np.zeros(14400), 48000)
     config_path = tmp_path / "silent.yaml"
     config_path.write_text(ECHO_YAML.replace(
         "scene:\n", f"scene:\n  source_wav: {str(source)!r}\n"))
     out = tmp_path / "o"
+    for argv in (["simulate", "--dry-run"], ["pipeline"]):
+        rc = main(argv + ["--out", str(out), "--config", str(config_path)])
+        assert rc == EXIT_CODES["config"]
+        assert capsys.readouterr().err == (
+            f"error [config]: scene.source_wav {source}: the source has no "
+            "nonzero sample\n")
+    assert not out.exists()
+
+
+def test_empty_source_wav_fails_config(tmp_path, capsys):
+    # a WAV with no sample has none that is nonzero: it once failed
+    # simulate, with exit 2, after the output directory was made
+    source = tmp_path / "empty.wav"
+    write_wav(source, np.zeros(0), 48000)
+    config_path = tmp_path / "empty.yaml"
+    config_path.write_text(f"scene: {{source_wav: {str(source)!r}}}\n")
+    out = tmp_path / "o"
     rc = main(["pipeline", "--out", str(out), "--config", str(config_path)])
-    assert rc == EXIT_CODES["simulate"]
+    assert rc == EXIT_CODES["config"]
     assert capsys.readouterr().err == (
-        "error [simulate]: source signal has no nonzero sample\n")
-    assert list(out.iterdir()) == []
+        f"error [config]: scene.source_wav {source}: the source has no "
+        "nonzero sample\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -11,6 +11,7 @@ from bsmrender.config import (
     ConfigError,
     build_array,
     build_room,
+    build_scene,
     build_source,
     build_stft_config,
     eval_bands,
@@ -20,8 +21,10 @@ from bsmrender.config import (
 )
 from bsmrender.containers import (file_sha256, read_wav, save_hrtf,
                                   scene_digest, write_wav)
+from bsmrender.geometry import semicircle_array, sph_to_cart
 from bsmrender.simulate import reflection_for_t60
 from bsmrender.sph import spiral_grid
+from oracles import assert_bits_equal
 
 
 def _write(tmp_path, text, name="override.yaml"):
@@ -99,8 +102,8 @@ def test_set_inputs_are_used(tmp_path):
         "source_wav": file_sha256(source), "hrtf_file": file_sha256(hrtf)})
     np.testing.assert_array_equal(build_source(cfg),
                                   read_wav(source)[0][:, 0])
-    np.testing.assert_array_equal(build_array(cfg).mics,
-                                  [[0.02, 1.5, 0.5], [0.03, 1.0, 2.0]])
+    np.testing.assert_array_equal(
+        build_array(cfg), sph_to_cart([[0.02, 1.5, 0.5], [0.03, 1.0, 2.0]]))
     # a file's content moves the digest with the config unchanged
     before = run_digest(cfg)
     save_hrtf(hrtf, spiral_grid(4), ir + 1.0, ir, 48000)
@@ -151,6 +154,10 @@ def test_bad_values_rejected(tmp_path):
             "  reflection_coefficients: [1.0, 0.5, 0.5, 0.5, 0.5, 0.5]\n")
     with pytest.raises(ConfigError, match="reflection_coefficients"):
         resolve("desk", _write(tmp_path, text))
+    # a semicircle needs a microphone
+    with pytest.raises(ConfigError,
+                       match="bad value for scene.array_num_mics"):
+        resolve("desk", _write(tmp_path, "scene:\n  array_num_mics: 0\n"))
 
 
 def test_numbers_are_finite_and_not_bools(tmp_path):
@@ -340,31 +347,33 @@ def test_snr_linear():
 
 
 def test_build_array_semicircle():
-    array = build_array(resolve("desk"))
-    assert array.mics.shape == (6, 3)
-    assert (array.mics[:, 0] == 0.07).all()
-    assert array.center_position == (1.1, 1.05, 1.2)
+    # mic positions relative to the center, which the scene keeps apart
+    cfg = resolve("desk")
+    assert_bits_equal(build_array(cfg), semicircle_array(6, 0.07))
+    np.testing.assert_array_equal(build_scene(cfg).array_center,
+                                  [1.1, 1.05, 1.2])
 
 
 def test_build_array_explicit(tmp_path):
     text = "scene:\n  array_mics: [[0.01, 1.5707963, 1.5707963]]\n"
-    array = build_array(resolve("desk", _write(tmp_path, text)))
-    assert array.mics.shape == (1, 3)
-    assert tuple(array.mics[0]) == (0.01, 1.5707963, 1.5707963)
+    positions = build_array(resolve("desk", _write(tmp_path, text)))
+    assert_bits_equal(positions,
+                      sph_to_cart([[0.01, 1.5707963, 1.5707963]]))
 
 
 def test_build_room_from_t60():
     cfg = resolve("desk")
-    room = build_room(cfg)
+    dims, refl = build_room(cfg)
     beta = reflection_for_t60([4.0, 3.0, 2.5], 0.3)
-    assert room.reflection_coefficients == (beta,) * 6
+    np.testing.assert_array_equal(dims, [4.0, 3.0, 2.5])
+    np.testing.assert_array_equal(refl, [beta] * 6)
 
 
 def test_build_room_explicit_coefficients(tmp_path):
     text = ("scene:\n  target_t60_s: null\n"
             "  reflection_coefficients: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]\n")
-    room = build_room(resolve("desk", _write(tmp_path, text)))
-    assert room.reflection_coefficients == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    _, refl = build_room(resolve("desk", _write(tmp_path, text)))
+    np.testing.assert_array_equal(refl, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
 
 
 def test_build_stft_config():
@@ -390,13 +399,15 @@ def test_build_source_speech_noise():
      r"design\.direct_doa: colatitude -0\.1 outside"),
     ("scene: {array_mics: [[-0.05, 1.5, 0.0]]}",
      r"scene\.array_mics: microphone radius must be positive"),
+    ("scene: {array_mics: [[0.05, 1.5, 0.0], [0.0, 1.5, 0.0]]}",
+     r"scene\.array_mics: microphone radius must be positive"),
     ("scene: {array_mics: [[0.05, 1.5, 0.0], "
      "[0.05, 3.5, 0.0]]}",
      r"scene\.array_mics: colatitude 3\.5 outside \[0, pi\]"),
     ("scene: {array_mics: []}",
      r"scene\.array_mics: array needs one or more"),
-], ids=["doa-above-pi", "doa-below-zero", "mic-radius", "mic-colatitude",
-        "no-mics"])
+], ids=["doa-above-pi", "doa-below-zero", "mic-radius", "mic-radius-zero",
+        "mic-colatitude", "no-mics"])
 def test_resolve_refuses_bad_direction_rows(tmp_path, text, message):
     # the rows go through the one direction check when the config resolves
     with pytest.raises(ConfigError, match=message):
@@ -411,8 +422,42 @@ def test_resolve_leaves_azimuths_as_written(tmp_path):
     cfg = resolve("desk", _write(tmp_path, text))
     assert cfg["design"]["direct_doa"] == [1.0, -0.5]
     assert cfg["scene"]["array_mics"] == [[0.05, 1.5, 7.0]]
-    np.testing.assert_allclose(build_array(cfg).mics,
-                               [[0.05, 1.5, 7.0 - 2 * math.pi]])
+    np.testing.assert_allclose(build_array(cfg),
+                               sph_to_cart([[0.05, 1.5, 7.0 - 2 * math.pi]]))
+
+
+# a semicircle's and a listed microphone through a wall, and a source on
+# the array center and on a microphone, whose direct path would have no
+# direction and no finite gain
+HALF_PI = repr(math.pi / 2)
+BAD_POSITIONS = {
+    "semicircle-mic": (
+        "scene: {array_center: [0.2, 1.0, 1.0], array_radius: 0.5}",
+        "microphone 0 of scene.array_radius [-0.3, 1, 1] is not strictly "
+        "inside the 4 x 3 x 2.5 m room"),
+    "listed-mic": (
+        "scene: {array_center: [1.0, 0.1, 1.0], array_mics: "
+        f"[[0.05, {HALF_PI}, 0.0], [0.2, {HALF_PI}, {repr(1.5 * math.pi)}]]}}",
+        "microphone 1 of scene.array_mics [1, -0.1, 1] is not strictly "
+        "inside the 4 x 3 x 2.5 m room"),
+    "source-on-center": (
+        "scene: {source_position: [1.1, 1.05, 1.2]}",
+        "scene.source_position [1.1, 1.05, 1.2] must not sit on the array "
+        "center or a microphone: it is scene.array_center"),
+    "source-on-mic": (
+        "scene: {source_position: [1.6, 1.05, 1.2], array_mics: "
+        f"[[0.25, {HALF_PI}, 1.0], [0.5, {HALF_PI}, 0.0]]}}",
+        "scene.source_position [1.6, 1.05, 1.2] must not sit on the array "
+        "center or a microphone: it is microphone 1 of scene.array_mics"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_POSITIONS))
+def test_resolve_refuses_positions_that_break_the_scene(key, tmp_path,
+                                                        capsys):
+    text, message = BAD_POSITIONS[key]
+    assert _dry_run(tmp_path, capsys, text + "\n") \
+        == (1, f"error [config]: {message}\n")
 
 
 def test_eval_bands(tmp_path):
@@ -462,6 +507,7 @@ FUZZ_VALUES = ("true", ".inf", "-.inf", ".nan", '"x"', "5", "[]", "{}",
                "1.0e+308")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key", [".".join(k) for k in _leaf_keys(_SCHEMA)])
 def test_schema_fuzz_ends_in_config_error(key, tmp_path, capsys):
     # every leaf value either resolves or is refused as a config error;
@@ -489,6 +535,31 @@ def test_duration_too_long_to_count_is_a_config_error(key, tmp_path, capsys):
         assert code == 1
         assert err.startswith(f"error [config]: {key} 1e+308 "), err
         assert err.endswith(" is too long to count in samples\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, message", [
+    ("scene: {source_duration_s: 3.0e+303, rir_seconds: 3.0e+303}\n"
+     "stft: {window_ms: 0.041666666666666664, "
+     "hop_ms: 0.020833333333333332}\n",
+     "scene.source_duration_s 3e+303 plus scene.rir_seconds 3e+303 at "
+     "48000 Hz is too long to count in samples"),
+    ("scene: {array_radius: 1.0e+308}\n",
+     "microphone 0 of scene.array_radius [-1e+308, 1.22465e+292, "
+     "6.12323e+291] is not strictly inside the 4 x 3 x 2.5 m room")],
+    ids=["signal-length", "position"])
+def test_overflow_ends_in_one_config_error(text, message, tmp_path, capsys):
+    # two durations that each count, with a 2-sample window and a 1-sample
+    # hop, once ended in an OverflowError traceback from the frame count,
+    # and a microphone at -1e308 m was printed at -inf after numpy's
+    # overflow warning
+    path = _write(tmp_path, text)
+    for dry_run in (["--dry-run"], []):
+        code = main(["pipeline", "--out", str(tmp_path / "out"), "--config",
+                     path, *dry_run])
+        assert (code, capsys.readouterr().err) \
+            == (1, f"error [config]: {message}\n")
     assert not (tmp_path / "out").exists()
 
 

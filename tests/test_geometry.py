@@ -13,7 +13,6 @@ from bsmrender.containers import ContainerError, load_hrtf, save_hrtf
 from bsmrender.geometry import (
     SPEED_OF_SOUND,
     TWO_PI,
-    ArrayGeometry,
     as_directions,
     semicircle_array,
     sph_to_cart,
@@ -129,50 +128,19 @@ def test_as_directions_shapes():
 
 
 def test_semicircle_layout():
-    # phi_m = pi - pi*(m-1)/(M-1), m = 1..M, all in the horizontal plane
-    geom = semicircle_array(6, 0.07)
-    assert geom.num_mics == 6
-    assert geom.mics.shape == (6, 3)
-    expected = [np.pi - np.pi * m / 5 for m in range(6)]
-    for (r, theta, phi), want in zip(geom.mics, expected):
-        assert r == 0.07
-        np.testing.assert_allclose(theta, np.pi / 2)
-        np.testing.assert_allclose(phi, want % (2 * np.pi), atol=1e-15)
+    # phi_m = pi - pi*(m-1)/(M-1), m = 1..M, all in the horizontal plane on
+    # the ring: sph_to_cart of those rows, to the bit
+    positions = semicircle_array(6, 0.07)
+    rows = [(0.07, np.pi / 2, np.pi - np.pi * m / 5) for m in range(6)]
+    assert_bits_equal(positions, sph_to_cart(rows))
+    np.testing.assert_allclose(np.linalg.norm(positions, axis=1), 0.07)
+    np.testing.assert_allclose(positions[:, 2], 0.0, atol=1e-17)
+    assert max_radius(positions) == pytest.approx(0.07)
 
 
 def test_semicircle_single_mic_sits_at_pi():
-    geom = semicircle_array(1, 0.1)
-    np.testing.assert_allclose(geom.mics[0, 2], np.pi)
-    with pytest.raises(ValueError):
-        semicircle_array(0, 0.1)
-
-
-def test_room_positions_offset_by_center():
-    center = (1.0, 2.0, 3.0)
-    geom = semicircle_array(4, 0.5, center)
-    np.testing.assert_allclose(geom.room_positions(),
-                               geom.local_positions() + np.array(center))
-    # every mic on the requested ring
-    np.testing.assert_allclose(np.linalg.norm(geom.local_positions(), axis=1),
-                               0.5)
-    assert max_radius(geom) == 0.5
-
-
-def test_array_geometry_validation():
-    with pytest.raises(ValueError, match="rows"):
-        ArrayGeometry(mics=())
-    with pytest.raises(ValueError, match="rows"):
-        ArrayGeometry(mics=((0.1, 0.0),))
-    for radius in (0.0, -0.05, np.nan, np.inf):
-        with pytest.raises(ValueError, match="radius must be positive"):
-            ArrayGeometry(mics=((radius, 0.0, 0.0),))
-    with pytest.raises(ValueError, match="colatitude 4.0 outside"):
-        ArrayGeometry(mics=((0.1, 4.0, 0.0),))
-    with pytest.raises(ValueError, match="non-finite direction"):
-        ArrayGeometry(mics=((0.1, 1.0, np.nan),))
-    # the directions go through as_directions: azimuths into [0, 2 pi)
-    geom = ArrayGeometry(mics=[(0.1, 1.0, -np.pi / 2)])
-    np.testing.assert_allclose(geom.mics, [[0.1, 1.0, 1.5 * np.pi]])
+    np.testing.assert_allclose(semicircle_array(1, 0.1), [[-0.1, 0.0, 0.0]],
+                               atol=1e-16)
 
 
 def test_wavenumbers_of_stft_bins():

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from bsmrender import config as cfgmod
 from bsmrender.evaluate import band_summary, nmse, octave_bands
-from bsmrender.geometry import SPEED_OF_SOUND, ArrayGeometry, semicircle_array
+from bsmrender.geometry import SPEED_OF_SOUND, semicircle_array
 from bsmrender.hrtf import point_receiver_channels, \
     point_receiver_hrtf, sh_channels
 from bsmrender import simulate
 from bsmrender.simulate import (
-    RoomSpec,
     _convolver,
     _fast_len,
     Scene,
@@ -41,73 +40,25 @@ from oracles import assert_bits_equal, compute_image_sources_per_receiver, \
 from sh_oracle import binaural_references_serial, render_reference, \
     render_reference_plane_waves
 
-ROOM = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                reflection_coefficients=(0.8,) * 6)
+DIMS = (4.0, 3.0, 2.5)
+REFL = (0.8,) * 6
 SRC = (3.0, 1.2, 1.3)
 RCV = (1.0, 2.0, 1.1)
 
 
-def _scene(room=ROOM, src=SRC, seconds=0.2, fs=48000, mics=3, seed=0):
+def _scene(refl=REFL, src=SRC, seconds=0.2, fs=48000, mics=3, seed=0):
     sig = synth_speech_noise(int(seconds * fs), fs, seed)
-    return Scene(room=room, source_position=src, source_signal=sig,
-                 sample_rate=fs, array=semicircle_array(mics, 0.05, RCV))
+    return Scene(DIMS, refl, src, sig, RCV, semicircle_array(mics, 0.05), fs)
 
 
-def test_room_spec_validation():
-    with pytest.raises(ValueError):
-        RoomSpec(dimensions=(0.0, 3.0, 2.5),
-                 reflection_coefficients=(0.5,) * 6)
-    with pytest.raises(ValueError):
-        RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                 reflection_coefficients=(1.0,) * 6)  # beta < 1 required
-    with pytest.raises(ValueError):
-        RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                 reflection_coefficients=(0.5,) * 5)
-    assert ROOM.volume == 30.0
-    assert ROOM.surface == 2 * (12.0 + 10.0 + 7.5)
-    assert ROOM.contains((1.0, 1.0, 1.0))
-    assert not ROOM.contains((4.0, 1.0, 1.0))
-    assert not ROOM.contains((3.95, 1.0, 1.0), margin=0.1)
-
-
-def test_scene_validates_positions():
-    with pytest.raises(ValueError):
-        _scene(src=(5.0, 1.0, 1.0))
-    # array mic poking through a wall, and an array center outside the
-    # room whose mics are all inside
-    sig = np.zeros(100)
-    with pytest.raises(ValueError, match="microphone 0 .* not strictly"):
-        Scene(room=ROOM, source_position=SRC, source_signal=sig,
-              array=semicircle_array(3, 0.5, (0.2, 1.0, 1.0)))
-    mics = [(0.2, np.pi / 2, np.pi / 2)] * 3
-    with pytest.raises(ValueError,
-                       match=r"array_center \[1.0, -0.1, 1.0\] is not"):
-        Scene(room=ROOM, source_position=SRC, source_signal=sig,
-              array=ArrayGeometry(mics, (1.0, -0.1, 1.0)))
-    # a source on the array center or on a mic has no direct-path direction
-    # and an infinite gain
-    array = semicircle_array(3, 0.5, RCV)
-    for receiver in (RCV, array.room_positions()[1]):
-        with pytest.raises(ValueError, match="must not sit on the array"):
-            Scene(room=ROOM, source_position=tuple(receiver),
-                  source_signal=sig, array=array)
-
-
-def test_scene_needs_an_array():
-    # a scene without receivers once built and failed later, in
-    # scene_images, on the array it did not have
-    with pytest.raises(TypeError, match="array"):
-        Scene(RoomSpec((4, 3, 2.5), (0.5,) * 6), (1, 1, 1), np.ones(100))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_scene_refuses_a_non_finite_source(bad):
-    # evaluate would turn it into NaN band gains
-    sig = synth_speech_noise(4800, 48000, 0)
-    sig[7] = bad
-    with pytest.raises(ValueError, match="non-finite sample"):
-        Scene(room=ROOM, source_position=SRC, source_signal=sig,
-              array=semicircle_array(3, 0.05, RCV))
+def test_scene_receivers_are_the_center_then_each_mic():
+    # the mic positions are relative to the array center: the receivers
+    # are the center, then each of them offset by it
+    scene = _scene(mics=2)
+    np.testing.assert_array_equal(scene.receivers[0], RCV)
+    np.testing.assert_allclose(scene.receivers[1:],
+                               [(0.95, 2.0, 1.1), (1.05, 2.0, 1.1)],
+                               rtol=0, atol=1e-15)
 
 
 def test_rir_shorter_than_the_direct_path_is_named():
@@ -125,7 +76,7 @@ def test_rir_shorter_than_the_direct_path_is_named():
 
 
 def test_direct_path_gain_and_delay():
-    imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
+    imgs = compute_image_sources(image_lattice(DIMS, REFL, SRC, 0), RCV)
     assert imgs.shape == (4, 1)
     gain, delay, th, ph = imgs[:, 0]
     diff = np.array(SRC) - np.array(RCV)
@@ -139,15 +90,13 @@ def test_direct_path_gain_and_delay():
 
 
 def test_fully_absorptive_walls_leave_direct_only():
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(0.0,) * 6)
-    imgs = compute_image_sources(image_lattice(room, SRC, 6), RCV)
+    imgs = compute_image_sources(image_lattice(DIMS, (0.0,) * 6, SRC, 6), RCV)
     assert imgs.shape == (4, 1)  # zero-gain images are dropped
 
 
 def test_images_sorted_and_capped_by_delay():
     max_delay = 0.02
-    delays = compute_image_sources(image_lattice(ROOM, SRC, 10, max_delay),
+    delays = compute_image_sources(image_lattice(DIMS, REFL, SRC, 10, max_delay),
                                    RCV, max_delay)[1]
     assert np.all(np.diff(delays) >= 0)
     assert delays.max() <= max_delay
@@ -157,9 +106,8 @@ def test_image_lattice_against_brute_force():
     # directly enumerate mirrored positions for order <= 2 and compare,
     # each image keyed by its distance and arrival direction
     refl = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4)
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5), reflection_coefficients=refl)
-    got = compute_image_sources(image_lattice(room, SRC, 2), RCV)
-    lx, ly, lz = room.dimensions
+    got = compute_image_sources(image_lattice(DIMS, refl, SRC, 2), RCV)
+    lx, ly, lz = DIMS
     want = {}
     for nx in range(-2, 3):
         for px in (0, 1):
@@ -192,17 +140,17 @@ def test_image_lattice_against_brute_force():
         assert tuple(key) in want
         np.testing.assert_allclose(gain, want[tuple(key)], rtol=1e-10)
     with pytest.raises(ValueError, match="source must be inside the room"):
-        image_lattice(room, (4.5, 1.2, 1.3), 2)
+        image_lattice(DIMS, refl, (4.5, 1.2, 1.3), 2)
 
 
 def test_image_set_symmetric_under_room_inversion():
     # reflecting the whole setup through the room center relabels walls
     # within each parallel pair; uniform coefficients keep the RIR identical
-    dims = np.array(ROOM.dimensions)
+    dims = np.array(DIMS)
     src2 = tuple(dims - np.array(SRC))
     rcv2 = tuple(dims - np.array(RCV))
-    a = compute_image_sources(image_lattice(ROOM, SRC, 4), RCV)
-    b = compute_image_sources(image_lattice(ROOM, src2, 4), rcv2)
+    a = compute_image_sources(image_lattice(DIMS, REFL, SRC, 4), RCV)
+    b = compute_image_sources(image_lattice(DIMS, REFL, src2, 4), rcv2)
     # each row sorted: the delays and the gains as sets
     np.testing.assert_allclose(np.sort(a[:2]), np.sort(b[:2]), atol=1e-12)
 
@@ -210,16 +158,15 @@ def test_image_set_symmetric_under_room_inversion():
 def test_reverb_energy_monotone_in_reflectivity():
     energies = []
     for beta in (0.3, 0.6, 0.9):
-        room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                        reflection_coefficients=(beta,) * 6)
-        imgs = compute_image_sources(image_lattice(room, SRC, 8), RCV)
+        imgs = compute_image_sources(
+            image_lattice(DIMS, (beta,) * 6, SRC, 8), RCV)
         energies.append(np.sum(imgs[0, 1:] ** 2))
     assert energies[0] < energies[1] < energies[2]
 
 
 def test_render_rir_places_pulse_at_geometric_delay():
     fs = 48000
-    imgs = compute_image_sources(image_lattice(ROOM, SRC, 0), RCV)
+    imgs = compute_image_sources(image_lattice(DIMS, REFL, SRC, 0), RCV)
     rir = render_rir(*imgs[:2], 2000, fs)
     d = np.linalg.norm(np.array(SRC) - np.array(RCV))
     # peak within a sample of the geometric delay
@@ -306,18 +253,15 @@ def test_delay_matrix_peak_memory(count):
 def test_scene_delay_matrix_bitwise_equals_coo(reflection):
     # a reverberant room's many overlapping taps, and the empty reverberant
     # list of an anechoic room
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(reflection,) * 6)
-    center, _ = scene_images(_scene(room=room, seconds=0.05), 6, 0.05)
+    center, _ = scene_images(_scene(refl=(reflection,) * 6, seconds=0.05),
+                             6, 0.05)
     gains, delays = center[:2, 1:]
     assert (gains.size == 0) == (reflection == 0.0)
     _assert_scatter_matches_coo(gains, delays, 2400, 48000, 0)
 
 
 def test_mic_signals_split_and_anechoic_identity():
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(0.0,) * 6)
-    scene = _scene(room=room, seconds=0.1)
+    scene = _scene(refl=(0.0,) * 6, seconds=0.1)
     full, direct, reverb = render_mic_signals(
         scene, scene_images(scene, 4, 0.05), 0.05)
     assert full.shape == direct.shape == reverb.shape
@@ -337,19 +281,16 @@ def test_mic_signals_decomposition_identity():
 def test_mic_signal_delay_between_mics():
     # cross-correlation of an anechoic recording peaks at the geometric
     # inter-mic delay difference
-    room = RoomSpec(dimensions=(10.0, 10.0, 4.0),
-                    reflection_coefficients=(0.0,) * 6)
     fs = 48000
     sig = synth_speech_noise(int(0.3 * fs), fs, 1)
-    geom = semicircle_array(2, 0.5, (5.0, 5.0, 2.0))
-    scene = Scene(room=room, source_position=(8.0, 5.0, 2.0),
-                  source_signal=sig, sample_rate=fs, array=geom)
+    scene = Scene((10.0, 10.0, 4.0), (0.0,) * 6, (8.0, 5.0, 2.0), sig,
+                  (5.0, 5.0, 2.0), semicircle_array(2, 0.5), fs)
     full, _, _ = render_mic_signals(scene, scene_images(scene, 0, 0.08),
                                     0.08)
     lags = sps.correlation_lags(full.shape[0], full.shape[0])
     xc = sps.correlate(full[:, 0], full[:, 1])
     got = lags[np.argmax(np.abs(xc))]
-    pos = geom.room_positions()
+    pos = scene.receivers[1:]
     d0 = np.linalg.norm(pos[0] - np.array(scene.source_position))
     d1 = np.linalg.norm(pos[1] - np.array(scene.source_position))
     want = (d0 - d1) / SPEED_OF_SOUND * fs
@@ -384,8 +325,9 @@ def test_sh_reference_order_zero_matches_pressure():
     sh = render_reference_plane_waves(scene, 0, 2, 0.04)
     max_delay = (int(0.04 * fs) - 17) / fs
     imgs = compute_image_sources(
-        image_lattice(scene.room, scene.source_position, 2, max_delay),
-        scene.array.center_position, max_delay)
+        image_lattice(scene.room_dimensions, scene.reflection_coefficients,
+                      scene.source_position, 2, max_delay),
+        scene.array_center, max_delay)
     rir = render_rir(*imgs[:2], int(0.04 * fs), fs)
     want = sps.fftconvolve(np.asarray(scene.source_signal), rir)
     np.testing.assert_allclose(sh[:, 0].real,
@@ -484,9 +426,7 @@ def test_sh_encoding_conjugate_symmetry(source, reflection, order):
     # real source + Condon-Shortley phase: p_(n,-m) = (-1)^m conj(p_(n,m)),
     # the identity the chunked oracle uses to skip the m < 0 channels
     assume(np.linalg.norm(np.subtract(source, RCV)) > 0.2)  # off the array
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(reflection,) * 6)
-    scene = _scene(room=room, src=source, seconds=0.01)
+    scene = _scene(refl=(reflection,) * 6, src=source, seconds=0.01)
     p = render_reference_plane_waves(scene, order, 3, 0.01)
     n, m = sh_degrees(order)
     mirror = n * n + n - m
@@ -496,9 +436,7 @@ def test_sh_encoding_conjugate_symmetry(source, reflection, order):
 
 
 def test_anechoic_reverberant_reference_is_exactly_zero():
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(0.0,) * 6)
-    scene = _scene(room=room, seconds=0.1)
+    scene = _scene(refl=(0.0,) * 6, seconds=0.1)
     cfg = StftConfig(48000, 512, 256)
     center, _ = scene_images(scene, 4, 0.05)
     full, direct = binaural_references(
@@ -507,9 +445,9 @@ def test_anechoic_reverberant_reference_is_exactly_zero():
     np.testing.assert_array_equal(full - direct, 0.0)
 
 
-def _assert_images_bitwise(got, room, source, receiver, max_order,
+def _assert_images_bitwise(got, refl, source, receiver, max_order,
                            max_delay):
-    want = compute_image_sources_per_receiver(room, source, receiver,
+    want = compute_image_sources_per_receiver(DIMS, refl, source, receiver,
                                               max_order, max_delay)
     assert got.shape == want.shape, receiver
     for name, one, other in zip(("gain", "delay", "colatitude", "azimuth"),
@@ -527,14 +465,13 @@ def test_image_lattice_bitwise_equals_per_receiver_enumeration(
     # one lattice viewed from any receiver keeps the images that receiver's
     # own enumeration keeps, in its order and with its bits: off the walls,
     # near a wall and in a corner, for a source off and near the walls
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5), reflection_coefficients=refl)
     receivers = (RCV, (3.99, 1.5, 1.2), (0.01, 2.99, 0.01),
                  (3.999, 2.999, 2.499))
     for source in (SRC, (0.02, 1.5, 2.48)):
-        lattice = image_lattice(room, source, max_order, max_delay)
+        lattice = image_lattice(DIMS, refl, source, max_order, max_delay)
         for receiver in receivers:
             got = compute_image_sources(lattice, receiver, max_delay)
-            _assert_images_bitwise(got, room, source, receiver, max_order,
+            _assert_images_bitwise(got, refl, source, receiver, max_order,
                                    max_delay)
 
 
@@ -553,7 +490,7 @@ def test_scene_images_bitwise_equals_per_receiver_enumeration(monkeypatch):
     assert len(mics) == 3 and len(lattices) == 1
     max_delay = (int(0.05 * 48000) - 17) / 48000
     for images, receiver in zip([center, *mics], scene.receivers):
-        _assert_images_bitwise(images, scene.room, scene.source_position,
+        _assert_images_bitwise(images, REFL, scene.source_position,
                                receiver, 6, max_delay)
 
 
@@ -574,11 +511,10 @@ def test_add_noise_power_and_determinism():
 def test_eyring_round_trip():
     dims = (4.0, 3.0, 2.5)
     beta = reflection_for_t60(dims, 0.3)
-    room = RoomSpec(dimensions=dims, reflection_coefficients=(beta,) * 6)
-    np.testing.assert_allclose(eyring_t60(room), 0.3, rtol=1e-12)
+    np.testing.assert_allclose(eyring_t60(dims, (beta,) * 6), 0.3,
+                               rtol=1e-12)
     # limiting cases
-    assert eyring_t60(RoomSpec(dimensions=dims,
-                               reflection_coefficients=(0.0,) * 6)) == 0.0
+    assert eyring_t60(dims, (0.0,) * 6) == 0.0
 
 
 def test_estimate_t60_on_synthetic_decay():
@@ -611,9 +547,7 @@ def test_scene_statistics_fields():
 
 
 def test_scene_statistics_anechoic():
-    room = RoomSpec(dimensions=(4.0, 3.0, 2.5),
-                    reflection_coefficients=(0.0,) * 6)
-    scene = _scene(room=room, seconds=0.05)
+    scene = _scene(refl=(0.0,) * 6, seconds=0.05)
     stats = scene_statistics(scene, scene_images(scene, 4, 0.1), 0.1)
     assert stats["drr_db"] is None
     assert stats["t60_s"] is None

@@ -201,7 +201,7 @@ def test_steering_dc_is_ones():
 
 def test_steering_half_wavelength_flip():
     # mic displaced half a wavelength towards the source: phase pi
-    geom = semicircle_array(1, 0.5, (0, 0, 0))  # single mic at phi = pi
+    geom = semicircle_array(1, 0.5)  # single mic at phi = pi
     doa = (np.pi / 2, np.pi)
     f = SPEED_OF_SOUND / 1.0  # k r = pi when r = lambda/2
     v = steering_vector(f, geom, doa)
