@@ -89,8 +89,7 @@ def run_simulate(cfg, out_dir, digest):
     rir_s = scene_cfg["rir_seconds"]
     stft_cfg = cfgmod.build_stft_config(cfg)
 
-    # a too-short RIR fails before a file HRTF's fit, and a refused fit
-    # before the first write
+    # a refused fit fails before the first write
     images = scene_images(scene, scene_cfg["max_reflection_order"], rir_s)
     channels = _reference_channels(cfg, stft_cfg,
                                    cfg["design"]["reference_order"])

@@ -14,12 +14,12 @@ import sys
 import numpy as np
 import yaml
 
-from .containers import (ContainerError, file_sha256, read_hrtf_header,
-                         read_wav, scene_digest)
+from .containers import (file_sha256, read_hrtf_header, read_wav,
+                         scene_digest)
 from .evaluate import band_bins, check_bands, octave_bands
 from .geometry import as_directions, semicircle_array, sph_to_cart
-from .simulate import (Scene, check_positions, reflection_for_t60,
-                       signal_length, synth_speech_noise)
+from .simulate import (Scene, check_positions, max_arrival_delay,
+                       reflection_for_t60, signal_length, synth_speech_noise)
 from .sph import num_coeffs
 from .stft import StftConfig
 
@@ -216,19 +216,19 @@ def resolve(profile="desk", config_path=None, seed=None):
     if (scene["target_t60_s"] is None) == (scene["reflection_coefficients"] is None):
         raise ConfigError("set exactly one of scene.target_t60_s and "
                           "scene.reflection_coefficients")
-    # a duration whose sample count overflows a float has no count: refused
-    # before build_stft_config, _noise_samples or signal_length rounds it
+    # a duration the run reads whose sample count overflows a float has no
+    # count: refused before build_stft_config or signal_length rounds it
     rate = cfg["sample_rate"]
-    for section, leaf in (("scene", "source_duration_s"),
-                          ("scene", "rir_seconds"), ("stft", "window_ms"),
-                          ("stft", "hop_ms")):
+    source = () if scene["source_wav"] else (("scene", "source_duration_s"),)
+    for section, leaf in source + (("scene", "rir_seconds"),
+                                   ("stft", "window_ms"), ("stft", "hop_ms")):
         if math.isinf(cfg[section][leaf] * rate):
             raise ConfigError(f"{section}.{leaf} {cfg[section][leaf]:g} at "
                               f"{rate} Hz is too long to count in samples")
     # the overlap-add rules, the bands' bins, the frames left after the
     # edge trim, the direct DOA, the microphone rows, the positions in the
-    # room, the HRTF set's rate and fit and the design's cutoff fail here,
-    # not in a stage
+    # room, the RIR's reach, the HRTF set's rate, taps and fit and the
+    # design's cutoff fail here, not in a stage
     nyquist = build_stft_config(cfg).bin_frequencies()[-1]
     eval_bands(cfg)
     _check_frame_trim(cfg)
@@ -238,13 +238,24 @@ def resolve(profile="desk", config_path=None, seed=None):
     except ValueError as err:
         raise ConfigError(f"design.direct_doa: {err}") from None
     try:  # the positions need the walls, not what they reflect
+        mics = build_array(cfg)
         check_positions(scene["room_dimensions"], scene["source_position"],
-                        scene["array_center"], build_array(cfg),
+                        scene["array_center"], mics,
                         "scene.array_mics" if scene["array_mics"] is not None
                         else "scene.array_radius")
+        max_arrival_delay(scene["source_position"], scene["array_center"],
+                          mics, rate, scene["rir_seconds"])
     except ValueError as err:  # build_array's ConfigError passes as it is
         raise ConfigError(str(err)) from None
-    _check_hrtf_set(design, cfg["sample_rate"])
+    # a file's header is read_hrtf_header's to refuse, its body the stage's
+    order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
+    where, path = "design.hrtf_grid_size", design["hrtf_file"]
+    if path is not None:
+        size, _ = read_hrtf_header(path, build_stft_config(cfg))
+        where = "design.hrtf_file's direction count"
+    if num_coeffs(order) > size:
+        raise ConfigError(f"design.hrtf_sh_order {order} needs {where} >= "
+                          f"{num_coeffs(order)}, got {size}")
     cutoff = design["magls_cutoff_hz"]
     if cutoff is not None and cutoff > nyquist:
         raise ConfigError(f"design.magls_cutoff_hz {cutoff:g} is above the "
@@ -265,17 +276,14 @@ def _check_frame_trim(cfg):
     the run's spectrograms, counted from the source and RIR lengths as the
     simulator renders them, a signal too long to count them, and a
     synthetic source of under 2 samples, which has no band but DC to
-    shape. A wav source is counted from its file, and refused here if its
-    sample rate is not the run's, or the channel the run reads has a
-    sample that is not finite or none that is nonzero, which would leave
-    evaluate no band with energy; one that does not parse is left for
-    simulate, which reads it, to refuse."""
+    shape. A wav source is counted from its file, and refused here if it
+    does not parse (read_wav's ContainerError), its sample rate is not the
+    run's, or the channel the run reads has a sample that is not finite or
+    none that is nonzero, which would leave evaluate no band with
+    energy."""
     scene = cfg["scene"]
     if scene["source_wav"] is not None:
-        try:
-            data, rate, _ = read_wav(scene["source_wav"])
-        except ContainerError:
-            return
+        data, rate, _ = read_wav(scene["source_wav"])
         if rate != cfg["sample_rate"]:
             raise ConfigError(f"source wav sample rate {rate} != "
                               f"{cfg['sample_rate']}")
@@ -306,25 +314,6 @@ def _check_frame_trim(cfg):
         raise ConfigError(f"evaluation.frame_trim {trim} leaves no frame: "
                           f"the run has {frames} STFT frames and the trim "
                           f"drops {trim} from each end")
-
-
-def _check_hrtf_set(design, fs):
-    """Refuse too few HRTF directions for the fit, or a file header's rate
-    other than `fs`; a file that does not parse is left to the stage."""
-    order, size = design["hrtf_sh_order"], design["hrtf_grid_size"]
-    where, path = "design.hrtf_grid_size", design["hrtf_file"]
-    if path is not None:
-        try:
-            rate, size, _ = read_hrtf_header(path)
-        except (ContainerError, OSError):
-            return
-        if rate != fs:
-            raise ConfigError(f"{path}: sample rate is {rate}, not the run's "
-                              f"{fs}")
-        where = "design.hrtf_file's direction count"
-    if num_coeffs(order) > size:
-        raise ConfigError(f"design.hrtf_sh_order {order} needs {where} >= "
-                          f"{num_coeffs(order)}, got {size}")
 
 
 def snr_linear(db_value):

@@ -361,26 +361,34 @@ def save_hrtf(path, directions, left_ir, right_ir, sample_rate):
             fh.write(block)
 
 
-def read_hrtf_header(path):
-    """(sample rate, directions, taps) from a BSMH file's 20-byte header."""
+def _hrtf_header(cur, stft_cfg):
+    """(directions, taps) of the BSMH header at `cur`, refused unless its
+    sample rate is the run's and its IRs have 1 to the run's FFT size."""
+    rate, count, taps = cur.header(b"BSMH", "III")
+    _require_run(cur.path, "sample rate", rate, stft_cfg.sample_rate)
+    if not 0 < taps <= stft_cfg.fft_size:
+        cur.fail(f"{taps}-tap impulse responses: the run's FFT takes 1 to "
+                 f"{stft_cfg.fft_size} taps")
+    return count, taps
+
+
+def read_hrtf_header(path, stft_cfg):
+    """(directions, taps) from a BSMH file's 20-byte header, checked
+    against the run's `stft_cfg` as load_hrtf checks it."""
     with open(path, "rb") as fh:
-        return _Cursor(path, fh.read(20)).header(b"BSMH", "III")
+        return _hrtf_header(_Cursor(path, fh.read(20)), stft_cfg)
 
 
 def load_hrtf(path, stft_cfg):
     """(D, 2) directions and (2, D, bins) ears of a BSMH set of the run's
     sample rate: each IR's rFFT, zero-padded to the run's FFT size."""
     cur = _Cursor(path)
-    rate, count, taps = cur.header(b"BSMH", "III")
-    _require_run(path, "sample rate", rate, stft_cfg.sample_rate)
-    if count == 0 or taps == 0:
+    count, taps = _hrtf_header(cur, stft_cfg)
+    if count == 0:
         cur.fail("empty HRTF set")
     table = cur.array("<f8", (count, 2), "direction table")
     irs = cur.array("<f4", (2, count, taps), "impulse responses")
     cur.end()
-    if stft_cfg.fft_size < taps:
-        cur.fail(f"{taps}-tap impulse responses exceed the FFT size "
-                 f"{stft_cfg.fft_size}")
     with cur.checked("HRTF set"):
         directions = as_directions(table)
         if not np.isfinite(irs).all():

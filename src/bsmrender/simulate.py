@@ -168,23 +168,24 @@ def render_rir(gains, delays, num_samples, sample_rate):
     return _scatter(taps, rows, gains, num_samples)
 
 
-def max_arrival_delay(scene, rir_seconds):
-    """The latest arrival whose sinc taps all fit in an `rir_seconds` RIR.
-    An RIR too short for the direct path to a receiver, which would leave
-    it no image, is an error; the direct delays are formed as
-    compute_image_sources forms them, so the two agree to the bit."""
-    fs = scene.sample_rate
+def max_arrival_delay(source, center, mic_positions, fs, rir_seconds):
+    """The latest arrival whose sinc taps all fit in an `rir_seconds` RIR
+    at `fs` Hz. An RIR too short for the direct path from `source` to the
+    array `center` or a mic, `mic_positions` (M, 3) relative to it, would
+    leave that receiver no image and is an error; the direct delays are
+    formed as compute_image_sources forms them, so the two agree to the
+    bit. config.resolve applies the rule."""
     max_delay = (int(round(rir_seconds * fs)) - _HALF - 1) / fs
     dists = np.linalg.norm(
-        np.subtract(scene.source_position, scene.receivers), axis=1)
+        np.subtract(source, [center, *(mic_positions + center)]), axis=1)
     if np.any(dists / SPEED_OF_SOUND > max_delay):
         dist = dists.max()
         need = (int(np.ceil(dist / SPEED_OF_SOUND * fs))
                 + _HALF + 1) / fs
         raise ValueError(
-            f"rir_seconds {rir_seconds:g} is shorter than the direct path to "
-            f"a receiver {dist:.3f} m from the source; with its sinc taps "
-            f"it needs rir_seconds >= {need:.6g}")
+            f"scene.rir_seconds {rir_seconds:g} is shorter than the direct "
+            f"path to a receiver {dist:.3f} m from the source; with its sinc "
+            f"taps it needs scene.rir_seconds >= {need:.6g}")
     return max_delay
 
 
@@ -192,7 +193,9 @@ def scene_images(scene, max_order, rir_seconds):
     """Image sources seen from the array center and from each microphone:
     (center's array, [each mic's]), views of one image lattice, shared
     by scene_statistics, render_mic_signals and binaural_references."""
-    max_delay = max_arrival_delay(scene, rir_seconds)
+    max_delay = max_arrival_delay(scene.source_position, scene.array_center,
+                                  scene.mic_positions, scene.sample_rate,
+                                  rir_seconds)
     lattice = image_lattice(scene.room_dimensions,
                             scene.reflection_coefficients,
                             scene.source_position, max_order, max_delay)

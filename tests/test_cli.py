@@ -865,16 +865,22 @@ def test_run_digest_is_computed_once_per_process(tmp_path, monkeypatch,
     assert len(calls) == 1
 
 
-def test_truncated_source_wav_fails_simulate_stage(tmp_path, capsys):
+def test_truncated_source_wav_fails_config(tmp_path, capsys):
+    # resolve reads the source to count its frames: a file that does not
+    # parse is refused there, naming it, as --dry-run and as every stage,
+    # with no directory made, where it once passed --dry-run and ended
+    # simulate with exit 2
     source = tmp_path / "source.wav"
     write_wav(source, np.zeros(480), 48000)
     source.write_bytes(source.read_bytes()[:30])  # cut inside the fmt chunk
     config_path = tmp_path / "wav.yaml"
     config_path.write_text(f"scene:\n  source_wav: {str(source)!r}\n")
-    rc = main(["simulate", "--out", str(tmp_path / "o"),
-               "--config", str(config_path)])
-    assert rc == EXIT_CODES["simulate"]
-    assert "error [simulate]" in capsys.readouterr().err
+    for argv in (["simulate", "--dry-run"], ["simulate"], ["design"]):
+        rc = main(argv + ["--out", str(tmp_path / "o"),
+                          "--config", str(config_path)])
+        assert (rc, capsys.readouterr().err) == (EXIT_CODES["config"], (
+            f"error [config]: {source}: truncated RIFF chunk\n"))
+    assert not (tmp_path / "o").exists()
 
 
 def test_truncated_hrtf_file_fails_design_stage(tmp_path, capsys):
@@ -1438,25 +1444,38 @@ def test_reference_gets_the_center_images_alone(tmp_path, monkeypatch):
     assert len(alive) == 1 and alive == [None]
 
 
-def test_rir_shorter_than_direct_path_fails_simulate_stage(tmp_path, capsys):
-    # no image source fits a 1 ms RIR on desk: a named error instead of an
-    # IndexError from the empty image lists
+def test_rir_shorter_than_direct_path_fails_config(tmp_path, capsys):
+    # no image source fits a 1 ms RIR on desk: resolve names the farthest
+    # receiver's need, as --dry-run and as every stage, with no directory
+    # made, where it once passed --dry-run and ended simulate with exit 2
+    # after the directory was made
     config_path = tmp_path / "short.yaml"
     config_path.write_text("scene: {rir_seconds: 0.001}\n")
-    rc = main(["simulate", "--out", str(tmp_path / "o"),
-               "--config", str(config_path)])
-    assert rc == EXIT_CODES["simulate"]
-    assert capsys.readouterr().err == (
-        "error [simulate]: rir_seconds 0.001 is shorter than the direct path "
-        "to a receiver 0.711 m from the source; with its sinc taps it needs "
-        "rir_seconds >= 0.0024375\n")
+    for argv in (["simulate", "--dry-run"], ["simulate"], ["design"],
+                 ["pipeline"]):
+        rc = main(argv + ["--out", str(tmp_path / "o"),
+                          "--config", str(config_path)])
+        assert (rc, capsys.readouterr().err) == (EXIT_CODES["config"], (
+            "error [config]: scene.rir_seconds 0.001 is shorter than the "
+            "direct path to a receiver 0.711 m from the source; with its "
+            "sinc taps it needs scene.rir_seconds >= 0.0024375\n"))
+    assert not (tmp_path / "o").exists()
+    # the length it names resolves, one sample less does not: resolve
+    # applies the rule scene_images applies, to the bit
+    config_path.write_text("scene: {rir_seconds: 0.0024375}\n")
+    cfg = cfgmod.resolve("desk", config_path)
+    simulate.scene_images(cfgmod.build_scene(cfg), 0, 0.0024375)
+    less = 0.0024375 - 1 / 48000
+    config_path.write_text(f"scene: {{rir_seconds: {less!r}}}\n")
+    with pytest.raises(cfgmod.ConfigError, match="shorter than the direct"):
+        cfgmod.resolve("desk", config_path)
 
 
 def test_rir_too_short_is_refused_before_the_fit(tmp_path, capsys,
                                                 monkeypatch):
-    # the RIR length check needs only the geometry, so a too-short RIR
-    # fails before a file HRTF's fit, the one fit simulate still runs,
-    # rather than after it
+    # the RIR length needs only the geometry, so resolve refuses a
+    # too-short RIR before any stage, and so before a file HRTF's fit, the
+    # one fit simulate still runs
     fits = []
     monkeypatch.setattr(cli, "_hrtf_coeffs", lambda *args: fits.append(args))
     config_path = _flat_hrtf_file_config(tmp_path, spiral_grid(16),
@@ -1465,9 +1484,12 @@ def test_rir_too_short_is_refused_before_the_fit(tmp_path, capsys,
         config.write("scene: {rir_seconds: 0.001}\n")
     rc = main(["simulate", "--out", str(tmp_path / "o"),
                "--config", str(config_path)])
-    assert rc == EXIT_CODES["simulate"]
-    assert "shorter than the direct path" in capsys.readouterr().err
+    assert rc == EXIT_CODES["config"]
+    assert capsys.readouterr().err.startswith(
+        "error [config]: scene.rir_seconds 0.001 is shorter than the direct "
+        "path")
     assert fits == []
+    assert not (tmp_path / "o").exists()
 
 
 @st.composite

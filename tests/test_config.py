@@ -1,9 +1,14 @@
 """Profiles, YAML overrides, validation and the config-driven builders."""
 
 import math
+import re
+import struct
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from bsmrender.cli import direct_doa_offset_deg, main
 from bsmrender.config import (
@@ -231,14 +236,6 @@ def test_hrtf_order_beyond_its_grid_is_a_config_error(offset, tmp_path,
     resolve("desk", _write(tmp_path, text.replace("order: 40", "order: 39")))
 
 
-def test_hrtf_file_order_is_left_to_the_stage(tmp_path):
-    # set.bsmh does not exist, so resolve has no header to count: the
-    # stage that reads the file refuses it
-    text = ("design:\n  hrtf_file: set.bsmh\n"
-            "  hrtf_grid_size: 1\n  hrtf_sh_order: 40\n")
-    assert resolve("desk", _write(tmp_path, text))["design"]["hrtf_sh_order"] == 40
-
-
 def _hrtf_file_yaml(tmp_path, count, rate):
     """A desk override whose design.hrtf_file holds `count` directions
     sampled at `rate`."""
@@ -267,16 +264,48 @@ def test_hrtf_file_too_small_for_its_fit_is_a_config_error(tmp_path, capsys):
     resolve("desk", _write(tmp_path, _hrtf_file_yaml(tmp_path, 961, 48000)))
 
 
-def test_hrtf_file_that_does_not_parse_is_left_to_the_stage(tmp_path,
-                                                            capsys):
-    # a damaged header is simulate's to refuse, as a damaged source WAV is
-    text = _hrtf_file_yaml(tmp_path, 500, 48000)
-    (tmp_path / "ears.bsmh").write_bytes(b"BSMH")
-    assert _dry_run(tmp_path, capsys, text)[0] == 0
-    assert main(["simulate", "--out", str(tmp_path / "out"), "--config",
-                 _write(tmp_path, text)]) == 2
-    assert capsys.readouterr().err == (
-        f"error [simulate]: {tmp_path / 'ears.bsmh'}: truncated header\n")
+def _bsmh_header(taps):
+    """The 20 bytes of a BSMH header: version 1, 48 kHz, desk's 961
+    directions (its order-30 fit's count) and `taps`, with no body."""
+    return b"BSMH" + struct.pack("<IIII", 1, 48000, 961, taps)
+
+
+@pytest.mark.parametrize("header, problem", [
+    (b"BSMH", "truncated header"),
+    (_bsmh_header(0), "0-tap impulse responses: the run's FFT takes 1 to "
+                      "2048 taps"),
+    (_bsmh_header(4096), "4096-tap impulse responses: the run's FFT takes "
+                         "1 to 2048 taps"),
+    (None, None)], ids=["garbage", "no-taps", "taps-beyond-fft", "missing"])
+def test_hrtf_file_header_is_judged_by_the_config(tmp_path, capsys, header,
+                                                  problem):
+    # resolve reads the header it counts the directions from: one that
+    # does not parse, or whose IRs have no taps or more than desk's
+    # 2048-point FFT, is refused by name at --dry-run and at every stage,
+    # before any directory is made, where the first passed --dry-run and
+    # ended simulate with exit 2 and the last passed it and ended design
+    # with exit 3; a file that does not exist ends there too
+    path = tmp_path / "ears.bsmh"
+    if header is not None:
+        path.write_bytes(header)
+        problem = f"{path}: {problem}"
+    else:
+        problem = f"[Errno 2] No such file or directory: {str(path)!r}"
+    text = f"design:\n  hrtf_file: {str(path)!r}\n"
+    for stage in (["simulate", "--dry-run"], ["simulate"], ["design"]):
+        code = main(stage + ["--out", str(tmp_path / "out"), "--config",
+                             _write(tmp_path, text)])
+        assert (code, capsys.readouterr().err) \
+            == (1, f"error [config]: {problem}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_hrtf_file_header_of_fft_size_taps_resolves(tmp_path):
+    # the header is all resolve reads: a body-less file whose IRs fill the
+    # FFT resolves, and its missing body is the stage's to refuse
+    path = tmp_path / "ears.bsmh"
+    path.write_bytes(_bsmh_header(2048))
+    resolve("desk", _write(tmp_path, f"design:\n  hrtf_file: {str(path)!r}\n"))
 
 
 def test_magls_cutoff_above_nyquist_is_a_config_error(tmp_path, capsys):
@@ -538,6 +567,22 @@ def test_duration_too_long_to_count_is_a_config_error(key, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_unread_source_duration_is_not_counted(tmp_path, capsys):
+    # a wav source leaves scene.source_duration_s unread, so a duration too
+    # long to count no longer refuses the run; without the wav it is the
+    # run's source length and is still refused by name
+    source = tmp_path / "source.wav"
+    write_wav(source, np.full(960, 0.1), 48000)
+    text = "scene: {source_duration_s: 1.0e+308}\n"
+    assert _dry_run(tmp_path, capsys, text) == (1, (
+        "error [config]: scene.source_duration_s 1e+308 at 48000 Hz is too "
+        "long to count in samples\n"))
+    text = ("scene: {source_duration_s: 1.0e+308, "
+            f"source_wav: {str(source)!r}}}\n")
+    assert _dry_run(tmp_path, capsys, text) == (0, "")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("text, message", [
     ("scene: {source_duration_s: 3.0e+303, rir_seconds: 3.0e+303}\n"
@@ -571,3 +616,18 @@ def test_number_beyond_float_range_ends_in_config_error(key, tmp_path,
     code, err = _dry_run(tmp_path, capsys, _leaf_yaml(key, 10 ** 400))
     assert code == 1
     assert err.startswith(f"error [config]: bad value for {key}: "), err
+
+
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_readme_yaml_blocks_resolve(profile, tmp_path):
+    # every YAML example in README.md is a config override that resolves
+    # on either profile, so a renamed or removed leaf cannot leave one
+    # stale
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^( *)```yaml\n(.*?)^\1```", readme.read_text(),
+                        re.M | re.S)
+    assert blocks
+    for _, block in blocks:
+        text = textwrap.dedent(block)
+        assert isinstance(yaml.safe_load(text), dict), text
+        resolve(profile, _write(tmp_path, text))

@@ -278,6 +278,48 @@ def test_mic_signals_decomposition_identity():
     assert np.sum(reverb ** 2) > 0
 
 
+@st.composite
+def _small_shoeboxes(draw):
+    """A small valid scene at 16 kHz, its reflection order and an RIR long
+    enough for the direct path to every receiver."""
+    fs = 16000
+    dims = np.array([draw(st.floats(1.0, 4.0)) for _ in range(3)])
+    source = dims * [draw(st.floats(0.1, 0.9)) for _ in range(3)]
+    center = dims * [draw(st.floats(0.2, 0.8)) for _ in range(3)]
+    mics = semicircle_array(draw(st.integers(1, 4)),
+                            draw(st.floats(0.01, 0.1)))
+    try:
+        simulate.check_positions(dims, source, center, mics, "mics")
+    except ValueError:
+        assume(False)
+    refl = [draw(st.sampled_from([0.0, 0.3, 0.9])) for _ in range(6)]
+    far = np.linalg.norm(source - [center, *(mics + center)], axis=1).max()
+    rir_seconds = (far / SPEED_OF_SOUND + 20 / fs
+                   + draw(st.floats(0.0, 0.02)))
+    signal = synth_speech_noise(draw(st.integers(2, 400)), fs,
+                                draw(st.integers(0, 2**32 - 1)))
+    scene = Scene(dims, np.array(refl), source, signal, center, mics, fs)
+    return scene, draw(st.integers(0, 3)), rir_seconds
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_shoeboxes())
+def test_decomposition_identity_holds_in_any_small_shoebox(drawn):
+    # full == direct + reverb to the bit, and with every wall absorbing
+    # the reverberant part is exactly zero and the full signals are the
+    # direct ones, which the walls do not touch
+    scene, order, rir_seconds = drawn
+    full, direct, reverb = render_mic_signals(
+        scene, scene_images(scene, order, rir_seconds), rir_seconds)
+    assert_bits_equal(full, direct + reverb)
+    anechoic = scene._replace(reflection_coefficients=np.zeros(6))
+    full_0, direct_0, reverb_0 = render_mic_signals(
+        anechoic, scene_images(anechoic, order, rir_seconds), rir_seconds)
+    assert not np.any(reverb_0)
+    assert_bits_equal(full_0, direct_0)
+    assert_bits_equal(direct_0, direct)
+
+
 def test_mic_signal_delay_between_mics():
     # cross-correlation of an anechoic recording peaks at the geometric
     # inter-mic delay difference
